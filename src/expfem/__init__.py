@@ -20,7 +20,6 @@ from .problems import (NonlinearityDomainError, Problem,
                        builtin_linear_rd, mesh_for)
 from .stepper import (SchemeConfig, SolverState, exp_euler_step, exp_rk2_step,
                       run)
-from .tensor_ops import exp_entrywise, hadamard, mode_multiply
 from .transforms import (AxisSpectrum, axis_spectrum, basis_matrix,
                          build_axis_matrices, forward_transform,
                          inverse_transform)
@@ -35,9 +34,8 @@ __all__ = [
     "axis_spectrum", "basis_matrix", "build_axis_matrices", "build_operator",
     "builtin_allen_cahn_wave", "builtin_flory_huggins", "builtin_linear_rd",
     "convergence_study", "dense_semidiscrete_rhs", "discrete_energy",
-    "dof_shape", "error_norms", "exp_entrywise", "exp_euler_step",
-    "exp_rk2_step", "forward_transform", "hadamard", "initial_state",
-    "inverse_transform", "make_mesh", "mesh_for", "mode_multiply",
-    "node_coordinates", "phi", "phi_tensor", "run", "sup_norm",
+    "dof_shape", "error_norms", "exp_euler_step", "exp_rk2_step",
+    "forward_transform", "initial_state", "inverse_transform", "make_mesh",
+    "mesh_for", "node_coordinates", "phi", "phi_tensor", "run", "sup_norm",
     "timing_study", "transformed_load",
 ]

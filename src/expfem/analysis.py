@@ -1,10 +1,16 @@
 """Error norms, discrete energy and convergence/timing studies.
 
-Norms and energies integrate the multilinear interpolant of the nodal
-tensor with a tensor-product Gauss rule (3 points per axis by default,
-exact for squares of multilinear functions).  Studies run refinement
-ladders and report errors at the terminal time with dyadic convergence
-rates between consecutive rungs.
+Error norms integrate the multilinear interpolant of the nodal tensor
+against the exact solution with a tensor-product Gauss rule (3 points
+per axis by default, exact for squares of multilinear functions).  The
+energy integrates its logarithmic potential with the same rule; its
+quadratic well and gradient terms are exact sums over nodal values and
+differences.  The Gauss grid is visited in blocks by
+`quadrature.gauss_blocks`, whose two-tap evaluation reads only the two
+nodes bounding each point per axis, so neither ever holds a whole
+Gauss-grid tensor.  Studies run refinement ladders and report errors at
+the terminal time with dyadic convergence rates between consecutive
+rungs.
 """
 
 import datetime
@@ -15,7 +21,7 @@ import numpy as np
 
 from .mesh import dof_shape, extend_nodal
 from .problems import NonlinearityDomainError, mesh_for
-from .quadrature import apply_matrix, axis_quadrature, integrate
+from .quadrature import element_blocks, gauss_blocks, integrate
 from .stepper import SchemeConfig, run
 from .transforms import inverse_transform
 
@@ -28,29 +34,6 @@ _GRAD_FD_REL_STEP = 1e-3
 def sup_norm(U):
     """Largest nodal magnitude."""
     return float(np.max(np.abs(U)))
-
-
-def _interpolant_on_gauss(U, mesh, t, npts):
-    """Interpolant values and per-axis slopes on the Gauss grid."""
-    full = extend_nodal(U, mesh, t)
-    coords, weights, val_mats, slope_mats = [], [], [], []
-    for p in mesh.partitions:
-        x, w, values, slopes = axis_quadrature(p, npts)
-        coords.append(x)
-        weights.append(w)
-        val_mats.append(values)
-        slope_mats.append(slopes)
-    vals = full
-    for a, m in enumerate(val_mats):
-        vals = apply_matrix(m, vals, a)
-    grads = []
-    for a_diff in range(mesh.dim):
-        g = full
-        for a in range(mesh.dim):
-            g = apply_matrix(slope_mats[a] if a == a_diff else val_mats[a], g, a)
-        grads.append(g)
-    grid = np.ix_(*coords) if mesh.dim > 1 else (coords[0],)
-    return vals, grads, grid, weights
 
 
 def _exact_gradient(exact, t, grid, axis, span):
@@ -67,28 +50,90 @@ def _exact_gradient(exact, t, grid, axis, span):
 
 def error_norms(U, mesh, exact, t, npts=3):
     """(L2, H1) distance between the interpolant of U and `exact` at time t."""
-    vals, grads, grid, weights = _interpolant_on_gauss(U, mesh, t, npts)
-    diff = vals - np.broadcast_to(np.asarray(exact(t, grid), dtype=float), vals.shape)
-    l2_sq = integrate(weights, diff * diff)
-    h1_sq = l2_sq
-    for a, p in enumerate(mesh.partitions):
-        dref = _exact_gradient(exact, t, grid, a, p.b - p.a)
-        gdiff = grads[a] - np.broadcast_to(dref, grads[a].shape)
-        h1_sq += integrate(weights, gdiff * gdiff)
-    return math.sqrt(l2_sq), math.sqrt(h1_sq)
+    full = extend_nodal(U, mesh, t)
+    l2_sq = grad_sq = 0.0
+    for blk in gauss_blocks(full, mesh.partitions, npts, slopes=True):
+        diff = blk.values - np.asarray(exact(t, blk.coords), dtype=float)
+        l2_sq += integrate(blk.weights, diff * diff)
+        for a, p in enumerate(mesh.partitions):
+            gdiff = blk.slopes[a] - _exact_gradient(exact, t, blk.coords, a,
+                                                    p.b - p.a)
+            grad_sq += integrate(blk.weights, gdiff * gdiff)
+    return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
+
+
+def _mass_stencil(x, axis):
+    """Full-grid 1D P1 mass matrix over h/6, tridiag(1, 4, 1) with end
+    diagonals 2, applied along one axis."""
+    out = 4.0 * x
+    src = np.moveaxis(x, axis, 0)
+    dst = np.moveaxis(out, axis, 0)
+    dst[1:] += src[:-1]
+    dst[:-1] += src[1:]
+    dst[0] -= 2.0 * src[0]
+    dst[-1] -= 2.0 * src[-1]
+    return out
+
+
+def _nodal_quadratics(full, hs):
+    """Integrals of u^2 and |grad u|^2 for the multilinear interpolant of a
+    full-grid nodal tensor, exact from nodal values.
+
+    They are u^T (kron_b M_b) u and sum_a (D_a u)^T (kron_{b != a} M_b)
+    (D_a u) / h_a, with M_b the 1D mass matrix and D_a the nodal difference
+    along axis a.  Slabs of axis-0 elements are summed one at a time; each
+    slab holds the mass coupling of its own elements, so the slab sums add
+    up to the whole grid's.
+    """
+    masses = [h / 6.0 for h in hs]
+    mass_all = math.prod(masses)
+    sq = grad_sq = 0.0
+    for e0, e1 in element_blocks(full.shape[0] - 1, full[0].size):
+        slab = full[e0:e1 + 1]
+        massed = slab
+        for b in range(len(hs)):
+            massed = _mass_stencil(massed, b)
+        sq += float(np.vdot(slab, massed)) * mass_all
+        for a, h in enumerate(hs):
+            diff = np.diff(slab, axis=a)
+            massed = diff
+            for b in range(len(hs)):
+                if b != a:
+                    massed = _mass_stencil(massed, b)
+            grad_sq += float(np.vdot(diff, massed)) * mass_all / (masses[a] * h)
+    return sq, grad_sq
+
+
+def _mixing(v):
+    """(1 + v) log(1 + v) + (1 - v) log(1 - v), with three block arrays."""
+    lp = np.log1p(v)
+    lm = np.negative(v)
+    np.log1p(lm, out=lm)
+    # (lp + lm) + v (lp - lm), built in place
+    lp -= lm
+    lm *= 2.0
+    lm += lp
+    lp *= v
+    lm += lp
+    return lm
 
 
 def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
     """Free energy of the interpolant: logarithmic mixing potential,
-    quadratic well and gradient penalty."""
+    quadratic well and gradient penalty.
+
+    The mixing potential is integrated with an npts-point Gauss rule per
+    axis, block by block; the well and gradient terms are exact from
+    nodal values.
+    """
     if sup_norm(U) >= 1.0:
         worst = np.argmax(np.abs(np.asarray(U)))
         raise NonlinearityDomainError(float(np.asarray(U).flat[worst]))
-    vals, grads, _, weights = _interpolant_on_gauss(U, mesh, 0.0, npts)
-    mixing = (1.0 + vals) * np.log1p(vals) + (1.0 - vals) * np.log1p(-vals)
-    density = 0.5 * theta * mixing - 0.5 * theta_c * vals * vals
-    grad_sq = sum(g * g for g in grads)
-    return integrate(weights, density + 0.5 * eps**2 * grad_sq)
+    full = extend_nodal(U, mesh, 0.0)
+    mixing = sum(integrate(blk.weights, _mixing(blk.values))
+                 for blk in gauss_blocks(full, mesh.partitions, npts))
+    sq, grad_sq = _nodal_quadratics(full, [p.h for p in mesh.partitions])
+    return 0.5 * theta * mixing - 0.5 * theta_c * sq + 0.5 * eps**2 * grad_sq
 
 
 class TimeSeriesObserver:

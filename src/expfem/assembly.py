@@ -134,7 +134,7 @@ def _project_initial(problem, mesh, npts=3):
     periodic = is_periodic(mesh.bc)
     coords, load_mats = [], []
     for p in mesh.partitions:
-        x, w, values, _ = axis_quadrature(p, npts)
+        x, w, values = axis_quadrature(p, npts)
         coords.append(x)
         load_mats.append(values.T * w)
     grid = np.ix_(*coords) if mesh.dim > 1 else (coords[0],)

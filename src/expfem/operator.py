@@ -18,7 +18,6 @@ from .transforms import axis_spectrum
 # while phi_2's subtraction needs |z| >= 0.1 before it stops losing digits
 PHI1_TAYLOR_CUTOFF = 1e-4
 PHI2_TAYLOR_CUTOFF = 0.1
-PHI_TAYLOR_CUTOFF = PHI1_TAYLOR_CUTOFF
 
 # phi_2 = sum_j z^j / (j+2)!, truncated after z^8 (error < 1e-16 at 0.1)
 _PHI2_COEFFS = [1.0 / math.factorial(j + 2) for j in range(9)][::-1]

@@ -1,12 +1,22 @@
-"""Per-axis Gauss rules and multilinear evaluation matrices.
+"""Per-axis Gauss rules and blocked two-tap evaluation of the interpolant.
 
-Norms, energies and projection loads all integrate functions of the
-multilinear interpolant; on a tensor grid this reduces to per-axis
-matrices mapping full-grid nodal values to values (or slopes) at every
-Gauss point, followed by weighted contractions.
+Norms and energies integrate functions of the multilinear interpolant on
+a tensor-product Gauss grid.  Each Gauss value depends on only two nodes
+per axis, so `gauss_blocks` evaluates the interpolant axis by axis as
+`lo + (hi - lo) * xi` (slopes as `(hi - lo) / h`), streaming the Gauss
+grid in blocks of axis-0 elements of about `BLOCK_POINTS` points so a
+block's arrays stay in cache: O(npts^d N^d) work and block-sized memory.
+
+The dense per-axis value matrices of `axis_quadrature`, applied with
+`apply_matrix`, remain for the L2-projection load of the initial datum.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+
+# Gauss points per block; a block holds at least one axis-0 element
+BLOCK_POINTS = 1 << 16
 
 
 def gauss_rule(npts):
@@ -15,28 +25,28 @@ def gauss_rule(npts):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _axis_points(p, xi, w):
+    """Gauss-point coordinates (element-major) and jacobian-scaled weights."""
+    coords = (p.a + (np.arange(p.n)[:, None] + xi[None, :]) * p.h).ravel()
+    return coords, np.tile(w * p.h, p.n)
+
+
 def axis_quadrature(p, npts=3):
     """Quadrature data for one axis of a uniform partition.
 
-    Returns (coords, weights, values, slopes): Gauss-point coordinates
-    and jacobian-scaled weights (length n*npts), plus dense matrices
-    mapping n+1 nodal values to interpolant values and d/dx at those
-    points.
+    Returns (coords, weights, values): Gauss-point coordinates and
+    jacobian-scaled weights (length n*npts), plus the dense matrix
+    mapping n+1 nodal values to interpolant values at those points.
     """
     xi, w = gauss_rule(npts)
-    n, h = p.n, p.h
-    coords = (p.a + (np.arange(n)[:, None] + xi[None, :]) * h).ravel()
-    weights = np.tile(w * h, n)
-    rows = np.arange(n * npts)
+    coords, weights = _axis_points(p, xi, w)
+    rows = np.arange(p.n * npts)
     els = rows // npts
-    loc = np.tile(xi, n)
-    values = np.zeros((n * npts, n + 1))
-    slopes = np.zeros((n * npts, n + 1))
+    loc = np.tile(xi, p.n)
+    values = np.zeros((p.n * npts, p.n + 1))
     values[rows, els] = 1.0 - loc
     values[rows, els + 1] = loc
-    slopes[rows, els] = -1.0 / h
-    slopes[rows, els + 1] = 1.0 / h
-    return coords, weights, values, slopes
+    return coords, weights, values
 
 
 def apply_matrix(matrix, tensor, axis):
@@ -51,3 +61,70 @@ def integrate(per_axis_weights, values):
     for w in per_axis_weights:
         out = np.tensordot(w, out, axes=(0, 0))
     return float(out)
+
+
+class GaussBlock(NamedTuple):
+    """The interpolant on the Gauss points of a run of axis-0 elements."""
+
+    values: np.ndarray
+    slopes: tuple      # d/dx_a per axis; empty unless requested
+    coords: tuple      # open (broadcastable) grid of the block's points
+    weights: tuple     # per-axis weight vectors of the block's points
+
+
+def _tap_ends(t, axis):
+    lo = t[(slice(None),) * axis + (slice(None, -1),)]
+    hi = t[(slice(None),) * axis + (slice(1, None),)]
+    return lo, hi
+
+
+def _two_tap(t, axis, xi):
+    """Interpolant values at the Gauss points of every element of one axis."""
+    lo, hi = _tap_ends(t, axis)
+    diff = hi - lo
+    out = np.empty(lo.shape[:axis + 1] + (xi.size,) + lo.shape[axis + 1:])
+    # one pass per Gauss point keeps the inner loop over the long axes
+    for k, x in enumerate(xi):
+        point = out[(slice(None),) * (axis + 1) + (k,)]
+        np.multiply(diff, x, out=point)
+        point += lo
+    return out.reshape(lo.shape[:axis] + (-1,) + lo.shape[axis + 1:])
+
+
+def _slope_tap(t, axis, npts, h):
+    """Elementwise slope (hi - lo) / h repeated over each element's points."""
+    lo, hi = _tap_ends(t, axis)
+    return np.repeat((hi - lo) / h, npts, axis=axis)
+
+
+def element_blocks(n, per_element):
+    """Ranges [e0, e1) of axis-0 elements, each worth about BLOCK_POINTS
+    points at `per_element` points per element."""
+    step = max(1, BLOCK_POINTS // per_element)
+    return [(e0, min(e0 + step, n)) for e0 in range(0, n, step)]
+
+
+def gauss_blocks(full, partitions, npts=3, slopes=False):
+    """Yield `GaussBlock`s covering the tensor-product Gauss grid.
+
+    `full` holds nodal values on the full grid 0..N of every axis.  Blocks
+    partition the axis-0 elements; values are laid out element-major
+    (element, Gauss point) along every axis.
+    """
+    xi, w = gauss_rule(npts)
+    axes = [_axis_points(p, xi, w) for p in partitions]
+    per_element = npts
+    for p in partitions[1:]:
+        per_element *= p.n * npts
+    for e0, e1 in element_blocks(partitions[0].n, per_element):
+        vals, grads = full[e0:e1 + 1], []
+        for a, p in enumerate(partitions):
+            if slopes:
+                grads = [_two_tap(g, a, xi) for g in grads]
+                grads.append(_slope_tap(vals, a, npts, p.h))
+            vals = _two_tap(vals, a, xi)
+        pts = slice(e0 * npts, e1 * npts)
+        coords = [axes[0][0][pts]] + [c for c, _ in axes[1:]]
+        weights = (axes[0][1][pts],) + tuple(wt for _, wt in axes[1:])
+        grid = tuple(np.ix_(*coords)) if len(coords) > 1 else (coords[0],)
+        yield GaussBlock(vals, tuple(grads), grid, weights)

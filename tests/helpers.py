@@ -2,7 +2,9 @@
 
 The dense step oracle advances the semi-discrete system with a dense
 generalized eigendecomposition (matrix exponential realized spectrally),
-fully independent of the FFT solution path.  The residual oracle
+fully independent of the FFT solution path.  The dense quadrature oracle
+evaluates the interpolant on the whole Gauss grid with per-axis
+(n*npts) x (n+1) value and slope matrices.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
 derivatives.
 """
@@ -13,9 +15,28 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
+from expfem.analysis import _exact_gradient
 from expfem.assembly import (dense_boundary_load, dense_operator_matrices,
                              _nodal_reaction)
+from expfem.mesh import extend_nodal
 from expfem.operator import phi
+from expfem.quadrature import apply_matrix, axis_quadrature, integrate
+
+
+def mode_multiply(matrix, tensor, axis):
+    """Apply a square matrix to every line of `tensor` along `axis`."""
+    u = np.asarray(tensor, dtype=float)
+    m = np.asarray(matrix, dtype=float)
+    if not 0 <= axis < u.ndim:
+        raise ValueError(f"axis {axis} out of range for rank-{u.ndim} tensor")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[1] != u.shape[axis]:
+        raise ValueError(
+            f"matrix side {m.shape[1]} does not match extent "
+            f"{u.shape[axis]} of axis {axis}")
+    out = np.tensordot(m, u, axes=(1, axis))
+    return np.ascontiguousarray(np.moveaxis(out, 0, axis))
 
 
 def dense_modal_system(ctx):
@@ -53,6 +74,59 @@ def dense_rk2_step(ctx, t, U, dt, c2=0.5):
     p1, p2 = phi(1, -dt * lam), phi(2, -dt * lam)
     y1 = np.exp(-dt * lam) * y + dt * ((p1 - p2 / c2) * g1 + (p2 / c2) * g2)
     return (V @ y1).reshape(U.shape)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-grid evaluation of the interpolant
+
+def dense_axis_slopes(p, npts):
+    """(n*npts) x (n+1) matrix mapping nodal values to d/dx at Gauss points."""
+    rows = np.arange(p.n * npts)
+    els = rows // npts
+    slopes = np.zeros((p.n * npts, p.n + 1))
+    slopes[rows, els] = -1.0 / p.h
+    slopes[rows, els + 1] = 1.0 / p.h
+    return slopes
+
+
+def dense_interpolant_on_gauss(U, mesh, t, npts):
+    """Interpolant values and per-axis slopes on the whole Gauss grid."""
+    full = extend_nodal(U, mesh, t)
+    coords, weights, val_mats = zip(
+        *(axis_quadrature(p, npts) for p in mesh.partitions))
+    slope_mats = [dense_axis_slopes(p, npts) for p in mesh.partitions]
+    vals = full
+    for a, m in enumerate(val_mats):
+        vals = apply_matrix(m, vals, a)
+    grads = []
+    for a_diff in range(mesh.dim):
+        g = full
+        for a in range(mesh.dim):
+            g = apply_matrix(slope_mats[a] if a == a_diff else val_mats[a], g, a)
+        grads.append(g)
+    grid = np.ix_(*coords) if mesh.dim > 1 else (coords[0],)
+    return vals, grads, grid, weights
+
+
+def dense_error_norms(U, mesh, exact, t, npts=3):
+    vals, grads, grid, weights = dense_interpolant_on_gauss(U, mesh, t, npts)
+    diff = vals - np.broadcast_to(np.asarray(exact(t, grid), dtype=float),
+                                  vals.shape)
+    l2_sq = integrate(weights, diff * diff)
+    h1_sq = l2_sq
+    for a, p in enumerate(mesh.partitions):
+        dref = _exact_gradient(exact, t, grid, a, p.b - p.a)
+        gdiff = grads[a] - np.broadcast_to(dref, grads[a].shape)
+        h1_sq += integrate(weights, gdiff * gdiff)
+    return math.sqrt(l2_sq), math.sqrt(h1_sq)
+
+
+def dense_discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
+    vals, grads, _, weights = dense_interpolant_on_gauss(U, mesh, 0.0, npts)
+    mixing = (1.0 + vals) * np.log1p(vals) + (1.0 - vals) * np.log1p(-vals)
+    density = 0.5 * theta * mixing - 0.5 * theta_c * vals * vals
+    grad_sq = sum(g * g for g in grads)
+    return integrate(weights, density + 0.5 * eps**2 * grad_sq)
 
 
 # ---------------------------------------------------------------------------

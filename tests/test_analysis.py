@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from expfem.analysis import (StudyReport, StudyRow, TimeSeriesObserver,
                              convergence_study, discrete_energy, error_norms,
                              sup_norm, timing_study)
-from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape, make_mesh,
-                         node_grids)
+from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
+                         extend_nodal, make_mesh, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_linear_rd, mesh_for)
 
@@ -134,3 +135,19 @@ def test_time_series_observer_collects_energy_when_configured():
     plain = TimeSeriesObserver(mesh)
     plain(0, 0.0, U)
     assert plain.rows[0][2] is None
+
+
+def test_discrete_energy_memory_stays_block_sized():
+    # the dense Gauss-grid path held several (3N)^3 tensors, 57x this bound
+    mesh = make_mesh([(0, 1)] * 3, [48] * 3, Periodic())
+    rng = np.random.default_rng(5)
+    U = 0.5 * np.tanh(rng.standard_normal(dof_shape(mesh)))
+    nodal_bytes = extend_nodal(U, mesh).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        discrete_energy(U, mesh, 0.01, 0.8, 1.6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * nodal_bytes

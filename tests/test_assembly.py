@@ -9,11 +9,10 @@ from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
-from expfem.tensor_ops import mode_multiply
 from expfem.transforms import (build_axis_matrices, forward_transform,
                                inverse_transform)
 
-from helpers import rel_err
+from helpers import mode_multiply, rel_err
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):

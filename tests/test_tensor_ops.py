@@ -1,9 +1,9 @@
+"""The dense mode-product oracle that the transform and assembly tests use."""
+
 import numpy as np
 import pytest
 
-from expfem.tensor_ops import exp_entrywise, hadamard, mode_multiply
-
-from helpers import rel_err
+from helpers import mode_multiply, rel_err
 
 
 def test_identity_leaves_tensor_unchanged():
@@ -60,35 +60,3 @@ def test_mode_multiply_shape_errors():
         mode_multiply(np.eye(3), u, 2)
     with pytest.raises(ValueError):
         mode_multiply(np.ones((3, 2)), u, 0)
-
-
-def test_hadamard_identity_and_annihilator():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 5))
-    assert np.array_equal(hadamard(a, np.ones_like(a)), a)
-    assert np.array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-
-def test_hadamard_by_definition():
-    assert np.array_equal(
-        hadamard([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), [4.0, 10.0, 18.0])
-
-
-def test_hadamard_commutative_associative():
-    rng = np.random.default_rng(4)
-    a, b, c = (rng.standard_normal((3, 3, 3)) for _ in range(3))
-    assert rel_err(hadamard(a, b), hadamard(b, a)) < 1e-14
-    assert rel_err(hadamard(hadamard(a, b), c), hadamard(a, hadamard(b, c))) < 1e-14
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ValueError):
-        hadamard(np.ones(3), np.ones(4))
-
-
-def test_exp_entrywise():
-    assert np.array_equal(exp_entrywise(np.zeros((2, 2))), np.ones((2, 2)))
-    assert np.allclose(exp_entrywise([-1.0]), [np.exp(-1.0)], rtol=1e-15)
-    rates = np.array([0.5, 1.0, 7.0])
-    decayed = exp_entrywise(-rates * 0.3)
-    assert np.all((decayed > 0) & (decayed < 1))

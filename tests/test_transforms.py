@@ -3,12 +3,11 @@ import pytest
 
 from expfem.mesh import (HomogeneousDirichlet, Partition1D, Periodic,
                          TensorMesh, dof_shape, make_mesh)
-from expfem.tensor_ops import mode_multiply
 from expfem.transforms import (axis_spectrum, basis_matrix,
                                build_axis_matrices, forward_transform,
                                inverse_transform)
 
-from helpers import rel_err
+from helpers import mode_multiply, rel_err
 
 BCS = [HomogeneousDirichlet(), Periodic()]
 
