@@ -9,8 +9,7 @@ entrywise work.  See the README for the CLI and config format.
 from .analysis import (StudyReport, StudyRow, TimeSeriesObserver,
                        convergence_study, discrete_energy, error_norms,
                        sup_norm, timing_study)
-from .assembly import (LoadContext, dense_semidiscrete_rhs, initial_state,
-                       transformed_load)
+from .assembly import LoadContext, initial_state, transformed_load
 from .mesh import (BoundaryKind, Dirichlet, HomogeneousDirichlet, Partition1D,
                    Periodic, TensorMesh, dof_shape, make_mesh,
                    node_coordinates)
@@ -20,9 +19,8 @@ from .problems import (NonlinearityDomainError, Problem,
                        builtin_linear_rd, mesh_for)
 from .stepper import (SchemeConfig, SolverState, exp_euler_step, exp_rk2_step,
                       run)
-from .transforms import (AxisSpectrum, axis_spectrum, basis_matrix,
-                         build_axis_matrices, forward_transform,
-                         inverse_transform)
+from .transforms import (AxisSpectrum, axis_spectrum, forward_transform,
+                         inverse_transform, modal_shape)
 
 __version__ = "0.1.0"
 
@@ -31,11 +29,10 @@ __all__ = [
     "HomogeneousDirichlet", "LoadContext", "NonlinearityDomainError",
     "Partition1D", "Periodic", "Problem", "SchemeConfig", "SolverState",
     "StudyReport", "StudyRow", "TensorMesh", "TimeSeriesObserver",
-    "axis_spectrum", "basis_matrix", "build_axis_matrices", "build_operator",
-    "builtin_allen_cahn_wave", "builtin_flory_huggins", "builtin_linear_rd",
-    "convergence_study", "dense_semidiscrete_rhs", "discrete_energy",
-    "dof_shape", "error_norms", "exp_euler_step", "exp_rk2_step",
-    "forward_transform", "initial_state", "inverse_transform", "make_mesh",
-    "mesh_for", "node_coordinates", "phi", "phi_tensor", "run", "sup_norm",
-    "timing_study", "transformed_load",
+    "axis_spectrum", "build_operator", "builtin_allen_cahn_wave",
+    "builtin_flory_huggins", "builtin_linear_rd", "convergence_study",
+    "discrete_energy", "dof_shape", "error_norms", "exp_euler_step",
+    "exp_rk2_step", "forward_transform", "initial_state", "inverse_transform",
+    "make_mesh", "mesh_for", "modal_shape", "node_coordinates", "phi",
+    "phi_tensor", "run", "sup_norm", "timing_study", "transformed_load",
 ]

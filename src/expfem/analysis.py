@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import dof_shape, extend_nodal
+from .mesh import _mass_stencil, dof_shape, extend_nodal
 from .problems import NonlinearityDomainError, mesh_for
 from .quadrature import element_blocks, gauss_blocks, integrate
 from .stepper import SchemeConfig, run
@@ -60,19 +60,6 @@ def error_norms(U, mesh, exact, t, npts=3):
                                                     p.b - p.a)
             grad_sq += integrate(blk.weights, gdiff * gdiff)
     return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
-
-
-def _mass_stencil(x, axis):
-    """Full-grid 1D P1 mass matrix over h/6, tridiag(1, 4, 1) with end
-    diagonals 2, applied along one axis."""
-    out = 4.0 * x
-    src = np.moveaxis(x, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:] += src[:-1]
-    dst[:-1] += src[1:]
-    dst[0] -= 2.0 * src[0]
-    dst[-1] -= 2.0 * src[-1]
-    return out
 
 
 def _nodal_quadratics(full, hs):

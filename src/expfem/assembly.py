@@ -7,19 +7,17 @@ load collapse to fwd(f_nodal) exactly, which is what `transformed_load`
 computes.  Nonhomogeneous Dirichlet data enters as an extra load on the
 boundary-adjacent layers: minus the mass coupling times dg/dt minus D
 times the stiffness coupling times g, i.e. the usual elimination of the
-known boundary column.  A dense kron-product oracle of the same
-semi-discretization backs the tests.
+known boundary column.  The tests check all of this against a dense
+kron-product oracle of the same semi-discretization.
 """
 
 import numpy as np
 
-from .mesh import (Dirichlet, _fill_boundary, dof_shape, full_grids,
+from .mesh import (Dirichlet, _fill_boundary, _mass_stencil, dof_shape,
                    is_periodic, node_grids)
 from .operator import build_operator
 from .quadrature import apply_matrix, axis_quadrature
-from .transforms import build_axis_matrices, forward_transform, inverse_transform
-
-DENSE_ORACLE_MAX_DOF = 4096
+from .transforms import forward_transform, inverse_transform
 
 
 class LoadContext:
@@ -47,35 +45,6 @@ def transformed_load(ctx, t, U, workers=None):
     return G
 
 
-def _tridiag_apply(x, axis, main, off):
-    """Apply tridiag(off, main, off) along one axis (end rows not exact,
-    callers discard them)."""
-    out = main * x
-    src = np.moveaxis(x, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:] += off * src[:-1]
-    dst[:-1] += off * src[1:]
-    return out
-
-
-def _mass_apply_full(x, partitions):
-    out = x
-    for a, p in enumerate(partitions):
-        out = _tridiag_apply(out, a, 4.0 * p.h / 6.0, p.h / 6.0)
-    return out
-
-
-def _stiffness_apply_full(x, partitions):
-    total = 0.0
-    for a_stiff, ps in enumerate(partitions):
-        out = _tridiag_apply(x, a_stiff, 2.0 / ps.h, -1.0 / ps.h)
-        for a, p in enumerate(partitions):
-            if a != a_stiff:
-                out = _tridiag_apply(out, a, 4.0 * p.h / 6.0, p.h / 6.0)
-        total = total + out
-    return total
-
-
 def _boundary_tensors(ctx, t):
     """Full-grid tensors holding g and dg/dt on the faces, zero inside."""
     mesh = ctx.mesh
@@ -97,11 +66,28 @@ def _boundary_tensors(ctx, t):
 
 
 def boundary_correction(ctx, t):
-    """Load correction from eliminating known Dirichlet boundary values."""
+    """Load correction from eliminating known Dirichlet boundary values.
+
+    Only interior rows are kept.  There the full-grid 1D mass matrix is
+    h/6 times the stencil, and the stiffness matrix maps x to
+    (6 x - stencil(x)) / h.
+    """
     g_ext, gdot_ext = _boundary_tensors(ctx, t)
     parts = ctx.mesh.partitions
-    corr = -_mass_apply_full(gdot_ext, parts) \
-        - ctx.problem.diffusion * _stiffness_apply_full(g_ext, parts)
+    corr = gdot_ext
+    mass = -1.0
+    for a, p in enumerate(parts):
+        corr = _mass_stencil(corr, a)
+        mass *= p.h / 6.0
+    corr *= mass
+    for a, p in enumerate(parts):
+        massed = g_ext
+        scale = ctx.problem.diffusion / p.h
+        for b, q in enumerate(parts):
+            if b != a:
+                massed = _mass_stencil(massed, b)
+                scale *= q.h / 6.0
+        corr -= scale * (6.0 * massed - _mass_stencil(massed, a))
     interior = tuple(slice(1, -1) for _ in parts)
     return np.ascontiguousarray(corr[interior])
 
@@ -154,61 +140,3 @@ def _project_initial(problem, mesh, npts=3):
             b = np.take(b, range(1, b.shape[a] - 1), axis=a)
     op = build_operator(mesh, problem.diffusion)
     return inverse_transform(op.load_scale * forward_transform(b, mesh), mesh)
-
-
-def _dense_full_axis_matrices(p):
-    n, h = p.n, p.h
-    mass = 4.0 * np.eye(n + 1) + np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
-    mass[0, 0] = mass[n, n] = 2.0
-    stiff = 2.0 * np.eye(n + 1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
-    stiff[0, 0] = stiff[n, n] = 1.0
-    return (h / 6.0) * mass, (1.0 / h) * stiff
-
-
-def dense_operator_matrices(mesh):
-    """Dense mass and stiffness matrices over the owned nodes (kron form)."""
-    total = int(np.prod(dof_shape(mesh)))
-    if total > DENSE_ORACLE_MAX_DOF:
-        raise ValueError(
-            f"dense oracle limited to {DENSE_ORACLE_MAX_DOF} dofs, got {total}")
-    pairs = [build_axis_matrices(p, mesh.bc) for p in mesh.partitions]
-    M = np.array([[1.0]])
-    for a_m, _ in pairs:
-        M = np.kron(M, a_m)
-    K = np.zeros_like(M)
-    for slot in range(len(pairs)):
-        term = np.array([[1.0]])
-        for a, (a_m, b_m) in enumerate(pairs):
-            term = np.kron(term, b_m if a == slot else a_m)
-        K += term
-    return M, K
-
-
-def dense_boundary_load(ctx, t):
-    """Boundary elimination load via dense full-grid kron matrices."""
-    g_ext, gdot_ext = _boundary_tensors(ctx, t)
-    full_mats = [_dense_full_axis_matrices(p) for p in ctx.mesh.partitions]
-    Mf = np.array([[1.0]])
-    for m, _ in full_mats:
-        Mf = np.kron(Mf, m)
-    Kf = np.zeros_like(Mf)
-    for slot in range(len(full_mats)):
-        term = np.array([[1.0]])
-        for a, (m, k) in enumerate(full_mats):
-            term = np.kron(term, k if a == slot else m)
-        Kf += term
-    corr = -(Mf @ gdot_ext.ravel()) - ctx.problem.diffusion * (Kf @ g_ext.ravel())
-    corr = corr.reshape(g_ext.shape)
-    interior = tuple(slice(1, -1) for _ in ctx.mesh.partitions)
-    return np.ascontiguousarray(corr[interior])
-
-
-def dense_semidiscrete_rhs(ctx, t, U):
-    """Oracle: dU/dt by direct mass solve on the kron-assembled system."""
-    U = np.asarray(U, dtype=float)
-    M, K = dense_operator_matrices(ctx.mesh)
-    F = M @ _nodal_reaction(ctx, t, U).ravel()
-    if ctx.lifted:
-        F = F + dense_boundary_load(ctx, t).ravel()
-    rhs = np.linalg.solve(M, F - ctx.problem.diffusion * (K @ U.ravel()))
-    return rhs.reshape(U.shape)

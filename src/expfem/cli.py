@@ -35,7 +35,7 @@ def _build_parser():
             ("bench", "run a spatial ladder and report per-step cost")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, metavar="PATH",
-                       help="key-value config file")
+                       help="TOML config file")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None,

@@ -1,8 +1,7 @@
-"""Run configuration: the key-value config language and its validation.
+"""Run configuration: the TOML config text and its validation.
 
-The accepted grammar is a TOML-like subset, documented in the README:
-`key = value` lines, `[section]` headers, `#` comments, and values that
-are numbers, booleans, double-quoted strings, or (nested) arrays.
+Config text is TOML, read with the standard library's `tomllib`; its
+tables flatten to dotted keys (`[domain]` then `n = ...` is `domain.n`).
 Custom problems may define their PDE data through a small expression
 language over t, u and the coordinates, supporting arithmetic, exp, ln,
 tanh, sin, cos and pi.
@@ -11,6 +10,7 @@ tanh, sin, cos and pi.
 import ast
 import math
 import operator
+import tomllib
 
 import numpy as np
 
@@ -22,90 +22,24 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# key-value text parsing
-
-def _parse_scalar(token, where):
-    token = token.strip()
-    if token.startswith('"'):
-        if not token.endswith('"') or len(token) < 2:
-            raise ConfigError(f"{where}: unterminated string {token!r}")
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {token!r}") from None
-
-
-def _parse_array(text, where):
-    """Parse a possibly nested [...] array literal."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ConfigError(f"{where}: malformed array {text!r}")
-    items, depth, start = [], 0, 1
-    for i, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0 and i != len(text) - 1:
-                raise ConfigError(f"{where}: malformed array {text!r}")
-        elif ch == "," and depth == 1:
-            items.append(text[start:i])
-            start = i + 1
-    last = text[start:-1]
-    if last.strip():
-        items.append(last)
-    out = []
-    for item in items:
-        item = item.strip()
-        if item.startswith("["):
-            out.append(_parse_array(item, where))
-        else:
-            out.append(_parse_scalar(item, where))
-    return out
-
+# config text parsing
 
 def parse_keyvalues(text):
-    """Parse config text into a flat {dotted.key: value} mapping."""
+    """Parse TOML config text into a flat {dotted.key: value} mapping."""
+    try:
+        tree = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ConfigError(f"malformed config: {err}") from None
     values = {}
-    section = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"{where}: malformed section header {line!r}")
-            section = line[1:-1].strip()
-            if not section:
-                raise ConfigError(f"{where}: empty section name")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected key = value, got {line!r}")
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        if not key:
-            raise ConfigError(f"{where}: empty key")
-        # strip trailing comments outside strings/arrays
-        if "#" in rhs and not rhs.startswith('"'):
-            rhs = rhs.split("#", 1)[0].strip()
-        full = f"{section}.{key}" if section else key
-        if full in values:
-            raise ConfigError(f"{where}: duplicate key {full!r}")
-        if rhs.startswith("["):
-            values[full] = _parse_array(rhs, where)
-        else:
-            values[full] = _parse_scalar(rhs, where)
+
+    def flatten(table, prefix):
+        for key, value in table.items():
+            if isinstance(value, dict):
+                flatten(value, f"{prefix}{key}.")
+            else:
+                values[prefix + key] = value
+
+    flatten(tree, "")
     return values
 
 

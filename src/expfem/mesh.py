@@ -151,6 +151,19 @@ def extend_nodal(U, mesh, t=0.0):
     return out
 
 
+def _mass_stencil(x, axis):
+    """Full-grid 1D P1 mass matrix over h/6, tridiag(1, 4, 1) with end
+    diagonals 2, applied along one axis."""
+    out = 4.0 * x
+    src = np.moveaxis(x, axis, 0)
+    dst = np.moveaxis(out, axis, 0)
+    dst[1:] += src[:-1]
+    dst[:-1] += src[1:]
+    dst[0] -= 2.0 * src[0]
+    dst[-1] -= 2.0 * src[-1]
+    return out
+
+
 def _fill_boundary(full, mesh, fn, t):
     """Write fn(t, xs) onto every boundary face of a full-grid tensor."""
     grids = full_grids(mesh)

@@ -1,6 +1,6 @@
 """Modal representation of the diffusion operator and the integrator weights.
 
-After the per-axis basis change the semi-discrete system decouples into
+After the basis change the semi-discrete system decouples into
 scalar ODEs; `decay_rates` holds the modal rates D * sum(stiff/mass) and
 `load_scale` the reciprocal products of mass eigenvalues that turn raw
 load coefficients into right-hand sides.  The phi family (phi_0 = e^z,
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import axis_spectrum
+from .transforms import axis_spectrum, modal_shape
 
 # series/closed-form switch points; expm1 keeps phi_1 exact down to 1e-4,
 # while phi_2's subtraction needs |z| >= 0.1 before it stops losing digits
@@ -57,9 +57,8 @@ def phi(k, z):
 
 @dataclass(frozen=True)
 class DiagonalizedOperator:
-    """Per-axis spectra plus the assembled modal rate/scale tensors."""
+    """The assembled modal rate/scale tensors."""
 
-    spectra: tuple
     diffusion: float
     decay_rates: np.ndarray
     load_scale: np.ndarray
@@ -69,18 +68,16 @@ def build_operator(mesh, diffusion):
     """Assemble the modal operator for a mesh and diffusion coefficient."""
     if diffusion <= 0:
         raise ValueError(f"diffusion coefficient must be positive, got {diffusion}")
-    spectra = tuple(axis_spectrum(p, mesh.bc) for p in mesh.partitions)
-    d = mesh.dim
     rates = 0.0
     scale = 1.0
-    for a, sp in enumerate(spectra):
-        shape = [1] * d
-        shape[a] = sp.mass.size
-        rates = rates + (sp.stiffness / sp.mass).reshape(shape)
-        scale = scale * (1.0 / sp.mass).reshape(shape)
+    for a, (p, m) in enumerate(zip(mesh.partitions, modal_shape(mesh))):
+        sp = axis_spectrum(p, mesh.bc)
+        shape = [1] * mesh.dim
+        shape[a] = m
+        rates = rates + (sp.stiffness[:m] / sp.mass[:m]).reshape(shape)
+        scale = scale * (1.0 / sp.mass[:m]).reshape(shape)
     rates = diffusion * rates
     return DiagonalizedOperator(
-        spectra=spectra,
         diffusion=diffusion,
         decay_rates=np.ascontiguousarray(rates),
         load_scale=np.ascontiguousarray(np.broadcast_to(scale, rates.shape)),

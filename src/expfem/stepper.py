@@ -13,7 +13,11 @@ Two-stage scheme (stage node c2 in (0, 1]):
               + dt * [(phi1 - phi2/c2) * load(t_n) + (phi2/c2) * load_s(t_n + c2*dt)]
 
 State stays transformed between steps; nodal recovery happens only for
-load evaluation and observation.
+load evaluation and observation.  `SolverState.coeffs` is laid out as
+`transforms` defines it: real sine coefficients of the nodal shape on
+Dirichlet meshes, the complex half spectrum of `rfftn` (N // 2 + 1
+entries on the last axis) on periodic ones.  The weights are real and
+broadcast over either.
 """
 
 import ctypes

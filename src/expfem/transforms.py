@@ -1,17 +1,18 @@
-"""Fast orthogonal transforms diagonalizing the 1D mass/stiffness pairs.
+"""Fast orthonormal transforms diagonalizing the 1D mass/stiffness pairs.
 
 For a uniform partition into N cells the P1 mass and stiffness matrices
 are, up to h-scaling, tridiag(1,4,1) and tridiag(-1,2,-1) on the interior
 nodes (Dirichlet) or their circulant closures on all N nodes (periodic).
-Both pairs share one orthogonal eigenbasis: type-I discrete sine vectors
-sin(ij*pi/N) for Dirichlet, the real Fourier (cosine/sine) vectors for
-periodic.  The fast paths below realize the basis change with scipy FFT
-kernels; `basis_matrix` gives the dense realization used by the tests.
+Both pairs share one orthonormal eigenbasis, and each boundary kind has
+one transform convention, a single scipy call over all axes:
 
-Conventions: the Dirichlet forward transform is the plain sine matrix P
-(symmetric, P^2 = (N/2) I, inverse (2/N) P); the periodic transform is
-orthonormal, packing cosine coefficients at indices 0..N/2 and sine
-coefficients at indices N-1..N/2+1.
+- Dirichlet: the type-I sine basis sqrt(2/N) sin(i j pi / N), applied by
+  `dstn(type=1, norm="ortho")`; it is symmetric and its own inverse, so
+  the modal state is real with the nodal shape.
+- Periodic: the Fourier basis exp(2 pi i j k / N) / sqrt(N), applied by
+  `rfftn`/`irfftn` with `norm="ortho"`.  The nodal data are real, so the
+  modal state is the complex half spectrum: N // 2 + 1 entries on the
+  last axis, the full N on the others.
 """
 
 from dataclasses import dataclass
@@ -37,32 +38,13 @@ class AxisSpectrum:
             raise ValueError("stiffness eigenvalues must be nonnegative")
 
 
-def build_axis_matrices(p, bc):
-    """Dense 1D mass and stiffness matrices (h/6- and 1/h-scaled)."""
-    if is_periodic(bc):
-        m = p.n
-        mass = np.zeros((m, m))
-        stiff = np.zeros((m, m))
-        i = np.arange(m)
-        mass[i, i] = 4.0
-        mass[i, (i + 1) % m] += 1.0
-        mass[i, (i - 1) % m] += 1.0
-        stiff[i, i] = 2.0
-        stiff[i, (i + 1) % m] += -1.0
-        stiff[i, (i - 1) % m] += -1.0
-    else:
-        m = p.n - 1
-        mass = 4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
-        stiff = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
-    return (p.h / 6.0) * mass, (1.0 / p.h) * stiff
-
-
 def axis_spectrum(p, bc):
-    """Closed-form eigenvalues, aligned with `basis_matrix` columns.
+    """Closed-form eigenvalues, aligned with the transform basis columns.
 
     Dirichlet mode i (1-based): mass (h/6)(6 - 4 sin^2(i pi / 2N)),
     stiffness (4/h) sin^2(i pi / 2N).  Periodic mode k (0-based, Fourier):
-    mass (h/6)(6 - 4 sin^2(k pi / N)), stiffness (4/h) sin^2(k pi / N).
+    mass (h/6)(6 - 4 sin^2(k pi / N)), stiffness (4/h) sin^2(k pi / N);
+    both are symmetric under k <-> N - k.
     """
     if is_periodic(bc):
         k = np.arange(p.n)
@@ -76,89 +58,33 @@ def axis_spectrum(p, bc):
     )
 
 
-def basis_matrix(p, bc):
-    """Dense transform basis; columns are the shared eigenvectors."""
-    if is_periodic(bc):
-        n = p.n
-        j = np.arange(n)[:, None]
-        q = np.empty((n, n))
-        q[:, 0] = 1.0 / np.sqrt(n)
-        kmax = (n - 1) // 2
-        k = np.arange(1, kmax + 1)[None, :]
-        q[:, 1:kmax + 1] = np.sqrt(2.0 / n) * np.cos(2 * np.pi * j * k / n)
-        q[:, n - kmax:] = np.sqrt(2.0 / n) * np.sin(
-            2 * np.pi * j * k[:, ::-1] / n)
-        if n % 2 == 0:
-            q[:, n // 2] = ((-1.0) ** j[:, 0]) / np.sqrt(n)
-        return q
-    ij = np.arange(1, p.n)
-    return np.sin(np.outer(ij, ij) * np.pi / p.n)
-
-
-def _forward_axis(u, p, bc, axis, workers=None):
-    if is_periodic(bc):
-        return _real_dft_forward(u, axis, workers)
-    # plain sine matrix: scipy's DST-I carries a factor 2
-    return 0.5 * scipy.fft.dst(u, type=1, axis=axis, workers=workers)
-
-
-def _inverse_axis(u, p, bc, axis, workers=None):
-    if is_periodic(bc):
-        return _real_dft_inverse(u, axis, workers)
-    return scipy.fft.dst(u, type=1, axis=axis, workers=workers) / p.n
-
-
-def _real_dft_forward(u, axis, workers=None):
-    n = u.shape[axis]
-    x = scipy.fft.rfft(u, axis=axis, workers=workers)
-    xm = np.moveaxis(x, axis, -1)
-    out = np.empty(xm.shape[:-1] + (n,))
-    kmax = (n - 1) // 2
-    out[..., 0] = xm[..., 0].real / np.sqrt(n)
-    if kmax >= 1:
-        s = np.sqrt(2.0 / n)
-        out[..., 1:kmax + 1] = s * xm[..., 1:kmax + 1].real
-        out[..., n - kmax:] = -s * xm[..., kmax:0:-1].imag
-    if n % 2 == 0:
-        out[..., n // 2] = xm[..., n // 2].real / np.sqrt(n)
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
-
-
-def _real_dft_inverse(u, axis, workers=None):
-    n = u.shape[axis]
-    um = np.moveaxis(u, axis, -1)
-    x = np.zeros(um.shape[:-1] + (n // 2 + 1,), dtype=complex)
-    kmax = (n - 1) // 2
-    x[..., 0] = np.sqrt(n) * um[..., 0]
-    if kmax >= 1:
-        s = np.sqrt(n / 2.0)
-        x[..., 1:kmax + 1] = s * (um[..., 1:kmax + 1]
-                                  - 1j * um[..., :n - kmax - 1:-1])
-    if n % 2 == 0:
-        x[..., n // 2] = np.sqrt(n) * um[..., n // 2]
-    out = scipy.fft.irfft(x, n=n, axis=-1, workers=workers)
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+def modal_shape(mesh):
+    """Shape of the modal coefficient tensor: the dof shape, with the
+    last axis halved to N // 2 + 1 on periodic meshes."""
+    shape = dof_shape(mesh)
+    if is_periodic(mesh.bc):
+        shape[-1] = shape[-1] // 2 + 1
+    return shape
 
 
 def forward_transform(U, mesh, workers=None):
-    """Transform a nodal tensor to modal coefficients, axis by axis."""
+    """Transform a nodal tensor to modal coefficients."""
     U = np.asarray(U, dtype=float)
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh dof shape {dof_shape(mesh)}")
-    out = U
-    for a, p in enumerate(mesh.partitions):
-        out = _forward_axis(out, p, mesh.bc, a, workers)
-    return out
+    if is_periodic(mesh.bc):
+        return scipy.fft.rfftn(U, norm="ortho", workers=workers)
+    return scipy.fft.dstn(U, type=1, norm="ortho", workers=workers)
 
 
 def inverse_transform(U, mesh, workers=None):
     """Exact inverse of `forward_transform` up to round-off."""
-    U = np.asarray(U, dtype=float)
-    if list(U.shape) != dof_shape(mesh):
+    U = np.asarray(U)
+    if list(U.shape) != modal_shape(mesh):
         raise ValueError(
-            f"shape {U.shape} does not match mesh dof shape {dof_shape(mesh)}")
-    out = U
-    for a, p in enumerate(mesh.partitions):
-        out = _inverse_axis(out, p, mesh.bc, a, workers)
-    return out
+            f"shape {U.shape} does not match mesh modal shape {modal_shape(mesh)}")
+    if is_periodic(mesh.bc):
+        return scipy.fft.irfftn(U, s=dof_shape(mesh), norm="ortho",
+                                workers=workers)
+    return scipy.fft.dstn(U, type=1, norm="ortho", workers=workers)

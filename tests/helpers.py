@@ -1,8 +1,13 @@
 """Shared test oracles.
 
-The dense step oracle advances the semi-discrete system with a dense
-generalized eigendecomposition (matrix exponential realized spectrally),
-fully independent of the FFT solution path.  The dense quadrature oracle
+The dense transform oracle realizes each axis' orthonormal eigenbasis as
+a matrix: the sine basis for Dirichlet axes, the complex Fourier basis
+for periodic ones.  The dense operator oracle assembles the mass and
+stiffness matrices as kron products, over the owned nodes and, for the
+boundary elimination load, over the full grid.  The dense step oracle
+advances the semi-discrete system with a dense generalized
+eigendecomposition (matrix exponential realized spectrally), fully
+independent of the FFT solution path.  The dense quadrature oracle
 evaluates the interpolant on the whole Gauss grid with per-axis
 (n*npts) x (n+1) value and slope matrices.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
@@ -16,17 +21,16 @@ import numpy as np
 import scipy.linalg
 
 from expfem.analysis import _exact_gradient
-from expfem.assembly import (dense_boundary_load, dense_operator_matrices,
-                             _nodal_reaction)
-from expfem.mesh import extend_nodal
+from expfem.assembly import _boundary_tensors, _nodal_reaction
+from expfem.mesh import dof_shape, extend_nodal, is_periodic
 from expfem.operator import phi
 from expfem.quadrature import apply_matrix, axis_quadrature, integrate
 
 
 def mode_multiply(matrix, tensor, axis):
     """Apply a square matrix to every line of `tensor` along `axis`."""
-    u = np.asarray(tensor, dtype=float)
-    m = np.asarray(matrix, dtype=float)
+    u = np.asarray(tensor)
+    m = np.asarray(matrix)
     if not 0 <= axis < u.ndim:
         raise ValueError(f"axis {axis} out of range for rank-{u.ndim} tensor")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -38,6 +42,104 @@ def mode_multiply(matrix, tensor, axis):
     out = np.tensordot(m, u, axes=(1, axis))
     return np.ascontiguousarray(np.moveaxis(out, 0, axis))
 
+
+# ---------------------------------------------------------------------------
+# dense transform basis and kron-assembled operator
+
+DENSE_ORACLE_MAX_DOF = 4096
+
+
+def build_axis_matrices(p, bc):
+    """Dense 1D mass and stiffness matrices (h/6- and 1/h-scaled)."""
+    if is_periodic(bc):
+        m = p.n
+        mass = np.zeros((m, m))
+        stiff = np.zeros((m, m))
+        i = np.arange(m)
+        mass[i, i] = 4.0
+        mass[i, (i + 1) % m] += 1.0
+        mass[i, (i - 1) % m] += 1.0
+        stiff[i, i] = 2.0
+        stiff[i, (i + 1) % m] += -1.0
+        stiff[i, (i - 1) % m] += -1.0
+    else:
+        m = p.n - 1
+        mass = 4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+        stiff = 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    return (p.h / 6.0) * mass, (1.0 / p.h) * stiff
+
+
+def basis_matrix(p, bc):
+    """Dense orthonormal eigenbasis, columns aligned with `axis_spectrum`:
+    exp(2 pi i j k / N) / sqrt(N) for periodic axes, sqrt(2/N) sin(i j pi / N)
+    for Dirichlet ones."""
+    if is_periodic(bc):
+        jk = np.outer(np.arange(p.n), np.arange(p.n))
+        return np.exp(2j * np.pi * jk / p.n) / np.sqrt(p.n)
+    ij = np.arange(1, p.n)
+    return np.sqrt(2.0 / p.n) * np.sin(np.outer(ij, ij) * np.pi / p.n)
+
+
+def _dense_full_axis_matrices(p):
+    n, h = p.n, p.h
+    mass = 4.0 * np.eye(n + 1) + np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)
+    mass[0, 0] = mass[n, n] = 2.0
+    stiff = 2.0 * np.eye(n + 1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)
+    stiff[0, 0] = stiff[n, n] = 1.0
+    return (h / 6.0) * mass, (1.0 / h) * stiff
+
+
+def dense_operator_matrices(mesh):
+    """Dense mass and stiffness matrices over the owned nodes (kron form)."""
+    total = int(np.prod(dof_shape(mesh)))
+    if total > DENSE_ORACLE_MAX_DOF:
+        raise ValueError(
+            f"dense oracle limited to {DENSE_ORACLE_MAX_DOF} dofs, got {total}")
+    pairs = [build_axis_matrices(p, mesh.bc) for p in mesh.partitions]
+    M = np.array([[1.0]])
+    for a_m, _ in pairs:
+        M = np.kron(M, a_m)
+    K = np.zeros_like(M)
+    for slot in range(len(pairs)):
+        term = np.array([[1.0]])
+        for a, (a_m, b_m) in enumerate(pairs):
+            term = np.kron(term, b_m if a == slot else a_m)
+        K += term
+    return M, K
+
+
+def dense_boundary_load(ctx, t):
+    """Boundary elimination load via dense full-grid kron matrices."""
+    g_ext, gdot_ext = _boundary_tensors(ctx, t)
+    full_mats = [_dense_full_axis_matrices(p) for p in ctx.mesh.partitions]
+    Mf = np.array([[1.0]])
+    for m, _ in full_mats:
+        Mf = np.kron(Mf, m)
+    Kf = np.zeros_like(Mf)
+    for slot in range(len(full_mats)):
+        term = np.array([[1.0]])
+        for a, (m, k) in enumerate(full_mats):
+            term = np.kron(term, k if a == slot else m)
+        Kf += term
+    corr = -(Mf @ gdot_ext.ravel()) - ctx.problem.diffusion * (Kf @ g_ext.ravel())
+    corr = corr.reshape(g_ext.shape)
+    interior = tuple(slice(1, -1) for _ in ctx.mesh.partitions)
+    return np.ascontiguousarray(corr[interior])
+
+
+def dense_semidiscrete_rhs(ctx, t, U):
+    """Oracle: dU/dt by direct mass solve on the kron-assembled system."""
+    U = np.asarray(U, dtype=float)
+    M, K = dense_operator_matrices(ctx.mesh)
+    F = M @ _nodal_reaction(ctx, t, U).ravel()
+    if ctx.lifted:
+        F = F + dense_boundary_load(ctx, t).ravel()
+    rhs = np.linalg.solve(M, F - ctx.problem.diffusion * (K @ U.ravel()))
+    return rhs.reshape(U.shape)
+
+
+# ---------------------------------------------------------------------------
+# dense exponential steps
 
 def dense_modal_system(ctx):
     """Generalized eigendecomposition of (D*K, M) over the owned nodes."""
@@ -167,7 +269,8 @@ def pde_residual(problem, mp_exact, t, point, dps=40):
 
 
 def rel_err(a, b):
-    """|a - b| scaled by the larger magnitude (absolute when both tiny)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """|a - b| scaled by the larger magnitude (absolute when both tiny);
+    complex values compare by modulus."""
+    a, b = np.asarray(a), np.asarray(b)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from expfem.assembly import (LoadContext, boundary_correction,
-                             dense_semidiscrete_rhs, initial_state,
+from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
                          make_mesh, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
-from expfem.transforms import (build_axis_matrices, forward_transform,
-                               inverse_transform)
+from expfem.transforms import forward_transform, inverse_transform
 
-from helpers import mode_multiply, rel_err
+from helpers import (build_axis_matrices, dense_semidiscrete_rhs,
+                     mode_multiply, rel_err)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):

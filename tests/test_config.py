@@ -51,8 +51,11 @@ def test_unknown_key_named_in_error():
         parse_config(MINIMAL + "frobnicate = 3\n")
     assert "frobnicate" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
-        parse_config(MINIMAL + "[domain]\nwidth = 3\n")
+        parse_config(MINIMAL.replace("[domain]\n", "[domain]\nwidth = 3\n"))
     assert "width" in str(exc.value)
+    # TOML allows each table header once
+    with pytest.raises(ConfigError):
+        parse_config(MINIMAL + "[domain]\nbc = \"dirichlet\"\n")
 
 
 def test_bc_conflict_with_builtin_problem():

@@ -7,12 +7,11 @@ import pytest
 
 import expfem.quadrature as quadrature
 from expfem.analysis import _nodal_quadratics, discrete_energy, error_norms
-from expfem.assembly import _dense_full_axis_matrices
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
                          extend_nodal, make_mesh)
 
-from helpers import (dense_discrete_energy, dense_error_norms,
-                     dense_interpolant_on_gauss, rel_err)
+from helpers import (_dense_full_axis_matrices, dense_discrete_energy,
+                     dense_error_norms, dense_interpolant_on_gauss, rel_err)
 
 # five axis-0 elements: two per block leaves a one-element block at the end
 SUBDIVISIONS = {1: [5], 2: [5, 4], 3: [5, 3, 4]}

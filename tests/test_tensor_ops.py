@@ -1,4 +1,5 @@
-"""The dense mode-product oracle that the transform and assembly tests use."""
+"""The dense mode-product oracle and the error measure that the other
+tests use."""
 
 import numpy as np
 import pytest
@@ -60,3 +61,9 @@ def test_mode_multiply_shape_errors():
         mode_multiply(np.eye(3), u, 2)
     with pytest.raises(ValueError):
         mode_multiply(np.ones((3, 2)), u, 0)
+
+
+def test_rel_err_compares_complex_values():
+    # the imaginary part counts: a pure-imaginary gap is a full error
+    assert rel_err(np.array([1j]), np.zeros(1)) == 1.0
+    assert rel_err(np.array([3 + 4j]), np.array([3 - 4j])) == pytest.approx(1.6)
