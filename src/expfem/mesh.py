@@ -164,18 +164,29 @@ def _mass_stencil(x, axis):
     return out
 
 
-def _fill_boundary(full, mesh, fn, t):
-    """Write fn(t, xs) onto every boundary face of a full-grid tensor."""
+def _boundary_faces(mesh):
+    """Every boundary face as (axis, node index along it, open coordinate
+    grid, face shape with length 1 along the axis), axis by axis, low
+    face first."""
     grids = full_grids(mesh)
-    for a in range(mesh.dim):
-        p = mesh.partitions[a]
-        for sel_a, coord in ((slice(0, 1), p.a), (slice(-1, None), p.b)):
+    full_shape = tuple(p.n + 1 for p in mesh.partitions)
+    faces = []
+    for a, p in enumerate(mesh.partitions):
+        shape = full_shape[:a] + (1,) + full_shape[a + 1:]
+        for j, coord in ((0, p.a), (p.n, p.b)):
             face = list(grids)
             face[a] = np.asarray(coord)
-            sel = [slice(None)] * mesh.dim
-            sel[a] = sel_a
-            full[tuple(sel)] = np.broadcast_to(
-                fn(t, tuple(face)), full[tuple(sel)].shape)
+            faces.append((a, j, tuple(face), shape))
+    return faces
+
+
+def _fill_boundary(full, mesh, fn, t):
+    """Write fn(t, xs) onto every boundary face of a full-grid tensor; a
+    later face overwrites the edges it shares with an earlier one."""
+    for a, j, face, shape in _boundary_faces(mesh):
+        sel = [slice(None)] * mesh.dim
+        sel[a] = slice(j, j + 1)
+        full[tuple(sel)] = np.broadcast_to(fn(t, face), shape)
 
 
 def aspect_ratio(mesh):

@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from expfem.analysis import _exact_gradient
-from expfem.assembly import _boundary_tensors, _nodal_reaction
-from expfem.mesh import dof_shape, extend_nodal, is_periodic
+from expfem.assembly import _nodal_reaction
+from expfem.mesh import _fill_boundary, dof_shape, extend_nodal, is_periodic
 from expfem.operator import phi
 from expfem.quadrature import apply_matrix, axis_quadrature, integrate
 
@@ -106,6 +106,26 @@ def dense_operator_matrices(mesh):
             term = np.kron(term, b_m if a == slot else a_m)
         K += term
     return M, K
+
+
+def _boundary_tensors(ctx, t):
+    """Full-grid tensors holding g and dg/dt on the faces, zero inside."""
+    mesh = ctx.mesh
+    bc = mesh.bc
+    full_shape = tuple(p.n + 1 for p in mesh.partitions)
+    g_ext = np.zeros(full_shape)
+    _fill_boundary(g_ext, mesh, bc.trace, t)
+    gdot_ext = np.zeros(full_shape)
+    if bc.trace_dt is not None:
+        _fill_boundary(gdot_ext, mesh, bc.trace_dt, t)
+    else:
+        delta = 1e-6 * max(1.0, abs(t))
+        lo = np.zeros(full_shape)
+        hi = np.zeros(full_shape)
+        _fill_boundary(lo, mesh, bc.trace, t - delta)
+        _fill_boundary(hi, mesh, bc.trace, t + delta)
+        gdot_ext = (hi - lo) / (2.0 * delta)
+    return g_ext, gdot_ext
 
 
 def dense_boundary_load(ctx, t):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
-from expfem.transforms import forward_transform, inverse_transform
+from expfem.transforms import (forward_transform, inverse_transform,
+                               modal_shape)
 
-from helpers import (build_axis_matrices, dense_semidiscrete_rhs,
-                     mode_multiply, rel_err)
+from helpers import (build_axis_matrices, dense_boundary_load,
+                     dense_semidiscrete_rhs, mode_multiply, rel_err)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):
@@ -72,6 +75,26 @@ def test_projection_mode_fixes_grid_functions():
     assert rel_err(interp, full[1:-1, 1:-1]) < 1e-12
 
 
+@pytest.mark.parametrize("subs", [(8,), (6, 4)])
+def test_projection_mode_fixes_grid_functions_with_trace(subs):
+    # a multilinear function is in the trial space with its own trace
+    def u(xs):
+        val = 1.0 + xs[0]
+        if len(xs) > 1:
+            val = val + 2.0 * xs[1] - 3.0 * xs[0] * xs[1]
+        return val
+
+    dim = len(subs)
+    prob = Problem(
+        name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
+        domain=((0.0, 1.0), (-0.5, 1.5))[:dim], u0=u,
+        g=lambda t, xs: u(xs))
+    mesh = mesh_for(prob, subs)
+    proj = initial_state(prob, mesh, mode="project")
+    expect = np.broadcast_to(u(node_grids(mesh)), proj.shape)
+    assert np.max(np.abs(proj - expect)) < 1e-11
+
+
 def test_projection_mode_periodic_wraps():
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
@@ -123,7 +146,8 @@ def test_collapse_identity_random_fields():
 
 
 def test_boundary_correction_constant_left_trace():
-    # left boundary held at 1, no time dependence, diffusion 1
+    # left boundary held at 1, no time dependence, diffusion 1: the
+    # nodal load is [4, 0, 0], added into G as its scaled transform
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
         domain=((0.0, 1.0),),
@@ -132,8 +156,84 @@ def test_boundary_correction_constant_left_trace():
         g_t=lambda t, xs: 0.0 * xs[0])
     mesh = mesh_for(prob, (4,))
     ctx = LoadContext(prob, mesh)
-    corr = boundary_correction(ctx, 0.0)
-    assert np.allclose(corr, [4.0, 0.0, 0.0], rtol=1e-14)
+    G = np.zeros(modal_shape(mesh))
+    boundary_correction(ctx, 0.0, G)
+    expected = ctx.op.load_scale * forward_transform([4.0, 0.0, 0.0], mesh)
+    assert rel_err(G, expected) < 1e-14
+
+
+def _traced_problem(domain, with_dt=True):
+    # a smooth trace varying along every axis and in time
+    def g(t, xs):
+        x = xs[0]
+        val = (1.0 + t) * (1.0 + x) + np.sin(2.0 * x - t)
+        for k, y in enumerate(xs[1:], start=2):
+            val = val + np.cos(k * y + t) * x + (1.0 + t * t) * y * y
+        return val
+
+    def g_t(t, xs):
+        x = xs[0]
+        val = (1.0 + x) - np.cos(2.0 * x - t)
+        for k, y in enumerate(xs[1:], start=2):
+            val = val - np.sin(k * y + t) * x + 2.0 * t * y * y
+        return val
+
+    return Problem(
+        name="inline", diffusion=0.7, f=lambda t, u, xs: 0.0 * u,
+        domain=domain, u0=lambda xs: 0.0 * xs[0],
+        g=g, g_t=g_t if with_dt else None)
+
+
+@pytest.mark.parametrize("domain, subs", [
+    (((0.0, 1.0),), (8,)),
+    (((0.0, 1.0),), (2,)),
+    (((0.0, 1.0), (-0.5, 1.5)), (6, 4)),
+    (((0.0, 1.0), (0.0, 0.3)), (2, 5)),
+    (((0.0, 1.0), (0.0, 0.3)), (7, 2)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (4, 3, 5)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (5, 2, 3)),
+    (((0.0, 2.0), (0.0, 1.0), (0.0, 0.5)), (2, 2, 2)),
+])
+@pytest.mark.parametrize("with_dt", [True, False])
+def test_boundary_correction_matches_dense_oracle(domain, subs, with_dt):
+    prob = _traced_problem(domain, with_dt)
+    mesh = mesh_for(prob, subs)
+    ctx = LoadContext(prob, mesh)
+    for t in (0.0, 0.3, 1.7):
+        G = np.zeros(modal_shape(mesh))
+        boundary_correction(ctx, t, G)
+        dense = ctx.op.load_scale * forward_transform(
+            dense_boundary_load(ctx, t), mesh)
+        assert rel_err(G, dense) < 1e-12
+
+
+def test_boundary_correction_adds_into_load():
+    prob = _traced_problem(((0.0, 1.0), (-0.5, 1.5)))
+    mesh = mesh_for(prob, (6, 4))
+    ctx = LoadContext(prob, mesh)
+    base = np.random.default_rng(3).standard_normal(modal_shape(mesh))
+    G = base.copy()
+    boundary_correction(ctx, 0.3, G)
+    lifted = np.zeros(modal_shape(mesh))
+    boundary_correction(ctx, 0.3, lifted)
+    assert rel_err(G, base + lifted) < 1e-14
+
+
+def test_boundary_correction_memory_stays_face_sized():
+    # one lifting call allocates face-sized arrays and a half-state
+    # temporary, never a full-grid tensor or a full-size transform
+    prob = builtin_allen_cahn_wave(dim=3)
+    mesh = mesh_for(prob, (128, 16, 16))
+    ctx = LoadContext(prob, mesh)
+    G = np.zeros(modal_shape(mesh))
+    boundary_correction(ctx, 0.01, G)
+    tracemalloc.start()
+    try:
+        boundary_correction(ctx, 0.02, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * G.nbytes
 
 
 def test_fast_rhs_matches_dense_oracle():
