@@ -11,8 +11,7 @@ from .analysis import (StudyReport, StudyRow, TimeSeriesObserver,
                        sup_norm, timing_study)
 from .assembly import LoadContext, initial_state, transformed_load
 from .mesh import (BoundaryKind, Dirichlet, HomogeneousDirichlet, Partition1D,
-                   Periodic, TensorMesh, dof_shape, make_mesh,
-                   node_coordinates)
+                   Periodic, TensorMesh, dof_shape)
 from .operator import DiagonalizedOperator, build_operator, phi, phi_tensor
 from .problems import (NonlinearityDomainError, Problem,
                        builtin_allen_cahn_wave, builtin_flory_huggins,
@@ -33,6 +32,6 @@ __all__ = [
     "builtin_flory_huggins", "builtin_linear_rd", "convergence_study",
     "discrete_energy", "dof_shape", "error_norms", "exp_euler_step",
     "exp_rk2_step", "forward_transform", "initial_state", "inverse_transform",
-    "make_mesh", "mesh_for", "modal_shape", "node_coordinates", "phi",
-    "phi_tensor", "run", "sup_norm", "timing_study", "transformed_load",
+    "mesh_for", "modal_shape", "phi", "phi_tensor", "run", "sup_norm",
+    "timing_study", "transformed_load",
 ]

@@ -23,7 +23,8 @@ import scipy.fft
 from .mesh import (Dirichlet, _boundary_faces, _mass_stencil, dof_shape,
                    extend_nodal, is_periodic, node_grids)
 from .operator import build_operator
-from .quadrature import apply_matrix, axis_quadrature
+from .problems import COMPLEX_STEP
+from .quadrature import gauss_load
 from .transforms import axis_spectrum, forward_transform, inverse_transform
 
 
@@ -70,21 +71,15 @@ def transformed_load(ctx, t, U, workers=None):
 
 
 def _trace_faces(ctx, t):
-    """g and dg/dt on every boundary face (dg/dt by central differences
-    when the trace has no analytic time derivative)."""
-    bc = ctx.mesh.bc
-
-    def on_faces(fn, s):
-        return [np.broadcast_to(fn(s, face), shape)
-                for _, _, face, shape in ctx.faces]
-
-    g = on_faces(bc.trace, t)
-    if bc.trace_dt is not None:
-        return g, on_faces(bc.trace_dt, t)
-    delta = 1e-6 * max(1.0, abs(t))
-    lo = on_faces(bc.trace, t - delta)
-    hi = on_faces(bc.trace, t + delta)
-    return g, [(up - down) / (2.0 * delta) for down, up in zip(lo, hi)]
+    """g and dg/dt on every boundary face: the real part and the complex
+    step of one evaluation of the trace at time t + i h per face."""
+    g, gdot = [], []
+    for _, _, face, shape in ctx.faces:
+        vals = np.broadcast_to(
+            ctx.mesh.bc.trace(t + 1j * COMPLEX_STEP, face), shape)
+        g.append(vals.real)
+        gdot.append(vals.imag / COMPLEX_STEP)
+    return g, gdot
 
 
 def _slabs(ctx, fields, a):
@@ -204,24 +199,13 @@ def initial_state(problem, mesh, mode="interpolate"):
 
 def _project_initial(problem, mesh, npts=3):
     periodic = is_periodic(mesh.bc)
-    coords, load_mats = [], []
-    for p in mesh.partitions:
-        x, w, values = axis_quadrature(p, npts)
-        coords.append(x)
-        load_mats.append(values.T * w)
-    grid = np.ix_(*coords) if mesh.dim > 1 else (coords[0],)
-    gauss_shape = tuple(c.size for c in coords)
-    vals = np.broadcast_to(
-        np.asarray(problem.u0(grid), dtype=float), gauss_shape)
-    b = vals
-    for a, q in enumerate(load_mats):
-        b = apply_matrix(q, b, a)
+    b = gauss_load(problem.u0, mesh.partitions, npts)
     if isinstance(mesh.bc, Dirichlet):
         # move the mass coupling of the known trace to the right-hand side
         trace = extend_nodal(np.zeros(dof_shape(mesh)), mesh, 0.0)
         for a, p in enumerate(mesh.partitions):
             trace = (p.h / 6.0) * _mass_stencil(trace, a)
-        b = b - trace
+        b -= trace
     # fold node N onto node 0 for periodic, drop boundary rows otherwise
     for a in range(mesh.dim):
         if periodic:

@@ -4,7 +4,9 @@ Config text is TOML, read with the standard library's `tomllib`; its
 tables flatten to dotted keys (`[domain]` then `n = ...` is `domain.n`).
 Custom problems may define their PDE data through a small expression
 language over t, u and the coordinates, supporting arithmetic, exp, ln,
-tanh, sin, cos and pi.
+tanh, sin, cos and pi.  All of these are analytic, so the trace g and
+the exact solution also take the complex arguments of the complex-step
+derivatives.
 """
 
 import ast
@@ -168,28 +170,35 @@ def _int_list(value, key):
     return [int(v) for v in value]
 
 
+# the top-level parameter keys each problem's factory takes, with their
+# types; `seed` is accepted for every problem, as --seed sets it for all
+_PROBLEM_KEYS = {
+    "linear_rd": {},
+    "allen_cahn_wave": {"eps": float},
+    "flory_huggins": {"eps": float, "theta": float, "theta_c": float,
+                      "seed": int},
+    "custom": {},
+}
+_PARAMETER_KEYS = ("eps", "theta", "theta_c")
+
+
 def _build_problem(values):
     name = _require(values, "problem")
-    if name in BUILTIN_FACTORIES:
-        kwargs = {}
-        if name == "flory_huggins":
-            for k in ("eps", "theta", "theta_c"):
-                if k in values:
-                    kwargs[k] = float(values[k])
-            if "seed" in values:
-                kwargs["seed"] = int(values["seed"])
-        elif name == "allen_cahn_wave":
-            if "eps" in values:
-                kwargs["eps"] = float(values["eps"])
-        try:
-            return BUILTIN_FACTORIES[name](**kwargs)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-    if name != "custom":
+    if name not in _PROBLEM_KEYS:
         raise ConfigError(
             f"unknown problem {name!r}; expected one of "
             f"{sorted(BUILTIN_FACTORIES)} or \"custom\"")
-    return _build_custom_problem(values)
+    takes = _PROBLEM_KEYS[name]
+    for key in _PARAMETER_KEYS:
+        if key in values and key not in takes:
+            raise ConfigError(f"key {key!r} does not apply to problem {name!r}")
+    if name == "custom":
+        return _build_custom_problem(values)
+    kwargs = {k: cast(values[k]) for k, cast in takes.items() if k in values}
+    try:
+        return BUILTIN_FACTORIES[name](**kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _build_custom_problem(values):

@@ -6,7 +6,7 @@ only; periodic meshes own nodes 0..N-1 (node N is identified with 0).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -37,10 +37,9 @@ class HomogeneousDirichlet:
 
 @dataclass(frozen=True)
 class Dirichlet:
-    """Prescribed boundary trace g(t, xs), optionally with analytic d/dt."""
+    """Prescribed boundary trace g(t, xs), analytic in t."""
 
     trace: Callable
-    trace_dt: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,6 @@ class TensorMesh:
         return len(self.partitions)
 
 
-def make_mesh(bounds, subdivisions, bc):
-    """Build a TensorMesh from per-axis (a, b) bounds and subinterval counts."""
-    if len(bounds) != len(subdivisions):
-        raise ValueError("bounds and subdivisions disagree on dimension")
-    parts = tuple(Partition1D(a, b, n) for (a, b), n in zip(bounds, subdivisions))
-    return TensorMesh(parts, bc)
-
-
 def dof_shape(mesh):
     """Per-axis owned-node counts: N-1 for Dirichlet kinds, N for periodic."""
     if is_periodic(mesh.bc):
@@ -91,22 +82,6 @@ def owned_axis_coordinates(mesh, axis):
     if is_periodic(mesh.bc):
         return p.a + p.h * np.arange(p.n)
     return p.a + p.h * np.arange(1, p.n)
-
-
-def node_coordinates(mesh, multi_index):
-    """Physical coordinates of one owned node."""
-    idx = (int(multi_index),) if np.isscalar(multi_index) else tuple(
-        int(j) for j in multi_index)
-    if len(idx) != mesh.dim:
-        raise IndexError(f"index rank {len(idx)} does not match mesh dim {mesh.dim}")
-    shape = dof_shape(mesh)
-    out = []
-    for a, (j, p) in enumerate(zip(idx, mesh.partitions)):
-        if not 0 <= j < shape[a]:
-            raise IndexError(f"index {j} out of range [0, {shape[a]}) on axis {a}")
-        offset = 0 if is_periodic(mesh.bc) else 1
-        out.append(p.a + (j + offset) * p.h)
-    return tuple(out)
 
 
 def node_grids(mesh):

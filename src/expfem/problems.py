@@ -2,8 +2,13 @@
 
 A Problem bundles the diffusion coefficient, the reaction term, boundary
 and initial data, and (when known) the exact solution.  All callables
-take coordinate tuples of broadcastable arrays and must be pure; the
-reaction term has signature f(t, u, xs) so sources may depend on space.
+take coordinate tuples of broadcastable arrays and must be pure and
+analytic; the reaction term has signature f(t, u, xs) so sources may
+depend on space.  The program differentiates the trace g in t and the
+exact solution in x by one complex step, so g and exact must accept
+complex arguments.  Numpy ufuncs are analytic, and a callable that
+ignores the perturbed variable returns a real value, whose zero
+imaginary part is the correct zero derivative.
 """
 
 import math
@@ -14,6 +19,10 @@ import numpy as np
 
 from .mesh import (Dirichlet, HomogeneousDirichlet, Partition1D, Periodic,
                    TensorMesh, dof_shape)
+
+# f'(x) = Im f(x + i h) / h has no difference to cancel, so h can sit far
+# below the rounding floor of x: the derivative is exact to rounding
+COMPLEX_STEP = 1e-30
 
 
 class NonlinearityDomainError(Exception):
@@ -41,7 +50,6 @@ class Problem:
     u0: Optional[Callable] = None
     u0_nodal: Optional[Callable] = None
     g: Optional[Callable] = None
-    g_t: Optional[Callable] = None
     exact: Optional[Callable] = None
     df_du: Optional[Callable] = None
     admissible_range: Optional[tuple] = None
@@ -58,7 +66,7 @@ def boundary_kind(problem):
     if problem.periodic:
         return Periodic()
     if problem.g is not None:
-        return Dirichlet(problem.g, problem.g_t)
+        return Dirichlet(problem.g)
     return HomogeneousDirichlet()
 
 
@@ -121,11 +129,6 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
         x = xs[0]
         return 0.5 * (1.0 - np.tanh((x - speed * t) / width))
 
-    def exact_dt(t, xs):
-        x = xs[0]
-        sech2 = 1.0 / np.cosh((x - speed * t) / width) ** 2
-        return (0.5 * speed / width) * sech2
-
     def f(t, u, xs):
         return (u - u ** 3) / eps ** 2
 
@@ -138,7 +141,6 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
         domain=domain,
         u0=lambda xs: exact(0.0, xs),
         g=exact,
-        g_t=exact_dt,
         exact=exact,
         T_default=3.0 * math.sqrt(2.0) * eps / 5.0,
     )

@@ -7,8 +7,10 @@ per axis, so `gauss_blocks` evaluates the interpolant axis by axis as
 grid in blocks of axis-0 elements of about `BLOCK_POINTS` points so a
 block's arrays stay in cache: O(npts^d N^d) work and block-sized memory.
 
-The dense per-axis value matrices of `axis_quadrature`, applied with
-`apply_matrix`, remain for the L2-projection load of the initial datum.
+`gauss_load`, the load of the L2 projection, is the adjoint of that
+evaluation over the same blocks: per axis, a 2 x npts tap matrix folds
+each element's weighted Gauss values onto its two nodes.  No dense
+(npts N) x (N + 1) quadrature matrix is built anywhere.
 """
 
 from typing import NamedTuple
@@ -31,26 +33,8 @@ def _axis_points(p, xi, w):
     return coords, np.tile(w * p.h, p.n)
 
 
-def axis_quadrature(p, npts=3):
-    """Quadrature data for one axis of a uniform partition.
-
-    Returns (coords, weights, values): Gauss-point coordinates and
-    jacobian-scaled weights (length n*npts), plus the dense matrix
-    mapping n+1 nodal values to interpolant values at those points.
-    """
-    xi, w = gauss_rule(npts)
-    coords, weights = _axis_points(p, xi, w)
-    rows = np.arange(p.n * npts)
-    els = rows // npts
-    loc = np.tile(xi, p.n)
-    values = np.zeros((p.n * npts, p.n + 1))
-    values[rows, els] = 1.0 - loc
-    values[rows, els + 1] = loc
-    return coords, weights, values
-
-
 def apply_matrix(matrix, tensor, axis):
-    """Rectangular mode product used by quadrature folds."""
+    """Rectangular mode product: `matrix` applied along one axis."""
     out = np.tensordot(matrix, tensor, axes=(1, axis))
     return np.moveaxis(out, 0, axis)
 
@@ -104,6 +88,23 @@ def element_blocks(n, per_element):
     return [(e0, min(e0 + step, n)) for e0 in range(0, n, step)]
 
 
+def _block_grids(partitions, npts):
+    """Yield (e0, e1, grid, weights) for blocks of axis-0 elements [e0, e1):
+    the open grid of the block's Gauss points and per-axis weight vectors,
+    element-major (element, Gauss point) along every axis."""
+    xi, w = gauss_rule(npts)
+    axes = [_axis_points(p, xi, w) for p in partitions]
+    per_element = npts
+    for p in partitions[1:]:
+        per_element *= p.n * npts
+    for e0, e1 in element_blocks(partitions[0].n, per_element):
+        pts = slice(e0 * npts, e1 * npts)
+        coords = [axes[0][0][pts]] + [c for c, _ in axes[1:]]
+        weights = (axes[0][1][pts],) + tuple(wt for _, wt in axes[1:])
+        grid = tuple(np.ix_(*coords)) if len(coords) > 1 else (coords[0],)
+        yield e0, e1, grid, weights
+
+
 def gauss_blocks(full, partitions, npts=3, slopes=False):
     """Yield `GaussBlock`s covering the tensor-product Gauss grid.
 
@@ -111,20 +112,45 @@ def gauss_blocks(full, partitions, npts=3, slopes=False):
     partition the axis-0 elements; values are laid out element-major
     (element, Gauss point) along every axis.
     """
-    xi, w = gauss_rule(npts)
-    axes = [_axis_points(p, xi, w) for p in partitions]
-    per_element = npts
-    for p in partitions[1:]:
-        per_element *= p.n * npts
-    for e0, e1 in element_blocks(partitions[0].n, per_element):
+    xi, _ = gauss_rule(npts)
+    for e0, e1, grid, weights in _block_grids(partitions, npts):
         vals, grads = full[e0:e1 + 1], []
         for a, p in enumerate(partitions):
             if slopes:
                 grads = [_two_tap(g, a, xi) for g in grads]
                 grads.append(_slope_tap(vals, a, npts, p.h))
             vals = _two_tap(vals, a, xi)
-        pts = slice(e0 * npts, e1 * npts)
-        coords = [axes[0][0][pts]] + [c for c, _ in axes[1:]]
-        weights = (axes[0][1][pts],) + tuple(wt for _, wt in axes[1:])
-        grid = tuple(np.ix_(*coords)) if len(coords) > 1 else (coords[0],)
         yield GaussBlock(vals, tuple(grads), grid, weights)
+
+
+def _tap_adjoint(v, axis, taps):
+    """Adjoint of `_two_tap` along one axis: each element's npts Gauss
+    values, contracted with the 2 x npts tap matrix, added onto the
+    element's two nodes."""
+    npts = taps.shape[1]
+    head, tail = v.shape[:axis], v.shape[axis + 1:]
+    els = v.shape[axis] // npts
+    halves = apply_matrix(taps, v.reshape(head + (els, npts) + tail), axis + 1)
+    out = np.zeros(head + (els + 1,) + tail)
+    lo, hi = _tap_ends(out, axis)
+    pick = (slice(None),) * (axis + 1)
+    lo[...] = halves[pick + (0,)]
+    hi += halves[pick + (1,)]
+    return out
+
+
+def gauss_load(fn, partitions, npts=3):
+    """Integrals of fn(xs) against every full-grid nodal hat function, by
+    the npts-point Gauss rule per axis, streamed over the blocks of
+    `gauss_blocks`; the taps of an axis are the weighted hat values
+    (w h (1 - xi), w h xi) at its Gauss points."""
+    xi, w = gauss_rule(npts)
+    taps = [np.stack([1.0 - xi, xi]) * (w * p.h) for p in partitions]
+    out = np.zeros(tuple(p.n + 1 for p in partitions))
+    for e0, e1, grid, _ in _block_grids(partitions, npts):
+        shape = np.broadcast_shapes(*(g.shape for g in grid))
+        vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), shape)
+        for a, tap in enumerate(taps):
+            vals = _tap_adjoint(vals, a, tap)
+        out[e0:e1 + 1] += vals
+    return out

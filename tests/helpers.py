@@ -9,7 +9,9 @@ advances the semi-discrete system with a dense generalized
 eigendecomposition (matrix exponential realized spectrally), fully
 independent of the FFT solution path.  The dense quadrature oracle
 evaluates the interpolant on the whole Gauss grid with per-axis
-(n*npts) x (n+1) value and slope matrices.  The residual oracle
+(n*npts) x (n+1) value and slope matrices; their transposes give the
+load of the L2 projection, which the dense projection oracle solves
+with the kron-assembled mass matrix.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
 derivatives.
 """
@@ -22,9 +24,18 @@ import scipy.linalg
 
 from expfem.analysis import _exact_gradient
 from expfem.assembly import _nodal_reaction
-from expfem.mesh import _fill_boundary, dof_shape, extend_nodal, is_periodic
+from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, _fill_boundary,
+                         dof_shape, extend_nodal, is_periodic)
 from expfem.operator import phi
-from expfem.quadrature import apply_matrix, axis_quadrature, integrate
+from expfem.quadrature import _axis_points, apply_matrix, gauss_rule, integrate
+
+
+def make_mesh(bounds, subdivisions, bc):
+    """Build a TensorMesh from per-axis (a, b) bounds and subinterval counts."""
+    if len(bounds) != len(subdivisions):
+        raise ValueError("bounds and subdivisions disagree on dimension")
+    parts = tuple(Partition1D(a, b, n) for (a, b), n in zip(bounds, subdivisions))
+    return TensorMesh(parts, bc)
 
 
 def mode_multiply(matrix, tensor, axis):
@@ -108,29 +119,20 @@ def dense_operator_matrices(mesh):
     return M, K
 
 
-def _boundary_tensors(ctx, t):
+def _boundary_tensors(mesh, g, g_t, t):
     """Full-grid tensors holding g and dg/dt on the faces, zero inside."""
-    mesh = ctx.mesh
-    bc = mesh.bc
     full_shape = tuple(p.n + 1 for p in mesh.partitions)
     g_ext = np.zeros(full_shape)
-    _fill_boundary(g_ext, mesh, bc.trace, t)
+    _fill_boundary(g_ext, mesh, g, t)
     gdot_ext = np.zeros(full_shape)
-    if bc.trace_dt is not None:
-        _fill_boundary(gdot_ext, mesh, bc.trace_dt, t)
-    else:
-        delta = 1e-6 * max(1.0, abs(t))
-        lo = np.zeros(full_shape)
-        hi = np.zeros(full_shape)
-        _fill_boundary(lo, mesh, bc.trace, t - delta)
-        _fill_boundary(hi, mesh, bc.trace, t + delta)
-        gdot_ext = (hi - lo) / (2.0 * delta)
+    _fill_boundary(gdot_ext, mesh, g_t, t)
     return g_ext, gdot_ext
 
 
-def dense_boundary_load(ctx, t):
-    """Boundary elimination load via dense full-grid kron matrices."""
-    g_ext, gdot_ext = _boundary_tensors(ctx, t)
+def dense_boundary_load(ctx, t, g_t):
+    """Boundary elimination load via dense full-grid kron matrices, with
+    dg/dt from the analytic `g_t(t, xs)`."""
+    g_ext, gdot_ext = _boundary_tensors(ctx.mesh, ctx.mesh.bc.trace, g_t, t)
     full_mats = [_dense_full_axis_matrices(p) for p in ctx.mesh.partitions]
     Mf = np.array([[1.0]])
     for m, _ in full_mats:
@@ -147,13 +149,14 @@ def dense_boundary_load(ctx, t):
     return np.ascontiguousarray(corr[interior])
 
 
-def dense_semidiscrete_rhs(ctx, t, U):
-    """Oracle: dU/dt by direct mass solve on the kron-assembled system."""
+def dense_semidiscrete_rhs(ctx, t, U, g_t=None):
+    """Oracle: dU/dt by direct mass solve on the kron-assembled system;
+    lifted meshes need the trace's analytic time derivative `g_t`."""
     U = np.asarray(U, dtype=float)
     M, K = dense_operator_matrices(ctx.mesh)
     F = M @ _nodal_reaction(ctx, t, U).ravel()
     if ctx.lifted:
-        F = F + dense_boundary_load(ctx, t).ravel()
+        F = F + dense_boundary_load(ctx, t, g_t).ravel()
     rhs = np.linalg.solve(M, F - ctx.problem.diffusion * (K @ U.ravel()))
     return rhs.reshape(U.shape)
 
@@ -168,31 +171,31 @@ def dense_modal_system(ctx):
     return M, lam, V
 
 
-def _dense_load(ctx, t, U):
+def _dense_load(ctx, t, U, g_t):
     M = dense_operator_matrices(ctx.mesh)[0]
     F = M @ _nodal_reaction(ctx, t, U).ravel()
     if ctx.lifted:
-        F = F + dense_boundary_load(ctx, t).ravel()
+        F = F + dense_boundary_load(ctx, t, g_t).ravel()
     return F
 
 
-def dense_euler_step(ctx, t, U, dt):
+def dense_euler_step(ctx, t, U, dt, g_t=None):
     """One exponential-Euler step computed densely."""
     M, lam, V = dense_modal_system(ctx)
     y = V.T @ (M @ U.ravel())
-    g = V.T @ _dense_load(ctx, t, U)
+    g = V.T @ _dense_load(ctx, t, U, g_t)
     y1 = np.exp(-dt * lam) * y + dt * phi(1, -dt * lam) * g
     return (V @ y1).reshape(U.shape)
 
 
-def dense_rk2_step(ctx, t, U, dt, c2=0.5):
+def dense_rk2_step(ctx, t, U, dt, c2=0.5, g_t=None):
     """One two-stage exponential RK step computed densely."""
     M, lam, V = dense_modal_system(ctx)
     y = V.T @ (M @ U.ravel())
-    g1 = V.T @ _dense_load(ctx, t, U)
+    g1 = V.T @ _dense_load(ctx, t, U, g_t)
     ys = np.exp(-c2 * dt * lam) * y + c2 * dt * phi(1, -c2 * dt * lam) * g1
     Us = (V @ ys).reshape(U.shape)
-    g2 = V.T @ _dense_load(ctx, t + c2 * dt, Us)
+    g2 = V.T @ _dense_load(ctx, t + c2 * dt, Us, g_t)
     p1, p2 = phi(1, -dt * lam), phi(2, -dt * lam)
     y1 = np.exp(-dt * lam) * y + dt * ((p1 - p2 / c2) * g1 + (p2 / c2) * g2)
     return (V @ y1).reshape(U.shape)
@@ -200,6 +203,24 @@ def dense_rk2_step(ctx, t, U, dt, c2=0.5):
 
 # ---------------------------------------------------------------------------
 # dense Gauss-grid evaluation of the interpolant
+
+def axis_quadrature(p, npts=3):
+    """Quadrature data for one axis of a uniform partition.
+
+    Returns (coords, weights, values): Gauss-point coordinates and
+    jacobian-scaled weights (length n*npts), plus the dense matrix
+    mapping n+1 nodal values to interpolant values at those points.
+    """
+    xi, w = gauss_rule(npts)
+    coords, weights = _axis_points(p, xi, w)
+    rows = np.arange(p.n * npts)
+    els = rows // npts
+    loc = np.tile(xi, p.n)
+    values = np.zeros((p.n * npts, p.n + 1))
+    values[rows, els] = 1.0 - loc
+    values[rows, els + 1] = loc
+    return coords, weights, values
+
 
 def dense_axis_slopes(p, npts):
     """(n*npts) x (n+1) matrix mapping nodal values to d/dx at Gauss points."""
@@ -236,11 +257,46 @@ def dense_error_norms(U, mesh, exact, t, npts=3):
                                   vals.shape)
     l2_sq = integrate(weights, diff * diff)
     h1_sq = l2_sq
-    for a, p in enumerate(mesh.partitions):
-        dref = _exact_gradient(exact, t, grid, a, p.b - p.a)
+    for a in range(mesh.dim):
+        dref = _exact_gradient(exact, t, grid, a)
         gdiff = grads[a] - np.broadcast_to(dref, grads[a].shape)
         h1_sq += integrate(weights, gdiff * gdiff)
     return math.sqrt(l2_sq), math.sqrt(h1_sq)
+
+
+def dense_gauss_load(fn, mesh, npts=3):
+    """Full-grid load of the L2 projection of fn: the weighted, transposed
+    value matrices applied to fn on the whole Gauss grid."""
+    coords, weights, mats = zip(
+        *(axis_quadrature(p, npts) for p in mesh.partitions))
+    grid = np.ix_(*coords) if mesh.dim > 1 else (coords[0],)
+    b = np.broadcast_to(np.asarray(fn(grid), dtype=float),
+                        tuple(c.size for c in coords))
+    for a, (w, m) in enumerate(zip(weights, mats)):
+        b = apply_matrix(m.T * w, b, a)
+    return b
+
+
+def dense_projection(problem, mesh, npts=3):
+    """L2 projection of problem.u0 by a dense mass solve over the owned
+    nodes, the known trace moved to the right-hand side."""
+    b = dense_gauss_load(problem.u0, mesh, npts)
+    if isinstance(mesh.bc, Dirichlet):
+        g_ext = np.zeros(b.shape)
+        _fill_boundary(g_ext, mesh, mesh.bc.trace, 0.0)
+        for a, p in enumerate(mesh.partitions):
+            g_ext = apply_matrix(_dense_full_axis_matrices(p)[0], g_ext, a)
+        b = b - g_ext
+    for a, p in enumerate(mesh.partitions):
+        # owned rows: node N folds onto node 0 (periodic) or both ends drop
+        if is_periodic(mesh.bc):
+            restrict = np.eye(p.n, p.n + 1)
+            restrict[0, p.n] = 1.0
+        else:
+            restrict = np.eye(p.n + 1)[1:-1]
+        b = apply_matrix(restrict, b, a)
+    M = dense_operator_matrices(mesh)[0]
+    return np.linalg.solve(M, b.ravel()).reshape(b.shape)
 
 
 def dense_discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
@@ -267,6 +323,19 @@ def mp_wave_exact(eps):
         return (1 - mp.tanh((x - speed * t) / width)) / 2
 
     return exact
+
+
+def wave_exact_dt(eps=0.05):
+    """Analytic time derivative of the Allen-Cahn traveling wave, the
+    dg/dt of its Dirichlet trace."""
+    speed = 3.0 / (math.sqrt(2.0) * eps)
+    width = 2.0 * math.sqrt(2.0) * eps
+
+    def exact_dt(t, xs):
+        sech2 = 1.0 / np.cosh((xs[0] - speed * t) / width) ** 2
+        return (0.5 * speed / width) * sech2
+
+    return exact_dt
 
 
 def pde_residual(problem, mp_exact, t, point, dps=40):

@@ -1,18 +1,21 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from expfem.analysis import (StudyReport, StudyRow, TimeSeriesObserver,
-                             convergence_study, discrete_energy, error_norms,
-                             sup_norm, timing_study)
+                             _exact_gradient, convergence_study,
+                             discrete_energy, error_norms, sup_norm,
+                             timing_study)
 from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal, make_mesh, node_grids)
+                         extend_nodal, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
-                             builtin_linear_rd, mesh_for)
+                             builtin_allen_cahn_wave, builtin_linear_rd,
+                             mesh_for)
 
-from helpers import rel_err
+from helpers import make_mesh, mp_linear_rd_exact, mp_wave_exact, rel_err
 
 
 def test_error_norms_vanish_for_interpolated_exact():
@@ -151,3 +154,31 @@ def test_discrete_energy_memory_stays_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 4 * nodal_bytes
+
+
+@pytest.mark.parametrize("prob, mp_exact, t", [
+    (builtin_linear_rd(), mp_linear_rd_exact, 0.3),
+    (builtin_allen_cahn_wave(dim=1), mp_wave_exact(0.05), 0.01),
+    (builtin_allen_cahn_wave(dim=2), mp_wave_exact(0.05), 0.01),
+    (builtin_allen_cahn_wave(dim=3), mp_wave_exact(0.05), 0.01),
+])
+def test_complex_step_gradient_matches_mpmath(prob, mp_exact, t):
+    # one complex step per axis, exact to rounding, against mpmath's
+    # arbitrary-precision derivative on an open grid of the domain
+    rng = np.random.default_rng(4)
+    axes = [np.sort(rng.uniform(a, b, 3)) for a, b in prob.domain]
+    grid = tuple(np.ix_(*axes)) if prob.dim > 1 else (axes[0],)
+    for a in range(prob.dim):
+        got = np.broadcast_to(_exact_gradient(prob.exact, t, grid, a),
+                              (3,) * prob.dim)
+        for idx in np.ndindex(got.shape):
+            point = [float(axes[b][i]) for b, i in enumerate(idx)]
+
+            def along(v, point=point, a=a):
+                moved = list(point)
+                moved[a] = v
+                return mp_exact(t, *moved)
+
+            with mp.workdps(30):
+                ref = float(mp.diff(along, point[a]))
+            assert abs(got[idx] - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -6,7 +6,7 @@ import pytest
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
-                         make_mesh, node_grids)
+                         node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
@@ -14,7 +14,8 @@ from expfem.transforms import (forward_transform, inverse_transform,
                                modal_shape)
 
 from helpers import (build_axis_matrices, dense_boundary_load,
-                     dense_semidiscrete_rhs, mode_multiply, rel_err)
+                     dense_semidiscrete_rhs, make_mesh, mode_multiply, rel_err,
+                     wave_exact_dt)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):
@@ -152,8 +153,7 @@ def test_boundary_correction_constant_left_trace():
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
         domain=((0.0, 1.0),),
         u0=lambda xs: 0.0 * xs[0],
-        g=lambda t, xs: np.where(np.asarray(xs[0]) < 0.5, 1.0, 0.0),
-        g_t=lambda t, xs: 0.0 * xs[0])
+        g=lambda t, xs: np.where(np.asarray(xs[0]) < 0.5, 1.0, 0.0))
     mesh = mesh_for(prob, (4,))
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
@@ -162,8 +162,9 @@ def test_boundary_correction_constant_left_trace():
     assert rel_err(G, expected) < 1e-14
 
 
-def _traced_problem(domain, with_dt=True):
-    # a smooth trace varying along every axis and in time
+def _traced_problem(domain, moving=True):
+    """A smooth trace varying along every axis, and in time when moving,
+    with its analytic time derivative."""
     def g(t, xs):
         x = xs[0]
         val = (1.0 + t) * (1.0 + x) + np.sin(2.0 * x - t)
@@ -178,10 +179,15 @@ def _traced_problem(domain, with_dt=True):
             val = val - np.sin(k * y + t) * x + 2.0 * t * y * y
         return val
 
+    if not moving:
+        # ignores t, so a complex time gives a real trace and zero dg/dt
+        return Problem(
+            name="inline", diffusion=0.7, f=lambda t, u, xs: 0.0 * u,
+            domain=domain, u0=lambda xs: 0.0 * xs[0],
+            g=lambda t, xs: g(0.3, xs)), lambda t, xs: 0.0 * xs[0]
     return Problem(
         name="inline", diffusion=0.7, f=lambda t, u, xs: 0.0 * u,
-        domain=domain, u0=lambda xs: 0.0 * xs[0],
-        g=g, g_t=g_t if with_dt else None)
+        domain=domain, u0=lambda xs: 0.0 * xs[0], g=g), g_t
 
 
 @pytest.mark.parametrize("domain, subs", [
@@ -194,21 +200,21 @@ def _traced_problem(domain, with_dt=True):
     (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (5, 2, 3)),
     (((0.0, 2.0), (0.0, 1.0), (0.0, 0.5)), (2, 2, 2)),
 ])
-@pytest.mark.parametrize("with_dt", [True, False])
-def test_boundary_correction_matches_dense_oracle(domain, subs, with_dt):
-    prob = _traced_problem(domain, with_dt)
+@pytest.mark.parametrize("moving", [True, False])
+def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
+    prob, g_t = _traced_problem(domain, moving)
     mesh = mesh_for(prob, subs)
     ctx = LoadContext(prob, mesh)
     for t in (0.0, 0.3, 1.7):
         G = np.zeros(modal_shape(mesh))
         boundary_correction(ctx, t, G)
         dense = ctx.op.load_scale * forward_transform(
-            dense_boundary_load(ctx, t), mesh)
+            dense_boundary_load(ctx, t, g_t), mesh)
         assert rel_err(G, dense) < 1e-12
 
 
 def test_boundary_correction_adds_into_load():
-    prob = _traced_problem(((0.0, 1.0), (-0.5, 1.5)))
+    prob, _ = _traced_problem(((0.0, 1.0), (-0.5, 1.5)))
     mesh = mesh_for(prob, (6, 4))
     ctx = LoadContext(prob, mesh)
     base = np.random.default_rng(3).standard_normal(modal_shape(mesh))
@@ -248,7 +254,7 @@ def test_fast_rhs_matches_dense_oracle():
         mesh = mesh_for(prob, subs)
         ctx = LoadContext(prob, mesh)
         U = 0.3 * rng.standard_normal(dof_shape(mesh))
-        dense = dense_semidiscrete_rhs(ctx, t, U)
+        dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
         modal = -ctx.op.decay_rates * forward_transform(U, mesh) \
             + transformed_load(ctx, t, U)
         fast = inverse_transform(modal, mesh)
@@ -261,7 +267,7 @@ def test_boundary_lifting_consistent_with_dense_wave():
     ctx = LoadContext(prob, mesh)
     U = initial_state(prob, mesh)
     for t in (0.0, prob.T_default / 2):
-        dense = dense_semidiscrete_rhs(ctx, t, U)
+        dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
         modal = -ctx.op.decay_rates * forward_transform(U, mesh) \
             + transformed_load(ctx, t, U)
         assert rel_err(inverse_transform(modal, mesh), dense) < 1e-10

@@ -201,3 +201,74 @@ exact = "exp(-t) * sin(pi * x)"
 def test_mode_validation():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace('"run"', '"warp"'))
+
+
+PROBLEM_SECTIONS = {
+    "linear_rd": "[domain]\nn = [8, 4]\n",
+    "allen_cahn_wave": "[domain]\nn = [8, 2, 2]\n",
+    "custom": ('[domain]\nbounds = [[0.0, 1.0]]\nn = [8]\n'
+               '[custom]\nd = 1.0\nf = "0 * u"\nu0 = "x"\n'),
+}
+
+
+@pytest.mark.parametrize("problem, key", [
+    ("linear_rd", "eps"),
+    ("allen_cahn_wave", "theta_c"),
+    ("custom", "eps"),
+    ("custom", "theta"),
+])
+def test_parameter_of_another_problem_rejected(problem, key):
+    # a builtin parameter the chosen problem does not take is an error,
+    # not a silently dropped value
+    text = (f'problem = "{problem}"\nnt = 4\n{key} = 5.0\n'
+            + PROBLEM_SECTIONS[problem])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert key in str(exc.value) and problem in str(exc.value)
+
+
+def test_builtin_parameters_and_seed_still_accepted():
+    wave = parse_config('problem = "allen_cahn_wave"\nnt = 4\neps = 0.1\n'
+                        'seed = 3\n[domain]\nn = [8, 2, 2]\n')
+    assert wave.problem.T_default == pytest.approx(
+        3.0 * math.sqrt(2.0) * 0.1 / 5.0)
+    rd = parse_config(MINIMAL, seed_override=9)
+    assert rd.seed == 9
+
+
+# each function of the expression language, with its x- and t-derivative
+ANALYTIC = [
+    ("exp(2 * x - t)", lambda t, x: 2.0 * np.exp(2 * x - t),
+     lambda t, x: -np.exp(2 * x - t)),
+    ("ln(1 + x * x + t)", lambda t, x: 2.0 * x / (1 + x * x + t),
+     lambda t, x: 1.0 / (1 + x * x + t)),
+    ("tanh(3 * x - t)", lambda t, x: 3.0 / np.cosh(3 * x - t) ** 2,
+     lambda t, x: -1.0 / np.cosh(3 * x - t) ** 2),
+    ("sin(x * t + 1)", lambda t, x: t * np.cos(x * t + 1),
+     lambda t, x: x * np.cos(x * t + 1)),
+    ("cos(pi * x) * t", lambda t, x: -math.pi * np.sin(math.pi * x) * t,
+     lambda t, x: np.cos(math.pi * x)),
+    ("x^3 / (1 + t^2)", lambda t, x: 3.0 * x ** 2 / (1 + t ** 2),
+     lambda t, x: -2.0 * t * x ** 3 / (1 + t ** 2) ** 2),
+]
+
+
+@pytest.mark.parametrize("expr, d_dx, d_dt", ANALYTIC)
+def test_config_expressions_take_complex_arguments(expr, d_dx, d_dt):
+    # exact is differentiated in x and the trace g in t by a complex step
+    from expfem.analysis import _exact_gradient
+    from expfem.assembly import LoadContext, _trace_faces
+    from expfem.problems import mesh_for
+    text = ('problem = "custom"\nnt = 4\n[domain]\nbounds = [[0.2, 0.9]]\n'
+            f'n = [4]\n[custom]\nd = 1.0\nf = "0 * u"\nu0 = "x"\n'
+            f'g = "{expr}"\nexact = "{expr}"\n')
+    prob = parse_config(text).problem
+    t, x = 0.7, np.linspace(0.2, 0.9, 5)
+    grad = _exact_gradient(prob.exact, t, (x,), 0)
+    assert np.max(np.abs(grad - d_dx(t, x))) < 1e-12
+    ctx = LoadContext(prob, mesh_for(prob, (4,)))
+    g, gdot = _trace_faces(ctx, t)
+    for face, value, rate in zip((0.2, 0.9), g, gdot):
+        assert float(value[0]) == pytest.approx(float(prob.g(t, (face,))),
+                                                rel=1e-14)
+        assert abs(float(rate[0]) - d_dt(t, face)) < 1e-12

@@ -3,7 +3,9 @@ import pytest
 
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Partition1D,
                          Periodic, TensorMesh, dof_shape, extend_nodal,
-                         make_mesh, node_coordinates)
+                         node_grids)
+
+from helpers import make_mesh
 
 
 def test_dof_shape_by_definition():
@@ -15,38 +17,11 @@ def test_dof_shape_by_definition():
     assert dof_shape(tiny) == [1]
 
 
-def test_node_coordinates_dirichlet_and_periodic():
-    m = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
-    assert node_coordinates(m, 0) == (0.25,)
-    p = make_mesh([(0, 1)], [4], Periodic())
-    assert node_coordinates(p, 0) == (0.0,)
-    m2 = make_mesh([(0, 1), (0, 1)], [4, 4], HomogeneousDirichlet())
-    assert node_coordinates(m2, (1, 2)) == (0.5, 0.75)
-
-
 def test_owned_nodes_strictly_interior_for_dirichlet():
     mesh = make_mesh([(0.5, 2.5), (0, 1)], [8, 4], HomogeneousDirichlet())
-    for i in range(7):
-        for j in range(3):
-            x, y = node_coordinates(mesh, (i, j))
-            assert 0.5 < x < 2.5 and 0 < y < 1
-
-
-def test_node_coordinates_affine_in_index():
-    mesh = make_mesh([(1, 3)], [8], HomogeneousDirichlet())
-    h = mesh.partitions[0].h
-    for k in range(6):
-        a = node_coordinates(mesh, k)[0]
-        b = node_coordinates(mesh, k + 1)[0]
-        assert b - a == h
-
-
-def test_node_coordinates_bounds_error():
-    mesh = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
-    with pytest.raises(IndexError):
-        node_coordinates(mesh, 3)
-    with pytest.raises(IndexError):
-        node_coordinates(mesh, (0, 0))
+    x, y = (np.ravel(g) for g in node_grids(mesh))
+    assert x.size == 7 and y.size == 3
+    assert np.all((0.5 < x) & (x < 2.5)) and np.all((0 < y) & (y < 1))
 
 
 def test_partition_validation():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from expfem.mesh import HomogeneousDirichlet, Periodic, make_mesh
+from expfem.mesh import HomogeneousDirichlet, Periodic
 from expfem.operator import (PHI1_TAYLOR_CUTOFF, PHI2_TAYLOR_CUTOFF,
                              build_operator, phi, phi_tensor)
 
-from helpers import rel_err
+from helpers import make_mesh, rel_err
 
 
 def test_phi_limit_values():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expfem.assembly import LoadContext, _trace_faces
 from expfem.mesh import Dirichlet, Periodic, dof_shape, node_grids
 from expfem.problems import (NonlinearityDomainError, boundary_kind,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
@@ -90,17 +91,23 @@ def test_wave_rejects_bad_eps():
 
 def test_wave_declares_nonhomogeneous_dirichlet():
     prob = builtin_allen_cahn_wave()
-    assert isinstance(boundary_kind(prob), Dirichlet)
-    assert boundary_kind(prob).trace_dt is not None
+    assert boundary_kind(prob) == Dirichlet(prob.g)
+    assert prob.g is prob.exact
 
 
 def test_wave_analytic_trace_derivative():
+    # the complex-step dg/dt the lifting uses, on every face, against a
+    # central difference of the trace
     prob = builtin_allen_cahn_wave()
-    xs = (np.asarray(0.3), np.asarray(0.0), np.asarray(0.1))
+    ctx = LoadContext(prob, mesh_for(prob, (8, 2, 2)))
     t = 0.01
     d = 1e-7
-    fd = (float(prob.g(t + d, xs)) - float(prob.g(t - d, xs))) / (2 * d)
-    assert abs(float(prob.g_t(t, xs)) - fd) < 1e-5 * max(1.0, abs(fd))
+    _, gdot = _trace_faces(ctx, t)
+    for (_, _, face, shape), got in zip(ctx.faces, gdot):
+        fd = (np.broadcast_to(prob.g(t + d, face), shape)
+              - np.broadcast_to(prob.g(t - d, face), shape)) / (2 * d)
+        assert np.all(np.abs(got - fd) < 1e-5 * np.maximum(1.0, np.abs(fd)))
+    assert np.max(np.abs(gdot[0])) > 1.0
 
 
 def test_flory_huggins_equilibria():

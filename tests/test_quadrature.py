@@ -1,17 +1,23 @@
-"""Blocked two-tap Gauss evaluation against the dense matrix oracle."""
+"""Blocked two-tap Gauss evaluation and its adjoint, the projection load,
+against the dense matrix oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import expfem.quadrature as quadrature
 from expfem.analysis import _nodal_quadratics, discrete_energy, error_norms
+from expfem.assembly import initial_state
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal, make_mesh)
+                         extend_nodal)
+from expfem.problems import Problem
 
 from helpers import (_dense_full_axis_matrices, dense_discrete_energy,
-                     dense_error_norms, dense_interpolant_on_gauss, rel_err)
+                     dense_error_norms, dense_gauss_load,
+                     dense_interpolant_on_gauss, dense_projection, make_mesh,
+                     rel_err)
 
 # five axis-0 elements: two per block leaves a one-element block at the end
 SUBDIVISIONS = {1: [5], 2: [5, 4], 3: [5, 3, 4]}
@@ -137,3 +143,50 @@ def test_nodal_quadratics_match_full_grid_kron(monkeypatch, dim,
     sq, grad_sq = _nodal_quadratics(full, [p.h for p in mesh.partitions])
     assert rel_err(sq, u @ mass @ u) < 1e-13
     assert rel_err(grad_sq, u @ stiff @ u) < 1e-13
+
+
+def _datum(xs):
+    return _exact(0.0, xs) + 0.3
+
+
+def _projected(mesh):
+    return Problem(name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
+                   domain=tuple((p.a, p.b) for p in mesh.partitions),
+                   u0=_datum)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("npts", [2, 3, 6])
+@pytest.mark.parametrize("blocked", [False, True])
+def test_gauss_load_matches_dense_oracle(monkeypatch, dim, npts, blocked):
+    mesh = _mesh(dim, "periodic")
+    if blocked:
+        _two_elements_per_block(monkeypatch, mesh, npts)
+    got = quadrature.gauss_load(_datum, mesh.partitions, npts)
+    assert rel_err(got, dense_gauss_load(_datum, mesh, npts)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bc", list(BOUNDARIES))
+@pytest.mark.parametrize("blocked", [False, True])
+def test_projection_matches_dense_oracle(monkeypatch, dim, bc, blocked):
+    mesh = _mesh(dim, bc)
+    if blocked:
+        _two_elements_per_block(monkeypatch, mesh, 3)
+    got = initial_state(_projected(mesh), mesh, mode="project")
+    assert rel_err(got, dense_projection(_projected(mesh), mesh)) < 1e-12
+
+
+@pytest.mark.parametrize("bc", list(BOUNDARIES))
+def test_projection_memory_stays_block_sized(bc):
+    # the dense quadrature matrices peaked at 34-46x this bound
+    mesh = make_mesh([(0.0, 1.0)] * 3, [48] * 3, BOUNDARIES[bc])
+    nodal_bytes = 8 * 49 ** 3
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        initial_state(_projected(mesh), mesh, mode="project")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nodal_bytes

@@ -11,7 +11,7 @@ from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
                             exp_euler_step, exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
 
-from helpers import dense_euler_step, dense_rk2_step, rel_err
+from helpers import dense_euler_step, dense_rk2_step, rel_err, wave_exact_dt
 
 
 def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None, periodic=False):
@@ -109,10 +109,10 @@ def test_one_step_matches_dense_oracle_1d():
     dt = 1e-3
     state = SolverState(0.0, forward_transform(U0, mesh))
     fast1 = inverse_transform(exp_euler_step(state, ctx, dt).coeffs, mesh)
-    dense1 = dense_euler_step(ctx, 0.0, U0, dt)
+    dense1 = dense_euler_step(ctx, 0.0, U0, dt, g_t=wave_exact_dt())
     assert rel_err(fast1, dense1) < 1e-10
     fast2 = inverse_transform(exp_rk2_step(state, ctx, dt).coeffs, mesh)
-    dense2 = dense_rk2_step(ctx, 0.0, U0, dt)
+    dense2 = dense_rk2_step(ctx, 0.0, U0, dt, g_t=wave_exact_dt())
     assert rel_err(fast2, dense2) < 1e-10
 
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from expfem.mesh import (HomogeneousDirichlet, Partition1D, Periodic,
-                         TensorMesh, dof_shape, make_mesh)
+                         TensorMesh, dof_shape)
 from expfem.transforms import (axis_spectrum, forward_transform,
                                inverse_transform, modal_shape)
 
-from helpers import basis_matrix, build_axis_matrices, mode_multiply, rel_err
+from helpers import (basis_matrix, build_axis_matrices, make_mesh,
+                     mode_multiply, rel_err)
 
 BCS = [HomogeneousDirichlet(), Periodic()]
 

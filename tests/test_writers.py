@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from expfem.analysis import StudyReport, StudyRow
-from expfem.mesh import HomogeneousDirichlet, Periodic, make_mesh
+from expfem.mesh import HomogeneousDirichlet, Periodic
 from expfem.writers import (REPORT_HEADER, format_number, write_report_csv,
                             write_series_csv, write_snapshot)
+
+from helpers import make_mesh
 
 
 def test_format_number_rules():
