@@ -103,7 +103,7 @@ def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
     axis, block by block; the well and gradient terms are exact from
     nodal values.
     """
-    if sup_norm(U) >= 1.0:
+    if not sup_norm(U) < 1.0:  # a NaN fails it too
         worst = np.argmax(np.abs(np.asarray(U)))
         raise NonlinearityDomainError(float(np.asarray(U).flat[worst]))
     full = extend_nodal(U, mesh, 0.0)

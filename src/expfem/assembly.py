@@ -16,6 +16,7 @@ kron-product oracle of the same semi-discretization.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.fft
@@ -26,6 +27,9 @@ from .operator import build_operator
 from .problems import COMPLEX_STEP
 from .quadrature import gauss_load
 from .transforms import axis_spectrum, forward_transform, inverse_transform
+
+# entries of the modal load per chunk of the lifting's column x face add
+_CHUNK = 1 << 14
 
 
 class LoadContext:
@@ -166,11 +170,34 @@ def boundary_correction(ctx, t, G, workers=None):
             edge[:, -1] = 0.0
         faces = ctx.face_scales[a] * scipy.fft.dstn(
             layers, type=1, norm="ortho", axes=range(1, dim), workers=workers)
-        near, far = faces if len(faces) == 2 else (faces[0], 0.0)
-        col = ctx.columns[a].reshape((-1,) + (1,) * (dim - 1))
-        modes = np.moveaxis(G, a, 0)
-        modes[0::2] += col[0::2] * (near + far)
-        modes[1::2] += col[1::2] * (near - far)
+        near, far = faces if len(faces) == 2 else (faces[0], 0.0 * faces[0])
+        _add_column_faces(G, a, ctx.columns[a], near, far)
+
+
+def _add_column_faces(G, a, column, near, far):
+    """G += column (x) near + (column (-1)^k) (x) far along axis a, in place.
+
+    G is viewed as (before a, modes, after a) and the rank-two product of
+    the (modes, 2) columns with the (2, ...) faces is added chunk by chunk,
+    each chunk a matrix product of about `_CHUNK` entries, so no
+    state-sized temporary is built.  Along the last axis the products
+    would be columns of one entry; there the roles swap, with the faces'
+    rows as the columns and the column pair as one face.
+    """
+    n = G.shape[a]
+    pre, post = math.prod(G.shape[:a]), math.prod(G.shape[a + 1:])
+    cols = np.stack([column, np.resize([1.0, -1.0], n) * column], axis=1)
+    faces = np.stack([near, far]).reshape(2, pre, post).swapaxes(0, 1)
+    if post == 1:
+        pre, n, post = 1, pre, n
+        cols, faces = faces[:, :, 0], cols.T[None]
+    modes = G.reshape(pre, n, post)
+    span = max(1, _CHUNK // (n * post))
+    rows = max(1, _CHUNK // post)
+    for p0 in range(0, pre, span):
+        for k0 in range(0, n, rows):
+            modes[p0:p0 + span, k0:k0 + rows] += (
+                cols[k0:k0 + rows] @ faces[p0:p0 + span])
 
 
 def initial_state(problem, mesh, mode="interpolate"):

@@ -5,6 +5,7 @@ applying to the whole boundary.  Dirichlet meshes own the interior nodes
 only; periodic meshes own nodes 0..N-1 (node N is identified with 0).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -128,14 +129,22 @@ def extend_nodal(U, mesh, t=0.0):
 
 def _mass_stencil(x, axis):
     """Full-grid 1D P1 mass matrix over h/6, tridiag(1, 4, 1) with end
-    diagonals 2, applied along one axis."""
+    diagonals 2, applied along one axis.
+
+    The neighbour adds run over the flattened array shifted by one
+    index along the axis, one long inner loop whatever the axis; they
+    also reach across the ends of the axis, whose rows are then
+    rewritten.
+    """
+    x = np.ascontiguousarray(x)
     out = 4.0 * x
-    src = np.moveaxis(x, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:] += src[:-1]
-    dst[:-1] += src[1:]
-    dst[0] -= 2.0 * src[0]
-    dst[-1] -= 2.0 * src[-1]
+    step = math.prod(x.shape[axis + 1:])
+    flat, src = out.reshape(-1), x.reshape(-1)
+    flat[step:] += src[:-step]
+    flat[:-step] += src[step:]
+    head = (slice(None),) * axis
+    out[head + (0,)] = 2.0 * x[head + (0,)] + x[head + (1,)]
+    out[head + (-1,)] = 2.0 * x[head + (-1,)] + x[head + (-2,)]
     return out
 
 

@@ -12,6 +12,11 @@ Two-stage scheme (stage node c2 in (0, 1]):
     c^{n+1} = e^{-dt*rates} * c^n
               + dt * [(phi1 - phi2/c2) * load(t_n) + (phi2/c2) * load_s(t_n + c2*dt)]
 
+`StepWeights` folds dt (and c2*dt for the stage) into the phi weights
+once per run, so a step is one product per weight: the steps combine in
+place into the loads and the stage buffer they own, and never modify
+the incoming coefficients.
+
 State stays transformed between steps; nodal recovery happens only for
 load evaluation and observation.  `SolverState.coeffs` is laid out as
 `transforms` defines it: real sine coefficients of the nodal shape on
@@ -96,18 +101,23 @@ class SchemeConfig:
 
 
 class StepWeights:
-    """Modal weight tensors shared by every step of a uniform-dt run."""
+    """Modal weight tensors shared by every step of a uniform-dt run.
+
+    The phi weights carry their step length: `phi1` is dt*phi1(-dt*rates),
+    `stage_phi1` is c2*dt*phi1(-c2*dt*rates) and `phi2` is
+    dt*phi2(-dt*rates), so `b1` and `b2` carry dt too.
+    """
 
     def __init__(self, op, dt, scheme, c2=0.5):
         self.dt = dt
         self.scheme = scheme
         self.c2 = c2
         self.decay = np.exp(-dt * op.decay_rates)
-        self.phi1 = phi_tensor(1, op, dt)
+        self.phi1 = dt * phi_tensor(1, op, dt)
         if scheme == "rk2":
             self.stage_decay = np.exp(-c2 * dt * op.decay_rates)
-            self.stage_phi1 = phi_tensor(1, op, dt, scale=c2)
-            self.phi2 = phi_tensor(2, op, dt)
+            self.stage_phi1 = (c2 * dt) * phi_tensor(1, op, dt, scale=c2)
+            self.phi2 = dt * phi_tensor(2, op, dt)
             self.b1 = self.phi1 - self.phi2 / c2
             self.b2 = self.phi2 / c2
 
@@ -117,7 +127,9 @@ def exp_euler_step(state, ctx, dt, weights=None, workers=None):
     w = weights if weights is not None else StepWeights(ctx.op, dt, "euler")
     U = inverse_transform(state.coeffs, ctx.mesh, workers)
     G = transformed_load(ctx, state.t, U, workers)
-    coeffs = w.decay * state.coeffs + dt * (w.phi1 * G)
+    coeffs = w.decay * state.coeffs
+    G *= w.phi1
+    coeffs += G
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
@@ -126,10 +138,15 @@ def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None, workers=None):
     w = weights if weights is not None else StepWeights(ctx.op, dt, "rk2", c2)
     U = inverse_transform(state.coeffs, ctx.mesh, workers)
     G1 = transformed_load(ctx, state.t, U, workers)
-    stage = w.stage_decay * state.coeffs + (c2 * dt) * (w.stage_phi1 * G1)
-    U2 = inverse_transform(stage, ctx.mesh, workers)
-    G2 = transformed_load(ctx, state.t + c2 * dt, U2, workers)
-    coeffs = w.decay * state.coeffs + dt * (w.b1 * G1 + w.b2 * G2)
+    stage = w.stage_decay * state.coeffs
+    stage += w.stage_phi1 * G1
+    U = inverse_transform(stage, ctx.mesh, workers)
+    G2 = transformed_load(ctx, state.t + c2 * dt, U, workers)
+    coeffs = np.multiply(w.decay, state.coeffs, out=stage)
+    G1 *= w.b1
+    coeffs += G1
+    G2 *= w.b2
+    coeffs += G2
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 

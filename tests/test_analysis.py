@@ -86,6 +86,13 @@ def test_discrete_energy_domain_guard():
         discrete_energy(np.array([0.0, 1.0, 0.0, 0.0]), mesh, 0.01, 0.8, 1.6)
 
 
+def test_discrete_energy_rejects_nan_state():
+    mesh = make_mesh([(0, 1)], [4], Periodic())
+    with pytest.raises(NonlinearityDomainError) as exc:
+        discrete_energy(np.array([0.0, np.nan, 0.2, 0.0]), mesh, 0.01, 0.8, 1.6)
+    assert math.isnan(exc.value.value)
+
+
 def test_sup_norm():
     assert sup_norm(np.zeros((3, 3))) == 0.0
     assert sup_norm(np.array([-0.3, 0.9])) == 0.9

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from expfem import assembly
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
@@ -213,6 +214,23 @@ def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
         assert rel_err(G, dense) < 1e-12
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 12])
+@pytest.mark.parametrize("subs", [(8,), (6, 4), (4, 3, 5), (5, 2, 3)])
+def test_boundary_correction_in_chunks_matches_dense_oracle(
+        monkeypatch, subs, chunk):
+    # chunks far below the test states' size run every loop of the add
+    monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    domain = ((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3))[:len(subs)]
+    prob, g_t = _traced_problem(domain)
+    mesh = mesh_for(prob, subs)
+    ctx = LoadContext(prob, mesh)
+    G = np.zeros(modal_shape(mesh))
+    boundary_correction(ctx, 0.3, G)
+    dense = ctx.op.load_scale * forward_transform(
+        dense_boundary_load(ctx, 0.3, g_t), mesh)
+    assert rel_err(G, dense) < 1e-12
+
+
 def test_boundary_correction_adds_into_load():
     prob, _ = _traced_problem(((0.0, 1.0), (-0.5, 1.5)))
     mesh = mesh_for(prob, (6, 4))
@@ -226,8 +244,8 @@ def test_boundary_correction_adds_into_load():
 
 
 def test_boundary_correction_memory_stays_face_sized():
-    # one lifting call allocates face-sized arrays and a half-state
-    # temporary, never a full-grid tensor or a full-size transform
+    # one lifting call allocates face-sized arrays and chunk-sized
+    # products, never a full-grid tensor or a full-size transform
     prob = builtin_allen_cahn_wave(dim=3)
     mesh = mesh_for(prob, (128, 16, 16))
     ctx = LoadContext(prob, mesh)

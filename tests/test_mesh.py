@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Partition1D,
-                         Periodic, TensorMesh, dof_shape, extend_nodal,
-                         node_grids)
+                         Periodic, TensorMesh, _mass_stencil, dof_shape,
+                         extend_nodal, node_grids)
 
-from helpers import make_mesh
+from helpers import make_mesh, rel_err
 
 
 def test_dof_shape_by_definition():
@@ -62,3 +62,18 @@ def test_mesh_dimension_limits():
     with pytest.raises(ValueError):
         TensorMesh(tuple(Partition1D(0, 1, 2) for _ in range(4)),
                    HomogeneousDirichlet())
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (3, 7), (6,)])
+def test_mass_stencil_matches_tridiagonal_matrix(shape):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(shape)
+    for axis, n in enumerate(shape):
+        M = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        M[0, 0] = M[-1, -1] = 2.0
+        expected = np.moveaxis(np.tensordot(M, x, axes=(1, axis)), 0, axis)
+        assert rel_err(_mass_stencil(x, axis), expected) < 1e-14
+        # a transposed (non-contiguous) view gives the same rows
+        xt = x.T
+        got = _mass_stencil(xt, xt.ndim - 1 - axis)
+        assert rel_err(got, expected.T) < 1e-14

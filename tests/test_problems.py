@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -131,6 +132,27 @@ def test_flory_huggins_domain_error():
     with pytest.raises(NonlinearityDomainError) as exc:
         prob.f(0.0, np.asarray([0.2, -1.0]), None)
     assert exc.value.value == -1.0
+
+
+def test_flory_huggins_nan_state_raises():
+    prob = builtin_flory_huggins()
+    with pytest.raises(NonlinearityDomainError) as exc:
+        prob.f(0.0, np.asarray([0.2, np.nan]), None)
+    assert math.isnan(exc.value.value)
+
+
+@pytest.mark.parametrize("u", [1e-9, 0.5, 0.999, 1.0 - 1e-12])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_flory_huggins_reaction_matches_mpmath(u, sign):
+    theta, theta_c = 0.8, 1.6
+    prob = builtin_flory_huggins(theta=theta, theta_c=theta_c)
+    v = sign * u
+    got = float(prob.f(0.0, np.asarray([v]), None)[0])
+    with mp.workdps(50):
+        x = mp.mpf(v)
+        want = float(mp.mpf(theta) / 2 * mp.log((1 - x) / (1 + x))
+                     + mp.mpf(theta_c) * x)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_flory_huggins_seeded_initial_data_is_reproducible():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expfem.assembly import LoadContext, initial_state
+from expfem.config import parse_config
 from expfem.mesh import dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import Problem, builtin_allen_cahn_wave, mesh_for
@@ -96,8 +97,11 @@ def test_rk2_weight_consistency_conditions():
     op = build_operator(mesh, prob.diffusion)
     dt, c2 = 0.01, 0.5
     w = StepWeights(op, dt, "rk2", c2)
+    # the phi weights carry their step length
     assert rel_err(w.b1 + w.b2, w.phi1) < 1e-13
-    assert np.array_equal(w.stage_phi1, phi_tensor(1, op, dt, scale=c2))
+    assert np.array_equal(w.phi1, dt * phi_tensor(1, op, dt))
+    assert np.array_equal(w.stage_phi1,
+                          (c2 * dt) * phi_tensor(1, op, dt, scale=c2))
     assert np.array_equal(w.decay, np.exp(-dt * op.decay_rates))
 
 
@@ -183,3 +187,52 @@ def test_domain_error_reports_step_index():
         run(prob, mesh, cfg)
     assert exc.value.step_index is not None
     assert "step" in str(exc.value)
+
+
+_CUSTOM_2D = """
+mode = "run"
+problem = "custom"
+T = 0.1
+nt = 2
+[domain]
+bounds = [[0.0, 1.0], [0.0, 0.5]]
+n = [8, 6]
+bc = "{bc}"
+[custom]
+d = 0.5
+f = "{f}"
+u0 = "0.5 * sin(2 * pi * x) * cos(4 * pi * y) + 0.25"
+{g}
+"""
+
+_BOUNDARIES = {
+    "periodic": ("periodic", ""),
+    "homogeneous": ("dirichlet", ""),
+    "lifted": ("dirichlet", 'g = "1 + x * y + t"'),
+}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize("f", ["u - u ** 3", "2.5", "u"])
+@pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
+def test_steps_leave_incoming_coefficients_unchanged(boundary, f, scheme):
+    # "2.5" reaches the load as a read-only broadcast view, "u" as the
+    # nodal state itself; the steps combine in place on their own arrays
+    bc, g = _BOUNDARIES[boundary]
+    prob = parse_config(_CUSTOM_2D.format(bc=bc, f=f, g=g)).problem
+    mesh = mesh_for(prob, (8, 6))
+    ctx = LoadContext(prob, mesh)
+    dt = 0.05
+    w = StepWeights(ctx.op, dt, scheme)
+    saved = {k: v.copy() for k, v in vars(w).items()
+             if isinstance(v, np.ndarray)}
+    c0 = forward_transform(initial_state(prob, mesh), mesh)
+    state = SolverState(0.0, c0.copy())
+    step = exp_euler_step if scheme == "euler" else exp_rk2_step
+    first = step(state, ctx, dt, weights=w)
+    assert np.array_equal(state.coeffs, c0)
+    assert not np.shares_memory(first.coeffs, state.coeffs)
+    again = step(state, ctx, dt, weights=w)
+    assert np.array_equal(again.coeffs, first.coeffs)
+    for name, value in saved.items():
+        assert np.array_equal(getattr(w, name), value), name
