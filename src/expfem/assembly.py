@@ -7,12 +7,14 @@ load collapse to fwd(f_nodal) exactly, which is what `transformed_load`
 computes.  Nonhomogeneous Dirichlet data enters as an extra load on the
 boundary-adjacent layers: minus the mass coupling times dg/dt minus D
 times the stiffness coupling times g, i.e. the usual elimination of the
-known boundary column.  That load lives on one node layer per face, and
-such a layer transforms as one basis column times a (d-1)-D transform of
-the layer, so `boundary_correction` builds it from the traces on the
-faces and adds it to the modal load directly, without a full-grid tensor
-or a full-size transform.  The tests check all of this against a dense
-kron-product oracle of the same semi-discretization.
+known boundary column.  The boundary data splits by axis, each boundary
+node going to the first axis that has it on a face; each axis' share
+loads only the owned node layer next to each of its two faces, and such
+a layer transforms as one basis column times a (d-1)-D transform of the
+layer.  So `boundary_correction` builds the load from one evaluation of
+the trace per axis and adds it to the modal load directly, without a
+full-grid tensor or a full-size transform.  The tests check all of this
+against a dense kron-product oracle of the same semi-discretization.
 """
 
 import functools
@@ -35,11 +37,12 @@ _CHUNK = 1 << 14
 class LoadContext:
     """Precomputed grids for evaluating loads on one problem/mesh pair.
 
-    Lifted (nonhomogeneous Dirichlet) meshes also keep the boundary faces'
-    coordinates and, per axis, the boundary column (the transform of a
-    unit vector at the first owned node) times that axis' reciprocal mass
-    eigenvalues, and the outer product of the other axes' reciprocal mass
-    eigenvalues: together they make up `op.load_scale`.
+    Lifted (nonhomogeneous Dirichlet) meshes also keep the coordinates of
+    each axis' share of the boundary and, per axis, the boundary column
+    (the transform of a unit vector at the first owned node) times that
+    axis' reciprocal mass eigenvalues, and the outer product of the other
+    axes' reciprocal mass eigenvalues: together they make up
+    `op.load_scale`.
     """
 
     def __init__(self, problem, mesh, op=None):
@@ -75,10 +78,11 @@ def transformed_load(ctx, t, U, workers=None):
 
 
 def _trace_faces(ctx, t):
-    """g and dg/dt on every boundary face: the real part and the complex
-    step of one evaluation of the trace at time t + i h per face."""
+    """g and dg/dt on each axis' share of the boundary: the real part and
+    the complex step of one evaluation of the trace at time t + i h per
+    axis."""
     g, gdot = [], []
-    for _, _, face, shape in ctx.faces:
+    for face, shape in ctx.faces:
         vals = np.broadcast_to(
             ctx.mesh.bc.trace(t + 1j * COMPLEX_STEP, face), shape)
         g.append(vals.real)
@@ -86,92 +90,65 @@ def _trace_faces(ctx, t):
     return g, gdot
 
 
-def _slabs(ctx, fields, a):
-    """Full-grid boundary data on the three node layers next to each face
-    of axis a, zero at nodes off the boundary, for each field (a list of
-    face values): shape (fields, 3, faces, full grid of the other axes),
-    one face when axis a has a single owned layer."""
-    mesh = ctx.mesh
-    starts = sorted({0, mesh.partitions[a].n - 2})
-    rest = [p.n + 1 for b, p in enumerate(mesh.partitions) if b != a]
-    out = np.zeros([len(fields), 3, len(starts)] + rest)
-    for f, values in enumerate(fields):
-        for s, r0 in enumerate(starts):
-            slab = np.moveaxis(out[f, :, s], 0, a)
-            window = [slice(None)] * mesh.dim
-            window[a] = slice(r0, r0 + 3)
-            for (b, j, _, _), vals in zip(ctx.faces, values):
-                sel = [slice(None)] * mesh.dim
-                if b != a:
-                    sel[b] = slice(j, j + 1)
-                    slab[tuple(sel)] = vals[tuple(window)]
-                elif r0 <= j < r0 + 3:
-                    sel[a] = slice(j - r0, j - r0 + 1)
-                    slab[tuple(sel)] = vals
-    return out
-
-
 def _layer_corrections(ctx, g, gdot, a):
-    """Boundary elimination load on the owned layers next to each face of
-    axis a, over the owned nodes of the other axes: shape (faces, ...).
+    """Boundary elimination load of axis a's share of the boundary data
+    on the owned layers next to its two faces, over the owned nodes of
+    the other axes: shape (2, owned nodes of the other axes).
 
-    Along a the full-grid rows there are (h/6)(1, 4, 1) for the mass and
-    (-1, 2, -1)/h for the stiffness; they collapse the three node layers
-    to m (g massed along a) and q (dg/dt massed plus D times g stiffened
-    along a).  On the owned rows of another axis c the stiffness is
-    (6/h_c) I - (6/h_c^2) M_c, so with M the product of the other axes'
-    full-grid masses the load is
+    Along a the full-grid rows of the first owned layer reach the face
+    alone, with h/6 for the mass and -1/h for the stiffness: m = (h/6) g
+    and q = (h/6) dg/dt - (D/h) g.  On the owned rows of another axis c
+    the stiffness is (6/h_c) I - (6/h_c^2) M_c, so with M the product of
+    the other axes' full-grid masses the load is
     -M(q - kappa m) - D sum_c (6/h_c) M_(without c)(m),
-    kappa = D sum_c 6/h_c^2.  The other axes' stencils apply one axis at a
-    time to the pair (M m, partial load), with their h_c/6 factors taken
-    out in front.
+    kappa = D sum_c 6/h_c^2.  The pair spans the full grid of the other
+    axes and is zero on the faces of earlier axes, which hold no share.
+    The other axes' stencils apply one axis at a time to the pair
+    (M m, partial load), with their h_c/6 factors taken out in front.
     """
     parts = ctx.mesh.partitions
-    other = [b for b in range(ctx.mesh.dim) if b != a]
+    other = [c for c in range(ctx.mesh.dim) if c != a]
     h = parts[a].h
     diffusion = ctx.problem.diffusion
     kappa = diffusion * sum(6.0 / parts[c].h ** 2 for c in other)
     front = -np.prod([parts[c].h / 6.0 for c in other])
-    mass = (h / 6.0) * np.array([1.0, 4.0, 1.0])
-    stiff = (diffusion / h) * np.array([-1.0, 2.0, -1.0])
-    # rows m and q - kappa m; columns the (g, dg/dt) x layer slabs
-    rows = front * np.array([[mass, np.zeros(3)], [stiff - kappa * mass, mass]])
-    slabs = _slabs(ctx, (g, gdot), a)
-    pair = (rows.reshape(2, 6) @ slabs.reshape(6, -1)).reshape(
-        (2,) + slabs.shape[2:])
-    del slabs
-    for j, c in enumerate(other):
-        last = j == len(other) - 1
-        swept = _mass_stencil(pair[1:] if last else pair, j + 2)
+    mass, stiff = front * h / 6.0, front * diffusion / h
+    pair = np.zeros([2] + [2 if c == a else p.n + 1
+                           for c, p in enumerate(parts)])
+    share = pair[(slice(None),) + (slice(1, -1),) * a]
+    share[0] = mass * g[a]
+    share[1] = mass * gdot[a] - (stiff + kappa * mass) * g[a]
+    for c in other:
+        swept = _mass_stencil(pair[1:] if c == other[-1] else pair, c + 1)
         swept[-1] += (36.0 * diffusion / parts[c].h ** 2) * pair[0]
         pair = swept
-    return pair[-1][(slice(None),) + tuple(slice(1, -1) for _ in other)]
+    owned = [slice(None) if c == a else slice(1, -1)
+             for c in range(ctx.mesh.dim)]
+    return np.moveaxis(pair[-1][tuple(owned)], a, 0)
 
 
 def boundary_correction(ctx, t, G, workers=None):
     """Add the scaled modal load from eliminating known Dirichlet boundary
     values to the modal load G, in place.
 
-    The load is nonzero only on the owned layers next to the boundary.
-    Each such node belongs to the layer of the first axis that has it on
-    its boundary layer.  A layer at owned index 0 along axis a transforms
-    as the boundary column of a times the (d-1)-D transform of the layer;
-    the layer at the far end takes the same column times (-1)^k.  The
-    reciprocal masses of load_scale fold into the column and the face.
+    The boundary data splits by axis as a telescoping sum,
+    I - prod_b P_b = sum_a (prod_(b<a) P_b) E_a, with P_b keeping the
+    nodes interior along b and E_a the two ends along a, so axis a lifts
+    the nodes of its faces that lie on no face of an earlier axis.  Each
+    share loads only the owned layers next to its two faces.  The layer
+    at owned index 0 along a transforms as the boundary column of a
+    times the (d-1)-D transform of the layer; the layer at the far end
+    takes the same column times (-1)^k, which on an axis with one owned
+    layer is the same column.  The reciprocal masses of load_scale fold
+    into the column and the face.
     """
     g, gdot = _trace_faces(ctx, t)
-    dim = ctx.mesh.dim
-    for a in range(dim):
+    for a in range(ctx.mesh.dim):
         layers = _layer_corrections(ctx, g, gdot, a)
-        # nodes on an earlier axis' boundary layer belong to that layer
-        for j in range(a):
-            edge = np.moveaxis(layers, j + 1, 1)
-            edge[:, 0] = 0.0
-            edge[:, -1] = 0.0
         faces = ctx.face_scales[a] * scipy.fft.dstn(
-            layers, type=1, norm="ortho", axes=range(1, dim), workers=workers)
-        near, far = faces if len(faces) == 2 else (faces[0], 0.0 * faces[0])
-        _add_column_faces(G, a, ctx.columns[a], near, far)
+            layers, type=1, norm="ortho", axes=range(1, ctx.mesh.dim),
+            workers=workers)
+        _add_column_faces(G, a, ctx.columns[a], *faces)
 
 
 def _add_column_faces(G, a, column, near, far):

@@ -11,7 +11,6 @@ derivatives.
 
 import ast
 import math
-import operator
 import tomllib
 
 import numpy as np
@@ -48,13 +47,7 @@ def parse_keyvalues(text):
 # ---------------------------------------------------------------------------
 # expression mini-language
 
-_BINOPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _FUNCTIONS = {
     "exp": np.exp,
     "ln": np.log,
@@ -82,7 +75,7 @@ def compile_expression(source, variables):
     def check(node):
         if isinstance(node, ast.Expression):
             return check(node.body)
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
             check(node.left)
             check(node.right)
             return
@@ -356,8 +349,6 @@ def _resolve_steps(cfg, values):
                 f"T = {cfg.T} is not an integer multiple of dt = {dt}")
         cfg.nt = steps
     else:
-        cfg.dt = cfg.T / cfg.nt
-    if cfg.dt is None:
         cfg.dt = cfg.T / cfg.nt
 
 

@@ -149,28 +149,26 @@ def _mass_stencil(x, axis):
 
 
 def _boundary_faces(mesh):
-    """Every boundary face as (axis, node index along it, open coordinate
-    grid, face shape with length 1 along the axis), axis by axis, low
-    face first."""
-    grids = full_grids(mesh)
-    full_shape = tuple(p.n + 1 for p in mesh.partitions)
+    """The boundary split by axis: axis a holds the nodes of its two faces
+    that lie on no face of an earlier axis.  Per axis an open coordinate
+    grid (the interior nodes along earlier axes, both ends along a, every
+    node along later axes) and its shape."""
     faces = []
     for a, p in enumerate(mesh.partitions):
-        shape = full_shape[:a] + (1,) + full_shape[a + 1:]
-        for j, coord in ((0, p.a), (p.n, p.b)):
-            face = list(grids)
-            face[a] = np.asarray(coord)
-            faces.append((a, j, tuple(face), shape))
+        axes = ([owned_axis_coordinates(mesh, b) for b in range(a)]
+                + [np.array([p.a, p.b])]
+                + [full_axis_coordinates(mesh, b)
+                   for b in range(a + 1, mesh.dim)])
+        faces.append((np.ix_(*axes), tuple(x.size for x in axes)))
     return faces
 
 
 def _fill_boundary(full, mesh, fn, t):
-    """Write fn(t, xs) onto every boundary face of a full-grid tensor; a
-    later face overwrites the edges it shares with an earlier one."""
-    for a, j, face, shape in _boundary_faces(mesh):
-        sel = [slice(None)] * mesh.dim
-        sel[a] = slice(j, j + 1)
-        full[tuple(sel)] = np.broadcast_to(fn(t, face), shape)
+    """Write fn(t, xs) onto the boundary of a full-grid Dirichlet tensor,
+    one assignment per axis, each boundary node once."""
+    for a, (face, shape) in enumerate(_boundary_faces(mesh)):
+        ends = slice(None, None, mesh.partitions[a].n)
+        full[(slice(1, -1),) * a + (ends,)] = np.broadcast_to(fn(t, face), shape)
 
 
 def aspect_ratio(mesh):

@@ -14,9 +14,8 @@ import numpy as np
 
 from .transforms import axis_spectrum, modal_shape
 
-# series/closed-form switch points; expm1 keeps phi_1 exact down to 1e-4,
-# while phi_2's subtraction needs |z| >= 0.1 before it stops losing digits
-PHI1_TAYLOR_CUTOFF = 1e-4
+# series/closed-form switch point: phi_2's subtraction needs |z| >= 0.1
+# before it stops losing digits
 PHI2_TAYLOR_CUTOFF = 0.1
 
 # phi_2 = sum_j z^j / (j+2)!, truncated after z^8 (error < 1e-16 at 0.1)
@@ -26,9 +25,10 @@ _PHI2_COEFFS = [1.0 / math.factorial(j + 2) for j in range(9)][::-1]
 def phi(k, z):
     """Evaluate phi_k entrywise; k in {0, 1, 2}.
 
-    Below the switch points a truncated Taylor series avoids the
-    cancellation of the closed forms; both branches agree to 1e-14
-    relative at the switch.
+    phi_1 is expm1(z)/z, within rounding of the exact value for every
+    z != 0, and 1 at z = 0.  Below its switch point phi_2 takes a
+    truncated Taylor series, which avoids the cancellation of the closed
+    form; both branches agree to 1e-14 relative at the switch.
     """
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
@@ -36,11 +36,8 @@ def phi(k, z):
     if k == 0:
         out = np.exp(z)
     elif k == 1:
-        out = np.empty_like(z)
-        small = np.abs(z) < PHI1_TAYLOR_CUTOFF
-        zs, zl = z[small], z[~small]
-        out[small] = 1 + zs / 2 + zs**2 / 6 + zs**3 / 24 + zs**4 / 120
-        out[~small] = np.expm1(zl) / zl
+        out = np.ones_like(z)
+        np.divide(np.expm1(z), z, out=out, where=z != 0)
     elif k == 2:
         out = np.empty_like(z)
         small = np.abs(z) < PHI2_TAYLOR_CUTOFF

@@ -51,7 +51,6 @@ class Problem:
     u0_nodal: Optional[Callable] = None
     g: Optional[Callable] = None
     exact: Optional[Callable] = None
-    df_du: Optional[Callable] = None
     admissible_range: Optional[tuple] = None
     T_default: float = 1.0
     energy_params: Optional[tuple] = None  # (eps, theta, theta_c)
@@ -102,7 +101,6 @@ def builtin_linear_rd():
         name="linear_rd",
         diffusion=0.5,
         f=f,
-        df_du=lambda t, u, xs: np.full_like(np.asarray(u, dtype=float), -0.5 * pi2),
         domain=((0.5, 2.5), (0.0, 1.0)),
         u0=lambda xs: exact(0.0, xs),
         exact=exact,
@@ -139,7 +137,6 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
         name="allen_cahn_wave",
         diffusion=1.0,
         f=f,
-        df_du=lambda t, u, xs: (1.0 - 3.0 * u ** 2) / eps ** 2,
         domain=domain,
         u0=lambda xs: exact(0.0, xs),
         g=exact,
@@ -180,7 +177,6 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
         name="flory_huggins",
         diffusion=eps ** 2,
         f=f,
-        df_du=lambda t, u, xs: -theta / (1.0 - u ** 2) + theta_c,
         domain=((0.0, 1.0),) * 3,
         periodic=True,
         u0_nodal=u0_nodal,

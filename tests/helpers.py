@@ -24,8 +24,8 @@ import scipy.linalg
 
 from expfem.analysis import _exact_gradient
 from expfem.assembly import _nodal_reaction
-from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, _fill_boundary,
-                         dof_shape, extend_nodal, is_periodic)
+from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
+                         extend_nodal, full_grids, is_periodic)
 from expfem.operator import phi
 from expfem.quadrature import _axis_points, apply_matrix, gauss_rule, integrate
 
@@ -119,20 +119,20 @@ def dense_operator_matrices(mesh):
     return M, K
 
 
-def _boundary_tensors(mesh, g, g_t, t):
-    """Full-grid tensors holding g and dg/dt on the faces, zero inside."""
+def _boundary_tensor(mesh, fn, t):
+    """fn(t, xs) on the full grid with the interior nodes zeroed."""
     full_shape = tuple(p.n + 1 for p in mesh.partitions)
-    g_ext = np.zeros(full_shape)
-    _fill_boundary(g_ext, mesh, g, t)
-    gdot_ext = np.zeros(full_shape)
-    _fill_boundary(gdot_ext, mesh, g_t, t)
-    return g_ext, gdot_ext
+    out = np.array(np.broadcast_to(fn(t, full_grids(mesh)), full_shape),
+                   dtype=float)
+    out[(slice(1, -1),) * mesh.dim] = 0.0
+    return out
 
 
 def dense_boundary_load(ctx, t, g_t):
     """Boundary elimination load via dense full-grid kron matrices, with
     dg/dt from the analytic `g_t(t, xs)`."""
-    g_ext, gdot_ext = _boundary_tensors(ctx.mesh, ctx.mesh.bc.trace, g_t, t)
+    g_ext = _boundary_tensor(ctx.mesh, ctx.mesh.bc.trace, t)
+    gdot_ext = _boundary_tensor(ctx.mesh, g_t, t)
     full_mats = [_dense_full_axis_matrices(p) for p in ctx.mesh.partitions]
     Mf = np.array([[1.0]])
     for m, _ in full_mats:
@@ -234,7 +234,11 @@ def dense_axis_slopes(p, npts):
 
 def dense_interpolant_on_gauss(U, mesh, t, npts):
     """Interpolant values and per-axis slopes on the whole Gauss grid."""
-    full = extend_nodal(U, mesh, t)
+    if isinstance(mesh.bc, Dirichlet):
+        full = _boundary_tensor(mesh, mesh.bc.trace, t)
+        full[(slice(1, -1),) * mesh.dim] = U
+    else:
+        full = extend_nodal(U, mesh, t)
     coords, weights, val_mats = zip(
         *(axis_quadrature(p, npts) for p in mesh.partitions))
     slope_mats = [dense_axis_slopes(p, npts) for p in mesh.partitions]
@@ -282,8 +286,7 @@ def dense_projection(problem, mesh, npts=3):
     nodes, the known trace moved to the right-hand side."""
     b = dense_gauss_load(problem.u0, mesh, npts)
     if isinstance(mesh.bc, Dirichlet):
-        g_ext = np.zeros(b.shape)
-        _fill_boundary(g_ext, mesh, mesh.bc.trace, 0.0)
+        g_ext = _boundary_tensor(mesh, mesh.bc.trace, 0.0)
         for a, p in enumerate(mesh.partitions):
             g_ext = apply_matrix(_dense_full_axis_matrices(p)[0], g_ext, a)
         b = b - g_ext

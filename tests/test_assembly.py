@@ -231,6 +231,24 @@ def test_boundary_correction_in_chunks_matches_dense_oracle(
     assert rel_err(G, dense) < 1e-12
 
 
+@pytest.mark.parametrize("subs", [(8,), (6, 4), (4, 3, 5), (5, 2, 3)])
+def test_boundary_correction_evaluates_trace_once_per_axis(subs):
+    domain = ((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3))[:len(subs)]
+    traced, _ = _traced_problem(domain)
+    calls = []
+
+    def counted(t, xs):
+        calls.append(t)
+        return traced.g(t, xs)
+
+    prob = Problem(name="inline", diffusion=traced.diffusion, f=traced.f,
+                   domain=domain, u0=traced.u0, g=counted)
+    ctx = LoadContext(prob, mesh_for(prob, subs))
+    calls.clear()
+    boundary_correction(ctx, 0.3, np.zeros(modal_shape(ctx.mesh)))
+    assert len(calls) == len(subs)
+
+
 def test_boundary_correction_adds_into_load():
     prob, _ = _traced_problem(((0.0, 1.0), (-0.5, 1.5)))
     mesh = mesh_for(prob, (6, 4))

@@ -268,7 +268,7 @@ def test_config_expressions_take_complex_arguments(expr, d_dx, d_dt):
     assert np.max(np.abs(grad - d_dx(t, x))) < 1e-12
     ctx = LoadContext(prob, mesh_for(prob, (4,)))
     g, gdot = _trace_faces(ctx, t)
-    for face, value, rate in zip((0.2, 0.9), g, gdot):
-        assert float(value[0]) == pytest.approx(float(prob.g(t, (face,))),
-                                                rel=1e-14)
-        assert abs(float(rate[0]) - d_dt(t, face)) < 1e-12
+    for face, value, rate in zip((0.2, 0.9), g[0], gdot[0]):
+        assert float(value) == pytest.approx(float(prob.g(t, (face,))),
+                                             rel=1e-14)
+        assert abs(float(rate) - d_dt(t, face)) < 1e-12

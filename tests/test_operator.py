@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from expfem.mesh import HomogeneousDirichlet, Periodic
-from expfem.operator import (PHI1_TAYLOR_CUTOFF, PHI2_TAYLOR_CUTOFF,
-                             build_operator, phi, phi_tensor)
+from expfem.operator import (PHI2_TAYLOR_CUTOFF, build_operator, phi,
+                             phi_tensor)
 
 from helpers import make_mesh, rel_err
 
@@ -25,6 +26,16 @@ def test_phi_no_cancellation_near_zero():
     assert abs(phi(2, -1e-9) - 0.5) < 0.5 * 1e-9
 
 
+def test_phi1_relative_accuracy_against_mpmath():
+    # expm1(z)/z needs no series near zero: every z != 0 stays within a
+    # few ulps, subnormal z included
+    mags = np.logspace(-320, np.log10(700.0), 200)
+    z = np.concatenate([-mags, mags])
+    with mp.workdps(40):
+        ref = np.array([float(mp.expm1(mp.mpf(x)) / mp.mpf(x)) for x in z])
+    assert np.max(np.abs(phi(1, z) - ref) / ref) < 1e-15
+
+
 def test_phi_recurrence_identities():
     z = -np.logspace(-12, 3, 400)
     e = np.exp(z)
@@ -39,12 +50,11 @@ def test_phi_recurrence_identities():
 def test_phi_taylor_crossover_continuity():
     # probe a few ulps on either side so the branch switch is the only
     # difference between the two evaluations
-    for k, cutoff in ((1, PHI1_TAYLOR_CUTOFF), (2, PHI2_TAYLOR_CUTOFF)):
-        for sign in (-1.0, 1.0):
-            z0 = sign * cutoff
-            below = phi(k, z0 * (1 - 1e-15))
-            above = phi(k, z0 * (1 + 1e-15))
-            assert abs(below - above) / abs(above) < 1e-14
+    for sign in (-1.0, 1.0):
+        z0 = sign * PHI2_TAYLOR_CUTOFF
+        below = phi(2, z0 * (1 - 1e-15))
+        above = phi(2, z0 * (1 + 1e-15))
+        assert abs(below - above) / abs(above) < 1e-14
 
 
 def test_phi_rejects_higher_orders():
