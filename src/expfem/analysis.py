@@ -2,15 +2,20 @@
 
 Error norms integrate the multilinear interpolant of the nodal tensor
 against the exact solution with a tensor-product Gauss rule (3 points
-per axis by default, exact for squares of multilinear functions).  The
-energy integrates its logarithmic potential with the same rule; its
-quadratic well and gradient terms are exact sums over nodal values and
-differences.  The Gauss grid is visited in blocks by
-`quadrature.gauss_blocks`, whose two-tap evaluation reads only the two
-nodes bounding each point per axis, so neither ever holds a whole
-Gauss-grid tensor.  Studies run refinement ladders and report errors at
-the terminal time with dyadic convergence rates between consecutive
-rungs.
+per axis by default, exact for squares of multilinear functions),
+visiting the Gauss grid in blocks by `quadrature.gauss_blocks`, whose
+two-tap evaluation reads only the two nodes bounding each point per
+axis.  The energy integrates its logarithmic mixing potential with the
+same rule over the same blocks, but takes the last axis itself
+(`_mixing_integral`).  It writes the potential as
+F(v) = log1p(-v^2) + 2 v artanh(v), accurate to rounding for every
+|v| < 1: the textbook (1 + v) log(1 + v) + (1 - v) log(1 - v) adds two
+terms of size |v| to get F ~ v^2, and so loses about eps/|v| relative
+(1e-10 at |v| = 1e-6).  Its quadratic well and gradient terms are
+exact sums over nodal values and differences.  Neither ever holds a
+whole Gauss-grid tensor.  Studies run refinement ladders and report
+errors at the terminal time with dyadic convergence rates between
+consecutive rungs.
 """
 
 import datetime
@@ -21,7 +26,8 @@ import numpy as np
 
 from .mesh import _mass_stencil, dof_shape, extend_nodal
 from .problems import COMPLEX_STEP, NonlinearityDomainError, mesh_for
-from .quadrature import element_blocks, gauss_blocks, integrate
+from .quadrature import (_block_grids, _two_tap, element_blocks, gauss_blocks,
+                         gauss_rule, integrate)
 from .stepper import SchemeConfig, run
 from .transforms import inverse_transform
 
@@ -81,18 +87,38 @@ def _nodal_quadratics(full, hs):
     return sq, grad_sq
 
 
-def _mixing(v):
-    """(1 + v) log(1 + v) + (1 - v) log(1 - v), with three block arrays."""
-    lp = np.log1p(v)
-    lm = np.negative(v)
-    np.log1p(lm, out=lm)
-    # (lp + lm) + v (lp - lm), built in place
-    lp -= lm
-    lm *= 2.0
-    lm += lp
-    lp *= v
-    lm += lp
-    return lm
+def _mixing_integral(full, partitions, npts):
+    """Gauss integral of the mixing potential F(v) = log1p(-v^2) +
+    2 v artanh(v) of the interpolant of a full-grid nodal tensor.
+
+    Per block of axis-0 elements, axes 0..d-2 are interpolated with the
+    two-tap kernel; the last axis is then taken one Gauss point xi_k at a
+    time, into one contiguous buffer that every k reuses, and contracted
+    against the other axes' weights (a matrix-vector product) times
+    w_k h_last.
+    """
+    xi, w = gauss_rule(npts)
+    total = 0.0
+    for e0, e1, _, weights in _block_grids(partitions, npts):
+        vals = full[e0:e1 + 1]
+        outer = np.ones(1)
+        for a, wa in enumerate(weights[:-1]):
+            vals = _two_tap(vals, a, xi)
+            outer = np.outer(outer, wa).ravel()
+        lo, hi = vals[..., :-1], vals[..., 1:]
+        diff = (hi - lo).reshape(outer.size, -1)
+        lo = lo.reshape(diff.shape)
+        v, vat = np.empty_like(diff), np.empty_like(diff)
+        for x, wk in zip(xi, w * partitions[-1].h):
+            np.multiply(diff, x, out=v)
+            v += lo
+            np.arctanh(v, out=vat)
+            vat *= v
+            np.multiply(v, v, out=v)
+            np.negative(v, out=v)
+            np.log1p(v, out=v)
+            total += float(wk * (np.sum(outer @ v) + 2.0 * np.sum(outer @ vat)))
+    return total
 
 
 def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
@@ -100,15 +126,14 @@ def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
     quadratic well and gradient penalty.
 
     The mixing potential is integrated with an npts-point Gauss rule per
-    axis, block by block; the well and gradient terms are exact from
-    nodal values.
+    axis, block by block (`_mixing_integral`); the well and gradient terms
+    are exact from nodal values.
     """
     if not sup_norm(U) < 1.0:  # a NaN fails it too
         worst = np.argmax(np.abs(np.asarray(U)))
         raise NonlinearityDomainError(float(np.asarray(U).flat[worst]))
     full = extend_nodal(U, mesh, 0.0)
-    mixing = sum(integrate(blk.weights, _mixing(blk.values))
-                 for blk in gauss_blocks(full, mesh.partitions, npts))
+    mixing = _mixing_integral(full, mesh.partitions, npts)
     sq, grad_sq = _nodal_quadratics(full, [p.h for p in mesh.partitions])
     return 0.5 * theta * mixing - 0.5 * theta_c * sq + 0.5 * eps**2 * grad_sq
 

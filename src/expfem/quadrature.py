@@ -6,6 +6,10 @@ per axis, so `gauss_blocks` evaluates the interpolant axis by axis as
 `lo + (hi - lo) * xi` (slopes as `(hi - lo) / h`), streaming the Gauss
 grid in blocks of axis-0 elements of about `BLOCK_POINTS` points so a
 block's arrays stay in cache: O(npts^d N^d) work and block-sized memory.
+`gauss_blocks` serves the error norms; the energy
+(`analysis._mixing_integral`) walks the same blocks with `_block_grids`
+and `_two_tap` on all but the last axis, and evaluates that axis one
+Gauss point at a time itself.
 
 `gauss_load`, the load of the L2 projection, is the adjoint of that
 evaluation over the same blocks: per axis, a 2 x npts tap matrix folds

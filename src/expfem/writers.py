@@ -91,6 +91,9 @@ def write_snapshot(U, mesh, t, path):
         "SCALARS u double",
         "LOOKUP_TABLE default",
     ]
-    lines.extend(repr(float(v)) for v in values)
+    # one x-row at a time: a float list of every value would raise the
+    # peak memory by about 1 MiB on a 257 x 129 grid
+    for row in values.reshape(-1, dims[0]):
+        lines.extend(map(repr, row.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

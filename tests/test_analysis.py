@@ -70,6 +70,31 @@ def test_discrete_energy_constant_state_closed_form():
     assert abs(val - expected) < 1e-12
 
 
+@pytest.mark.parametrize("u", [1e-3, 1e-5, 1e-6])
+def test_discrete_energy_small_constant_state_matches_mpmath(u):
+    # F(u) ~ u^2: adding log(1 + u) and log(1 - u), each of size u, loses
+    # about eps/u relative; log1p(-u^2) + 2u artanh(u) does not
+    mesh = make_mesh([(0, 1)] * 3, [4] * 3, Periodic())
+    with mp.workdps(50):
+        v = mp.mpf(u)
+        mixing = (1 + v) * mp.log(1 + v) + (1 - v) * mp.log(1 - v)
+        expected = float(mp.mpf("0.4") * mixing - mp.mpf("0.8") * v**2)
+    val = discrete_energy(np.full(dof_shape(mesh), u), mesh, 0.01, 0.8, 1.6)
+    assert rel_err(val, expected) < 1e-12
+
+
+def test_discrete_energy_finite_next_to_the_bound():
+    # the extreme nodes sit one ulp inside (-1, 1); any RuntimeWarning of
+    # the logarithms fails the test
+    mesh = make_mesh([(0, 1)] * 2, [4, 3], Periodic())
+    U = 0.5 * np.tanh(np.random.default_rng(11).standard_normal(
+        dof_shape(mesh)))
+    edge = np.nextafter(1.0, 0.0)
+    U[0, 0], U[2, 1] = edge, -edge
+    val = discrete_energy(U, mesh, 0.01, 0.8, 1.6)
+    assert math.isfinite(val)
+
+
 def test_discrete_energy_gradient_term_positive():
     mesh = make_mesh([(0, 1), (0, 1)], [6, 6], Periodic())
     rng = np.random.default_rng(14)

@@ -121,6 +121,18 @@ def test_discrete_energy_matches_dense_oracle(monkeypatch, dim, bc, npts):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+def test_discrete_energy_near_bound_matches_dense_oracle(monkeypatch, dim):
+    # states up to 0.99 in magnitude, where the artanh form of the mixing
+    # potential is steepest
+    mesh = _mesh(dim, "periodic")
+    _two_elements_per_block(monkeypatch, mesh, 3)
+    rng = np.random.default_rng(12)
+    U = 0.99 * np.tanh(3.0 * rng.standard_normal(dof_shape(mesh)))
+    want = dense_discrete_energy(U, mesh, 0.3, 0.8, 1.6)
+    assert rel_err(discrete_energy(U, mesh, 0.3, 0.8, 1.6), want) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("nodes_per_block", [1, 2, 10**6])
 def test_nodal_quadratics_match_full_grid_kron(monkeypatch, dim,
                                                nodes_per_block):

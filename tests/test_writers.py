@@ -115,3 +115,30 @@ def test_snapshot_nonhomogeneous_boundary_values(tmp_path):
     lines = path.read_text().splitlines()
     data = [float(v) for v in lines[lines.index("LOOKUP_TABLE default") + 1:]]
     assert data[0] == 7.0 and data[-1] == 7.0
+
+
+def test_snapshot_bytes_match_per_value_repr(tmp_path):
+    # the values are printed one x-row at a time; every line must be what
+    # repr(float(v)) gives per value, boundary values included
+    from expfem.mesh import Dirichlet, extend_nodal
+    g = lambda t, xs: np.cos(xs[0] + 3.0 * xs[1] + t) * (1.0 + 1e-7 * t)
+    mesh = make_mesh([(0, 1.5), (-1, 2)], [7, 5], Dirichlet(g))
+    rng = np.random.default_rng(3)
+    U = rng.standard_normal((6, 4)) * np.logspace(-300, 300, 24).reshape(6, 4)
+    U[0, 0], U[1, 2] = -0.0, 1.0 / 3.0
+    path = tmp_path / "exact.vtk"
+    write_snapshot(U, mesh, 0.3, path)
+    values = extend_nodal(U, mesh, 0.3).ravel(order="F")
+    expected = "\n".join([
+        "# vtk DataFile Version 3.0",
+        "expfem snapshot t=0.3",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        "DIMENSIONS 8 6 1",
+        "ORIGIN 0.0 -1.0 0.0",
+        f"SPACING {1.5 / 7!r} {3.0 / 5!r} 1.0",
+        "POINT_DATA 48",
+        "SCALARS u double",
+        "LOOKUP_TABLE default",
+    ] + [repr(float(v)) for v in values]) + "\n"
+    assert path.read_bytes() == expected.encode()
