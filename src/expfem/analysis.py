@@ -2,20 +2,19 @@
 
 Error norms integrate the multilinear interpolant of the nodal tensor
 against the exact solution with a tensor-product Gauss rule (3 points
-per axis by default, exact for squares of multilinear functions),
-visiting the Gauss grid in blocks by `quadrature.gauss_blocks`, whose
-two-tap evaluation reads only the two nodes bounding each point per
-axis.  The energy integrates its logarithmic mixing potential with the
-same rule over the same blocks, but takes the last axis itself
-(`_mixing_integral`).  It writes the potential as
-F(v) = log1p(-v^2) + 2 v artanh(v), accurate to rounding for every
+per axis by default, exact for squares of multilinear functions).  The
+energy integrates its logarithmic mixing potential with the same rule.
+Both walk the Gauss grid with `quadrature.gauss_slices`, whose two-tap
+evaluation reads only the two nodes bounding each point per axis, one
+last-axis Gauss point of a block of axis-0 elements at a time; neither
+ever holds a whole Gauss-grid tensor.  The energy writes the potential
+as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to rounding for every
 |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v) log(1 - v) adds two
 terms of size |v| to get F ~ v^2, and so loses about eps/|v| relative
 (1e-10 at |v| = 1e-6).  Its quadratic well and gradient terms are
-exact sums over nodal values and differences.  Neither ever holds a
-whole Gauss-grid tensor.  Studies run refinement ladders and report
-errors at the terminal time with dyadic convergence rates between
-consecutive rungs.
+exact sums over nodal values and differences.  Studies run refinement
+ladders and report errors at the terminal time with dyadic convergence
+rates between consecutive rungs.
 """
 
 import datetime
@@ -26,8 +25,7 @@ import numpy as np
 
 from .mesh import _mass_stencil, dof_shape, extend_nodal
 from .problems import COMPLEX_STEP, NonlinearityDomainError, mesh_for
-from .quadrature import (_block_grids, _two_tap, element_blocks, gauss_blocks,
-                         gauss_rule, integrate)
+from .quadrature import element_blocks, gauss_slices
 from .stepper import SchemeConfig, run
 from .transforms import inverse_transform
 
@@ -45,16 +43,22 @@ def _exact_gradient(exact, t, grid, axis):
     return np.imag(exact(t, tuple(xs))) / COMPLEX_STEP
 
 
+def _slice_sum(outer, x):
+    """Sum of a Gauss slice's values against the other axes' weights."""
+    return float(np.sum(outer @ x.reshape(outer.size, -1)))
+
+
 def error_norms(U, mesh, exact, t, npts=3):
     """(L2, H1) distance between the interpolant of U and `exact` at time t."""
     full = extend_nodal(U, mesh, t)
     l2_sq = grad_sq = 0.0
-    for blk in gauss_blocks(full, mesh.partitions, npts, slopes=True):
-        diff = blk.values - np.asarray(exact(t, blk.coords), dtype=float)
-        l2_sq += integrate(blk.weights, diff * diff)
-        for a in range(mesh.dim):
-            gdiff = blk.slopes[a] - _exact_gradient(exact, t, blk.coords, a)
-            grad_sq += integrate(blk.weights, gdiff * gdiff)
+    for vals, slopes, coords, outer, wk in gauss_slices(
+            full, mesh.partitions, npts, slopes=True):
+        diff = vals - np.asarray(exact(t, coords), dtype=float)
+        l2_sq += wk * _slice_sum(outer, np.square(diff, out=diff))
+        for a, slope in enumerate(slopes):
+            diff = slope - _exact_gradient(exact, t, coords, a)
+            grad_sq += wk * _slice_sum(outer, np.square(diff, out=diff))
     return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
 
 
@@ -89,35 +93,18 @@ def _nodal_quadratics(full, hs):
 
 def _mixing_integral(full, partitions, npts):
     """Gauss integral of the mixing potential F(v) = log1p(-v^2) +
-    2 v artanh(v) of the interpolant of a full-grid nodal tensor.
-
-    Per block of axis-0 elements, axes 0..d-2 are interpolated with the
-    two-tap kernel; the last axis is then taken one Gauss point xi_k at a
-    time, into one contiguous buffer that every k reuses, and contracted
-    against the other axes' weights (a matrix-vector product) times
-    w_k h_last.
+    2 v artanh(v) of the interpolant of a full-grid nodal tensor, one
+    `gauss_slices` slice at a time, evaluated in place in the slice's
+    buffer: one `arctanh` and one `log1p` per Gauss point.
     """
-    xi, w = gauss_rule(npts)
     total = 0.0
-    for e0, e1, _, weights in _block_grids(partitions, npts):
-        vals = full[e0:e1 + 1]
-        outer = np.ones(1)
-        for a, wa in enumerate(weights[:-1]):
-            vals = _two_tap(vals, a, xi)
-            outer = np.outer(outer, wa).ravel()
-        lo, hi = vals[..., :-1], vals[..., 1:]
-        diff = (hi - lo).reshape(outer.size, -1)
-        lo = lo.reshape(diff.shape)
-        v, vat = np.empty_like(diff), np.empty_like(diff)
-        for x, wk in zip(xi, w * partitions[-1].h):
-            np.multiply(diff, x, out=v)
-            v += lo
-            np.arctanh(v, out=vat)
-            vat *= v
-            np.multiply(v, v, out=v)
-            np.negative(v, out=v)
-            np.log1p(v, out=v)
-            total += float(wk * (np.sum(outer @ v) + 2.0 * np.sum(outer @ vat)))
+    for v, _, _, outer, wk in gauss_slices(full, partitions, npts):
+        vat = np.arctanh(v)
+        vat *= v
+        np.multiply(v, v, out=v)
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        total += wk * (_slice_sum(outer, v) + 2.0 * _slice_sum(outer, vat))
     return total
 
 
@@ -126,7 +113,7 @@ def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
     quadratic well and gradient penalty.
 
     The mixing potential is integrated with an npts-point Gauss rule per
-    axis, block by block (`_mixing_integral`); the well and gradient terms
+    axis, slice by slice (`_mixing_integral`); the well and gradient terms
     are exact from nodal values.
     """
     if not sup_norm(U) < 1.0:  # a NaN fails it too
@@ -141,16 +128,15 @@ def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
 class TimeSeriesObserver:
     """Collects (t, sup-norm[, energy]) rows at observation steps."""
 
-    def __init__(self, mesh, energy_params=None, npts=3):
+    def __init__(self, mesh, energy_params=None):
         self.mesh = mesh
         self.energy_params = energy_params
-        self.npts = npts
         self.rows = []
 
     def __call__(self, step, t, U):
         if self.energy_params is not None:
             eps, theta, theta_c = self.energy_params
-            energy = discrete_energy(U, self.mesh, eps, theta, theta_c, self.npts)
+            energy = discrete_energy(U, self.mesh, eps, theta, theta_c)
         else:
             energy = None
         self.rows.append((t, sup_norm(U), energy))
@@ -185,7 +171,7 @@ def _mean_step_seconds(times):
 
 
 def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None,
-                      initial_mode="interpolate", npts=3, workers=None):
+                      initial_mode="interpolate"):
     """Run a refinement ladder and report terminal-time errors and rates.
 
     `rungs` is a list of (per-axis subdivisions, nt) pairs; consecutive
@@ -207,9 +193,9 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None,
         cfg = SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=c2)
         times = []
         state = run(problem, mesh, cfg, initial_mode=initial_mode,
-                    workers=workers, step_times=times)
-        U = inverse_transform(state.coeffs, mesh, workers)
-        l2, h1 = error_norms(U, mesh, problem.exact, state.t, npts)
+                    step_times=times)
+        U = inverse_transform(state.coeffs, mesh)
+        l2, h1 = error_norms(U, mesh, problem.exact, state.t)
         row = StudyRow(
             resolution=_resolution_label(subdivisions),
             nt=nt,
@@ -226,7 +212,7 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None,
 
 
 def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None,
-                 initial_mode="interpolate", workers=None):
+                 initial_mode="interpolate"):
     """Measure steady per-step cost over a spatial ladder at fixed nt."""
     T = problem.T_default if T is None else T
     report = StudyReport(metadata={
@@ -242,8 +228,7 @@ def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None,
         mesh = mesh_for(problem, subdivisions)
         cfg = SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=c2)
         times = []
-        run(problem, mesh, cfg, initial_mode=initial_mode,
-            workers=workers, step_times=times)
+        run(problem, mesh, cfg, initial_mode=initial_mode, step_times=times)
         nodes = int(np.prod(dof_shape(mesh)))
         row = StudyRow(
             resolution=_resolution_label(subdivisions),

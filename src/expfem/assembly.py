@@ -69,11 +69,11 @@ def _nodal_reaction(ctx, t, U):
     return np.broadcast_to(np.asarray(vals, dtype=float), U.shape)
 
 
-def transformed_load(ctx, t, U, workers=None):
+def transformed_load(ctx, t, U):
     """Scaled modal load for nodal state U at time t."""
-    G = forward_transform(_nodal_reaction(ctx, t, U), ctx.mesh, workers)
+    G = forward_transform(_nodal_reaction(ctx, t, U), ctx.mesh)
     if ctx.lifted:
-        boundary_correction(ctx, t, G, workers)
+        boundary_correction(ctx, t, G)
     return G
 
 
@@ -127,7 +127,7 @@ def _layer_corrections(ctx, g, gdot, a):
     return np.moveaxis(pair[-1][tuple(owned)], a, 0)
 
 
-def boundary_correction(ctx, t, G, workers=None):
+def boundary_correction(ctx, t, G):
     """Add the scaled modal load from eliminating known Dirichlet boundary
     values to the modal load G, in place.
 
@@ -146,8 +146,7 @@ def boundary_correction(ctx, t, G, workers=None):
     for a in range(ctx.mesh.dim):
         layers = _layer_corrections(ctx, g, gdot, a)
         faces = ctx.face_scales[a] * scipy.fft.dstn(
-            layers, type=1, norm="ortho", axes=range(1, ctx.mesh.dim),
-            workers=workers)
+            layers, type=1, norm="ortho", axes=range(1, ctx.mesh.dim))
         _add_column_faces(G, a, ctx.columns[a], *faces)
 
 
@@ -201,9 +200,9 @@ def initial_state(problem, mesh, mode="interpolate"):
     return _project_initial(problem, mesh)
 
 
-def _project_initial(problem, mesh, npts=3):
+def _project_initial(problem, mesh):
     periodic = is_periodic(mesh.bc)
-    b = gauss_load(problem.u0, mesh.partitions, npts)
+    b = gauss_load(problem.u0, mesh.partitions)
     if isinstance(mesh.bc, Dirichlet):
         # move the mass coupling of the known trace to the right-hand side
         trace = extend_nodal(np.zeros(dof_shape(mesh)), mesh, 0.0)

@@ -56,7 +56,6 @@ def phi(k, z):
 class DiagonalizedOperator:
     """The assembled modal rate/scale tensors."""
 
-    diffusion: float
     decay_rates: np.ndarray
     load_scale: np.ndarray
 
@@ -75,7 +74,6 @@ def build_operator(mesh, diffusion):
         scale = scale * (1.0 / sp.mass[:m]).reshape(shape)
     rates = diffusion * rates
     return DiagonalizedOperator(
-        diffusion=diffusion,
         decay_rates=np.ascontiguousarray(rates),
         load_scale=np.ascontiguousarray(np.broadcast_to(scale, rates.shape)),
     )

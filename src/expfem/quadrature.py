@@ -1,23 +1,19 @@
-"""Per-axis Gauss rules and blocked two-tap evaluation of the interpolant.
+"""Per-axis Gauss rules and the streamed two-tap evaluation of the interpolant.
 
 Norms and energies integrate functions of the multilinear interpolant on
 a tensor-product Gauss grid.  Each Gauss value depends on only two nodes
-per axis, so `gauss_blocks` evaluates the interpolant axis by axis as
+per axis, so `gauss_slices` evaluates the interpolant axis by axis as
 `lo + (hi - lo) * xi` (slopes as `(hi - lo) / h`), streaming the Gauss
-grid in blocks of axis-0 elements of about `BLOCK_POINTS` points so a
-block's arrays stay in cache: O(npts^d N^d) work and block-sized memory.
-`gauss_blocks` serves the error norms; the energy
-(`analysis._mixing_integral`) walks the same blocks with `_block_grids`
-and `_two_tap` on all but the last axis, and evaluates that axis one
-Gauss point at a time itself.
+grid in blocks of axis-0 elements of about `BLOCK_POINTS` points and,
+within a block, one last-axis Gauss point at a time, so its arrays stay
+in cache: O(npts^d N^d) work and block-sized memory.  Both the error
+norms and the energy (`analysis`) integrate over its slices.
 
 `gauss_load`, the load of the L2 projection, is the adjoint of that
 evaluation over the same blocks: per axis, a 2 x npts tap matrix folds
 each element's weighted Gauss values onto its two nodes.  No dense
 (npts N) x (N + 1) quadrature matrix is built anywhere.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +37,6 @@ def apply_matrix(matrix, tensor, axis):
     """Rectangular mode product: `matrix` applied along one axis."""
     out = np.tensordot(matrix, tensor, axes=(1, axis))
     return np.moveaxis(out, 0, axis)
-
-
-def integrate(per_axis_weights, values):
-    """Contract a Gauss-grid tensor against per-axis weight vectors."""
-    out = np.asarray(values, dtype=float)
-    for w in per_axis_weights:
-        out = np.tensordot(w, out, axes=(0, 0))
-    return float(out)
-
-
-class GaussBlock(NamedTuple):
-    """The interpolant on the Gauss points of a run of axis-0 elements."""
-
-    values: np.ndarray
-    slopes: tuple      # d/dx_a per axis; empty unless requested
-    coords: tuple      # open (broadcastable) grid of the block's points
-    weights: tuple     # per-axis weight vectors of the block's points
 
 
 def _tap_ends(t, axis):
@@ -109,22 +88,47 @@ def _block_grids(partitions, npts):
         yield e0, e1, grid, weights
 
 
-def gauss_blocks(full, partitions, npts=3, slopes=False):
-    """Yield `GaussBlock`s covering the tensor-product Gauss grid.
+def gauss_slices(full, partitions, npts=3, slopes=False):
+    """Yield the interpolant on the Gauss grid one last-axis Gauss point at
+    a time: (values, slopes, coords, outer, w_h) per block of axis-0
+    elements and per point xi_k of the last axis.
 
-    `full` holds nodal values on the full grid 0..N of every axis.  Blocks
-    partition the axis-0 elements; values are laid out element-major
-    (element, Gauss point) along every axis.
+    `full` holds nodal values on the full grid 0..N of every axis.  Per
+    block, axes 0..d-2 are interpolated with the two-tap kernel; then each
+    slice holds the values at xi_k of every last-axis element, contiguous
+    with shape (other axes' points..., last-axis elements), element-major
+    along every other axis.  `slopes` (empty unless requested) are d/dx_a
+    per axis in the same layout; the last axis' slope (hi - lo) / h is the
+    same for every k.  `coords` is an open grid of the slice's points,
+    taken from the block's own, `outer` the flat outer product of the
+    other axes' weights and `w_h` the last axis' w_k h.  The values and
+    the other axes' slopes are buffers that the next slice of the block
+    overwrites.
     """
-    xi, _ = gauss_rule(npts)
+    xi, w = gauss_rule(npts)
+    last = len(partitions) - 1
     for e0, e1, grid, weights in _block_grids(partitions, npts):
-        vals, grads = full[e0:e1 + 1], []
-        for a, p in enumerate(partitions):
+        vals, grads, outer = full[e0:e1 + 1], [], np.ones(1)
+        for a in range(last):
             if slopes:
                 grads = [_two_tap(g, a, xi) for g in grads]
-                grads.append(_slope_tap(vals, a, npts, p.h))
+                grads.append(_slope_tap(vals, a, npts, partitions[a].h))
             vals = _two_tap(vals, a, xi)
-        yield GaussBlock(vals, tuple(grads), grid, weights)
+            outer = np.outer(outer, weights[a]).ravel()
+        # contiguous (lo, hi - lo) along the last axis; the dels keep no
+        # more than one block's arrays alive at a time
+        pairs = [(np.ascontiguousarray(t[..., :-1]), np.diff(t))
+                 for t in [vals] + grads]
+        del vals, grads
+        fixed = (pairs[0][1] / partitions[-1].h,) if slopes else ()
+        bufs = [np.empty_like(diff) for _, diff in pairs]
+        for k, (x, wk) in enumerate(zip(xi, w * partitions[-1].h)):
+            for (lo, diff), buf in zip(pairs, bufs):
+                np.multiply(diff, x, out=buf)
+                buf += lo
+            coords = grid[:-1] + (grid[-1][..., k::npts],)
+            yield bufs[0], tuple(bufs[1:]) + fixed, coords, outer, wk
+        del pairs, bufs, fixed
 
 
 def _tap_adjoint(v, axis, taps):
@@ -146,7 +150,7 @@ def _tap_adjoint(v, axis, taps):
 def gauss_load(fn, partitions, npts=3):
     """Integrals of fn(xs) against every full-grid nodal hat function, by
     the npts-point Gauss rule per axis, streamed over the blocks of
-    `gauss_blocks`; the taps of an axis are the weighted hat values
+    `gauss_slices`; the taps of an axis are the weighted hat values
     (w h (1 - xi), w h xi) at its Gauss points."""
     xi, w = gauss_rule(npts)
     taps = [np.stack([1.0 - xi, xi]) * (w * p.h) for p in partitions]

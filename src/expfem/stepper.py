@@ -103,45 +103,42 @@ class SchemeConfig:
 class StepWeights:
     """Modal weight tensors shared by every step of a uniform-dt run.
 
-    The phi weights carry their step length: `phi1` is dt*phi1(-dt*rates),
-    `stage_phi1` is c2*dt*phi1(-c2*dt*rates) and `phi2` is
-    dt*phi2(-dt*rates), so `b1` and `b2` carry dt too.
+    The phi weights carry their step length: `phi1` is dt*phi1(-dt*rates)
+    and `stage_phi1` is c2*dt*phi1(-c2*dt*rates); `b1` and `b2` are built
+    from dt*phi2(-dt*rates), so they carry dt too.
     """
 
     def __init__(self, op, dt, scheme, c2=0.5):
-        self.dt = dt
-        self.scheme = scheme
-        self.c2 = c2
         self.decay = np.exp(-dt * op.decay_rates)
         self.phi1 = dt * phi_tensor(1, op, dt)
         if scheme == "rk2":
             self.stage_decay = np.exp(-c2 * dt * op.decay_rates)
             self.stage_phi1 = (c2 * dt) * phi_tensor(1, op, dt, scale=c2)
-            self.phi2 = dt * phi_tensor(2, op, dt)
-            self.b1 = self.phi1 - self.phi2 / c2
-            self.b2 = self.phi2 / c2
+            phi2 = dt * phi_tensor(2, op, dt)
+            self.b1 = self.phi1 - phi2 / c2
+            self.b2 = phi2 / c2
 
 
-def exp_euler_step(state, ctx, dt, weights=None, workers=None):
+def exp_euler_step(state, ctx, dt, weights=None):
     """One step of the one-stage (exponential Euler) scheme."""
     w = weights if weights is not None else StepWeights(ctx.op, dt, "euler")
-    U = inverse_transform(state.coeffs, ctx.mesh, workers)
-    G = transformed_load(ctx, state.t, U, workers)
+    U = inverse_transform(state.coeffs, ctx.mesh)
+    G = transformed_load(ctx, state.t, U)
     coeffs = w.decay * state.coeffs
     G *= w.phi1
     coeffs += G
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
-def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None, workers=None):
+def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None):
     """One step of the two-stage second-order exponential RK scheme."""
     w = weights if weights is not None else StepWeights(ctx.op, dt, "rk2", c2)
-    U = inverse_transform(state.coeffs, ctx.mesh, workers)
-    G1 = transformed_load(ctx, state.t, U, workers)
+    U = inverse_transform(state.coeffs, ctx.mesh)
+    G1 = transformed_load(ctx, state.t, U)
     stage = w.stage_decay * state.coeffs
     stage += w.stage_phi1 * G1
-    U = inverse_transform(stage, ctx.mesh, workers)
-    G2 = transformed_load(ctx, state.t + c2 * dt, U, workers)
+    U = inverse_transform(stage, ctx.mesh)
+    G2 = transformed_load(ctx, state.t + c2 * dt, U)
     coeffs = np.multiply(w.decay, state.coeffs, out=stage)
     G1 *= w.b1
     coeffs += G1
@@ -151,7 +148,7 @@ def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None, workers=None):
 
 
 def run(problem, mesh, cfg, observers=(), observe_every=1,
-        initial_mode="interpolate", workers=None, step_times=None):
+        initial_mode="interpolate", step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
     Observers are called as obs(step_index, t, U_nodal) at step 0, every
@@ -168,7 +165,7 @@ def run(problem, mesh, cfg, observers=(), observe_every=1,
     nsteps = cfg.num_steps()
     ctx = LoadContext(problem, mesh)
     U0 = initial_state(problem, mesh, initial_mode)
-    state = SolverState(0.0, forward_transform(U0, mesh, workers), 0)
+    state = SolverState(0.0, forward_transform(U0, mesh), 0)
     weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2)
     if observers:
         for obs in observers:
@@ -177,9 +174,9 @@ def run(problem, mesh, cfg, observers=(), observe_every=1,
         tic = time.perf_counter()
         try:
             if cfg.scheme == "euler":
-                state = exp_euler_step(state, ctx, cfg.dt, weights, workers)
+                state = exp_euler_step(state, ctx, cfg.dt, weights)
             else:
-                state = exp_rk2_step(state, ctx, cfg.dt, cfg.c2, weights, workers)
+                state = exp_rk2_step(state, ctx, cfg.dt, cfg.c2, weights)
         except NonlinearityDomainError as err:
             if err.step_index is None:
                 err.step_index = n
@@ -189,7 +186,7 @@ def run(problem, mesh, cfg, observers=(), observe_every=1,
             step_times.append(time.perf_counter() - tic)
         if observers and (state.step_index % observe_every == 0
                           or state.step_index == nsteps):
-            U = inverse_transform(state.coeffs, mesh, workers)
+            U = inverse_transform(state.coeffs, mesh)
             for obs in observers:
                 obs(state.step_index, state.t, U)
     return state

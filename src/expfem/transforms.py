@@ -67,24 +67,23 @@ def modal_shape(mesh):
     return shape
 
 
-def forward_transform(U, mesh, workers=None):
+def forward_transform(U, mesh):
     """Transform a nodal tensor to modal coefficients."""
     U = np.asarray(U, dtype=float)
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh dof shape {dof_shape(mesh)}")
     if is_periodic(mesh.bc):
-        return scipy.fft.rfftn(U, norm="ortho", workers=workers)
-    return scipy.fft.dstn(U, type=1, norm="ortho", workers=workers)
+        return scipy.fft.rfftn(U, norm="ortho")
+    return scipy.fft.dstn(U, type=1, norm="ortho")
 
 
-def inverse_transform(U, mesh, workers=None):
+def inverse_transform(U, mesh):
     """Exact inverse of `forward_transform` up to round-off."""
     U = np.asarray(U)
     if list(U.shape) != modal_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh modal shape {modal_shape(mesh)}")
     if is_periodic(mesh.bc):
-        return scipy.fft.irfftn(U, s=dof_shape(mesh), norm="ortho",
-                                workers=workers)
-    return scipy.fft.dstn(U, type=1, norm="ortho", workers=workers)
+        return scipy.fft.irfftn(U, s=dof_shape(mesh), norm="ortho")
+    return scipy.fft.dstn(U, type=1, norm="ortho")

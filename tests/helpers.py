@@ -27,7 +27,7 @@ from expfem.assembly import _nodal_reaction
 from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
                          extend_nodal, full_grids, is_periodic)
 from expfem.operator import phi
-from expfem.quadrature import _axis_points, apply_matrix, gauss_rule, integrate
+from expfem.quadrature import _axis_points, apply_matrix, gauss_rule
 
 
 def make_mesh(bounds, subdivisions, bc):
@@ -203,6 +203,14 @@ def dense_rk2_step(ctx, t, U, dt, c2=0.5, g_t=None):
 
 # ---------------------------------------------------------------------------
 # dense Gauss-grid evaluation of the interpolant
+
+def integrate(per_axis_weights, values):
+    """Contract a Gauss-grid tensor against per-axis weight vectors."""
+    out = np.asarray(values, dtype=float)
+    for w in per_axis_weights:
+        out = np.tensordot(w, out, axes=(0, 0))
+    return float(out)
+
 
 def axis_quadrature(p, npts=3):
     """Quadrature data for one axis of a uniform partition.

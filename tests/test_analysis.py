@@ -188,6 +188,23 @@ def test_discrete_energy_memory_stays_block_sized():
     assert peak < 4 * nodal_bytes
 
 
+def test_error_norms_memory_stays_block_sized():
+    # whole-block Gauss tensors with their slopes peaked at 5.2x this bound
+    prob = builtin_allen_cahn_wave(dim=3)
+    mesh = mesh_for(prob, (256, 24, 24))
+    rng = np.random.default_rng(6)
+    U = 0.5 * np.tanh(rng.standard_normal(dof_shape(mesh)))
+    nodal_bytes = extend_nodal(U, mesh, 0.01).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        error_norms(U, mesh, prob.exact, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * nodal_bytes
+
+
 @pytest.mark.parametrize("prob, mp_exact, t", [
     (builtin_linear_rd(), mp_linear_rd_exact, 0.3),
     (builtin_allen_cahn_wave(dim=1), mp_wave_exact(0.05), 0.01),

@@ -1,6 +1,7 @@
-"""Blocked two-tap Gauss evaluation and its adjoint, the projection load,
+"""Streamed two-tap Gauss evaluation and its adjoint, the projection load,
 against the dense matrix oracle."""
 
+import functools
 import math
 import tracemalloc
 
@@ -57,41 +58,56 @@ def _two_elements_per_block(monkeypatch, mesh, npts):
     monkeypatch.setattr(quadrature, "BLOCK_POINTS", 2 * per_element)
 
 
+def _reassemble(slices, npts):
+    """Stitch per-slice arrays, in the order `gauss_slices` yields them
+    (blocks, then last-axis Gauss points), back into the element-major
+    Gauss grid."""
+    blocks = []
+    for i in range(0, len(slices), npts):
+        stacked = np.stack(slices[i:i + npts], axis=-1)
+        blocks.append(stacked.reshape(stacked.shape[:-2] + (-1,)))
+    return np.concatenate(blocks)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("bc", list(BOUNDARIES))
 @pytest.mark.parametrize("npts", [2, 3, 6])
 @pytest.mark.parametrize("blocked", [False, True])
 def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
+    # the slices of `gauss_slices` reassemble to the whole Gauss grid
     mesh = _mesh(dim, bc)
     if blocked:
         _two_elements_per_block(monkeypatch, mesh, npts)
     U = _state(mesh)
     full = extend_nodal(U, mesh, T_EVAL)
-    blocks = list(quadrature.gauss_blocks(full, mesh.partitions, npts,
-                                          slopes=True))
-    assert len(blocks) == (3 if blocked else 1)
-    vals, grads, grid, weights = dense_interpolant_on_gauss(
-        U, mesh, T_EVAL, npts)
-    assert rel_err(np.concatenate([b.values for b in blocks]), vals) < 1e-13
+    vals, slopes, coords, weights = [], [], [], []
+    for v, grads, grid, outer, wk in quadrature.gauss_slices(
+            full, mesh.partitions, npts, slopes=True):
+        vals.append(v.copy())
+        slopes.append([g.copy() for g in grads])
+        coords.append([np.broadcast_to(c, v.shape) for c in grid])
+        weights.append(np.multiply.outer(outer.reshape(v.shape[:-1]),
+                                         np.full(v.shape[-1], wk)))
+    assert len(vals) == npts * (3 if blocked else 1)
+    want_vals, want_grads, want_grid, want_weights = (
+        dense_interpolant_on_gauss(U, mesh, T_EVAL, npts))
+    assert rel_err(_reassemble(vals, npts), want_vals) < 1e-13
     for a in range(dim):
-        got = np.concatenate([b.slopes[a] for b in blocks])
-        assert rel_err(got, grads[a]) < 1e-13
-    assert np.array_equal(
-        np.concatenate([np.ravel(b.coords[0]) for b in blocks]),
-        np.ravel(grid[0]))
-    assert np.array_equal(
-        np.concatenate([b.weights[0] for b in blocks]), weights[0])
-    for blk in blocks:
-        for a in range(1, dim):
-            assert np.array_equal(np.ravel(blk.coords[a]), np.ravel(grid[a]))
-            assert np.array_equal(blk.weights[a], weights[a])
+        got = _reassemble([g[a] for g in slopes], npts)
+        assert rel_err(got, want_grads[a]) < 1e-13
+    for a, want in enumerate(np.broadcast_arrays(*want_grid)):
+        assert np.array_equal(_reassemble([c[a] for c in coords], npts), want)
+    assert np.array_equal(_reassemble(weights, npts),
+                          functools.reduce(np.multiply.outer, want_weights))
 
 
 def test_gauss_blocks_values_only_by_default():
     mesh = _mesh(2, "periodic")
     full = extend_nodal(_state(mesh), mesh)
-    (blk,) = quadrature.gauss_blocks(full, mesh.partitions)
-    assert blk.slopes == () and blk.values.shape == (15, 12)
+    slices = list(quadrature.gauss_slices(full, mesh.partitions))
+    assert len(slices) == 3
+    for vals, slopes, *_ in slices:
+        assert slopes == () and vals.shape == (15, 4)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
