@@ -5,16 +5,20 @@ against the exact solution with a tensor-product Gauss rule (3 points
 per axis by default, exact for squares of multilinear functions).  The
 energy integrates its logarithmic mixing potential with the same rule.
 Both walk the Gauss grid with `quadrature.gauss_slices`, whose two-tap
-evaluation reads only the two nodes bounding each point per axis, one
-last-axis Gauss point of a block of axis-0 elements at a time; neither
-ever holds a whole Gauss-grid tensor.  The energy writes the potential
-as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to rounding for every
-|v| < 1: the textbook (1 + v) log(1 + v) + (1 - v) log(1 - v) adds two
-terms of size |v| to get F ~ v^2, and so loses about eps/|v| relative
-(1e-10 at |v| = 1e-6).  Its quadratic well and gradient terms are
-exact sums over nodal values and differences.  Studies run refinement
-ladders and report errors at the terminal time with dyadic convergence
-rates between consecutive rungs.
+evaluation reads only the two nodes bounding each point per axis and
+interpolates each axis-0 node layer once; it hands out one axis-0 Gauss
+point of a block of axis-0 elements at a time, as a contiguous (block
+elements x transverse points) slice, so neither ever holds a whole
+Gauss-grid tensor.  `error_norms` subtracts the exact values and
+transverse gradients in place in the slice's buffers; the axis-0 slope,
+which every slice of a block shares, it leaves untouched.  The energy
+writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
+rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
+log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
+eps/|v| relative (1e-10 at |v| = 1e-6).  Its quadratic well and gradient
+terms are exact sums over nodal values and differences.  Studies run
+refinement ladders and report errors at the terminal time with dyadic
+convergence rates between consecutive rungs.
 """
 
 import datetime
@@ -43,22 +47,25 @@ def _exact_gradient(exact, t, grid, axis):
     return np.imag(exact(t, tuple(xs))) / COMPLEX_STEP
 
 
-def _slice_sum(outer, x):
-    """Sum of a Gauss slice's values against the other axes' weights."""
-    return float(np.sum(outer @ x.reshape(outer.size, -1)))
+def _slice_sum(weights, x):
+    """Weighted sum of a Gauss slice, one row of values per block element."""
+    return float((x.reshape(-1, weights.size) @ weights).sum())
 
 
 def error_norms(U, mesh, exact, t, npts=3):
     """(L2, H1) distance between the interpolant of U and `exact` at time t."""
     full = extend_nodal(U, mesh, t)
     l2_sq = grad_sq = 0.0
-    for vals, slopes, coords, outer, wk in gauss_slices(
+    for vals, slopes, coords, weights in gauss_slices(
             full, mesh.partitions, npts, slopes=True):
-        diff = vals - np.asarray(exact(t, coords), dtype=float)
-        l2_sq += wk * _slice_sum(outer, np.square(diff, out=diff))
+        vals -= exact(t, coords)
+        l2_sq += _slice_sum(weights, np.square(vals, out=vals))
         for a, slope in enumerate(slopes):
-            diff = slope - _exact_gradient(exact, t, coords, a)
-            grad_sq += wk * _slice_sum(outer, np.square(diff, out=diff))
+            grad = _exact_gradient(exact, t, coords, a)
+            # every slice of a block shares the axis-0 slope
+            diff = slope - grad if a == 0 else np.subtract(slope, grad,
+                                                           out=slope)
+            grad_sq += _slice_sum(weights, np.square(diff, out=diff))
     return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
 
 
@@ -98,13 +105,13 @@ def _mixing_integral(full, partitions, npts):
     buffer: one `arctanh` and one `log1p` per Gauss point.
     """
     total = 0.0
-    for v, _, _, outer, wk in gauss_slices(full, partitions, npts):
+    for v, _, _, weights in gauss_slices(full, partitions, npts):
         vat = np.arctanh(v)
         vat *= v
         np.multiply(v, v, out=v)
         np.negative(v, out=v)
         np.log1p(v, out=v)
-        total += wk * (_slice_sum(outer, v) + 2.0 * _slice_sum(outer, vat))
+        total += _slice_sum(weights, v) + 2.0 * _slice_sum(weights, vat)
     return total
 
 

@@ -157,10 +157,23 @@ def _require(values, key):
     return values[key]
 
 
+def _is_int(value):
+    # TOML's true and false are Python ints too
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(value, key):
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ConfigError(f"key {key!r} must be a list of integers")
-    return [int(v) for v in value]
+    return list(value)
+
+
+def _subdivisions(value, key):
+    counts = _int_list(value, key)
+    if any(n < 2 for n in counts):
+        raise ConfigError(
+            f"key {key!r} needs at least 2 subintervals per axis, got {counts}")
+    return counts
 
 
 # the top-level parameter keys each problem's factory takes, with their
@@ -254,6 +267,8 @@ def parse_config(text, seed_override=None):
     values = parse_keyvalues(text)
     if seed_override is not None:
         values["seed"] = int(seed_override)
+    if "seed" in values and not _is_int(values["seed"]):
+        raise ConfigError(f"seed must be an integer, got {values['seed']!r}")
     for key in values:
         if "." in key:
             section, _, sub = key.partition(".")
@@ -296,25 +311,25 @@ def parse_config(text, seed_override=None):
     if cfg.T <= 0:
         raise ConfigError(f"T must be positive, got {cfg.T}")
 
-    if "seed" in values:
-        cfg.seed = int(values["seed"])
+    cfg.seed = values.get("seed")
 
     if cfg.mode in ("convergence", "timing"):
         _resolve_ladder(cfg, values)
     else:
         _resolve_steps(cfg, values)
-        cfg.subdivisions = _int_list(_require(values, "domain.n"), "domain.n")
+        cfg.subdivisions = _subdivisions(_require(values, "domain.n"),
+                                         "domain.n")
         if len(cfg.subdivisions) != cfg.problem.dim:
             raise ConfigError(
                 f"domain.n has {len(cfg.subdivisions)} axes, problem "
                 f"{cfg.problem.name!r} is {cfg.problem.dim}D")
 
     cadence = values.get("observe_every", max(1, (cfg.nt or 1) // 100))
-    if not isinstance(cadence, int) or cadence < 1:
+    if not _is_int(cadence) or cadence < 1:
         raise ConfigError(f"observe_every must be a positive integer, got {cadence!r}")
     cfg.observe_every = cadence
     snap = values.get("snapshot_every", 0)
-    if not isinstance(snap, int) or snap < 0:
+    if not _is_int(snap) or snap < 0:
         raise ConfigError(f"snapshot_every must be a nonnegative integer, got {snap!r}")
     cfg.snapshot_every = snap
 
@@ -330,7 +345,7 @@ def _resolve_steps(cfg, values):
     if dt is None and nt is None:
         raise ConfigError("one of dt or nt is required")
     if nt is not None:
-        if not isinstance(nt, int) or nt < 1:
+        if not _is_int(nt) or nt < 1:
             raise ConfigError(f"nt must be a positive integer, got {nt!r}")
         cfg.nt = nt
     if dt is not None:
@@ -366,7 +381,7 @@ def _resolve_ladder(cfg, values):
         if not (isinstance(raw, list) and raw
                 and all(isinstance(r, list) for r in raw)):
             raise ConfigError("ladder.n must be a list of per-axis count lists")
-        cfg.ladder_n = [_int_list(r, "ladder.n") for r in raw]
+        cfg.ladder_n = [_subdivisions(r, "ladder.n") for r in raw]
         for r in cfg.ladder_n:
             if len(r) != dim:
                 raise ConfigError(
@@ -376,7 +391,7 @@ def _resolve_ladder(cfg, values):
         cfg.ladder_nt = _int_list(_require(values, "ladder.nt"), "ladder.nt")
         if any(nt < 1 for nt in cfg.ladder_nt):
             raise ConfigError("ladder.nt entries must be positive")
-        base = _int_list(_require(values, "domain.n"), "domain.n")
+        base = _subdivisions(_require(values, "domain.n"), "domain.n")
         if len(base) != dim:
             raise ConfigError(
                 f"domain.n has {len(base)} axes, problem is {dim}D")

@@ -2,18 +2,27 @@
 
 Norms and energies integrate functions of the multilinear interpolant on
 a tensor-product Gauss grid.  Each Gauss value depends on only two nodes
-per axis, so `gauss_slices` evaluates the interpolant axis by axis as
-`lo + (hi - lo) * xi` (slopes as `(hi - lo) / h`), streaming the Gauss
-grid in blocks of axis-0 elements of about `BLOCK_POINTS` points and,
-within a block, one last-axis Gauss point at a time, so its arrays stay
-in cache: O(npts^d N^d) work and block-sized memory.  Both the error
-norms and the energy (`analysis`) integrate over its slices.
+per axis, so `gauss_slices` evaluates the interpolant axis by axis from
+`lo` and `hi - lo` (slopes as `(hi - lo) / h`).  It streams the grid
+along axis 0 in blocks of axis-0 elements of about `BLOCK_POINTS`
+points.  Each axis-0 node layer is interpolated along the other axes
+once, point-major (Gauss point outer, element inner, so every tap writes
+contiguous runs), and a block carries its last interpolated layer into
+the next.  The block is then handed out one axis-0 Gauss point at a
+time, as contiguous (block elements x transverse Gauss points) slices,
+so its arrays stay in cache: O(npts^d N^d) work and block-sized memory.
+Both the error norms and the energy (`analysis`) integrate over its
+slices.
 
 `gauss_load`, the load of the L2 projection, is the adjoint of that
-evaluation over the same blocks: per axis, a 2 x npts tap matrix folds
+evaluation over the same blocks of elements, in their element-major
+Gauss grids (`_block_grids`): per axis, a 2 x npts tap matrix folds
 each element's weighted Gauss values onto its two nodes.  No dense
 (npts N) x (N + 1) quadrature matrix is built anywhere.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -46,22 +55,24 @@ def _tap_ends(t, axis):
 
 
 def _two_tap(t, axis, xi):
-    """Interpolant values at the Gauss points of every element of one axis."""
+    """Interpolant values at the Gauss points of every element of one axis,
+    point-major: the points become a new axis 1, right after the node
+    layers, so each point's output is one contiguous run per layer."""
     lo, hi = _tap_ends(t, axis)
     diff = hi - lo
-    out = np.empty(lo.shape[:axis + 1] + (xi.size,) + lo.shape[axis + 1:])
-    # one pass per Gauss point keeps the inner loop over the long axes
+    out = np.empty(lo.shape[:1] + (xi.size,) + lo.shape[1:])
     for k, x in enumerate(xi):
-        point = out[(slice(None),) * (axis + 1) + (k,)]
+        point = out[:, k]
         np.multiply(diff, x, out=point)
         point += lo
-    return out.reshape(lo.shape[:axis] + (-1,) + lo.shape[axis + 1:])
+    return out
 
 
-def _slope_tap(t, axis, npts, h):
-    """Elementwise slope (hi - lo) / h repeated over each element's points."""
+def _slope_tap(t, axis, h):
+    """Elementwise slope (hi - lo) / h of one axis, the same at every
+    Gauss point: its point axis 1 has length 1 and broadcasts."""
     lo, hi = _tap_ends(t, axis)
-    return np.repeat((hi - lo) / h, npts, axis=axis)
+    return np.expand_dims((hi - lo) / h, 1)
 
 
 def element_blocks(n, per_element):
@@ -88,51 +99,78 @@ def _block_grids(partitions, npts):
         yield e0, e1, grid, weights
 
 
-def gauss_slices(full, partitions, npts=3, slopes=False):
-    """Yield the interpolant on the Gauss grid one last-axis Gauss point at
-    a time: (values, slopes, coords, outer, w_h) per block of axis-0
-    elements and per point xi_k of the last axis.
+def _transverse(layers, partitions, xi, slopes):
+    """Interpolate axes d-1 ... 1 of a stack of axis-0 node layers: the
+    values and, if `slopes`, d/dx_a for a = 1 ... d-1, each shaped (layers,
+    points of axes 1 ... d-1, elements of axes 1 ... d-1).  The tapped node
+    axis is always array axis d-1: each tap puts its points at axis 1."""
+    d = len(partitions)
+    vals, grads = layers, []
+    for a in range(d - 1, 0, -1):
+        if slopes:
+            grads = ([_slope_tap(vals, d - 1, partitions[a].h)]
+                     + [_two_tap(g, d - 1, xi) for g in grads])
+        vals = _two_tap(vals, d - 1, xi)
+    return [vals] + grads
 
-    `full` holds nodal values on the full grid 0..N of every axis.  Per
-    block, axes 0..d-2 are interpolated with the two-tap kernel; then each
-    slice holds the values at xi_k of every last-axis element, contiguous
-    with shape (other axes' points..., last-axis elements), element-major
-    along every other axis.  `slopes` (empty unless requested) are d/dx_a
-    per axis in the same layout; the last axis' slope (hi - lo) / h is the
-    same for every k.  `coords` is an open grid of the slice's points,
-    taken from the block's own, `outer` the flat outer product of the
-    other axes' weights and `w_h` the last axis' w_k h.  The values and
-    the other axes' slopes are buffers that the next slice of the block
-    overwrites.
+
+def gauss_slices(full, partitions, npts=3, slopes=False):
+    """Yield the interpolant on the Gauss grid one axis-0 Gauss point at a
+    time: (values, slopes, coords, weights) per block of axis-0 elements
+    and per point xi_k of axis 0.
+
+    `full` holds nodal values on the full grid 0..N of every axis.  Each
+    node layer of axis 0 is interpolated along axes d-1 ... 1 once
+    (`_transverse`); a block keeps its last layer for the next one.  A
+    slice's values are one contiguous buffer shaped (block elements,
+    points of axes 1 ... d-1, elements of axes 1 ... d-1), written as
+    hi - (1 - xi_k)(hi - lo) so that hi, the block's own layers, is one
+    operand and the carried layer is never copied.  `slopes` (empty
+    unless requested) are d/dx_a per axis in the same layout; the axis-0
+    slope (hi - lo) / h is the same array for every k of a block and must
+    not be written to.  `coords` is an open grid of the slice's points and
+    `weights` the flat outer product of the Gauss weights of axes 1 ...
+    d-1 over one block element, times w_k h.  The values and the other
+    slopes are buffers that the next slice of the block overwrites.
     """
     xi, w = gauss_rule(npts)
-    last = len(partitions) - 1
-    for e0, e1, grid, weights in _block_grids(partitions, npts):
-        vals, grads, outer = full[e0:e1 + 1], [], np.ones(1)
-        for a in range(last):
-            if slopes:
-                grads = [_two_tap(g, a, xi) for g in grads]
-                grads.append(_slope_tap(vals, a, npts, partitions[a].h))
-            vals = _two_tap(vals, a, xi)
-            outer = np.outer(outer, weights[a]).ravel()
-        # contiguous (lo, hi - lo) along the last axis; the dels keep no
-        # more than one block's arrays alive at a time
-        pairs = [(np.ascontiguousarray(t[..., :-1]), np.diff(t))
-                 for t in [vals] + grads]
-        del vals, grads
-        fixed = (pairs[0][1] / partitions[-1].h,) if slopes else ()
-        bufs = [np.empty_like(diff) for _, diff in pairs]
-        for k, (x, wk) in enumerate(zip(xi, w * partitions[-1].h)):
-            for (lo, diff), buf in zip(pairs, bufs):
-                np.multiply(diff, x, out=buf)
-                buf += lo
-            coords = grid[:-1] + (grid[-1][..., k::npts],)
-            yield bufs[0], tuple(bufs[1:]) + fixed, coords, outer, wk
-        del pairs, bufs, fixed
+    first, rest = partitions[0], partitions[1:]
+    ndim = 2 * len(partitions) - 1
+    coords, per_element = (), npts
+    for a, p in enumerate(rest, 1):
+        shape = [1] * ndim
+        shape[a], shape[len(rest) + a] = npts, p.n
+        coords += ((p.a + (np.arange(p.n) + xi[:, None]) * p.h).reshape(shape),)
+        per_element *= p.n * npts
+    tiles = math.prod(p.n for p in rest)
+    weights = [np.repeat(np.ravel(functools.reduce(
+        np.multiply.outer, [wk] + [w * p.h for p in rest])), tiles)
+        for wk in w * first.h]
+    carried = [t[0] for t in _transverse(full[:1], partitions, xi, slopes)]
+    for e0, e1 in element_blocks(first.n, per_element):
+        layers = _transverse(full[e0 + 1:e1 + 1], partitions, xi, slopes)
+        diffs = []
+        for hi, lo in zip(layers, carried):
+            diff = np.empty_like(hi)
+            np.subtract(hi[:1], lo, out=diff[:1])
+            np.subtract(hi[1:], hi[:-1], out=diff[1:])
+            diffs.append(diff)
+        carried = [t[-1] for t in layers]
+        fixed = (diffs[0] / first.h,) if slopes else ()
+        bufs = [np.empty(layers[0].shape) for _ in layers]
+        elements = np.arange(e0, e1)
+        for k, x in enumerate(xi):
+            for hi, diff, buf in zip(layers, diffs, bufs):
+                np.multiply(diff, x - 1.0, out=buf)
+                buf += hi
+            x0 = (first.a + (elements + x) * first.h).reshape(
+                (-1,) + (1,) * (ndim - 1))
+            yield bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords, weights[k]
 
 
 def _tap_adjoint(v, axis, taps):
-    """Adjoint of `_two_tap` along one axis: each element's npts Gauss
+    """Adjoint of the two-tap evaluation along one axis, in the
+    element-major layout of `_block_grids`: each element's npts Gauss
     values, contracted with the 2 x npts tap matrix, added onto the
     element's two nodes."""
     npts = taps.shape[1]
@@ -150,7 +188,7 @@ def _tap_adjoint(v, axis, taps):
 def gauss_load(fn, partitions, npts=3):
     """Integrals of fn(xs) against every full-grid nodal hat function, by
     the npts-point Gauss rule per axis, streamed over the blocks of
-    `gauss_slices`; the taps of an axis are the weighted hat values
+    `_block_grids`; the taps of an axis are the weighted hat values
     (w h (1 - xi), w h xi) at its Gauss points."""
     xi, w = gauss_rule(npts)
     taps = [np.stack([1.0 - xi, xi]) * (w * p.h) for p in partitions]

@@ -93,6 +93,21 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "observe_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("observe_every = 2", "observe_every = true", "observe_every"),
+    ("nt = 8", "nt = true", "nt"),
+    ("n = [8]", "n = [1]", "domain.n"),
+], ids=["observe_every_true", "nt_true", "one_subinterval"])
+def test_invalid_counts_exit_as_config_errors(tmp_path, capsys, old, new, key):
+    # a boolean count or a single subinterval is a config error (exit 2),
+    # not a failure of the run (exit 1)
+    cfg = _write(tmp_path, RUN_CFG.replace(old, new))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "series.csv").exists()
+
+
 def test_mode_subcommand_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG)
     code = main(["converge", "--config", cfg, "--out", str(tmp_path)])

@@ -85,6 +85,61 @@ def test_observer_cadence_validation():
     assert "observe_every" in str(exc.value)
 
 
+def _run_text(top="nt = 16\n", n="[8, 4]"):
+    return f'mode = "run"\nproblem = "linear_rd"\n{top}[domain]\nn = {n}\n'
+
+
+def _spatial_text(n):
+    return ('mode = "convergence"\nproblem = "linear_rd"\nnt = 16\n'
+            f'[ladder]\nkind = "spatial"\nn = {n}\n')
+
+
+def _temporal_text(base="[8, 4]", nt="[4, 8]"):
+    return ('mode = "convergence"\nproblem = "linear_rd"\n'
+            f'[domain]\nn = {base}\n[ladder]\nkind = "temporal"\nnt = {nt}\n')
+
+
+@pytest.mark.parametrize("text, key", [
+    (_run_text(top="nt = true\n"), "nt"),
+    (_run_text(top="nt = 16\nobserve_every = true\n"), "observe_every"),
+    (_run_text(top="nt = 16\nsnapshot_every = true\n"), "snapshot_every"),
+    (_run_text(top="nt = 16\nsnapshot_every = false\n"), "snapshot_every"),
+    (_run_text(top="nt = 16\nseed = true\n"), "seed"),
+    (_run_text(n="[8, true]"), "domain.n"),
+    (_spatial_text("[[4, 2], [8, true]]"), "ladder.n"),
+    (_temporal_text(nt="[true, 8]"), "ladder.nt"),
+    (_temporal_text(base="[true, 4]"), "domain.n"),
+], ids=["nt", "observe_every", "snapshot_every", "snapshot_every_false",
+        "seed", "domain.n", "ladder.n", "ladder.nt", "temporal_domain.n"])
+def test_booleans_are_not_integers(text, key):
+    # TOML's true is a Python int; it must not pass for 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert key in str(exc.value)
+
+
+@pytest.mark.parametrize("text, key", [
+    (_run_text(n="[1, 4]"), "domain.n"),
+    (_run_text(n="[8, 0]"), "domain.n"),
+    (_run_text(n="[8, -3]"), "domain.n"),
+    (_spatial_text("[[4, 2], [8, 1]]"), "ladder.n"),
+    (_temporal_text(base="[1, 4]"), "domain.n"),
+], ids=["domain.n_1", "domain.n_0", "domain.n_negative", "ladder.n",
+        "temporal_domain.n"])
+def test_subdivision_counts_below_two_rejected(text, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert key in str(exc.value) and "at least 2" in str(exc.value)
+
+
+def test_smallest_valid_counts_accepted():
+    assert parse_config(_run_text(n="[2, 2]")).subdivisions == [2, 2]
+    assert parse_config(_run_text(top="nt = 1\nobserve_every = 1\n"
+                                      "snapshot_every = 0\nseed = 0\n")).nt == 1
+    assert parse_config(_spatial_text("[[2, 2], [4, 4]]")).ladder_n == [
+        [2, 2], [4, 4]]
+
+
 def test_temporal_ladder_config():
     text = """
 mode = "convergence"

@@ -4,9 +4,12 @@ against the dense matrix oracle."""
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import expfem.quadrature as quadrature
 from expfem.analysis import _nodal_quadratics, discrete_energy, error_norms
@@ -60,12 +63,17 @@ def _two_elements_per_block(monkeypatch, mesh, npts):
 
 def _reassemble(slices, npts):
     """Stitch per-slice arrays, in the order `gauss_slices` yields them
-    (blocks, then last-axis Gauss points), back into the element-major
-    Gauss grid."""
+    (blocks, then axis-0 Gauss points), back into the element-major Gauss
+    grid.  A slice is (block elements, points of axes 1..d-1, elements of
+    axes 1..d-1)."""
+    dim = (slices[0].ndim + 1) // 2
+    order = [0, 1] + [i for a in range(1, dim) for i in (dim + a, 1 + a)]
     blocks = []
     for i in range(0, len(slices), npts):
-        stacked = np.stack(slices[i:i + npts], axis=-1)
-        blocks.append(stacked.reshape(stacked.shape[:-2] + (-1,)))
+        stacked = np.stack(slices[i:i + npts], axis=1).transpose(order)
+        sizes = stacked.shape
+        blocks.append(stacked.reshape(
+            [sizes[2 * a] * sizes[2 * a + 1] for a in range(dim)]))
     return np.concatenate(blocks)
 
 
@@ -81,13 +89,12 @@ def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
     U = _state(mesh)
     full = extend_nodal(U, mesh, T_EVAL)
     vals, slopes, coords, weights = [], [], [], []
-    for v, grads, grid, outer, wk in quadrature.gauss_slices(
+    for v, grads, grid, wts in quadrature.gauss_slices(
             full, mesh.partitions, npts, slopes=True):
         vals.append(v.copy())
         slopes.append([g.copy() for g in grads])
         coords.append([np.broadcast_to(c, v.shape) for c in grid])
-        weights.append(np.multiply.outer(outer.reshape(v.shape[:-1]),
-                                         np.full(v.shape[-1], wk)))
+        weights.append(np.broadcast_to(wts.reshape(v.shape[1:]), v.shape))
     assert len(vals) == npts * (3 if blocked else 1)
     want_vals, want_grads, want_grid, want_weights = (
         dense_interpolant_on_gauss(U, mesh, T_EVAL, npts))
@@ -107,7 +114,7 @@ def test_gauss_blocks_values_only_by_default():
     slices = list(quadrature.gauss_slices(full, mesh.partitions))
     assert len(slices) == 3
     for vals, slopes, *_ in slices:
-        assert slopes == () and vals.shape == (15, 4)
+        assert slopes == () and vals.shape == (5, 3, 4)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -146,6 +153,35 @@ def test_discrete_energy_near_bound_matches_dense_oracle(monkeypatch, dim):
     U = 0.99 * np.tanh(3.0 * rng.standard_normal(dof_shape(mesh)))
     want = dense_discrete_energy(U, mesh, 0.3, 0.8, 1.6)
     assert rel_err(discrete_energy(U, mesh, 0.3, 0.8, 1.6), want) < 1e-12
+
+
+@given(first=st.integers(2, 7), rest=st.lists(st.integers(2, 4), max_size=2),
+       bc=st.sampled_from(list(BOUNDARIES)), npts=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(first=7, rest=[], bc="dirichlet", npts=3, seed=0)
+@example(first=5, rest=[3], bc="periodic", npts=2, seed=1)
+@example(first=5, rest=[2, 3], bc="homogeneous", npts=3, seed=2)
+def test_block_size_does_not_change_norms_or_energy(first, rest, bc, npts,
+                                                    seed):
+    # blocks of 1, 2 or 3 axis-0 elements (the last one partial unless the
+    # count divides the elements), or one block for the whole grid: the
+    # layer that each block carries into the next must join them seamlessly
+    bounds = [(0.0, 1.0), (-0.5, 1.5), (0.2, 0.9)][:1 + len(rest)]
+    mesh = make_mesh(bounds, [first] + rest, BOUNDARIES[bc])
+    U = _state(mesh, seed)
+    per_element = npts * math.prod(p.n * npts for p in mesh.partitions[1:])
+
+    def evaluate(elements_per_block):
+        with mock.patch.object(quadrature, "BLOCK_POINTS",
+                               elements_per_block * per_element):
+            return (*error_norms(U, mesh, _exact, T_EVAL, npts),
+                    discrete_energy(U, mesh, 0.01, 0.8, 1.6, npts))
+
+    whole = evaluate(first)
+    for elements_per_block in (1, 2, 3):
+        got = evaluate(elements_per_block)
+        for value, want in zip(got, whole):
+            assert rel_err(value, want) < 1e-13
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
