@@ -2,9 +2,11 @@
 
 The modal ODE reads d/dt(coeffs) + rates * coeffs = scale * fwd(F) with
 F the load tensor.  Evaluating the reaction nodewise (interpolating
-f(t, u_h) instead of integrating it against the basis) makes the scaled
-load collapse to fwd(f_nodal) exactly, which is what `transformed_load`
-computes.  Nonhomogeneous Dirichlet data enters as an extra load on the
+r(t, u_h) instead of integrating it against the basis) makes the scaled
+load collapse to fwd(r_nodal) exactly.  Of the reaction
+linear * u + source + f, `transformed_load` transforms source + f: the
+linear part transforms to linear * coeffs, which the steps add in modal
+space.  Nonhomogeneous Dirichlet data enters as an extra load on the
 boundary-adjacent layers: minus the mass coupling times dg/dt minus D
 times the stiffness coupling times g, i.e. the usual elimination of the
 known boundary column.  The boundary data splits by axis, each boundary
@@ -28,7 +30,7 @@ from .mesh import (Dirichlet, _boundary_faces, _mass_stencil, dof_shape,
 from .operator import build_operator
 from .problems import COMPLEX_STEP
 from .quadrature import gauss_load
-from .transforms import axis_spectrum, forward_transform, inverse_transform
+from .transforms import forward_transform, inverse_transform
 
 # entries of the modal load per chunk of the lifting's column x face add
 _CHUNK = 1 << 14
@@ -50,11 +52,11 @@ class LoadContext:
         self.mesh = mesh
         self.op = op if op is not None else build_operator(mesh, problem.diffusion)
         self.grids = node_grids(mesh)
+        self.shape = tuple(dof_shape(mesh))
         self.lifted = isinstance(mesh.bc, Dirichlet)
         if self.lifted:
             self.faces = _boundary_faces(mesh)
-            inv_mass = [1.0 / axis_spectrum(p, mesh.bc).mass
-                        for p in mesh.partitions]
+            inv_mass = [w.ravel() for w in self.op.inv_mass]
             self.columns = [
                 w * scipy.fft.dst(np.eye(1, w.size)[0], type=1, norm="ortho")
                 for w in inv_mass]
@@ -65,12 +67,21 @@ class LoadContext:
 
 
 def _nodal_reaction(ctx, t, U):
-    vals = ctx.problem.f(t, U, ctx.grids)
-    return np.broadcast_to(np.asarray(vals, dtype=float), U.shape)
+    """source(t) + f(t, U) at the owned nodes; zero when neither is set."""
+    problem = ctx.problem
+    terms = []
+    if problem.source is not None:
+        terms.append(problem.source(t, ctx.grids))
+    if problem.f is not None:
+        terms.append(problem.f(t, U, ctx.grids))
+    vals = functools.reduce(np.add, terms) if terms else 0.0
+    return np.broadcast_to(np.asarray(vals, dtype=float), ctx.shape)
 
 
-def transformed_load(ctx, t, U):
-    """Scaled modal load for nodal state U at time t."""
+def transformed_load(ctx, t, U=None):
+    """Scaled modal load at time t: the transform of source + f at nodal
+    state U, plus the Dirichlet lifting.  The linear part of the reaction
+    is left to the steps.  U may be None when the problem's f is None."""
     G = forward_transform(_nodal_reaction(ctx, t, U), ctx.mesh)
     if ctx.lifted:
         boundary_correction(ctx, t, G)

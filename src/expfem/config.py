@@ -162,6 +162,28 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value, key):
+    """A config number as a finite float; booleans, strings, NaN and
+    infinities are errors."""
+    if _is_int(value) or isinstance(value, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"key {key!r} must be a finite number, got {value!r}")
+
+
+def _bounds(value):
+    """domain.bounds as a tuple of finite (a, b) pairs."""
+    if not isinstance(value, list) or not all(
+            isinstance(b, list) and len(b) == 2 for b in value):
+        raise ConfigError("domain.bounds must be a list of [a, b] pairs")
+    return tuple((_finite(a, "domain.bounds"), _finite(b, "domain.bounds"))
+                 for a, b in value)
+
+
 def _int_list(value, key):
     if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ConfigError(f"key {key!r} must be a list of integers")
@@ -176,14 +198,14 @@ def _subdivisions(value, key):
     return counts
 
 
-# the top-level parameter keys each problem's factory takes, with their
-# types; `seed` is accepted for every problem, as --seed sets it for all
+# the top-level parameter keys each problem's factory takes: the float
+# parameters, and the integer seed; `seed` is accepted for every problem,
+# as --seed sets it for all
 _PROBLEM_KEYS = {
-    "linear_rd": {},
-    "allen_cahn_wave": {"eps": float},
-    "flory_huggins": {"eps": float, "theta": float, "theta_c": float,
-                      "seed": int},
-    "custom": {},
+    "linear_rd": (),
+    "allen_cahn_wave": ("eps",),
+    "flory_huggins": ("eps", "theta", "theta_c", "seed"),
+    "custom": (),
 }
 _PARAMETER_KEYS = ("eps", "theta", "theta_c")
 
@@ -200,7 +222,8 @@ def _build_problem(values):
             raise ConfigError(f"key {key!r} does not apply to problem {name!r}")
     if name == "custom":
         return _build_custom_problem(values)
-    kwargs = {k: cast(values[k]) for k, cast in takes.items() if k in values}
+    kwargs = {k: values[k] if k == "seed" else _finite(values[k], k)
+              for k in takes if k in values}
     try:
         return BUILTIN_FACTORIES[name](**kwargs)
     except ValueError as err:
@@ -208,20 +231,16 @@ def _build_problem(values):
 
 
 def _build_custom_problem(values):
-    bounds = _require(values, "domain.bounds")
-    if not isinstance(bounds, list) or not all(
-            isinstance(b, list) and len(b) == 2 for b in bounds):
-        raise ConfigError("domain.bounds must be a list of [a, b] pairs")
-    dim = len(bounds)
+    domain = _bounds(_require(values, "domain.bounds"))
+    dim = len(domain)
     if not 1 <= dim <= 3:
         raise ConfigError(f"domain.bounds must have 1..3 axes, got {dim}")
-    domain = tuple((float(a), float(b)) for a, b in bounds)
     coords = _AXES[:dim]
     bc = values.get("domain.bc", "dirichlet")
     if bc not in ("dirichlet", "periodic"):
         raise ConfigError(f"domain.bc must be 'dirichlet' or 'periodic', got {bc!r}")
 
-    diffusion = float(_require(values, "custom.d"))
+    diffusion = _finite(_require(values, "custom.d"), "custom.d")
     f_expr = compile_expression(_require(values, "custom.f"), ("t", "u") + coords)
     u0_expr = compile_expression(_require(values, "custom.u0"), coords)
 
@@ -293,7 +312,7 @@ def parse_config(text, seed_override=None):
                 f"domain.bc = {values['domain.bc']!r} conflicts with problem "
                 f"{cfg.problem.name!r} (declares {declared!r})")
     if "domain.bounds" in values and cfg.problem.name != "custom":
-        given = tuple((float(a), float(b)) for a, b in values["domain.bounds"])
+        given = _bounds(values["domain.bounds"])
         if len(given) != cfg.problem.dim or any(
                 abs(ga - pa) > 1e-12 or abs(gb - pb) > 1e-12
                 for (ga, gb), (pa, pb) in zip(given, cfg.problem.domain)):
@@ -303,11 +322,11 @@ def parse_config(text, seed_override=None):
     cfg.scheme = values.get("scheme", "rk2")
     if cfg.scheme not in ("euler", "rk2"):
         raise ConfigError(f"scheme must be 'euler' or 'rk2', got {cfg.scheme!r}")
-    cfg.c2 = float(values.get("c2", 0.5))
+    cfg.c2 = _finite(values.get("c2", 0.5), "c2")
     if not 0 < cfg.c2 <= 1:
         raise ConfigError(f"c2 must lie in (0, 1], got {cfg.c2}")
 
-    cfg.T = float(values.get("T", cfg.problem.T_default))
+    cfg.T = _finite(values.get("T", cfg.problem.T_default), "T")
     if cfg.T <= 0:
         raise ConfigError(f"T must be positive, got {cfg.T}")
 
@@ -349,7 +368,7 @@ def _resolve_steps(cfg, values):
             raise ConfigError(f"nt must be a positive integer, got {nt!r}")
         cfg.nt = nt
     if dt is not None:
-        dt = float(dt)
+        dt = _finite(dt, "dt")
         if dt <= 0:
             raise ConfigError(f"dt must be positive, got {dt}")
         cfg.dt = dt

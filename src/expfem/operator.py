@@ -7,6 +7,7 @@ load coefficients into right-hand sides.  The phi family (phi_0 = e^z,
 phi_{k+1}(z) = (phi_k(z) - phi_k(0))/z) supplies the quadrature weights.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +55,17 @@ def phi(k, z):
 
 @dataclass(frozen=True)
 class DiagonalizedOperator:
-    """The assembled modal rate/scale tensors."""
+    """The assembled modal rate tensor, and per axis the reciprocal mass
+    eigenvalues, shaped to broadcast over it."""
 
     decay_rates: np.ndarray
-    load_scale: np.ndarray
+    inv_mass: tuple
+
+    @property
+    def load_scale(self):
+        """The reciprocal mass products over the modal shape, built on
+        access: only the L2 projection reads them, so set-up skips them."""
+        return functools.reduce(np.multiply, self.inv_mass, np.ones(()))
 
 
 def build_operator(mesh, diffusion):
@@ -65,18 +73,16 @@ def build_operator(mesh, diffusion):
     if diffusion <= 0:
         raise ValueError(f"diffusion coefficient must be positive, got {diffusion}")
     rates = 0.0
-    scale = 1.0
+    inv_mass = []
     for a, (p, m) in enumerate(zip(mesh.partitions, modal_shape(mesh))):
         sp = axis_spectrum(p, mesh.bc)
         shape = [1] * mesh.dim
         shape[a] = m
         rates = rates + (sp.stiffness[:m] / sp.mass[:m]).reshape(shape)
-        scale = scale * (1.0 / sp.mass[:m]).reshape(shape)
+        inv_mass.append((1.0 / sp.mass[:m]).reshape(shape))
     rates = diffusion * rates
     return DiagonalizedOperator(
-        decay_rates=np.ascontiguousarray(rates),
-        load_scale=np.ascontiguousarray(np.broadcast_to(scale, rates.shape)),
-    )
+        decay_rates=np.ascontiguousarray(rates), inv_mass=tuple(inv_mass))
 
 
 def phi_tensor(k, op, tau, scale=1.0):

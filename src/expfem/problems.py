@@ -1,10 +1,21 @@
-"""Problem definitions: PDE data for u_t = D*lap(u) + f(t, u).
+"""Problem definitions: PDE data for u_t = D*lap(u) + r(t, u, x).
 
 A Problem bundles the diffusion coefficient, the reaction term, boundary
-and initial data, and (when known) the exact solution.  All callables
-take coordinate tuples of broadcastable arrays and must be pure and
-analytic; the reaction term has signature f(t, u, xs) so sources may
-depend on space.  The program differentiates the trace g in t and the
+and initial data, and (when known) the exact solution.  The reaction is
+given in three parts,
+
+    r(t, u, x) = linear * u + source(t, xs) + f(t, u, xs),
+
+each optional: `linear` is a float (default 0), `source` a callable that
+does not read u, `f` the rest (None when no term reads u).  The steppers
+apply `linear * u` to the modal coefficients the step already holds,
+since by linearity the transform of linear * U is linear times them; a
+problem whose `f` is None needs no nodal state, so its steps make no
+inverse transform.  Moving a linear part of f into `linear` changes
+results only by rounding.
+
+All callables take coordinate tuples of broadcastable arrays and must be
+pure and analytic.  The program differentiates the trace g in t and the
 exact solution in x by one complex step, so g and exact must accept
 complex arguments.  Numpy ufuncs are analytic, and a callable that
 ignores the perturbed variable returns a real value, whose zero
@@ -44,7 +55,7 @@ class NonlinearityDomainError(Exception):
 class Problem:
     name: str
     diffusion: float
-    f: Callable
+    f: Optional[Callable]  # f(t, u, xs); None when no term reads u
     domain: tuple
     periodic: bool = False
     u0: Optional[Callable] = None
@@ -54,6 +65,8 @@ class Problem:
     admissible_range: Optional[tuple] = None
     T_default: float = 1.0
     energy_params: Optional[tuple] = None  # (eps, theta, theta_c)
+    linear: float = 0.0
+    source: Optional[Callable] = None  # source(t, xs)
 
     @property
     def dim(self):
@@ -84,7 +97,8 @@ def builtin_linear_rd():
 
     u_t = (1/2) lap(u) - (pi^2/2) u + (pi^2/2) e^{-pi^2 t} sin(pi x) sin(pi y)
     on (1/2, 5/2) x (0, 1) with zero boundary values; the exact solution
-    e^{-pi^2 t} (sin(pi x) - 1) sin(pi y) decays to zero.
+    e^{-pi^2 t} (sin(pi x) - 1) sin(pi y) decays to zero.  The reaction
+    is all linear part and source, so a step never needs the nodal state.
     """
     pi2 = np.pi ** 2
 
@@ -92,19 +106,20 @@ def builtin_linear_rd():
         x, y = xs
         return np.exp(-pi2 * t) * (np.sin(np.pi * x) - 1.0) * np.sin(np.pi * y)
 
-    def f(t, u, xs):
+    def source(t, xs):
         x, y = xs
-        src = 0.5 * pi2 * np.exp(-pi2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
-        return -0.5 * pi2 * u + src
+        return 0.5 * pi2 * np.exp(-pi2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
 
     return Problem(
         name="linear_rd",
         diffusion=0.5,
-        f=f,
+        f=None,
         domain=((0.5, 2.5), (0.0, 1.0)),
         u0=lambda xs: exact(0.0, xs),
         exact=exact,
         T_default=1.0,
+        linear=-0.5 * pi2,
+        source=source,
     )
 
 

@@ -15,10 +15,28 @@ Two-stage scheme (stage node c2 in (0, 1]):
 `StepWeights` folds dt (and c2*dt for the stage) into the phi weights
 once per run, so a step is one product per weight: the steps combine in
 place into the loads and the stage buffer they own, and never modify
-the incoming coefficients.
+the incoming coefficients.  With the folded weights
+
+    decay = e^{-dt*rates},  phi1 = dt*phi1(-dt*rates),
+    stage_decay = e^{-c2*dt*rates},  stage_phi1 = c2*dt*phi1(-c2*dt*rates),
+    b2 = dt*phi2(-dt*rates)/c2,  b1 = phi1 - b2,
+
+the load is lam * c + G, where lam is the problem's `linear` and G the
+`transformed_load` of its source and f.  The lam * c part folds into
+the decays once per run:
+
+    Euler:  c^{n+1} = (decay + lam*phi1) * c^n + phi1 * G(t_n)
+    rk2:    s       = (stage_decay + lam*stage_phi1) * c^n + stage_phi1 * G(t_n)
+            c^{n+1} = (decay + lam*b1) * c^n + b1 * G(t_n)
+                      + b2 * (G_s(t_n + c2*dt) + lam * s)
+
+which is the same scheme as with lam * u in the nodal reaction, up to
+rounding.  lam * s scales the stage buffer in place before the final
+combine reuses it; with lam = 0 no fold runs.
 
 State stays transformed between steps; nodal recovery happens only for
-load evaluation and observation.  `SolverState.coeffs` is laid out as
+evaluating f and for observation, so a problem whose f is None steps
+with forward transforms alone.  `SolverState.coeffs` is laid out as
 `transforms` defines it: real sine coefficients of the nodal shape on
 Dirichlet meshes, the complex half spectrum of `rfftn` (N // 2 + 1
 entries on the last axis) on periodic ones.  The weights are real and
@@ -105,10 +123,13 @@ class StepWeights:
 
     The phi weights carry their step length: `phi1` is dt*phi1(-dt*rates)
     and `stage_phi1` is c2*dt*phi1(-c2*dt*rates); `b1` and `b2` are built
-    from dt*phi2(-dt*rates), so they carry dt too.
+    from dt*phi2(-dt*rates), so they carry dt too.  The reaction's linear
+    part `linear` is folded into `decay` and `stage_decay` (see the
+    module docstring); rk2 steps apply its stage term themselves.
     """
 
-    def __init__(self, op, dt, scheme, c2=0.5):
+    def __init__(self, op, dt, scheme, c2=0.5, linear=0.0):
+        self.linear = linear
         self.decay = np.exp(-dt * op.decay_rates)
         self.phi1 = dt * phi_tensor(1, op, dt)
         if scheme == "rk2":
@@ -117,13 +138,26 @@ class StepWeights:
             phi2 = dt * phi_tensor(2, op, dt)
             self.b1 = self.phi1 - phi2 / c2
             self.b2 = phi2 / c2
+        if linear:
+            if scheme == "rk2":
+                self.stage_decay += linear * self.stage_phi1
+                self.decay += linear * self.b1
+            else:
+                self.decay += linear * self.phi1
+
+
+def _nodal_state(coeffs, ctx):
+    """The nodal state f reads; None when the problem has no f."""
+    if ctx.problem.f is None:
+        return None
+    return inverse_transform(coeffs, ctx.mesh)
 
 
 def exp_euler_step(state, ctx, dt, weights=None):
     """One step of the one-stage (exponential Euler) scheme."""
-    w = weights if weights is not None else StepWeights(ctx.op, dt, "euler")
-    U = inverse_transform(state.coeffs, ctx.mesh)
-    G = transformed_load(ctx, state.t, U)
+    w = weights if weights is not None else StepWeights(
+        ctx.op, dt, "euler", linear=ctx.problem.linear)
+    G = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
     coeffs = w.decay * state.coeffs
     G *= w.phi1
     coeffs += G
@@ -132,13 +166,15 @@ def exp_euler_step(state, ctx, dt, weights=None):
 
 def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None):
     """One step of the two-stage second-order exponential RK scheme."""
-    w = weights if weights is not None else StepWeights(ctx.op, dt, "rk2", c2)
-    U = inverse_transform(state.coeffs, ctx.mesh)
-    G1 = transformed_load(ctx, state.t, U)
+    w = weights if weights is not None else StepWeights(
+        ctx.op, dt, "rk2", c2, linear=ctx.problem.linear)
+    G1 = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
     stage = w.stage_decay * state.coeffs
     stage += w.stage_phi1 * G1
-    U = inverse_transform(stage, ctx.mesh)
-    G2 = transformed_load(ctx, state.t + c2 * dt, U)
+    G2 = transformed_load(ctx, state.t + c2 * dt, _nodal_state(stage, ctx))
+    if w.linear:
+        stage *= w.linear
+        G2 += stage
     coeffs = np.multiply(w.decay, state.coeffs, out=stage)
     G1 *= w.b1
     coeffs += G1
@@ -166,7 +202,8 @@ def run(problem, mesh, cfg, observers=(), observe_every=1,
     ctx = LoadContext(problem, mesh)
     U0 = initial_state(problem, mesh, initial_mode)
     state = SolverState(0.0, forward_transform(U0, mesh), 0)
-    weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2)
+    weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
+                          linear=problem.linear)
     if observers:
         for obs in observers:
             obs(0, 0.0, U0)

@@ -7,7 +7,8 @@ stiffness matrices as kron products, over the owned nodes and, for the
 boundary elimination load, over the full grid.  The dense step oracle
 advances the semi-discrete system with a dense generalized
 eigendecomposition (matrix exponential realized spectrally), fully
-independent of the FFT solution path.  The dense quadrature oracle
+independent of the FFT solution path; it takes the whole nodal
+reaction, linear part included, from `full_reaction`.  The dense quadrature oracle
 evaluates the interpolant on the whole Gauss grid with per-axis
 (n*npts) x (n+1) value and slope matrices; their transposes give the
 load of the L2 projection, which the dense projection oracle solves
@@ -23,7 +24,6 @@ import numpy as np
 import scipy.linalg
 
 from expfem.analysis import _exact_gradient
-from expfem.assembly import _nodal_reaction
 from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
                          extend_nodal, full_grids, is_periodic)
 from expfem.operator import phi
@@ -149,12 +149,25 @@ def dense_boundary_load(ctx, t, g_t):
     return np.ascontiguousarray(corr[interior])
 
 
+def full_reaction(problem, t, U, xs):
+    """The whole reaction linear * U + source(t, xs) + f(t, U, xs), built
+    from the Problem fields alone: the oracles must not share the fast
+    path's split, which leaves the linear part out of the load."""
+    U = np.asarray(U, dtype=float)
+    out = problem.linear * U
+    if problem.source is not None:
+        out = out + problem.source(t, xs)
+    if problem.f is not None:
+        out = out + problem.f(t, U, xs)
+    return np.broadcast_to(out, U.shape)
+
+
 def dense_semidiscrete_rhs(ctx, t, U, g_t=None):
     """Oracle: dU/dt by direct mass solve on the kron-assembled system;
     lifted meshes need the trace's analytic time derivative `g_t`."""
     U = np.asarray(U, dtype=float)
     M, K = dense_operator_matrices(ctx.mesh)
-    F = M @ _nodal_reaction(ctx, t, U).ravel()
+    F = M @ full_reaction(ctx.problem, t, U, ctx.grids).ravel()
     if ctx.lifted:
         F = F + dense_boundary_load(ctx, t, g_t).ravel()
     rhs = np.linalg.solve(M, F - ctx.problem.diffusion * (K @ U.ravel()))
@@ -173,7 +186,7 @@ def dense_modal_system(ctx):
 
 def _dense_load(ctx, t, U, g_t):
     M = dense_operator_matrices(ctx.mesh)[0]
-    F = M @ _nodal_reaction(ctx, t, U).ravel()
+    F = M @ full_reaction(ctx.problem, t, U, ctx.grids).ravel()
     if ctx.lifted:
         F = F + dense_boundary_load(ctx, t, g_t).ravel()
     return F
@@ -350,7 +363,8 @@ def wave_exact_dt(eps=0.05):
 
 
 def pde_residual(problem, mp_exact, t, point, dps=40):
-    """u_t - D*lap(u) - f(t, u, x) with mpmath derivatives of mp_exact."""
+    """u_t - D*lap(u) - r(t, u, x) with mpmath derivatives of mp_exact,
+    r the problem's whole reaction."""
     with mp.workdps(dps):
         t = mp.mpf(t)
         point = [mp.mpf(c) for c in point]
@@ -364,7 +378,7 @@ def pde_residual(problem, mp_exact, t, point, dps=40):
             lap += mp.diff(along, point[i], 2)
         u = mp_exact(t, *point)
     xs = tuple(np.asarray(float(c)) for c in point)
-    f = float(np.asarray(problem.f(float(t), np.asarray(float(u)), xs)))
+    f = float(full_reaction(problem, float(t), float(u), xs))
     return float(u_t) - problem.diffusion * float(lap) - f
 
 

@@ -291,8 +291,8 @@ def test_fast_rhs_matches_dense_oracle():
         ctx = LoadContext(prob, mesh)
         U = 0.3 * rng.standard_normal(dof_shape(mesh))
         dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
-        modal = -ctx.op.decay_rates * forward_transform(U, mesh) \
-            + transformed_load(ctx, t, U)
+        modal = (prob.linear - ctx.op.decay_rates) \
+            * forward_transform(U, mesh) + transformed_load(ctx, t, U)
         fast = inverse_transform(modal, mesh)
         assert rel_err(fast, dense) < 1e-10
 

@@ -108,6 +108,22 @@ def test_invalid_counts_exit_as_config_errors(tmp_path, capsys, old, new, key):
     assert not (tmp_path / "series.csv").exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("T = 0.25", 'T = "abc"'),
+    ("T = 0.25", "T = nan"),
+    ("T = 0.25", "T = true"),
+    ("d = 0.5", "d = inf"),
+], ids=["T_string", "T_nan", "T_true", "d_inf"])
+def test_invalid_floats_exit_as_config_errors(tmp_path, capsys, old, new):
+    # a float key that is no finite number is a config error (exit 2),
+    # not a failure of the run (exit 1) nor a run with a made-up value
+    cfg = _write(tmp_path, RUN_CFG.replace(old, new))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "finite number" in capsys.readouterr().err
+    assert not (tmp_path / "series.csv").exists()
+
+
 def test_mode_subcommand_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG)
     code = main(["converge", "--config", cfg, "--out", str(tmp_path)])

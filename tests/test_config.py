@@ -327,3 +327,63 @@ def test_config_expressions_take_complex_arguments(expr, d_dx, d_dt):
         assert float(value) == pytest.approx(float(prob.g(t, (face,))),
                                              rel=1e-14)
         assert abs(float(rate) - d_dt(t, face)) < 1e-12
+
+
+_CUSTOM_1D = ('problem = "custom"\nnt = 4\n[domain]\nbounds = {bounds}\n'
+              'n = [8]\n[custom]\nd = {d}\nf = "0 * u"\nu0 = "x"\n')
+_WAVE = 'problem = "allen_cahn_wave"\nnt = 4\n{top}[domain]\nn = [8, 2, 2]\n'
+_FH = 'problem = "flory_huggins"\nnt = 4\n{top}[domain]\nn = [4, 4, 4]\n'
+
+
+def _builtin_bounds(bounds):
+    return _run_text().replace("[domain]\n", f"[domain]\nbounds = {bounds}\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    (_run_text(top="nt = 16\nT = true\n"), "T"),
+    (_run_text(top='nt = 16\nT = "abc"\n'), "T"),
+    (_run_text(top="nt = 16\nT = inf\n"), "T"),
+    (_run_text(top="nt = 16\nT = nan\n"), "T"),
+    (_run_text(top="nt = 16\nT = -nan\n"), "T"),
+    (_run_text(top="nt = 16\nT = 1%s\n" % ("0" * 400)), "T"),
+    (_run_text(top="dt = true\n"), "dt"),
+    (_run_text(top="dt = nan\n"), "dt"),
+    (_run_text(top="dt = [0.1]\n"), "dt"),
+    (_run_text(top="nt = 16\nc2 = true\n"), "c2"),
+    (_run_text(top="nt = 16\nc2 = nan\n"), "c2"),
+    (_WAVE.format(top="eps = true\n"), "eps"),
+    (_WAVE.format(top='eps = "0.1"\n'), "eps"),
+    (_WAVE.format(top="eps = inf\n"), "eps"),
+    (_FH.format(top="theta = nan\n"), "theta"),
+    (_FH.format(top="theta_c = false\n"), "theta_c"),
+    (_CUSTOM_1D.format(bounds="[[0.0, 1.0]]", d="true"), "custom.d"),
+    (_CUSTOM_1D.format(bounds="[[0.0, 1.0]]", d="nan"), "custom.d"),
+    (_CUSTOM_1D.format(bounds="[[0.0, 1.0]]", d='"1"'), "custom.d"),
+    (_CUSTOM_1D.format(bounds="[[0.0, inf]]", d="1.0"), "domain.bounds"),
+    (_CUSTOM_1D.format(bounds="[[true, 1.0]]", d="1.0"), "domain.bounds"),
+    (_CUSTOM_1D.format(bounds="[[0.0, 1e999]]", d="1.0"), "domain.bounds"),
+    (_builtin_bounds("[[0.5, nan], [0.0, 1.0]]"), "domain.bounds"),
+    (_builtin_bounds('[["a", 2.5], [0.0, 1.0]]'), "domain.bounds"),
+], ids=["T_true", "T_string", "T_inf", "T_nan", "T_minus_nan",
+        "T_int_beyond_float", "dt_true",
+        "dt_nan", "dt_list", "c2_true", "c2_nan", "eps_true", "eps_string",
+        "eps_inf", "theta_nan", "theta_c_false", "d_true", "d_nan",
+        "d_string", "bounds_inf", "bounds_true", "bounds_overflow",
+        "builtin_bounds_nan", "builtin_bounds_string"])
+def test_float_keys_must_be_finite_numbers(text, key):
+    # booleans are Python ints, strings raised a bare ValueError, and NaN
+    # passed every `<= 0` check
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert key in str(exc.value)
+
+
+def test_float_keys_accept_integers_and_floats():
+    cfg = parse_config(_run_text(top="T = 2\nnt = 16\nc2 = 1\n"))
+    assert (cfg.T, cfg.c2, cfg.dt) == (2.0, 1.0, 0.125)
+    assert isinstance(cfg.T, float) and isinstance(cfg.c2, float)
+    cfg = parse_config(_CUSTOM_1D.format(bounds="[[0, 2]]", d="3"))
+    assert cfg.problem.domain == ((0.0, 2.0),)
+    assert cfg.problem.diffusion == 3.0
+    cfg = parse_config(_FH.format(top="eps = 0.02\ntheta = 1\n"))
+    assert cfg.problem.energy_params == (0.02, 1.0, 1.6)

@@ -1,19 +1,23 @@
-"""Invariants of the solver, checked against the solver itself: properties
-that hold for every mesh, state and step, drawn by hypothesis."""
+"""Invariants of the solver: properties that hold for every mesh, state
+and step, drawn by hypothesis.  Most check the solver against itself;
+the exactness invariants check it against the dense `expm` solution of
+the semi-discrete system."""
 
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expfem.problems import builtin_flory_huggins, mesh_for
+from expfem.problems import Problem, builtin_flory_huggins, mesh_for
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
 
-from helpers import rel_err
+from helpers import dense_operator_matrices, rel_err
 
 STEPS = 20
+EXACT_TOL = 1e-11
 
 shapes = st.lists(st.integers(2, 16), min_size=1, max_size=3)
 
@@ -69,3 +73,68 @@ def test_constant_state_follows_the_scalar_recursion(shape, u0, dt, scheme,
             u = u + (dt - b2) * f(u) + b2 * f(u + c2 * dt * f(u))
     got = _solve(np.full(shape, u0), dt, scheme, c2)
     assert rel_err(got, np.full(shape, u)) < 1e-14
+
+
+def _dense_affine_solution(mesh, diffusion, U0, S0, S1, T):
+    """Exact solution at T of the semi-discrete system
+    M U' + D K U = M (S0 + t S1), by one `expm` of the system augmented
+    with t and 1 as states."""
+    M, K = dense_operator_matrices(mesh)
+    n = M.shape[0]
+    B = np.zeros((n + 2, n + 2))
+    B[:n, :n] = -np.linalg.solve(M, diffusion * K)
+    B[:n, n] = S1.ravel()
+    B[:n, n + 1] = S0.ravel()
+    B[n, n + 1] = 1.0
+    y0 = np.concatenate([U0.ravel(), [0.0, 1.0]])
+    return (scipy.linalg.expm(T * B) @ y0)[:n].reshape(U0.shape)
+
+
+def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
+                  scheme, c2):
+    """Largest relative error at T of the source S0 + t S1, run once as
+    `source` and once as an f that ignores u, against the dense
+    solution."""
+    prob = Problem(name="inline", diffusion=diffusion, f=None,
+                   domain=((0.0, 1.0),) * len(shape), periodic=periodic,
+                   u0_nodal=lambda mesh: U0)
+    mesh = mesh_for(prob, shape)
+    cfg = SchemeConfig(dt=dt, T=nsteps * dt, scheme=scheme, c2=c2)
+    want = _dense_affine_solution(mesh, diffusion, U0, S0, S1, nsteps * dt)
+    errors = []
+    for split in (dict(source=lambda t, xs: S0 + t * S1),
+                  dict(f=lambda t, u, xs: S0 + t * S1)):
+        state = run(dataclasses.replace(prob, **split), mesh, cfg)
+        errors.append(rel_err(inverse_transform(state.coeffs, mesh), want))
+    return max(errors)
+
+
+exactness_cases = dict(
+    shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    periodic=st.booleans(), diffusion=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 0.5),
+    nsteps=st.integers(1, 4))
+
+
+def _random_data(shape, periodic, seed):
+    dofs = [n if periodic else n - 1 for n in shape]
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(dofs) for _ in range(3))
+
+
+@given(**exactness_cases)
+def test_euler_is_exact_for_a_source_constant_in_time(
+        shape, periodic, diffusion, seed, dt, nsteps):
+    # phi1 integrates a constant load exactly, at any dt
+    U0, S0, _ = _random_data(shape, periodic, seed)
+    assert _solve_affine(shape, periodic, diffusion, U0, S0, 0.0 * S0,
+                         dt, nsteps, "euler", 0.5) < EXACT_TOL
+
+
+@given(c2=st.floats(0.1, 1.0), **exactness_cases)
+def test_rk2_is_exact_for_a_source_affine_in_time(
+        shape, periodic, diffusion, seed, dt, nsteps, c2):
+    # b1 + b2 = phi1 and c2 b2 = phi2 integrate S0 + t S1 exactly
+    U0, S0, S1 = _random_data(shape, periodic, seed)
+    assert _solve_affine(shape, periodic, diffusion, U0, S0, S1,
+                         dt, nsteps, "rk2", c2) < EXACT_TOL

@@ -1,18 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from expfem import assembly, stepper
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
 from expfem.mesh import dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
-from expfem.problems import Problem, builtin_allen_cahn_wave, mesh_for
+from expfem.problems import (Problem, builtin_allen_cahn_wave,
+                             builtin_linear_rd, mesh_for)
 from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
                             exp_euler_step, exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
 
-from helpers import dense_euler_step, dense_rk2_step, rel_err, wave_exact_dt
+from helpers import (dense_euler_step, dense_rk2_step, full_reaction, rel_err,
+                     wave_exact_dt)
 
 
 def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None, periodic=False):
@@ -236,3 +240,63 @@ def test_steps_leave_incoming_coefficients_unchanged(boundary, f, scheme):
     assert np.array_equal(again.coeffs, first.coeffs)
     for name, value in saved.items():
         assert np.array_equal(getattr(w, name), value), name
+
+
+def _whole_reaction_in_f(prob):
+    """The same problem with its whole reaction in f: no linear part, no
+    source."""
+    return dataclasses.replace(
+        prob, linear=0.0, source=None,
+        f=lambda t, u, xs: full_reaction(prob, t, u, xs))
+
+
+@pytest.mark.parametrize("scheme, c2", [("euler", 0.5), ("rk2", 0.5),
+                                        ("rk2", 1.0)])
+@pytest.mark.parametrize("subs", [(8, 4), (16, 8)])
+def test_split_linear_rd_matches_whole_reaction_in_f(subs, scheme, c2):
+    # the linear part applied in modal space and the source transformed
+    # alone give the nodal-reaction scheme up to rounding
+    split = builtin_linear_rd()
+    assert split.f is None and split.linear != 0.0
+    mesh = mesh_for(split, subs)
+    cfg = SchemeConfig(dt=0.01, T=0.5, scheme=scheme, c2=c2)
+    got = run(split, mesh, cfg)
+    want = run(_whole_reaction_in_f(split), mesh, cfg)
+    assert got.step_index == want.step_index == 50
+    assert rel_err(got.coeffs, want.coeffs) < 1e-13
+
+
+def test_linear_rd_euler_step_makes_one_forward_transform(monkeypatch):
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(assembly, "forward_transform",
+                        counted("forward", assembly.forward_transform))
+    monkeypatch.setattr(stepper, "inverse_transform",
+                        counted("inverse", stepper.inverse_transform))
+    prob = builtin_linear_rd()
+    mesh = mesh_for(prob, (8, 4))
+    ctx = LoadContext(prob, mesh)
+    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
+    exp_euler_step(state, ctx, 0.01)
+    assert calls == {"forward": 1, "inverse": 0}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize("boundary", sorted(_BOUNDARIES))
+def test_linear_part_in_modal_space_on_every_boundary_kind(boundary, scheme):
+    # u - u^3 with its u moved into `linear`: the periodic half spectrum
+    # and the lifted load take the fold as the sine coefficients do
+    bc, g = _BOUNDARIES[boundary]
+    whole = parse_config(_CUSTOM_2D.format(bc=bc, f="u - u ** 3", g=g)).problem
+    split = dataclasses.replace(whole, linear=1.0,
+                                f=lambda t, u, xs: -u ** 3)
+    mesh = mesh_for(whole, (8, 6))
+    cfg = SchemeConfig(dt=0.01, T=0.2, scheme=scheme)
+    got = run(split, mesh, cfg).coeffs
+    assert rel_err(got, run(whole, mesh, cfg).coeffs) < 1e-13
