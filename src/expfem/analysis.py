@@ -9,9 +9,13 @@ evaluation reads only the two nodes bounding each point per axis and
 interpolates each axis-0 node layer once; it hands out one axis-0 Gauss
 point of a block of axis-0 elements at a time, as a contiguous (block
 elements x transverse points) slice, so neither ever holds a whole
-Gauss-grid tensor.  `error_norms` subtracts the exact values and
-transverse gradients in place in the slice's buffers; the axis-0 slope,
-which every slice of a block shares, it leaves untouched.  The energy
+Gauss-grid tensor.  Each field of a slice lies on its own point grid:
+a transverse slope of the interpolant is constant along its own axis
+within an element, so it carries that point axis with length 1, and a
+length-1 point axis a is integrated with weight h_a.  `error_norms`
+subtracts the exact values in place in the values buffer; a slope minus
+the exact gradient takes the broadcast shape of the two, so it widens
+only where the exact gradient varies along that axis.  The energy
 writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
 rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
 log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
@@ -48,8 +52,10 @@ def _exact_gradient(exact, t, grid, axis):
 
 
 def _slice_sum(weights, x):
-    """Weighted sum of a Gauss slice, one row of values per block element."""
-    return float((x.reshape(-1, weights.size) @ weights).sum())
+    """Weighted sum of a field of a Gauss slice, one row of values per
+    block element, with the weights of its point grid."""
+    w = weights(x)
+    return float((x.reshape(-1, w.size) @ w).sum())
 
 
 def error_norms(U, mesh, exact, t, npts=3):
@@ -61,10 +67,9 @@ def error_norms(U, mesh, exact, t, npts=3):
         vals -= exact(t, coords)
         l2_sq += _slice_sum(weights, np.square(vals, out=vals))
         for a, slope in enumerate(slopes):
-            grad = _exact_gradient(exact, t, coords, a)
-            # every slice of a block shares the axis-0 slope
-            diff = slope - grad if a == 0 else np.subtract(slope, grad,
-                                                           out=slope)
+            # a transverse slope's length-1 point axis widens only where
+            # the exact gradient varies along it
+            diff = slope - _exact_gradient(exact, t, coords, a)
             grad_sq += _slice_sum(weights, np.square(diff, out=diff))
     return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
 
@@ -172,7 +177,7 @@ def _resolution_label(subdivisions):
 
 
 def _mean_step_seconds(times):
-    # first step absorbs weight-tensor setup and cache warmup
+    # the first step warms the caches; `run` builds its weights before it
     steady = times[1:] if len(times) > 1 else times
     return sum(steady) / len(steady) if steady else None
 

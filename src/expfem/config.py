@@ -82,6 +82,10 @@ def compile_expression(source, variables):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             check(node.operand)
             return
+        if isinstance(node, ast.Constant) and isinstance(node.value, bool):
+            # True and False are ints to Python; u + True must not read u + 1
+            raise ConfigError(
+                f"boolean constant {node.value!r} in expression {source!r}")
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return
         if isinstance(node, ast.Name):

@@ -11,8 +11,11 @@ contiguous runs), and a block carries its last interpolated layer into
 the next.  The block is then handed out one axis-0 Gauss point at a
 time, as contiguous (block elements x transverse Gauss points) slices,
 so its arrays stay in cache: O(npts^d N^d) work and block-sized memory.
-Both the error norms and the energy (`analysis`) integrate over its
-slices.
+Every field keeps its own point grid through the stream: the slope along
+a transverse axis is constant along that axis within an element, so its
+point axis there has length 1, and the weights of a length-1 point axis
+a are h_a, since the unit Gauss weights sum to 1.  Both the error norms
+and the energy (`analysis`) integrate over its slices.
 
 `gauss_load`, the load of the L2 projection, is the adjoint of that
 evaluation over the same blocks of elements, in their element-major
@@ -59,12 +62,8 @@ def _two_tap(t, axis, xi):
     point-major: the points become a new axis 1, right after the node
     layers, so each point's output is one contiguous run per layer."""
     lo, hi = _tap_ends(t, axis)
-    diff = hi - lo
-    out = np.empty(lo.shape[:1] + (xi.size,) + lo.shape[1:])
-    for k, x in enumerate(xi):
-        point = out[:, k]
-        np.multiply(diff, x, out=point)
-        point += lo
+    out = (hi - lo)[:, None] * xi.reshape((-1,) + (1,) * (lo.ndim - 1))
+    out += lo[:, None]
     return out
 
 
@@ -72,7 +71,7 @@ def _slope_tap(t, axis, h):
     """Elementwise slope (hi - lo) / h of one axis, the same at every
     Gauss point: its point axis 1 has length 1 and broadcasts."""
     lo, hi = _tap_ends(t, axis)
-    return np.expand_dims((hi - lo) / h, 1)
+    return ((hi - lo) / h)[:, None]
 
 
 def element_blocks(n, per_element):
@@ -126,12 +125,16 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
     points of axes 1 ... d-1, elements of axes 1 ... d-1), written as
     hi - (1 - xi_k)(hi - lo) so that hi, the block's own layers, is one
     operand and the carried layer is never copied.  `slopes` (empty
-    unless requested) are d/dx_a per axis in the same layout; the axis-0
+    unless requested) are d/dx_a per axis in the same layout, each on its
+    own point grid: a transverse slope is constant along its own axis
+    within an element, so that point axis has length 1.  The axis-0
     slope (hi - lo) / h is the same array for every k of a block and must
-    not be written to.  `coords` is an open grid of the slice's points and
-    `weights` the flat outer product of the Gauss weights of axes 1 ...
-    d-1 over one block element, times w_k h.  The values and the other
-    slopes are buffers that the next slice of the block overwrites.
+    not be written to.  `coords` is an open grid of the slice's points.
+    `weights(field)` is the flat outer product of the Gauss weights of
+    axes 1 ... d-1 over one block element, times w_k h, on the point grid
+    of a field of the slice: h_a on a length-1 point axis a.  The values
+    and the other slopes are buffers that the next slice of the block
+    overwrites.
     """
     xi, w = gauss_rule(npts)
     first, rest = partitions[0], partitions[1:]
@@ -143,9 +146,17 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
         coords += ((p.a + (np.arange(p.n) + xi[:, None]) * p.h).reshape(shape),)
         per_element *= p.n * npts
     tiles = math.prod(p.n for p in rest)
-    weights = [np.repeat(np.ravel(functools.reduce(
-        np.multiply.outer, [wk] + [w * p.h for p in rest])), tiles)
-        for wk in w * first.h]
+
+    @functools.cache
+    def point_weights(k, points):
+        factors = [(w * first.h)[k]] + [
+            w * p.h if n > 1 else np.array([p.h]) for n, p in zip(points, rest)]
+        return np.repeat(np.ravel(functools.reduce(np.multiply.outer,
+                                                   factors)), tiles)
+
+    def weights(k, field):
+        return point_weights(k, field.shape[1:len(partitions)])
+
     carried = [t[0] for t in _transverse(full[:1], partitions, xi, slopes)]
     for e0, e1 in element_blocks(first.n, per_element):
         layers = _transverse(full[e0 + 1:e1 + 1], partitions, xi, slopes)
@@ -157,7 +168,7 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
             diffs.append(diff)
         carried = [t[-1] for t in layers]
         fixed = (diffs[0] / first.h,) if slopes else ()
-        bufs = [np.empty(layers[0].shape) for _ in layers]
+        bufs = [np.empty_like(hi) for hi in layers]
         elements = np.arange(e0, e1)
         for k, x in enumerate(xi):
             for hi, diff, buf in zip(layers, diffs, bufs):
@@ -165,7 +176,8 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
                 buf += hi
             x0 = (first.a + (elements + x) * first.h).reshape(
                 (-1,) + (1,) * (ndim - 1))
-            yield bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords, weights[k]
+            yield (bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords,
+                   functools.partial(weights, k))
 
 
 def _tap_adjoint(v, axis, taps):

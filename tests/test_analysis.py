@@ -205,6 +205,24 @@ def test_error_norms_memory_stays_block_sized():
     assert peak < 4 * nodal_bytes
 
 
+def test_error_norms_memory_stays_block_sized_in_2d():
+    # evaluating the exact solution once per block instead of once per
+    # slice about doubles this peak
+    prob = builtin_linear_rd()
+    mesh = mesh_for(prob, (256, 128))
+    rng = np.random.default_rng(6)
+    U = np.tanh(rng.standard_normal(dof_shape(mesh)))
+    nodal_bytes = extend_nodal(U, mesh).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        error_norms(U, mesh, prob.exact, 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * nodal_bytes
+
+
 @pytest.mark.parametrize("prob, mp_exact, t", [
     (builtin_linear_rd(), mp_linear_rd_exact, 0.3),
     (builtin_allen_cahn_wave(dim=1), mp_wave_exact(0.05), 0.01),

@@ -124,6 +124,15 @@ def test_invalid_floats_exit_as_config_errors(tmp_path, capsys, old, new):
     assert not (tmp_path / "series.csv").exists()
 
 
+def test_boolean_in_expression_exits_as_config_error(tmp_path, capsys):
+    # True would pass for the integer 1 in the reaction
+    cfg = _write(tmp_path, RUN_CFG.replace('f = "-u"', 'f = "u + True"'))
+    code = main(["run", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "u + True" in capsys.readouterr().err
+    assert not (tmp_path / "series.csv").exists()
+
+
 def test_mode_subcommand_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG)
     code = main(["converge", "--config", cfg, "--out", str(tmp_path)])

@@ -222,6 +222,14 @@ def test_expression_compiler_rejects_unsafe_syntax():
             compile_expression(bad, ("x",))
 
 
+@pytest.mark.parametrize("expr", ["u + True", "u * False", "-True"])
+def test_expression_compiler_rejects_booleans(expr):
+    # True and False are Python ints: u + True would read u + 1
+    with pytest.raises(ConfigError) as exc:
+        compile_expression(expr, ("t", "u", "x"))
+    assert repr(expr) in str(exc.value) and "boolean" in str(exc.value)
+
+
 def test_custom_problem_from_config():
     text = """
 mode = "run"

@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expfem.problems import Problem, builtin_flory_huggins, mesh_for
@@ -73,6 +73,84 @@ def test_constant_state_follows_the_scalar_recursion(shape, u0, dt, scheme,
             u = u + (dt - b2) * f(u) + b2 * f(u + c2 * dt * f(u))
     got = _solve(np.full(shape, u0), dt, scheme, c2)
     assert rel_err(got, np.full(shape, u)) < 1e-14
+
+
+def _wave(k, phase):
+    """A product of cosines, one factor per axis: data that varies along
+    every axis differently."""
+    def field(t, xs):
+        out = 0.5 + 0.0 * t
+        for x, kx, ph in zip(xs, k, phase):
+            out = out * np.cos(kx * x + ph + 0.3 * t)
+        return out
+    return field
+
+
+def _box_problem(bounds, boundary, k, phase):
+    """A reaction-diffusion problem on the box `bounds` whose data vary
+    along every axis: initial state, source and, on a lifted Dirichlet
+    mesh, the trace."""
+    field = _wave(k, phase)
+    return Problem(
+        name="inline", diffusion=0.7,
+        f=lambda t, u, xs: u * (1.0 - u * u),
+        source=lambda t, xs: field(t, xs[::-1]),
+        domain=tuple(bounds), periodic=boundary == "periodic",
+        u0=lambda xs: field(0.0, xs),
+        g=field if boundary == "dirichlet" else None)
+
+
+def _permuted(fn, perm):
+    """fn of coordinates in the original axis order, called with the
+    coordinates of the transposed box: axis j of the transposed box is
+    axis perm[j] of the original one."""
+    if fn is None:
+        return None
+    inverse = np.argsort(perm)
+
+    def moved(*args):
+        *head, xs = args
+        return fn(*head, tuple(xs[i] for i in inverse))
+    return moved
+
+
+triples = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+
+@given(shape=st.lists(st.integers(2, 5), min_size=2, max_size=3),
+       axes=st.permutations(range(3)), boundary=st.sampled_from(
+           ["periodic", "homogeneous", "dirichlet"]),
+       starts=triples, lengths=triples, k=triples, phase=triples,
+       dt=st.floats(1e-3, 2e-2))
+@example(shape=[5, 3, 4], axes=[2, 0, 1], boundary="dirichlet",
+         starts=[0.1, 0.5, 0.9], lengths=[0.2, 0.7, 0.4], k=[0.3, 0.6, 0.9],
+         phase=[0.8, 0.1, 0.5], dt=0.01)
+@example(shape=[4, 5], axes=[1, 0, 2], boundary="periodic",
+         starts=[0.2, 0.6, 0.0], lengths=[0.9, 0.1, 0.0], k=[0.5, 0.2, 0.0],
+         phase=[0.3, 0.7, 0.0], dt=0.01)
+def test_transposing_the_box_transposes_the_solution(
+        shape, axes, boundary, starts, lengths, k, phase, dt):
+    # the scheme treats every axis alike: relabelling the axes of the
+    # domain, the subdivisions and the data relabels the axes of the
+    # rk2 solution, up to the order of rounding
+    dim = len(shape)
+    perm = [a for a in axes if a < dim]
+    bounds = [(2.0 * a - 1.0, 2.0 * a - 0.4 + 0.6 * n)
+              for a, n in zip(starts, lengths)][:dim]
+    prob = _box_problem(bounds, boundary, [0.5 + 2.5 * x for x in k],
+                        [3.0 * x for x in phase])
+    moved = dataclasses.replace(
+        prob, domain=tuple(bounds[i] for i in perm),
+        source=_permuted(prob.source, perm),
+        u0=_permuted(prob.u0, perm), g=_permuted(prob.g, perm))
+    cfg = SchemeConfig(dt=dt, T=STEPS * dt, scheme="rk2")
+    solutions = []
+    for problem, subdivisions in ((prob, shape), (moved,
+                                                  [shape[i] for i in perm])):
+        mesh = mesh_for(problem, subdivisions)
+        solutions.append(inverse_transform(run(problem, mesh, cfg).coeffs,
+                                           mesh))
+    assert rel_err(solutions[1], solutions[0].transpose(perm)) < 1e-13
 
 
 def _dense_affine_solution(mesh, diffusion, U0, S0, S1, T):

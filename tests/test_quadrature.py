@@ -82,7 +82,9 @@ def _reassemble(slices, npts):
 @pytest.mark.parametrize("npts", [2, 3, 6])
 @pytest.mark.parametrize("blocked", [False, True])
 def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
-    # the slices of `gauss_slices` reassemble to the whole Gauss grid
+    # the slices of `gauss_slices` reassemble to the whole Gauss grid; a
+    # transverse slope and its weights are broadcast along its own
+    # length-1 point axis first
     mesh = _mesh(dim, bc)
     if blocked:
         _two_elements_per_block(monkeypatch, mesh, npts)
@@ -92,9 +94,10 @@ def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
     for v, grads, grid, wts in quadrature.gauss_slices(
             full, mesh.partitions, npts, slopes=True):
         vals.append(v.copy())
-        slopes.append([g.copy() for g in grads])
+        slopes.append([np.broadcast_to(g.copy(), v.shape) for g in grads])
         coords.append([np.broadcast_to(c, v.shape) for c in grid])
-        weights.append(np.broadcast_to(wts.reshape(v.shape[1:]), v.shape))
+        weights.append([np.broadcast_to(wts(f).reshape(f.shape[1:]), v.shape)
+                        for f in (v,) + grads])
     assert len(vals) == npts * (3 if blocked else 1)
     want_vals, want_grads, want_grid, want_weights = (
         dense_interpolant_on_gauss(U, mesh, T_EVAL, npts))
@@ -104,8 +107,14 @@ def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
         assert rel_err(got, want_grads[a]) < 1e-13
     for a, want in enumerate(np.broadcast_arrays(*want_grid)):
         assert np.array_equal(_reassemble([c[a] for c in coords], npts), want)
-    assert np.array_equal(_reassemble(weights, npts),
-                          functools.reduce(np.multiply.outer, want_weights))
+    # values and the axis-0 slope on the whole grid; a transverse slope
+    # along axis a with weight h_a
+    for field in range(dim + 1):
+        factors = [np.full_like(wt, p.h) if 0 < a == field - 1 else wt
+                   for a, (wt, p) in enumerate(zip(want_weights,
+                                                   mesh.partitions))]
+        assert np.array_equal(_reassemble([w[field] for w in weights], npts),
+                              functools.reduce(np.multiply.outer, factors))
 
 
 def test_gauss_blocks_values_only_by_default():
@@ -126,6 +135,51 @@ def test_error_norms_match_dense_oracle(monkeypatch, dim, bc, npts):
     U = _state(mesh)
     got = error_norms(U, mesh, _exact, T_EVAL, npts)
     want = dense_error_norms(U, mesh, _exact, T_EVAL, npts)
+    assert rel_err(got[0], want[0]) < 1e-12
+    assert rel_err(got[1], want[1]) < 1e-12
+
+
+def _exact_along_axis_0(t, xs):
+    return np.sin(1.3 * xs[0] + t)
+
+
+def _exact_transverse(t, xs):
+    out = 0.4 + 0.0 * t
+    for a, x in enumerate(xs[1:]):
+        out = out * np.cos((a + 0.7) * x - 0.5 * t)
+    return out
+
+
+EXACT_PATTERNS = {
+    "all_axes": _exact,
+    "axis_0": _exact_along_axis_0,
+    "transverse": _exact_transverse,
+    "constant": lambda t, xs: 0.7,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bc", list(BOUNDARIES))
+@pytest.mark.parametrize("npts", [2, 3, 6])
+@pytest.mark.parametrize("pattern", list(EXACT_PATTERNS))
+def test_error_norms_match_dense_oracle_for_every_dependence(
+        monkeypatch, dim, bc, npts, pattern):
+    # a slope difference keeps a length-1 point axis where the exact
+    # gradient does not vary along it, and widens where it does
+    mesh = _mesh(dim, bc)
+    _two_elements_per_block(monkeypatch, mesh, npts)
+    U = _state(mesh)
+    full = extend_nodal(U, mesh, T_EVAL)
+    for vals, slopes, _, _ in quadrature.gauss_slices(
+            full, mesh.partitions, npts, slopes=True):
+        assert vals.shape[1:dim] == (npts,) * (dim - 1)
+        for a, slope in enumerate(slopes[1:], 1):
+            assert slope.shape[a] == 1
+            assert slope.shape[:a] + slope.shape[a + 1:] == (
+                vals.shape[:a] + vals.shape[a + 1:])
+    exact = EXACT_PATTERNS[pattern]
+    got = error_norms(U, mesh, exact, T_EVAL, npts)
+    want = dense_error_norms(U, mesh, exact, T_EVAL, npts)
     assert rel_err(got[0], want[0]) < 1e-12
     assert rel_err(got[1], want[1]) < 1e-12
 
