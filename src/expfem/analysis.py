@@ -182,8 +182,7 @@ def _mean_step_seconds(times):
     return sum(steady) / len(steady) if steady else None
 
 
-def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None,
-                      initial_mode="interpolate"):
+def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
     """Run a refinement ladder and report terminal-time errors and rates.
 
     `rungs` is a list of (per-axis subdivisions, nt) pairs; consecutive
@@ -204,8 +203,7 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None,
         mesh = mesh_for(problem, subdivisions)
         cfg = SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=c2)
         times = []
-        state = run(problem, mesh, cfg, initial_mode=initial_mode,
-                    step_times=times)
+        state = run(problem, mesh, cfg, step_times=times)
         U = inverse_transform(state.coeffs, mesh)
         l2, h1 = error_norms(U, mesh, problem.exact, state.t)
         row = StudyRow(
@@ -223,8 +221,7 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None,
     return report
 
 
-def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None,
-                 initial_mode="interpolate"):
+def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None):
     """Measure steady per-step cost over a spatial ladder at fixed nt."""
     T = problem.T_default if T is None else T
     report = StudyReport(metadata={
@@ -240,7 +237,7 @@ def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None,
         mesh = mesh_for(problem, subdivisions)
         cfg = SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=c2)
         times = []
-        run(problem, mesh, cfg, initial_mode=initial_mode, step_times=times)
+        run(problem, mesh, cfg, step_times=times)
         nodes = int(np.prod(dof_shape(mesh)))
         row = StudyRow(
             resolution=_resolution_label(subdivisions),

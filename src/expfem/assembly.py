@@ -26,11 +26,10 @@ import numpy as np
 import scipy.fft
 
 from .mesh import (Dirichlet, _boundary_faces, _mass_stencil, dof_shape,
-                   extend_nodal, is_periodic, node_grids)
+                   node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP
-from .quadrature import gauss_load
-from .transforms import forward_transform, inverse_transform
+from .transforms import forward_transform
 
 # entries of the modal load per chunk of the lifting's column x face add
 _CHUNK = 1 << 14
@@ -43,8 +42,7 @@ class LoadContext:
     each axis' share of the boundary and, per axis, the boundary column
     (the transform of a unit vector at the first owned node) times that
     axis' reciprocal mass eigenvalues, and the outer product of the other
-    axes' reciprocal mass eigenvalues: together they make up
-    `op.load_scale`.
+    axes' reciprocal mass eigenvalues.
     """
 
     def __init__(self, problem, mesh, op=None):
@@ -150,8 +148,8 @@ def boundary_correction(ctx, t, G):
     at owned index 0 along a transforms as the boundary column of a
     times the (d-1)-D transform of the layer; the layer at the far end
     takes the same column times (-1)^k, which on an axis with one owned
-    layer is the same column.  The reciprocal masses of load_scale fold
-    into the column and the face.
+    layer is the same column.  The reciprocal mass eigenvalues fold into
+    the column and the face.
     """
     g, gdot = _trace_faces(ctx, t)
     for a in range(ctx.mesh.dim):
@@ -187,15 +185,8 @@ def _add_column_faces(G, a, column, near, far):
                 cols[k0:k0 + rows] @ faces[p0:p0 + span])
 
 
-def initial_state(problem, mesh, mode="interpolate"):
-    """Nodal tensor of the initial datum.
-
-    The default interpolates at the owned nodes; mode="project" computes
-    the discrete L2 projection via Gauss quadrature of the datum against
-    the basis.
-    """
-    if mode not in ("interpolate", "project"):
-        raise ValueError(f"unknown initial-state mode {mode!r}")
+def initial_state(problem, mesh):
+    """Nodal tensor of the initial datum: its values at the owned nodes."""
     shape = tuple(dof_shape(mesh))
     if problem.u0_nodal is not None:
         U0 = np.asarray(problem.u0_nodal(mesh), dtype=float)
@@ -204,29 +195,6 @@ def initial_state(problem, mesh, mode="interpolate"):
         return U0
     if problem.u0 is None:
         raise ValueError(f"problem {problem.name} defines no initial datum")
-    if mode == "interpolate":
-        vals = problem.u0(node_grids(mesh))
-        return np.ascontiguousarray(
-            np.broadcast_to(np.asarray(vals, dtype=float), shape))
-    return _project_initial(problem, mesh)
-
-
-def _project_initial(problem, mesh):
-    periodic = is_periodic(mesh.bc)
-    b = gauss_load(problem.u0, mesh.partitions)
-    if isinstance(mesh.bc, Dirichlet):
-        # move the mass coupling of the known trace to the right-hand side
-        trace = extend_nodal(np.zeros(dof_shape(mesh)), mesh, 0.0)
-        for a, p in enumerate(mesh.partitions):
-            trace = (p.h / 6.0) * _mass_stencil(trace, a)
-        b -= trace
-    # fold node N onto node 0 for periodic, drop boundary rows otherwise
-    for a in range(mesh.dim):
-        if periodic:
-            head = np.take(b, [0], axis=a) + np.take(b, [-1], axis=a)
-            body = np.take(b, range(1, b.shape[a] - 1), axis=a)
-            b = np.concatenate([head, body], axis=a)
-        else:
-            b = np.take(b, range(1, b.shape[a] - 1), axis=a)
-    op = build_operator(mesh, problem.diffusion)
-    return inverse_transform(op.load_scale * forward_transform(b, mesh), mesh)
+    vals = problem.u0(node_grids(mesh))
+    return np.ascontiguousarray(
+        np.broadcast_to(np.asarray(vals, dtype=float), shape))

@@ -132,9 +132,6 @@ def main(argv=None):
     except NonlinearityDomainError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILURE

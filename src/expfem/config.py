@@ -15,7 +15,8 @@ import tomllib
 
 import numpy as np
 
-from .problems import BUILTIN_FACTORIES, Problem
+from .mesh import dof_shape
+from .problems import BUILTIN_FACTORIES, Problem, mesh_for
 
 
 class ConfigError(Exception):
@@ -410,6 +411,8 @@ def _resolve_ladder(cfg, values):
                 raise ConfigError(
                     f"ladder.n entry {r} has {len(r)} axes, problem is {dim}D")
         cfg.ladder_nt = [cfg.nt] * len(cfg.ladder_n)
+        if cfg.mode == "timing":
+            _check_node_growth(cfg)
     else:
         cfg.ladder_nt = _int_list(_require(values, "ladder.nt"), "ladder.nt")
         if any(nt < 1 for nt in cfg.ladder_nt):
@@ -419,3 +422,15 @@ def _resolve_ladder(cfg, values):
             raise ConfigError(
                 f"domain.n has {len(base)} axes, problem is {dim}D")
         cfg.ladder_n = [base] * len(cfg.ladder_nt)
+
+
+def _check_node_growth(cfg):
+    """A timing ladder's growth exponent divides by the log of the ratio of
+    consecutive owned-node counts, so no two consecutive rungs may match."""
+    nodes = [math.prod(dof_shape(mesh_for(cfg.problem, r)))
+             for r in cfg.ladder_n]
+    for a, b, na, nb in zip(cfg.ladder_n, cfg.ladder_n[1:], nodes, nodes[1:]):
+        if na == nb:
+            raise ConfigError(
+                f"ladder.n rungs {a} and {b} both have {na} owned nodes; "
+                "a timing ladder needs consecutive rungs of different size")

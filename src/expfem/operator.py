@@ -2,12 +2,11 @@
 
 After the basis change the semi-discrete system decouples into
 scalar ODEs; `decay_rates` holds the modal rates D * sum(stiff/mass) and
-`load_scale` the reciprocal products of mass eigenvalues that turn raw
-load coefficients into right-hand sides.  The phi family (phi_0 = e^z,
+`inv_mass` the per-axis reciprocal mass eigenvalues, whose product turns
+raw load coefficients into right-hand sides.  The phi family (phi_0 = e^z,
 phi_{k+1}(z) = (phi_k(z) - phi_k(0))/z) supplies the quadrature weights.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,12 +59,6 @@ class DiagonalizedOperator:
 
     decay_rates: np.ndarray
     inv_mass: tuple
-
-    @property
-    def load_scale(self):
-        """The reciprocal mass products over the modal shape, built on
-        access: only the L2 projection reads them, so set-up skips them."""
-        return functools.reduce(np.multiply, self.inv_mass, np.ones(()))
 
 
 def build_operator(mesh, diffusion):

@@ -16,12 +16,6 @@ a transverse axis is constant along that axis within an element, so its
 point axis there has length 1, and the weights of a length-1 point axis
 a are h_a, since the unit Gauss weights sum to 1.  Both the error norms
 and the energy (`analysis`) integrate over its slices.
-
-`gauss_load`, the load of the L2 projection, is the adjoint of that
-evaluation over the same blocks of elements, in their element-major
-Gauss grids (`_block_grids`): per axis, a 2 x npts tap matrix folds
-each element's weighted Gauss values onto its two nodes.  No dense
-(npts N) x (N + 1) quadrature matrix is built anywhere.
 """
 
 import functools
@@ -37,12 +31,6 @@ def gauss_rule(npts):
     """Gauss-Legendre nodes and weights on the unit interval."""
     x, w = np.polynomial.legendre.leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _axis_points(p, xi, w):
-    """Gauss-point coordinates (element-major) and jacobian-scaled weights."""
-    coords = (p.a + (np.arange(p.n)[:, None] + xi[None, :]) * p.h).ravel()
-    return coords, np.tile(w * p.h, p.n)
 
 
 def apply_matrix(matrix, tensor, axis):
@@ -79,23 +67,6 @@ def element_blocks(n, per_element):
     points at `per_element` points per element."""
     step = max(1, BLOCK_POINTS // per_element)
     return [(e0, min(e0 + step, n)) for e0 in range(0, n, step)]
-
-
-def _block_grids(partitions, npts):
-    """Yield (e0, e1, grid, weights) for blocks of axis-0 elements [e0, e1):
-    the open grid of the block's Gauss points and per-axis weight vectors,
-    element-major (element, Gauss point) along every axis."""
-    xi, w = gauss_rule(npts)
-    axes = [_axis_points(p, xi, w) for p in partitions]
-    per_element = npts
-    for p in partitions[1:]:
-        per_element *= p.n * npts
-    for e0, e1 in element_blocks(partitions[0].n, per_element):
-        pts = slice(e0 * npts, e1 * npts)
-        coords = [axes[0][0][pts]] + [c for c, _ in axes[1:]]
-        weights = (axes[0][1][pts],) + tuple(wt for _, wt in axes[1:])
-        grid = tuple(np.ix_(*coords)) if len(coords) > 1 else (coords[0],)
-        yield e0, e1, grid, weights
 
 
 def _transverse(layers, partitions, xi, slopes):
@@ -178,37 +149,3 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
                 (-1,) + (1,) * (ndim - 1))
             yield (bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords,
                    functools.partial(weights, k))
-
-
-def _tap_adjoint(v, axis, taps):
-    """Adjoint of the two-tap evaluation along one axis, in the
-    element-major layout of `_block_grids`: each element's npts Gauss
-    values, contracted with the 2 x npts tap matrix, added onto the
-    element's two nodes."""
-    npts = taps.shape[1]
-    head, tail = v.shape[:axis], v.shape[axis + 1:]
-    els = v.shape[axis] // npts
-    halves = apply_matrix(taps, v.reshape(head + (els, npts) + tail), axis + 1)
-    out = np.zeros(head + (els + 1,) + tail)
-    lo, hi = _tap_ends(out, axis)
-    pick = (slice(None),) * (axis + 1)
-    lo[...] = halves[pick + (0,)]
-    hi += halves[pick + (1,)]
-    return out
-
-
-def gauss_load(fn, partitions, npts=3):
-    """Integrals of fn(xs) against every full-grid nodal hat function, by
-    the npts-point Gauss rule per axis, streamed over the blocks of
-    `_block_grids`; the taps of an axis are the weighted hat values
-    (w h (1 - xi), w h xi) at its Gauss points."""
-    xi, w = gauss_rule(npts)
-    taps = [np.stack([1.0 - xi, xi]) * (w * p.h) for p in partitions]
-    out = np.zeros(tuple(p.n + 1 for p in partitions))
-    for e0, e1, grid, _ in _block_grids(partitions, npts):
-        shape = np.broadcast_shapes(*(g.shape for g in grid))
-        vals = np.broadcast_to(np.asarray(fn(grid), dtype=float), shape)
-        for a, tap in enumerate(taps):
-            vals = _tap_adjoint(vals, a, tap)
-        out[e0:e1 + 1] += vals
-    return out

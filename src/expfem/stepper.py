@@ -183,8 +183,7 @@ def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None):
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
-def run(problem, mesh, cfg, observers=(), observe_every=1,
-        initial_mode="interpolate", step_times=None):
+def run(problem, mesh, cfg, observers=(), observe_every=1, step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
     Observers are called as obs(step_index, t, U_nodal) at step 0, every
@@ -200,7 +199,7 @@ def run(problem, mesh, cfg, observers=(), observe_every=1,
             "accuracy theory assumes quasi-uniform cells", stacklevel=2)
     nsteps = cfg.num_steps()
     ctx = LoadContext(problem, mesh)
-    U0 = initial_state(problem, mesh, initial_mode)
+    U0 = initial_state(problem, mesh)
     state = SolverState(0.0, forward_transform(U0, mesh), 0)
     weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
                           linear=problem.linear)

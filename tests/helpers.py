@@ -10,13 +10,12 @@ eigendecomposition (matrix exponential realized spectrally), fully
 independent of the FFT solution path; it takes the whole nodal
 reaction, linear part included, from `full_reaction`.  The dense quadrature oracle
 evaluates the interpolant on the whole Gauss grid with per-axis
-(n*npts) x (n+1) value and slope matrices; their transposes give the
-load of the L2 projection, which the dense projection oracle solves
-with the kron-assembled mass matrix.  The residual oracle
+(n*npts) x (n+1) value and slope matrices.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
 derivatives.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -27,7 +26,7 @@ from expfem.analysis import _exact_gradient
 from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
                          extend_nodal, full_grids, is_periodic)
 from expfem.operator import phi
-from expfem.quadrature import _axis_points, apply_matrix, gauss_rule
+from expfem.quadrature import apply_matrix, gauss_rule
 
 
 def make_mesh(bounds, subdivisions, bc):
@@ -117,6 +116,12 @@ def dense_operator_matrices(mesh):
             term = np.kron(term, b_m if a == slot else a_m)
         K += term
     return M, K
+
+
+def inv_mass_product(op):
+    """Reciprocal products of mass eigenvalues over the modal shape: the
+    scale that turns transformed load coefficients into right-hand sides."""
+    return functools.reduce(np.multiply, op.inv_mass, np.ones(()))
 
 
 def _boundary_tensor(mesh, fn, t):
@@ -233,7 +238,8 @@ def axis_quadrature(p, npts=3):
     mapping n+1 nodal values to interpolant values at those points.
     """
     xi, w = gauss_rule(npts)
-    coords, weights = _axis_points(p, xi, w)
+    coords = (p.a + (np.arange(p.n)[:, None] + xi[None, :]) * p.h).ravel()
+    weights = np.tile(w * p.h, p.n)
     rows = np.arange(p.n * npts)
     els = rows // npts
     loc = np.tile(xi, p.n)
@@ -287,40 +293,6 @@ def dense_error_norms(U, mesh, exact, t, npts=3):
         gdiff = grads[a] - np.broadcast_to(dref, grads[a].shape)
         h1_sq += integrate(weights, gdiff * gdiff)
     return math.sqrt(l2_sq), math.sqrt(h1_sq)
-
-
-def dense_gauss_load(fn, mesh, npts=3):
-    """Full-grid load of the L2 projection of fn: the weighted, transposed
-    value matrices applied to fn on the whole Gauss grid."""
-    coords, weights, mats = zip(
-        *(axis_quadrature(p, npts) for p in mesh.partitions))
-    grid = np.ix_(*coords) if mesh.dim > 1 else (coords[0],)
-    b = np.broadcast_to(np.asarray(fn(grid), dtype=float),
-                        tuple(c.size for c in coords))
-    for a, (w, m) in enumerate(zip(weights, mats)):
-        b = apply_matrix(m.T * w, b, a)
-    return b
-
-
-def dense_projection(problem, mesh, npts=3):
-    """L2 projection of problem.u0 by a dense mass solve over the owned
-    nodes, the known trace moved to the right-hand side."""
-    b = dense_gauss_load(problem.u0, mesh, npts)
-    if isinstance(mesh.bc, Dirichlet):
-        g_ext = _boundary_tensor(mesh, mesh.bc.trace, 0.0)
-        for a, p in enumerate(mesh.partitions):
-            g_ext = apply_matrix(_dense_full_axis_matrices(p)[0], g_ext, a)
-        b = b - g_ext
-    for a, p in enumerate(mesh.partitions):
-        # owned rows: node N folds onto node 0 (periodic) or both ends drop
-        if is_periodic(mesh.bc):
-            restrict = np.eye(p.n, p.n + 1)
-            restrict[0, p.n] = 1.0
-        else:
-            restrict = np.eye(p.n + 1)[1:-1]
-        b = apply_matrix(restrict, b, a)
-    M = dense_operator_matrices(mesh)[0]
-    return np.linalg.solve(M, b.ravel()).reshape(b.shape)
 
 
 def dense_discrete_energy(U, mesh, eps, theta, theta_c, npts=3):

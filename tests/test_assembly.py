@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from expfem import assembly
+from expfem.analysis import error_norms
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
-                         node_grids)
+                         extend_nodal, full_grids, is_periodic, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
@@ -15,8 +16,8 @@ from expfem.transforms import (forward_transform, inverse_transform,
                                modal_shape)
 
 from helpers import (build_axis_matrices, dense_boundary_load,
-                     dense_semidiscrete_rhs, make_mesh, mode_multiply, rel_err,
-                     wave_exact_dt)
+                     dense_semidiscrete_rhs, inv_mass_product, make_mesh,
+                     mode_multiply, rel_err, wave_exact_dt)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):
@@ -61,7 +62,7 @@ def _piecewise_multilinear(nodal_full, bounds, subs):
     return u0
 
 
-def test_projection_mode_fixes_grid_functions():
+def test_interpolation_fixes_grid_functions():
     # a member of the trial space (zero trace, piecewise bilinear)
     rng = np.random.default_rng(10)
     subs = (6, 4)
@@ -71,15 +72,14 @@ def test_projection_mode_fixes_grid_functions():
         lambda t, u, xs: 0.0 * u, dim=2,
         u0=_piecewise_multilinear(full, ((0, 1), (0, 1)), subs))
     mesh = mesh_for(prob, subs)
-    interp = initial_state(prob, mesh, mode="interpolate")
-    proj = initial_state(prob, mesh, mode="project")
-    assert rel_err(proj, interp) < 1e-11
+    interp = initial_state(prob, mesh)
     assert rel_err(interp, full[1:-1, 1:-1]) < 1e-12
 
 
 @pytest.mark.parametrize("subs", [(8,), (6, 4)])
-def test_projection_mode_fixes_grid_functions_with_trace(subs):
-    # a multilinear function is in the trial space with its own trace
+def test_interpolation_fixes_grid_functions_with_trace(subs):
+    # a multilinear function is in the trial space with its own trace: its
+    # interpolant, closed by the trace, is the function itself
     def u(xs):
         val = 1.0 + xs[0]
         if len(xs) > 1:
@@ -92,22 +92,71 @@ def test_projection_mode_fixes_grid_functions_with_trace(subs):
         domain=((0.0, 1.0), (-0.5, 1.5))[:dim], u0=u,
         g=lambda t, xs: u(xs))
     mesh = mesh_for(prob, subs)
-    proj = initial_state(prob, mesh, mode="project")
-    expect = np.broadcast_to(u(node_grids(mesh)), proj.shape)
-    assert np.max(np.abs(proj - expect)) < 1e-11
+    full = extend_nodal(initial_state(prob, mesh), mesh, 0.0)
+    expect = np.broadcast_to(u(full_grids(mesh)), full.shape)
+    assert np.max(np.abs(full - expect)) < 1e-14
+    l2, h1 = error_norms(initial_state(prob, mesh), mesh,
+                         lambda t, xs: u(xs), 0.0)
+    assert l2 < 1e-13 and h1 < 1e-12
 
 
-def test_projection_mode_periodic_wraps():
+def test_interpolation_periodic_wraps():
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
         domain=((0.0, 1.0),), periodic=True,
         u0=lambda xs: np.cos(2 * np.pi * xs[0]))
     mesh = mesh_for(prob, (16,))
-    proj = initial_state(prob, mesh, mode="project")
-    interp = initial_state(prob, mesh, mode="interpolate")
-    # projection of a smooth datum stays O(h^2) close to its interpolant
-    assert np.max(np.abs(proj - interp)) < 2e-2
-    assert rel_err(proj[1:], proj[:0:-1]) < 1e-12  # even symmetry preserved
+    U = initial_state(prob, mesh)
+    assert U.shape == (16,)  # node 16 is node 0
+    full = extend_nodal(U, mesh)
+    assert full[0] == full[-1] == 1.0
+    assert rel_err(U[1:], U[:0:-1]) < 1e-12  # even symmetry preserved
+
+
+def _datum_all_axes(xs):
+    out = np.sin(1.3 * xs[0] + 0.2)
+    for a, x in enumerate(xs[1:]):
+        out = out * np.cos((a + 0.7) * x)
+    return out
+
+
+INITIAL_DATA = {
+    "all_axes": _datum_all_axes,
+    "axis_0": lambda xs: np.sin(1.3 * xs[0] + 0.2),
+    "last_axis": lambda xs: np.cos(0.7 * xs[-1]) - 0.3,
+    "constant": lambda xs: 0.7,
+}
+DATUM_DOMAIN = ((0.0, 1.0), (-0.5, 1.5), (0.2, 0.9))
+DATUM_SUBDIVISIONS = {1: (7,), 2: (5, 4), 3: (5, 3, 4)}
+
+
+def _owned_node_values(datum, mesh):
+    """The datum at each owned node, evaluated one point at a time."""
+    offset = 0 if is_periodic(mesh.bc) else 1
+    out = np.empty(dof_shape(mesh))
+    for idx in np.ndindex(*out.shape):
+        out[idx] = datum(tuple(p.a + (i + offset) * p.h
+                               for i, p in zip(idx, mesh.partitions)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bc", ["periodic", "homogeneous", "dirichlet"])
+@pytest.mark.parametrize("datum", list(INITIAL_DATA))
+def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
+    # a datum that varies along some axes only, or along none, is broadcast
+    # to every owned node
+    u0 = INITIAL_DATA[datum]
+    prob = Problem(
+        name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
+        domain=DATUM_DOMAIN[:dim], periodic=bc == "periodic", u0=u0,
+        g=(lambda t, xs: u0(xs)) if bc == "dirichlet" else None)
+    mesh = mesh_for(prob, DATUM_SUBDIVISIONS[dim])
+    U = initial_state(prob, mesh)
+    want = _owned_node_values(u0, mesh)
+    assert U.shape == want.shape and U.dtype == np.float64
+    assert U.flags.c_contiguous
+    assert np.max(np.abs(U - want)) < 1e-14
 
 
 def test_zero_reaction_zero_load():
@@ -126,7 +175,7 @@ def test_collapsed_load_equals_mass_route():
     ones = np.ones(dof_shape(mesh))
     G = transformed_load(ctx, 0.0, ones)
     A, _ = build_axis_matrices(mesh.partitions[0], mesh.bc)
-    explicit = ctx.op.load_scale * forward_transform(
+    explicit = inv_mass_product(ctx.op) * forward_transform(
         mode_multiply(A, ones, 0), mesh)
     assert rel_err(G, explicit) < 1e-13
     assert rel_err(G, forward_transform(ones, mesh)) < 1e-13
@@ -143,7 +192,7 @@ def test_collapse_identity_random_fields():
         for a, p in enumerate(mesh.partitions):
             A, _ = build_axis_matrices(p, bc)
             massed = mode_multiply(A, massed, a)
-        lhs = op.load_scale * forward_transform(massed, mesh)
+        lhs = inv_mass_product(op) * forward_transform(massed, mesh)
         assert rel_err(lhs, forward_transform(f_nodal, mesh)) < 1e-12
 
 
@@ -159,7 +208,8 @@ def test_boundary_correction_constant_left_trace():
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.0, G)
-    expected = ctx.op.load_scale * forward_transform([4.0, 0.0, 0.0], mesh)
+    scale = inv_mass_product(ctx.op)
+    expected = scale * forward_transform([4.0, 0.0, 0.0], mesh)
     assert rel_err(G, expected) < 1e-14
 
 
@@ -209,7 +259,7 @@ def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
     for t in (0.0, 0.3, 1.7):
         G = np.zeros(modal_shape(mesh))
         boundary_correction(ctx, t, G)
-        dense = ctx.op.load_scale * forward_transform(
+        dense = inv_mass_product(ctx.op) * forward_transform(
             dense_boundary_load(ctx, t, g_t), mesh)
         assert rel_err(G, dense) < 1e-12
 
@@ -226,7 +276,7 @@ def test_boundary_correction_in_chunks_matches_dense_oracle(
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.3, G)
-    dense = ctx.op.load_scale * forward_transform(
+    dense = inv_mass_product(ctx.op) * forward_transform(
         dense_boundary_load(ctx, 0.3, g_t), mesh)
     assert rel_err(G, dense) < 1e-12
 

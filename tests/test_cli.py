@@ -86,6 +86,18 @@ def test_bench_subcommand(tmp_path):
     assert cells[6] != "" and cells[7] != ""  # sec_per_step and growth
 
 
+def test_bench_repeated_rung_exits_as_config_error(tmp_path, capsys):
+    # equal owned-node counts would divide the growth exponent by log(1)
+    text = 'scheme = "euler"\n' + (
+        BENCH_CFG.replace("T = 0.125", "T = 0.01")
+        .replace("[[8, 4], [16, 8]]", "[[8, 4], [8, 4]]"))
+    cfg = _write(tmp_path, text)
+    code = main(["bench", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "[8, 4] and [8, 4]" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG + "observe_every = 0\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path)])

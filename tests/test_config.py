@@ -171,6 +171,15 @@ n = [[8, 4], [16, 8]]
     assert cfg.ladder_nt == [64, 64]
 
 
+def test_timing_ladder_rejects_equal_consecutive_node_counts():
+    # 8 x 4 and 4 x 8 subintervals both own 7 * 3 = 21 nodes
+    text = _spatial_text("[[8, 4], [4, 8], [16, 8]]")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.replace("convergence", "timing"))
+    assert "[8, 4] and [4, 8]" in str(exc.value)
+    assert parse_config(text).ladder_n == [[8, 4], [4, 8], [16, 8]]
+
+
 def test_keyvalue_parsing_features():
     values = parse_keyvalues("""
 # comment line

@@ -1,9 +1,7 @@
-"""Streamed two-tap Gauss evaluation and its adjoint, the projection load,
-against the dense matrix oracle."""
+"""Streamed two-tap Gauss evaluation against the dense matrix oracle."""
 
 import functools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,14 +11,11 @@ from hypothesis import strategies as st
 
 import expfem.quadrature as quadrature
 from expfem.analysis import _nodal_quadratics, discrete_energy, error_norms
-from expfem.assembly import initial_state
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
                          extend_nodal)
-from expfem.problems import Problem
 
 from helpers import (_dense_full_axis_matrices, dense_discrete_energy,
-                     dense_error_norms, dense_gauss_load,
-                     dense_interpolant_on_gauss, dense_projection, make_mesh,
+                     dense_error_norms, dense_interpolant_on_gauss, make_mesh,
                      rel_err)
 
 # five axis-0 elements: two per block leaves a one-element block at the end
@@ -263,48 +258,20 @@ def test_nodal_quadratics_match_full_grid_kron(monkeypatch, dim,
     assert rel_err(grad_sq, u @ stiff @ u) < 1e-13
 
 
-def _datum(xs):
-    return _exact(0.0, xs) + 0.3
 
-
-def _projected(mesh):
-    return Problem(name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
-                   domain=tuple((p.a, p.b) for p in mesh.partitions),
-                   u0=_datum)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("npts", [2, 3, 6])
-@pytest.mark.parametrize("blocked", [False, True])
-def test_gauss_load_matches_dense_oracle(monkeypatch, dim, npts, blocked):
-    mesh = _mesh(dim, "periodic")
-    if blocked:
-        _two_elements_per_block(monkeypatch, mesh, npts)
-    got = quadrature.gauss_load(_datum, mesh.partitions, npts)
-    assert rel_err(got, dense_gauss_load(_datum, mesh, npts)) < 1e-12
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("bc", list(BOUNDARIES))
-@pytest.mark.parametrize("blocked", [False, True])
-def test_projection_matches_dense_oracle(monkeypatch, dim, bc, blocked):
-    mesh = _mesh(dim, bc)
-    if blocked:
-        _two_elements_per_block(monkeypatch, mesh, 3)
-    got = initial_state(_projected(mesh), mesh, mode="project")
-    assert rel_err(got, dense_projection(_projected(mesh), mesh)) < 1e-12
-
-
-@pytest.mark.parametrize("bc", list(BOUNDARIES))
-def test_projection_memory_stays_block_sized(bc):
-    # the dense quadrature matrices peaked at 34-46x this bound
-    mesh = make_mesh([(0.0, 1.0)] * 3, [48] * 3, BOUNDARIES[bc])
-    nodal_bytes = 8 * 49 ** 3
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        initial_state(_projected(mesh), mesh, mode="project")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * nodal_bytes
+@pytest.mark.parametrize("dim, axis",
+                         [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+@pytest.mark.parametrize("rows", [2, 4, 7])
+def test_apply_matrix_matches_einsum(dim, axis, rows):
+    # a rectangular mode product along one axis keeps the others in place;
+    # the dense oracles build every Gauss-grid tensor with it
+    rng = np.random.default_rng(3)
+    shape = (4, 3, 5)[:dim]
+    tensor = rng.standard_normal(shape)
+    matrix = rng.standard_normal((rows, shape[axis]))
+    letters = "abc"[:dim]
+    out = letters[:axis] + "z" + letters[axis + 1:]
+    want = np.einsum(f"z{letters[axis]},{letters}->{out}", matrix, tensor)
+    got = quadrature.apply_matrix(matrix, tensor, axis)
+    assert got.shape == want.shape
+    assert rel_err(got, want) < 1e-14
