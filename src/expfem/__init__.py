@@ -18,15 +18,15 @@ from .problems import (NonlinearityDomainError, Problem,
                        builtin_linear_rd, mesh_for)
 from .stepper import (SchemeConfig, SolverState, exp_euler_step, exp_rk2_step,
                       run)
-from .transforms import (AxisSpectrum, axis_spectrum, forward_transform,
-                         inverse_transform, modal_shape)
+from .transforms import (axis_spectrum, forward_transform, inverse_transform,
+                         modal_shape)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisSpectrum", "BoundaryKind", "Dirichlet", "DiagonalizedOperator",
-    "HomogeneousDirichlet", "LoadContext", "NonlinearityDomainError",
-    "Partition1D", "Periodic", "Problem", "SchemeConfig", "SolverState",
+    "BoundaryKind", "Dirichlet", "DiagonalizedOperator", "HomogeneousDirichlet",
+    "LoadContext", "NonlinearityDomainError", "Partition1D", "Periodic",
+    "Problem", "SchemeConfig", "SolverState",
     "StudyReport", "StudyRow", "TensorMesh", "TimeSeriesObserver",
     "axis_spectrum", "build_operator", "builtin_allen_cahn_wave",
     "builtin_flory_huggins", "builtin_linear_rd", "convergence_study",

@@ -25,13 +25,12 @@ refinement ladders and report errors at the terminal time with dyadic
 convergence rates between consecutive rungs.
 """
 
-import datetime
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import _mass_stencil, dof_shape, extend_nodal
+from .mesh import dof_shape, element_pair, extend_nodal, mass_stencil
 from .problems import COMPLEX_STEP, NonlinearityDomainError, mesh_for
 from .quadrature import element_blocks, gauss_slices
 from .stepper import SchemeConfig, run
@@ -79,26 +78,27 @@ def _nodal_quadratics(full, hs):
     full-grid nodal tensor, exact from nodal values.
 
     They are u^T (kron_b M_b) u and sum_a (D_a u)^T (kron_{b != a} M_b)
-    (D_a u) / h_a, with M_b the 1D mass matrix and D_a the nodal difference
-    along axis a.  Slabs of axis-0 elements are summed one at a time; each
-    slab holds the mass coupling of its own elements, so the slab sums add
-    up to the whole grid's.
+    (D_a u) / h_a, with M_b the full-grid mass of `mesh.element_pair`
+    (swept without its scale, applied to the sums) and D_a the nodal
+    difference along axis a.  Slabs of axis-0 elements are summed one at
+    a time; each slab holds the mass coupling of its own elements, so the
+    slab sums add up to the whole grid's.
     """
-    masses = [h / 6.0 for h in hs]
+    masses = [m.factor * m.off for m, _ in map(element_pair, hs)]
     mass_all = math.prod(masses)
     sq = grad_sq = 0.0
     for e0, e1 in element_blocks(full.shape[0] - 1, full[0].size):
         slab = full[e0:e1 + 1]
         massed = slab
         for b in range(len(hs)):
-            massed = _mass_stencil(massed, b)
+            massed = mass_stencil(massed, b)
         sq += float(np.vdot(slab, massed)) * mass_all
         for a, h in enumerate(hs):
             diff = np.diff(slab, axis=a)
             massed = diff
             for b in range(len(hs)):
                 if b != a:
-                    massed = _mass_stencil(massed, b)
+                    massed = mass_stencil(massed, b)
             grad_sq += float(np.vdot(diff, massed)) * mass_all / (masses[a] * h)
     return sq, grad_sq
 
@@ -169,7 +169,6 @@ class StudyRow:
 @dataclass
 class StudyReport:
     rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
 
 def _resolution_label(subdivisions):
@@ -191,13 +190,7 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
     if problem.exact is None:
         raise ValueError(f"problem {problem.name} has no exact solution")
     T = problem.T_default if T is None else T
-    report = StudyReport(metadata={
-        "problem": problem.name,
-        "scheme": scheme,
-        "c2": c2,
-        "T": T,
-        "created": datetime.datetime.now().isoformat(timespec="seconds"),
-    })
+    report = StudyReport()
     prev = None
     for subdivisions, nt in rungs:
         mesh = mesh_for(problem, subdivisions)
@@ -224,14 +217,7 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
 def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None):
     """Measure steady per-step cost over a spatial ladder at fixed nt."""
     T = problem.T_default if T is None else T
-    report = StudyReport(metadata={
-        "problem": problem.name,
-        "scheme": scheme,
-        "c2": c2,
-        "T": T,
-        "nt": nt,
-        "created": datetime.datetime.now().isoformat(timespec="seconds"),
-    })
+    report = StudyReport()
     prev_row, prev_nodes = None, None
     for subdivisions in ladders:
         mesh = mesh_for(problem, subdivisions)

@@ -25,8 +25,8 @@ import math
 import numpy as np
 import scipy.fft
 
-from .mesh import (Dirichlet, _boundary_faces, _mass_stencil, dof_shape,
-                   node_grids)
+from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
+                   mass_stencil, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP
 from .transforms import forward_transform
@@ -104,32 +104,42 @@ def _layer_corrections(ctx, g, gdot, a):
     on the owned layers next to its two faces, over the owned nodes of
     the other axes: shape (2, owned nodes of the other axes).
 
-    Along a the full-grid rows of the first owned layer reach the face
-    alone, with h/6 for the mass and -1/h for the stiffness: m = (h/6) g
-    and q = (h/6) dg/dt - (D/h) g.  On the owned rows of another axis c
-    the stiffness is (6/h_c) I - (6/h_c^2) M_c, so with M the product of
-    the other axes' full-grid masses the load is
-    -M(q - kappa m) - D sum_c (6/h_c) M_(without c)(m),
-    kappa = D sum_c 6/h_c^2.  The pair spans the full grid of the other
+    With the 1D pair of `mesh.element_pair`, the full-grid rows of the
+    first owned layer along a reach the face alone, through the
+    off-diagonal entries m_a of the mass and k_a of the stiffness:
+    m = m_a g and q = m_a dg/dt + D k_a g.  On the owned rows of another
+    axis c the stiffness is alpha_c I + beta_c M_c, with beta_c = k_c / m_c
+    and alpha_c = (stiffness diagonal) - beta_c (mass diagonal).  So with
+    M the product of the other axes' full-grid masses the load is
+    -M(q + kappa m) - D sum_c alpha_c M_(without c)(m),
+    kappa = D sum_c beta_c.  The pair spans the full grid of the other
     axes and is zero on the faces of earlier axes, which hold no share.
-    The other axes' stencils apply one axis at a time to the pair
-    (M m, partial load), with their h_c/6 factors taken out in front.
+    The other axes' mass sweeps apply one axis at a time to the pair
+    (M m, partial load), with their scales m_c taken out in front.
     """
     parts = ctx.mesh.partitions
     other = [c for c in range(ctx.mesh.dim) if c != a]
-    h = parts[a].h
     diffusion = ctx.problem.diffusion
-    kappa = diffusion * sum(6.0 / parts[c].h ** 2 for c in other)
-    front = -np.prod([parts[c].h / 6.0 for c in other])
-    mass, stiff = front * h / 6.0, front * diffusion / h
+    scales, alphas, kappa = [], [], 0.0
+    for c in other:
+        mass, stiff = element_pair(parts[c].h)
+        scales.append(mass.factor * mass.off)
+        beta = stiff.factor * stiff.off / scales[-1]
+        alphas.append(stiff.factor * stiff.diag
+                      - beta * mass.factor * mass.diag)
+        kappa += diffusion * beta
+    front = -math.prod(scales)
+    m_a, k_a = element_pair(parts[a].h)
+    mass = front * m_a.factor * m_a.off
+    stiff = front * diffusion * k_a.factor * k_a.off
     pair = np.zeros([2] + [2 if c == a else p.n + 1
                            for c, p in enumerate(parts)])
     share = pair[(slice(None),) + (slice(1, -1),) * a]
     share[0] = mass * g[a]
-    share[1] = mass * gdot[a] - (stiff + kappa * mass) * g[a]
-    for c in other:
-        swept = _mass_stencil(pair[1:] if c == other[-1] else pair, c + 1)
-        swept[-1] += (36.0 * diffusion / parts[c].h ** 2) * pair[0]
+    share[1] = mass * gdot[a] + (stiff + kappa * mass) * g[a]
+    for c, scale, alpha in zip(other, scales, alphas):
+        swept = mass_stencil(pair[1:] if c == other[-1] else pair, c + 1)
+        swept[-1] += (diffusion * alpha / scale) * pair[0]
         pair = swept
     owned = [slice(None) if c == a else slice(1, -1)
              for c in range(ctx.mesh.dim)]

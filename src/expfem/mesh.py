@@ -7,7 +7,7 @@ only; periodic meshes own nodes 0..N-1 (node N is identified with 0).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -127,24 +127,50 @@ def extend_nodal(U, mesh, t=0.0):
     return out
 
 
-def _mass_stencil(x, axis):
-    """Full-grid 1D P1 mass matrix over h/6, tridiag(1, 4, 1) with end
-    diagonals 2, applied along one axis.
+class ElementRows(NamedTuple):
+    """A tridiagonal matrix of a uniform 1D grid: `factor` times the rows
+    (off, diag, off); an end row of the full grid, whose node lies on one
+    cell, has diagonal `end`."""
+
+    factor: float
+    off: float
+    diag: float
+    end: float
+
+
+# the rows (off, diag, end) of the P1 pair, without their factors
+_MASS_ROWS = (1.0, 4.0, 2.0)
+_STIFFNESS_ROWS = (-1.0, 2.0, 1.0)
+
+
+def element_pair(h):
+    """The P1 mass and stiffness matrices of cells of size h, the one
+    definition every module reads: the consistent mass
+    (h/6) tridiag(1, 4, 1) and the stiffness (1/h) tridiag(-1, 2, -1)."""
+    return (ElementRows(h / 6.0, *_MASS_ROWS),
+            ElementRows(1.0 / h, *_STIFFNESS_ROWS))
+
+
+def mass_stencil(x, axis):
+    """The full-grid 1D mass matrix over its off-diagonal entry, the
+    scale its callers apply: tridiag(1, diag/off, 1) with end diagonals
+    end/off, along one axis.
 
     The neighbour adds run over the flattened array shifted by one
     index along the axis, one long inner loop whatever the axis; they
     also reach across the ends of the axis, whose rows are then
     rewritten.
     """
+    off, diag, end = _MASS_ROWS
     x = np.ascontiguousarray(x)
-    out = 4.0 * x
+    out = (diag / off) * x
     step = math.prod(x.shape[axis + 1:])
     flat, src = out.reshape(-1), x.reshape(-1)
     flat[step:] += src[:-step]
     flat[:-step] += src[step:]
     head = (slice(None),) * axis
-    out[head + (0,)] = 2.0 * x[head + (0,)] + x[head + (1,)]
-    out[head + (-1,)] = 2.0 * x[head + (-1,)] + x[head + (-2,)]
+    out[head + (0,)] = (end / off) * x[head + (0,)] + x[head + (1,)]
+    out[head + (-1,)] = (end / off) * x[head + (-1,)] + x[head + (-2,)]
     return out
 
 

@@ -23,7 +23,7 @@ _PHI2_COEFFS = [1.0 / math.factorial(j + 2) for j in range(9)][::-1]
 
 
 def phi(k, z):
-    """Evaluate phi_k entrywise; k in {0, 1, 2}.
+    """Evaluate phi_k entrywise; k in {1, 2}.
 
     phi_1 is expm1(z)/z, within rounding of the exact value for every
     z != 0, and 1 at z = 0.  Below its switch point phi_2 takes a
@@ -33,9 +33,7 @@ def phi(k, z):
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    if k == 0:
-        out = np.exp(z)
-    elif k == 1:
+    if k == 1:
         out = np.ones_like(z)
         np.divide(np.expm1(z), z, out=out, where=z != 0)
     elif k == 2:
@@ -48,7 +46,7 @@ def phi(k, z):
         out[small] = acc
         out[~small] = (np.expm1(zl) - zl) / zl**2
     else:
-        raise ValueError(f"phi order must be 0, 1 or 2, got {k}")
+        raise ValueError(f"phi order must be 1 or 2, got {k}")
     return float(out[0]) if scalar else out
 
 
@@ -68,11 +66,11 @@ def build_operator(mesh, diffusion):
     rates = 0.0
     inv_mass = []
     for a, (p, m) in enumerate(zip(mesh.partitions, modal_shape(mesh))):
-        sp = axis_spectrum(p, mesh.bc)
+        mass, stiffness = axis_spectrum(p, mesh.bc)
         shape = [1] * mesh.dim
         shape[a] = m
-        rates = rates + (sp.stiffness[:m] / sp.mass[:m]).reshape(shape)
-        inv_mass.append((1.0 / sp.mass[:m]).reshape(shape))
+        rates = rates + (stiffness[:m] / mass[:m]).reshape(shape)
+        inv_mass.append((1.0 / mass[:m]).reshape(shape))
     rates = diffusion * rates
     return DiagonalizedOperator(
         decay_rates=np.ascontiguousarray(rates), inv_mass=tuple(inv_mass))

@@ -153,10 +153,8 @@ def _nodal_state(coeffs, ctx):
     return inverse_transform(coeffs, ctx.mesh)
 
 
-def exp_euler_step(state, ctx, dt, weights=None):
+def exp_euler_step(state, ctx, dt, w):
     """One step of the one-stage (exponential Euler) scheme."""
-    w = weights if weights is not None else StepWeights(
-        ctx.op, dt, "euler", linear=ctx.problem.linear)
     G = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
     coeffs = w.decay * state.coeffs
     G *= w.phi1
@@ -164,10 +162,8 @@ def exp_euler_step(state, ctx, dt, weights=None):
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
-def exp_rk2_step(state, ctx, dt, c2=0.5, weights=None):
+def exp_rk2_step(state, ctx, dt, c2, w):
     """One step of the two-stage second-order exponential RK scheme."""
-    w = weights if weights is not None else StepWeights(
-        ctx.op, dt, "rk2", c2, linear=ctx.problem.linear)
     G1 = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
     stage = w.stage_decay * state.coeffs
     stage += w.stage_phi1 * G1

@@ -1,8 +1,8 @@
 """Fast orthonormal transforms diagonalizing the 1D mass/stiffness pairs.
 
 For a uniform partition into N cells the P1 mass and stiffness matrices
-are, up to h-scaling, tridiag(1,4,1) and tridiag(-1,2,-1) on the interior
-nodes (Dirichlet) or their circulant closures on all N nodes (periodic).
+(`mesh.element_pair`) are tridiagonal Toeplitz on the interior nodes
+(Dirichlet) or their circulant closures on all N nodes (periodic).
 Both pairs share one orthonormal eigenbasis, and each boundary kind has
 one transform convention, a single scipy call over all axes:
 
@@ -15,36 +15,20 @@ one transform convention, a single scipy call over all axes:
   last axis, the full N on the others.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 
-from .mesh import dof_shape, is_periodic
-
-
-@dataclass(frozen=True)
-class AxisSpectrum:
-    """Eigenvalues of one axis' mass and stiffness matrices, index-aligned
-    with the transform basis columns."""
-
-    mass: np.ndarray
-    stiffness: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.mass <= 0):
-            raise ValueError("mass eigenvalues must be positive")
-        if np.any(self.stiffness < 0):
-            raise ValueError("stiffness eigenvalues must be nonnegative")
+from .mesh import dof_shape, element_pair, is_periodic
 
 
 def axis_spectrum(p, bc):
-    """Closed-form eigenvalues, aligned with the transform basis columns.
+    """Eigenvalues (mass, stiffness), aligned with the transform basis.
 
-    Dirichlet mode i (1-based): mass (h/6)(6 - 4 sin^2(i pi / 2N)),
-    stiffness (4/h) sin^2(i pi / 2N).  Periodic mode k (0-based, Fourier):
-    mass (h/6)(6 - 4 sin^2(k pi / N)), stiffness (4/h) sin^2(k pi / N);
-    both are symmetric under k <-> N - k.
+    A tridiagonal Toeplitz or circulant matrix factor * (off, diag, off)
+    (`mesh.element_pair`) has the eigenvalues
+    factor * (diag + 2 off - 4 off sin^2(theta / 2)): theta = i pi / N for
+    Dirichlet mode i (1-based), theta = 2 k pi / N for periodic mode k
+    (0-based, Fourier), symmetric under k <-> N - k.
     """
     if is_periodic(bc):
         k = np.arange(p.n)
@@ -52,10 +36,8 @@ def axis_spectrum(p, bc):
     else:
         i = np.arange(1, p.n)
         s2 = np.sin(i * np.pi / (2 * p.n)) ** 2
-    return AxisSpectrum(
-        mass=(p.h / 6.0) * (6.0 - 4.0 * s2),
-        stiffness=(4.0 / p.h) * s2,
-    )
+    return tuple(m.factor * ((m.diag + 2 * m.off) - (4 * m.off) * s2)
+                 for m in element_pair(p.h))
 
 
 def modal_shape(mesh):

@@ -7,7 +7,7 @@ from expfem import assembly
 from expfem.analysis import error_norms
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
-from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
+from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
                          extend_nodal, full_grids, is_periodic, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,

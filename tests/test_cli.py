@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from expfem.cli import main

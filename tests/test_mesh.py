@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Partition1D,
-                         Periodic, TensorMesh, _mass_stencil, dof_shape,
-                         extend_nodal, node_grids)
+                         Periodic, TensorMesh, dof_shape, element_pair,
+                         extend_nodal, mass_stencil, node_grids)
 
 from helpers import make_mesh, rel_err
 
@@ -64,6 +64,23 @@ def test_mesh_dimension_limits():
                    HomogeneousDirichlet())
 
 
+@pytest.mark.parametrize("h", [0.25, 0.1, 3.0])
+def test_element_pair_matches_assembled_element_matrices(h):
+    # full-grid matrices of 4 cells summed from the P1 element matrices
+    n = 4
+    full_mass, full_stiff = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    for e in range(n):
+        cell = slice(e, e + 2)
+        full_mass[cell, cell] += (h / 6) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        full_stiff[cell, cell] += (1 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for rows, full in zip(element_pair(h), (full_mass, full_stiff)):
+        want = rows.factor * (rows.diag * np.eye(n + 1)
+                              + rows.off * (np.eye(n + 1, k=1)
+                                            + np.eye(n + 1, k=-1)))
+        want[0, 0] = want[-1, -1] = rows.factor * rows.end
+        assert np.allclose(want, full, rtol=1e-15, atol=1e-15 / h)
+
+
 @pytest.mark.parametrize("shape", [(5, 4, 3), (3, 7), (6,)])
 def test_mass_stencil_matches_tridiagonal_matrix(shape):
     rng = np.random.default_rng(8)
@@ -72,8 +89,8 @@ def test_mass_stencil_matches_tridiagonal_matrix(shape):
         M = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
         M[0, 0] = M[-1, -1] = 2.0
         expected = np.moveaxis(np.tensordot(M, x, axes=(1, axis)), 0, axis)
-        assert rel_err(_mass_stencil(x, axis), expected) < 1e-14
+        assert rel_err(mass_stencil(x, axis), expected) < 1e-14
         # a transposed (non-contiguous) view gives the same rows
         xt = x.T
-        got = _mass_stencil(xt, xt.ndim - 1 - axis)
+        got = mass_stencil(xt, xt.ndim - 1 - axis)
         assert rel_err(got, expected.T) < 1e-14

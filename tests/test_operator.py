@@ -14,7 +14,8 @@ from helpers import inv_mass_product, make_mesh, rel_err
 def test_phi_limit_values():
     assert phi(1, 0.0) == 1.0
     assert phi(2, 0.0) == 0.5
-    assert phi(0, 0.0) == 1.0
+    with pytest.raises(ValueError):  # phi_0 = exp is not an order phi serves
+        phi(0, 0.0)
 
 
 def test_phi_closed_form_value():
@@ -90,15 +91,6 @@ def test_operator_requires_positive_diffusion():
         build_operator(mesh, 0.0)
 
 
-def test_phi_tensor_order_zero_is_entrywise_exp():
-    mesh = make_mesh([(0, 1), (0, 1)], [6, 4], HomogeneousDirichlet())
-    op = build_operator(mesh, 1.0)
-    tau = 0.2
-    out = phi_tensor(0, op, tau)
-    assert np.array_equal(out, np.exp(-tau * op.decay_rates))
-    assert np.all((out > 0) & (out < 1))
-
-
 def test_phi_tensor_scalar_mode_value():
     mesh = make_mesh([(0, 1)], [2], HomogeneousDirichlet())
     op = build_operator(mesh, 1.0)
@@ -127,7 +119,7 @@ def test_semigroup_contraction_and_weight_bounds():
         mesh = make_mesh([(0, 1), (0, 1)], [8, 6], bc)
         op = build_operator(mesh, 0.7)
         for tau in (1e-6, 0.01, 1.0, 100.0):
-            decay = phi_tensor(0, op, tau)
+            decay = np.exp(-tau * op.decay_rates)
             assert decay.max() <= 1.0
             if strict:
                 assert decay.max() < 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from expfem import assembly, stepper
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
-from expfem.mesh import dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import (Problem, builtin_allen_cahn_wave,
                              builtin_linear_rd, mesh_for)
@@ -30,6 +30,11 @@ def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None, periodic=False):
     )
 
 
+def _weights(ctx, dt, scheme, c2=0.5):
+    """The weights `run` builds for a problem's steps."""
+    return StepWeights(ctx.op, dt, scheme, c2, linear=ctx.problem.linear)
+
+
 def test_zero_reaction_is_exact_modal_decay():
     prob = _problem(lambda t, u, xs: 0.0 * u, dim=2,
                     u0=lambda xs: np.sin(np.pi * xs[0]) * np.sin(np.pi * xs[1]))
@@ -37,8 +42,9 @@ def test_zero_reaction_is_exact_modal_decay():
     ctx = LoadContext(prob, mesh)
     dt, nsteps = 0.01, 60
     state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
+    w = _weights(ctx, dt, "euler")
     for _ in range(nsteps):
-        state = exp_euler_step(state, ctx, dt)
+        state = exp_euler_step(state, ctx, dt, w)
     expected = np.exp(-nsteps * dt * ctx.op.decay_rates) * forward_transform(
         initial_state(prob, mesh), mesh)
     assert rel_err(state.coeffs, expected) < 1e-13
@@ -49,8 +55,8 @@ def test_zero_reaction_euler_equals_rk2():
     mesh = mesh_for(prob, (8,))
     ctx = LoadContext(prob, mesh)
     state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    a = exp_euler_step(state, ctx, 0.1)
-    b = exp_rk2_step(state, ctx, 0.1)
+    a = exp_euler_step(state, ctx, 0.1, _weights(ctx, 0.1, "euler"))
+    b = exp_rk2_step(state, ctx, 0.1, 0.5, _weights(ctx, 0.1, "rk2"))
     assert rel_err(a.coeffs, b.coeffs) < 1e-14
 
 
@@ -62,7 +68,7 @@ def test_euler_step_scalar_duhamel():
     ctx = LoadContext(prob, mesh)
     assert np.allclose(ctx.op.decay_rates, [12.0])
     state = SolverState(0.0, forward_transform(np.ones(1), mesh))
-    out = exp_euler_step(state, ctx, 0.1)
+    out = exp_euler_step(state, ctx, 0.1, _weights(ctx, 0.1, "euler"))
     lam, dt = 12.0, 0.1
     expected = math.exp(-lam * dt) + dt * phi(1, -lam * dt)
     duhamel = math.exp(-lam * dt) + (1 - math.exp(-lam * dt)) / lam
@@ -81,7 +87,7 @@ def test_rk2_exact_for_reaction_linear_in_time():
     exact = math.exp(-0.5) - 1.0 + 0.5
     for c2 in (0.5, 0.7, 1.0):
         state = SolverState(0.0, np.zeros(1))
-        out = exp_rk2_step(state, ctx, 0.5, c2=c2)
+        out = exp_rk2_step(state, ctx, 0.5, c2, _weights(ctx, 0.5, "rk2", c2))
         assert abs(float(out.coeffs[0]) - exact) < 1e-12
 
 
@@ -91,7 +97,7 @@ def test_step_continuity_for_tiny_dt():
     ctx = LoadContext(prob, mesh)
     c0 = forward_transform(initial_state(prob, mesh), mesh)
     state = SolverState(0.0, c0)
-    out = exp_euler_step(state, ctx, 1e-8)
+    out = exp_euler_step(state, ctx, 1e-8, _weights(ctx, 1e-8, "euler"))
     assert rel_err(out.coeffs, c0) < 1e-6
 
 
@@ -116,10 +122,12 @@ def test_one_step_matches_dense_oracle_1d():
     U0 = initial_state(prob, mesh)
     dt = 1e-3
     state = SolverState(0.0, forward_transform(U0, mesh))
-    fast1 = inverse_transform(exp_euler_step(state, ctx, dt).coeffs, mesh)
+    fast1 = inverse_transform(
+        exp_euler_step(state, ctx, dt, _weights(ctx, dt, "euler")).coeffs, mesh)
     dense1 = dense_euler_step(ctx, 0.0, U0, dt, g_t=wave_exact_dt())
     assert rel_err(fast1, dense1) < 1e-10
-    fast2 = inverse_transform(exp_rk2_step(state, ctx, dt).coeffs, mesh)
+    fast2 = inverse_transform(
+        exp_rk2_step(state, ctx, dt, 0.5, _weights(ctx, dt, "rk2")).coeffs, mesh)
     dense2 = dense_rk2_step(ctx, 0.0, U0, dt, g_t=wave_exact_dt())
     assert rel_err(fast2, dense2) < 1e-10
 
@@ -232,11 +240,14 @@ def test_steps_leave_incoming_coefficients_unchanged(boundary, f, scheme):
              if isinstance(v, np.ndarray)}
     c0 = forward_transform(initial_state(prob, mesh), mesh)
     state = SolverState(0.0, c0.copy())
-    step = exp_euler_step if scheme == "euler" else exp_rk2_step
-    first = step(state, ctx, dt, weights=w)
+    if scheme == "euler":
+        step = functools.partial(exp_euler_step, state, ctx, dt, w)
+    else:
+        step = functools.partial(exp_rk2_step, state, ctx, dt, 0.5, w)
+    first = step()
     assert np.array_equal(state.coeffs, c0)
     assert not np.shares_memory(first.coeffs, state.coeffs)
-    again = step(state, ctx, dt, weights=w)
+    again = step()
     assert np.array_equal(again.coeffs, first.coeffs)
     for name, value in saved.items():
         assert np.array_equal(getattr(w, name), value), name
@@ -283,7 +294,7 @@ def test_linear_rd_euler_step_makes_one_forward_transform(monkeypatch):
     mesh = mesh_for(prob, (8, 4))
     ctx = LoadContext(prob, mesh)
     state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    exp_euler_step(state, ctx, 0.01)
+    exp_euler_step(state, ctx, 0.01, _weights(ctx, 0.01, "euler"))
     assert calls == {"forward": 1, "inverse": 0}
 
 

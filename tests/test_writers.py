@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from expfem.analysis import StudyReport, StudyRow
 from expfem.mesh import HomogeneousDirichlet, Periodic
@@ -27,7 +26,7 @@ def _spatial_report():
                  err_h1=2.0817e-05, rate_l2=1.69, rate_h1=1.48,
                  sec_per_step=0.004, growth=1.01),
     ]
-    return StudyReport(rows=rows, metadata={})
+    return StudyReport(rows=rows)
 
 
 def test_report_csv_layout(tmp_path):
