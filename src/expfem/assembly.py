@@ -23,13 +23,12 @@ import functools
 import math
 
 import numpy as np
-import scipy.fft
 
 from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
                    mass_stencil, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP
-from .transforms import forward_transform
+from .transforms import forward_transform, sine_transform
 
 # entries of the modal load per chunk of the lifting's column x face add
 _CHUNK = 1 << 14
@@ -55,9 +54,11 @@ class LoadContext:
         if self.lifted:
             self.faces = _boundary_faces(mesh)
             inv_mass = [w.ravel() for w in self.op.inv_mass]
+            # the first sine basis vector is sqrt(2/N) sin(k pi / N), k < N
             self.columns = [
-                w * scipy.fft.dst(np.eye(1, w.size)[0], type=1, norm="ortho")
-                for w in inv_mass]
+                w * math.sqrt(2.0 / p.n)
+                * np.sin(np.arange(1, p.n) * (np.pi / p.n))
+                for w, p in zip(inv_mass, mesh.partitions)]
             self.face_scales = [
                 functools.reduce(np.multiply.outer,
                                  inv_mass[:a] + inv_mass[a + 1:], np.ones(()))
@@ -164,8 +165,8 @@ def boundary_correction(ctx, t, G):
     g, gdot = _trace_faces(ctx, t)
     for a in range(ctx.mesh.dim):
         layers = _layer_corrections(ctx, g, gdot, a)
-        faces = ctx.face_scales[a] * scipy.fft.dstn(
-            layers, type=1, norm="ortho", axes=range(1, ctx.mesh.dim))
+        faces = ctx.face_scales[a] * sine_transform(
+            layers, axes=range(1, ctx.mesh.dim))
         _add_column_faces(G, a, ctx.columns[a], *faces)
 
 

@@ -144,8 +144,14 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
 
     def f(t, u, xs):
         # u (1 - u^2) rather than u - u**3: `**` calls libm's pow per
-        # value, which is slow, above all on negative values
-        return u * (1.0 - u * u) / eps ** 2
+        # value, which is slow, above all on negative values.  One output
+        # array, where each operator of u * (1 - u * u) / eps**2 would
+        # build a state-sized temporary; the bits are the same.
+        out = np.multiply(u, u, out=np.empty_like(u))
+        np.subtract(1.0, out, out=out)
+        out *= u
+        out /= eps ** 2
+        return out
 
     domain = (((0.0, math.sqrt(2.0)),) + ((0.0, 0.125),) * (dim - 1))
     return Problem(

@@ -57,6 +57,16 @@ def test_wave_initial_front_value():
     assert abs(float(prob.u0(xs)) - 0.5) < 1e-14
 
 
+def test_wave_reaction_is_the_closed_form_bit_for_bit():
+    eps = 0.05
+    prob = builtin_allen_cahn_wave(eps)
+    u = np.random.default_rng(2).uniform(-1.5, 1.5, (6, 5, 4))
+    kept = u.copy()
+    assert np.array_equal(prob.f(0.0, u, None), u * (1.0 - u * u) / eps ** 2)
+    assert np.array_equal(u, kept)
+    assert float(prob.f(0.0, np.asarray(0.5), None)) == 0.375 / eps ** 2
+
+
 def test_wave_travels_at_constant_speed():
     eps = 0.05
     prob = builtin_allen_cahn_wave(eps)

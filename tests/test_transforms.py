@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
 
+from expfem import transforms
 from expfem.mesh import HomogeneousDirichlet, Partition1D, Periodic, dof_shape
-from expfem.transforms import (axis_spectrum, forward_transform,
-                               inverse_transform, modal_shape)
+from expfem.transforms import (DENSE_DST_POINTS, axis_spectrum,
+                               forward_transform, inverse_transform,
+                               modal_shape, sine_transform)
 
 from helpers import (basis_matrix, build_axis_matrices, make_mesh,
                      mode_multiply, rel_err)
@@ -150,3 +153,89 @@ def test_spectral_positivity_ratio():
         mass, stiffness = axis_spectrum(Partition1D(0, 1, n),
                                         HomogeneousDirichlet())
         assert np.all(stiffness / mass > 0)
+
+
+# axis lengths on both sides of the dense/FFT cutoff
+LENGTHS = [1, 7, 23, DENSE_DST_POINTS, DENSE_DST_POINTS + 1, 127, 255]
+
+
+def _reference_dst(x, axes=None):
+    return scipy.fft.dstn(x, type=1, norm="ortho", axes=axes)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("dim, axis", [(1, 0), (2, 0), (2, 1),
+                                       (3, 0), (3, 1), (3, 2)])
+def test_sine_transform_matches_dstn(n, dim, axis):
+    shape = [4, 3, 5][:dim]
+    shape[axis] = n
+    x = np.random.default_rng(n + 10 * axis).standard_normal(shape)
+    kept = x.copy()
+    for axes in (None, [axis]):
+        assert rel_err(sine_transform(x, axes), _reference_dst(x, axes)) < 1e-14
+    assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("shape", [(23, 2, 70), (23, 2, 7)])
+def test_sine_transform_of_a_moved_axis_view(shape):
+    # the lifting transforms np.moveaxis views, which are not contiguous;
+    # (23, 2, 7) has only short axes left, (23, 2, 70) a long one too
+    base = np.random.default_rng(3).standard_normal(shape)
+    kept = base.copy()
+    view = np.moveaxis(base, 1, 0)
+    assert not view.flags.c_contiguous
+    got = sine_transform(view, axes=(1, 2))
+    assert rel_err(got, _reference_dst(view, axes=(1, 2))) < 1e-14
+    assert np.array_equal(base, kept)
+
+
+@pytest.mark.parametrize("shape", [(23, 7), (199, 7), (8, 3, 70)])
+def test_sine_transform_of_a_read_only_input(shape):
+    x = np.random.default_rng(4).standard_normal(shape)
+    kept = x.copy()
+    x.flags.writeable = False
+    assert rel_err(sine_transform(x), _reference_dst(x)) < 1e-14
+    assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 12])
+@pytest.mark.parametrize("shape", [(6, 7, 5), (30, 9), (5, 2, 3)])
+def test_sine_transform_in_chunks_matches_dstn(monkeypatch, shape, chunk):
+    # chunks far below the inputs' size run every loop of the products
+    monkeypatch.setattr(transforms, "_CHUNK", chunk)
+    x = np.random.default_rng(chunk).standard_normal(shape)
+    assert rel_err(sine_transform(x), _reference_dst(x)) < 1e-14
+
+
+def test_sine_transform_sends_only_long_axes_to_the_fft(monkeypatch):
+    seen = []
+    original = scipy.fft.dstn
+
+    def spy(x, *args, **kwargs):
+        seen.append(kwargs.get("axes"))
+        return original(x, *args, **kwargs)
+    monkeypatch.setattr(scipy.fft, "dstn", spy)
+    sine_transform(np.zeros((255, 23, 23)))
+    sine_transform(np.zeros((23, 23)))
+    sine_transform(np.zeros((255, 127)))
+    assert seen == [[0], None]
+
+
+@pytest.mark.parametrize("n", range(1, DENSE_DST_POINTS + 1))
+def test_sine_matrix_is_symmetric_and_its_own_inverse(n):
+    S = transforms._sine_matrix(n)
+    assert np.array_equal(S, S.T)
+    assert np.max(np.abs(S @ S - np.eye(n))) < 1e-15
+
+
+def test_mixed_short_and_long_axes_match_dense_realization():
+    rng = np.random.default_rng(8)
+    bc = HomogeneousDirichlet()
+    mesh = make_mesh([(0, 1), (0, 2)], [200, 8], bc)
+    u = rng.standard_normal(dof_shape(mesh))
+    dense = u
+    for a, p in enumerate(mesh.partitions):
+        dense = mode_multiply(basis_matrix(p, bc).T, dense, a)
+    assert rel_err(forward_transform(u, mesh), dense) < 1e-13
+    # the basis is symmetric and orthogonal: the inverse is the same map
+    assert rel_err(inverse_transform(dense, mesh), u) < 1e-13
