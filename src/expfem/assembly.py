@@ -28,10 +28,7 @@ from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
                    mass_stencil, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP
-from .transforms import forward_transform, sine_transform
-
-# entries of the modal load per chunk of the lifting's column x face add
-_CHUNK = 1 << 14
+from .transforms import _CHUNK, forward_transform, sine_transform
 
 
 class LoadContext:

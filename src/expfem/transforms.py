@@ -31,8 +31,8 @@ from .mesh import dof_shape, element_pair, is_periodic
 
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
-# entries per block of the dense products, so no state-sized temporary
-# is built
+# entries per block of the chunked products here and in the lifting's
+# add (`assembly`), so no state-sized temporary is built
 _CHUNK = 1 << 14
 
 

@@ -218,24 +218,6 @@ def test_expression_compiler_evaluates():
         math.tanh(0.3) + math.log(1.3) + math.cos(0.3))
 
 
-def test_small_integer_powers_compile_to_products():
-    u = np.random.default_rng(9).uniform(-1.0, 1.0, 1000)
-    f = compile_expression("u - u^3", ("u",))
-    assert np.array_equal(f(u=u), u - u * u * u)
-    for k in (2, 3, 4):
-        got = compile_expression(f"u^{k}", ("u",))(u=u)
-        assert np.max(np.abs(got - np.power(u, k))) <= 1e-15
-    nested = compile_expression("(u^2)^2 - 2^3", ("u",))
-    assert np.array_equal(nested(u=u), (u * u) * (u * u) - 8)
-
-
-@pytest.mark.parametrize("exponent", ["2.5", "-2", "5"])
-def test_other_powers_keep_pow(exponent):
-    u = np.random.default_rng(10).uniform(0.1, 1.0, 1000)
-    got = compile_expression(f"u^{exponent}", ("u",))(u=u)
-    assert np.array_equal(got, np.power(u, float(exponent)))
-
-
 def test_expression_compiler_rejects_unsafe_syntax():
     for bad in (
             "__import__('os')",
