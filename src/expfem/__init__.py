@@ -6,9 +6,8 @@ Fourier bases, so each time step costs a handful of fast transforms plus
 entrywise work.  See the README for the CLI and config format.
 """
 
-from .analysis import (StudyReport, StudyRow, TimeSeriesObserver,
-                       convergence_study, discrete_energy, error_norms,
-                       sup_norm, timing_study)
+from .analysis import (StudyRow, TimeSeriesObserver, convergence_study,
+                       discrete_energy, error_norms, sup_norm, timing_study)
 from .assembly import LoadContext, initial_state, transformed_load
 from .mesh import (BoundaryKind, Dirichlet, HomogeneousDirichlet, Partition1D,
                    Periodic, TensorMesh, dof_shape)
@@ -27,7 +26,7 @@ __all__ = [
     "BoundaryKind", "Dirichlet", "DiagonalizedOperator", "HomogeneousDirichlet",
     "LoadContext", "NonlinearityDomainError", "Partition1D", "Periodic",
     "Problem", "SchemeConfig", "SolverState",
-    "StudyReport", "StudyRow", "TensorMesh", "TimeSeriesObserver",
+    "StudyRow", "TensorMesh", "TimeSeriesObserver",
     "axis_spectrum", "build_operator", "builtin_allen_cahn_wave",
     "builtin_flory_huggins", "builtin_linear_rd", "convergence_study",
     "discrete_energy", "dof_shape", "error_norms", "exp_euler_step",

@@ -26,7 +26,7 @@ convergence rates between consecutive rungs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,73 +166,51 @@ class StudyRow:
     growth: float = None
 
 
-@dataclass
-class StudyReport:
-    rows: list = field(default_factory=list)
-
-
-def _resolution_label(subdivisions):
-    return "x".join(str(int(n)) for n in subdivisions)
-
-
-def _mean_step_seconds(times):
-    # the first step warms the caches; `run` builds its weights before it
-    steady = times[1:] if len(times) > 1 else times
-    return sum(steady) / len(steady) if steady else None
+def _ladder(problem, rungs, scheme, c2, T):
+    """Run each (per-axis subdivisions, nt) rung to T; yield its mesh, end
+    state and a row with its resolution, nt and steady seconds per step."""
+    T = problem.T_default if T is None else T
+    for subdivisions, nt in rungs:
+        mesh = mesh_for(problem, subdivisions)
+        times = []
+        state = run(problem, mesh, SchemeConfig(dt=T / nt, T=T, scheme=scheme,
+                                                c2=c2), step_times=times)
+        # the first step warms the caches; `run` builds its weights before it
+        steady = times[1:] or times
+        row = StudyRow("x".join(str(int(n)) for n in subdivisions), nt,
+                       sec_per_step=sum(steady) / len(steady))
+        yield mesh, state, row
 
 
 def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
-    """Run a refinement ladder and report terminal-time errors and rates.
+    """Run a refinement ladder; one `StudyRow` per rung with its
+    terminal-time errors and the rates against the rung before.
 
     `rungs` is a list of (per-axis subdivisions, nt) pairs; consecutive
     rungs are assumed dyadic in whichever of the two is being refined.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name} has no exact solution")
-    T = problem.T_default if T is None else T
-    report = StudyReport()
-    prev = None
-    for subdivisions, nt in rungs:
-        mesh = mesh_for(problem, subdivisions)
-        cfg = SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=c2)
-        times = []
-        state = run(problem, mesh, cfg, step_times=times)
+    rows = []
+    for mesh, state, row in _ladder(problem, rungs, scheme, c2, T):
         U = inverse_transform(state.coeffs, mesh)
-        l2, h1 = error_norms(U, mesh, problem.exact, state.t)
-        row = StudyRow(
-            resolution=_resolution_label(subdivisions),
-            nt=nt,
-            err_l2=l2,
-            err_h1=h1,
-            sec_per_step=_mean_step_seconds(times),
-        )
-        if prev is not None:
-            row.rate_l2 = math.log2(prev.err_l2 / l2)
-            row.rate_h1 = math.log2(prev.err_h1 / h1)
-        report.rows.append(row)
-        prev = row
-    return report
+        row.err_l2, row.err_h1 = error_norms(U, mesh, problem.exact, state.t)
+        if rows:
+            row.rate_l2 = math.log2(rows[-1].err_l2 / row.err_l2)
+            row.rate_h1 = math.log2(rows[-1].err_h1 / row.err_h1)
+        rows.append(row)
+    return rows
 
 
 def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None):
-    """Measure steady per-step cost over a spatial ladder at fixed nt."""
-    T = problem.T_default if T is None else T
-    report = StudyReport()
-    prev_row, prev_nodes = None, None
-    for subdivisions in ladders:
-        mesh = mesh_for(problem, subdivisions)
-        cfg = SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=c2)
-        times = []
-        run(problem, mesh, cfg, step_times=times)
-        nodes = int(np.prod(dof_shape(mesh)))
-        row = StudyRow(
-            resolution=_resolution_label(subdivisions),
-            nt=nt,
-            sec_per_step=_mean_step_seconds(times),
-        )
-        if prev_row is not None:
-            row.growth = (math.log(row.sec_per_step / prev_row.sec_per_step)
-                          / math.log(nodes / prev_nodes))
-        report.rows.append(row)
-        prev_row, prev_nodes = row, nodes
-    return report
+    """Measure steady per-step cost over a spatial ladder at fixed nt; one
+    `StudyRow` per rung, with the growth exponent against the rung before."""
+    rows, nodes = [], []
+    for mesh, _, row in _ladder(problem, [(s, nt) for s in ladders],
+                                scheme, c2, T):
+        nodes.append(math.prod(dof_shape(mesh)))
+        if rows:
+            row.growth = (math.log(row.sec_per_step / rows[-1].sec_per_step)
+                          / math.log(nodes[-1] / nodes[-2]))
+        rows.append(row)
+    return rows

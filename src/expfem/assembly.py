@@ -41,10 +41,10 @@ class LoadContext:
     axes' reciprocal mass eigenvalues.
     """
 
-    def __init__(self, problem, mesh, op=None):
+    def __init__(self, problem, mesh):
         self.problem = problem
         self.mesh = mesh
-        self.op = op if op is not None else build_operator(mesh, problem.diffusion)
+        self.op = build_operator(mesh, problem.diffusion)
         self.grids = node_grids(mesh)
         self.shape = tuple(dof_shape(mesh))
         self.lifted = isinstance(mesh.bc, Dirichlet)
@@ -194,15 +194,12 @@ def _add_column_faces(G, a, column, near, far):
 
 
 def initial_state(problem, mesh):
-    """Nodal tensor of the initial datum: its values at the owned nodes."""
-    shape = tuple(dof_shape(mesh))
-    if problem.u0_nodal is not None:
-        U0 = np.asarray(problem.u0_nodal(mesh), dtype=float)
-        if U0.shape != shape:
-            raise ValueError(f"nodal initial data shape {U0.shape} != {shape}")
-        return U0
+    """Nodal tensor of the initial datum u0 at the owned nodes, read-only
+    whether or not it shares memory with the array u0 returned."""
     if problem.u0 is None:
         raise ValueError(f"problem {problem.name} defines no initial datum")
     vals = problem.u0(node_grids(mesh))
-    return np.ascontiguousarray(
-        np.broadcast_to(np.asarray(vals, dtype=float), shape))
+    U0 = np.ascontiguousarray(
+        np.broadcast_to(np.asarray(vals, dtype=float), tuple(dof_shape(mesh))))
+    U0.flags.writeable = False
+    return U0

@@ -61,22 +61,17 @@ def _load_config(args):
     return cfg
 
 
-def _cmd_run(args):
-    cfg = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_run(args, cfg, out_dir):
     problem = cfg.problem
     mesh = mesh_for(problem, cfg.subdivisions)
     series = TimeSeriesObserver(mesh, energy_params=problem.energy_params)
-    observers = [series]
+    observers = [(cfg.observe_every, series)]
     if cfg.snapshot_every > 0:
         def snap(step, t, U):
-            if step % cfg.snapshot_every == 0 or step == cfg.nt:
-                write_snapshot(U, mesh, t, out_dir / cfg.out_snapshot.format(step=step))
-        observers.append(snap)
+            write_snapshot(U, mesh, t, out_dir / cfg.out_snapshot.format(step=step))
+        observers.append((cfg.snapshot_every, snap))
     scheme_cfg = SchemeConfig(dt=cfg.dt, T=cfg.T, scheme=cfg.scheme, c2=cfg.c2)
-    state = run(problem, mesh, scheme_cfg, observers=observers,
-                observe_every=cfg.observe_every)
+    state = run(problem, mesh, scheme_cfg, observers=observers)
     write_series_csv(series.rows, out_dir / cfg.out_series)
     U = inverse_transform(state.coeffs, mesh)
     _echo(args, f"finished {cfg.nt} steps to T={cfg.T}; sup norm {sup_norm(U):.6g}")
@@ -87,31 +82,24 @@ def _cmd_run(args):
     return EXIT_OK
 
 
-def _cmd_converge(args):
-    cfg = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rungs = list(zip(cfg.ladder_n, cfg.ladder_nt))
-    report = convergence_study(cfg.problem, rungs, scheme=cfg.scheme,
-                               c2=cfg.c2, T=cfg.T)
+def _cmd_converge(args, cfg, out_dir):
+    rows = convergence_study(cfg.problem, list(zip(cfg.ladder_n, cfg.ladder_nt)),
+                             scheme=cfg.scheme, c2=cfg.c2, T=cfg.T)
     path = out_dir / cfg.out_report
-    write_report_csv(report, path)
-    for row in report.rows:
+    write_report_csv(rows, path)
+    for row in rows:
         _echo(args, f"{row.resolution} nt={row.nt}: "
                     f"L2 {row.err_l2:.4e} H1 {row.err_h1:.4e}")
     _echo(args, f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_bench(args):
-    cfg = _load_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = timing_study(cfg.problem, cfg.ladder_n, cfg.nt,
-                          scheme=cfg.scheme, c2=cfg.c2, T=cfg.T)
+def _cmd_bench(args, cfg, out_dir):
+    rows = timing_study(cfg.problem, cfg.ladder_n, cfg.nt,
+                        scheme=cfg.scheme, c2=cfg.c2, T=cfg.T)
     path = out_dir / cfg.out_report
-    write_report_csv(report, path)
-    for row in report.rows:
+    write_report_csv(rows, path)
+    for row in rows:
         growth = f" growth {row.growth:.2f}" if row.growth is not None else ""
         _echo(args, f"{row.resolution}: {row.sec_per_step:.4g} s/step{growth}")
     _echo(args, f"wrote {path}")
@@ -125,7 +113,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, cfg, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -125,7 +125,7 @@ _TOP_KEYS = {
 }
 _SECTION_KEYS = {
     "domain": {"bounds", "n", "bc"},
-    "custom": {"d", "f", "u0", "g", "exact", "dim"},
+    "custom": {"d", "f", "u0", "g", "exact"},
     "ladder": {"kind", "n", "nt"},
     "output": {"report", "series", "snapshot"},
 }
@@ -357,9 +357,18 @@ def parse_config(text, seed_override=None):
         raise ConfigError(f"snapshot_every must be a nonnegative integer, got {snap!r}")
     cfg.snapshot_every = snap
 
-    cfg.out_report = values.get("output.report", cfg.out_report)
-    cfg.out_series = values.get("output.series", cfg.out_series)
-    cfg.out_snapshot = values.get("output.snapshot", cfg.out_snapshot)
+    # checked here, so that a bad name fails before any step runs
+    for key in ("report", "series", "snapshot"):
+        name = values.get(f"output.{key}", getattr(cfg, f"out_{key}"))
+        if not isinstance(name, str):
+            raise ConfigError(f"output.{key} must be a string, got {name!r}")
+        setattr(cfg, f"out_{key}", name)
+    try:
+        cfg.out_snapshot.format(step=0)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(
+            f"output.snapshot {cfg.out_snapshot!r} must format with {{step}} "
+            f"alone ({type(err).__name__}: {err})") from None
     return cfg
 
 

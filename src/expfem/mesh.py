@@ -87,20 +87,13 @@ def owned_axis_coordinates(mesh, axis):
 
 def node_grids(mesh):
     """Owned-node coordinates as an open (broadcastable) grid."""
-    arrays = [owned_axis_coordinates(mesh, a) for a in range(mesh.dim)]
-    return tuple(np.ix_(*arrays)) if mesh.dim > 1 else (arrays[0],)
+    return np.ix_(*(owned_axis_coordinates(mesh, a) for a in range(mesh.dim)))
 
 
 def full_axis_coordinates(mesh, axis):
     """All node coordinates 0..N along one axis (node N closes the box)."""
     p = mesh.partitions[axis]
     return p.a + p.h * np.arange(p.n + 1)
-
-
-def full_grids(mesh):
-    """Full-grid coordinates (including boundary/wrap nodes) as an open grid."""
-    arrays = [full_axis_coordinates(mesh, a) for a in range(mesh.dim)]
-    return tuple(np.ix_(*arrays)) if mesh.dim > 1 else (arrays[0],)
 
 
 def extend_nodal(U, mesh, t=0.0):
@@ -113,15 +106,8 @@ def extend_nodal(U, mesh, t=0.0):
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(f"nodal shape {U.shape} does not match mesh {dof_shape(mesh)}")
     if is_periodic(mesh.bc):
-        out = U
-        for a in range(mesh.dim):
-            first = np.take(out, [0], axis=a)
-            out = np.concatenate([out, first], axis=a)
-        return out
-    full_shape = tuple(p.n + 1 for p in mesh.partitions)
-    out = np.zeros(full_shape)
-    interior = tuple(slice(1, -1) for _ in range(mesh.dim))
-    out[interior] = U
+        return np.pad(U, [(0, 1)] * mesh.dim, mode="wrap")
+    out = np.pad(U, 1)
     if isinstance(mesh.bc, Dirichlet):
         _fill_boundary(out, mesh, mesh.bc.trace, t)
     return out

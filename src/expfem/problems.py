@@ -14,12 +14,14 @@ problem whose `f` is None needs no nodal state, so its steps make no
 inverse transform.  Moving a linear part of f into `linear` changes
 results only by rounding.
 
-All callables take coordinate tuples of broadcastable arrays and must be
-pure and analytic.  The program differentiates the trace g in t and the
-exact solution in x by one complex step, so g and exact must accept
-complex arguments.  Numpy ufuncs are analytic, and a callable that
-ignores the perturbed variable returns a real value, whose zero
-imaginary part is the correct zero derivative.
+The initial datum is `u0(xs)` alone: called once on the open grid of
+the owned nodes, it returns anything that broadcasts to their shape, a
+whole nodal array included.  All callables take coordinate tuples of
+broadcastable arrays and must be pure.  The program differentiates the
+trace g in t and the exact solution in x by one complex step, so g and
+exact must be analytic and accept complex arguments.  Numpy ufuncs are
+analytic, and a callable that ignores the perturbed variable returns a
+real value, whose zero imaginary part is the correct zero derivative.
 """
 
 import math
@@ -29,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import (Dirichlet, HomogeneousDirichlet, Partition1D, Periodic,
-                   TensorMesh, dof_shape)
+                   TensorMesh)
 
 # f'(x) = Im f(x + i h) / h has no difference to cancel, so h can sit far
 # below the rounding floor of x: the derivative is exact to rounding
@@ -39,10 +41,10 @@ COMPLEX_STEP = 1e-30
 class NonlinearityDomainError(Exception):
     """The reaction term was evaluated outside its admissible range."""
 
-    def __init__(self, value, message=None, step_index=None):
+    def __init__(self, value, step_index=None):
         self.value = value
         self.step_index = step_index
-        super().__init__(message or f"state value {value!r} outside admissible range")
+        super().__init__(f"state value {value!r} outside admissible range")
 
     def __str__(self):
         base = self.args[0]
@@ -59,7 +61,6 @@ class Problem:
     domain: tuple
     periodic: bool = False
     u0: Optional[Callable] = None
-    u0_nodal: Optional[Callable] = None
     g: Optional[Callable] = None
     exact: Optional[Callable] = None
     admissible_range: Optional[tuple] = None
@@ -190,9 +191,10 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
         out += theta_c * u
         return out
 
-    def u0_nodal(mesh):
+    def u0(xs):
         rng = np.random.Generator(np.random.Philox(seed))
-        return rng.uniform(-0.9, 0.9, size=dof_shape(mesh))
+        return rng.uniform(-0.9, 0.9,
+                           size=np.broadcast_shapes(*(x.shape for x in xs)))
 
     return Problem(
         name="flory_huggins",
@@ -200,7 +202,7 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
         f=f,
         domain=((0.0, 1.0),) * 3,
         periodic=True,
-        u0_nodal=u0_nodal,
+        u0=u0,
         admissible_range=(-1.0, 1.0),
         T_default=20.0,
         energy_params=(eps, theta, theta_c),

@@ -179,15 +179,19 @@ def exp_rk2_step(state, ctx, dt, c2, w):
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
-def run(problem, mesh, cfg, observers=(), observe_every=1, step_times=None):
+def run(problem, mesh, cfg, observers=(), step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
-    Observers are called as obs(step_index, t, U_nodal) at step 0, every
-    `observe_every` steps, and at the final step.  `step_times`, when a
-    list, collects per-step wall-clock seconds.
+    `observers` holds (every, obs) pairs.  Each obs is called as
+    obs(step_index, t, U_nodal) at step 0, at every multiple of its own
+    `every` and at the final step.  A step that any observer sees makes
+    one inverse transform, which all of them share; the step-0 state is
+    the read-only `initial_state`.  `step_times`, when a list, collects
+    per-step wall-clock seconds.
     """
-    if observe_every < 1:
-        raise ValueError(f"observer cadence must be >= 1, got {observe_every}")
+    for every, _ in observers:
+        if every < 1:
+            raise ValueError(f"observer cadence must be >= 1, got {every}")
     _keep_freed_arrays()
     if aspect_ratio(mesh) > 8:
         warnings.warn(
@@ -199,9 +203,8 @@ def run(problem, mesh, cfg, observers=(), observe_every=1, step_times=None):
     state = SolverState(0.0, forward_transform(U0, mesh), 0)
     weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
                           linear=problem.linear)
-    if observers:
-        for obs in observers:
-            obs(0, 0.0, U0)
+    for _, obs in observers:
+        obs(0, 0.0, U0)
     for n in range(nsteps):
         tic = time.perf_counter()
         try:
@@ -216,9 +219,10 @@ def run(problem, mesh, cfg, observers=(), observe_every=1, step_times=None):
         state.t = cfg.dt * state.step_index  # keep t free of summation drift
         if step_times is not None:
             step_times.append(time.perf_counter() - tic)
-        if observers and (state.step_index % observe_every == 0
-                          or state.step_index == nsteps):
+        due = [obs for every, obs in observers
+               if state.step_index % every == 0 or state.step_index == nsteps]
+        if due:
             U = inverse_transform(state.coeffs, mesh)
-            for obs in observers:
+            for obs in due:
                 obs(state.step_index, state.t, U)
     return state

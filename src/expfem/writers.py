@@ -25,10 +25,10 @@ def format_number(x):
     return f"{x:.6g}"
 
 
-def write_report_csv(report, path):
-    """Write a StudyReport as CSV (one line per ladder rung)."""
+def write_report_csv(rows, path):
+    """Write study rows as CSV (one line per ladder rung)."""
     lines = [REPORT_HEADER]
-    for row in report.rows:
+    for row in rows:
         cells = [
             str(row.nt),
             row.resolution,

@@ -24,9 +24,15 @@ import scipy.linalg
 
 from expfem.analysis import _exact_gradient
 from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
-                         extend_nodal, full_grids, is_periodic)
+                         extend_nodal, full_axis_coordinates, is_periodic)
 from expfem.operator import phi
 from expfem.quadrature import apply_matrix, gauss_rule
+
+
+def full_grids(mesh):
+    """Full-grid coordinates (boundary and wrap nodes included) as an
+    open grid."""
+    return np.ix_(*(full_axis_coordinates(mesh, a) for a in range(mesh.dim)))
 
 
 def make_mesh(bounds, subdivisions, bc):

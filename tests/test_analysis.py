@@ -124,9 +124,9 @@ def test_sup_norm():
 def test_convergence_study_rates_and_report_shape():
     prob = builtin_linear_rd()
     rungs = [((4, 2), 8), ((8, 4), 8)]
-    rep = convergence_study(prob, rungs, scheme="rk2", T=0.25)
-    assert len(rep.rows) == 2
-    first, second = rep.rows
+    rows = convergence_study(prob, rungs, scheme="rk2", T=0.25)
+    assert len(rows) == 2
+    first, second = rows
     assert first.rate_l2 is None and first.rate_h1 is None
     assert second.rate_l2 == pytest.approx(
         math.log2(first.err_l2 / second.err_l2))
@@ -134,8 +134,8 @@ def test_convergence_study_rates_and_report_shape():
 
 def test_convergence_study_single_rung_has_no_rates():
     prob = builtin_linear_rd()
-    rep = convergence_study(prob, [((4, 2), 4)], T=0.5)
-    assert len(rep.rows) == 1 and rep.rows[0].rate_l2 is None
+    rows = convergence_study(prob, [((4, 2), 4)], T=0.5)
+    assert len(rows) == 1 and rows[0].rate_l2 is None
 
 
 def test_rate_arithmetic_example():
@@ -145,9 +145,8 @@ def test_rate_arithmetic_example():
 
 def test_timing_study_growth_definition():
     prob = builtin_linear_rd()
-    rep = timing_study(prob, [(4, 2), (8, 4)], nt=4, T=0.5)
-    assert rep.rows[0].growth is None
-    r0, r1 = rep.rows
+    r0, r1 = timing_study(prob, [(4, 2), (8, 4)], nt=4, T=0.5)
+    assert r0.growth is None
     nodes0, nodes1 = 3 * 1, 7 * 3
     expected = math.log(r1.sec_per_step / r0.sec_per_step) / math.log(
         nodes1 / nodes0)

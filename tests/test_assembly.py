@@ -8,7 +8,7 @@ from expfem.analysis import error_norms
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
 from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal, full_grids, is_periodic, node_grids)
+                         extend_nodal, is_periodic, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
@@ -16,8 +16,8 @@ from expfem.transforms import (forward_transform, inverse_transform,
                                modal_shape)
 
 from helpers import (build_axis_matrices, dense_boundary_load,
-                     dense_semidiscrete_rhs, inv_mass_product, make_mesh,
-                     mode_multiply, rel_err, wave_exact_dt)
+                     dense_semidiscrete_rhs, full_grids, inv_mass_product,
+                     make_mesh, mode_multiply, rel_err, wave_exact_dt)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):
@@ -145,7 +145,8 @@ def _owned_node_values(datum, mesh):
 @pytest.mark.parametrize("datum", list(INITIAL_DATA))
 def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
     # a datum that varies along some axes only, or along none, is broadcast
-    # to every owned node
+    # to every owned node; the result is read-only either way, whether it
+    # is a copy or a view of the datum's own array
     u0 = INITIAL_DATA[datum]
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
@@ -155,7 +156,7 @@ def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
     U = initial_state(prob, mesh)
     want = _owned_node_values(u0, mesh)
     assert U.shape == want.shape and U.dtype == np.float64
-    assert U.flags.c_contiguous
+    assert U.flags.c_contiguous and not U.flags.writeable
     assert np.max(np.abs(U - want)) < 1e-14
 
 

@@ -56,13 +56,37 @@ def test_run_subcommand_writes_series(tmp_path, capsys):
     assert "errors at T" in out
 
 
-def test_run_snapshot_cadence(tmp_path):
-    cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG)
+@pytest.mark.parametrize("snapshot_every, steps", [
+    (4, [0, 4, 8]),
+    (3, [0, 3, 6, 8]),
+], ids=["multiple_of_observe_every", "own_cadence"])
+def test_run_snapshot_cadence(tmp_path, snapshot_every, steps):
+    # snapshots keep their own cadence, whatever observe_every is; the
+    # series rows stay at steps 0, 2, 4, 6 and 8
+    cfg = _write(tmp_path, f"snapshot_every = {snapshot_every}\n" + RUN_CFG)
     code = main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"])
     assert code == 0
     snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.vtk"))
-    assert snaps == ["snapshot_000000.vtk", "snapshot_000004.vtk",
-                     "snapshot_000008.vtk"]
+    assert snaps == [f"snapshot_{step:06d}.vtk" for step in steps]
+    series = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    times = [float(line.split(",")[0]) for line in series]
+    assert times == pytest.approx([step * 0.25 / 8 for step in (0, 2, 4, 6, 8)])
+
+
+@pytest.mark.parametrize("line", [
+    'snapshot = "snap_{x}.vtk"',
+    'snapshot = "s_{0}.vtk"',
+    "series = 5",
+], ids=["unknown_field", "positional_field", "series_not_a_string"])
+def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line):
+    # rejected before any step runs, so the run writes no file
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG
+                 + f"[output]\n{line}\n")
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "output." in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_converge_subcommand_writes_report(tmp_path):

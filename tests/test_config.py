@@ -53,9 +53,33 @@ def test_unknown_key_named_in_error():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL.replace("[domain]\n", "[domain]\nwidth = 3\n"))
     assert "width" in str(exc.value)
+    # the dimension of a custom problem is that of domain.bounds alone
+    with pytest.raises(ConfigError) as exc:
+        parse_config('problem = "custom"\nnt = 4\n'
+                     + PROBLEM_SECTIONS["custom"] + "dim = 3\n")
+    assert "custom.dim" in str(exc.value)
     # TOML allows each table header once
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "[domain]\nbc = \"dirichlet\"\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('snapshot = "snap_{x}.vtk"', "KeyError"),
+    ('snapshot = "s_{0}.vtk"', "IndexError"),
+    ("series = 5", "output.series must be a string"),
+], ids=["unknown_field", "positional_field", "series_not_a_string"])
+def test_bad_output_names_rejected(line, message):
+    # a name that would fail only when a file is written, after the steps
+    # have run, is a config error
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + f"[output]\n{line}\n")
+    assert message in str(exc.value)
+
+
+def test_snapshot_name_formats_with_step():
+    cfg = parse_config(MINIMAL + '[output]\nsnapshot = "s_{step}.vtk"\n')
+    assert cfg.out_snapshot.format(step=12) == "s_12.vtk"
+    assert parse_config(MINIMAL).out_snapshot == "snapshot_{step:06d}.vtk"
 
 
 def test_bc_conflict_with_builtin_problem():
@@ -72,9 +96,10 @@ def test_seed_override_rebuilds_problem():
     a = parse_config(text)
     b = parse_config(text, seed_override=9)
     mesh_shape = (8, 8, 8)
+    from expfem.assembly import initial_state
     from expfem.problems import mesh_for
-    ua = a.problem.u0_nodal(mesh_for(a.problem, mesh_shape))
-    ub = b.problem.u0_nodal(mesh_for(b.problem, mesh_shape))
+    ua = initial_state(a.problem, mesh_for(a.problem, mesh_shape))
+    ub = initial_state(b.problem, mesh_for(b.problem, mesh_shape))
     assert not np.array_equal(ua, ub)
     assert b.seed == 9
 

@@ -27,7 +27,7 @@ def _flory_huggins(U0):
     from the nodal state U0."""
     prob = builtin_flory_huggins()
     return dataclasses.replace(prob, domain=prob.domain[:U0.ndim],
-                               u0_nodal=lambda mesh: U0)
+                               u0=lambda xs: U0)
 
 
 def _solve(U0, dt, scheme="rk2", c2=0.5):
@@ -175,7 +175,7 @@ def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
     solution."""
     prob = Problem(name="inline", diffusion=diffusion, f=None,
                    domain=((0.0, 1.0),) * len(shape), periodic=periodic,
-                   u0_nodal=lambda mesh: U0)
+                   u0=lambda xs: U0)
     mesh = mesh_for(prob, shape)
     cfg = SchemeConfig(dt=dt, T=nsteps * dt, scheme=scheme, c2=c2)
     want = _dense_affine_solution(mesh, diffusion, U0, S0, S1, nsteps * dt)

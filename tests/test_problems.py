@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from expfem.assembly import LoadContext, _trace_faces
+from expfem.assembly import LoadContext, _trace_faces, initial_state
 from expfem.mesh import Dirichlet, Periodic, dof_shape, node_grids
 from expfem.problems import (NonlinearityDomainError, boundary_kind,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
@@ -168,12 +168,12 @@ def test_flory_huggins_reaction_matches_mpmath(u, sign):
 def test_flory_huggins_seeded_initial_data_is_reproducible():
     prob = builtin_flory_huggins(seed=42)
     mesh = mesh_for(prob, (8, 8, 8))
-    a = prob.u0_nodal(mesh)
-    b = builtin_flory_huggins(seed=42).u0_nodal(mesh)
+    a = initial_state(prob, mesh)
+    b = initial_state(builtin_flory_huggins(seed=42), mesh)
     assert np.array_equal(a, b)
     assert a.shape == tuple(dof_shape(mesh))
     assert np.max(np.abs(a)) <= 0.9
-    c = builtin_flory_huggins(seed=43).u0_nodal(mesh)
+    c = initial_state(builtin_flory_huggins(seed=43), mesh)
     assert not np.array_equal(a, c)
 
 

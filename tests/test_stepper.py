@@ -151,13 +151,33 @@ def test_run_rejects_non_integer_step_count():
 
 
 def test_run_observer_cadence_and_final_step():
+    # each observer keeps its own cadence; both see step 0 and the last
+    # step, and a step they share hands both the same nodal state
     prob = _problem(lambda t, u, xs: 0.0 * u)
     mesh = mesh_for(prob, (8,))
-    seen = []
+    seen = {3: [], 2: []}
+    states = {}
+
+    def observer(every):
+        def obs(step, t, U):
+            seen[every].append(step)
+            states.setdefault(step, []).append(U)
+        return obs
+
     cfg = SchemeConfig(dt=0.1, T=0.7, scheme="euler")
-    run(prob, mesh, cfg, observers=[lambda s, t, U: seen.append(s)],
-        observe_every=3)
-    assert seen == [0, 3, 6, 7]
+    run(prob, mesh, cfg, observers=[(3, observer(3)), (2, observer(2))])
+    assert seen == {3: [0, 3, 6, 7], 2: [0, 2, 4, 6, 7]}
+    for step in (0, 6, 7):
+        first, second = states[step]
+        assert first is second
+
+
+def test_run_rejects_observer_cadence_below_one():
+    prob = _problem(lambda t, u, xs: 0.0 * u)
+    mesh = mesh_for(prob, (8,))
+    cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler")
+    with pytest.raises(ValueError, match="cadence"):
+        run(prob, mesh, cfg, observers=[(0, lambda s, t, U: None)])
 
 
 def test_run_linear_heat_matches_exact_modal_decay():

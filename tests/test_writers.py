@@ -1,6 +1,6 @@
 import numpy as np
 
-from expfem.analysis import StudyReport, StudyRow
+from expfem.analysis import StudyRow
 from expfem.mesh import HomogeneousDirichlet, Periodic
 from expfem.writers import (REPORT_HEADER, format_number, write_report_csv,
                             write_series_csv, write_snapshot)
@@ -18,20 +18,19 @@ def test_format_number_rules():
     assert format_number(17.516) == "17.516"
 
 
-def _spatial_report():
-    rows = [
+def _spatial_rows():
+    return [
         StudyRow(resolution="8x4", nt=1024, err_l2=2.1975e-05,
                  err_h1=5.8018e-05, sec_per_step=0.001),
         StudyRow(resolution="16x8", nt=1024, err_l2=6.8220e-06,
                  err_h1=2.0817e-05, rate_l2=1.69, rate_h1=1.48,
                  sec_per_step=0.004, growth=1.01),
     ]
-    return StudyReport(rows=rows)
 
 
 def test_report_csv_layout(tmp_path):
     path = tmp_path / "report.csv"
-    write_report_csv(_spatial_report(), path)
+    write_report_csv(_spatial_rows(), path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     assert len(lines) == 3
@@ -44,10 +43,10 @@ def test_report_csv_layout(tmp_path):
 
 def test_report_csv_round_trip(tmp_path):
     path = tmp_path / "report.csv"
-    report = _spatial_report()
-    write_report_csv(report, path)
+    rows = _spatial_rows()
+    write_report_csv(rows, path)
     lines = path.read_text().splitlines()[1:]
-    for row, line in zip(report.rows, lines):
+    for row, line in zip(rows, lines):
         cells = line.split(",")
         assert int(cells[0]) == row.nt
         assert abs(float(cells[2]) - row.err_l2) <= 1e-6 * row.err_l2
