@@ -15,17 +15,20 @@ loads only the owned node layer next to each of its two faces, and such
 a layer transforms as one basis column times a (d-1)-D transform of the
 layer.  So `boundary_correction` builds the load from one evaluation of
 the trace per axis and adds it to the modal load directly, without a
-full-grid tensor or a full-size transform.  The tests check all of this
+full-grid tensor or a full-size transform; what stays the same from
+call to call (scalars, basis columns, a zeroed buffer) is built once
+per run in `LoadContext`.  The tests check all of this
 against a dense kron-product oracle of the same semi-discretization.
 """
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
-                   mass_stencil, node_grids)
+                   interior_mass_stencil, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP
 from .transforms import _CHUNK, forward_transform, sine_transform
@@ -35,10 +38,8 @@ class LoadContext:
     """Precomputed grids for evaluating loads on one problem/mesh pair.
 
     Lifted (nonhomogeneous Dirichlet) meshes also keep the coordinates of
-    each axis' share of the boundary and, per axis, the boundary column
-    (the transform of a unit vector at the first owned node) times that
-    axis' reciprocal mass eigenvalues, and the outer product of the other
-    axes' reciprocal mass eigenvalues.
+    each axis' share of the boundary and, in `lifts`, the per-run plan of
+    each axis' lifting (`_AxisLift`).
     """
 
     def __init__(self, problem, mesh):
@@ -50,16 +51,75 @@ class LoadContext:
         self.lifted = isinstance(mesh.bc, Dirichlet)
         if self.lifted:
             self.faces = _boundary_faces(mesh)
-            inv_mass = [w.ravel() for w in self.op.inv_mass]
-            # the first sine basis vector is sqrt(2/N) sin(k pi / N), k < N
-            self.columns = [
-                w * math.sqrt(2.0 / p.n)
-                * np.sin(np.arange(1, p.n) * (np.pi / p.n))
-                for w, p in zip(inv_mass, mesh.partitions)]
-            self.face_scales = [
-                functools.reduce(np.multiply.outer,
-                                 inv_mass[:a] + inv_mass[a + 1:], np.ones(()))
-                for a in range(mesh.dim)]
+            self.lifts = [_axis_lift(mesh, problem.diffusion, self.op, a)
+                          for a in range(mesh.dim)]
+
+
+class _AxisLift(NamedTuple):
+    """The constants of axis a's lifting, fixed for a run.
+
+    `mass` and `stiff` scale the face rows of `_layer_corrections`, and
+    `kappa` and the `sweeps` (pair rows swept, axis c, coefficient
+    D alpha_c / m_c per other axis c) its other-axis sweeps.  `pair` is
+    zero but for `share`, which each call overwrites.  `face_scale` is
+    the outer product of the other axes' reciprocal mass eigenvalues,
+    `columns` the F-ordered (modes, 2) pair of the boundary column (the
+    transform of a unit vector at the first owned node, times a's
+    reciprocal mass eigenvalues) and its (-1)^k twin, and `view` G's
+    shape as (before a, modes, after a).
+    """
+
+    axis: int
+    mass: float
+    stiff: float
+    kappa: float
+    sweeps: tuple
+    pair: np.ndarray
+    share: np.ndarray
+    face_scale: np.ndarray
+    columns: np.ndarray
+    view: tuple
+
+
+def _axis_lift(mesh, diffusion, op, a):
+    """Build axis a's `_AxisLift`; the scalars are those of
+    `_layer_corrections`."""
+    parts = mesh.partitions
+    other = [c for c in range(mesh.dim) if c != a]
+    scales, sweeps, kappa = [], [], 0.0
+    for c in other:
+        mass, stiff = element_pair(parts[c].h)
+        scales.append(mass.factor * mass.off)
+        beta = stiff.factor * stiff.off / scales[-1]
+        alpha = stiff.factor * stiff.diag - beta * mass.factor * mass.diag
+        # the last sweep keeps the partial load alone
+        rows = slice(1, None) if c == other[-1] else slice(None)
+        sweeps.append((rows, c, diffusion * alpha / scales[-1]))
+        kappa += diffusion * beta
+    front = -math.prod(scales)
+    m_a, k_a = element_pair(parts[a].h)
+    pair = np.zeros([2] + [2 if c == a else p.n + 1
+                           for c, p in enumerate(parts)])
+    inv_mass = [w.ravel() for w in op.inv_mass]
+    N = parts[a].n
+    # the first sine basis vector is sqrt(2/N) sin(k pi / N), k < N
+    column = inv_mass[a] * math.sqrt(2.0 / N) * np.sin(
+        np.arange(1, N) * (np.pi / N))
+    twin = column.copy()
+    twin[1::2] *= -1.0
+    shape = dof_shape(mesh)
+    return _AxisLift(
+        axis=a,
+        mass=front * m_a.factor * m_a.off,
+        stiff=front * diffusion * k_a.factor * k_a.off,
+        kappa=kappa,
+        sweeps=tuple(sweeps),
+        pair=pair,
+        share=pair[(slice(None),) + (slice(1, -1),) * a],
+        face_scale=functools.reduce(
+            np.multiply.outer, inv_mass[:a] + inv_mass[a + 1:], np.ones(())),
+        columns=np.array([column, twin]).T,
+        view=(math.prod(shape[:a]), N - 1, math.prod(shape[a + 1:])))
 
 
 def _nodal_reaction(ctx, t, U):
@@ -90,15 +150,16 @@ def _trace_faces(ctx, t):
     axis."""
     g, gdot = [], []
     for face, shape in ctx.faces:
-        vals = np.broadcast_to(
-            ctx.mesh.bc.trace(t + 1j * COMPLEX_STEP, face), shape)
-        g.append(vals.real)
-        gdot.append(vals.imag / COMPLEX_STEP)
+        # broadcast last, so a trace constant along some face axes is
+        # divided over its own values only
+        vals = np.asarray(ctx.mesh.bc.trace(t + 1j * COMPLEX_STEP, face))
+        g.append(np.broadcast_to(vals.real, shape))
+        gdot.append(np.broadcast_to(vals.imag / COMPLEX_STEP, shape))
     return g, gdot
 
 
-def _layer_corrections(ctx, g, gdot, a):
-    """Boundary elimination load of axis a's share of the boundary data
+def _layer_corrections(lift, g, gdot):
+    """Boundary elimination load of axis a's share g of the boundary data
     on the owned layers next to its two faces, over the owned nodes of
     the other axes: shape (2, owned nodes of the other axes).
 
@@ -113,35 +174,22 @@ def _layer_corrections(ctx, g, gdot, a):
     kappa = D sum_c beta_c.  The pair spans the full grid of the other
     axes and is zero on the faces of earlier axes, which hold no share.
     The other axes' mass sweeps apply one axis at a time to the pair
-    (M m, partial load), with their scales m_c taken out in front.
+    (M m, partial load), with their scales m_c taken out in front
+    (`lift.mass` and `lift.stiff` carry -prod_c m_c); each keeps the
+    owned rows of its axis alone.  The share is written in place into
+    the plan's pair; the sweeps return new arrays.
     """
-    parts = ctx.mesh.partitions
-    other = [c for c in range(ctx.mesh.dim) if c != a]
-    diffusion = ctx.problem.diffusion
-    scales, alphas, kappa = [], [], 0.0
-    for c in other:
-        mass, stiff = element_pair(parts[c].h)
-        scales.append(mass.factor * mass.off)
-        beta = stiff.factor * stiff.off / scales[-1]
-        alphas.append(stiff.factor * stiff.diag
-                      - beta * mass.factor * mass.diag)
-        kappa += diffusion * beta
-    front = -math.prod(scales)
-    m_a, k_a = element_pair(parts[a].h)
-    mass = front * m_a.factor * m_a.off
-    stiff = front * diffusion * k_a.factor * k_a.off
-    pair = np.zeros([2] + [2 if c == a else p.n + 1
-                           for c, p in enumerate(parts)])
-    share = pair[(slice(None),) + (slice(1, -1),) * a]
-    share[0] = mass * g[a]
-    share[1] = mass * gdot[a] + (stiff + kappa * mass) * g[a]
-    for c, scale, alpha in zip(other, scales, alphas):
-        swept = mass_stencil(pair[1:] if c == other[-1] else pair, c + 1)
-        swept[-1] += (diffusion * alpha / scale) * pair[0]
+    share = lift.share
+    np.multiply(g, lift.mass, out=share[0])
+    # the mass term m_a dg/dt
+    np.multiply(gdot, lift.mass, out=share[1])
+    share[1] += (lift.stiff + lift.kappa * lift.mass) * g
+    pair = lift.pair
+    for rows, c, coef in lift.sweeps:
+        swept = interior_mass_stencil(pair[rows], c + 1)
+        swept[-1] += coef * pair[0][(slice(None),) * c + (slice(1, -1),)]
         pair = swept
-    owned = [slice(None) if c == a else slice(1, -1)
-             for c in range(ctx.mesh.dim)]
-    return np.moveaxis(pair[-1][tuple(owned)], a, 0)
+    return np.moveaxis(pair[-1], lift.axis, 0)
 
 
 def boundary_correction(ctx, t, G):
@@ -157,40 +205,51 @@ def boundary_correction(ctx, t, G):
     times the (d-1)-D transform of the layer; the layer at the far end
     takes the same column times (-1)^k, which on an axis with one owned
     layer is the same column.  The reciprocal mass eigenvalues fold into
-    the column and the face.
+    the column and, in place, the faces.  A call costs one trace
+    evaluation, face-sized sweeps and transforms, and one in-place
+    update of G per axis; G must be C-contiguous.
     """
+    if not G.flags.c_contiguous:
+        raise ValueError("the modal load G must be C-contiguous")
     g, gdot = _trace_faces(ctx, t)
-    for a in range(ctx.mesh.dim):
-        layers = _layer_corrections(ctx, g, gdot, a)
-        faces = ctx.face_scales[a] * sine_transform(
-            layers, axes=range(1, ctx.mesh.dim))
-        _add_column_faces(G, a, ctx.columns[a], *faces)
+    for lift, g_a, gdot_a in zip(ctx.lifts, g, gdot):
+        # in 1D the transform over no axes hands back the plan's pair,
+        # whose share the next call overwrites
+        faces = sine_transform(_layer_corrections(lift, g_a, gdot_a),
+                               axes=range(1, ctx.mesh.dim))
+        faces *= lift.face_scale
+        _add_column_faces(G, lift, faces)
 
 
-def _add_column_faces(G, a, column, near, far):
-    """G += column (x) near + (column (-1)^k) (x) far along axis a, in place.
+def _add_column_faces(G, lift, faces):
+    """G += columns[:, 0] (x) faces[0] + columns[:, 1] (x) faces[1] along
+    the lift's axis, in place.
 
-    G is viewed as (before a, modes, after a) and the rank-two product of
-    the (modes, 2) columns with the (2, ...) faces is added chunk by chunk,
-    each chunk a matrix product of about `_CHUNK` entries, so no
-    state-sized temporary is built.  Along the last axis the products
-    would be columns of one entry; there the roles swap, with the faces'
-    rows as the columns and the column pair as one face.
+    G is viewed as (before a, modes, after a).  On the first or the last
+    axis it is one matrix, C-ordered (modes, after a) or (before a,
+    modes), which read F-ordered is its transpose; one `dgemm` with
+    beta = 1 adds the rank-two product into that memory.  On a middle
+    axis the product is added chunk by chunk, each a matrix product of
+    about `_CHUNK` entries, so no state-sized temporary is built.
     """
-    n = G.shape[a]
-    pre, post = math.prod(G.shape[:a]), math.prod(G.shape[a + 1:])
-    cols = np.stack([column, np.resize([1.0, -1.0], n) * column], axis=1)
-    faces = np.stack([near, far]).reshape(2, pre, post).swapaxes(0, 1)
-    if post == 1:
-        pre, n, post = 1, pre, n
-        cols, faces = faces[:, :, 0], cols.T[None]
+    pre, n, post = lift.view
+    if pre == 1 or post == 1:
+        # imported here: scipy.linalg costs about 6 MiB of resident
+        # memory, which runs without a lifting do not pay
+        from scipy.linalg.blas import dgemm
+        rows = faces.reshape(2, pre * post).T
+        x, y = (lift.columns, rows) if post == 1 else (rows, lift.columns)
+        dgemm(1.0, x, y, beta=1.0, c=G.reshape(len(y), len(x)).T,
+              trans_b=1, overwrite_c=1)
+        return
     modes = G.reshape(pre, n, post)
+    faces = faces.reshape(2, pre, post).swapaxes(0, 1)
     span = max(1, _CHUNK // (n * post))
-    rows = max(1, _CHUNK // post)
+    step = max(1, _CHUNK // post)
     for p0 in range(0, pre, span):
-        for k0 in range(0, n, rows):
-            modes[p0:p0 + span, k0:k0 + rows] += (
-                cols[k0:k0 + rows] @ faces[p0:p0 + span])
+        for k0 in range(0, n, step):
+            modes[p0:p0 + span, k0:k0 + step] += (
+                lift.columns[k0:k0 + step] @ faces[p0:p0 + span])
 
 
 def initial_state(problem, mesh):

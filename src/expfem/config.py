@@ -364,11 +364,16 @@ def parse_config(text, seed_override=None):
             raise ConfigError(f"output.{key} must be a string, got {name!r}")
         setattr(cfg, f"out_{key}", name)
     try:
-        cfg.out_snapshot.format(step=0)
+        names = [cfg.out_snapshot.format(step=step) for step in (0, 1)]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(
             f"output.snapshot {cfg.out_snapshot!r} must format with {{step}} "
             f"alone ({type(err).__name__}: {err})") from None
+    if cfg.snapshot_every > 0 and names[0] == names[1]:
+        raise ConfigError(
+            f"output.snapshot {cfg.out_snapshot!r} gives steps 0 and 1 the "
+            f"same file name {names[0]!r}, which every snapshot would "
+            "overwrite")
     return cfg
 
 

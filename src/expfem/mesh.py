@@ -107,7 +107,8 @@ def extend_nodal(U, mesh, t=0.0):
         raise ValueError(f"nodal shape {U.shape} does not match mesh {dof_shape(mesh)}")
     if is_periodic(mesh.bc):
         return np.pad(U, [(0, 1)] * mesh.dim, mode="wrap")
-    out = np.pad(U, 1)
+    out = np.zeros([n + 2 for n in U.shape])
+    out[(slice(1, -1),) * mesh.dim] = U
     if isinstance(mesh.bc, Dirichlet):
         _fill_boundary(out, mesh, mesh.bc.trace, t)
     return out
@@ -157,6 +158,18 @@ def mass_stencil(x, axis):
     head = (slice(None),) * axis
     out[head + (0,)] = (end / off) * x[head + (0,)] + x[head + (1,)]
     out[head + (-1,)] = (end / off) * x[head + (-1,)] + x[head + (-2,)]
+    return out
+
+
+def interior_mass_stencil(x, axis):
+    """The interior rows of `mass_stencil(x, axis)` alone, for x over
+    all nodes of the axis: tridiag(1, diag/off, 1), one entry shorter
+    at each end of the axis."""
+    off, diag, _ = _MASS_ROWS
+    head = (slice(None),) * axis
+    out = (diag / off) * x[head + (slice(1, -1),)]
+    out += x[head + (slice(None, -2),)]
+    out += x[head + (slice(2, None),)]
     return out
 
 

@@ -23,16 +23,20 @@ the incoming coefficients.  With the folded weights
 
 the load is lam * c + G, where lam is the problem's `linear` and G the
 `transformed_load` of its source and f.  The lam * c part folds into
-the decays once per run:
+the weights once per run:
 
     Euler:  c^{n+1} = (decay + lam*phi1) * c^n + phi1 * G(t_n)
-    rk2:    s       = (stage_decay + lam*stage_phi1) * c^n + stage_phi1 * G(t_n)
+    rk2:    s       = sd * c^n + stage_phi1 * G(t_n)
             c^{n+1} = (decay + lam*b1) * c^n + b1 * G(t_n)
                       + b2 * (G_s(t_n + c2*dt) + lam * s)
+                    = (decay + lam*b1 + lam*b2*sd) * c^n
+                      + (b1 + lam*b2*stage_phi1) * G(t_n) + b2 * G_s(t_n + c2*dt)
 
-which is the same scheme as with lam * u in the nodal reaction, up to
-rounding.  lam * s scales the stage buffer in place before the final
-combine reuses it; with lam = 0 no fold runs.
+with sd = stage_decay + lam*stage_phi1: the stage term lam * b2 * s
+folds too, since s is a weighted sum of c^n and G(t_n).  This is the
+same scheme as with lam * u in the nodal reaction, up to rounding; a
+step runs the same products whatever lam is, and with lam = 0 no fold
+runs.
 
 State stays transformed between steps; nodal recovery happens only for
 evaluating f and for observation, so a problem whose f is None steps
@@ -124,12 +128,11 @@ class StepWeights:
     The phi weights carry their step length: `phi1` is dt*phi1(-dt*rates)
     and `stage_phi1` is c2*dt*phi1(-c2*dt*rates); `b1` and `b2` are built
     from dt*phi2(-dt*rates), so they carry dt too.  The reaction's linear
-    part `linear` is folded into `decay` and `stage_decay` (see the
-    module docstring); rk2 steps apply its stage term themselves.
+    part `linear` is folded into `decay` and `stage_decay`, and on rk2
+    into `b1` too (see the module docstring).
     """
 
     def __init__(self, op, dt, scheme, c2=0.5, linear=0.0):
-        self.linear = linear
         self.decay = np.exp(-dt * op.decay_rates)
         self.phi1 = dt * phi_tensor(1, op, dt)
         if scheme == "rk2":
@@ -142,6 +145,8 @@ class StepWeights:
             if scheme == "rk2":
                 self.stage_decay += linear * self.stage_phi1
                 self.decay += linear * self.b1
+                self.decay += linear * self.b2 * self.stage_decay
+                self.b1 += linear * self.b2 * self.stage_phi1
             else:
                 self.decay += linear * self.phi1
 
@@ -168,9 +173,6 @@ def exp_rk2_step(state, ctx, dt, c2, w):
     stage = w.stage_decay * state.coeffs
     stage += w.stage_phi1 * G1
     G2 = transformed_load(ctx, state.t + c2 * dt, _nodal_state(stage, ctx))
-    if w.linear:
-        stage *= w.linear
-        G2 += stage
     coeffs = np.multiply(w.decay, state.coeffs, out=stage)
     G1 *= w.b1
     coeffs += G1

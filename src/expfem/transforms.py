@@ -32,7 +32,8 @@ from .mesh import dof_shape, element_pair, is_periodic
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
 # entries per block of the chunked products here and in the lifting's
-# add (`assembly`), so no state-sized temporary is built
+# add along a middle axis (`assembly`), so no state-sized temporary is
+# built
 _CHUNK = 1 << 14
 
 

@@ -12,8 +12,8 @@ from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
-from expfem.transforms import (forward_transform, inverse_transform,
-                               modal_shape)
+from expfem.transforms import (DENSE_DST_POINTS, forward_transform,
+                               inverse_transform, modal_shape)
 
 from helpers import (build_axis_matrices, dense_boundary_load,
                      dense_semidiscrete_rhs, full_grids, inv_mass_product,
@@ -242,14 +242,30 @@ def _traced_problem(domain, moving=True):
         domain=domain, u0=lambda xs: 0.0 * xs[0], g=g), g_t
 
 
+# cells of an axis whose owned nodes outnumber DENSE_DST_POINTS
+LONG = DENSE_DST_POINTS + 6
+
+
+# every axis the first, a middle and the last one (the first and last add
+# in one in-place BLAS update, a middle one in chunks), with one owned
+# layer (n = 2) and with more owned nodes than DENSE_DST_POINTS (its
+# faces' transforms take pocketfft)
 @pytest.mark.parametrize("domain, subs", [
     (((0.0, 1.0),), (8,)),
     (((0.0, 1.0),), (2,)),
+    (((0.0, 1.0),), (LONG,)),
     (((0.0, 1.0), (-0.5, 1.5)), (6, 4)),
     (((0.0, 1.0), (0.0, 0.3)), (2, 5)),
     (((0.0, 1.0), (0.0, 0.3)), (7, 2)),
+    (((0.0, 1.0), (0.0, 0.3)), (LONG, 3)),
+    (((0.0, 1.0), (0.0, 0.3)), (3, LONG)),
     (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (4, 3, 5)),
     (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (5, 2, 3)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (2, 3, 4)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (3, 4, 2)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (LONG, 3, 4)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (3, LONG, 4)),
+    (((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)), (3, 4, LONG)),
     (((0.0, 2.0), (0.0, 1.0), (0.0, 0.5)), (2, 2, 2)),
 ])
 @pytest.mark.parametrize("moving", [True, False])
@@ -257,19 +273,26 @@ def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
     prob, g_t = _traced_problem(domain, moving)
     mesh = mesh_for(prob, subs)
     ctx = LoadContext(prob, mesh)
+    loads = []
     for t in (0.0, 0.3, 1.7):
         G = np.zeros(modal_shape(mesh))
         boundary_correction(ctx, t, G)
         dense = inv_mass_product(ctx.op) * forward_transform(
             dense_boundary_load(ctx, t, g_t), mesh)
         assert rel_err(G, dense) < 1e-12
+        loads.append(G)
+    # the plan's buffers carry nothing from one call to the next
+    G = np.zeros(modal_shape(mesh))
+    boundary_correction(ctx, 0.0, G)
+    assert np.array_equal(G, loads[0])
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 12])
 @pytest.mark.parametrize("subs", [(8,), (6, 4), (4, 3, 5), (5, 2, 3)])
 def test_boundary_correction_in_chunks_matches_dense_oracle(
         monkeypatch, subs, chunk):
-    # chunks far below the test states' size run every loop of the add
+    # chunks far below the test states' size run every loop of a middle
+    # axis' add; the first and last axes add in one BLAS update
     monkeypatch.setattr(assembly, "_CHUNK", chunk)
     domain = ((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3))[:len(subs)]
     prob, g_t = _traced_problem(domain)
@@ -280,6 +303,16 @@ def test_boundary_correction_in_chunks_matches_dense_oracle(
     dense = inv_mass_product(ctx.op) * forward_transform(
         dense_boundary_load(ctx, 0.3, g_t), mesh)
     assert rel_err(G, dense) < 1e-12
+
+
+def test_boundary_correction_needs_a_contiguous_load():
+    # an update into a strided G would land in a copy and be lost
+    prob, _ = _traced_problem(((0.0, 1.0), (-0.5, 1.5)))
+    ctx = LoadContext(prob, mesh_for(prob, (6, 4)))
+    G = np.zeros(modal_shape(ctx.mesh)[::-1]).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        boundary_correction(ctx, 0.3, G)
+    assert not G.any()
 
 
 @pytest.mark.parametrize("subs", [(8,), (6, 4), (4, 3, 5), (5, 2, 3)])

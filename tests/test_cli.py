@@ -77,7 +77,9 @@ def test_run_snapshot_cadence(tmp_path, snapshot_every, steps):
     'snapshot = "snap_{x}.vtk"',
     'snapshot = "s_{0}.vtk"',
     "series = 5",
-], ids=["unknown_field", "positional_field", "series_not_a_string"])
+    'snapshot = "snap.vtk"',
+], ids=["unknown_field", "positional_field", "series_not_a_string",
+        "same_name_every_step"])
 def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line):
     # rejected before any step runs, so the run writes no file
     out = tmp_path / "out"

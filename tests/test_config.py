@@ -76,6 +76,17 @@ def test_bad_output_names_rejected(line, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["snap.vtk", "s_{step!s:.0}.vtk"])
+def test_snapshot_name_must_vary_with_step(name):
+    # otherwise every snapshot overwrites one file
+    text = ("snapshot_every = 4\n" + MINIMAL
+            + f'[output]\nsnapshot = "{name}"\n')
+    with pytest.raises(ConfigError, match="the same file name"):
+        parse_config(text)
+    # without snapshots the name is never used
+    assert parse_config(text.replace("snapshot_every = 4", "")).out_snapshot == name
+
+
 def test_snapshot_name_formats_with_step():
     cfg = parse_config(MINIMAL + '[output]\nsnapshot = "s_{step}.vtk"\n')
     assert cfg.out_snapshot.format(step=12) == "s_12.vtk"

@@ -3,7 +3,8 @@ import pytest
 
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Partition1D,
                          Periodic, TensorMesh, dof_shape, element_pair,
-                         extend_nodal, mass_stencil, node_grids)
+                         extend_nodal, interior_mass_stencil, mass_stencil,
+                         node_grids)
 
 from helpers import make_mesh, rel_err
 
@@ -90,6 +91,10 @@ def test_mass_stencil_matches_tridiagonal_matrix(shape):
         M[0, 0] = M[-1, -1] = 2.0
         expected = np.moveaxis(np.tensordot(M, x, axes=(1, axis)), 0, axis)
         assert rel_err(mass_stencil(x, axis), expected) < 1e-14
+        # the interior rows alone, computed the same way
+        interior = (slice(None),) * axis + (slice(1, -1),)
+        assert np.array_equal(interior_mass_stencil(x, axis),
+                              mass_stencil(x, axis)[interior])
         # a transposed (non-contiguous) view gives the same rows
         xt = x.T
         got = mass_stencil(xt, xt.ndim - 1 - axis)
