@@ -20,7 +20,10 @@ writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
 rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
 log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
 eps/|v| relative (1e-10 at |v| = 1e-6).  Its quadratic well and gradient
-terms are exact sums over nodal values and differences.  Studies run
+terms, u^T M u and u^T K u, come by Parseval from the modal coefficients
+and the mass and stiffness eigenvalues of the transform that steps the
+state.  That sum sees owned nodes only, so the energy raises on a lifted
+(nonhomogeneous Dirichlet) mesh.  Studies run
 refinement ladders and report errors at the terminal time with dyadic
 convergence rates between consecutive rungs.
 """
@@ -30,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import dof_shape, element_pair, extend_nodal, mass_stencil
+from .mesh import Dirichlet, dof_shape, extend_nodal, is_periodic
+from .operator import build_operator
 from .problems import COMPLEX_STEP, NonlinearityDomainError, mesh_for
-from .quadrature import element_blocks, gauss_slices
+from .quadrature import gauss_slices
 from .stepper import SchemeConfig, run
-from .transforms import inverse_transform
+from .transforms import forward_transform, inverse_transform
 
 
 def sup_norm(U):
@@ -73,34 +77,24 @@ def error_norms(U, mesh, exact, t, npts=3):
     return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
 
 
-def _nodal_quadratics(full, hs):
-    """Integrals of u^2 and |grad u|^2 for the multilinear interpolant of a
-    full-grid nodal tensor, exact from nodal values.
+def _modal_quadratics(U, mesh):
+    """Integrals of u^2 and |grad u|^2 for the multilinear interpolant of
+    an owned-node tensor on an unlifted mesh, by Parseval.
 
-    They are u^T (kron_b M_b) u and sum_a (D_a u)^T (kron_{b != a} M_b)
-    (D_a u) / h_a, with M_b the full-grid mass of `mesh.element_pair`
-    (swept without its scale, applied to the sums) and D_a the nodal
-    difference along axis a.  Slabs of axis-0 elements are summed one at
-    a time; each slab holds the mass coupling of its own elements, so the
-    slab sums add up to the whole grid's.
+    The orthonormal transform diagonalizes the mass M and the stiffness
+    K together, so u^T M u = sum_k m_k |c_k|^2 and u^T K u adds the rate
+    sum_a k_a / m_a to each weight.  A periodic half spectrum stands for
+    the conjugate of each last-axis column 1 ... (N+1)//2 - 1 as well; the
+    k = 0 and an even-N Nyquist column are their own conjugates.
     """
-    masses = [m.factor * m.off for m, _ in map(element_pair, hs)]
-    mass_all = math.prod(masses)
-    sq = grad_sq = 0.0
-    for e0, e1 in element_blocks(full.shape[0] - 1, full[0].size):
-        slab = full[e0:e1 + 1]
-        massed = slab
-        for b in range(len(hs)):
-            massed = mass_stencil(massed, b)
-        sq += float(np.vdot(slab, massed)) * mass_all
-        for a, h in enumerate(hs):
-            diff = np.diff(slab, axis=a)
-            massed = diff
-            for b in range(len(hs)):
-                if b != a:
-                    massed = mass_stencil(massed, b)
-            grad_sq += float(np.vdot(diff, massed)) * mass_all / (masses[a] * h)
-    return sq, grad_sq
+    op = build_operator(mesh, 1.0)
+    w = np.abs(forward_transform(U, mesh))
+    np.square(w, out=w)
+    for inv_mass in op.inv_mass:
+        w /= inv_mass
+    if is_periodic(mesh.bc):
+        w[..., 1:(dof_shape(mesh)[-1] + 1) // 2] *= 2.0
+    return float(w.sum()), float(np.vdot(w, op.decay_rates))
 
 
 def _mixing_integral(full, partitions, npts):
@@ -126,14 +120,17 @@ def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
 
     The mixing potential is integrated with an npts-point Gauss rule per
     axis, slice by slice (`_mixing_integral`); the well and gradient terms
-    are exact from nodal values.
+    are exact, by Parseval (`_modal_quadratics`), so a lifted mesh, whose
+    boundary values that sum cannot see, raises ValueError.
     """
+    if isinstance(mesh.bc, Dirichlet):
+        raise ValueError("the discrete energy needs a periodic or "
+                         "homogeneous Dirichlet mesh, not a lifted one")
     if not sup_norm(U) < 1.0:  # a NaN fails it too
         worst = np.argmax(np.abs(np.asarray(U)))
         raise NonlinearityDomainError(float(np.asarray(U).flat[worst]))
-    full = extend_nodal(U, mesh, 0.0)
-    mixing = _mixing_integral(full, mesh.partitions, npts)
-    sq, grad_sq = _nodal_quadratics(full, [p.h for p in mesh.partitions])
+    mixing = _mixing_integral(extend_nodal(U, mesh), mesh.partitions, npts)
+    sq, grad_sq = _modal_quadratics(U, mesh)
     return 0.5 * theta * mixing - 0.5 * theta_c * sq + 0.5 * eps**2 * grad_sq
 
 

@@ -185,8 +185,12 @@ def _bounds(value):
     if not isinstance(value, list) or not all(
             isinstance(b, list) and len(b) == 2 for b in value):
         raise ConfigError("domain.bounds must be a list of [a, b] pairs")
-    return tuple((_finite(a, "domain.bounds"), _finite(b, "domain.bounds"))
-                 for a, b in value)
+    pairs = tuple((_finite(a, "domain.bounds"), _finite(b, "domain.bounds"))
+                  for a, b in value)
+    for a, b in pairs:
+        if not b > a:
+            raise ConfigError(f"domain.bounds pair [{a}, {b}] needs b > a")
+    return pairs
 
 
 def _int_list(value, key):
@@ -246,6 +250,8 @@ def _build_custom_problem(values):
         raise ConfigError(f"domain.bc must be 'dirichlet' or 'periodic', got {bc!r}")
 
     diffusion = _finite(_require(values, "custom.d"), "custom.d")
+    if diffusion <= 0:
+        raise ConfigError(f"custom.d must be positive, got {diffusion}")
     f_expr = compile_expression(_require(values, "custom.f"), ("t", "u") + coords)
     u0_expr = compile_expression(_require(values, "custom.u0"), coords)
 
@@ -291,8 +297,10 @@ def parse_config(text, seed_override=None):
     values = parse_keyvalues(text)
     if seed_override is not None:
         values["seed"] = int(seed_override)
-    if "seed" in values and not _is_int(values["seed"]):
-        raise ConfigError(f"seed must be an integer, got {values['seed']!r}")
+    if "seed" in values and not (_is_int(values["seed"])
+                                 and values["seed"] >= 0):
+        raise ConfigError(
+            f"seed must be a nonnegative integer, got {values['seed']!r}")
     for key in values:
         if "." in key:
             section, _, sub = key.partition(".")
@@ -309,6 +317,10 @@ def parse_config(text, seed_override=None):
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg.mode!r}")
 
     cfg.problem = _build_problem(values)
+    if cfg.mode == "convergence" and cfg.problem.exact is None:
+        raise ConfigError(
+            f"convergence mode needs an exact solution, which problem "
+            f"{cfg.problem.name!r} does not have")
 
     if "domain.bc" in values and cfg.problem.name != "custom":
         declared = "periodic" if cfg.problem.periodic else "dirichlet"

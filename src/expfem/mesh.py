@@ -5,7 +5,6 @@ applying to the whole boundary.  Dirichlet meshes own the interior nodes
 only; periodic meshes own nodes 0..N-1 (node N is identified with 0).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -116,18 +115,16 @@ def extend_nodal(U, mesh, t=0.0):
 
 class ElementRows(NamedTuple):
     """A tridiagonal matrix of a uniform 1D grid: `factor` times the rows
-    (off, diag, off); an end row of the full grid, whose node lies on one
-    cell, has diagonal `end`."""
+    (off, diag, off)."""
 
     factor: float
     off: float
     diag: float
-    end: float
 
 
-# the rows (off, diag, end) of the P1 pair, without their factors
-_MASS_ROWS = (1.0, 4.0, 2.0)
-_STIFFNESS_ROWS = (-1.0, 2.0, 1.0)
+# the rows (off, diag) of the P1 pair, without their factors
+_MASS_ROWS = (1.0, 4.0)
+_STIFFNESS_ROWS = (-1.0, 2.0)
 
 
 def element_pair(h):
@@ -138,34 +135,11 @@ def element_pair(h):
             ElementRows(1.0 / h, *_STIFFNESS_ROWS))
 
 
-def mass_stencil(x, axis):
-    """The full-grid 1D mass matrix over its off-diagonal entry, the
-    scale its callers apply: tridiag(1, diag/off, 1) with end diagonals
-    end/off, along one axis.
-
-    The neighbour adds run over the flattened array shifted by one
-    index along the axis, one long inner loop whatever the axis; they
-    also reach across the ends of the axis, whose rows are then
-    rewritten.
-    """
-    off, diag, end = _MASS_ROWS
-    x = np.ascontiguousarray(x)
-    out = (diag / off) * x
-    step = math.prod(x.shape[axis + 1:])
-    flat, src = out.reshape(-1), x.reshape(-1)
-    flat[step:] += src[:-step]
-    flat[:-step] += src[step:]
-    head = (slice(None),) * axis
-    out[head + (0,)] = (end / off) * x[head + (0,)] + x[head + (1,)]
-    out[head + (-1,)] = (end / off) * x[head + (-1,)] + x[head + (-2,)]
-    return out
-
-
 def interior_mass_stencil(x, axis):
-    """The interior rows of `mass_stencil(x, axis)` alone, for x over
-    all nodes of the axis: tridiag(1, diag/off, 1), one entry shorter
-    at each end of the axis."""
-    off, diag, _ = _MASS_ROWS
+    """The interior rows of the 1D mass matrix over its off-diagonal
+    entry, the scale its callers apply, for x over all nodes of the axis:
+    tridiag(1, diag/off, 1), one entry shorter at each end of the axis."""
+    off, diag = _MASS_ROWS
     head = (slice(None),) * axis
     out = (diag / off) * x[head + (slice(1, -1),)]
     out += x[head + (slice(None, -2),)]

@@ -49,7 +49,7 @@ def write_series_csv(rows, path):
     lines = ["t,sup_norm,energy"]
     for t, sup, energy in rows:
         lines.append(",".join([
-            format_number(t) if t != 0 else "0",
+            format_number(t),
             format_number(sup),
             format_number(energy),
         ]))

@@ -161,6 +161,39 @@ def test_invalid_floats_exit_as_config_errors(tmp_path, capsys, old, new):
     assert not (tmp_path / "series.csv").exists()
 
 
+FH_CFG = """
+mode = "run"
+problem = "flory_huggins"
+T = 0.01
+nt = 2
+[domain]
+n = [2, 2, 2]
+"""
+
+
+@pytest.mark.parametrize("command, text, flags, key", [
+    ("run", "seed = -1\n" + FH_CFG, [], "seed"),
+    ("run", FH_CFG, ["--seed", "-1"], "seed"),
+    ("run", RUN_CFG.replace("d = 0.5", "d = 0.0"), [], "custom.d"),
+    ("run", RUN_CFG.replace("[[0.0, 1.0]]", "[[1.0, 0.0]]"), [],
+     "domain.bounds"),
+    ("converge", FH_CFG.replace('"run"', '"convergence"')
+     + '[ladder]\nkind = "spatial"\nn = [[2, 2, 2], [4, 4, 4]]\n', [],
+     "exact solution"),
+], ids=["seed_negative", "seed_flag_negative", "d_zero", "bounds_reversed",
+        "convergence_without_exact"])
+def test_inputs_that_fail_in_a_run_exit_before_any_output(
+        tmp_path, capsys, command, text, flags, key):
+    # the run would raise on each (exit 1); the config check rejects it
+    # before the output directory is made
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text)
+    code = main([command, "--config", cfg, "--out", str(out), *flags])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_boolean_in_expression_exits_as_config_error(tmp_path, capsys):
     # True would pass for the integer 1 in the reaction
     cfg = _write(tmp_path, RUN_CFG.replace('f = "-u"', 'f = "u + True"'))

@@ -168,6 +168,36 @@ def test_subdivision_counts_below_two_rejected(text, key):
     assert key in str(exc.value) and "at least 2" in str(exc.value)
 
 
+_CUSTOM_1D = ('mode = "run"\nproblem = "custom"\nnt = 4\n[domain]\n'
+              'bounds = [[0.0, 1.0]]\nn = [8]\n[custom]\nd = 0.5\n'
+              'f = "-u"\nu0 = "sin(pi * x)"\n')
+
+
+@pytest.mark.parametrize("text, seed, key", [
+    (_run_text(top="nt = 16\nseed = -1\n"), None, "seed"),
+    (_run_text(), -2, "seed"),
+    (_CUSTOM_1D.replace("d = 0.5", "d = 0"), None, "custom.d"),
+    (_CUSTOM_1D.replace("d = 0.5", "d = -0.5"), None, "custom.d"),
+    (_CUSTOM_1D.replace("[[0.0, 1.0]]", "[[1.0, 0.0]]"), None,
+     "domain.bounds"),
+    (_CUSTOM_1D.replace("[[0.0, 1.0]]", "[[0.5, 0.5]]"), None,
+     "domain.bounds"),
+    ('mode = "convergence"\nproblem = "flory_huggins"\nnt = 2\n'
+     '[ladder]\nkind = "spatial"\nn = [[2, 2, 2], [4, 4, 4]]\n', None,
+     "exact solution"),
+    (_CUSTOM_1D.replace('mode = "run"', 'mode = "convergence"')
+     + '[ladder]\nkind = "spatial"\nn = [[4], [8]]\n', None,
+     "exact solution"),
+], ids=["seed_negative", "seed_override_negative", "d_zero", "d_negative",
+        "bounds_reversed", "bounds_empty", "convergence_flory_huggins",
+        "convergence_custom_without_exact"])
+def test_inputs_that_fail_in_a_run_are_config_errors(text, seed, key):
+    # the run would raise on each; the config check rejects it first
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, seed_override=seed)
+    assert key in str(exc.value)
+
+
 def test_smallest_valid_counts_accepted():
     assert parse_config(_run_text(n="[2, 2]")).subdivisions == [2, 2]
     assert parse_config(_run_text(top="nt = 1\nobserve_every = 1\n"

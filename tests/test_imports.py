@@ -1,6 +1,7 @@
 """Every module of the package and the tests uses each name it imports,
-every top-level function and class of the package is used in it, and
-only `transforms` imports `scipy.fft`.
+every top-level function and class of the package is used in it, only
+`transforms` imports `scipy.fft`, and `scipy.linalg` is imported once,
+inside a function of `assembly`.
 
 No linter runs on this repository, so this is the check.  A package
 `__init__.py` imports names to re-export them and is left out.
@@ -65,21 +66,28 @@ def test_every_top_level_definition_is_used_in_the_package():
     assert not unused, f"defined in src/expfem but used nowhere there: {unused}"
 
 
+def _imports_of(module, node):
+    """The import statements below a syntax tree node that import `module`
+    or a submodule of it in any spelling."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            names = [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.ImportFrom):
+            names = [f"{sub.module}.{alias.name}" for alias in sub.names]
+            names.append(sub.module or "")
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".")
+               for name in names):
+            found.append(sub)
+    return found
+
+
 def _imports_scipy_fft(path):
     """Whether a module imports `scipy.fft` in any spelling."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-            names.append(node.module or "")
-        else:
-            continue
-        if any(name == "scipy.fft" or name.startswith("scipy.fft.")
-               for name in names):
-            return True
-    return False
+    return bool(_imports_of("scipy.fft", tree))
 
 
 def test_only_transforms_imports_scipy_fft():
@@ -88,3 +96,22 @@ def test_only_transforms_imports_scipy_fft():
     others = [path.name for path in sorted(package.rglob("*.py"))
               if path.name != "transforms.py" and _imports_scipy_fft(path)]
     assert not others, f"modules that import scipy.fft: {others}"
+
+
+def test_scipy_linalg_is_imported_only_inside_the_lifting():
+    # scipy.linalg costs about 6 MiB of resident memory, which a run
+    # without a Dirichlet lifting must not pay: no module imports it at
+    # load time, and one function of `assembly` imports it when called
+    at_load, in_functions = [], []
+    for path in sorted((ROOT / "src" / "expfem").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inner = {id(node)
+                 for func in ast.walk(tree)
+                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in _imports_of("scipy.linalg", func)}
+        for node in _imports_of("scipy.linalg", tree):
+            where = in_functions if id(node) in inner else at_load
+            where.append(f"{path.name}:{node.lineno}")
+    assert not at_load, f"module-level scipy.linalg imports: {at_load}"
+    assert [name.partition(":")[0] for name in in_functions] == [
+        "assembly.py"], f"function-level scipy.linalg imports: {in_functions}"

@@ -10,13 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import expfem.quadrature as quadrature
-from expfem.analysis import _nodal_quadratics, discrete_energy, error_norms
+from expfem.analysis import _modal_quadratics, discrete_energy, error_norms
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
                          extend_nodal)
 
-from helpers import (_dense_full_axis_matrices, dense_discrete_energy,
-                     dense_error_norms, dense_interpolant_on_gauss, make_mesh,
-                     rel_err)
+from helpers import (dense_discrete_energy, dense_error_norms,
+                     dense_interpolant_on_gauss, dense_operator_matrices,
+                     make_mesh, rel_err)
 
 # five axis-0 elements: two per block leaves a one-element block at the end
 SUBDIVISIONS = {1: [5], 2: [5, 4], 3: [5, 3, 4]}
@@ -180,7 +180,7 @@ def test_error_norms_match_dense_oracle_for_every_dependence(
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("bc", list(BOUNDARIES))
+@pytest.mark.parametrize("bc", ["periodic", "homogeneous"])
 @pytest.mark.parametrize("npts", [2, 3, 6])
 def test_discrete_energy_matches_dense_oracle(monkeypatch, dim, bc, npts):
     mesh = _mesh(dim, bc)
@@ -190,6 +190,14 @@ def test_discrete_energy_matches_dense_oracle(monkeypatch, dim, bc, npts):
     want = dense_discrete_energy(U, mesh, *params, npts)
     assert abs(want) > 1e-3
     assert rel_err(discrete_energy(U, mesh, *params, npts), want) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_discrete_energy_rejects_lifted_mesh(dim):
+    # Parseval sees the owned nodes only, not the lifted boundary values
+    mesh = _mesh(dim, "dirichlet")
+    with pytest.raises(ValueError, match="lifted"):
+        discrete_energy(_state(mesh), mesh, 0.3, 0.8, 1.6)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -214,7 +222,8 @@ def test_block_size_does_not_change_norms_or_energy(first, rest, bc, npts,
                                                     seed):
     # blocks of 1, 2 or 3 axis-0 elements (the last one partial unless the
     # count divides the elements), or one block for the whole grid: the
-    # layer that each block carries into the next must join them seamlessly
+    # layer that each block carries into the next must join them seamlessly;
+    # the energy raises on a lifted mesh, so only the norms see that one
     bounds = [(0.0, 1.0), (-0.5, 1.5), (0.2, 0.9)][:1 + len(rest)]
     mesh = make_mesh(bounds, [first] + rest, BOUNDARIES[bc])
     U = _state(mesh, seed)
@@ -223,8 +232,10 @@ def test_block_size_does_not_change_norms_or_energy(first, rest, bc, npts,
     def evaluate(elements_per_block):
         with mock.patch.object(quadrature, "BLOCK_POINTS",
                                elements_per_block * per_element):
-            return (*error_norms(U, mesh, _exact, T_EVAL, npts),
-                    discrete_energy(U, mesh, 0.01, 0.8, 1.6, npts))
+            norms = error_norms(U, mesh, _exact, T_EVAL, npts)
+            if bc == "dirichlet":
+                return norms
+            return (*norms, discrete_energy(U, mesh, 0.01, 0.8, 1.6, npts))
 
     whole = evaluate(first)
     for elements_per_block in (1, 2, 3):
@@ -233,30 +244,20 @@ def test_block_size_does_not_change_norms_or_energy(first, rest, bc, npts,
             assert rel_err(value, want) < 1e-13
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("nodes_per_block", [1, 2, 10**6])
-def test_nodal_quadratics_match_full_grid_kron(monkeypatch, dim,
-                                               nodes_per_block):
-    # slabs of one or two axis-0 elements (five in all), or the whole grid
-    mesh = _mesh(dim, "dirichlet")
-    full = extend_nodal(_state(mesh), mesh, T_EVAL)
-    plane = full[0].size
-    monkeypatch.setattr(quadrature, "BLOCK_POINTS", nodes_per_block * plane)
-    mats = [_dense_full_axis_matrices(p) for p in mesh.partitions]
-    mass = np.array([[1.0]])
-    for m, _ in mats:
-        mass = np.kron(mass, m)
-    stiff = np.zeros_like(mass)
-    for slot in range(dim):
-        term = np.array([[1.0]])
-        for a, (m, k) in enumerate(mats):
-            term = np.kron(term, k if a == slot else m)
-        stiff += term
-    u = full.ravel()
-    sq, grad_sq = _nodal_quadratics(full, [p.h for p in mesh.partitions])
+@pytest.mark.parametrize("bc", ["periodic", "homogeneous"])
+@pytest.mark.parametrize("subdivisions", [[7], [5, 6], [3, 4, 5], [4, 2],
+                                          [3, 2, 2]])
+def test_modal_quadratics_match_dense_kron(bc, subdivisions):
+    # last axes of odd and even length, and of 2 cells, whose periodic half
+    # spectrum is k = 0 and the Nyquist column alone
+    bounds = [(0.0, 1.0), (-0.5, 1.5), (0.2, 0.9)][:len(subdivisions)]
+    mesh = make_mesh(bounds, subdivisions, BOUNDARIES[bc])
+    U = _state(mesh)
+    mass, stiff = dense_operator_matrices(mesh)
+    u = U.ravel()
+    sq, grad_sq = _modal_quadratics(U, mesh)
     assert rel_err(sq, u @ mass @ u) < 1e-13
     assert rel_err(grad_sq, u @ stiff @ u) < 1e-13
-
 
 
 @pytest.mark.parametrize("dim, axis",
