@@ -1,24 +1,27 @@
 """Turning continuous data into tensors: initial states, loads, lifting.
 
-The modal ODE reads d/dt(coeffs) + rates * coeffs = scale * fwd(F) with
-F the load tensor.  Evaluating the reaction nodewise (interpolating
-r(t, u_h) instead of integrating it against the basis) makes the scaled
-load collapse to fwd(r_nodal) exactly.  Of the reaction
-linear * u + source + f, `transformed_load` transforms source + f: the
-linear part transforms to linear * coeffs, which the steps add in modal
-space.  Nonhomogeneous Dirichlet data enters as an extra load on the
-boundary-adjacent layers: minus the mass coupling times dg/dt minus D
-times the stiffness coupling times g, i.e. the usual elimination of the
-known boundary column.  The boundary data splits by axis, each boundary
-node going to the first axis that has it on a face; each axis' share
-loads only the owned node layer next to each of its two faces, and such
-a layer transforms as one basis column times a (d-1)-D transform of the
-layer.  So `boundary_correction` builds the load from one evaluation of
-the trace per axis and adds it to the modal load directly, without a
-full-grid tensor or a full-size transform; what stays the same from
-call to call (scalars, basis columns, a zeroed buffer) is built once
-per run in `LoadContext`.  The tests check all of this
-against a dense kron-product oracle of the same semi-discretization.
+The modal ODE reads d/dt(coeffs) + rates * coeffs = scale * fwd(F)
+with F the load tensor.  Evaluating the reaction nodewise
+(interpolating r(t, u_h) instead of integrating it against the basis)
+makes the scaled load collapse to fwd(r_nodal) exactly.  Of the
+reaction linear * u + sum_j amplitude_j(t) profile_j + f,
+`transformed_load` transforms f alone: the linear part transforms to
+linear * coeffs, which the steps add in modal space, and each source
+term to amplitude_j(t) times the transformed profile, which
+`LoadContext` computes once per run.  Nonhomogeneous Dirichlet data
+enters as an extra load on the boundary-adjacent layers: minus the
+mass coupling times dg/dt minus D times the stiffness coupling times
+g, i.e. the usual elimination of the known boundary column.  The
+boundary data splits by axis, each boundary node going to the first
+axis that has it on a face; each axis' share loads only the owned node
+layer next to each of its two faces, and such a layer transforms as
+one basis column times a (d-1)-D transform of the layer.  So
+`boundary_correction` builds the load from one evaluation of the trace
+per axis and adds it to the modal load directly, without a full-grid
+tensor or a full-size transform; what stays the same from call to call
+(scalars, basis columns, a zeroed buffer) is built once per run in
+`LoadContext`.  The tests check all of this against a dense
+kron-product oracle of the same semi-discretization.
 """
 
 import functools
@@ -28,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
-                   interior_mass_stencil, node_grids)
+                   interior_mass_stencil, is_periodic, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP
-from .transforms import _CHUNK, forward_transform, sine_transform
+from .transforms import _CHUNK, forward_transform, modal_shape, sine_transform
 
 
 class LoadContext:
@@ -39,7 +42,8 @@ class LoadContext:
 
     Lifted (nonhomogeneous Dirichlet) meshes also keep the coordinates of
     each axis' share of the boundary and, in `lifts`, the per-run plan of
-    each axis' lifting (`_AxisLift`).
+    each axis' lifting (`_AxisLift`).  The transformed source profiles,
+    `source_modes`, are computed at the first load, not here.
     """
 
     def __init__(self, problem, mesh):
@@ -53,6 +57,24 @@ class LoadContext:
             self.faces = _boundary_faces(mesh)
             self.lifts = [_axis_lift(mesh, problem.diffusion, self.op, a)
                           for a in range(mesh.dim)]
+
+    @functools.cached_property
+    def source_modes(self):
+        """The transform of each source profile, in the order of the
+        problem's terms; read-only, as every load of the run reads them."""
+        modes = []
+        for _, profile in self.problem.source:
+            c = forward_transform(_owned(profile(self.grids), self.shape),
+                                  self.mesh)
+            c.flags.writeable = False
+            modes.append(c)
+        return tuple(modes)
+
+
+def _owned(vals, shape):
+    """vals, anything that broadcasts, as a read-only float view at the
+    owned node shape."""
+    return np.broadcast_to(np.asarray(vals, dtype=float), shape)
 
 
 class _AxisLift(NamedTuple):
@@ -122,23 +144,24 @@ def _axis_lift(mesh, diffusion, op, a):
         view=(math.prod(shape[:a]), N - 1, math.prod(shape[a + 1:])))
 
 
-def _nodal_reaction(ctx, t, U):
-    """source(t) + f(t, U) at the owned nodes; zero when neither is set."""
-    problem = ctx.problem
-    terms = []
-    if problem.source is not None:
-        terms.append(problem.source(t, ctx.grids))
-    if problem.f is not None:
-        terms.append(problem.f(t, U, ctx.grids))
-    vals = functools.reduce(np.add, terms) if terms else 0.0
-    return np.broadcast_to(np.asarray(vals, dtype=float), ctx.shape)
-
-
 def transformed_load(ctx, t, U=None):
-    """Scaled modal load at time t: the transform of source + f at nodal
-    state U, plus the Dirichlet lifting.  The linear part of the reaction
-    is left to the steps.  U may be None when the problem's f is None."""
-    G = forward_transform(_nodal_reaction(ctx, t, U), ctx.mesh)
+    """Scaled modal load at time t: the transform of f at nodal state U,
+    plus each source term's amplitude at t times its transformed profile,
+    plus the Dirichlet lifting.  The linear part of the reaction is left
+    to the steps.  U may be None when the problem's f is None; a load
+    with no f makes no transform, and one with neither f nor a source is
+    zero but for the lifting."""
+    problem = ctx.problem
+    loads = [amplitude(t) * modes for (amplitude, _), modes
+             in zip(problem.source, ctx.source_modes)]
+    if problem.f is not None:
+        loads.append(forward_transform(
+            _owned(problem.f(t, U, ctx.grids), ctx.shape), ctx.mesh))
+    if loads:
+        G = functools.reduce(np.add, loads)
+    else:
+        G = np.zeros(modal_shape(ctx.mesh),
+                     complex if is_periodic(ctx.mesh.bc) else float)
     if ctx.lifted:
         boundary_correction(ctx, t, G)
     return G
@@ -257,8 +280,7 @@ def initial_state(problem, mesh):
     whether or not it shares memory with the array u0 returned."""
     if problem.u0 is None:
         raise ValueError(f"problem {problem.name} defines no initial datum")
-    vals = problem.u0(node_grids(mesh))
     U0 = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(vals, dtype=float), tuple(dof_shape(mesh))))
+        _owned(problem.u0(node_grids(mesh)), tuple(dof_shape(mesh))))
     U0.flags.writeable = False
     return U0

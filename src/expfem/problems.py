@@ -4,24 +4,29 @@ A Problem bundles the diffusion coefficient, the reaction term, boundary
 and initial data, and (when known) the exact solution.  The reaction is
 given in three parts,
 
-    r(t, u, x) = linear * u + source(t, xs) + f(t, u, xs),
+    r(t, u, x) = linear * u + sum_j amplitude_j(t) profile_j(xs) + f(t, u, xs),
 
-each optional: `linear` is a float (default 0), `source` a callable that
-does not read u, `f` the rest (None when no term reads u).  The steppers
-apply `linear * u` to the modal coefficients the step already holds,
-since by linearity the transform of linear * U is linear times them; a
-problem whose `f` is None needs no nodal state, so its steps make no
-inverse transform.  Moving a linear part of f into `linear` changes
-results only by rounding.
+each optional: `linear` is a float (default 0), `source` a tuple of
+separable terms (amplitude(t), profile(xs)), `f` the rest (None when no
+term reads u).  The steppers apply `linear * u` to the modal
+coefficients the step already holds, since by linearity the transform
+of linear * U is linear times them; likewise each profile is
+transformed once per run and its modes scaled by the amplitude at each
+load.  A problem whose `f` is None needs no nodal state, so its steps
+make no inverse transform, and with no f they make no transform at all.
+A source that does not factor in t goes in `f`, which may ignore u.
+Moving a linear part of f into `linear`, or a separable term of f into
+`source`, changes results only by rounding.
 
 The initial datum is `u0(xs)` alone: called once on the open grid of
 the owned nodes, it returns anything that broadcasts to their shape, a
-whole nodal array included.  All callables take coordinate tuples of
-broadcastable arrays and must be pure.  The program differentiates the
-trace g in t and the exact solution in x by one complex step, so g and
-exact must be analytic and accept complex arguments.  Numpy ufuncs are
-analytic, and a callable that ignores the perturbed variable returns a
-real value, whose zero imaginary part is the correct zero derivative.
+whole nodal array included; so does each source profile.  All callables
+but the amplitudes take coordinate tuples of broadcastable arrays, and
+all must be pure.  The program differentiates the trace g in t and the
+exact solution in x by one complex step, so g and exact must be
+analytic and accept complex arguments.  Numpy ufuncs are analytic, and
+a callable that ignores the perturbed variable returns a real value,
+whose zero imaginary part is the correct zero derivative.
 """
 
 import math
@@ -67,7 +72,15 @@ class Problem:
     T_default: float = 1.0
     energy_params: Optional[tuple] = None  # (eps, theta, theta_c)
     linear: float = 0.0
-    source: Optional[Callable] = None  # source(t, xs)
+    source: tuple = ()  # ((amplitude(t), profile(xs)), ...)
+
+    def __post_init__(self):
+        if not (isinstance(self.source, tuple) and all(
+                isinstance(term, tuple) and len(term) == 2
+                and all(map(callable, term)) for term in self.source)):
+            raise ValueError(
+                "source must be a tuple of (amplitude(t), profile(xs)) "
+                f"pairs of callables, got {self.source!r}")
 
     @property
     def dim(self):
@@ -99,7 +112,8 @@ def builtin_linear_rd():
     u_t = (1/2) lap(u) - (pi^2/2) u + (pi^2/2) e^{-pi^2 t} sin(pi x) sin(pi y)
     on (1/2, 5/2) x (0, 1) with zero boundary values; the exact solution
     e^{-pi^2 t} (sin(pi x) - 1) sin(pi y) decays to zero.  The reaction
-    is all linear part and source, so a step never needs the nodal state.
+    is all linear part and one separable source term, so a step needs
+    neither the nodal state nor a transform.
     """
     pi2 = np.pi ** 2
 
@@ -107,9 +121,9 @@ def builtin_linear_rd():
         x, y = xs
         return np.exp(-pi2 * t) * (np.sin(np.pi * x) - 1.0) * np.sin(np.pi * y)
 
-    def source(t, xs):
+    def profile(xs):
         x, y = xs
-        return 0.5 * pi2 * np.exp(-pi2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
+        return np.sin(np.pi * x) * np.sin(np.pi * y)
 
     return Problem(
         name="linear_rd",
@@ -120,7 +134,7 @@ def builtin_linear_rd():
         exact=exact,
         T_default=1.0,
         linear=-0.5 * pi2,
-        source=source,
+        source=((lambda t: 0.5 * pi2 * np.exp(-pi2 * t), profile),),
     )
 
 

@@ -22,7 +22,9 @@ the incoming coefficients.  With the folded weights
     b2 = dt*phi2(-dt*rates)/c2,  b1 = phi1 - b2,
 
 the load is lam * c + G, where lam is the problem's `linear` and G the
-`transformed_load` of its source and f.  The lam * c part folds into
+`transformed_load` of its source and f: the transform of f plus each
+source term's amplitude times its profile's modes, which are
+transformed at the run's first load.  The lam * c part folds into
 the weights once per run:
 
     Euler:  c^{n+1} = (decay + lam*phi1) * c^n + phi1 * G(t_n)
@@ -39,8 +41,10 @@ step runs the same products whatever lam is, and with lam = 0 no fold
 runs.
 
 State stays transformed between steps; nodal recovery happens only for
-evaluating f and for observation, so a problem whose f is None steps
-with forward transforms alone.  `SolverState.coeffs` is laid out as
+evaluating f and for observation.  So a problem whose f is None steps
+with no transform at all: a run of it that takes any steps makes one
+forward transform of u0 and one per source term, however many steps
+it takes.  `SolverState.coeffs` is laid out as
 `transforms` defines it: real sine coefficients of the nodal shape on
 Dirichlet meshes, the complex half spectrum of `rfftn` (N // 2 + 1
 entries on the last axis) on periodic ones.  The weights are real and

@@ -161,13 +161,14 @@ def dense_boundary_load(ctx, t, g_t):
 
 
 def full_reaction(problem, t, U, xs):
-    """The whole reaction linear * U + source(t, xs) + f(t, U, xs), built
-    from the Problem fields alone: the oracles must not share the fast
-    path's split, which leaves the linear part out of the load."""
+    """The whole reaction linear * U + sum_j amplitude_j(t) profile_j(xs)
+    + f(t, U, xs), built from the Problem fields alone: the oracles must
+    not share the fast path's split, which leaves the linear part out of
+    the load and transforms each profile once."""
     U = np.asarray(U, dtype=float)
     out = problem.linear * U
-    if problem.source is not None:
-        out = out + problem.source(t, xs)
+    for amplitude, profile in problem.source:
+        out = out + amplitude(t) * profile(xs)
     if problem.f is not None:
         out = out + problem.f(t, U, xs)
     return np.broadcast_to(out, U.shape)

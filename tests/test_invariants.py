@@ -88,13 +88,12 @@ def _wave(k, phase):
 
 def _box_problem(bounds, boundary, k, phase):
     """A reaction-diffusion problem on the box `bounds` whose data vary
-    along every axis: initial state, source and, on a lifted Dirichlet
-    mesh, the trace."""
+    along every axis: initial state, a wave in the reaction and, on a
+    lifted Dirichlet mesh, the trace."""
     field = _wave(k, phase)
     return Problem(
         name="inline", diffusion=0.7,
-        f=lambda t, u, xs: u * (1.0 - u * u),
-        source=lambda t, xs: field(t, xs[::-1]),
+        f=lambda t, u, xs: u * (1.0 - u * u) + field(t, xs[::-1]),
         domain=tuple(bounds), periodic=boundary == "periodic",
         u0=lambda xs: field(0.0, xs),
         g=field if boundary == "dirichlet" else None)
@@ -141,7 +140,7 @@ def test_transposing_the_box_transposes_the_solution(
                         [3.0 * x for x in phase])
     moved = dataclasses.replace(
         prob, domain=tuple(bounds[i] for i in perm),
-        source=_permuted(prob.source, perm),
+        f=_permuted(prob.f, perm),
         u0=_permuted(prob.u0, perm), g=_permuted(prob.g, perm))
     cfg = SchemeConfig(dt=dt, T=STEPS * dt, scheme="rk2")
     solutions = []
@@ -151,6 +150,56 @@ def test_transposing_the_box_transposes_the_solution(
         solutions.append(inverse_transform(run(problem, mesh, cfg).coeffs,
                                            mesh))
     assert rel_err(solutions[1], solutions[0].transpose(perm)) < 1e-13
+
+
+def _separable_term(c, w, k, phase, axis):
+    """The source term (c cos(w t), cos(k x_axis + phase)): its profile
+    varies along one axis and broadcasts over the others."""
+    return (lambda t: c * np.cos(w * t),
+            lambda xs: np.cos(k * xs[axis] + phase))
+
+
+terms = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 20.0),
+                           st.floats(0.5, 4.0), st.floats(0.0, 3.0),
+                           st.integers(0, 2)), min_size=1, max_size=3)
+
+
+@given(shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+       boundary=st.sampled_from(["periodic", "homogeneous", "dirichlet"]),
+       scheme=st.sampled_from(["euler", "rk2"]), terms=terms,
+       nonlinear=st.booleans())
+@example(shape=[4, 3, 5], boundary="dirichlet", scheme="rk2",
+         terms=[(1.5, 3.0, 2.0, 0.4, 0), (-0.7, 0.0, 1.0, 2.0, 1),
+                (0.9, 12.0, 3.5, 1.0, 2)], nonlinear=True)
+@example(shape=[6], boundary="periodic", scheme="euler",
+         terms=[(2.0, 5.0, 3.0, 0.0, 0)], nonlinear=False)
+def test_separable_source_equals_the_same_terms_in_f(shape, boundary,
+                                                     scheme, terms, nonlinear):
+    # each profile transformed once and its modes scaled at every load
+    # give the run that transforms the summed terms at every load, up to
+    # rounding, with or without a reaction that reads u beside them
+    dim = len(shape)
+    source = tuple(_separable_term(c, w, k, phase, axis % dim)
+                   for c, w, k, phase, axis in terms)
+    base = (lambda t, u, xs: u * (1.0 - u * u)) if nonlinear else None
+
+    def in_f(t, u, xs):
+        out = base(t, u, xs) if base else 0.0
+        for amplitude, profile in source:
+            out = out + amplitude(t) * profile(xs)
+        return out
+
+    field = _wave([1.1, 0.7, 1.9][:dim], [0.3, 0.5, 0.2][:dim])
+    prob = Problem(name="inline", diffusion=0.7, f=base, source=source,
+                   domain=((0.0, 1.0),) * dim,
+                   periodic=boundary == "periodic",
+                   u0=lambda xs: field(0.0, xs),
+                   g=field if boundary == "dirichlet" else None)
+    mesh = mesh_for(prob, shape)
+    cfg = SchemeConfig(dt=0.01, T=STEPS * 0.01, scheme=scheme)
+    got = run(prob, mesh, cfg).coeffs
+    want = run(dataclasses.replace(prob, f=in_f, source=()), mesh, cfg).coeffs
+    assert rel_err(got, want) < 1e-13
 
 
 def _dense_affine_solution(mesh, diffusion, U0, S0, S1, T):
@@ -171,8 +220,8 @@ def _dense_affine_solution(mesh, diffusion, U0, S0, S1, T):
 def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
                   scheme, c2):
     """Largest relative error at T of the source S0 + t S1, run once as
-    `source` and once as an f that ignores u, against the dense
-    solution."""
+    the source terms (1, S0) and (t, S1) and once as an f that ignores
+    u, against the dense solution."""
     prob = Problem(name="inline", diffusion=diffusion, f=None,
                    domain=((0.0, 1.0),) * len(shape), periodic=periodic,
                    u0=lambda xs: U0)
@@ -180,7 +229,8 @@ def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
     cfg = SchemeConfig(dt=dt, T=nsteps * dt, scheme=scheme, c2=c2)
     want = _dense_affine_solution(mesh, diffusion, U0, S0, S1, nsteps * dt)
     errors = []
-    for split in (dict(source=lambda t, xs: S0 + t * S1),
+    for split in (dict(source=((lambda t: 1.0, lambda xs: S0),
+                               (lambda t: t, lambda xs: S1))),
                   dict(f=lambda t, u, xs: S0 + t * S1)):
         state = run(dataclasses.replace(prob, **split), mesh, cfg)
         errors.append(rel_err(inverse_transform(state.coeffs, mesh), want))

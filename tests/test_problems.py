@@ -6,7 +6,7 @@ import pytest
 
 from expfem.assembly import LoadContext, _trace_faces, initial_state
 from expfem.mesh import Dirichlet, Periodic, dof_shape, node_grids
-from expfem.problems import (NonlinearityDomainError, boundary_kind,
+from expfem.problems import (NonlinearityDomainError, Problem, boundary_kind,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
 
@@ -76,6 +76,26 @@ def test_wave_travels_at_constant_speed():
         a = float(prob.exact(T, (np.asarray(x + speed * T),)))
         b = float(prob.exact(0.0, (np.asarray(x),)))
         assert abs(a - b) < 1e-12
+
+
+def _one(t):
+    return 1.0
+
+
+@pytest.mark.parametrize("source", [
+    lambda t, xs: 1.0,          # the callable s(t, xs) of earlier versions
+    [(_one, _one)],             # a list, not a tuple
+    ((_one, 1.0),),             # a profile that is no callable
+    ((_one,),),                 # a term that is no pair
+    ((_one, _one, _one),),
+    (_one, _one),               # one pair, not a tuple of pairs
+    None,
+], ids=["callable", "list", "constant", "single", "triple", "bare", "none"])
+def test_problem_rejects_a_source_that_is_not_a_tuple_of_callable_pairs(
+        source):
+    with pytest.raises(ValueError, match="source"):
+        Problem(name="inline", diffusion=1.0, f=None, domain=((0.0, 1.0),),
+                source=source)
 
 
 def test_wave_pde_residual():

@@ -277,7 +277,7 @@ def _whole_reaction_in_f(prob):
     """The same problem with its whole reaction in f: no linear part, no
     source."""
     return dataclasses.replace(
-        prob, linear=0.0, source=None,
+        prob, linear=0.0, source=(),
         f=lambda t, u, xs: full_reaction(prob, t, u, xs))
 
 
@@ -297,7 +297,9 @@ def test_split_linear_rd_matches_whole_reaction_in_f(subs, scheme, c2):
     assert rel_err(got.coeffs, want.coeffs) < 1e-13
 
 
-def test_linear_rd_euler_step_makes_one_forward_transform(monkeypatch):
+def _count_transforms(monkeypatch):
+    """Counts of the forward and inverse transforms `run` and the loads
+    make from here on."""
     calls = {"forward": 0, "inverse": 0}
 
     def counted(name, fn):
@@ -306,16 +308,56 @@ def test_linear_rd_euler_step_makes_one_forward_transform(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(assembly, "forward_transform",
-                        counted("forward", assembly.forward_transform))
+    for module in (assembly, stepper):
+        monkeypatch.setattr(module, "forward_transform",
+                            counted("forward", module.forward_transform))
     monkeypatch.setattr(stepper, "inverse_transform",
                         counted("inverse", stepper.inverse_transform))
+    return calls
+
+
+@pytest.mark.parametrize("nsteps", [0, 1, 2, 7])
+def test_linear_rd_run_transforms_u0_and_the_source_profile_once(
+        monkeypatch, nsteps):
+    # the profile is transformed at the first load, so a run with no
+    # steps transforms u0 alone, and steps make no transform of their own
+    calls = _count_transforms(monkeypatch)
+    prob = builtin_linear_rd()
+    run(prob, mesh_for(prob, (8, 4)),
+        SchemeConfig(dt=0.01, T=0.01 * nsteps, scheme="euler"))
+    assert calls == {"forward": 1 + min(nsteps, 1), "inverse": 0}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_steps_with_neither_f_nor_a_source_make_no_transform(
+        monkeypatch, periodic, scheme):
+    calls = _count_transforms(monkeypatch)
+    prob = _problem(None, dim=2, periodic=periodic)
+    run(prob, mesh_for(prob, (8, 4)),
+        SchemeConfig(dt=0.01, T=0.05, scheme=scheme))
+    assert calls == {"forward": 1, "inverse": 0}
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_source_modes_are_read_only_and_left_unchanged_by_steps(scheme):
+    # the steps scale each load in place: a load that handed out the
+    # cached modes themselves would change them for every later load
     prob = builtin_linear_rd()
     mesh = mesh_for(prob, (8, 4))
     ctx = LoadContext(prob, mesh)
     state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    exp_euler_step(state, ctx, 0.01, _weights(ctx, 0.01, "euler"))
-    assert calls == {"forward": 1, "inverse": 0}
+    w = _weights(ctx, 0.01, scheme)
+    if scheme == "euler":
+        step = functools.partial(exp_euler_step, state, ctx, 0.01, w)
+    else:
+        step = functools.partial(exp_rk2_step, state, ctx, 0.01, 0.5, w)
+    first = step()
+    (modes,) = ctx.source_modes
+    saved = modes.copy()
+    assert not modes.flags.writeable
+    assert np.array_equal(step().coeffs, first.coeffs)
+    assert np.array_equal(modes, saved)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk2"])
