@@ -23,10 +23,13 @@ import numpy as np
 import scipy.linalg
 
 from expfem.analysis import _exact_gradient
+from expfem.assembly import transformed_load
 from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
                          extend_nodal, full_axis_coordinates, is_periodic)
 from expfem.operator import phi
 from expfem.quadrature import apply_matrix, gauss_rule
+from expfem.stepper import SolverState
+from expfem.transforms import inverse_transform
 
 
 def full_grids(mesh):
@@ -224,6 +227,23 @@ def dense_rk2_step(ctx, t, U, dt, c2=0.5, g_t=None):
     p1, p2 = phi(1, -dt * lam), phi(2, -dt * lam)
     y1 = np.exp(-dt * lam) * y + dt * ((p1 - p2 / c2) * g1 + (p2 / c2) * g2)
     return (V @ y1).reshape(U.shape)
+
+
+def rk2_step_with_temporaries(state, ctx, dt, c2, w):
+    """`exp_rk2_step`'s products in its order, written with a fresh
+    array per product and the stage held through the second load: the
+    step, which keeps its temporaries in the output buffer, must give
+    the same bits."""
+    def nodal(coeffs):
+        if ctx.problem.f is None:
+            return None
+        return inverse_transform(coeffs, ctx.mesh)
+
+    G1 = transformed_load(ctx, state.t, nodal(state.coeffs))
+    stage = w.stage_decay * state.coeffs + w.stage_phi1 * G1
+    G2 = transformed_load(ctx, state.t + c2 * dt, nodal(stage))
+    coeffs = w.decay * state.coeffs + w.b1 * G1 + w.b2 * G2
+    return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
 # ---------------------------------------------------------------------------

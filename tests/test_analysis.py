@@ -1,9 +1,13 @@
 import math
+import struct
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from expfem.analysis import (TimeSeriesObserver, _exact_gradient,
                              convergence_study, discrete_energy, error_norms,
@@ -119,6 +123,25 @@ def test_discrete_energy_rejects_nan_state():
 def test_sup_norm():
     assert sup_norm(np.zeros((3, 3))) == 0.0
     assert sup_norm(np.array([-0.3, 0.9])) == 0.9
+
+
+_SPECIAL = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf,
+                            0.0, -0.0])
+
+
+@given(U=hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=5),
+                    elements=st.one_of(_SPECIAL, st.floats())))
+@example(U=np.zeros(4))
+@example(U=np.array([-0.0, 0.0]))
+@example(U=np.array([-2.0, math.nan, 1.0]))
+@example(U=np.array([-math.inf, 1.0]))
+def test_sup_norm_gives_the_bits_of_max_abs(U):
+    # -0.0 from max(-U.min(), U.max()) on a zero state would differ
+    got, want = sup_norm(U), float(np.max(np.abs(U)))
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_convergence_study_rates_and_report_shape():

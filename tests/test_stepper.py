@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ import pytest
 from expfem import assembly, stepper
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
+from expfem.mesh import dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import (Problem, builtin_allen_cahn_wave,
-                             builtin_linear_rd, mesh_for)
+                             builtin_flory_huggins, builtin_linear_rd,
+                             mesh_for)
 from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
                             exp_euler_step, exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
 
 from helpers import (dense_euler_step, dense_rk2_step, full_reaction, rel_err,
-                     wave_exact_dt)
+                     rk2_step_with_temporaries, wave_exact_dt)
 
 
 def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None, periodic=False):
@@ -107,9 +110,12 @@ def test_rk2_weight_consistency_conditions():
     op = build_operator(mesh, prob.diffusion)
     dt, c2 = 0.01, 0.5
     w = StepWeights(op, dt, "rk2", c2)
-    # the phi weights carry their step length
-    assert rel_err(w.b1 + w.b2, w.phi1) < 1e-13
-    assert np.array_equal(w.phi1, dt * phi_tensor(1, op, dt))
+    # the phi weights carry their step length; rk2 forms b1 in phi1's
+    # buffer and keeps no phi1
+    phi1 = dt * phi_tensor(1, op, dt)
+    assert rel_err(w.b1 + w.b2, phi1) < 1e-13
+    assert not hasattr(w, "phi1")
+    assert np.array_equal(StepWeights(op, dt, "euler").phi1, phi1)
     assert np.array_equal(w.stage_phi1,
                           (c2 * dt) * phi_tensor(1, op, dt, scale=c2))
     assert np.array_equal(w.decay, np.exp(-dt * op.decay_rates))
@@ -373,3 +379,51 @@ def test_linear_part_in_modal_space_on_every_boundary_kind(boundary, scheme):
     cfg = SchemeConfig(dt=0.01, T=0.2, scheme=scheme)
     got = run(split, mesh, cfg).coeffs
     assert rel_err(got, run(whole, mesh, cfg).coeffs) < 1e-13
+
+
+def _custom_2d(boundary):
+    bc, g = _BOUNDARIES[boundary]
+    return parse_config(_CUSTOM_2D.format(bc=bc, f="u - u ** 3", g=g)).problem
+
+
+@pytest.mark.parametrize("prob, subs", [
+    (_custom_2d("periodic"), (8, 6)),
+    (_custom_2d("homogeneous"), (8, 6)),
+    (_custom_2d("lifted"), (8, 6)),
+    (builtin_flory_huggins(), (8, 8, 8)),
+    (builtin_allen_cahn_wave(dim=2), (16, 6)),
+    (builtin_linear_rd(), (8, 4)),  # linear != 0 folds into the weights
+], ids=["periodic", "homogeneous", "lifted", "fh", "acw", "linear_rd"])
+def test_rk2_step_gives_the_bits_of_its_products_with_temporaries(prob, subs):
+    mesh = mesh_for(prob, subs)
+    ctx = LoadContext(prob, mesh)
+    dt = 1e-3
+    w = _weights(ctx, dt, "rk2")
+    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
+    for _ in range(3):
+        want = rk2_step_with_temporaries(state, ctx, dt, 0.5, w)
+        state = exp_rk2_step(state, ctx, dt, 0.5, w)
+        assert np.array_equal(state.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("scheme, every, bound", [
+    ("rk2", None, 9.0), ("euler", None, 6.25), ("rk2", 1, 9.0)])
+def test_run_memory_stays_within_a_few_nodal_arrays(scheme, every, bound):
+    # a run that kept the initial state, a phi1 beside rk2's b1, and the
+    # stage and a stage_phi1 * G1 product through the second load peaked
+    # at 11.0 (rk2) and 6.75 (Euler) nodal arrays; keeping the observed
+    # state through the next step adds one more
+    prob = builtin_flory_huggins()
+    mesh = mesh_for(prob, (32, 32, 32))
+    cfg = SchemeConfig(dt=1e-4, T=3e-4, scheme=scheme)
+    observers = [] if every is None else [(every, lambda n, t, U: None)]
+    run(prob, mesh, cfg, observers)
+    nodal_bytes = 8 * math.prod(dof_shape(mesh))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(prob, mesh, cfg, observers)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * nodal_bytes
