@@ -197,18 +197,24 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
         U = inverse_transform(state.coeffs, mesh)
         row.err_l2, row.err_h1 = error_norms(U, mesh, problem.exact, state.t)
         if rows:
-            row.rate_l2 = math.log2(rows[-1].err_l2 / row.err_l2)
-            row.rate_h1 = math.log2(rows[-1].err_h1 / row.err_h1)
+            row.rate_l2 = _rate(rows[-1].err_l2, row.err_l2)
+            row.rate_h1 = _rate(rows[-1].err_h1, row.err_h1)
         rows.append(row)
     return rows
 
 
-def timing_study(problem, ladders, nt, scheme="rk2", c2=0.5, T=None):
-    """Measure steady per-step cost over a spatial ladder at fixed nt; one
-    `StudyRow` per rung, with the growth exponent against the rung before."""
+def _rate(coarse, fine):
+    """The dyadic rate log2(coarse / fine); None unless both errors are
+    positive."""
+    return math.log2(coarse / fine) if coarse > 0 and fine > 0 else None
+
+
+def timing_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
+    """Measure steady per-step cost over a ladder of (per-axis
+    subdivisions, nt) rungs; one `StudyRow` per rung, with the growth
+    exponent against the rung before."""
     rows, nodes = [], []
-    for mesh, _, row in _ladder(problem, [(s, nt) for s in ladders],
-                                scheme, c2, T):
+    for mesh, _, row in _ladder(problem, rungs, scheme, c2, T):
         nodes.append(math.prod(dof_shape(mesh)))
         if rows:
             row.growth = (math.log(row.sec_per_step / rows[-1].sec_per_step)

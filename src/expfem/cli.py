@@ -83,8 +83,8 @@ def _cmd_run(args, cfg, out_dir):
 
 
 def _cmd_converge(args, cfg, out_dir):
-    rows = convergence_study(cfg.problem, list(zip(cfg.ladder_n, cfg.ladder_nt)),
-                             scheme=cfg.scheme, c2=cfg.c2, T=cfg.T)
+    rows = convergence_study(cfg.problem, cfg.rungs, scheme=cfg.scheme,
+                             c2=cfg.c2, T=cfg.T)
     path = out_dir / cfg.out_report
     write_report_csv(rows, path)
     for row in rows:
@@ -95,8 +95,8 @@ def _cmd_converge(args, cfg, out_dir):
 
 
 def _cmd_bench(args, cfg, out_dir):
-    rows = timing_study(cfg.problem, cfg.ladder_n, cfg.nt,
-                        scheme=cfg.scheme, c2=cfg.c2, T=cfg.T)
+    rows = timing_study(cfg.problem, cfg.rungs, scheme=cfg.scheme,
+                        c2=cfg.c2, T=cfg.T)
     path = out_dir / cfg.out_report
     write_report_csv(rows, path)
     for row in rows:

@@ -2,6 +2,16 @@
 
 Config text is TOML, read with the standard library's `tomllib`; its
 tables flatten to dotted keys (`[domain]` then `n = ...` is `domain.n`).
+`parse_config` takes each key out of that mapping as it reads it, and
+reads only the keys of the chosen mode and problem; a key left over,
+misspelt or one that the mode or the problem does not read, is an
+error.  Config checks the TOML types and the rules no other object
+owns (T > 0, dt * nt = T, the cadences and the output names); every
+other value rule is its owner's: `stepper.SchemeConfig` checks the
+scheme, c2, dt and that T is a multiple of dt, `mesh_for` the
+subinterval counts, and a builtin factory's signature names the
+parameters its problem takes.
+
 Custom problems may define their PDE data through a small expression
 language over t, u and the coordinates, supporting arithmetic, exp, ln,
 tanh, sin, cos and pi.  All of these are analytic, so the trace g and
@@ -10,13 +20,16 @@ derivatives.
 """
 
 import ast
+import inspect
 import math
 import tomllib
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import dof_shape
 from .problems import BUILTIN_FACTORIES, Problem, mesh_for
+from .stepper import SchemeConfig
 
 
 class ConfigError(Exception):
@@ -118,48 +131,40 @@ def compile_expression(source, variables):
 # run configuration
 
 _AXES = ("x", "y", "z")
-
-_TOP_KEYS = {
-    "mode", "problem", "scheme", "c2", "dt", "nt", "T", "seed",
-    "observe_every", "snapshot_every", "eps", "theta", "theta_c",
-}
-_SECTION_KEYS = {
-    "domain": {"bounds", "n", "bc"},
-    "custom": {"d", "f", "u0", "g", "exact"},
-    "ladder": {"kind", "n", "nt"},
-    "output": {"report", "series", "snapshot"},
-}
-
 _MODES = ("run", "convergence", "timing")
 
 
+@dataclass
 class RunConfig:
-    """Validated run description built by `parse_config`."""
+    """Validated run description built by `parse_config`.
 
-    def __init__(self):
-        self.mode = "run"
-        self.problem = None
-        self.scheme = "rk2"
-        self.c2 = 0.5
-        self.dt = None
-        self.nt = None
-        self.T = None
-        self.seed = None
-        self.subdivisions = None
-        self.observe_every = None
-        self.snapshot_every = 0
-        self.ladder_kind = None
-        self.ladder_n = None
-        self.ladder_nt = None
-        self.out_report = "report.csv"
-        self.out_series = "series.csv"
-        self.out_snapshot = "snapshot_{step:06d}.vtk"
+    A run sets `subdivisions`, `dt`, `nt`, the cadences and the series
+    and snapshot names; a ladder sets `rungs`, its (per-axis
+    subdivisions, nt) pairs, and the report name, and a spatial ladder
+    `dt` and `nt` too.
+    """
+
+    mode: str = "run"
+    problem: Problem = None
+    scheme: str = "rk2"
+    c2: float = 0.5
+    dt: float = None
+    nt: int = None
+    T: float = None
+    seed: int = None
+    subdivisions: list = None
+    rungs: list = None
+    observe_every: int = None
+    snapshot_every: int = 0
+    out_report: str = "report.csv"
+    out_series: str = "series.csv"
+    out_snapshot: str = "snapshot_{step:06d}.vtk"
 
 
 def _require(values, key):
     if key not in values:
         raise ConfigError(f"missing required key {key!r}")
-    return values[key]
+    return values.pop(key)
 
 
 def _is_int(value):
@@ -196,47 +201,52 @@ def _bounds(value):
 def _int_list(value, key):
     if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ConfigError(f"key {key!r} must be a list of integers")
-    return list(value)
+    return value
 
 
-def _subdivisions(value, key):
-    counts = _int_list(value, key)
-    if any(n < 2 for n in counts):
-        raise ConfigError(
-            f"key {key!r} needs at least 2 subintervals per axis, got {counts}")
-    return counts
+def _counts(problem, value, key):
+    """Per-axis subinterval counts, checked by building the mesh."""
+    try:
+        mesh_for(problem, _int_list(value, key))
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
+    return value
 
 
-# the top-level parameter keys each problem's factory takes: the float
-# parameters, and the integer seed; `seed` is accepted for every problem,
-# as --seed sets it for all
-_PROBLEM_KEYS = {
-    "linear_rd": (),
-    "allen_cahn_wave": ("eps",),
-    "flory_huggins": ("eps", "theta", "theta_c", "seed"),
-    "custom": (),
-}
-_PARAMETER_KEYS = ("eps", "theta", "theta_c")
-
-
-def _build_problem(values):
+def _build_problem(values, seed):
     name = _require(values, "problem")
-    if name not in _PROBLEM_KEYS:
+    if name == "custom":
+        return _build_custom_problem(values)
+    if not isinstance(name, str) or name not in BUILTIN_FACTORIES:
         raise ConfigError(
             f"unknown problem {name!r}; expected one of "
             f"{sorted(BUILTIN_FACTORIES)} or \"custom\"")
-    takes = _PROBLEM_KEYS[name]
-    for key in _PARAMETER_KEYS:
-        if key in values and key not in takes:
-            raise ConfigError(f"key {key!r} does not apply to problem {name!r}")
-    if name == "custom":
-        return _build_custom_problem(values)
-    kwargs = {k: values[k] if k == "seed" else _finite(values[k], k)
-              for k in takes if k in values}
+    factory = BUILTIN_FACTORIES[name]
+    # a factory's float parameters are config keys (allen_cahn_wave's
+    # integer `dim` is not); `seed` is read for every problem, as --seed
+    # sets it for all, and passed where taken
+    params = inspect.signature(factory).parameters
+    kwargs = {key: _finite(values.pop(key), key) for key, p in params.items()
+              if isinstance(p.default, float) and key in values}
+    if seed is not None and "seed" in params:
+        kwargs["seed"] = seed
     try:
-        return BUILTIN_FACTORIES[name](**kwargs)
+        problem = factory(**kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+
+    declared = "periodic" if problem.periodic else "dirichlet"
+    bc = values.pop("domain.bc", declared)
+    if bc != declared:
+        raise ConfigError(f"domain.bc = {bc!r} conflicts with problem "
+                          f"{name!r} (declares {declared!r})")
+    if "domain.bounds" in values:
+        given = _bounds(values.pop("domain.bounds"))
+        if len(given) != problem.dim or any(
+                abs(ga - pa) > 1e-12 or abs(gb - pb) > 1e-12
+                for (ga, gb), (pa, pb) in zip(given, problem.domain)):
+            raise ConfigError(f"domain.bounds conflicts with problem {name!r}")
+    return problem
 
 
 def _build_custom_problem(values):
@@ -245,7 +255,7 @@ def _build_custom_problem(values):
     if not 1 <= dim <= 3:
         raise ConfigError(f"domain.bounds must have 1..3 axes, got {dim}")
     coords = _AXES[:dim]
-    bc = values.get("domain.bc", "dirichlet")
+    bc = values.pop("domain.bc", "dirichlet")
     if bc not in ("dirichlet", "periodic"):
         raise ConfigError(f"domain.bc must be 'dirichlet' or 'periodic', got {bc!r}")
 
@@ -268,14 +278,14 @@ def _build_custom_problem(values):
     if "custom.g" in values:
         if bc == "periodic":
             raise ConfigError("key custom.g conflicts with periodic domain.bc")
-        g_expr = compile_expression(values["custom.g"], ("t",) + coords)
+        g_expr = compile_expression(values.pop("custom.g"), ("t",) + coords)
 
         def g(t, xs):
             return g_expr(t=t, **unpack(xs))
 
     exact = None
     if "custom.exact" in values:
-        e_expr = compile_expression(values["custom.exact"], ("t",) + coords)
+        e_expr = compile_expression(values.pop("custom.exact"), ("t",) + coords)
 
         def exact(t, xs):
             return e_expr(t=t, **unpack(xs))
@@ -295,86 +305,87 @@ def _build_custom_problem(values):
 def parse_config(text, seed_override=None):
     """Parse and validate config text into a RunConfig."""
     values = parse_keyvalues(text)
+    seed = values.pop("seed", None)
     if seed_override is not None:
-        values["seed"] = int(seed_override)
-    if "seed" in values and not (_is_int(values["seed"])
-                                 and values["seed"] >= 0):
-        raise ConfigError(
-            f"seed must be a nonnegative integer, got {values['seed']!r}")
-    for key in values:
-        if "." in key:
-            section, _, sub = key.partition(".")
-            if section not in _SECTION_KEYS:
-                raise ConfigError(f"unknown section {section!r}")
-            if sub not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r}")
-        elif key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
+        seed = int(seed_override)
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
-    cfg = RunConfig()
-    cfg.mode = values.get("mode", "run")
+    cfg = RunConfig(mode=values.pop("mode", "run"), seed=seed)
     if cfg.mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg.mode!r}")
-
-    cfg.problem = _build_problem(values)
+    where = f"mode {cfg.mode!r}"
+    cfg.problem = _build_problem(values, seed)
     if cfg.mode == "convergence" and cfg.problem.exact is None:
         raise ConfigError(
             f"convergence mode needs an exact solution, which problem "
             f"{cfg.problem.name!r} does not have")
-
-    if "domain.bc" in values and cfg.problem.name != "custom":
-        declared = "periodic" if cfg.problem.periodic else "dirichlet"
-        if values["domain.bc"] != declared:
-            raise ConfigError(
-                f"domain.bc = {values['domain.bc']!r} conflicts with problem "
-                f"{cfg.problem.name!r} (declares {declared!r})")
-    if "domain.bounds" in values and cfg.problem.name != "custom":
-        given = _bounds(values["domain.bounds"])
-        if len(given) != cfg.problem.dim or any(
-                abs(ga - pa) > 1e-12 or abs(gb - pb) > 1e-12
-                for (ga, gb), (pa, pb) in zip(given, cfg.problem.domain)):
-            raise ConfigError(
-                f"domain.bounds conflicts with problem {cfg.problem.name!r}")
-
-    cfg.scheme = values.get("scheme", "rk2")
-    if cfg.scheme not in ("euler", "rk2"):
-        raise ConfigError(f"scheme must be 'euler' or 'rk2', got {cfg.scheme!r}")
-    cfg.c2 = _finite(values.get("c2", 0.5), "c2")
-    if not 0 < cfg.c2 <= 1:
-        raise ConfigError(f"c2 must lie in (0, 1], got {cfg.c2}")
-
-    cfg.T = _finite(values.get("T", cfg.problem.T_default), "T")
+    cfg.scheme = values.pop("scheme", cfg.scheme)
+    cfg.c2 = _finite(values.pop("c2", cfg.c2), "c2")
+    cfg.T = _finite(values.pop("T", cfg.problem.T_default), "T")
     if cfg.T <= 0:
         raise ConfigError(f"T must be positive, got {cfg.T}")
 
-    cfg.seed = values.get("seed")
-
-    if cfg.mode in ("convergence", "timing"):
-        _resolve_ladder(cfg, values)
-    else:
+    if cfg.mode == "run":
         _resolve_steps(cfg, values)
-        cfg.subdivisions = _subdivisions(_require(values, "domain.n"),
-                                         "domain.n")
-        if len(cfg.subdivisions) != cfg.problem.dim:
-            raise ConfigError(
-                f"domain.n has {len(cfg.subdivisions)} axes, problem "
-                f"{cfg.problem.name!r} is {cfg.problem.dim}D")
+        cfg.subdivisions = _counts(cfg.problem, _require(values, "domain.n"),
+                                   "domain.n")
+        _resolve_outputs(cfg, values)
+    else:
+        kind = _require(values, "ladder.kind")
+        where += f" with ladder.kind {kind!r}"
+        cfg.rungs = _resolve_ladder(cfg, values, kind)
+        cfg.out_report = _output_name(values, "report", cfg.out_report)
+    if values:
+        raise ConfigError(
+            f"unknown key(s) {', '.join(map(repr, sorted(values)))}: not "
+            f"read for problem {cfg.problem.name!r} in {where}")
+    return cfg
 
-    cadence = values.get("observe_every", max(1, (cfg.nt or 1) // 100))
+
+def _steps(cfg, dt):
+    """Steps of length dt to T, by the run's `SchemeConfig`, whose checks
+    of dt, the scheme and c2 become config errors."""
+    try:
+        return SchemeConfig(dt=dt, T=cfg.T, scheme=cfg.scheme,
+                            c2=cfg.c2).num_steps()
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def _resolve_steps(cfg, values):
+    dt = values.pop("dt", None)
+    nt = values.pop("nt", None)
+    if dt is None and nt is None:
+        raise ConfigError("one of dt or nt is required")
+    if nt is not None and not (_is_int(nt) and nt >= 1):
+        raise ConfigError(f"nt must be a positive integer, got {nt!r}")
+    cfg.dt = cfg.T / nt if dt is None else _finite(dt, "dt")
+    cfg.nt = _steps(cfg, cfg.dt)
+    if nt is not None and nt != cfg.nt:
+        raise ConfigError(f"dt * nt = {cfg.dt * nt} does not equal T = {cfg.T}")
+
+
+def _output_name(values, key, default):
+    name = values.pop(f"output.{key}", default)
+    if not isinstance(name, str):
+        raise ConfigError(f"output.{key} must be a string, got {name!r}")
+    return name
+
+
+def _resolve_outputs(cfg, values):
+    """A run's cadences and file names, checked here, so that a bad name
+    fails before any step runs."""
+    cadence = values.pop("observe_every", max(1, cfg.nt // 100))
     if not _is_int(cadence) or cadence < 1:
         raise ConfigError(f"observe_every must be a positive integer, got {cadence!r}")
     cfg.observe_every = cadence
-    snap = values.get("snapshot_every", 0)
+    snap = values.pop("snapshot_every", 0)
     if not _is_int(snap) or snap < 0:
         raise ConfigError(f"snapshot_every must be a nonnegative integer, got {snap!r}")
     cfg.snapshot_every = snap
-
-    # checked here, so that a bad name fails before any step runs
-    for key in ("report", "series", "snapshot"):
-        name = values.get(f"output.{key}", getattr(cfg, f"out_{key}"))
-        if not isinstance(name, str):
-            raise ConfigError(f"output.{key} must be a string, got {name!r}")
-        setattr(cfg, f"out_{key}", name)
+    cfg.out_series = _output_name(values, "series", cfg.out_series)
+    cfg.out_snapshot = _output_name(values, "snapshot", cfg.out_snapshot)
     try:
         names = [cfg.out_snapshot.format(step=step) for step in (0, 1)]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
@@ -386,77 +397,37 @@ def parse_config(text, seed_override=None):
             f"output.snapshot {cfg.out_snapshot!r} gives steps 0 and 1 the "
             f"same file name {names[0]!r}, which every snapshot would "
             "overwrite")
-    return cfg
 
 
-def _resolve_steps(cfg, values):
-    dt = values.get("dt")
-    nt = values.get("nt")
-    if dt is None and nt is None:
-        raise ConfigError("one of dt or nt is required")
-    if nt is not None:
-        if not _is_int(nt) or nt < 1:
-            raise ConfigError(f"nt must be a positive integer, got {nt!r}")
-        cfg.nt = nt
-    if dt is not None:
-        dt = _finite(dt, "dt")
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
-        cfg.dt = dt
-    if dt is not None and nt is not None:
-        if abs(dt * nt - cfg.T) > 1e-9 * max(cfg.T, dt):
-            raise ConfigError(
-                f"dt * nt = {dt * nt} does not equal T = {cfg.T}")
-    elif dt is not None:
-        steps = round(cfg.T / dt)
-        if steps < 1 or abs(steps * dt - cfg.T) > 1e-9 * max(cfg.T, dt):
-            raise ConfigError(
-                f"T = {cfg.T} is not an integer multiple of dt = {dt}")
-        cfg.nt = steps
-    else:
-        cfg.dt = cfg.T / cfg.nt
-
-
-def _resolve_ladder(cfg, values):
-    kind = _require(values, "ladder.kind")
+def _resolve_ladder(cfg, values, kind):
+    """A ladder's (per-axis subdivisions, nt) rungs: a spatial ladder
+    refines ladder.n at the run's nt, a temporal one ladder.nt on
+    domain.n."""
     if kind not in ("spatial", "temporal"):
         raise ConfigError(f"ladder.kind must be 'spatial' or 'temporal', got {kind!r}")
     if cfg.mode == "timing" and kind != "spatial":
         raise ConfigError("timing mode requires ladder.kind = \"spatial\"")
-    cfg.ladder_kind = kind
-    dim = cfg.problem.dim
-    if kind == "spatial":
-        _resolve_steps(cfg, values)
-        raw = _require(values, "ladder.n")
-        if not (isinstance(raw, list) and raw
-                and all(isinstance(r, list) for r in raw)):
-            raise ConfigError("ladder.n must be a list of per-axis count lists")
-        cfg.ladder_n = [_subdivisions(r, "ladder.n") for r in raw]
-        for r in cfg.ladder_n:
-            if len(r) != dim:
+    if kind == "temporal":
+        nts = _int_list(_require(values, "ladder.nt"), "ladder.nt")
+        if not nts or min(nts) < 1:
+            raise ConfigError(f"ladder.nt must list positive step counts, got {nts}")
+        for nt in nts:
+            _steps(cfg, cfg.T / nt)
+        base = _counts(cfg.problem, _require(values, "domain.n"), "domain.n")
+        return [(base, nt) for nt in nts]
+    _resolve_steps(cfg, values)
+    raw = _require(values, "ladder.n")
+    if not (isinstance(raw, list) and raw
+            and all(isinstance(r, list) for r in raw)):
+        raise ConfigError("ladder.n must be a list of per-axis count lists")
+    ladder = [_counts(cfg.problem, r, "ladder.n") for r in raw]
+    if cfg.mode == "timing":
+        # the growth exponent divides by the log of the ratio of
+        # consecutive owned-node counts, so no two consecutive may match
+        nodes = [math.prod(dof_shape(mesh_for(cfg.problem, r))) for r in ladder]
+        for a, b, na, nb in zip(ladder, ladder[1:], nodes, nodes[1:]):
+            if na == nb:
                 raise ConfigError(
-                    f"ladder.n entry {r} has {len(r)} axes, problem is {dim}D")
-        cfg.ladder_nt = [cfg.nt] * len(cfg.ladder_n)
-        if cfg.mode == "timing":
-            _check_node_growth(cfg)
-    else:
-        cfg.ladder_nt = _int_list(_require(values, "ladder.nt"), "ladder.nt")
-        if any(nt < 1 for nt in cfg.ladder_nt):
-            raise ConfigError("ladder.nt entries must be positive")
-        base = _subdivisions(_require(values, "domain.n"), "domain.n")
-        if len(base) != dim:
-            raise ConfigError(
-                f"domain.n has {len(base)} axes, problem is {dim}D")
-        cfg.ladder_n = [base] * len(cfg.ladder_nt)
-
-
-def _check_node_growth(cfg):
-    """A timing ladder's growth exponent divides by the log of the ratio of
-    consecutive owned-node counts, so no two consecutive rungs may match."""
-    nodes = [math.prod(dof_shape(mesh_for(cfg.problem, r)))
-             for r in cfg.ladder_n]
-    for a, b, na, nb in zip(cfg.ladder_n, cfg.ladder_n[1:], nodes, nodes[1:]):
-        if na == nb:
-            raise ConfigError(
-                f"ladder.n rungs {a} and {b} both have {na} owned nodes; "
-                "a timing ladder needs consecutive rungs of different size")
+                    f"ladder.n rungs {a} and {b} both have {na} owned nodes; "
+                    "a timing ladder needs consecutive rungs of different size")
+    return [(r, cfg.nt) for r in ladder]

@@ -123,15 +123,17 @@ class SchemeConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected {SCHEMES}")
         if self.dt <= 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+            raise ValueError(f"time step dt must be positive, got {self.dt}")
         if self.T < 0:
             raise ValueError(f"terminal time must be nonnegative, got {self.T}")
         if not 0 < self.c2 <= 1:
             raise ValueError(f"stage node c2 must lie in (0, 1], got {self.c2}")
 
     def num_steps(self):
+        # relative to T, so that a dt far above a positive T gives no
+        # zero-step run
         n = round(self.T / self.dt)
-        if abs(n * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
+        if abs(n * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}")
         return n
@@ -215,7 +217,9 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     `every` and at the final step.  A step that any observer sees makes
     one inverse transform, which all of them share; the step-0 state is
     the read-only `initial_state`.  `run` drops each nodal state once the
-    observers have seen it, so none lives through the steps.
+    observers have seen it, so none lives through the steps.  A
+    `NonlinearityDomainError` of a step carries the index of the state
+    it starts from, one of an observer the index of the state it sees.
     `step_times`, when a list, collects per-step wall-clock seconds.
     """
     for every, _ in observers:
@@ -235,25 +239,26 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     for _, obs in observers:
         obs(0, 0.0, U0)
     del U0
-    for n in range(nsteps):
+    for _ in range(nsteps):
         tic = time.perf_counter()
         try:
             if cfg.scheme == "euler":
                 state = exp_euler_step(state, ctx, cfg.dt, weights)
             else:
                 state = exp_rk2_step(state, ctx, cfg.dt, cfg.c2, weights)
+            state.t = cfg.dt * state.step_index  # keep t free of summation drift
+            if step_times is not None:
+                step_times.append(time.perf_counter() - tic)
+            due = [obs for every, obs in observers
+                   if state.step_index % every == 0
+                   or state.step_index == nsteps]
+            if due:
+                U = inverse_transform(state.coeffs, mesh)
+                for obs in due:
+                    obs(state.step_index, state.t, U)
+                del U
         except NonlinearityDomainError as err:
             if err.step_index is None:
-                err.step_index = n
+                err.step_index = state.step_index
             raise
-        state.t = cfg.dt * state.step_index  # keep t free of summation drift
-        if step_times is not None:
-            step_times.append(time.perf_counter() - tic)
-        due = [obs for every, obs in observers
-               if state.step_index % every == 0 or state.step_index == nsteps]
-        if due:
-            U = inverse_transform(state.coeffs, mesh)
-            for obs in due:
-                obs(state.step_index, state.t, U)
-            del U
     return state

@@ -168,7 +168,7 @@ def test_rate_arithmetic_example():
 
 def test_timing_study_growth_definition():
     prob = builtin_linear_rd()
-    r0, r1 = timing_study(prob, [(4, 2), (8, 4)], nt=4, T=0.5)
+    r0, r1 = timing_study(prob, [((4, 2), 4), ((8, 4), 4)], T=0.5)
     assert r0.growth is None
     nodes0, nodes1 = 3 * 1, 7 * 3
     expected = math.log(r1.sec_per_step / r0.sec_per_step) / math.log(

@@ -123,6 +123,33 @@ def test_bench_repeated_rung_exits_as_config_error(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_key_the_mode_does_not_read_exits_as_config_error(tmp_path, capsys):
+    # a ladder writes no series, so a series cadence would be dropped unread
+    cfg = _write(tmp_path, "observe_every = 2\n" + CONV_CFG)
+    code = main(["converge", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "'observe_every'" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_zero_errors_leave_rates_empty(tmp_path):
+    # the exact zero solution: every rung's errors are 0, which has no rate
+    text = CONV_CFG.replace('"linear_rd"', '"custom"').replace(
+        "[[4, 2], [8, 4]]", "[[4], [8], [16]]") + (
+        '[domain]\nbounds = [[0.0, 1.0]]\n'
+        '[custom]\nd = 1.0\nf = "0 * u"\nu0 = "0"\nexact = "0"\n')
+    cfg = _write(tmp_path, text)
+    code = main(["converge", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"])
+    assert code == 0
+    rows = [line.split(",")
+            for line in (tmp_path / "report.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for cells in rows:
+        assert cells[2] == cells[4] == "0"  # err_l2, err_h1
+        assert cells[3] == cells[5] == ""   # cr_l2, cr_h1
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG + "observe_every = 0\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path)])
@@ -225,6 +252,23 @@ n = [4, 4, 4]
     assert code == 3
     err = capsys.readouterr().err
     assert "step" in err and "domain error" in err
+
+
+def test_domain_error_of_an_observer_names_its_step(tmp_path, capsys):
+    # one step leaves the range; the final state's energy finds it
+    text = """
+mode = "run"
+problem = "flory_huggins"
+scheme = "euler"
+T = 0.5
+nt = 1
+[domain]
+n = [8, 8, 8]
+"""
+    cfg = _write(tmp_path, text)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 3
+    assert "domain error: step 1: state value" in capsys.readouterr().err
 
 
 def test_identical_config_and_seed_identical_bytes(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,8 +204,8 @@ def test_smallest_valid_counts_accepted():
     assert parse_config(_run_text(n="[2, 2]")).subdivisions == [2, 2]
     assert parse_config(_run_text(top="nt = 1\nobserve_every = 1\n"
                                       "snapshot_every = 0\nseed = 0\n")).nt == 1
-    assert parse_config(_spatial_text("[[2, 2], [4, 4]]")).ladder_n == [
-        [2, 2], [4, 4]]
+    assert parse_config(_spatial_text("[[2, 2], [4, 4]]")).rungs == [
+        ([2, 2], 16), ([4, 4], 16)]
 
 
 def test_temporal_ladder_config():
@@ -218,8 +220,8 @@ kind = "temporal"
 nt = [4, 8, 16]
 """
     cfg = parse_config(text)
-    assert cfg.ladder_nt == [4, 8, 16]
-    assert cfg.ladder_n == [[64, 32]] * 3
+    assert cfg.rungs == [([64, 32], 4), ([64, 32], 8), ([64, 32], 16)]
+    assert cfg.dt is None and cfg.nt is None
 
 
 def test_spatial_ladder_requires_fixed_stepping():
@@ -233,8 +235,7 @@ n = [[8, 4], [16, 8]]
     with pytest.raises(ConfigError):
         parse_config(text)
     cfg = parse_config("nt = 64\n" + text)
-    assert cfg.ladder_n == [[8, 4], [16, 8]]
-    assert cfg.ladder_nt == [64, 64]
+    assert cfg.rungs == [([8, 4], 64), ([16, 8], 64)]
 
 
 def test_timing_ladder_rejects_equal_consecutive_node_counts():
@@ -243,7 +244,51 @@ def test_timing_ladder_rejects_equal_consecutive_node_counts():
     with pytest.raises(ConfigError) as exc:
         parse_config(text.replace("convergence", "timing"))
     assert "[8, 4] and [4, 8]" in str(exc.value)
-    assert parse_config(text).ladder_n == [[8, 4], [4, 8], [16, 8]]
+    assert [r for r, _ in parse_config(text).rungs] == [
+        [8, 4], [4, 8], [16, 8]]
+
+
+_SPATIAL = _spatial_text("[[4, 2], [8, 4]]")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("dt = 0.25\n" + _temporal_text(), "dt"),
+    ("nt = 8\n" + _temporal_text(), "nt"),
+    (_SPATIAL + "[domain]\nn = [8, 4]\n", "domain.n"),
+    (_run_text() + '[ladder]\nkind = "spatial"\n', "ladder.kind"),
+    (_run_text() + "[ladder]\nnt = [4, 8]\n", "ladder.nt"),
+    ("observe_every = 2\n" + _SPATIAL, "observe_every"),
+    ("snapshot_every = 2\n" + _temporal_text(), "snapshot_every"),
+    (_SPATIAL + '[output]\nseries = "s.csv"\n', "output.series"),
+    (_temporal_text() + '[output]\nsnapshot = "s_{step}.vtk"\n',
+     "output.snapshot"),
+    (_run_text() + '[output]\nreport = "r.csv"\n', "output.report"),
+], ids=["dt_temporal", "nt_temporal", "domain.n_spatial", "ladder.kind_run",
+        "ladder.nt_run", "observe_every_ladder", "snapshot_every_ladder",
+        "output.series_ladder", "output.snapshot_ladder", "output.report_run"])
+def test_keys_the_mode_does_not_read_rejected(text, key):
+    # a key the mode would drop unread is an error, as is a parameter the
+    # problem does not take
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert repr(key) in str(exc.value)
+
+
+def test_scheme_config_checks_become_config_errors():
+    # the scheme, c2, dt and the multiple-of-dt rule are SchemeConfig's
+    for top, key in [('scheme = "rk3"\nnt = 4\n', "scheme"),
+                     ("c2 = 1.5\nnt = 4\n", "c2"),
+                     ("dt = -0.25\n", "dt"),
+                     ("dt = 0.3\n", "dt"),
+                     ("dt = 1e10\n", "dt")]:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_run_text(top=top))
+        assert key in str(exc.value)
+    with pytest.raises(ConfigError, match="scheme"):
+        parse_config('scheme = "rk3"\n' + _temporal_text())
+    # a temporal ladder's rungs build them, so it needs at least one
+    with pytest.raises(ConfigError, match="ladder.nt"):
+        parse_config('scheme = "rk3"\n' + _temporal_text(nt="[]"))
 
 
 def test_keyvalue_parsing_features():
@@ -470,3 +515,68 @@ def test_float_keys_accept_integers_and_floats():
     assert cfg.problem.diffusion == 3.0
     cfg = parse_config(_FH.format(top="eps = 0.02\ntheta = 1\n"))
     assert cfg.problem.energy_params == (0.02, 1.0, 1.6)
+
+
+# valid configs that together use every key the parser reads
+KEY_TOUR = [
+    """
+mode = "run"
+problem = "flory_huggins"
+scheme = "rk2"
+c2 = 0.5
+T = 0.02
+dt = 0.01
+nt = 2
+seed = 1
+eps = 0.02
+theta = 0.8
+theta_c = 1.6
+observe_every = 1
+snapshot_every = 1
+[domain]
+n = [4, 4, 4]
+bounds = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
+bc = "periodic"
+[output]
+series = "s.csv"
+snapshot = "s_{step}.vtk"
+""",
+    """
+mode = "convergence"
+problem = "custom"
+nt = 4
+[domain]
+bounds = [[0.0, 1.0]]
+[custom]
+d = 1.0
+f = "-u"
+u0 = "sin(pi * x)"
+g = "0 * t"
+exact = "exp(-(pi^2 + 1) * t) * sin(pi * x)"
+[ladder]
+kind = "spatial"
+n = [[4], [8]]
+[output]
+report = "r.csv"
+""",
+    _temporal_text(),
+]
+
+
+def _readme_keys():
+    """The backticked keys in the first column of README's key table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    table = text.split("| key |", 1)[1].split("\n\n", 1)[0]
+    return {key for row in table.splitlines()[2:]
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+
+def test_readme_key_table_matches_the_keys_the_parser_reads():
+    # no table in the code lists the keys: each config parses, so the
+    # parser reads every key it holds, and together they hold README's
+    used = set()
+    for text in KEY_TOUR:
+        parse_config(text)
+        used |= set(parse_keyvalues(text))
+    assert used == _readme_keys()

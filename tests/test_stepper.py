@@ -216,6 +216,14 @@ def test_scheme_config_validation():
         SchemeConfig(dt=0.1, T=1.0, c2=0.0)
 
 
+def test_num_steps_rejects_a_step_far_above_T():
+    # a tolerance relative to max(T, dt) let dt = 1e10 take 0 steps to T = 1
+    with pytest.raises(ValueError, match="multiple of dt"):
+        SchemeConfig(dt=1e10, T=1.0).num_steps()
+    assert SchemeConfig(dt=0.5, T=0.0).num_steps() == 0
+    assert SchemeConfig(dt=0.1, T=0.7).num_steps() == 7
+
+
 def test_domain_error_reports_step_index():
     from expfem.problems import NonlinearityDomainError, builtin_flory_huggins
     prob = builtin_flory_huggins(seed=3)
