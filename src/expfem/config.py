@@ -14,9 +14,12 @@ parameters its problem takes.
 
 Custom problems may define their PDE data through a small expression
 language over t, u and the coordinates, supporting arithmetic, exp, ln,
-tanh, sin, cos and pi.  All of these are analytic, so the trace g and
-the exact solution also take the complex arguments of the complex-step
-derivatives.
+tanh, sin, cos and pi.  `compile_expression` turns each expression
+straight into the callable a `Problem` field takes: f(t, u, xs),
+u0(xs), g(t, xs) and exact(t, xs), with x, y and z the entries of the
+coordinate tuple xs.  All of these functions are analytic, so the trace
+g and the exact solution also take the complex arguments of the
+complex-step derivatives.
 """
 
 import ast
@@ -61,7 +64,6 @@ def parse_keyvalues(text):
 # ---------------------------------------------------------------------------
 # expression mini-language
 
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _FUNCTIONS = {
     "exp": np.exp,
     "ln": np.log,
@@ -70,61 +72,56 @@ _FUNCTIONS = {
     "cos": np.cos,
 }
 _CONSTANTS = {"pi": math.pi}
+# the syntax an expression may hold: names, numbers, calls, the unary
+# signs and + - * / **; any other node is "unsupported syntax"
+_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.Call,
+          ast.UnaryOp, ast.UAdd, ast.USub,
+          ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-def compile_expression(source, variables):
-    """Compile an arithmetic expression over the named variables.
+def compile_expression(source, scalars, coords):
+    """Compile an expression into the callable `fn(*scalars, xs)`.
 
-    Returns a callable taking the variables as keyword arguments (numpy
-    arrays or scalars).  Only arithmetic operators, the functions exp,
-    ln, tanh, sin, cos and the constant pi are allowed.
+    The callable binds the names of `scalars` (such as "t" and "u") to
+    its leading arguments in order, and those of `coords` to the
+    entries of the coordinate tuple `xs`, as a `Problem` calls it.
+    Besides them an expression may use numbers, + - * / and ** (or ^),
+    the constant pi and one-argument calls of exp, ln, tanh, sin and cos.
     """
     try:
         tree = ast.parse(source.replace("^", "**"), mode="eval")
     except SyntaxError as err:
         raise ConfigError(f"bad expression {source!r}: {err.msg}") from None
-
-    allowed = set(variables)
-
-    def check(node):
-        if isinstance(node, ast.Expression):
-            return check(node.body)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-            check(node.left)
-            check(node.right)
-            return
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            check(node.operand)
-            return
-        if isinstance(node, ast.Constant) and isinstance(node.value, bool):
+    names = {*scalars, *coords, *_CONSTANTS}
+    callees = set()  # ast.walk meets a call before its callee
+    for node in ast.walk(tree):
+        if not isinstance(node, _NODES):
+            raise ConfigError(f"unsupported syntax in expression {source!r}")
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name)
+                    and node.func.id in _FUNCTIONS
+                    and len(node.args) == 1 and not node.keywords):
+                raise ConfigError(f"unsupported call in expression {source!r}")
+            callees.add(node.func)
+        elif (isinstance(node, ast.Name) and node not in callees
+              and node.id not in names):
+            raise ConfigError(f"unknown name {node.id!r} in expression {source!r}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, bool):
             # True and False are ints to Python; u + True must not read u + 1
             raise ConfigError(
                 f"boolean constant {node.value!r} in expression {source!r}")
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return
-        if isinstance(node, ast.Name):
-            if node.id in allowed or node.id in _CONSTANTS:
-                return
-            raise ConfigError(f"unknown name {node.id!r} in expression {source!r}")
-        if isinstance(node, ast.Call):
-            if (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
-                    and not node.keywords and len(node.args) == 1):
-                check(node.args[0])
-                return
-            raise ConfigError(f"unsupported call in expression {source!r}")
-        raise ConfigError(f"unsupported syntax in expression {source!r}")
-
-    check(tree)
+        elif isinstance(node, ast.Constant) and not isinstance(
+                node.value, (int, float)):
+            raise ConfigError(f"unsupported syntax in expression {source!r}")
     code = compile(tree, "<config-expression>", "eval")
-    namespace = dict(_FUNCTIONS)
-    namespace.update(_CONSTANTS)
+    namespace = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 
-    def evaluate(**kwargs):
-        scope = dict(namespace)
-        scope.update(kwargs)
-        return eval(code, {"__builtins__": {}}, scope)
+    def fn(*args):
+        scope = dict(zip(scalars, args))
+        scope.update(zip(coords, args[-1]))
+        return eval(code, namespace, scope)
 
-    return evaluate
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -262,44 +259,17 @@ def _build_custom_problem(values):
     diffusion = _finite(_require(values, "custom.d"), "custom.d")
     if diffusion <= 0:
         raise ConfigError(f"custom.d must be positive, got {diffusion}")
-    f_expr = compile_expression(_require(values, "custom.f"), ("t", "u") + coords)
-    u0_expr = compile_expression(_require(values, "custom.u0"), coords)
-
-    def unpack(xs):
-        return dict(zip(coords, xs))
-
-    def f(t, u, xs):
-        return f_expr(t=t, u=u, **unpack(xs))
-
-    def u0(xs):
-        return u0_expr(**unpack(xs))
-
-    g = None
+    f = compile_expression(_require(values, "custom.f"), ("t", "u"), coords)
+    u0 = compile_expression(_require(values, "custom.u0"), (), coords)
+    g = exact = None
     if "custom.g" in values:
         if bc == "periodic":
             raise ConfigError("key custom.g conflicts with periodic domain.bc")
-        g_expr = compile_expression(values.pop("custom.g"), ("t",) + coords)
-
-        def g(t, xs):
-            return g_expr(t=t, **unpack(xs))
-
-    exact = None
+        g = compile_expression(values.pop("custom.g"), ("t",), coords)
     if "custom.exact" in values:
-        e_expr = compile_expression(values.pop("custom.exact"), ("t",) + coords)
-
-        def exact(t, xs):
-            return e_expr(t=t, **unpack(xs))
-
-    return Problem(
-        name="custom",
-        diffusion=diffusion,
-        f=f,
-        domain=domain,
-        periodic=(bc == "periodic"),
-        u0=u0,
-        g=g,
-        exact=exact,
-    )
+        exact = compile_expression(values.pop("custom.exact"), ("t",), coords)
+    return Problem(name="custom", diffusion=diffusion, f=f, domain=domain,
+                   periodic=(bc == "periodic"), u0=u0, g=g, exact=exact)
 
 
 def parse_config(text, seed_override=None):

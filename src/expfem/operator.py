@@ -31,8 +31,6 @@ def phi(k, z):
     form; both branches agree to 1e-14 relative at the switch.
     """
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if k == 1:
         out = np.ones_like(z)
         np.divide(np.expm1(z), z, out=out, where=z != 0)
@@ -47,7 +45,7 @@ def phi(k, z):
         out[~small] = (np.expm1(zl) - zl) / zl**2
     else:
         raise ValueError(f"phi order must be 1 or 2, got {k}")
-    return float(out[0]) if scalar else out
+    return out
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,14 @@ def exp_rk2_step(state, ctx, dt, c2, w):
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
+def _check_finite(U, step_index):
+    """Raise `NonlinearityDomainError` if a nodal state holds a NaN or an
+    infinity; one min and one max, no temporary."""
+    for value in (U.min(), U.max()):
+        if not np.isfinite(value):
+            raise NonlinearityDomainError(float(value), step_index)
+
+
 def run(problem, mesh, cfg, observers=(), step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
@@ -217,9 +225,12 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     `every` and at the final step.  A step that any observer sees makes
     one inverse transform, which all of them share; the step-0 state is
     the read-only `initial_state`.  `run` drops each nodal state once the
-    observers have seen it, so none lives through the steps.  A
-    `NonlinearityDomainError` of a step carries the index of the state
-    it starts from, one of an observer the index of the state it sees.
+    observers have seen it, so none lives through the steps.  A state
+    that observers would see with a NaN or an infinity in it raises
+    `NonlinearityDomainError` instead, so none is written out; steps no
+    observer sees are not checked.  A `NonlinearityDomainError` of a
+    step carries the index of the state it starts from, one of an
+    observer or of the finiteness check the index of the state it sees.
     `step_times`, when a list, collects per-step wall-clock seconds.
     """
     for every, _ in observers:
@@ -233,6 +244,8 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     nsteps = cfg.num_steps()
     ctx = LoadContext(problem, mesh)
     U0 = initial_state(problem, mesh)
+    if observers:
+        _check_finite(U0, 0)
     state = SolverState(0.0, forward_transform(U0, mesh), 0)
     weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
                           linear=problem.linear)
@@ -254,6 +267,7 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
                    or state.step_index == nsteps]
             if due:
                 U = inverse_transform(state.coeffs, mesh)
+                _check_finite(U, state.step_index)
                 for obs in due:
                     obs(state.step_index, state.t, U)
                 del U

@@ -271,6 +271,40 @@ n = [8, 8, 8]
     assert "domain error: step 1: state value" in capsys.readouterr().err
 
 
+OVERFLOW_CFG = """
+mode = "run"
+problem = "custom"
+T = 0.1
+nt = {nt}
+{cadences}
+[domain]
+bounds = [[0.0, 1.0]]
+n = [4]
+[custom]
+d = 1.0
+f = "exp(u)"
+u0 = "1000"
+"""
+
+
+@pytest.mark.parametrize("nt, cadences", [
+    (2, ""), (4, "observe_every = 4\nsnapshot_every = 1")],
+    ids=["series", "snapshots"])
+def test_non_finite_state_is_a_domain_error_and_is_not_written(
+        tmp_path, capsys, nt, cadences):
+    # exp(1000) overflows to inf in the first load, and the step's state
+    # is NaN; numpy warns of the overflow and of the transform's inf - inf,
+    # which the test expects
+    cfg = _write(tmp_path, OVERFLOW_CFG.format(nt=nt, cadences=cadences))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert "domain error: step 1: state value nan" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == [
+        "snapshot_000000.vtk"] * bool(cadences)
+
+
 def test_identical_config_and_seed_identical_bytes(tmp_path):
     text = """
 mode = "run"

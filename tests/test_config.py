@@ -5,8 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expfem.config import (ConfigError, compile_expression, parse_config,
-                           parse_keyvalues)
+from expfem.analysis import error_norms
+from expfem.assembly import initial_state
+from expfem.config import (_CONSTANTS, _FUNCTIONS, ConfigError,
+                           compile_expression, parse_config, parse_keyvalues)
+from expfem.problems import (builtin_allen_cahn_wave, builtin_linear_rd,
+                             mesh_for)
+from expfem.stepper import SchemeConfig, run
+from expfem.transforms import inverse_transform
 
 MINIMAL = """
 mode = "run"
@@ -109,8 +115,6 @@ def test_seed_override_rebuilds_problem():
     a = parse_config(text)
     b = parse_config(text, seed_override=9)
     mesh_shape = (8, 8, 8)
-    from expfem.assembly import initial_state
-    from expfem.problems import mesh_for
     ua = initial_state(a.problem, mesh_for(a.problem, mesh_shape))
     ub = initial_state(b.problem, mesh_for(b.problem, mesh_shape))
     assert not np.array_equal(ua, ub)
@@ -318,14 +322,14 @@ def test_keyvalue_duplicate_and_malformed():
 
 
 def test_expression_compiler_evaluates():
-    f = compile_expression("-(u^3 - u) / 0.0025", ("t", "u", "x"))
+    f = compile_expression("-(u^3 - u) / 0.0025", ("t", "u"), ("x",))
     u = np.array([0.5, -0.5])
-    out = f(t=0.0, u=u, x=np.zeros(2))
+    out = f(0.0, u, (np.zeros(2),))
     assert np.allclose(out, (u - u**3) / 0.0025)
-    g = compile_expression("exp(-pi^2 * t) * sin(pi * x)", ("t", "x"))
-    assert g(t=0.1, x=0.5) == pytest.approx(math.exp(-math.pi**2 * 0.1))
-    h = compile_expression("tanh(x) + ln(1 + x) + cos(x)", ("x",))
-    assert h(x=0.3) == pytest.approx(
+    g = compile_expression("exp(-pi^2 * t) * sin(pi * x)", ("t",), ("x",))
+    assert g(0.1, (0.5,)) == pytest.approx(math.exp(-math.pi**2 * 0.1))
+    h = compile_expression("tanh(x) + ln(1 + x) + cos(x)", (), ("x",))
+    assert h((0.3,)) == pytest.approx(
         math.tanh(0.3) + math.log(1.3) + math.cos(0.3))
 
 
@@ -339,15 +343,45 @@ def test_expression_compiler_rejects_unsafe_syntax():
             "sin(x, 2)",
     ):
         with pytest.raises(ConfigError):
-            compile_expression(bad, ("x",))
+            compile_expression(bad, (), ("x",))
 
 
 @pytest.mark.parametrize("expr", ["u + True", "u * False", "-True"])
 def test_expression_compiler_rejects_booleans(expr):
     # True and False are Python ints: u + True would read u + 1
     with pytest.raises(ConfigError) as exc:
-        compile_expression(expr, ("t", "u", "x"))
+        compile_expression(expr, ("t", "u"), ("x",))
     assert repr(expr) in str(exc.value) and "boolean" in str(exc.value)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("exp + 1", "unknown name 'exp'"),  # a function only as a callee
+    ("exp(sin)", "unknown name 'sin'"),
+    ("y", "unknown name 'y'"),  # a coordinate the box does not have
+    ("pi(x)", "unsupported call"),
+    ("sin(x=1)", "unsupported call"),
+    ("exp(u)(t)", "unsupported call"),
+    ("u % 2", "unsupported syntax"),
+    ("u < 1", "unsupported syntax"),
+    ("'a'", "unsupported syntax"),
+    ("1j", "unsupported syntax"),
+    ("sin(*x)", "unsupported syntax"),
+])
+def test_expression_compiler_names_what_it_rejects(expr, message):
+    with pytest.raises(ConfigError) as exc:
+        compile_expression(expr, ("t", "u"), ("x",))
+    assert str(exc.value) == f"{message} in expression {expr!r}"
+
+
+def test_readme_expression_grammar_matches_the_compiler():
+    # README's custom-expression paragraph names in backticks each
+    # function and constant an expression may use, and no other name
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    paragraph = text.split("The expressions of `custom.f`", 1)[1].split(
+        "\n\n", 1)[0]
+    names = set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))
+    assert names == set(_FUNCTIONS) | set(_CONSTANTS)
 
 
 def test_custom_problem_from_config():
@@ -374,11 +408,76 @@ exact = "exp(-t) * sin(pi * x)"
     assert float(prob.f(0.0, np.asarray(0.25), xs)) == pytest.approx(0.75)
     assert float(prob.exact(0.0, xs)) == pytest.approx(1.0)
     # and it runs
-    from expfem.problems import mesh_for
-    from expfem.stepper import SchemeConfig, run
     mesh = mesh_for(prob, cfg.subdivisions)
     state = run(prob, mesh, SchemeConfig(dt=cfg.dt, T=cfg.T, scheme=cfg.scheme))
     assert state.step_index == 8
+
+
+def _custom_config(bounds, n, d, f, u0, **extra):
+    """A custom run config; `extra` holds further [custom] expressions."""
+    lines = [f'{key} = "{value}"' for key, value in
+             dict(f=f, u0=u0, **extra).items()]
+    return "\n".join([
+        'problem = "custom"', "nt = 1", "[domain]", f"bounds = {bounds}",
+        f"n = {n}", "[custom]", f"d = {d!r}", *lines]) + "\n"
+
+
+def _end_state(prob, subs, T, nt, scheme):
+    mesh = mesh_for(prob, subs)
+    state = run(prob, mesh, SchemeConfig(dt=T / nt, T=T, scheme=scheme))
+    return mesh, state, inverse_transform(state.coeffs, mesh)
+
+
+def test_custom_allen_cahn_wave_gives_the_builtin_bits():
+    # the builtin's front and reaction, written out as config text: one
+    # lifted 2D run, whose g and exact take complex t and x
+    eps = 0.05
+    speed = 3.0 / (math.sqrt(2.0) * eps)
+    width = 2.0 * math.sqrt(2.0) * eps
+    front = f"0.5 * (1.0 - tanh((x - {speed!r} * {{t}}) / {width!r}))"
+    text = _custom_config(
+        f"[[0.0, {math.sqrt(2.0)!r}], [0.0, 0.125]]", [64, 4], 1.0,
+        f=f"u * (1 - u * u) / {eps ** 2!r}", u0=front.format(t="0.0"),
+        g=front.format(t="t"), exact=front.format(t="t"))
+    builtin = builtin_allen_cahn_wave(eps=eps, dim=2)
+    custom = parse_config(text).problem
+    ends = [_end_state(prob, (64, 4), builtin.T_default, 8, "rk2")
+            for prob in (builtin, custom)]
+    (mesh, state, want), (_, _, got) = ends
+    assert np.array_equal(got, want)
+    assert (error_norms(got, mesh, custom.exact, state.t)
+            == error_norms(want, mesh, builtin.exact, state.t))
+
+
+def test_custom_linear_rd_with_its_reaction_in_f_follows_the_builtin():
+    # the builtin splits its reaction into linear part and source; the
+    # config copy evaluates the whole of it in f at every load
+    sines = "sin(pi * x) * sin(pi * y)"
+    text = _custom_config(
+        "[[0.5, 2.5], [0.0, 1.0]]", [16, 8], 0.5,
+        f=f"-0.5 * pi^2 * u + 0.5 * pi^2 * exp(-pi^2 * t) * {sines}",
+        u0="(sin(pi * x) - 1) * sin(pi * y)")
+    want = _end_state(builtin_linear_rd(), (16, 8), 1.0, 8, "euler")[2]
+    got = _end_state(parse_config(text).problem, (16, 8), 1.0, 8, "euler")[2]
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_custom_expressions_bind_each_coordinate_to_its_axis(bc):
+    bounds = ((0.0, 1.0), (-1.0, 3.0), (2.0, 2.5))
+    n = (4, 6, 8)
+    text = _custom_config([list(b) for b in bounds], list(n), 1.0,
+                          f="0 * u", u0="x + 10 * y + 100 * z")
+    prob = parse_config(text.replace("[custom]",
+                                      f'bc = "{bc}"\n[custom]')).problem
+    first = 0 if bc == "periodic" else 1
+    x, y, z = (a + (b - a) / m * np.arange(first, m)
+               for (a, b), m in zip(bounds, n))
+    want = (x[:, None, None] + 10 * y[None, :, None]
+            + 100 * z[None, None, :])
+    got = initial_state(prob, mesh_for(prob, n))
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
 
 
 def test_mode_validation():
@@ -441,7 +540,6 @@ def test_config_expressions_take_complex_arguments(expr, d_dx, d_dt):
     # exact is differentiated in x and the trace g in t by a complex step
     from expfem.analysis import _exact_gradient
     from expfem.assembly import LoadContext, _trace_faces
-    from expfem.problems import mesh_for
     text = ('problem = "custom"\nnt = 4\n[domain]\nbounds = [[0.2, 0.9]]\n'
             f'n = [4]\n[custom]\nd = 1.0\nf = "0 * u"\nu0 = "x"\n'
             f'g = "{expr}"\nexact = "{expr}"\n')

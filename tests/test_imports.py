@@ -3,8 +3,7 @@ every top-level function and class of the package is used in it, only
 `transforms` imports `scipy.fft`, and `scipy.linalg` is imported once,
 inside a function of `assembly`.
 
-No linter runs on this repository, so this is the check.  A package
-`__init__.py` imports names to re-export them and is left out.
+No linter runs on this repository, so this is the check.
 """
 
 import ast
@@ -32,7 +31,6 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for folder in ("src", "tests")
               for path in sorted((ROOT / folder).rglob("*.py"))
-              if path.name != "__init__.py"
               for name, line in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
@@ -50,8 +48,7 @@ def _names_read(node):
 
 
 def test_every_top_level_definition_is_used_in_the_package():
-    # a re-export in `__init__.py` is an import, not a use, and a
-    # definition's use of its own name does not count
+    # a definition's use of its own name does not count
     statements = [(path.stem, stmt)
                   for path in sorted((ROOT / "src" / "expfem").glob("*.py"))
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
@@ -59,7 +56,6 @@ def test_every_top_level_definition_is_used_in_the_package():
     unused = [f"{module}.{stmt.name}"
               for i, (module, stmt) in enumerate(statements)
               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and module != "__init__"
               and f"{module}.{stmt.name}" not in UNREFERENCED_ALLOWED
               and not any(stmt.name in names
                           for j, names in enumerate(reads) if j != i)]

@@ -11,9 +11,9 @@ from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
 from expfem.mesh import dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
-from expfem.problems import (Problem, builtin_allen_cahn_wave,
-                             builtin_flory_huggins, builtin_linear_rd,
-                             mesh_for)
+from expfem.problems import (NonlinearityDomainError, Problem,
+                             builtin_allen_cahn_wave, builtin_flory_huggins,
+                             builtin_linear_rd, mesh_for)
 from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
                             exp_euler_step, exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
@@ -225,7 +225,6 @@ def test_num_steps_rejects_a_step_far_above_T():
 
 
 def test_domain_error_reports_step_index():
-    from expfem.problems import NonlinearityDomainError, builtin_flory_huggins
     prob = builtin_flory_huggins(seed=3)
     mesh = mesh_for(prob, (4, 4, 4))
     cfg = SchemeConfig(dt=1.0, T=4.0, scheme="rk2")  # wildly large step
@@ -233,6 +232,19 @@ def test_domain_error_reports_step_index():
         run(prob, mesh, cfg)
     assert exc.value.step_index is not None
     assert "step" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_initial_state_stops_an_observed_run(value):
+    seen = []
+    prob = _problem(lambda t, u, xs: -u, u0=lambda xs: np.where(
+        xs[0] > 0.5, value, 0.0))
+    mesh = mesh_for(prob, (8,))
+    cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler")
+    with pytest.raises(NonlinearityDomainError) as exc:
+        run(prob, mesh, cfg, observers=[(1, lambda *a: seen.append(a))])
+    assert exc.value.step_index == 0 and not seen
+    assert str(exc.value).startswith(f"step 0: state value {value!r}")
 
 
 _CUSTOM_2D = """
