@@ -1,9 +1,10 @@
 """Error norms, discrete energy and convergence/timing studies.
 
 Error norms integrate the multilinear interpolant of the nodal tensor
-against the exact solution with a tensor-product Gauss rule (3 points
-per axis by default, exact for squares of multilinear functions).  The
-energy integrates its logarithmic mixing potential with the same rule.
+against the exact solution with a tensor-product Gauss rule of
+`GAUSS_POINTS` = 3 points per axis, exact for squares of multilinear
+functions.  The energy integrates its logarithmic mixing potential with
+the same rule.
 Both walk the Gauss grid with `quadrature.gauss_slices`, whose two-tap
 evaluation reads only the two nodes bounding each point per axis and
 interpolates each axis-0 node layer once; it hands out one axis-0 Gauss
@@ -35,10 +36,12 @@ import numpy as np
 
 from .mesh import Dirichlet, dof_shape, extend_nodal, is_periodic
 from .operator import build_operator
-from .problems import COMPLEX_STEP, NonlinearityDomainError, mesh_for
+from .problems import COMPLEX_STEP, check_admissible, mesh_for
 from .quadrature import gauss_slices
 from .stepper import SchemeConfig, run
 from .transforms import forward_transform, inverse_transform
+
+GAUSS_POINTS = 3  # per axis, for the error norms and the mixing integral
 
 
 def sup_norm(U):
@@ -65,12 +68,12 @@ def _slice_sum(weights, x):
     return float((x.reshape(-1, w.size) @ w).sum())
 
 
-def error_norms(U, mesh, exact, t, npts=3):
+def error_norms(U, mesh, exact, t):
     """(L2, H1) distance between the interpolant of U and `exact` at time t."""
     full = extend_nodal(U, mesh, t)
     l2_sq = grad_sq = 0.0
     for vals, slopes, coords, weights in gauss_slices(
-            full, mesh.partitions, npts, slopes=True):
+            full, mesh.partitions, GAUSS_POINTS, slopes=True):
         vals -= exact(t, coords)
         l2_sq += _slice_sum(weights, np.square(vals, out=vals))
         for a, slope in enumerate(slopes):
@@ -101,14 +104,14 @@ def _modal_quadratics(U, mesh):
     return float(w.sum()), float(np.vdot(w, op.decay_rates))
 
 
-def _mixing_integral(full, partitions, npts):
+def _mixing_integral(full, partitions):
     """Gauss integral of the mixing potential F(v) = log1p(-v^2) +
     2 v artanh(v) of the interpolant of a full-grid nodal tensor, one
     `gauss_slices` slice at a time, evaluated in place in the slice's
     buffer: one `arctanh` and one `log1p` per Gauss point.
     """
     total = 0.0
-    for v, _, _, weights in gauss_slices(full, partitions, npts):
+    for v, _, _, weights in gauss_slices(full, partitions, GAUSS_POINTS):
         vat = np.arctanh(v)
         vat *= v
         np.multiply(v, v, out=v)
@@ -118,22 +121,22 @@ def _mixing_integral(full, partitions, npts):
     return total
 
 
-def discrete_energy(U, mesh, eps, theta, theta_c, npts=3):
+def discrete_energy(U, mesh, eps, theta, theta_c):
     """Free energy of the interpolant: logarithmic mixing potential,
     quadratic well and gradient penalty.
 
-    The mixing potential is integrated with an npts-point Gauss rule per
-    axis, slice by slice (`_mixing_integral`); the well and gradient terms
-    are exact, by Parseval (`_modal_quadratics`), so a lifted mesh, whose
-    boundary values that sum cannot see, raises ValueError.
+    The mixing potential, defined for |u| < 1 alone, is integrated with
+    the Gauss rule per axis, slice by slice (`_mixing_integral`); a state
+    outside (-1, 1) raises `NonlinearityDomainError`.  The well and
+    gradient terms are exact, by Parseval (`_modal_quadratics`), so a
+    lifted mesh, whose boundary values that sum cannot see, raises
+    ValueError.
     """
     if isinstance(mesh.bc, Dirichlet):
         raise ValueError("the discrete energy needs a periodic or "
                          "homogeneous Dirichlet mesh, not a lifted one")
-    if not sup_norm(U) < 1.0:  # a NaN fails it too
-        worst = np.argmax(np.abs(np.asarray(U)))
-        raise NonlinearityDomainError(float(np.asarray(U).flat[worst]))
-    mixing = _mixing_integral(extend_nodal(U, mesh), mesh.partitions, npts)
+    check_admissible(U, (-1.0, 1.0))
+    mixing = _mixing_integral(extend_nodal(U, mesh), mesh.partitions)
     sq, grad_sq = _modal_quadratics(U, mesh)
     return 0.5 * theta * mixing - 0.5 * theta_c * sq + 0.5 * eps**2 * grad_sq
 

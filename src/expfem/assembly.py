@@ -33,7 +33,7 @@ import numpy as np
 from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
                    interior_mass_stencil, is_periodic, node_grids)
 from .operator import build_operator
-from .problems import COMPLEX_STEP
+from .problems import COMPLEX_STEP, check_admissible
 from .transforms import _CHUNK, forward_transform, modal_shape, sine_transform
 
 
@@ -150,11 +150,17 @@ def transformed_load(ctx, t, U=None):
     plus the Dirichlet lifting.  The linear part of the reaction is left
     to the steps.  U may be None when the problem's f is None; a load
     with no f makes no transform, and one with neither f nor a source is
-    zero but for the lifting."""
+    zero but for the lifting.
+
+    This is the one place a reaction f is evaluated, and U is checked
+    against the problem's `admissible_range` before f reads it (see
+    `problems.check_admissible`), so a state outside it raises
+    `NonlinearityDomainError` before any reaction sees it."""
     problem = ctx.problem
     loads = [amplitude(t) * modes for (amplitude, _), modes
              in zip(problem.source, ctx.source_modes)]
     if problem.f is not None:
+        check_admissible(U, problem.admissible_range)
         loads.append(forward_transform(
             _owned(problem.f(t, U, ctx.grids), ctx.shape), ctx.mesh))
     if loads:

@@ -338,8 +338,9 @@ def _resolve_steps(cfg, values):
 
 def _output_name(values, key, default):
     name = values.pop(f"output.{key}", default)
-    if not isinstance(name, str):
-        raise ConfigError(f"output.{key} must be a string, got {name!r}")
+    if not (isinstance(name, str) and name):
+        raise ConfigError(
+            f"output.{key} must be a string naming a file, got {name!r}")
     return name
 
 

@@ -27,6 +27,13 @@ exact solution in x by one complex step, so g and exact must be
 analytic and accept complex arguments.  Numpy ufuncs are analytic, and
 a callable that ignores the perturbed variable returns a real value,
 whose zero imaginary part is the correct zero derivative.
+
+`admissible_range` is the open interval of the states a run may go on
+from, by default (-inf, inf): any finite state.  `check_admissible`
+holds that rule, and it is the one place that raises
+`NonlinearityDomainError`.  The load checks each nodal state before f
+reads it, so every state a reaction reads is checked, each rk2 stage
+included; the stepper checks each state the observers see.
 """
 
 import math
@@ -44,18 +51,31 @@ COMPLEX_STEP = 1e-30
 
 
 class NonlinearityDomainError(Exception):
-    """The reaction term was evaluated outside its admissible range."""
+    """A state left its problem's admissible range; `run` sets the index
+    of the step it belongs to."""
 
-    def __init__(self, value, step_index=None):
+    def __init__(self, value):
         self.value = value
-        self.step_index = step_index
+        self.step_index = None
         super().__init__(f"state value {value!r} outside admissible range")
 
     def __str__(self):
-        base = self.args[0]
-        if self.step_index is not None:
-            return f"step {self.step_index}: {base}"
-        return base
+        if self.step_index is None:
+            return self.args[0]
+        return f"step {self.step_index}: {self.args[0]}"
+
+
+def check_admissible(U, bounds):
+    """Raise `NonlinearityDomainError` unless every value of the array U
+    lies in the open interval `bounds`; a NaN fails.  One min and one max,
+    no temporary.  The error carries the value that breaks its bound, the
+    larger in magnitude when both do.
+    """
+    lo, hi = U.min(), U.max()
+    # written so that a NaN, which compares false, fails
+    if not (bounds[0] < lo and hi < bounds[1]):
+        low = not bounds[0] < lo and (hi < bounds[1] or -lo > hi)
+        raise NonlinearityDomainError(float(lo if low else hi))
 
 
 @dataclass(frozen=True)
@@ -68,7 +88,7 @@ class Problem:
     u0: Optional[Callable] = None
     g: Optional[Callable] = None
     exact: Optional[Callable] = None
-    admissible_range: Optional[tuple] = None
+    admissible_range: tuple = (-math.inf, math.inf)  # open interval
     T_default: float = 1.0
     energy_params: Optional[tuple] = None  # (eps, theta, theta_c)
     linear: float = 0.0
@@ -188,18 +208,13 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
     periodic unit cube, started from seeded uniform noise in [-0.9, 0.9].
     Since ln((1-u)/(1+u)) = -2 artanh(u), the reaction is evaluated as
     -theta artanh(u) + theta_c u, one transcendental per node.  The
-    logarithmic term restricts states to |u| < 1; a state with a value
-    outside, or a NaN, raises `NonlinearityDomainError`.
+    logarithmic term restricts states to |u| < 1, its `admissible_range`,
+    which the load checks before f reads a state.
     """
     if eps <= 0:
         raise ValueError(f"interface width must be positive, got {eps}")
 
     def f(t, u, xs):
-        u = np.asarray(u, dtype=float)
-        lo, hi = u.min(), u.max()
-        # written so that a NaN, which compares false, fails it
-        if not (-1.0 < lo and hi < 1.0):
-            raise NonlinearityDomainError(float(lo if -lo > hi else hi))
         out = np.arctanh(u)
         out *= -theta
         out += theta_c * u

@@ -73,7 +73,7 @@ import numpy as np
 from .assembly import LoadContext, initial_state, transformed_load
 from .mesh import aspect_ratio
 from .operator import phi_tensor
-from .problems import NonlinearityDomainError
+from .problems import NonlinearityDomainError, check_admissible
 from .transforms import forward_transform, inverse_transform
 
 SCHEMES = ("euler", "rk2")
@@ -209,14 +209,6 @@ def exp_rk2_step(state, ctx, dt, c2, w):
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
-def _check_finite(U, step_index):
-    """Raise `NonlinearityDomainError` if a nodal state holds a NaN or an
-    infinity; one min and one max, no temporary."""
-    for value in (U.min(), U.max()):
-        if not np.isfinite(value):
-            raise NonlinearityDomainError(float(value), step_index)
-
-
 def run(problem, mesh, cfg, observers=(), step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
@@ -225,13 +217,18 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     `every` and at the final step.  A step that any observer sees makes
     one inverse transform, which all of them share; the step-0 state is
     the read-only `initial_state`.  `run` drops each nodal state once the
-    observers have seen it, so none lives through the steps.  A state
-    that observers would see with a NaN or an infinity in it raises
-    `NonlinearityDomainError` instead, so none is written out; steps no
-    observer sees are not checked.  A `NonlinearityDomainError` of a
-    step carries the index of the state it starts from, one of an
-    observer or of the finiteness check the index of the state it sees.
-    `step_times`, when a list, collects per-step wall-clock seconds.
+    observers have seen it, so none lives through the steps.
+
+    Every nodal state a reaction reads is checked against the problem's
+    `admissible_range` by the load (`assembly.transformed_load`), and
+    each state the observers would see is checked here first, the
+    initial state included, so none outside it is written out.  A
+    problem whose f is None forms no nodal state in a step, so its steps
+    no observer sees are not checked.  The check raises
+    `NonlinearityDomainError`; one raised in a step carries the index of
+    the state the step starts from, one of an observation or its check
+    the index of the state observed.  `step_times`, when a list,
+    collects per-step wall-clock seconds.
     """
     for every, _ in observers:
         if every < 1:
@@ -244,17 +241,18 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     nsteps = cfg.num_steps()
     ctx = LoadContext(problem, mesh)
     U0 = initial_state(problem, mesh)
-    if observers:
-        _check_finite(U0, 0)
-    state = SolverState(0.0, forward_transform(U0, mesh), 0)
-    weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
-                          linear=problem.linear)
-    for _, obs in observers:
-        obs(0, 0.0, U0)
-    del U0
-    for _ in range(nsteps):
-        tic = time.perf_counter()
-        try:
+    state = SolverState(0.0, None)
+    try:
+        if observers:
+            check_admissible(U0, problem.admissible_range)
+        state.coeffs = forward_transform(U0, mesh)
+        weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
+                              linear=problem.linear)
+        for _, obs in observers:
+            obs(0, 0.0, U0)
+        del U0
+        for _ in range(nsteps):
+            tic = time.perf_counter()
             if cfg.scheme == "euler":
                 state = exp_euler_step(state, ctx, cfg.dt, weights)
             else:
@@ -267,12 +265,11 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
                    or state.step_index == nsteps]
             if due:
                 U = inverse_transform(state.coeffs, mesh)
-                _check_finite(U, state.step_index)
+                check_admissible(U, problem.admissible_range)
                 for obs in due:
                     obs(state.step_index, state.t, U)
                 del U
-        except NonlinearityDomainError as err:
-            if err.step_index is None:
-                err.step_index = state.step_index
-            raise
+    except NonlinearityDomainError as err:
+        err.step_index = state.step_index
+        raise
     return state

@@ -6,6 +6,8 @@ legacy structured-points text format so any standard viewer can open
 them without bindings.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from .mesh import dof_shape, extend_nodal, is_periodic
@@ -25,6 +27,14 @@ def format_number(x):
     return f"{x:.6g}"
 
 
+def _write_lines(lines, path):
+    """Write lines, each ended by a newline, to path, creating its parent
+    directories first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                          newline="\n")
+
+
 def write_report_csv(rows, path):
     """Write study rows as CSV (one line per ladder rung)."""
     lines = [REPORT_HEADER]
@@ -40,8 +50,7 @@ def write_report_csv(rows, path):
             format_number(row.growth),
         ]
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def write_series_csv(rows, path):
@@ -53,8 +62,7 @@ def write_series_csv(rows, path):
             format_number(sup),
             format_number(energy),
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def write_snapshot(U, mesh, t, path):
@@ -95,5 +103,4 @@ def write_snapshot(U, mesh, t, path):
     # peak memory by about 1 MiB on a 257 x 129 grid
     for row in values.reshape(-1, dims[0]):
         lines.extend(map(repr, row.tolist()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)

@@ -78,8 +78,9 @@ def test_run_snapshot_cadence(tmp_path, snapshot_every, steps):
     'snapshot = "s_{0}.vtk"',
     "series = 5",
     'snapshot = "snap.vtk"',
+    'series = ""',
 ], ids=["unknown_field", "positional_field", "series_not_a_string",
-        "same_name_every_step"])
+        "same_name_every_step", "empty_series"])
 def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line):
     # rejected before any step runs, so the run writes no file
     out = tmp_path / "out"
@@ -88,6 +89,30 @@ def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line):
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 2
     assert "output." in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_names_in_subdirectories_are_written(tmp_path):
+    # each file's directory is made before the file is written
+    cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG + (
+        '[output]\nseries = "sub/series.csv"\n'
+        'snapshot = "snaps/u_{step}.vtk"\n'))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert (tmp_path / "sub" / "series.csv").is_file()
+    assert sorted(p.name for p in (tmp_path / "snaps").iterdir()) == [
+        "u_0.vtk", "u_4.vtk", "u_8.vtk"]
+    cfg = _write(tmp_path, CONV_CFG + '[output]\nreport = "r/report.csv"\n')
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert (tmp_path / "r" / "report.csv").is_file()
+
+
+def test_empty_report_name_exits_as_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, CONV_CFG + '[output]\nreport = ""\n')
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    assert "output.report" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -292,15 +317,15 @@ u0 = "1000"
     ids=["series", "snapshots"])
 def test_non_finite_state_is_a_domain_error_and_is_not_written(
         tmp_path, capsys, nt, cadences):
-    # exp(1000) overflows to inf in the first load, and the step's state
-    # is NaN; numpy warns of the overflow and of the transform's inf - inf,
-    # which the test expects
+    # exp(1000) overflows to inf in the first load, and the first step's
+    # stage is NaN, which the stage's load reads; numpy warns of the
+    # overflow and of the transform's inf - inf, which the test expects
     cfg = _write(tmp_path, OVERFLOW_CFG.format(nt=nt, cadences=cadences))
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning):
         code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 3
-    assert "domain error: step 1: state value nan" in capsys.readouterr().err
+    assert "domain error: step 0: state value nan" in capsys.readouterr().err
     assert sorted(path.name for path in out.iterdir()) == [
         "snapshot_000000.vtk"] * bool(cadences)
 

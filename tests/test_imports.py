@@ -1,7 +1,10 @@
 """Every module of the package and the tests uses each name it imports,
 every top-level function and class of the package is used in it, only
-`transforms` imports `scipy.fft`, and `scipy.linalg` is imported once,
-inside a function of `assembly`.
+`transforms` imports `scipy.fft`, `scipy.linalg` is imported once,
+inside a function of `assembly`, and the admissibility rule lives in
+one place: only `problems.check_admissible` builds a
+`NonlinearityDomainError`, and only `assembly.transformed_load` calls a
+problem's reaction `.f`.
 
 No linter runs on this repository, so this is the check.
 """
@@ -111,3 +114,41 @@ def test_scipy_linalg_is_imported_only_inside_the_lifting():
     assert not at_load, f"module-level scipy.linalg imports: {at_load}"
     assert [name.partition(":")[0] for name in in_functions] == [
         "assembly.py"], f"function-level scipy.linalg imports: {in_functions}"
+
+
+def _calling_functions(matches):
+    """`module.function` of each call in the package whose callee
+    `matches`, named by the innermost function around it."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and matches(child.func):
+                found.append(f"{module}.{owner}")
+            visit(child, module, owner)
+
+    for path in sorted((ROOT / "src" / "expfem").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        visit(tree, path.stem, "<module>")
+    return found
+
+
+def test_only_the_admissibility_check_builds_a_domain_error():
+    def builds_the_error(func):
+        return (isinstance(func, ast.Name)
+                and func.id == "NonlinearityDomainError") or (
+            isinstance(func, ast.Attribute)
+            and func.attr == "NonlinearityDomainError")
+
+    assert _calling_functions(builds_the_error) == [
+        "problems.check_admissible"]
+
+
+def test_only_the_load_evaluates_a_reaction():
+    # so every state a reaction reads passes the load's admissibility check
+    assert _calling_functions(
+        lambda func: isinstance(func, ast.Attribute) and func.attr == "f"
+    ) == ["assembly.transformed_load"]

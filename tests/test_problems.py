@@ -4,11 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from expfem.assembly import LoadContext, _trace_faces, initial_state
+from expfem.assembly import (LoadContext, _trace_faces, initial_state,
+                             transformed_load)
 from expfem.mesh import Dirichlet, Periodic, dof_shape, node_grids
 from expfem.problems import (NonlinearityDomainError, Problem, boundary_kind,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
-                             builtin_linear_rd, mesh_for)
+                             builtin_linear_rd, check_admissible, mesh_for)
 
 from helpers import mp_linear_rd_exact, mp_wave_exact, pde_residual
 
@@ -157,18 +158,53 @@ def test_flory_huggins_odd_symmetry():
     assert np.max(np.abs(fu + fmu)) < 1e-13
 
 
-def test_flory_huggins_domain_error():
+def _flory_huggins_load(value):
+    """The load of a 4^3 Flory-Huggins state of 0.2 with one node at value."""
     prob = builtin_flory_huggins()
+    mesh = mesh_for(prob, (4, 4, 4))
+    U = np.full(dof_shape(mesh), 0.2)
+    U[1, 2, 3] = value
+    return transformed_load(LoadContext(prob, mesh), 0.0, U)
+
+
+def test_flory_huggins_domain_error():
     with pytest.raises(NonlinearityDomainError) as exc:
-        prob.f(0.0, np.asarray([0.2, -1.0]), None)
+        _flory_huggins_load(-1.0)
     assert exc.value.value == -1.0
 
 
 def test_flory_huggins_nan_state_raises():
-    prob = builtin_flory_huggins()
     with pytest.raises(NonlinearityDomainError) as exc:
-        prob.f(0.0, np.asarray([0.2, np.nan]), None)
+        _flory_huggins_load(np.nan)
     assert math.isnan(exc.value.value)
+
+
+@pytest.mark.parametrize("values, bounds, reported", [
+    ([0.2, np.nan], (-np.inf, np.inf), np.nan),
+    ([0.2, np.inf], (-np.inf, np.inf), np.inf),
+    ([-np.inf, 0.2], (-np.inf, np.inf), -np.inf),
+    ([-np.inf, np.inf], (-np.inf, np.inf), np.inf),
+    ([-1.5, 0.2], (-1.0, 1.0), -1.5),
+    ([0.2, 1.0], (-1.0, 1.0), 1.0),
+    ([-1.5, 1.2], (-1.0, 1.0), -1.5),
+    ([-1.2, 1.5], (-1.0, 1.0), 1.5),
+    # on a one-sided range the value that breaks it, not the larger one
+    ([-0.5, 3.0], (0.0, np.inf), -0.5),
+], ids=["nan", "inf", "minus_inf", "both_inf", "min_out", "max_on_bound",
+        "both_out_min_larger", "both_out_max_larger", "one_sided"])
+def test_check_admissible_reports_the_offending_value(values, bounds,
+                                                      reported):
+    with pytest.raises(NonlinearityDomainError) as exc:
+        check_admissible(np.array(values), bounds)
+    assert exc.value.step_index is None
+    assert repr(exc.value.value) == repr(reported)
+
+
+def test_check_admissible_passes_a_state_inside_its_range():
+    check_admissible(np.array([-1e308, 1e308]), (-np.inf, np.inf))
+    check_admissible(np.array([-0.999, 0.999]), (-1.0, 1.0))
+    assert Problem(name="p", diffusion=1.0, f=None,
+                   domain=((0.0, 1.0),)).admissible_range == (-np.inf, np.inf)
 
 
 @pytest.mark.parametrize("u", [1e-9, 0.5, 0.999, 1.0 - 1e-12])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import expfem.analysis as analysis
 import expfem.quadrature as quadrature
 from expfem.analysis import _modal_quadratics, discrete_energy, error_norms
 from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
@@ -127,8 +128,9 @@ def test_gauss_blocks_values_only_by_default():
 def test_error_norms_match_dense_oracle(monkeypatch, dim, bc, npts):
     mesh = _mesh(dim, bc)
     _two_elements_per_block(monkeypatch, mesh, npts)
+    monkeypatch.setattr(analysis, "GAUSS_POINTS", npts)
     U = _state(mesh)
-    got = error_norms(U, mesh, _exact, T_EVAL, npts)
+    got = error_norms(U, mesh, _exact, T_EVAL)
     want = dense_error_norms(U, mesh, _exact, T_EVAL, npts)
     assert rel_err(got[0], want[0]) < 1e-12
     assert rel_err(got[1], want[1]) < 1e-12
@@ -173,7 +175,8 @@ def test_error_norms_match_dense_oracle_for_every_dependence(
             assert slope.shape[:a] + slope.shape[a + 1:] == (
                 vals.shape[:a] + vals.shape[a + 1:])
     exact = EXACT_PATTERNS[pattern]
-    got = error_norms(U, mesh, exact, T_EVAL, npts)
+    monkeypatch.setattr(analysis, "GAUSS_POINTS", npts)
+    got = error_norms(U, mesh, exact, T_EVAL)
     want = dense_error_norms(U, mesh, exact, T_EVAL, npts)
     assert rel_err(got[0], want[0]) < 1e-12
     assert rel_err(got[1], want[1]) < 1e-12
@@ -185,11 +188,12 @@ def test_error_norms_match_dense_oracle_for_every_dependence(
 def test_discrete_energy_matches_dense_oracle(monkeypatch, dim, bc, npts):
     mesh = _mesh(dim, bc)
     _two_elements_per_block(monkeypatch, mesh, npts)
+    monkeypatch.setattr(analysis, "GAUSS_POINTS", npts)
     U = _state(mesh)
     params = (0.3, 0.8, 1.6)
     want = dense_discrete_energy(U, mesh, *params, npts)
     assert abs(want) > 1e-3
-    assert rel_err(discrete_energy(U, mesh, *params, npts), want) < 1e-12
+    assert rel_err(discrete_energy(U, mesh, *params), want) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -231,11 +235,12 @@ def test_block_size_does_not_change_norms_or_energy(first, rest, bc, npts,
 
     def evaluate(elements_per_block):
         with mock.patch.object(quadrature, "BLOCK_POINTS",
-                               elements_per_block * per_element):
-            norms = error_norms(U, mesh, _exact, T_EVAL, npts)
+                               elements_per_block * per_element), \
+                mock.patch.object(analysis, "GAUSS_POINTS", npts):
+            norms = error_norms(U, mesh, _exact, T_EVAL)
             if bc == "dirichlet":
                 return norms
-            return (*norms, discrete_energy(U, mesh, 0.01, 0.8, 1.6, npts))
+            return (*norms, discrete_energy(U, mesh, 0.01, 0.8, 1.6))
 
     whole = evaluate(first)
     for elements_per_block in (1, 2, 3):

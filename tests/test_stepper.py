@@ -224,6 +224,33 @@ def test_num_steps_rejects_a_step_far_above_T():
     assert SchemeConfig(dt=0.1, T=0.7).num_steps() == 7
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_a_blown_up_stage_stops_the_run_observed_or_not(observed):
+    # the 1D wave on 256 cells blows up in 6 rk2 steps: the stage of step
+    # 5 holds a NaN, which the load reads before any observer could
+    prob = builtin_allen_cahn_wave(dim=1)
+    mesh = mesh_for(prob, (256,))
+    cfg = SchemeConfig(dt=prob.T_default / 6, T=prob.T_default, scheme="rk2")
+    observers = [(1, lambda *a: None)] if observed else []
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonlinearityDomainError) as exc:
+        run(prob, mesh, cfg, observers=observers)
+    assert exc.value.step_index == 5 and math.isnan(exc.value.value)
+
+
+def test_an_observed_state_outside_the_admissible_range_stops_the_run():
+    # one Euler step of 0.5 takes max |u| to 1.017; no reaction reads the
+    # final state, so the check of the observed state stops the run
+    seen = []
+    prob = builtin_flory_huggins(seed=2023)
+    mesh = mesh_for(prob, (8, 8, 8))
+    cfg = SchemeConfig(dt=0.5, T=0.5, scheme="euler")
+    with pytest.raises(NonlinearityDomainError) as exc:
+        run(prob, mesh, cfg, observers=[(1, lambda step, *a: seen.append(step))])
+    assert exc.value.step_index == 1 and seen == [0]
+    assert 1.0 < abs(exc.value.value) < 1.02
+
+
 def test_domain_error_reports_step_index():
     prob = builtin_flory_huggins(seed=3)
     mesh = mesh_for(prob, (4, 4, 4))
