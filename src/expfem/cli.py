@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/domain error
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +60,33 @@ def _load_config(args):
             f"config mode {cfg.mode!r} does not match subcommand "
             f"{args.command!r} (expected {expected[args.command]!r})")
     return cfg
+
+
+def _output_names(command, cfg):
+    """(key, name) of every file the command writes into its output
+    directory; snapshots come at step 0, every multiple of their cadence
+    and the final step, as `stepper.run` calls its observers."""
+    if command != "run":
+        return [("output.report", cfg.out_report)]
+    names = [("output.series", cfg.out_series)]
+    if cfg.snapshot_every > 0:
+        steps = {*range(0, cfg.nt, cfg.snapshot_every), cfg.nt}
+        names += [("output.snapshot", cfg.out_snapshot.format(step=step))
+                  for step in sorted(steps)]
+    return names
+
+
+def _check_output_names(out_dir, names):
+    """Reject an output name that resolves to a directory, before the
+    output directory is made: an existing directory, or the output
+    directory or one of its parents, which exist once it is made."""
+    base = out_dir.resolve()
+    made = {base, *base.parents}
+    for key, name in names:
+        path = Path(os.path.normpath(base / name))
+        if path in made or path.is_dir():
+            raise ConfigError(
+                f"{key} {name!r} names the directory {path}, not a file")
 
 
 def _cmd_run(args, cfg, out_dir):
@@ -115,6 +143,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         out_dir = Path(args.out)
+        _check_output_names(out_dir, _output_names(args.command, cfg))
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg, out_dir)
     except ConfigError as err:

@@ -28,23 +28,28 @@ def phi(k, z):
     phi_1 is expm1(z)/z, within rounding of the exact value for every
     z != 0, and 1 at z = 0.  Below its switch point phi_2 takes a
     truncated Taylor series, which avoids the cancellation of the closed
-    form; both branches agree to 1e-14 relative at the switch.
+    form; both branches agree to 1e-14 relative at the switch.  Each
+    branch runs over the whole array, and the entries it does not own
+    are overwritten, so its warnings there are silenced.
     """
     z = np.asarray(z, dtype=float)
-    if k == 1:
-        out = np.ones_like(z)
-        np.divide(np.expm1(z), z, out=out, where=z != 0)
-    elif k == 2:
-        out = np.empty_like(z)
-        small = np.abs(z) < PHI2_TAYLOR_CUTOFF
-        zs, zl = z[small], z[~small]
-        acc = np.full_like(zs, _PHI2_COEFFS[0])
-        for c in _PHI2_COEFFS[1:]:
-            acc = acc * zs + c
-        out[small] = acc
-        out[~small] = (np.expm1(zl) - zl) / zl**2
-    else:
+    if k not in (1, 2):
         raise ValueError(f"phi order must be 1 or 2, got {k}")
+    out = np.expm1(z, out=np.empty_like(z))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if k == 1:
+            out /= z
+            np.copyto(out, 1.0, where=z == 0)
+            return out
+        out -= z
+        out /= np.square(z)
+        small = np.abs(z) < PHI2_TAYLOR_CUTOFF
+        if small.any():
+            acc = np.full_like(z, _PHI2_COEFFS[0])
+            for c in _PHI2_COEFFS[1:]:
+                acc *= z
+                acc += c
+            np.copyto(out, acc, where=small)
     return out
 
 

@@ -12,11 +12,15 @@ reaction, linear part included, from `full_reaction`.  The dense quadrature orac
 evaluates the interpolant on the whole Gauss grid with per-axis
 (n*npts) x (n+1) value and slope matrices.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
-derivatives.
+derivatives.  `masked_phi` evaluates phi by boolean gathers and
+scatters and `joined_snapshot` builds a snapshot's text as one string:
+`operator.phi` and the streamed `write_snapshot` must give their bits
+and bytes.
 """
 
 import functools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +30,7 @@ from expfem.analysis import _exact_gradient
 from expfem.assembly import transformed_load
 from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
                          extend_nodal, full_axis_coordinates, is_periodic)
-from expfem.operator import phi
+from expfem.operator import PHI2_TAYLOR_CUTOFF, phi
 from expfem.quadrature import apply_matrix, gauss_rule
 from expfem.stepper import SolverState
 from expfem.transforms import inverse_transform
@@ -387,3 +391,77 @@ def rel_err(a, b):
     a, b = np.asarray(a), np.asarray(b)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+# ---------------------------------------------------------------------------
+# bit- and byte-exact oracles of phi and the snapshot writer
+
+_PHI2_SERIES = [1.0 / math.factorial(j + 2) for j in range(9)][::-1]
+
+
+def masked_phi(k, z):
+    """phi_k by boolean gathers and scatters: phi_1 as a masked divide into
+    ones, phi_2's Taylor series on the gathered entries below the switch
+    point and its closed form on the others."""
+    z = np.asarray(z, dtype=float)
+    if k == 1:
+        out = np.ones_like(z)
+        np.divide(np.expm1(z), z, out=out, where=z != 0)
+    elif k == 2:
+        out = np.empty_like(z)
+        small = np.abs(z) < PHI2_TAYLOR_CUTOFF
+        zs, zl = z[small], z[~small]
+        acc = np.full_like(zs, _PHI2_SERIES[0])
+        for c in _PHI2_SERIES[1:]:
+            acc = acc * zs + c
+        out[small] = acc
+        out[~small] = (np.expm1(zl) - zl) / zl**2
+    else:
+        raise ValueError(f"phi order must be 1 or 2, got {k}")
+    return out
+
+
+def joined_snapshot(U, mesh, t):
+    """A snapshot's whole text, joined into one string from an x-fastest
+    (Fortran-order) copy of the field."""
+    if is_periodic(mesh.bc):
+        full = np.asarray(U, dtype=float)
+    else:
+        full = extend_nodal(U, mesh, t)
+    dims = [1, 1, 1]
+    origin = [0.0, 0.0, 0.0]
+    spacing = [1.0, 1.0, 1.0]
+    for a, p in enumerate(mesh.partitions):
+        dims[a] = full.shape[a]
+        origin[a] = p.a
+        spacing[a] = p.h
+    values = full.ravel(order="F")
+    lines = [
+        "# vtk DataFile Version 3.0",
+        f"expfem snapshot t={float(t)!r}",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        "DIMENSIONS {} {} {}".format(*dims),
+        "ORIGIN {} {} {}".format(*(repr(float(v)) for v in origin)),
+        "SPACING {} {} {}".format(*(repr(float(v)) for v in spacing)),
+        f"POINT_DATA {values.size}",
+        "SCALARS u double",
+        "LOOKUP_TABLE default",
+    ]
+    lines.extend(map(repr, values.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak over the call fn(*args), less what it traced
+    when the call began; the call's result is dropped."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import math
 import struct
-import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import mpmath as mp
@@ -18,7 +17,8 @@ from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
 from expfem.problems import (NonlinearityDomainError, builtin_allen_cahn_wave,
                              builtin_linear_rd, mesh_for)
 
-from helpers import make_mesh, mp_linear_rd_exact, mp_wave_exact, rel_err
+from helpers import (make_mesh, mp_linear_rd_exact, mp_wave_exact, rel_err,
+                     traced_peak)
 
 
 def test_error_norms_vanish_for_interpolated_exact():
@@ -199,13 +199,7 @@ def test_discrete_energy_memory_stays_block_sized():
     rng = np.random.default_rng(5)
     U = 0.5 * np.tanh(rng.standard_normal(dof_shape(mesh)))
     nodal_bytes = extend_nodal(U, mesh).nbytes
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        discrete_energy(U, mesh, 0.01, 0.8, 1.6)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(discrete_energy, U, mesh, 0.01, 0.8, 1.6)
     assert peak < 4 * nodal_bytes
 
 
@@ -216,13 +210,7 @@ def test_error_norms_memory_stays_block_sized():
     rng = np.random.default_rng(6)
     U = 0.5 * np.tanh(rng.standard_normal(dof_shape(mesh)))
     nodal_bytes = extend_nodal(U, mesh, 0.01).nbytes
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        error_norms(U, mesh, prob.exact, 0.01)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(error_norms, U, mesh, prob.exact, 0.01)
     assert peak < 4 * nodal_bytes
 
 
@@ -234,13 +222,7 @@ def test_error_norms_memory_stays_block_sized_in_2d():
     rng = np.random.default_rng(6)
     U = np.tanh(rng.standard_normal(dof_shape(mesh)))
     nodal_bytes = extend_nodal(U, mesh).nbytes
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        error_norms(U, mesh, prob.exact, 0.05)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(error_norms, U, mesh, prob.exact, 0.05)
     assert peak < 9 * nodal_bytes
 
 

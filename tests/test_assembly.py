@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,8 @@ from expfem.transforms import (DENSE_DST_POINTS, forward_transform,
 
 from helpers import (build_axis_matrices, dense_boundary_load,
                      dense_semidiscrete_rhs, full_grids, inv_mass_product,
-                     make_mesh, mode_multiply, rel_err, wave_exact_dt)
+                     make_mesh, mode_multiply, rel_err, traced_peak,
+                     wave_exact_dt)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):
@@ -353,12 +352,7 @@ def test_boundary_correction_memory_stays_face_sized():
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.01, G)
-    tracemalloc.start()
-    try:
-        boundary_correction(ctx, 0.02, G)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(boundary_correction, ctx, 0.02, G)
     assert peak < 2 * G.nbytes
 
 

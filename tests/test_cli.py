@@ -92,6 +92,36 @@ def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, line, key", [
+    ("run", RUN_CFG, 'series = "."', "output.series"),
+    ("run", RUN_CFG, 'series = ".."', "output.series"),
+    ("run", RUN_CFG, 'series = "sub/.."', "output.series"),
+    ("converge", CONV_CFG, 'report = "."', "output.report"),
+], ids=["series_dot", "series_dotdot", "series_sub_dotdot", "report_dot"])
+def test_output_name_of_a_directory_exits_before_the_run(
+        tmp_path, capsys, command, text, line, key):
+    # each resolves to the output directory or its parent, which exist
+    # once the output directory is made; the run would write every step
+    # and then fail to open a directory
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text + f"[output]\n{line}\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.toml"]
+
+
+def test_snapshot_name_of_a_directory_exits_before_the_run(tmp_path, capsys):
+    # the final step's snapshot, off the cadence of 3, names a directory
+    # that exists; no series and no earlier snapshot is written
+    out = tmp_path / "out"
+    (out / "snapshot_000008.vtk").mkdir(parents=True)
+    cfg = _write(tmp_path, "snapshot_every = 3\n" + RUN_CFG)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "output.snapshot 'snapshot_000008.vtk'" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["snapshot_000008.vtk"]
+
+
 def test_output_names_in_subdirectories_are_written(tmp_path):
     # each file's directory is made before the file is written
     cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG + (

@@ -8,7 +8,7 @@ from expfem.mesh import HomogeneousDirichlet, Periodic
 from expfem.operator import (PHI2_TAYLOR_CUTOFF, build_operator, phi,
                              phi_tensor)
 
-from helpers import inv_mass_product, make_mesh, rel_err
+from helpers import inv_mass_product, make_mesh, masked_phi, rel_err
 
 
 def test_phi_limit_values():
@@ -56,6 +56,40 @@ def test_phi_taylor_crossover_continuity():
         below = phi(2, z0 * (1 - 1e-15))
         above = phi(2, z0 * (1 + 1e-15))
         assert abs(below - above) / abs(above) < 1e-14
+
+
+def _phi_grid():
+    """Zero, both sides of phi_2's switch point, a subnormal-scale, the
+    expm1 underflow and a stiff argument, and a log-spaced sweep of both
+    signs."""
+    c = PHI2_TAYLOR_CUTOFF
+    edges = [s * c * (1 + e) for s in (-1.0, 1.0) for e in (-1e-15, 0.0, 1e-15)]
+    sweep = np.logspace(-12, 4, 97)
+    return np.concatenate([[0.0, -0.0, -1e-300, -745.0, -1e4], edges,
+                           -sweep, sweep[:60]])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_phi_gives_the_bits_of_the_masked_oracle(k):
+    z = _phi_grid()
+    # the 168 entries whole, as 3-d and Fortran-ordered 2-d arrays, and
+    # the first 11 each as a 0-d input
+    for arg in (z, z.reshape(3, 8, 7), np.asfortranarray(z.reshape(24, 7)),
+                *z[:11], *map(float, z[:11])):
+        want, got = masked_phi(k, arg), phi(k, arg)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bc", [HomogeneousDirichlet(), Periodic()],
+                         ids=["dirichlet", "periodic"])
+def test_phi_tensor_gives_the_bits_of_the_masked_oracle(bc):
+    # the periodic zero mode puts z = 0 in every tensor
+    op = build_operator(make_mesh([(0, 1)] * 3, [16, 12, 10], bc), 0.7)
+    for k in (1, 2):
+        for tau, scale in ((1e-4, 1.0), (1e-2, 0.5), (10.0, 1.0)):
+            want = masked_phi(k, -scale * tau * op.decay_rates)
+            assert phi_tensor(k, op, tau, scale).tobytes() == want.tobytes()
 
 
 def test_phi_rejects_higher_orders():

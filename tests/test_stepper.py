@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
 from expfem.transforms import forward_transform, inverse_transform
 
 from helpers import (dense_euler_step, dense_rk2_step, full_reaction, rel_err,
-                     rk2_step_with_temporaries, wave_exact_dt)
+                     rk2_step_with_temporaries, traced_peak, wave_exact_dt)
 
 
 def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None, periodic=False):
@@ -466,11 +465,5 @@ def test_run_memory_stays_within_a_few_nodal_arrays(scheme, every, bound):
     observers = [] if every is None else [(every, lambda n, t, U: None)]
     run(prob, mesh, cfg, observers)
     nodal_bytes = 8 * math.prod(dof_shape(mesh))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        run(prob, mesh, cfg, observers)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(run, prob, mesh, cfg, observers)
     assert peak <= bound * nodal_bytes

@@ -1,11 +1,14 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
+from hypothesis import given, strategies as st
 
 from expfem.analysis import StudyRow
-from expfem.mesh import HomogeneousDirichlet, Periodic
+from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
+                         extend_nodal)
 from expfem.writers import (REPORT_HEADER, format_number, write_report_csv,
                             write_series_csv, write_snapshot)
 
-from helpers import make_mesh
+from helpers import joined_snapshot, make_mesh, traced_peak
 
 
 def test_format_number_rules():
@@ -140,3 +143,52 @@ def test_snapshot_bytes_match_per_value_repr(tmp_path):
         "LOOKUP_TABLE default",
     ] + [repr(float(v)) for v in values]) + "\n"
     assert path.read_bytes() == expected.encode()
+
+
+# values whose repr is exponent-heavy, subnormal, signed zero or the
+# largest finite double; every drawn field carries all of them
+EDGE_VALUES = [-0.0, 1e-5, 1e16, 5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+# per-axis subdivision ranges by dimension, each giving every Dirichlet
+# mesh at least as many owned nodes as there are edge values
+SUBDIVISIONS = {1: (7, 12), 2: (4, 7), 3: (3, 5)}
+
+
+def _trace(t, xs):
+    return 1e3 * np.cos(sum(xs) + t)
+
+
+@st.composite
+def snapshot_cases(draw):
+    dim = draw(st.integers(1, 3))
+    axis = st.tuples(st.floats(-10, 10), st.floats(0.1, 10),
+                     st.integers(*SUBDIVISIONS[dim]))
+    axes = draw(st.lists(axis, min_size=dim, max_size=dim))
+    bc = draw(st.sampled_from([Periodic(), HomogeneousDirichlet(),
+                               Dirichlet(_trace)]))
+    mesh = make_mesh([(a, a + length) for a, length, _ in axes],
+                     [n for _, _, n in axes], bc)
+    U = draw(hnp.arrays(float, dof_shape(mesh), elements=st.floats()))
+    U.flat[:len(EDGE_VALUES)] = EDGE_VALUES
+    return U, mesh, draw(st.floats(0, 1e3))
+
+
+@given(snapshot_cases())
+def test_snapshot_bytes_match_the_joined_writer(tmp_path_factory, case):
+    # periodic, homogeneous and lifted meshes in 1D, 2D and 3D
+    U, mesh, t = case
+    path = tmp_path_factory.mktemp("snap") / "snap.vtk"
+    write_snapshot(U, mesh, t, path)
+    assert path.read_bytes() == joined_snapshot(U, mesh, t).encode()
+
+
+def test_snapshot_memory_stays_block_sized(tmp_path):
+    # the joined writer held the whole file's text and an x-fastest copy,
+    # 8.2x this bound; the streamed one holds the extended field and one
+    # block of text
+    mesh = make_mesh([(0, 1)] * 3, [32] * 3, Dirichlet(_trace))
+    U = np.random.default_rng(4).standard_normal(dof_shape(mesh))
+    full_bytes = extend_nodal(U, mesh, 0.5).nbytes
+    path = tmp_path / "snap.vtk"
+    assert traced_peak(write_snapshot, U, mesh, 0.5, path) < 2 * full_bytes
+    assert path.read_bytes() == joined_snapshot(U, mesh, 0.5).encode()
