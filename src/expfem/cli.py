@@ -6,12 +6,11 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/domain error
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .analysis import (TimeSeriesObserver, convergence_study, error_norms,
-                       sup_norm, timing_study)
+                       timing_study)
 from .config import ConfigError, parse_config
 from .problems import NonlinearityDomainError, mesh_for
 from .stepper import SchemeConfig, run
@@ -62,58 +61,80 @@ def _load_config(args):
     return cfg
 
 
-def _output_names(command, cfg):
-    """(key, name) of every file the command writes into its output
-    directory; snapshots come at step 0, every multiple of their cadence
-    and the final step, as `stepper.run` calls its observers."""
+def _output_paths(command, cfg, out_dir):
+    """The path under out_dir of every file the command writes: its
+    series or report, and the snapshot of each step that `stepper.run`
+    shows its snapshot observer (step 0, every multiple of the cadence
+    and the final step), by step.
+
+    Every rule on output files is checked here, once, before the output
+    directory is made: the snapshot pattern formats with {step} alone,
+    even when no snapshot is due; no two files share a path; no path is
+    a directory, existing or one the command makes; and no directory a
+    file lies in, `--out` included, is an existing non-directory.
+    """
     if command != "run":
-        return [("output.report", cfg.out_report)]
-    names = [("output.series", cfg.out_series)]
-    if cfg.snapshot_every > 0:
-        steps = {*range(0, cfg.nt, cfg.snapshot_every), cfg.nt}
-        names += [("output.snapshot", cfg.out_snapshot.format(step=step))
-                  for step in sorted(steps)]
-    return names
-
-
-def _check_output_names(out_dir, names):
-    """Reject an output name that resolves to a directory, before the
-    output directory is made: an existing directory, or the output
-    directory or one of its parents, which exist once it is made."""
-    base = out_dir.resolve()
-    made = {base, *base.parents}
-    for key, name in names:
-        path = Path(os.path.normpath(base / name))
-        if path in made or path.is_dir():
+        files, steps = [(f"output.report {cfg.out_report!r}", cfg.out_report)], []
+    else:
+        every = cfg.snapshot_every
+        steps = sorted({*range(0, cfg.nt, every), cfg.nt}) if every else []
+        try:
+            names = [cfg.out_snapshot.format(step=step) for step in steps or [0]]
+        except (AttributeError, LookupError, OverflowError, TypeError,
+                ValueError) as err:
             raise ConfigError(
-                f"{key} {name!r} names the directory {path}, not a file")
+                f"output.snapshot {cfg.out_snapshot!r} must format with {{step}} "
+                f"alone ({type(err).__name__}: {err})") from None
+        files = [(f"output.series {cfg.out_series!r}", cfg.out_series)] + [
+            (f"output.snapshot {name!r} at step {step}", name)
+            for step, name in zip(steps, names)]
+    base = out_dir.resolve()
+    owners = {}  # file path: what names it
+    for what, name in files:
+        path = (base / name).resolve()
+        if path in owners:
+            raise ConfigError(f"{what} and {owners[path]} both name {path}")
+        owners[path] = what
+    # each directory that exists once the files are written, by the first
+    # file that needs it
+    made = {parent: what for path, what in reversed(owners.items())
+            for parent in (*path.parents, base, *base.parents)}
+    for path, what in owners.items():
+        if path in made or path.is_dir():
+            raise ConfigError(f"{what} names the directory {path}, not a file")
+    for parent, what in made.items():
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"{what}: {parent} exists and is not a directory")
+    paths = [out_dir / name for _, name in files]
+    return paths[0], dict(zip(steps, paths[1:]))
 
 
-def _cmd_run(args, cfg, out_dir):
+def _cmd_run(args, cfg, path, snapshots):
     problem = cfg.problem
     mesh = mesh_for(problem, cfg.subdivisions)
     series = TimeSeriesObserver(mesh, energy_params=problem.energy_params)
     observers = [(cfg.observe_every, series)]
-    if cfg.snapshot_every > 0:
+    if snapshots:
         def snap(step, t, U):
-            write_snapshot(U, mesh, t, out_dir / cfg.out_snapshot.format(step=step))
+            write_snapshot(U, mesh, t, snapshots[step])
         observers.append((cfg.snapshot_every, snap))
     scheme_cfg = SchemeConfig(dt=cfg.dt, T=cfg.T, scheme=cfg.scheme, c2=cfg.c2)
     state = run(problem, mesh, scheme_cfg, observers=observers)
-    write_series_csv(series.rows, out_dir / cfg.out_series)
-    U = inverse_transform(state.coeffs, mesh)
-    _echo(args, f"finished {cfg.nt} steps to T={cfg.T}; sup norm {sup_norm(U):.6g}")
+    write_series_csv(series.rows, path)
+    # the series' last row is the final state's, observed at the last step
+    _echo(args, f"finished {cfg.nt} steps to T={cfg.T}; "
+                f"sup norm {series.rows[-1][1]:.6g}")
     if problem.exact is not None:
+        U = inverse_transform(state.coeffs, mesh)
         l2, h1 = error_norms(U, mesh, problem.exact, state.t)
         _echo(args, f"errors at T: L2 {l2:.6g}, H1 {h1:.6g}")
-    _echo(args, f"wrote {out_dir / cfg.out_series}")
+    _echo(args, f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_converge(args, cfg, out_dir):
+def _cmd_converge(args, cfg, path, _):
     rows = convergence_study(cfg.problem, cfg.rungs, scheme=cfg.scheme,
                              c2=cfg.c2, T=cfg.T)
-    path = out_dir / cfg.out_report
     write_report_csv(rows, path)
     for row in rows:
         _echo(args, f"{row.resolution} nt={row.nt}: "
@@ -122,10 +143,9 @@ def _cmd_converge(args, cfg, out_dir):
     return EXIT_OK
 
 
-def _cmd_bench(args, cfg, out_dir):
+def _cmd_bench(args, cfg, path, _):
     rows = timing_study(cfg.problem, cfg.rungs, scheme=cfg.scheme,
                         c2=cfg.c2, T=cfg.T)
-    path = out_dir / cfg.out_report
     write_report_csv(rows, path)
     for row in rows:
         growth = f" growth {row.growth:.2f}" if row.growth is not None else ""
@@ -143,9 +163,9 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         out_dir = Path(args.out)
-        _check_output_names(out_dir, _output_names(args.command, cfg))
+        paths = _output_paths(args.command, cfg, out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, cfg, out_dir)
+        return _COMMANDS[args.command](args, cfg, *paths)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

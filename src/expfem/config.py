@@ -6,11 +6,12 @@ tables flatten to dotted keys (`[domain]` then `n = ...` is `domain.n`).
 reads only the keys of the chosen mode and problem; a key left over,
 misspelt or one that the mode or the problem does not read, is an
 error.  Config checks the TOML types and the rules no other object
-owns (T > 0, dt * nt = T, the cadences and the output names); every
-other value rule is its owner's: `stepper.SchemeConfig` checks the
-scheme, c2, dt and that T is a multiple of dt, `mesh_for` the
-subinterval counts, and a builtin factory's signature names the
-parameters its problem takes.
+owns (T > 0, dt * nt = T and the cadences); every other value rule is
+its owner's: `stepper.SchemeConfig` checks the scheme, c2, dt and that
+T is a multiple of dt, `mesh_for` the subinterval counts, a builtin
+factory's signature names the parameters its problem takes, and `cli`
+owns every rule on the files that the output names give; config checks
+only that each name is a non-empty string.
 
 Custom problems may define their PDE data through a small expression
 language over t, u and the coordinates, supporting arithmetic, exp, ln,
@@ -345,8 +346,8 @@ def _output_name(values, key, default):
 
 
 def _resolve_outputs(cfg, values):
-    """A run's cadences and file names, checked here, so that a bad name
-    fails before any step runs."""
+    """A run's cadences and file names; `cli` checks the files the names
+    give before any step runs."""
     cadence = values.pop("observe_every", max(1, cfg.nt // 100))
     if not _is_int(cadence) or cadence < 1:
         raise ConfigError(f"observe_every must be a positive integer, got {cadence!r}")
@@ -357,17 +358,6 @@ def _resolve_outputs(cfg, values):
     cfg.snapshot_every = snap
     cfg.out_series = _output_name(values, "series", cfg.out_series)
     cfg.out_snapshot = _output_name(values, "snapshot", cfg.out_snapshot)
-    try:
-        names = [cfg.out_snapshot.format(step=step) for step in (0, 1)]
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(
-            f"output.snapshot {cfg.out_snapshot!r} must format with {{step}} "
-            f"alone ({type(err).__name__}: {err})") from None
-    if cfg.snapshot_every > 0 and names[0] == names[1]:
-        raise ConfigError(
-            f"output.snapshot {cfg.out_snapshot!r} gives steps 0 and 1 the "
-            f"same file name {names[0]!r}, which every snapshot would "
-            "overwrite")
 
 
 def _resolve_ladder(cfg, values, kind):

@@ -3,14 +3,15 @@
 Numbers are printed with 6 significant digits, switching to scientific
 notation below 1e-3; undefined cells stay empty.  Snapshots use the
 legacy structured-points text format so any standard viewer can open
-them without bindings, one `repr` per value.
+them without bindings, one `repr` per value, on every node of the box:
+`mesh.extend_nodal` adds the boundary values or the periodic wrap.
 
 Every file goes out through one helper that writes blocks of lines in
 turn.  A snapshot's point data is streamed: the values are read
 x-fastest straight from the field in blocks of about a thousand, and each
 block's text is written before the next one is formed, so writing one
-holds the field and one block of text, never the whole file's text or
-an x-fastest copy of the field.
+holds the full-grid field and one block of text, never the whole
+file's text or an x-fastest copy of the field.
 """
 
 from itertools import chain
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import dof_shape, extend_nodal, is_periodic
+from .mesh import extend_nodal
 
 REPORT_HEADER = "nt,resolution,err_l2,cr_l2,err_h1,cr_h1,sec_per_step,growth"
 
@@ -85,17 +86,12 @@ def write_series_csv(rows, path):
 def write_snapshot(U, mesh, t, path):
     """Write one scalar field as a legacy structured-points file.
 
-    Dirichlet fields are extended with their boundary values; periodic
-    fields are written on the owned nodes only.  Point data runs
-    x-fastest per the format's convention.
+    The field is written on the full grid of `mesh.extend_nodal`, nodes
+    0..N along every axis, so it spans the whole box: Dirichlet fields
+    with their boundary values, periodic ones with node N wrapped from
+    node 0.  Point data runs x-fastest per the format's convention.
     """
-    if is_periodic(mesh.bc):
-        full = np.asarray(U, dtype=float)
-        if list(full.shape) != dof_shape(mesh):
-            raise ValueError(
-                f"shape {full.shape} does not match mesh {dof_shape(mesh)}")
-    else:
-        full = extend_nodal(U, mesh, t)
+    full = extend_nodal(U, mesh, t)
     dims = [1, 1, 1]
     origin = [0.0, 0.0, 0.0]
     spacing = [1.0, 1.0, 1.0]

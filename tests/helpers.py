@@ -423,9 +423,11 @@ def masked_phi(k, z):
 
 def joined_snapshot(U, mesh, t):
     """A snapshot's whole text, joined into one string from an x-fastest
-    (Fortran-order) copy of the field."""
+    (Fortran-order) copy of the full-grid field; a periodic field is
+    wrapped here by indexing node N as node 0."""
     if is_periodic(mesh.bc):
-        full = np.asarray(U, dtype=float)
+        full = np.asarray(U, dtype=float)[
+            np.ix_(*(np.arange(n + 1) % n for n in np.shape(U)))]
     else:
         full = extend_nodal(U, mesh, t)
     dims = [1, 1, 1]

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from expfem import cli
 from expfem.cli import main
 
 RUN_CFG = """
@@ -73,23 +75,112 @@ def test_run_snapshot_cadence(tmp_path, snapshot_every, steps):
     assert times == pytest.approx([step * 0.25 / 8 for step in (0, 2, 4, 6, 8)])
 
 
-@pytest.mark.parametrize("line", [
-    'snapshot = "snap_{x}.vtk"',
-    'snapshot = "s_{0}.vtk"',
-    "series = 5",
-    'snapshot = "snap.vtk"',
-    'series = ""',
+@pytest.mark.parametrize("line, message", [
+    ('snapshot = "snap_{x}.vtk"', "must format with {step} alone (KeyError"),
+    ('snapshot = "s_{0}.vtk"', "must format with {step} alone (IndexError"),
+    ("series = 5", "output.series must be a string"),
+    ('snapshot = "snap.vtk"', "output.snapshot 'snap.vtk' at step 4 and "
+                              "output.snapshot 'snap.vtk' at step 0 both name"),
+    ('snapshot = "s_{step!s:.0}.vtk"', "output.snapshot 's_.vtk' at step 4 "
+                                       "and output.snapshot 's_.vtk' at step 0"),
+    ('series = ""', "output.series must be a string"),
 ], ids=["unknown_field", "positional_field", "series_not_a_string",
-        "same_name_every_step", "empty_series"])
-def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line):
-    # rejected before any step runs, so the run writes no file
+        "same_name_every_step", "same_name_empty_step", "empty_series"])
+def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line,
+                                               message):
+    # rejected before any step runs, so the run writes no file; a name
+    # that gives two steps one file would have every snapshot overwrite it
     out = tmp_path / "out"
     cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG
                  + f"[output]\n{line}\n")
     code = main(["run", "--config", cfg, "--out", str(out)])
     assert code == 2
-    assert "output." in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("snapshot", ["snap.vtk", "s_{step!s:.0}.vtk"])
+def test_constant_snapshot_name_is_fine_without_snapshots(tmp_path, snapshot):
+    # with snapshot_every = 0 the name is never used, and names no file
+    cfg = _write(tmp_path, RUN_CFG + f'[output]\nsnapshot = "{snapshot}"\n')
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert [p.name for p in out.iterdir()] == ["series.csv"]
+
+
+def _tree(root):
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("top, output, existing, keys", [
+    ("snapshot_every = 2", 'series = "snapshot_000002.vtk"', None,
+     ["output.snapshot 'snapshot_000002.vtk' at step 2 and "
+      "output.series 'snapshot_000002.vtk' both name"]),
+    ("snapshot_every = 3", 'series = "snapshot_000008.vtk"', None,
+     ["output.snapshot 'snapshot_000008.vtk' at step 8 and "
+      "output.series 'snapshot_000008.vtk' both name"]),
+    ("snapshot_every = 4",
+     'series = "./x_0.vtk"\nsnapshot = "sub/../x_{step}.vtk"', None,
+     ["output.snapshot 'sub/../x_0.vtk' at step 0 and "
+      "output.series './x_0.vtk' both name"]),
+    ("snapshot_every = 4",
+     'series = "a"\nsnapshot = "a/s_{step}.vtk"', None,
+     ["output.series 'a' names the directory"]),
+    ("", 'series = "a/series.csv"', "a",
+     ["output.series 'a/series.csv': ", "exists and is not a directory"]),
+    ("", "", ".",
+     ["output.series 'series.csv': ", "exists and is not a directory"]),
+], ids=["series_is_an_on_cadence_snapshot",
+        "series_is_the_final_off_cadence_snapshot", "same_file_spelled_twice",
+        "series_is_a_snapshot_directory", "parent_is_a_file", "out_is_a_file"])
+def test_output_files_that_cannot_all_be_written_exit_before_the_run(
+        tmp_path, capsys, top, output, existing, keys):
+    # each would run every step and then overwrite one output with
+    # another or fail to open a file (exit 1); `existing` names a file
+    # made under --out first ("." is --out itself)
+    out = tmp_path / "out"
+    if existing is not None:
+        (out / existing).parent.mkdir(parents=True, exist_ok=True)
+        (out / existing).write_text("a file\n")
+    cfg = _write(tmp_path, f"{top}\n{RUN_CFG}[output]\n{output}\n")
+    before = _tree(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    for key in keys:
+        assert key in err
+    assert _tree(tmp_path) == before
+
+
+PERIODIC_CFG = """
+mode = "run"
+problem = "custom"
+T = 0.1
+nt = 2
+snapshot_every = 2
+[domain]
+bounds = [[0.0, 1.0], [0.0, 2.0]]
+bc = "periodic"
+n = [4, 6]
+[custom]
+d = 0.5
+f = "-u"
+u0 = "sin(2 * pi * x) + cos(pi * y)"
+"""
+
+
+def test_periodic_snapshot_spans_the_box(tmp_path):
+    # one point per node 0..n of every axis; node n wraps node 0
+    cfg = _write(tmp_path, PERIODIC_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    for step in (0, 2):
+        lines = (tmp_path / f"snapshot_{step:06d}.vtk").read_text().splitlines()
+        assert "DIMENSIONS 5 7 1" in lines and "POINT_DATA 35" in lines
+        data = lines[lines.index("LOOKUP_TABLE default") + 1:]
+        full = np.array(data).reshape((5, 7), order="F")
+        assert (full[-1] == full[0]).all() and (full[:, -1] == full[:, 0]).all()
+        assert len(set(full[:-1, :-1].ravel())) > 1
 
 
 @pytest.mark.parametrize("command, text, line, key", [
@@ -358,6 +449,19 @@ def test_non_finite_state_is_a_domain_error_and_is_not_written(
     assert "domain error: step 0: state value nan" in capsys.readouterr().err
     assert sorted(path.name for path in out.iterdir()) == [
         "snapshot_000000.vtk"] * bool(cadences)
+
+
+def test_run_without_exact_solution_makes_no_transform_after_its_steps(
+        tmp_path, capsys, monkeypatch):
+    # the echoed sup norm is the series' last row, the final state's
+    def fail(*args):
+        raise AssertionError("end state transformed again")
+
+    monkeypatch.setattr(cli, "inverse_transform", fail)
+    cfg = _write(tmp_path, FH_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    last = (tmp_path / "series.csv").read_text().splitlines()[-1]
+    assert f"sup norm {float(last.split(',')[1]):.6g}" in capsys.readouterr().out
 
 
 def test_identical_config_and_seed_identical_bytes(tmp_path):

@@ -72,27 +72,14 @@ def test_unknown_key_named_in_error():
 
 
 @pytest.mark.parametrize("line, message", [
-    ('snapshot = "snap_{x}.vtk"', "KeyError"),
-    ('snapshot = "s_{0}.vtk"', "IndexError"),
     ("series = 5", "output.series must be a string"),
-], ids=["unknown_field", "positional_field", "series_not_a_string"])
+], ids=["series_not_a_string"])
 def test_bad_output_names_rejected(line, message):
-    # a name that would fail only when a file is written, after the steps
-    # have run, is a config error
+    # config checks an output name's type; `cli` checks the files the
+    # names give (tests/test_cli.py)
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL + f"[output]\n{line}\n")
     assert message in str(exc.value)
-
-
-@pytest.mark.parametrize("name", ["snap.vtk", "s_{step!s:.0}.vtk"])
-def test_snapshot_name_must_vary_with_step(name):
-    # otherwise every snapshot overwrites one file
-    text = ("snapshot_every = 4\n" + MINIMAL
-            + f'[output]\nsnapshot = "{name}"\n')
-    with pytest.raises(ConfigError, match="the same file name"):
-        parse_config(text)
-    # without snapshots the name is never used
-    assert parse_config(text.replace("snapshot_every = 4", "")).out_snapshot == name
 
 
 def test_snapshot_name_formats_with_step():

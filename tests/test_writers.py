@@ -86,13 +86,14 @@ def test_snapshot_dirichlet_includes_boundary(tmp_path):
 
 
 def test_snapshot_constant_field(tmp_path):
+    # a periodic field spans the box: node 4 wraps node 0
     mesh = make_mesh([(0, 1)], [4], Periodic())
     path = tmp_path / "snap1d.vtk"
     write_snapshot(np.full(4, 3.25), mesh, 0.0, path)
     lines = path.read_text().splitlines()
-    assert "DIMENSIONS 4 1 1" in lines
+    assert "DIMENSIONS 5 1 1" in lines
     data = lines[lines.index("LOOKUP_TABLE default") + 1:]
-    assert data == ["3.25"] * 4
+    assert data == ["3.25"] * 5
 
 
 def test_snapshot_x_fastest_order(tmp_path):
