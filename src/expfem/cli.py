@@ -13,7 +13,7 @@ from .analysis import (TimeSeriesObserver, convergence_study, error_norms,
                        timing_study)
 from .config import ConfigError, parse_config
 from .problems import NonlinearityDomainError, mesh_for
-from .stepper import SchemeConfig, run
+from .stepper import SchemeConfig, observation_steps, run
 from .transforms import inverse_transform
 from .writers import write_report_csv, write_series_csv, write_snapshot
 
@@ -63,13 +63,14 @@ def _load_config(args):
 
 def _output_paths(command, cfg, out_dir):
     """The path under out_dir of every file the command writes: its
-    series or report, and the snapshot of each step that `stepper.run`
-    shows its snapshot observer (step 0, every multiple of the cadence
-    and the final step), by step.
+    series or report, and the snapshot of each of the
+    `observation_steps` at which `stepper.run` calls its snapshot
+    observer, by step.
 
     Every rule on output files is checked here, once, before the output
     directory is made: the snapshot pattern formats with {step} alone,
-    even when no snapshot is due; no two files share a path; no path is
+    even when no snapshot is due; each name is one the file system takes
+    (no NUL character); no two files share a path; no path is
     a directory, existing or one the command makes; and no directory a
     file lies in, `--out` included, is an existing non-directory.
     """
@@ -77,7 +78,7 @@ def _output_paths(command, cfg, out_dir):
         files, steps = [(f"output.report {cfg.out_report!r}", cfg.out_report)], []
     else:
         every = cfg.snapshot_every
-        steps = sorted({*range(0, cfg.nt, every), cfg.nt}) if every else []
+        steps = sorted(observation_steps(every, cfg.nt)) if every else []
         try:
             names = [cfg.out_snapshot.format(step=step) for step in steps or [0]]
         except (AttributeError, LookupError, OverflowError, TypeError,
@@ -91,7 +92,10 @@ def _output_paths(command, cfg, out_dir):
     base = out_dir.resolve()
     owners = {}  # file path: what names it
     for what, name in files:
-        path = (base / name).resolve()
+        try:
+            path = (base / name).resolve()
+        except ValueError as err:  # a NUL character
+            raise ConfigError(f"{what} is not a file name: {err}") from None
         if path in owners:
             raise ConfigError(f"{what} and {owners[path]} both name {path}")
         owners[path] = what

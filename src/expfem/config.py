@@ -16,11 +16,11 @@ only that each name is a non-empty string.
 Custom problems may define their PDE data through a small expression
 language over t, u and the coordinates, supporting arithmetic, exp, ln,
 tanh, sin, cos and pi.  `compile_expression` turns each expression
-straight into the callable a `Problem` field takes: f(t, u, xs),
-u0(xs), g(t, xs) and exact(t, xs), with x, y and z the entries of the
-coordinate tuple xs.  All of these functions are analytic, so the trace
-g and the exact solution also take the complex arguments of the
-complex-step derivatives.
+straight into the callable a `Problem` takes: f(t, u, xs), u0(xs),
+the trace g(t, xs) of its `Dirichlet` boundary and exact(t, xs), with
+x, y and z the entries of the coordinate tuple xs.  All of these
+functions are analytic, so the trace g and the exact solution also take
+the complex arguments of the complex-step derivatives.
 """
 
 import ast
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import dof_shape
+from .mesh import Dirichlet, HomogeneousDirichlet, Periodic, dof_shape
 from .problems import BUILTIN_FACTORIES, Problem, mesh_for
 from .stepper import SchemeConfig
 
@@ -262,15 +262,16 @@ def _build_custom_problem(values):
         raise ConfigError(f"custom.d must be positive, got {diffusion}")
     f = compile_expression(_require(values, "custom.f"), ("t", "u"), coords)
     u0 = compile_expression(_require(values, "custom.u0"), (), coords)
-    g = exact = None
+    kind = Periodic() if bc == "periodic" else HomogeneousDirichlet()
     if "custom.g" in values:
         if bc == "periodic":
             raise ConfigError("key custom.g conflicts with periodic domain.bc")
-        g = compile_expression(values.pop("custom.g"), ("t",), coords)
+        kind = Dirichlet(compile_expression(values.pop("custom.g"), ("t",), coords))
+    exact = None
     if "custom.exact" in values:
         exact = compile_expression(values.pop("custom.exact"), ("t",), coords)
     return Problem(name="custom", diffusion=diffusion, f=f, domain=domain,
-                   periodic=(bc == "periodic"), u0=u0, g=g, exact=exact)
+                   bc=kind, u0=u0, exact=exact)
 
 
 def parse_config(text, seed_override=None):

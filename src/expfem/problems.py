@@ -1,8 +1,11 @@
 """Problem definitions: PDE data for u_t = D*lap(u) + r(t, u, x).
 
 A Problem bundles the diffusion coefficient, the reaction term, boundary
-and initial data, and (when known) the exact solution.  The reaction is
-given in three parts,
+and initial data, and (when known) the exact solution.  Its one boundary
+field `bc` is the mesh's `BoundaryKind`: `HomogeneousDirichlet()` (the
+default), `Dirichlet(trace)` or `Periodic()`, so no periodic problem
+carries a trace; `periodic` reads whether it is `Periodic`.  The
+reaction is given in three parts,
 
     r(t, u, x) = linear * u + sum_j amplitude_j(t) profile_j(xs) + f(t, u, xs),
 
@@ -22,11 +25,12 @@ The initial datum is `u0(xs)` alone: called once on the open grid of
 the owned nodes, it returns anything that broadcasts to their shape, a
 whole nodal array included; so does each source profile.  All callables
 but the amplitudes take coordinate tuples of broadcastable arrays, and
-all must be pure.  The program differentiates the trace g in t and the
-exact solution in x by one complex step, so g and exact must be
-analytic and accept complex arguments.  Numpy ufuncs are analytic, and
-a callable that ignores the perturbed variable returns a real value,
-whose zero imaginary part is the correct zero derivative.
+all must be pure.  The program differentiates the trace of
+`Dirichlet(trace)` in t and the exact solution in x by one complex step,
+so both must be analytic and accept complex arguments.  Numpy ufuncs
+are analytic, and a callable that ignores the perturbed variable
+returns a real value, whose zero imaginary part is the correct zero
+derivative.
 
 `admissible_range` is the open interval of the states a run may go on
 from, by default (-inf, inf): any finite state.  `check_admissible`
@@ -42,8 +46,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import (Dirichlet, HomogeneousDirichlet, Partition1D, Periodic,
-                   TensorMesh)
+from .mesh import (BoundaryKind, Dirichlet, HomogeneousDirichlet,
+                   Partition1D, Periodic, TensorMesh, is_periodic)
 
 # f'(x) = Im f(x + i h) / h has no difference to cancel, so h can sit far
 # below the rounding floor of x: the derivative is exact to rounding
@@ -84,9 +88,8 @@ class Problem:
     diffusion: float
     f: Optional[Callable]  # f(t, u, xs); None when no term reads u
     domain: tuple
-    periodic: bool = False
+    bc: BoundaryKind = HomogeneousDirichlet()
     u0: Optional[Callable] = None
-    g: Optional[Callable] = None
     exact: Optional[Callable] = None
     admissible_range: tuple = (-math.inf, math.inf)  # open interval
     T_default: float = 1.0
@@ -106,14 +109,9 @@ class Problem:
     def dim(self):
         return len(self.domain)
 
-
-def boundary_kind(problem):
-    """The BoundaryKind a mesh for this problem should carry."""
-    if problem.periodic:
-        return Periodic()
-    if problem.g is not None:
-        return Dirichlet(problem.g)
-    return HomogeneousDirichlet()
+    @property
+    def periodic(self):
+        return is_periodic(self.bc)
 
 
 def mesh_for(problem, subdivisions):
@@ -123,7 +121,7 @@ def mesh_for(problem, subdivisions):
             f"{problem.name} is {problem.dim}D, got {len(subdivisions)} axis counts")
     parts = tuple(Partition1D(a, b, int(n))
                   for (a, b), n in zip(problem.domain, subdivisions))
-    return TensorMesh(parts, boundary_kind(problem))
+    return TensorMesh(parts, problem.bc)
 
 
 def builtin_linear_rd():
@@ -194,8 +192,8 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
         diffusion=1.0,
         f=f,
         domain=domain,
+        bc=Dirichlet(exact),
         u0=lambda xs: exact(0.0, xs),
-        g=exact,
         exact=exact,
         T_default=3.0 * math.sqrt(2.0) * eps / 5.0,
     )
@@ -230,7 +228,7 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
         diffusion=eps ** 2,
         f=f,
         domain=((0.0, 1.0),) * 3,
-        periodic=True,
+        bc=Periodic(),
         u0=u0,
         admissible_range=(-1.0, 1.0),
         T_default=20.0,

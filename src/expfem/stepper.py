@@ -209,13 +209,21 @@ def exp_rk2_step(state, ctx, dt, c2, w):
     return SolverState(state.t + dt, coeffs, state.step_index + 1)
 
 
+def observation_steps(every, nsteps):
+    """The steps an observer of cadence `every` sees in a run of nsteps
+    steps: step 0, every multiple of `every` and the last step."""
+    if every < 1:
+        raise ValueError(f"observer cadence must be >= 1, got {every}")
+    return {*range(0, nsteps, every), nsteps}
+
+
 def run(problem, mesh, cfg, observers=(), step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
     `observers` holds (every, obs) pairs.  Each obs is called as
-    obs(step_index, t, U_nodal) at step 0, at every multiple of its own
-    `every` and at the final step.  A step that any observer sees makes
-    one inverse transform, which all of them share; the step-0 state is
+    obs(step_index, t, U_nodal) at the `observation_steps` of its own
+    `every`, in the order of `observers`.  A step that any observer sees
+    makes one inverse transform, which all of them share; the step-0 state is
     the read-only `initial_state`.  `run` drops each nodal state once the
     observers have seen it, so none lives through the steps.
 
@@ -230,15 +238,13 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     the index of the state observed.  `step_times`, when a list,
     collects per-step wall-clock seconds.
     """
-    for every, _ in observers:
-        if every < 1:
-            raise ValueError(f"observer cadence must be >= 1, got {every}")
+    nsteps = cfg.num_steps()
+    plan = [(observation_steps(every, nsteps), obs) for every, obs in observers]
     _keep_freed_arrays()
     if aspect_ratio(mesh) > 8:
         warnings.warn(
             f"mesh aspect ratio {aspect_ratio(mesh):.2f} exceeds 8; "
             "accuracy theory assumes quasi-uniform cells", stacklevel=2)
-    nsteps = cfg.num_steps()
     ctx = LoadContext(problem, mesh)
     U0 = initial_state(problem, mesh)
     state = SolverState(0.0, None)
@@ -260,9 +266,7 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
             state.t = cfg.dt * state.step_index  # keep t free of summation drift
             if step_times is not None:
                 step_times.append(time.perf_counter() - tic)
-            due = [obs for every, obs in observers
-                   if state.step_index % every == 0
-                   or state.step_index == nsteps]
+            due = [obs for steps, obs in plan if state.step_index in steps]
             if due:
                 U = inverse_transform(state.coeffs, mesh)
                 check_admissible(U, problem.admissible_range)

@@ -5,8 +5,8 @@ from expfem import assembly
 from expfem.analysis import error_norms
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
-from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal, is_periodic, node_grids)
+from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic,
+                         dof_shape, extend_nodal, is_periodic, node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
@@ -89,7 +89,7 @@ def test_interpolation_fixes_grid_functions_with_trace(subs):
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
         domain=((0.0, 1.0), (-0.5, 1.5))[:dim], u0=u,
-        g=lambda t, xs: u(xs))
+        bc=Dirichlet(lambda t, xs: u(xs)))
     mesh = mesh_for(prob, subs)
     full = extend_nodal(initial_state(prob, mesh), mesh, 0.0)
     expect = np.broadcast_to(u(full_grids(mesh)), full.shape)
@@ -102,7 +102,7 @@ def test_interpolation_fixes_grid_functions_with_trace(subs):
 def test_interpolation_periodic_wraps():
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
-        domain=((0.0, 1.0),), periodic=True,
+        domain=((0.0, 1.0),), bc=Periodic(),
         u0=lambda xs: np.cos(2 * np.pi * xs[0]))
     mesh = mesh_for(prob, (16,))
     U = initial_state(prob, mesh)
@@ -147,10 +147,11 @@ def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
     # to every owned node; the result is read-only either way, whether it
     # is a copy or a view of the datum's own array
     u0 = INITIAL_DATA[datum]
+    kinds = {"periodic": Periodic(), "homogeneous": HomogeneousDirichlet(),
+             "dirichlet": Dirichlet(lambda t, xs: u0(xs))}
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
-        domain=DATUM_DOMAIN[:dim], periodic=bc == "periodic", u0=u0,
-        g=(lambda t, xs: u0(xs)) if bc == "dirichlet" else None)
+        domain=DATUM_DOMAIN[:dim], bc=kinds[bc], u0=u0)
     mesh = mesh_for(prob, DATUM_SUBDIVISIONS[dim])
     U = initial_state(prob, mesh)
     want = _owned_node_values(u0, mesh)
@@ -203,7 +204,7 @@ def test_boundary_correction_constant_left_trace():
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
         domain=((0.0, 1.0),),
         u0=lambda xs: 0.0 * xs[0],
-        g=lambda t, xs: np.where(np.asarray(xs[0]) < 0.5, 1.0, 0.0))
+        bc=Dirichlet(lambda t, xs: np.where(np.asarray(xs[0]) < 0.5, 1.0, 0.0)))
     mesh = mesh_for(prob, (4,))
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
@@ -235,10 +236,10 @@ def _traced_problem(domain, moving=True):
         return Problem(
             name="inline", diffusion=0.7, f=lambda t, u, xs: 0.0 * u,
             domain=domain, u0=lambda xs: 0.0 * xs[0],
-            g=lambda t, xs: g(0.3, xs)), lambda t, xs: 0.0 * xs[0]
+            bc=Dirichlet(lambda t, xs: g(0.3, xs))), lambda t, xs: 0.0 * xs[0]
     return Problem(
         name="inline", diffusion=0.7, f=lambda t, u, xs: 0.0 * u,
-        domain=domain, u0=lambda xs: 0.0 * xs[0], g=g), g_t
+        domain=domain, u0=lambda xs: 0.0 * xs[0], bc=Dirichlet(g)), g_t
 
 
 # cells of an axis whose owned nodes outnumber DENSE_DST_POINTS
@@ -322,10 +323,10 @@ def test_boundary_correction_evaluates_trace_once_per_axis(subs):
 
     def counted(t, xs):
         calls.append(t)
-        return traced.g(t, xs)
+        return traced.bc.trace(t, xs)
 
     prob = Problem(name="inline", diffusion=traced.diffusion, f=traced.f,
-                   domain=domain, u0=traced.u0, g=counted)
+                   domain=domain, u0=traced.u0, bc=Dirichlet(counted))
     ctx = LoadContext(prob, mesh_for(prob, subs))
     calls.clear()
     boundary_correction(ctx, 0.3, np.zeros(modal_shape(ctx.mesh)))
@@ -419,7 +420,7 @@ def test_periodic_constant_reaction_only_zero_mode():
     prob = Problem(
         name="inline", diffusion=1.0,
         f=lambda t, u, xs: np.full_like(u, 2.5),
-        domain=((0.0, 1.0), (0.0, 1.0)), periodic=True,
+        domain=((0.0, 1.0), (0.0, 1.0)), bc=Periodic(),
         u0=lambda xs: 0.0 * xs[0])
     mesh = mesh_for(prob, (8, 8))
     ctx = LoadContext(prob, mesh)

@@ -84,8 +84,13 @@ def test_run_snapshot_cadence(tmp_path, snapshot_every, steps):
     ('snapshot = "s_{step!s:.0}.vtk"', "output.snapshot 's_.vtk' at step 4 "
                                        "and output.snapshot 's_.vtk' at step 0"),
     ('series = ""', "output.series must be a string"),
+    ('series = "a\\u0000b.csv"', "output.series 'a\\x00b.csv' is not a file "
+                                 "name: embedded null byte"),
+    ('snapshot = "s_{step:c}.vtk"', "output.snapshot 's_\\x00.vtk' at step 0 "
+                                    "is not a file name: embedded null byte"),
 ], ids=["unknown_field", "positional_field", "series_not_a_string",
-        "same_name_every_step", "same_name_empty_step", "empty_series"])
+        "same_name_every_step", "same_name_empty_step", "empty_series",
+        "nul_in_series", "nul_in_snapshot_at_step_0"])
 def test_bad_output_name_exits_as_config_error(tmp_path, capsys, line,
                                                message):
     # rejected before any step runs, so the run writes no file; a name

@@ -9,6 +9,7 @@ from expfem.analysis import error_norms
 from expfem.assembly import initial_state
 from expfem.config import (_CONSTANTS, _FUNCTIONS, ConfigError,
                            compile_expression, parse_config, parse_keyvalues)
+from expfem.mesh import Dirichlet, HomogeneousDirichlet, Periodic
 from expfem.problems import (builtin_allen_cahn_wave, builtin_linear_rd,
                              mesh_for)
 from expfem.stepper import SchemeConfig, run
@@ -467,6 +468,32 @@ def test_custom_expressions_bind_each_coordinate_to_its_axis(bc):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-13)
 
 
+@pytest.mark.parametrize("bc, g, kind", [
+    (None, None, HomogeneousDirichlet),
+    ("dirichlet", None, HomogeneousDirichlet),
+    ("periodic", None, Periodic),
+    (None, "1 + x * t", Dirichlet),
+    ("dirichlet", "1 + x * t", Dirichlet),
+])
+def test_custom_problem_takes_its_boundary_kind_from_bc_and_g(bc, g, kind):
+    text = _custom_config("[[0.0, 1.0]]", [4], 1.0, f="0 * u", u0="x",
+                          **({} if g is None else dict(g=g)))
+    if bc is not None:
+        text = text.replace("[custom]", f'bc = "{bc}"\n[custom]')
+    prob = parse_config(text).problem
+    assert type(prob.bc) is kind and prob.periodic == (kind is Periodic)
+    if g is not None:
+        assert float(prob.bc.trace(2.0, (np.asarray(0.5),))) == 2.0
+
+
+def test_custom_trace_conflicts_with_a_periodic_domain():
+    text = _custom_config("[[0.0, 1.0]]", [4], 1.0, f="0 * u", u0="x",
+                          g="x").replace("[custom]", 'bc = "periodic"\n[custom]')
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == "key custom.g conflicts with periodic domain.bc"
+
+
 def test_mode_validation():
     with pytest.raises(ConfigError):
         parse_config(MINIMAL.replace('"run"', '"warp"'))
@@ -537,8 +564,8 @@ def test_config_expressions_take_complex_arguments(expr, d_dx, d_dt):
     ctx = LoadContext(prob, mesh_for(prob, (4,)))
     g, gdot = _trace_faces(ctx, t)
     for face, value, rate in zip((0.2, 0.9), g[0], gdot[0]):
-        assert float(value) == pytest.approx(float(prob.g(t, (face,))),
-                                             rel=1e-14)
+        want = float(prob.bc.trace(t, (face,)))
+        assert float(value) == pytest.approx(want, rel=1e-14)
         assert abs(float(rate) - d_dt(t, face)) < 1e-12
 
 

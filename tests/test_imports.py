@@ -4,13 +4,17 @@ every top-level function and class of the package is used in it, only
 inside a function of `assembly`, and the admissibility rule lives in
 one place: only `problems.check_admissible` builds a
 `NonlinearityDomainError`, and only `assembly.transformed_load` calls a
-problem's reaction `.f`.
+problem's reaction `.f`.  Every name of the package that the benchmark
+under `perfbench/` reads exists.
 
 No linter runs on this repository, so this is the check.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from expfem.problems import BUILTIN_FACTORIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,3 +156,26 @@ def test_only_the_load_evaluates_a_reaction():
     assert _calling_functions(
         lambda func: isinstance(func, ast.Attribute) and func.attr == "f"
     ) == ["assembly.transformed_load"]
+
+
+def test_names_the_benchmark_reads_exist():
+    # perfbench wraps each `module.name` of its tracer's TARGETS, and its
+    # rounds read each builtin problem's `periodic` and `energy_params`;
+    # read from its source, so the check needs no perfbench import
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    (targets,) = [ast.literal_eval(stmt.value) for stmt in tree.body
+                  if isinstance(stmt, ast.Assign)
+                  and [getattr(t, "id", None) for t in stmt.targets]
+                  == ["TARGETS"]]
+    assert targets
+    missing = []
+    for target in targets:
+        module, _, name = target.partition(".")
+        if not hasattr(importlib.import_module(f"expfem.{module}"), name):
+            missing.append(target)
+    assert not missing, f"perfbench tracer targets not in expfem: {missing}"
+    for name, factory in BUILTIN_FACTORIES.items():
+        problem = factory()
+        assert isinstance(problem.periodic, bool), name
+        assert hasattr(problem, "energy_params"), name

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from expfem.mesh import Dirichlet, HomogeneousDirichlet, Periodic
 from expfem.problems import Problem, builtin_flory_huggins, mesh_for
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
@@ -86,6 +87,13 @@ def _wave(k, phase):
     return field
 
 
+def _kind(boundary, field):
+    """The boundary kind named `boundary`; a lifted Dirichlet mesh takes
+    `field` as its trace."""
+    return {"periodic": Periodic(), "homogeneous": HomogeneousDirichlet(),
+            "dirichlet": Dirichlet(field)}[boundary]
+
+
 def _box_problem(bounds, boundary, k, phase):
     """A reaction-diffusion problem on the box `bounds` whose data vary
     along every axis: initial state, a wave in the reaction and, on a
@@ -94,17 +102,14 @@ def _box_problem(bounds, boundary, k, phase):
     return Problem(
         name="inline", diffusion=0.7,
         f=lambda t, u, xs: u * (1.0 - u * u) + field(t, xs[::-1]),
-        domain=tuple(bounds), periodic=boundary == "periodic",
-        u0=lambda xs: field(0.0, xs),
-        g=field if boundary == "dirichlet" else None)
+        domain=tuple(bounds), bc=_kind(boundary, field),
+        u0=lambda xs: field(0.0, xs))
 
 
 def _permuted(fn, perm):
     """fn of coordinates in the original axis order, called with the
     coordinates of the transposed box: axis j of the transposed box is
     axis perm[j] of the original one."""
-    if fn is None:
-        return None
     inverse = np.argsort(perm)
 
     def moved(*args):
@@ -141,7 +146,9 @@ def test_transposing_the_box_transposes_the_solution(
     moved = dataclasses.replace(
         prob, domain=tuple(bounds[i] for i in perm),
         f=_permuted(prob.f, perm),
-        u0=_permuted(prob.u0, perm), g=_permuted(prob.g, perm))
+        u0=_permuted(prob.u0, perm),
+        bc=(Dirichlet(_permuted(prob.bc.trace, perm))
+            if boundary == "dirichlet" else prob.bc))
     cfg = SchemeConfig(dt=dt, T=STEPS * dt, scheme="rk2")
     solutions = []
     for problem, subdivisions in ((prob, shape), (moved,
@@ -191,10 +198,8 @@ def test_separable_source_equals_the_same_terms_in_f(shape, boundary,
 
     field = _wave([1.1, 0.7, 1.9][:dim], [0.3, 0.5, 0.2][:dim])
     prob = Problem(name="inline", diffusion=0.7, f=base, source=source,
-                   domain=((0.0, 1.0),) * dim,
-                   periodic=boundary == "periodic",
-                   u0=lambda xs: field(0.0, xs),
-                   g=field if boundary == "dirichlet" else None)
+                   domain=((0.0, 1.0),) * dim, bc=_kind(boundary, field),
+                   u0=lambda xs: field(0.0, xs))
     mesh = mesh_for(prob, shape)
     cfg = SchemeConfig(dt=0.01, T=STEPS * 0.01, scheme=scheme)
     got = run(prob, mesh, cfg).coeffs
@@ -223,7 +228,8 @@ def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
     the source terms (1, S0) and (t, S1) and once as an f that ignores
     u, against the dense solution."""
     prob = Problem(name="inline", diffusion=diffusion, f=None,
-                   domain=((0.0, 1.0),) * len(shape), periodic=periodic,
+                   domain=((0.0, 1.0),) * len(shape),
+                   bc=Periodic() if periodic else HomogeneousDirichlet(),
                    u0=lambda xs: U0)
     mesh = mesh_for(prob, shape)
     cfg = SchemeConfig(dt=dt, T=nsteps * dt, scheme=scheme, c2=c2)

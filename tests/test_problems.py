@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -6,8 +7,9 @@ import pytest
 
 from expfem.assembly import (LoadContext, _trace_faces, initial_state,
                              transformed_load)
-from expfem.mesh import Dirichlet, Periodic, dof_shape, node_grids
-from expfem.problems import (NonlinearityDomainError, Problem, boundary_kind,
+from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic,
+                         dof_shape, node_grids)
+from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, check_admissible, mesh_for)
 
@@ -123,8 +125,9 @@ def test_wave_rejects_bad_eps():
 
 def test_wave_declares_nonhomogeneous_dirichlet():
     prob = builtin_allen_cahn_wave()
-    assert boundary_kind(prob) == Dirichlet(prob.g)
-    assert prob.g is prob.exact
+    assert prob.bc == Dirichlet(prob.exact)
+    assert mesh_for(prob, (8, 2, 2)).bc is prob.bc
+    assert not prob.periodic
 
 
 def test_wave_analytic_trace_derivative():
@@ -136,8 +139,8 @@ def test_wave_analytic_trace_derivative():
     d = 1e-7
     _, gdot = _trace_faces(ctx, t)
     for (face, shape), got in zip(ctx.faces, gdot):
-        fd = (np.broadcast_to(prob.g(t + d, face), shape)
-              - np.broadcast_to(prob.g(t - d, face), shape)) / (2 * d)
+        fd = (np.broadcast_to(prob.bc.trace(t + d, face), shape)
+              - np.broadcast_to(prob.bc.trace(t - d, face), shape)) / (2 * d)
         assert np.all(np.abs(got - fd) < 1e-5 * np.maximum(1.0, np.abs(fd)))
     assert np.max(np.abs(gdot[0])) > 1.0
 
@@ -200,6 +203,18 @@ def test_check_admissible_reports_the_offending_value(values, bounds,
     assert repr(exc.value.value) == repr(reported)
 
 
+def test_problem_names_its_boundary_in_one_field():
+    # `periodic` is read from `bc`, so a periodic problem holds no trace
+    prob = Problem(name="p", diffusion=1.0, f=None, domain=((0.0, 1.0),))
+    assert prob.bc == HomogeneousDirichlet() and not prob.periodic
+    with pytest.raises(TypeError):
+        Problem(name="p", diffusion=1.0, f=None, domain=((0.0, 1.0),),
+                periodic=True, g=lambda t, xs: 0.0 * xs[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.periodic = True
+    assert dataclasses.replace(prob, bc=Periodic()).periodic
+
+
 def test_check_admissible_passes_a_state_inside_its_range():
     check_admissible(np.array([-1e308, 1e308]), (-np.inf, np.inf))
     check_admissible(np.array([-0.999, 0.999]), (-1.0, 1.0))
@@ -236,7 +251,8 @@ def test_flory_huggins_seeded_initial_data_is_reproducible():
 def test_flory_huggins_is_periodic_3d():
     prob = builtin_flory_huggins()
     assert prob.periodic and prob.dim == 3
-    assert isinstance(boundary_kind(prob), Periodic)
+    assert prob.bc == Periodic()
+    assert mesh_for(prob, (2, 2, 2)).bc is prob.bc
     assert prob.admissible_range == (-1.0, 1.0)
 
 

@@ -8,7 +8,7 @@ import pytest
 from expfem import assembly, stepper
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
-from expfem.mesh import dof_shape
+from expfem.mesh import HomogeneousDirichlet, Periodic, dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
@@ -21,13 +21,14 @@ from helpers import (dense_euler_step, dense_rk2_step, full_reaction, rel_err,
                      rk2_step_with_temporaries, traced_peak, wave_exact_dt)
 
 
-def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None, periodic=False):
+def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None,
+             bc=HomogeneousDirichlet()):
     return Problem(
         name="inline",
         diffusion=diffusion,
         f=f,
         domain=domain or ((0.0, 1.0),) * dim,
-        periodic=periodic,
+        bc=bc,
         u0=u0 or (lambda xs: np.sin(np.pi * xs[0])),
     )
 
@@ -183,6 +184,24 @@ def test_run_rejects_observer_cadence_below_one():
     cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler")
     with pytest.raises(ValueError, match="cadence"):
         run(prob, mesh, cfg, observers=[(0, lambda s, t, U: None)])
+
+
+@pytest.mark.parametrize("every, nsteps, steps", [
+    (3, 7, {0, 3, 6, 7}),
+    (2, 6, {0, 2, 4, 6}),
+    (1, 3, {0, 1, 2, 3}),
+    (5, 3, {0, 3}),
+    (4, 0, {0}),
+])
+def test_observation_steps_are_step_zero_each_multiple_and_the_last(
+        every, nsteps, steps):
+    assert stepper.observation_steps(every, nsteps) == steps
+
+
+@pytest.mark.parametrize("every", [0, -2])
+def test_observation_steps_reject_a_cadence_below_one(every):
+    with pytest.raises(ValueError, match="cadence must be >= 1"):
+        stepper.observation_steps(every, 4)
 
 
 def test_run_linear_heat_matches_exact_modal_decay():
@@ -385,7 +404,8 @@ def test_linear_rd_run_transforms_u0_and_the_source_profile_once(
 def test_steps_with_neither_f_nor_a_source_make_no_transform(
         monkeypatch, periodic, scheme):
     calls = _count_transforms(monkeypatch)
-    prob = _problem(None, dim=2, periodic=periodic)
+    prob = _problem(None, dim=2,
+                    bc=Periodic() if periodic else HomogeneousDirichlet())
     run(prob, mesh_for(prob, (8, 4)),
         SchemeConfig(dt=0.01, T=0.05, scheme=scheme))
     assert calls == {"forward": 1, "inverse": 0}
