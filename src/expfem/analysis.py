@@ -38,7 +38,7 @@ from .mesh import Dirichlet, dof_shape, extend_nodal, is_periodic
 from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
 from .quadrature import gauss_slices
-from .stepper import SchemeConfig, run
+from .stepper import SchemeConfig, check_state, run
 from .transforms import forward_transform, inverse_transform
 
 GAUSS_POINTS = 3  # per axis, for the error norms and the mixing integral
@@ -192,12 +192,15 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
 
     `rungs` is a list of (per-axis subdivisions, nt) pairs; consecutive
     rungs are assumed dyadic in whichever of the two is being refined.
+    Each end state is checked as an observed one (`stepper.check_state`)
+    before its errors are measured.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name} has no exact solution")
     rows = []
     for mesh, state, row in _ladder(problem, rungs, scheme, c2, T):
         U = inverse_transform(state.coeffs, mesh)
+        check_state(U, problem, mesh, state.t)
         row.err_l2, row.err_h1 = error_norms(U, mesh, problem.exact, state.t)
         if rows:
             row.rate_l2 = _rate(rows[-1].err_l2, row.err_l2)

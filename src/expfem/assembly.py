@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import (Dirichlet, _boundary_faces, dof_shape, element_pair,
-                   interior_mass_stencil, is_periodic, node_grids)
+from .mesh import (Dirichlet, _boundary_faces, axis_layout, dof_shape,
+                   element_pair, interior_mass_stencil, is_periodic, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible
 from .transforms import _CHUNK, forward_transform, modal_shape, sine_transform
@@ -124,9 +124,10 @@ def _axis_lift(mesh, diffusion, op, a):
                            for c, p in enumerate(parts)])
     inv_mass = [w.ravel() for w in op.inv_mass]
     N = parts[a].n
-    # the first sine basis vector is sqrt(2/N) sin(k pi / N), k < N
+    # the first sine basis vector, sqrt(2/N) sin(k pi / N) at the owned k
+    nodes = axis_layout(parts[a], mesh.bc)[0]
     column = inv_mass[a] * math.sqrt(2.0 / N) * np.sin(
-        np.arange(1, N) * (np.pi / N))
+        np.arange(nodes.start, nodes.stop) * (np.pi / N))
     twin = column.copy()
     twin[1::2] *= -1.0
     shape = dof_shape(mesh)
@@ -141,7 +142,7 @@ def _axis_lift(mesh, diffusion, op, a):
         face_scale=functools.reduce(
             np.multiply.outer, inv_mass[:a] + inv_mass[a + 1:], np.ones(())),
         columns=np.array([column, twin]).T,
-        view=(math.prod(shape[:a]), N - 1, math.prod(shape[a + 1:])))
+        view=(math.prod(shape[:a]), shape[a], math.prod(shape[a + 1:])))
 
 
 def transformed_load(ctx, t, U=None):

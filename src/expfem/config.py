@@ -20,7 +20,10 @@ straight into the callable a `Problem` takes: f(t, u, xs), u0(xs),
 the trace g(t, xs) of its `Dirichlet` boundary and exact(t, xs), with
 x, y and z the entries of the coordinate tuple xs.  All of these
 functions are analytic, so the trace g and the exact solution also take
-the complex arguments of the complex-step derivatives.
+the complex arguments of the complex-step derivatives.  Every number
+of an expression is a double, so its arithmetic gives inf or nan where
+Python's would hang on a huge integer, raise or go complex; the run's
+admissibility checks then stop a non-finite u0, f or g.
 """
 
 import ast
@@ -72,7 +75,7 @@ _FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
 }
-_CONSTANTS = {"pi": math.pi}
+_CONSTANTS = {"pi": np.float64(math.pi)}
 # the syntax an expression may hold: names, numbers, calls, the unary
 # signs and + - * / **; any other node is "unsupported syntax"
 _NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.Call,
@@ -88,7 +91,14 @@ def compile_expression(source, scalars, coords):
     entries of the coordinate tuple `xs`, as a `Problem` calls it.
     Besides them an expression may use numbers, + - * / and ** (or ^),
     the constant pi and one-argument calls of exp, ln, tanh, sin and cos.
+
+    Every number is a double: each literal, pi and each scalar argument
+    is a numpy scalar, so the arithmetic is numpy's, which overflows to
+    inf and divides by zero to inf or nan, where Python's integers would
+    grow without bound and its floats and complex numbers raise.
     """
+    if not isinstance(source, str):
+        raise ConfigError(f"expression must be a string, got {source!r}")
     try:
         tree = ast.parse(source.replace("^", "**"), mode="eval")
     except SyntaxError as err:
@@ -114,13 +124,25 @@ def compile_expression(source, scalars, coords):
         elif isinstance(node, ast.Constant) and not isinstance(
                 node.value, (int, float)):
             raise ConfigError(f"unsupported syntax in expression {source!r}")
-    code = compile(tree, "<config-expression>", "eval")
     namespace = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 
+    class Doubles(ast.NodeTransformer):
+        """Each literal becomes a name bound to its double, one that the
+        checks above keep out of the expression's own names."""
+
+        def visit_Constant(self, node):
+            name = f"_{len(namespace)}"
+            namespace[name] = np.float64(_to_float(node.value))
+            return ast.copy_location(ast.Name(name, ast.Load()), node)
+
+    code = compile(Doubles().visit(tree), "<config-expression>", "eval")
+
     def fn(*args):
-        scope = dict(zip(scalars, args))
-        scope.update(zip(coords, args[-1]))
-        return eval(code, namespace, scope)
+        *head, xs = args
+        # a Python number becomes a numpy scalar, an array stays one
+        return eval(code, namespace, {
+            name: np.asarray(value)[()]
+            for name, value in zip((*scalars, *coords), (*head, *xs))})
 
     return fn
 
@@ -170,14 +192,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _to_float(value):
+    """An int or a float as a float; an integer beyond the float range
+    is inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _finite(value, key):
     """A config number as a finite float; booleans, strings, NaN and
     infinities are errors."""
     if _is_int(value) or isinstance(value, float):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
+        number = _to_float(value)
         if math.isfinite(number):
             return number
     raise ConfigError(f"key {key!r} must be a finite number, got {value!r}")

@@ -1,8 +1,12 @@
 """Uniform tensor-product meshes on rectangular boxes.
 
 A mesh is a list of per-axis uniform partitions plus one boundary kind
-applying to the whole boundary.  Dirichlet meshes own the interior nodes
-only; periodic meshes own nodes 0..N-1 (node N is identified with 0).
+applying to the whole boundary.  `axis_layout` is the one rule of which
+nodes an axis owns and how a boundary kind extends them: Dirichlet
+meshes own the interior nodes 1..N-1 and extend oddly, with period 2N;
+periodic meshes own nodes 0..N-1 (node N is identified with 0), with
+period N.  The dof shape, the owned coordinates, the transforms'
+spectrum and the lifting's boundary column all read it.
 """
 
 from dataclasses import dataclass
@@ -69,19 +73,26 @@ class TensorMesh:
         return len(self.partitions)
 
 
+def axis_layout(p, bc):
+    """The owned nodes of partition p, as a range of node indices, and
+    the period of the boundary kind's extension: nodes 0..N-1 with period
+    N on periodic meshes, where node N is node 0; nodes 1..N-1 with
+    period 2N, the odd extension, on Dirichlet ones."""
+    if is_periodic(bc):
+        return range(p.n), p.n
+    return range(1, p.n), 2 * p.n
+
+
 def dof_shape(mesh):
     """Per-axis owned-node counts: N-1 for Dirichlet kinds, N for periodic."""
-    if is_periodic(mesh.bc):
-        return [p.n for p in mesh.partitions]
-    return [p.n - 1 for p in mesh.partitions]
+    return [len(axis_layout(p, mesh.bc)[0]) for p in mesh.partitions]
 
 
 def owned_axis_coordinates(mesh, axis):
     """Coordinates of the owned nodes along one axis."""
     p = mesh.partitions[axis]
-    if is_periodic(mesh.bc):
-        return p.a + p.h * np.arange(p.n)
-    return p.a + p.h * np.arange(1, p.n)
+    nodes = axis_layout(p, mesh.bc)[0]
+    return p.a + p.h * np.arange(nodes.start, nodes.stop)
 
 
 def node_grids(mesh):
@@ -109,7 +120,7 @@ def extend_nodal(U, mesh, t=0.0):
     out = np.zeros([n + 2 for n in U.shape])
     out[(slice(1, -1),) * mesh.dim] = U
     if isinstance(mesh.bc, Dirichlet):
-        _fill_boundary(out, mesh, mesh.bc.trace, t)
+        _fill_boundary(out, mesh, t)
     return out
 
 
@@ -162,12 +173,13 @@ def _boundary_faces(mesh):
     return faces
 
 
-def _fill_boundary(full, mesh, fn, t):
-    """Write fn(t, xs) onto the boundary of a full-grid Dirichlet tensor,
-    one assignment per axis, each boundary node once."""
+def _fill_boundary(full, mesh, t):
+    """Write the mesh's trace g(t, xs) onto the boundary of a full-grid
+    Dirichlet tensor, one assignment per axis, each boundary node once."""
     for a, (face, shape) in enumerate(_boundary_faces(mesh)):
         ends = slice(None, None, mesh.partitions[a].n)
-        full[(slice(1, -1),) * a + (ends,)] = np.broadcast_to(fn(t, face), shape)
+        full[(slice(1, -1),) * a + (ends,)] = np.broadcast_to(
+            mesh.bc.trace(t, face), shape)
 
 
 def aspect_ratio(mesh):

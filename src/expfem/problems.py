@@ -156,6 +156,20 @@ def builtin_linear_rd():
     )
 
 
+def _width_squared(eps):
+    """The square of an interface width eps, which must be positive with
+    a positive finite square."""
+    try:
+        square = eps ** 2
+    except OverflowError:
+        square = math.inf
+    if not (eps > 0 and 0 < square < math.inf):
+        raise ValueError(
+            f"interface width must be positive with a positive finite "
+            f"square, got {eps}")
+    return square
+
+
 def builtin_allen_cahn_wave(eps=0.05, dim=3):
     """Traveling wave for the Allen-Cahn equation with double-well potential.
 
@@ -164,8 +178,7 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
     s = 3/(sqrt(2) eps) along x and fixes nonhomogeneous Dirichlet data.
     `dim` restricts the same x-dependent solution to 1, 2 or 3 axes.
     """
-    if eps <= 0:
-        raise ValueError(f"interface width must be positive, got {eps}")
+    eps2 = _width_squared(eps)
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     speed = 3.0 / (math.sqrt(2.0) * eps)
@@ -183,7 +196,7 @@ def builtin_allen_cahn_wave(eps=0.05, dim=3):
         out = np.multiply(u, u, out=np.empty_like(u))
         np.subtract(1.0, out, out=out)
         out *= u
-        out /= eps ** 2
+        out /= eps2
         return out
 
     domain = (((0.0, math.sqrt(2.0)),) + ((0.0, 0.125),) * (dim - 1))
@@ -209,8 +222,7 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
     logarithmic term restricts states to |u| < 1, its `admissible_range`,
     which the load checks before f reads a state.
     """
-    if eps <= 0:
-        raise ValueError(f"interface width must be positive, got {eps}")
+    eps2 = _width_squared(eps)
 
     def f(t, u, xs):
         out = np.arctanh(u)
@@ -225,7 +237,7 @@ def builtin_flory_huggins(eps=0.01, theta=0.8, theta_c=1.6, seed=2023):
 
     return Problem(
         name="flory_huggins",
-        diffusion=eps ** 2,
+        diffusion=eps2,
         f=f,
         domain=((0.0, 1.0),) * 3,
         bc=Periodic(),

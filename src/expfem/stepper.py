@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LoadContext, initial_state, transformed_load
-from .mesh import aspect_ratio
+from .mesh import Dirichlet, _boundary_faces, aspect_ratio
 from .operator import phi_tensor
 from .problems import NonlinearityDomainError, check_admissible
 from .transforms import forward_transform, inverse_transform
@@ -217,6 +217,18 @@ def observation_steps(every, nsteps):
     return {*range(0, nsteps, every), nsteps}
 
 
+def check_state(U, problem, mesh, t):
+    """Check a nodal state at time t that leaves the solver against the
+    problem's `admissible_range`: its owned nodes and, on a lifted mesh,
+    the trace on the boundary, which `mesh.extend_nodal` adds to it for a
+    snapshot or an error norm."""
+    check_admissible(U, problem.admissible_range)
+    if isinstance(mesh.bc, Dirichlet):
+        for face, _ in _boundary_faces(mesh):
+            check_admissible(np.asarray(mesh.bc.trace(t, face)),
+                             problem.admissible_range)
+
+
 def run(problem, mesh, cfg, observers=(), step_times=None):
     """Advance from t=0 to t=T with uniform steps, reporting to observers.
 
@@ -229,8 +241,9 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
 
     Every nodal state a reaction reads is checked against the problem's
     `admissible_range` by the load (`assembly.transformed_load`), and
-    each state the observers would see is checked here first, the
-    initial state included, so none outside it is written out.  A
+    each state the observers would see is checked here first by
+    `check_state`, the initial state and the trace of a lifted mesh
+    included, so none outside it is written out.  A
     problem whose f is None forms no nodal state in a step, so its steps
     no observer sees are not checked.  The check raises
     `NonlinearityDomainError`; one raised in a step carries the index of
@@ -250,7 +263,7 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     state = SolverState(0.0, None)
     try:
         if observers:
-            check_admissible(U0, problem.admissible_range)
+            check_state(U0, problem, mesh, 0.0)
         state.coeffs = forward_transform(U0, mesh)
         weights = StepWeights(ctx.op, cfg.dt, cfg.scheme, cfg.c2,
                               linear=problem.linear)
@@ -269,7 +282,7 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
             due = [obs for steps, obs in plan if state.step_index in steps]
             if due:
                 U = inverse_transform(state.coeffs, mesh)
-                check_admissible(U, problem.admissible_range)
+                check_state(U, problem, mesh, state.t)
                 for obs in due:
                     obs(state.step_index, state.t, U)
                 del U

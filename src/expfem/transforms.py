@@ -27,7 +27,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from .mesh import dof_shape, element_pair, is_periodic
+from .mesh import axis_layout, dof_shape, element_pair, is_periodic
 
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
@@ -42,16 +42,14 @@ def axis_spectrum(p, bc):
 
     A tridiagonal Toeplitz or circulant matrix factor * (off, diag, off)
     (`mesh.element_pair`) has the eigenvalues
-    factor * (diag + 2 off - 4 off sin^2(theta / 2)): theta = i pi / N for
-    Dirichlet mode i (1-based), theta = 2 k pi / N for periodic mode k
-    (0-based, Fourier), symmetric under k <-> N - k.
+    factor * (diag + 2 off - 4 off sin^2(theta / 2)), theta = 2 pi j / P
+    for the mode j of each owned node index and P the period of the
+    boundary kind's extension (`mesh.axis_layout`): Dirichlet modes
+    i = 1..N-1 with P = 2N, periodic (Fourier) modes k = 0..N-1 with
+    P = N, symmetric under k <-> N - k.
     """
-    if is_periodic(bc):
-        k = np.arange(p.n)
-        s2 = np.sin(k * np.pi / p.n) ** 2
-    else:
-        i = np.arange(1, p.n)
-        s2 = np.sin(i * np.pi / (2 * p.n)) ** 2
+    nodes, period = axis_layout(p, bc)
+    s2 = np.sin(np.arange(nodes.start, nodes.stop) * np.pi / period) ** 2
     return tuple(m.factor * ((m.diag + 2 * m.off) - (4 * m.off) * s2)
                  for m in element_pair(p.h))
 

@@ -15,12 +15,14 @@ differentiates closed-form solutions with mpmath's arbitrary-precision
 derivatives.  `masked_phi` evaluates phi by boolean gathers and
 scatters and `joined_snapshot` builds a snapshot's text as one string:
 `operator.phi` and the streamed `write_snapshot` must give their bits
-and bytes.
+and bytes.  `readme_keys` reads the config keys of README's key table.
 """
 
 import functools
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -467,3 +469,15 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# README
+
+def readme_keys():
+    """The backticked keys in the first column of README's key table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    table = text.split("| key |", 1)[1].split("\n\n", 1)[0]
+    return {key for row in table.splitlines()[2:]
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])}

@@ -456,6 +456,77 @@ def test_non_finite_state_is_a_domain_error_and_is_not_written(
         "snapshot_000000.vtk"] * bool(cadences)
 
 
+@pytest.mark.parametrize("u0, value", [
+    ("9 ** 9 ** 9", "inf"), ("1/0", "inf"), ("2 ** 10000", "inf"),
+    ("(-1) ** 0.5 + 0*x", "nan")],
+    ids=["tower", "division_by_zero", "big_power", "root_of_minus_one"])
+def test_non_finite_initial_expression_is_a_domain_error(tmp_path, capsys,
+                                                         u0, value):
+    # every number of an expression is a double, so each gives inf or nan
+    # at once, neither a huge integer, nor an exception, nor a complex
+    # number, and the run's check of the initial state stops it
+    cfg = _write(tmp_path, RUN_CFG.replace('"sin(pi * x)"', f'"{u0}"'))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning) as record:
+        code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert not any(issubclass(w.category, np.exceptions.ComplexWarning)
+                   for w in record)
+    assert (f"domain error: step 0: state value {value}"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
+def test_trace_singular_at_a_snapshot_is_a_domain_error(tmp_path, capsys):
+    # ln(t) is -inf at t = 0, where the step-0 snapshot would write it on
+    # the boundary; the lifting reads it at complex t, where it is finite
+    cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG.replace(
+        'exact =', 'g = "ln(t)"\nexact ='))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert "domain error: step 0: state value -inf" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_exact_solution_gives_non_finite_errors(tmp_path, capsys):
+    # the run and a ladder report the errors against exact = 1/0 as they
+    # are, inf, and exit 0
+    text = RUN_CFG.replace('exact = "exp(-(0.5 * pi^2 + 1) * t) * sin(pi * x)"',
+                           'exact = "1/0"')
+    ladder = text.replace('"run"', '"convergence"').replace(
+        "observe_every = 2\n", "").replace("n = [8]\n", "") + (
+        '[ladder]\nkind = "spatial"\nn = [[4], [8]]\n')
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path)]) == 0
+        assert main(["converge", "--config", _write(tmp_path, ladder),
+                     "--out", str(tmp_path)]) == 0
+    assert "errors at T: L2 inf, H1 inf" in capsys.readouterr().out
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["inf", "inf"]
+
+
+@pytest.mark.parametrize("text, key", [
+    (RUN_CFG.replace('f = "-u"', "f = 1"), "expression must be a string"),
+    ("eps = 1e308\n" + FH_CFG, "interface width"),
+    ("eps = 1e-300\n" + FH_CFG, "interface width"),
+    ("eps = 1e308\n" + FH_CFG.replace("flory_huggins", "allen_cahn_wave"),
+     "interface width"),
+], ids=["expression_not_a_string", "fh_width_squares_to_inf",
+        "fh_width_squares_to_zero", "acw_width_squares_to_inf"])
+def test_inputs_that_raised_exit_as_config_errors(tmp_path, capsys, text,
+                                                  key):
+    # each raised (exit 1) at parse time or in the first load
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text)
+    code = main(["run", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_without_exact_solution_makes_no_transform_after_its_steps(
         tmp_path, capsys, monkeypatch):
     # the echoed sup norm is the series' last row, the final state's

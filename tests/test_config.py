@@ -15,6 +15,8 @@ from expfem.problems import (builtin_allen_cahn_wave, builtin_linear_rd,
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
 
+from helpers import readme_keys
+
 MINIMAL = """
 mode = "run"
 problem = "linear_rd"
@@ -675,15 +677,6 @@ report = "r.csv"
 ]
 
 
-def _readme_keys():
-    """The backticked keys in the first column of README's key table."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    table = text.split("| key |", 1)[1].split("\n\n", 1)[0]
-    return {key for row in table.splitlines()[2:]
-            for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
-
-
 def test_readme_key_table_matches_the_keys_the_parser_reads():
     # no table in the code lists the keys: each config parses, so the
     # parser reads every key it holds, and together they hold README's
@@ -691,4 +684,4 @@ def test_readme_key_table_matches_the_keys_the_parser_reads():
     for text in KEY_TOUR:
         parse_config(text)
         used |= set(parse_keyvalues(text))
-    assert used == _readme_keys()
+    assert used == readme_keys()

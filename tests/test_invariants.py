@@ -1,21 +1,25 @@
 """Invariants of the solver: properties that hold for every mesh, state
 and step, drawn by hypothesis.  Most check the solver against itself;
 the exactness invariants check it against the dense `expm` solution of
-the semi-discrete system."""
+the semi-discrete system, on every boundary kind, the lifted one with a
+trace affine in t included."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from expfem.mesh import Dirichlet, HomogeneousDirichlet, Periodic
+from expfem.assembly import LoadContext
+from expfem.mesh import Dirichlet, HomogeneousDirichlet, Periodic, node_grids
 from expfem.problems import Problem, builtin_flory_huggins, mesh_for
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
 
-from helpers import dense_operator_matrices, rel_err
+from helpers import (dense_boundary_load, dense_operator_matrices, make_mesh,
+                     rel_err)
 
 STEPS = 20
 EXACT_TOL = 1e-11
@@ -207,33 +211,41 @@ def test_separable_source_equals_the_same_terms_in_f(shape, boundary,
     assert rel_err(got, want) < 1e-13
 
 
-def _dense_affine_solution(mesh, diffusion, U0, S0, S1, T):
+def _dense_affine_solution(ctx, U0, S0, S1, T, g_t):
     """Exact solution at T of the semi-discrete system
-    M U' + D K U = M (S0 + t S1), by one `expm` of the system augmented
-    with t and 1 as states."""
-    M, K = dense_operator_matrices(mesh)
+    M U' + D K U = M (S0 + t S1) + b(t), by one `expm` of the system
+    augmented with t and 1 as states.  b is the boundary elimination load
+    of a lifted mesh (`dense_boundary_load`, with the trace's rate g_t),
+    affine in t when the trace is, and zero on other meshes."""
+    M, K = dense_operator_matrices(ctx.mesh)
     n = M.shape[0]
+    S0, S1 = S0.ravel(), S1.ravel()
+    if ctx.lifted:
+        b0 = dense_boundary_load(ctx, 0.0, g_t).ravel()
+        b1 = dense_boundary_load(ctx, 1.0, g_t).ravel() - b0
+        S0 = S0 + np.linalg.solve(M, b0)
+        S1 = S1 + np.linalg.solve(M, b1)
     B = np.zeros((n + 2, n + 2))
-    B[:n, :n] = -np.linalg.solve(M, diffusion * K)
-    B[:n, n] = S1.ravel()
-    B[:n, n + 1] = S0.ravel()
+    B[:n, :n] = -np.linalg.solve(M, ctx.problem.diffusion * K)
+    B[:n, n] = S1
+    B[:n, n + 1] = S0
     B[n, n + 1] = 1.0
     y0 = np.concatenate([U0.ravel(), [0.0, 1.0]])
     return (scipy.linalg.expm(T * B) @ y0)[:n].reshape(U0.shape)
 
 
-def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
-                  scheme, c2):
-    """Largest relative error at T of the source S0 + t S1, run once as
-    the source terms (1, S0) and (t, S1) and once as an f that ignores
-    u, against the dense solution."""
+def _solve_affine(data, shape, diffusion, dt, nsteps, scheme, c2):
+    """Largest relative error at T of the source S0 + t S1 of `data`,
+    run once as the source terms (1, S0) and (t, S1) and once as an f
+    that ignores u, against the dense solution."""
+    U0, S0, S1, bc, g_t = data
     prob = Problem(name="inline", diffusion=diffusion, f=None,
-                   domain=((0.0, 1.0),) * len(shape),
-                   bc=Periodic() if periodic else HomogeneousDirichlet(),
+                   domain=((0.0, 1.0),) * len(shape), bc=bc,
                    u0=lambda xs: U0)
     mesh = mesh_for(prob, shape)
     cfg = SchemeConfig(dt=dt, T=nsteps * dt, scheme=scheme, c2=c2)
-    want = _dense_affine_solution(mesh, diffusion, U0, S0, S1, nsteps * dt)
+    want = _dense_affine_solution(LoadContext(prob, mesh), U0, S0, S1,
+                                  nsteps * dt, g_t)
     errors = []
     for split in (dict(source=((lambda t: 1.0, lambda xs: S0),
                                (lambda t: t, lambda xs: S1))),
@@ -245,30 +257,65 @@ def _solve_affine(shape, periodic, diffusion, U0, S0, S1, dt, nsteps,
 
 exactness_cases = dict(
     shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
-    periodic=st.booleans(), diffusion=st.floats(0.05, 2.0),
-    seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 0.5),
-    nsteps=st.integers(1, 4))
+    boundary=st.sampled_from(["periodic", "homogeneous", "dirichlet"]),
+    diffusion=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-3, 0.5), nsteps=st.integers(1, 4))
 
 
-def _random_data(shape, periodic, seed):
-    dofs = [n if periodic else n - 1 for n in shape]
+def _product(factors):
+    return functools.reduce(np.multiply, factors)
+
+
+def _affine_data(shape, boundary, seed, affine):
+    """(U0, S0, S1, boundary kind, the trace's rate) on the unit box: a
+    random initial state and the source S0 + t S1, with S1 = 0 unless
+    `affine`.  Unlifted meshes take random nodal sources.  A lifted mesh
+    takes sources that vanish on the boundary, products of sin(k pi x_a),
+    so the reaction has no boundary values to lose, and the trace
+    (a0 + a1 t) prod_a cos(x_a + p_a) + c, constant in t unless
+    `affine`."""
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal(dofs) for _ in range(3))
+    bc = _kind(boundary, None)
+    grids = node_grids(make_mesh([(0.0, 1.0)] * len(shape), shape, bc))
+    dofs = [x.size for x in grids]
+    U0 = rng.standard_normal(dofs)
+    if boundary != "dirichlet":
+        S0, S1 = rng.standard_normal(dofs), rng.standard_normal(dofs)
+        return U0, S0, S1 * affine, bc, None
+    k = rng.integers(1, 4, size=(2, len(shape)))
+    S0, S1 = (c * _product([np.sin(kk * np.pi * x)
+                            for kk, x in zip(ks, grids)])
+              for c, ks in zip(rng.standard_normal(2), k))
+    a0, a1, c = rng.standard_normal(3) * [1.0, affine, 1.0]
+    phase = rng.uniform(0.0, np.pi, len(shape))
+
+    def wave(xs):
+        return _product([np.cos(x + p) for x, p in zip(xs, phase)])
+
+    return (U0, S0, S1 * affine,
+            Dirichlet(lambda t, xs: (a0 + a1 * t) * wave(xs) + c),
+            lambda t, xs: a1 * wave(xs))
 
 
 @given(**exactness_cases)
+@example(shape=[4, 3, 5], boundary="dirichlet", diffusion=0.7, seed=5,
+         dt=0.2, nsteps=3)
 def test_euler_is_exact_for_a_source_constant_in_time(
-        shape, periodic, diffusion, seed, dt, nsteps):
-    # phi1 integrates a constant load exactly, at any dt
-    U0, S0, _ = _random_data(shape, periodic, seed)
-    assert _solve_affine(shape, periodic, diffusion, U0, S0, 0.0 * S0,
-                         dt, nsteps, "euler", 0.5) < EXACT_TOL
+        shape, boundary, diffusion, seed, dt, nsteps):
+    # phi1 integrates a constant load exactly, at any dt; a trace constant
+    # in time gives the lifting a constant load too
+    data = _affine_data(shape, boundary, seed, affine=False)
+    assert _solve_affine(data, shape, diffusion, dt, nsteps, "euler",
+                         0.5) < EXACT_TOL
 
 
 @given(c2=st.floats(0.1, 1.0), **exactness_cases)
+@example(c2=0.3, shape=[5, 4], boundary="dirichlet", diffusion=1.3, seed=8,
+         dt=0.4, nsteps=2)
 def test_rk2_is_exact_for_a_source_affine_in_time(
-        shape, periodic, diffusion, seed, dt, nsteps, c2):
-    # b1 + b2 = phi1 and c2 b2 = phi2 integrate S0 + t S1 exactly
-    U0, S0, S1 = _random_data(shape, periodic, seed)
-    assert _solve_affine(shape, periodic, diffusion, U0, S0, S1,
-                         dt, nsteps, "rk2", c2) < EXACT_TOL
+        shape, boundary, diffusion, seed, dt, nsteps, c2):
+    # b1 + b2 = phi1 and c2 b2 = phi2 integrate S0 + t S1 exactly, and a
+    # trace affine in t gives the lifting a load affine in t
+    data = _affine_data(shape, boundary, seed, affine=True)
+    assert _solve_affine(data, shape, diffusion, dt, nsteps, "rk2",
+                         c2) < EXACT_TOL
