@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Dirichlet, dof_shape, extend_nodal, is_periodic
+from .mesh import dof_shape, extend_nodal
 from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
 from .quadrature import gauss_slices
@@ -99,7 +99,7 @@ def _modal_quadratics(U, mesh):
     np.square(w, out=w)
     for inv_mass in op.inv_mass:
         w /= inv_mass
-    if is_periodic(mesh.bc):
+    if mesh.bc.fourier:
         w[..., 1:(dof_shape(mesh)[-1] + 1) // 2] *= 2.0
     return float(w.sum()), float(np.vdot(w, op.decay_rates))
 
@@ -132,7 +132,7 @@ def discrete_energy(U, mesh, eps, theta, theta_c):
     lifted mesh, whose boundary values that sum cannot see, raises
     ValueError.
     """
-    if isinstance(mesh.bc, Dirichlet):
+    if mesh.bc.trace is not None:
         raise ValueError("the discrete energy needs a periodic or "
                          "homogeneous Dirichlet mesh, not a lifted one")
     check_admissible(U, (-1.0, 1.0))
@@ -211,8 +211,10 @@ def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
 
 def _rate(coarse, fine):
     """The dyadic rate log2(coarse / fine); None unless both errors are
-    positive."""
-    return math.log2(coarse / fine) if coarse > 0 and fine > 0 else None
+    positive and finite (an inf or nan error has no rate)."""
+    if 0 < coarse < math.inf and 0 < fine < math.inf:
+        return math.log2(coarse / fine)
+    return None
 
 
 def timing_study(problem, rungs, scheme="rk2", c2=0.5, T=None):

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import (Dirichlet, _boundary_faces, axis_layout, dof_shape,
-                   element_pair, interior_mass_stencil, is_periodic, node_grids)
+from .mesh import (_boundary_faces, axis_layout, dof_shape, element_pair,
+                   interior_mass_stencil, node_grids)
 from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible
 from .transforms import _CHUNK, forward_transform, modal_shape, sine_transform
@@ -52,7 +52,7 @@ class LoadContext:
         self.op = build_operator(mesh, problem.diffusion)
         self.grids = node_grids(mesh)
         self.shape = tuple(dof_shape(mesh))
-        self.lifted = isinstance(mesh.bc, Dirichlet)
+        self.lifted = mesh.bc.trace is not None
         if self.lifted:
             self.faces = _boundary_faces(mesh)
             self.lifts = [_axis_lift(mesh, problem.diffusion, self.op, a)
@@ -168,7 +168,7 @@ def transformed_load(ctx, t, U=None):
         G = functools.reduce(np.add, loads)
     else:
         G = np.zeros(modal_shape(ctx.mesh),
-                     complex if is_periodic(ctx.mesh.bc) else float)
+                     complex if ctx.mesh.bc.fourier else float)
     if ctx.lifted:
         boundary_correction(ctx, t, G)
     return G

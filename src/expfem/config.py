@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Dirichlet, HomogeneousDirichlet, Periodic, dof_shape
+from .mesh import Dirichlet, Periodic, dof_shape
 from .problems import BUILTIN_FACTORIES, Problem, mesh_for
 from .stepper import SchemeConfig
 
@@ -290,7 +290,7 @@ def _build_custom_problem(values):
         raise ConfigError(f"custom.d must be positive, got {diffusion}")
     f = compile_expression(_require(values, "custom.f"), ("t", "u"), coords)
     u0 = compile_expression(_require(values, "custom.u0"), (), coords)
-    kind = Periodic() if bc == "periodic" else HomogeneousDirichlet()
+    kind = Periodic() if bc == "periodic" else Dirichlet()
     if "custom.g" in values:
         if bc == "periodic":
             raise ConfigError("key custom.g conflicts with periodic domain.bc")

@@ -1,16 +1,22 @@
 """Uniform tensor-product meshes on rectangular boxes.
 
 A mesh is a list of per-axis uniform partitions plus one boundary kind
-applying to the whole boundary.  `axis_layout` is the one rule of which
-nodes an axis owns and how a boundary kind extends them: Dirichlet
-meshes own the interior nodes 1..N-1 and extend oddly, with period 2N;
-periodic meshes own nodes 0..N-1 (node N is identified with 0), with
-period N.  The dof shape, the owned coordinates, the transforms'
-spectrum and the lifting's boundary column all read it.
+applying to the whole boundary.  The paper's fast solve has one basis
+per kind, and each kind states on its class what the program reads of
+it: `ends`, how many nodes an axis leaves unowned at its start and at
+its end; `fourier`, whether its basis is the real Fourier one; and
+`trace`, the boundary values g(t, xs) to lift, None when they are zero
+or there is no boundary.  `Dirichlet` meshes own the interior nodes
+1..N-1 and step in the sine basis; `Periodic` meshes own nodes 0..N-1
+(node N is identified with 0) and step in the Fourier basis.
+`axis_layout` is the one rule of which nodes an axis owns and the
+period of the kind's extension, 2N (odd) or N (Fourier); the dof
+shape, the owned coordinates, the transforms' spectrum and the
+lifting's boundary column all read it.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -35,27 +41,25 @@ class Partition1D:
 
 
 @dataclass(frozen=True)
-class HomogeneousDirichlet:
-    """Zero trace on the whole boundary."""
-
-
-@dataclass(frozen=True)
 class Dirichlet:
-    """Prescribed boundary trace g(t, xs), analytic in t."""
+    """Prescribed boundary values: the trace g(t, xs), analytic in t, or
+    zero values when `trace` is None."""
 
-    trace: Callable
+    trace: Optional[Callable] = None
+    ends = (1, 1)
+    fourier = False
 
 
 @dataclass(frozen=True)
 class Periodic:
-    """Opposite faces identified."""
+    """Opposite faces identified; no trace."""
+
+    ends = (0, 1)
+    fourier = True
+    trace = None
 
 
-BoundaryKind = Union[HomogeneousDirichlet, Dirichlet, Periodic]
-
-
-def is_periodic(bc):
-    return isinstance(bc, Periodic)
+BoundaryKind = Union[Dirichlet, Periodic]
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,16 @@ class TensorMesh:
 
 def axis_layout(p, bc):
     """The owned nodes of partition p, as a range of node indices, and
-    the period of the boundary kind's extension: nodes 0..N-1 with period
-    N on periodic meshes, where node N is node 0; nodes 1..N-1 with
-    period 2N, the odd extension, on Dirichlet ones."""
-    if is_periodic(bc):
-        return range(p.n), p.n
-    return range(1, p.n), 2 * p.n
+    the period of the boundary kind's extension: nodes `ends[0]` to
+    N - `ends[1]`, so 0..N-1 on periodic meshes, where node N is node 0,
+    and 1..N-1 on Dirichlet ones; period N in the Fourier basis, 2N (the
+    odd extension) in the sine one."""
+    lo, hi = bc.ends
+    return range(lo, p.n + 1 - hi), p.n if bc.fourier else 2 * p.n
 
 
 def dof_shape(mesh):
-    """Per-axis owned-node counts: N-1 for Dirichlet kinds, N for periodic."""
+    """Per-axis owned-node counts: N-1 on Dirichlet meshes, N on periodic."""
     return [len(axis_layout(p, mesh.bc)[0]) for p in mesh.partitions]
 
 
@@ -107,19 +111,18 @@ def full_axis_coordinates(mesh, axis):
 
 
 def extend_nodal(U, mesh, t=0.0):
-    """Extend an owned-node tensor to the full grid 0..N along every axis.
+    """Extend an owned-node tensor to the full grid 0..N along every axis,
+    by the kind's `ends`.
 
-    Dirichlet boundaries take the trace values (zero for the homogeneous
-    kind); periodic fields wrap node N back to node 0.
+    Fourier fields wrap node N back to node 0; the other kinds fill their
+    end nodes with the trace, or zeros when it is None.
     """
     U = np.asarray(U, dtype=float)
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(f"nodal shape {U.shape} does not match mesh {dof_shape(mesh)}")
-    if is_periodic(mesh.bc):
-        return np.pad(U, [(0, 1)] * mesh.dim, mode="wrap")
-    out = np.zeros([n + 2 for n in U.shape])
-    out[(slice(1, -1),) * mesh.dim] = U
-    if isinstance(mesh.bc, Dirichlet):
+    out = np.pad(U, [mesh.bc.ends] * mesh.dim,
+                 mode="wrap" if mesh.bc.fourier else "constant")
+    if mesh.bc.trace is not None:
         _fill_boundary(out, mesh, t)
     return out
 

@@ -2,10 +2,10 @@
 
 A Problem bundles the diffusion coefficient, the reaction term, boundary
 and initial data, and (when known) the exact solution.  Its one boundary
-field `bc` is the mesh's `BoundaryKind`: `HomogeneousDirichlet()` (the
-default), `Dirichlet(trace)` or `Periodic()`, so no periodic problem
-carries a trace; `periodic` reads whether it is `Periodic`.  The
-reaction is given in three parts,
+field `bc` is the mesh's `BoundaryKind`: `Dirichlet()` (the default,
+zero boundary values), `Dirichlet(trace)` or `Periodic()`, so no
+periodic problem carries a trace; `periodic` reads whether the kind
+steps in the Fourier basis.  The reaction is given in three parts,
 
     r(t, u, x) = linear * u + sum_j amplitude_j(t) profile_j(xs) + f(t, u, xs),
 
@@ -46,8 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import (BoundaryKind, Dirichlet, HomogeneousDirichlet,
-                   Partition1D, Periodic, TensorMesh, is_periodic)
+from .mesh import BoundaryKind, Dirichlet, Partition1D, Periodic, TensorMesh
 
 # f'(x) = Im f(x + i h) / h has no difference to cancel, so h can sit far
 # below the rounding floor of x: the derivative is exact to rounding
@@ -88,7 +87,7 @@ class Problem:
     diffusion: float
     f: Optional[Callable]  # f(t, u, xs); None when no term reads u
     domain: tuple
-    bc: BoundaryKind = HomogeneousDirichlet()
+    bc: BoundaryKind = Dirichlet()
     u0: Optional[Callable] = None
     exact: Optional[Callable] = None
     admissible_range: tuple = (-math.inf, math.inf)  # open interval
@@ -111,7 +110,7 @@ class Problem:
 
     @property
     def periodic(self):
-        return is_periodic(self.bc)
+        return self.bc.fourier
 
 
 def mesh_for(problem, subdivisions):

@@ -56,10 +56,12 @@ evaluating f and for observation.  So a problem whose f is None steps
 with no transform at all: a run of it that takes any steps makes one
 forward transform of u0 and one per source term, however many steps
 it takes.  `SolverState.coeffs` is laid out as
-`transforms` defines it: real sine coefficients of the nodal shape on
-Dirichlet meshes, the complex half spectrum of `rfftn` (N // 2 + 1
-entries on the last axis) on periodic ones.  The weights are real and
-broadcast over either.
+`transforms` defines it by the boundary kind's `fourier` flag: real
+sine coefficients of the nodal shape on Dirichlet meshes, the complex
+half spectrum of `rfftn` (N // 2 + 1 entries on the last axis) on
+periodic ones.  The weights are real and broadcast over either.  A
+kind with a `trace` lifts it: the load adds its boundary elimination,
+and `check_state` checks it with each observed state.
 """
 
 import ctypes
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LoadContext, initial_state, transformed_load
-from .mesh import Dirichlet, _boundary_faces, aspect_ratio
+from .mesh import _boundary_faces, aspect_ratio
 from .operator import phi_tensor
 from .problems import NonlinearityDomainError, check_admissible
 from .transforms import forward_transform, inverse_transform
@@ -223,7 +225,7 @@ def check_state(U, problem, mesh, t):
     the trace on the boundary, which `mesh.extend_nodal` adds to it for a
     snapshot or an error norm."""
     check_admissible(U, problem.admissible_range)
-    if isinstance(mesh.bc, Dirichlet):
+    if mesh.bc.trace is not None:
         for face, _ in _boundary_faces(mesh):
             check_admissible(np.asarray(mesh.bc.trace(t, face)),
                              problem.admissible_range)

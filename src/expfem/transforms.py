@@ -4,19 +4,21 @@ For a uniform partition into N cells the P1 mass and stiffness matrices
 (`mesh.element_pair`) are tridiagonal Toeplitz on the interior nodes
 (Dirichlet) or their circulant closures on all N nodes (periodic).
 Both pairs share one orthonormal eigenbasis, and each boundary kind has
-one transform convention:
+one transform convention, which its `fourier` flag picks:
 
-- Dirichlet: the type-I sine basis sqrt(2/N) sin(i j pi / N), applied by
-  `sine_transform`; it is symmetric and its own inverse, so the modal
-  state is real with the nodal shape.  Axes of at most
-  `DENSE_DST_POINTS` owned nodes are one BLAS product with that matrix,
-  longer axes one `dstn(type=1, norm="ortho")` call: on one thread the
-  product took 1.7 to 8 times less time than pocketfft up to 64 points,
-  about as long from 127 to 159, and more from 191.
-- Periodic: the Fourier basis exp(2 pi i j k / N) / sqrt(N), applied by
-  one `rfftn`/`irfftn` call over all axes with `norm="ortho"`.  The
-  nodal data are real, so the modal state is the complex half spectrum:
-  N // 2 + 1 entries on the last axis, the full N on the others.
+- Dirichlet (`fourier` False): the type-I sine basis
+  sqrt(2/N) sin(i j pi / N), applied by `sine_transform`; it is
+  symmetric and its own inverse, so the modal state is real with the
+  nodal shape.  Axes of at most `DENSE_DST_POINTS` owned nodes are one
+  BLAS product with that matrix, longer axes one
+  `dstn(type=1, norm="ortho")` call: on one thread the product took 1.7
+  to 8 times less time than pocketfft up to 64 points, about as long
+  from 127 to 159, and more from 191.
+- Periodic (`fourier` True): the Fourier basis
+  exp(2 pi i j k / N) / sqrt(N), applied by one `rfftn`/`irfftn` call
+  over all axes with `norm="ortho"`.  The nodal data are real, so the
+  modal state is the complex half spectrum: N // 2 + 1 entries on the
+  last axis, the full N on the others.
 
 This is the one module of the package that calls `scipy.fft`.
 """
@@ -27,7 +29,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from .mesh import axis_layout, dof_shape, element_pair, is_periodic
+from .mesh import axis_layout, dof_shape, element_pair
 
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
@@ -58,7 +60,7 @@ def modal_shape(mesh):
     """Shape of the modal coefficient tensor: the dof shape, with the
     last axis halved to N // 2 + 1 on periodic meshes."""
     shape = dof_shape(mesh)
-    if is_periodic(mesh.bc):
+    if mesh.bc.fourier:
         shape[-1] = shape[-1] // 2 + 1
     return shape
 
@@ -69,7 +71,7 @@ def forward_transform(U, mesh):
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh dof shape {dof_shape(mesh)}")
-    if is_periodic(mesh.bc):
+    if mesh.bc.fourier:
         return scipy.fft.rfftn(U, norm="ortho")
     return sine_transform(U)
 
@@ -80,7 +82,7 @@ def inverse_transform(U, mesh):
     if list(U.shape) != modal_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh modal shape {modal_shape(mesh)}")
-    if is_periodic(mesh.bc):
+    if mesh.bc.fourier:
         return scipy.fft.irfftn(U, s=dof_shape(mesh), norm="ortho")
     return sine_transform(U)
 

@@ -8,7 +8,13 @@ boundary elimination load, over the full grid.  The dense step oracle
 advances the semi-discrete system with a dense generalized
 eigendecomposition (matrix exponential realized spectrally), fully
 independent of the FFT solution path; it takes the whole nodal
-reaction, linear part included, from `full_reaction`.  The dense quadrature oracle
+reaction, linear part included, from `full_reaction`.  The textbook
+oracle shares none of the program's derivation: on periodic meshes it
+assembles global Q1 mass and stiffness matrices cell by cell from Gauss
+quadrature, interpolates the whole reaction at every node and steps
+with phi functions from augmented matrix exponentials.
+`manufactured_semilinear` is a 3D semilinear problem with an exact
+solution on either unlifted kind.  The dense quadrature oracle
 evaluates the interpolant on the whole Gauss grid with per-axis
 (n*npts) x (n+1) value and slope matrices.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
@@ -19,6 +25,7 @@ and bytes.  `readme_keys` reads the config keys of README's key table.
 """
 
 import functools
+import itertools
 import math
 import re
 import tracemalloc
@@ -30,9 +37,10 @@ import scipy.linalg
 
 from expfem.analysis import _exact_gradient
 from expfem.assembly import transformed_load
-from expfem.mesh import (Dirichlet, Partition1D, TensorMesh, dof_shape,
-                         extend_nodal, full_axis_coordinates, is_periodic)
+from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
+                         dof_shape, extend_nodal, full_axis_coordinates)
 from expfem.operator import PHI2_TAYLOR_CUTOFF, phi
+from expfem.problems import Problem
 from expfem.quadrature import apply_matrix, gauss_rule
 from expfem.stepper import SolverState
 from expfem.transforms import inverse_transform
@@ -76,7 +84,7 @@ DENSE_ORACLE_MAX_DOF = 4096
 
 def build_axis_matrices(p, bc):
     """Dense 1D mass and stiffness matrices (h/6- and 1/h-scaled)."""
-    if is_periodic(bc):
+    if isinstance(bc, Periodic):
         m = p.n
         mass = np.zeros((m, m))
         stiff = np.zeros((m, m))
@@ -98,7 +106,7 @@ def basis_matrix(p, bc):
     """Dense orthonormal eigenbasis, columns aligned with `axis_spectrum`:
     exp(2 pi i j k / N) / sqrt(N) for periodic axes, sqrt(2/N) sin(i j pi / N)
     for Dirichlet ones."""
-    if is_periodic(bc):
+    if isinstance(bc, Periodic):
         jk = np.outer(np.arange(p.n), np.arange(p.n))
         return np.exp(2j * np.pi * jk / p.n) / np.sqrt(p.n)
     ij = np.arange(1, p.n)
@@ -253,6 +261,105 @@ def rk2_step_with_temporaries(state, ctx, dt, c2, w):
 
 
 # ---------------------------------------------------------------------------
+# textbook method of lines on the full grid
+
+def _q1_element_matrices(hs):
+    """Mass and stiffness matrices of one Q1 element with sides hs, from
+    the 3-point Gauss rule per axis: rows and columns run over the 2^d
+    corners, corner bits b giving the basis prod_a (xi_a if b_a else
+    1 - xi_a) on the unit cell."""
+    x, w = np.polynomial.legendre.leggauss(3)
+    xi, w = 0.5 * (x + 1.0), 0.5 * w
+    dim = len(hs)
+    corners = list(itertools.product((0, 1), repeat=dim))
+    mass = np.zeros((len(corners),) * 2)
+    stiff = np.zeros_like(mass)
+    for q in itertools.product(range(3), repeat=dim):
+        weight = math.prod(w[list(q)]) * math.prod(hs)
+        # per corner and axis, the 1D factor and its slope at the point
+        factor = np.array([[xi[q[a]] if b[a] else 1.0 - xi[q[a]]
+                            for a in range(dim)] for b in corners])
+        slope = np.array([[(1.0 if b[a] else -1.0) / hs[a]
+                           for a in range(dim)] for b in corners])
+        value = factor.prod(axis=1)
+        grad = np.stack([slope[:, a] * np.delete(factor, a, axis=1).prod(
+            axis=1) for a in range(dim)], axis=1)
+        mass += weight * np.outer(value, value)
+        stiff += weight * grad @ grad.T
+    return mass, stiff
+
+
+def textbook_periodic_matrices(mesh):
+    """Global Q1 mass and stiffness matrices of a periodic mesh, assembled
+    element by element over its cells, node N of each axis identified
+    with node 0; rows in C order of the nodes 0..N-1 per axis."""
+    shape = tuple(p.n for p in mesh.partitions)
+    total = math.prod(shape)
+    if total > DENSE_ORACLE_MAX_DOF:
+        raise ValueError(
+            f"dense oracle limited to {DENSE_ORACLE_MAX_DOF} dofs, got {total}")
+    element = _q1_element_matrices([p.h for p in mesh.partitions])
+    cells = np.indices(shape).reshape(len(shape), -1)
+    nodes = [np.ravel_multi_index(
+        [(cells[a] + b[a]) % n for a, n in enumerate(shape)], shape)
+        for b in itertools.product((0, 1), repeat=len(shape))]
+    M, K = np.zeros((total, total)), np.zeros((total, total))
+    for out, local in zip((M, K), element):
+        for i, rows in enumerate(nodes):
+            for j, cols in enumerate(nodes):
+                np.add.at(out, (rows, cols), local[i, j])
+    return M, K
+
+
+def textbook_periodic_nodes(mesh):
+    """The distinct nodes 0..N-1 of a periodic mesh as an open grid."""
+    return np.ix_(*(p.a + p.h * np.arange(p.n) for p in mesh.partitions))
+
+
+def textbook_periodic_rhs(problem, mesh, t, U):
+    """dU/dt of the textbook method of lines on a periodic mesh: the
+    whole reaction interpolated at every node and tested against every
+    hat function, M U' = M r(t, U) - D K U."""
+    M, K = textbook_periodic_matrices(mesh)
+    U = np.asarray(U, dtype=float)
+    r = full_reaction(problem, t, U, textbook_periodic_nodes(mesh))
+    rhs = np.linalg.solve(M, M @ r.ravel() - problem.diffusion * (K @ U.ravel()))
+    return rhs.reshape(U.shape)
+
+
+def _phi_combination(B, u, w1, w2):
+    """e^B u + phi1(B) w1 + phi2(B) w2 from one `scipy.linalg.expm` of
+    the matrix B augmented by the columns (w2, w1) and a 2x2 shift."""
+    n = len(u)
+    aug = np.zeros((n + 2, n + 2))
+    aug[:n, :n] = B
+    aug[:n, n], aug[:n, n + 1] = w2, w1
+    aug[n, n + 1] = 1.0
+    return (scipy.linalg.expm(aug) @ np.concatenate([u, [0.0, 1.0]]))[:n]
+
+
+def textbook_periodic_step(problem, mesh, t, U, dt, scheme, c2=0.5):
+    """One exponential Euler or rk2 step of the textbook method of lines
+    on a periodic mesh, with the dense operator A = -D M^-1 K and the
+    whole reaction as the load, its phi functions from augmented
+    matrix exponentials."""
+    M, K = textbook_periodic_matrices(mesh)
+    A = -problem.diffusion * np.linalg.solve(M, K)
+    nodes = textbook_periodic_nodes(mesh)
+    u = np.asarray(U, dtype=float).ravel()
+    r0 = full_reaction(problem, t, U, nodes).ravel()
+    zero = np.zeros_like(u)
+    if scheme == "euler":
+        out = _phi_combination(dt * A, u, dt * r0, zero)
+    else:
+        stage = _phi_combination(c2 * dt * A, u, c2 * dt * r0, zero)
+        r1 = full_reaction(problem, t + c2 * dt, stage.reshape(np.shape(U)),
+                           nodes).ravel()
+        out = _phi_combination(dt * A, u, dt * r0, dt * (r1 - r0) / c2)
+    return out.reshape(np.shape(U))
+
+
+# ---------------------------------------------------------------------------
 # dense Gauss-grid evaluation of the interpolant
 
 def integrate(per_axis_weights, values):
@@ -294,7 +401,7 @@ def dense_axis_slopes(p, npts):
 
 def dense_interpolant_on_gauss(U, mesh, t, npts):
     """Interpolant values and per-axis slopes on the whole Gauss grid."""
-    if isinstance(mesh.bc, Dirichlet):
+    if isinstance(mesh.bc, Dirichlet) and mesh.bc.trace is not None:
         full = _boundary_tensor(mesh, mesh.bc.trace, t)
         full[(slice(1, -1),) * mesh.dim] = U
     else:
@@ -396,6 +503,44 @@ def rel_err(a, b):
 
 
 # ---------------------------------------------------------------------------
+# a manufactured semilinear problem with an exact solution
+
+def manufactured_semilinear(bc, dim=3):
+    """u_t = 0.1 lap(u) + u (1 - u^2) + s on the unit box with the exact
+    solution u = 1/2 e^-t prod_a sin(k x_a) + c: k = pi and c = 0 under
+    zero Dirichlet data, k = 2 pi and c = 1/4 on a periodic box.
+
+    With w = u - c, u_t - D lap(u) = (D dim k^2 - 1) w, so the source
+    s = (D dim k^2 - 2 + 3 c^2) w + 3 c w^2 + w^3 + c^3 - c; each power of
+    w is separable, so s is all `source` terms and f is u (1 - u^2)."""
+    diffusion = 0.1
+    k, c = (2.0 * math.pi, 0.25) if isinstance(bc, Periodic) else (math.pi, 0.0)
+
+    def profile(power):
+        def fn(xs):
+            out = 1.0
+            for x in xs:
+                out = out * np.sin(k * x)
+            return out ** power
+        return fn
+
+    def exact(t, xs):
+        return 0.5 * np.exp(-t) * profile(1)(xs) + c
+
+    source = (
+        (lambda t: (diffusion * dim * k * k - 2.0 + 3.0 * c * c)
+         * 0.5 * math.exp(-t), profile(1)),
+        (lambda t: 3.0 * c * 0.25 * math.exp(-2.0 * t), profile(2)),
+        (lambda t: 0.125 * math.exp(-3.0 * t), profile(3)),
+        (lambda t: c ** 3 - c, profile(0)),
+    )
+    return Problem(name="manufactured", diffusion=diffusion,
+                   f=lambda t, u, xs: u * (1.0 - u * u),
+                   domain=((0.0, 1.0),) * dim, bc=bc,
+                   u0=lambda xs: exact(0.0, xs), exact=exact, source=source)
+
+
+# ---------------------------------------------------------------------------
 # bit- and byte-exact oracles of phi and the snapshot writer
 
 _PHI2_SERIES = [1.0 / math.factorial(j + 2) for j in range(9)][::-1]
@@ -427,7 +572,7 @@ def joined_snapshot(U, mesh, t):
     """A snapshot's whole text, joined into one string from an x-fastest
     (Fortran-order) copy of the full-grid field; a periodic field is
     wrapped here by indexing node N as node 0."""
-    if is_periodic(mesh.bc):
+    if isinstance(mesh.bc, Periodic):
         full = np.asarray(U, dtype=float)[
             np.ix_(*(np.arange(n + 1) % n for n in np.shape(U)))]
     else:

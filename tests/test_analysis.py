@@ -12,8 +12,8 @@ import expfem.analysis as analysis
 from expfem.analysis import (TimeSeriesObserver, _exact_gradient,
                              convergence_study, discrete_energy, error_norms,
                              sup_norm, timing_study)
-from expfem.mesh import (HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal, node_grids)
+from expfem.mesh import (Dirichlet, Periodic, dof_shape, extend_nodal,
+                         node_grids)
 from expfem.problems import (NonlinearityDomainError, builtin_allen_cahn_wave,
                              builtin_linear_rd, mesh_for)
 
@@ -33,7 +33,7 @@ def test_error_norms_vanish_for_interpolated_exact():
 
 def test_error_norms_closed_form_1d():
     # zero numerical solution against x(1-x): L2^2 = 1/30, |.|_1^2 = 1/3
-    mesh = make_mesh([(0, 1)], [2], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [2], Dirichlet())
     exact = lambda t, xs: xs[0] * (1.0 - xs[0])
     l2, h1 = error_norms(np.zeros(1), mesh, exact, 0.0)
     assert abs(l2 - math.sqrt(1.0 / 30.0)) < 1e-12
@@ -166,6 +166,21 @@ def test_convergence_study_single_rung_has_no_rates():
 def test_rate_arithmetic_example():
     # dyadic errors 4e-2 -> 1e-2 give rate 2
     assert math.log2(4e-2 / 1e-2) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("coarse, fine", [
+    (math.inf, math.inf), (math.inf, 1e-3), (1e-3, math.inf),
+    (math.nan, 1e-3), (1e-3, math.nan), (0.0, 1e-3), (1e-3, 0.0)])
+def test_rate_needs_positive_finite_errors(coarse, fine):
+    # inf / inf would give a nan rate and inf / 1e-3 an inf one
+    assert analysis._rate(coarse, fine) is None
+
+
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+def test_rate_keeps_the_bits_of_log2_of_the_ratio(coarse, fine):
+    got = analysis._rate(coarse, fine)
+    assert struct.pack("<d", got) == struct.pack(
+        "<d", math.log2(coarse / fine))
 
 
 def test_timing_study_growth_definition():

@@ -5,8 +5,8 @@ from expfem import assembly
 from expfem.analysis import error_norms
 from expfem.assembly import (LoadContext, boundary_correction, initial_state,
                              transformed_load)
-from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic,
-                         dof_shape, extend_nodal, is_periodic, node_grids)
+from expfem.mesh import (Dirichlet, Periodic, dof_shape, extend_nodal,
+                         node_grids)
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
@@ -131,7 +131,7 @@ DATUM_SUBDIVISIONS = {1: (7,), 2: (5, 4), 3: (5, 3, 4)}
 
 def _owned_node_values(datum, mesh):
     """The datum at each owned node, evaluated one point at a time."""
-    offset = 0 if is_periodic(mesh.bc) else 1
+    offset = 0 if isinstance(mesh.bc, Periodic) else 1
     out = np.empty(dof_shape(mesh))
     for idx in np.ndindex(*out.shape):
         out[idx] = datum(tuple(p.a + (i + offset) * p.h
@@ -147,7 +147,7 @@ def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
     # to every owned node; the result is read-only either way, whether it
     # is a copy or a view of the datum's own array
     u0 = INITIAL_DATA[datum]
-    kinds = {"periodic": Periodic(), "homogeneous": HomogeneousDirichlet(),
+    kinds = {"periodic": Periodic(), "homogeneous": Dirichlet(),
              "dirichlet": Dirichlet(lambda t, xs: u0(xs))}
     prob = Problem(
         name="inline", diffusion=1.0, f=lambda t, u, xs: 0.0 * u,
@@ -185,7 +185,7 @@ def test_collapsed_load_equals_mass_route():
 def test_collapse_identity_random_fields():
     from expfem.operator import build_operator
     rng = np.random.default_rng(8)
-    for bc in (HomogeneousDirichlet(), Periodic()):
+    for bc in (Dirichlet(), Periodic()):
         mesh = make_mesh([(0, 1), (0, 2)], [6, 8], bc)
         op = build_operator(mesh, 1.0)
         f_nodal = rng.standard_normal(dof_shape(mesh))

@@ -301,6 +301,26 @@ def test_zero_errors_leave_rates_empty(tmp_path):
         assert cells[3] == cells[5] == ""   # cr_l2, cr_h1
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_infinite_errors_leave_rates_empty(tmp_path):
+    # an exact solution that is inf everywhere: every rung's errors are
+    # inf, and inf / inf has no rate
+    text = CONV_CFG.replace('"linear_rd"', '"custom"').replace(
+        "[[4, 2], [8, 4]]", "[[4], [8], [16]]") + (
+        '[domain]\nbounds = [[0.0, 1.0]]\n'
+        '[custom]\nd = 1.0\nf = "0 * u"\nu0 = "0"\nexact = "1/0"\n')
+    cfg = _write(tmp_path, text)
+    code = main(["converge", "--config", cfg, "--out", str(tmp_path),
+                 "--quiet"])
+    assert code == 0
+    rows = [line.split(",")
+            for line in (tmp_path / "report.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for cells in rows:
+        assert cells[2] == cells[4] == "inf"  # err_l2, err_h1
+        assert cells[3] == cells[5] == ""     # cr_l2, cr_h1
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, RUN_CFG + "observe_every = 0\n")
     code = main(["run", "--config", cfg, "--out", str(tmp_path)])

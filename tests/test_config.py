@@ -9,7 +9,7 @@ from expfem.analysis import error_norms
 from expfem.assembly import initial_state
 from expfem.config import (_CONSTANTS, _FUNCTIONS, ConfigError,
                            compile_expression, parse_config, parse_keyvalues)
-from expfem.mesh import Dirichlet, HomogeneousDirichlet, Periodic
+from expfem.mesh import Dirichlet, Periodic
 from expfem.problems import (builtin_allen_cahn_wave, builtin_linear_rd,
                              mesh_for)
 from expfem.stepper import SchemeConfig, run
@@ -471,8 +471,8 @@ def test_custom_expressions_bind_each_coordinate_to_its_axis(bc):
 
 
 @pytest.mark.parametrize("bc, g, kind", [
-    (None, None, HomogeneousDirichlet),
-    ("dirichlet", None, HomogeneousDirichlet),
+    (None, None, Dirichlet),
+    ("dirichlet", None, Dirichlet),
     ("periodic", None, Periodic),
     (None, "1 + x * t", Dirichlet),
     ("dirichlet", "1 + x * t", Dirichlet),

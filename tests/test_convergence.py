@@ -8,6 +8,11 @@ Allen-Cahn wave runs the same spatial gate through the Dirichlet lifting
 of its moving trace; its last rates measure 1.96 in L2 and 1.20 in H1.
 Every run starts from the nodal interpolant of the initial datum.
 
+The space orders hold in 3D with a reaction that reads u, on both
+unlifted boundary kinds: `helpers.manufactured_semilinear` has an exact
+solution, and its last rates measure 1.99 in L2 and 1.01 in H1 under
+zero Dirichlet data, 1.97 and 1.06 on the periodic box.
+
 The time orders also hold with a reaction that reads u, on both
 unlifted boundary kinds and in 3D: on u_t = 0.1 lap(u) + u (1 - u^2),
 each ladder measures self-convergence, the max nodal distance at
@@ -22,11 +27,13 @@ import numpy as np
 import pytest
 
 from expfem.analysis import convergence_study
-from expfem.mesh import HomogeneousDirichlet, Periodic
+from expfem.mesh import Dirichlet, Periodic
 from expfem.problems import (Problem, builtin_allen_cahn_wave,
                              builtin_linear_rd, mesh_for)
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
+
+from helpers import manufactured_semilinear
 
 pytestmark = pytest.mark.slow
 
@@ -60,9 +67,19 @@ def test_p1_space_orders_through_dirichlet_lifting():
     assert row.rate_h1 >= 0.95
 
 
+@pytest.mark.parametrize("bc", [Dirichlet(), Periodic()],
+                         ids=["dirichlet", "periodic"])
+def test_p1_space_orders_in_3d_on_a_semilinear_reaction(bc):
+    rungs = [((n, n, n), 64) for n in (8, 16, 32)]
+    rows = convergence_study(manufactured_semilinear(bc), rungs,
+                             scheme="rk2", T=0.25)
+    assert rows[-1].rate_l2 >= 1.85, rows
+    assert rows[-1].rate_h1 >= 0.95, rows
+
+
 SEMILINEAR_CASES = {
-    "dirichlet_1d": (HomogeneousDirichlet(), (64,)),
-    "dirichlet_3d": (HomogeneousDirichlet(), (12, 12, 12)),
+    "dirichlet_1d": (Dirichlet(), (64,)),
+    "dirichlet_3d": (Dirichlet(), (12, 12, 12)),
     "periodic_2d": (Periodic(), (32, 32)),
     "periodic_3d": (Periodic(), (12, 12, 12)),
 }

@@ -4,8 +4,9 @@ every top-level function and class of the package is used in it, only
 inside a function of `assembly`, and the admissibility rule lives in
 one place: only `problems.check_admissible` builds a
 `NonlinearityDomainError`, and only `assembly.transformed_load` calls a
-problem's reaction `.f`.  Every name of the package that the benchmark
-under `perfbench/` reads exists.
+problem's reaction `.f`.  No module of the package tests the class of a
+boundary kind with `isinstance`.  Every name of the package that the
+benchmark under `perfbench/` reads exists.
 
 No linter runs on this repository, so this is the check.
 """
@@ -156,6 +157,28 @@ def test_only_the_load_evaluates_a_reaction():
     assert _calling_functions(
         lambda func: isinstance(func, ast.Attribute) and func.attr == "f"
     ) == ["assembly.transformed_load"]
+
+
+BOUNDARY_KINDS = {"Dirichlet", "Periodic"}
+
+
+def _kind_class_tests(path):
+    """Line numbers of a module's `isinstance` calls whose class argument
+    names a boundary kind, alone or in a tuple."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and _names_read(node.args[1]) & BOUNDARY_KINDS]
+
+
+def test_no_module_tests_the_class_of_a_boundary_kind():
+    # the package reads a kind through its fields `ends`, `fourier` and
+    # `trace`, so a new kind is one record in `mesh`
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "expfem").glob("*.py"))
+             for line in _kind_class_tests(path)]
+    assert not found, f"isinstance on a boundary kind: {found}"
 
 
 def test_names_the_benchmark_reads_exist():

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expfem.assembly import LoadContext
-from expfem.mesh import Dirichlet, HomogeneousDirichlet, Periodic, node_grids
+from expfem.mesh import Dirichlet, Periodic, node_grids
 from expfem.problems import Problem, builtin_flory_huggins, mesh_for
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
@@ -94,7 +94,7 @@ def _wave(k, phase):
 def _kind(boundary, field):
     """The boundary kind named `boundary`; a lifted Dirichlet mesh takes
     `field` as its trace."""
-    return {"periodic": Periodic(), "homogeneous": HomogeneousDirichlet(),
+    return {"periodic": Periodic(), "homogeneous": Dirichlet(),
             "dirichlet": Dirichlet(field)}[boundary]
 
 

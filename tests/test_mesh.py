@@ -1,24 +1,24 @@
 import numpy as np
 import pytest
 
-from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Partition1D,
-                         Periodic, TensorMesh, dof_shape, element_pair,
-                         extend_nodal, interior_mass_stencil, node_grids)
+from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
+                         dof_shape, element_pair, extend_nodal,
+                         interior_mass_stencil, node_grids)
 
 from helpers import make_mesh, rel_err
 
 
 def test_dof_shape_by_definition():
-    mesh = make_mesh([(0, 1), (0, 1)], [8, 4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1), (0, 1)], [8, 4], Dirichlet())
     assert dof_shape(mesh) == [7, 3]
     mesh3 = make_mesh([(0, 1)] * 3, [128] * 3, Periodic())
     assert dof_shape(mesh3) == [128, 128, 128]
-    tiny = make_mesh([(0, 1)], [2], HomogeneousDirichlet())
+    tiny = make_mesh([(0, 1)], [2], Dirichlet())
     assert dof_shape(tiny) == [1]
 
 
 def test_owned_nodes_strictly_interior_for_dirichlet():
-    mesh = make_mesh([(0.5, 2.5), (0, 1)], [8, 4], HomogeneousDirichlet())
+    mesh = make_mesh([(0.5, 2.5), (0, 1)], [8, 4], Dirichlet())
     x, y = (np.ravel(g) for g in node_grids(mesh))
     assert x.size == 7 and y.size == 3
     assert np.all((0.5 < x) & (x < 2.5)) and np.all((0 < y) & (y < 1))
@@ -34,7 +34,7 @@ def test_partition_validation():
 
 
 def test_extend_nodal_homogeneous_pads_zeros():
-    mesh = make_mesh([(0, 1), (0, 1)], [4, 4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1), (0, 1)], [4, 4], Dirichlet())
     U = np.ones((3, 3))
     full = extend_nodal(U, mesh)
     assert full.shape == (5, 5)
@@ -61,7 +61,7 @@ def test_extend_nodal_periodic_wraps():
 def test_mesh_dimension_limits():
     with pytest.raises(ValueError):
         TensorMesh(tuple(Partition1D(0, 1, 2) for _ in range(4)),
-                   HomogeneousDirichlet())
+                   Dirichlet())
 
 
 @pytest.mark.parametrize("h", [0.25, 0.1, 3.0])

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from expfem.mesh import HomogeneousDirichlet, Periodic
+from expfem.mesh import Dirichlet, Periodic
 from expfem.operator import (PHI2_TAYLOR_CUTOFF, build_operator, phi,
                              phi_tensor)
 
@@ -81,7 +81,7 @@ def test_phi_gives_the_bits_of_the_masked_oracle(k):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bc", [HomogeneousDirichlet(), Periodic()],
+@pytest.mark.parametrize("bc", [Dirichlet(), Periodic()],
                          ids=["dirichlet", "periodic"])
 def test_phi_tensor_gives_the_bits_of_the_masked_oracle(bc):
     # the periodic zero mode puts z = 0 in every tensor
@@ -98,7 +98,7 @@ def test_phi_rejects_higher_orders():
 
 
 def test_operator_single_dirichlet_mode():
-    mesh = make_mesh([(0, 1)], [2], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [2], Dirichlet())
     op = build_operator(mesh, 1.0)
     # sole generalized eigenvalue of the 1D pair is 3/h^2 = 12
     assert np.allclose(op.decay_rates, [12.0], rtol=1e-13)
@@ -114,33 +114,33 @@ def test_operator_periodic_zero_mode():
 
 
 def test_operator_isotropic_axis_symmetry():
-    mesh = make_mesh([(0, 1), (0, 1)], [4, 4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1), (0, 1)], [4, 4], Dirichlet())
     op = build_operator(mesh, 1.0)
     assert rel_err(op.decay_rates, op.decay_rates.T) < 1e-14
 
 
 def test_operator_requires_positive_diffusion():
-    mesh = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [4], Dirichlet())
     with pytest.raises(ValueError):
         build_operator(mesh, 0.0)
 
 
 def test_phi_tensor_scalar_mode_value():
-    mesh = make_mesh([(0, 1)], [2], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [2], Dirichlet())
     op = build_operator(mesh, 1.0)
     out = phi_tensor(1, op, 0.1)
     assert np.allclose(out, [(1 - math.exp(-1.2)) / 1.2], rtol=1e-14)
 
 
 def test_phi_tensor_tiny_step_is_identity_weight():
-    mesh = make_mesh([(0, 1)], [8], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [8], Dirichlet())
     op = build_operator(mesh, 1.0)
     out = phi_tensor(1, op, 1e-12)
     assert np.max(np.abs(out - 1.0)) < 1e-9
 
 
 def test_phi_tensor_argument_validation():
-    mesh = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [4], Dirichlet())
     op = build_operator(mesh, 1.0)
     with pytest.raises(ValueError):
         phi_tensor(1, op, 0.0)
@@ -149,7 +149,7 @@ def test_phi_tensor_argument_validation():
 
 
 def test_semigroup_contraction_and_weight_bounds():
-    for bc, strict in ((HomogeneousDirichlet(), True), (Periodic(), False)):
+    for bc, strict in ((Dirichlet(), True), (Periodic(), False)):
         mesh = make_mesh([(0, 1), (0, 1)], [8, 6], bc)
         op = build_operator(mesh, 0.7)
         for tau in (1e-6, 0.01, 1.0, 100.0):

@@ -7,8 +7,7 @@ import pytest
 
 from expfem.assembly import (LoadContext, _trace_faces, initial_state,
                              transformed_load)
-from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic,
-                         dof_shape, node_grids)
+from expfem.mesh import Dirichlet, Periodic, dof_shape, node_grids
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, check_admissible, mesh_for)
@@ -206,7 +205,7 @@ def test_check_admissible_reports_the_offending_value(values, bounds,
 def test_problem_names_its_boundary_in_one_field():
     # `periodic` is read from `bc`, so a periodic problem holds no trace
     prob = Problem(name="p", diffusion=1.0, f=None, domain=((0.0, 1.0),))
-    assert prob.bc == HomogeneousDirichlet() and not prob.periodic
+    assert prob.bc == Dirichlet() and not prob.periodic
     with pytest.raises(TypeError):
         Problem(name="p", diffusion=1.0, f=None, domain=((0.0, 1.0),),
                 periodic=True, g=lambda t, xs: 0.0 * xs[0])

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import expfem.analysis as analysis
 import expfem.quadrature as quadrature
 from expfem.analysis import _modal_quadratics, discrete_energy, error_norms
-from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal)
+from expfem.mesh import Dirichlet, Periodic, dof_shape, extend_nodal
 
 from helpers import (dense_discrete_energy, dense_error_norms,
                      dense_interpolant_on_gauss, dense_operator_matrices,
@@ -37,7 +36,7 @@ def _exact(t, xs):
 
 BOUNDARIES = {
     "periodic": Periodic(),
-    "homogeneous": HomogeneousDirichlet(),
+    "homogeneous": Dirichlet(),
     "dirichlet": Dirichlet(_trace),
 }
 

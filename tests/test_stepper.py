@@ -8,7 +8,7 @@ import pytest
 from expfem import assembly, stepper
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
-from expfem.mesh import HomogeneousDirichlet, Periodic, dof_shape
+from expfem.mesh import Dirichlet, Periodic, dof_shape
 from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
@@ -22,7 +22,7 @@ from helpers import (dense_euler_step, dense_rk2_step, full_reaction, rel_err,
 
 
 def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None,
-             bc=HomogeneousDirichlet()):
+             bc=Dirichlet()):
     return Problem(
         name="inline",
         diffusion=diffusion,
@@ -405,7 +405,7 @@ def test_steps_with_neither_f_nor_a_source_make_no_transform(
         monkeypatch, periodic, scheme):
     calls = _count_transforms(monkeypatch)
     prob = _problem(None, dim=2,
-                    bc=Periodic() if periodic else HomogeneousDirichlet())
+                    bc=Periodic() if periodic else Dirichlet())
     run(prob, mesh_for(prob, (8, 4)),
         SchemeConfig(dt=0.01, T=0.05, scheme=scheme))
     assert calls == {"forward": 1, "inverse": 0}

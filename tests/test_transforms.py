@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 
 from expfem import transforms
-from expfem.mesh import HomogeneousDirichlet, Partition1D, Periodic, dof_shape
+from expfem.mesh import Dirichlet, Partition1D, Periodic, dof_shape
 from expfem.transforms import (DENSE_DST_POINTS, axis_spectrum,
                                forward_transform, inverse_transform,
                                modal_shape, sine_transform)
@@ -11,18 +11,18 @@ from expfem.transforms import (DENSE_DST_POINTS, axis_spectrum,
 from helpers import (basis_matrix, build_axis_matrices, make_mesh,
                      mode_multiply, rel_err)
 
-BCS = [HomogeneousDirichlet(), Periodic()]
+BCS = [Dirichlet(), Periodic()]
 
 
 def test_axis_matrices_single_interior_node():
-    A, B = build_axis_matrices(Partition1D(0, 1, 2), HomogeneousDirichlet())
+    A, B = build_axis_matrices(Partition1D(0, 1, 2), Dirichlet())
     assert np.allclose(A, [[1.0 / 3.0]], rtol=1e-15)
     assert np.allclose(B, [[4.0]], rtol=1e-15)
 
 
 def test_axis_matrices_dirichlet_tridiagonal():
     p = Partition1D(0, 1, 4)
-    A, B = build_axis_matrices(p, HomogeneousDirichlet())
+    A, B = build_axis_matrices(p, Dirichlet())
     h = p.h
     assert np.allclose(A, (h / 6) * np.array(
         [[4, 1, 0], [1, 4, 1], [0, 1, 4]]), rtol=1e-15)
@@ -40,7 +40,7 @@ def test_axis_matrices_periodic_corners():
 
 def test_axis_spectrum_single_mode():
     mass, stiffness = axis_spectrum(Partition1D(0, 1, 2),
-                                    HomogeneousDirichlet())
+                                    Dirichlet())
     assert np.allclose(mass, [1.0 / 3.0], rtol=1e-14)
     assert np.allclose(stiffness, [4.0], rtol=1e-14)
 
@@ -63,7 +63,7 @@ def test_periodic_constant_mode_is_stationary():
 
 def test_dirichlet_spectrum_value():
     p = Partition1D(0, 1, 4)
-    _, stiffness = axis_spectrum(p, HomogeneousDirichlet())
+    _, stiffness = axis_spectrum(p, Dirichlet())
     assert abs(stiffness[0] - 16 * np.sin(np.pi / 8) ** 2) < 1e-12
 
 
@@ -84,7 +84,7 @@ SINE_MODE_1 = np.sqrt(0.5) * np.array(
 
 
 def test_forward_unit_vector():
-    mesh = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [4], Dirichlet())
     out = forward_transform(np.array([1.0, 0.0, 0.0]), mesh)
     assert np.allclose(out, SINE_MODE_1, rtol=1e-14)
 
@@ -92,7 +92,7 @@ def test_forward_unit_vector():
 def test_forward_twice_is_identity():
     rng = np.random.default_rng(5)
     for n in (2, 3, 8, 17, 32):
-        mesh = make_mesh([(0, 1)], [n], HomogeneousDirichlet())
+        mesh = make_mesh([(0, 1)], [n], Dirichlet())
         u = rng.standard_normal(dof_shape(mesh))
         twice = forward_transform(forward_transform(u, mesh), mesh)
         assert rel_err(twice, u) < 1e-13
@@ -121,7 +121,7 @@ def test_round_trip_inverse():
             back = inverse_transform(forward_transform(u, mesh), mesh)
             assert rel_err(back, u) < 1e-12
             # sine example round-trips back to the unit vector too
-    mesh = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [4], Dirichlet())
     assert rel_err(inverse_transform(SINE_MODE_1, mesh), [1.0, 0.0, 0.0]) < 1e-13
 
 
@@ -140,7 +140,7 @@ def test_fast_transforms_match_dense_realization():
 
 
 def test_transform_shape_mismatch():
-    mesh = make_mesh([(0, 1)], [4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1)], [4], Dirichlet())
     with pytest.raises(ValueError):
         forward_transform(np.zeros(4), mesh)
     with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ def test_spectral_positivity_ratio():
     # stiffness/mass ratios strictly positive for every Dirichlet mode
     for n in (2, 5, 16, 32):
         mass, stiffness = axis_spectrum(Partition1D(0, 1, n),
-                                        HomogeneousDirichlet())
+                                        Dirichlet())
         assert np.all(stiffness / mass > 0)
 
 
@@ -230,7 +230,7 @@ def test_sine_matrix_is_symmetric_and_its_own_inverse(n):
 
 def test_mixed_short_and_long_axes_match_dense_realization():
     rng = np.random.default_rng(8)
-    bc = HomogeneousDirichlet()
+    bc = Dirichlet()
     mesh = make_mesh([(0, 1), (0, 2)], [200, 8], bc)
     u = rng.standard_normal(dof_shape(mesh))
     dense = u

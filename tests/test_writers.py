@@ -3,8 +3,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from expfem.analysis import StudyRow
-from expfem.mesh import (Dirichlet, HomogeneousDirichlet, Periodic, dof_shape,
-                         extend_nodal)
+from expfem.mesh import Dirichlet, Periodic, dof_shape, extend_nodal
 from expfem.writers import (REPORT_HEADER, format_number, write_report_csv,
                             write_series_csv, write_snapshot)
 
@@ -68,7 +67,7 @@ def test_series_csv(tmp_path):
 
 
 def test_snapshot_dirichlet_includes_boundary(tmp_path):
-    mesh = make_mesh([(0, 1), (0, 1)], [4, 4], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1), (0, 1)], [4, 4], Dirichlet())
     path = tmp_path / "snap.vtk"
     write_snapshot(np.full((3, 3), 2.5), mesh, 0.0, path)
     lines = path.read_text().splitlines()
@@ -97,7 +96,7 @@ def test_snapshot_constant_field(tmp_path):
 
 
 def test_snapshot_x_fastest_order(tmp_path):
-    mesh = make_mesh([(0, 1), (0, 1)], [4, 2], HomogeneousDirichlet())
+    mesh = make_mesh([(0, 1), (0, 1)], [4, 2], Dirichlet())
     U = np.zeros((3, 1))
     U[:, 0] = [1.0, 2.0, 3.0]
     path = tmp_path / "order.vtk"
@@ -165,7 +164,7 @@ def snapshot_cases(draw):
     axis = st.tuples(st.floats(-10, 10), st.floats(0.1, 10),
                      st.integers(*SUBDIVISIONS[dim]))
     axes = draw(st.lists(axis, min_size=dim, max_size=dim))
-    bc = draw(st.sampled_from([Periodic(), HomogeneousDirichlet(),
+    bc = draw(st.sampled_from([Periodic(), Dirichlet(),
                                Dirichlet(_trace)]))
     mesh = make_mesh([(a, a + length) for a, length, _ in axes],
                      [n for _, _, n in axes], bc)
