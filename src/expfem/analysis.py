@@ -69,19 +69,42 @@ def _slice_sum(weights, x):
 
 
 def error_norms(U, mesh, exact, t):
-    """(L2, H1) distance between the interpolant of U and `exact` at time t."""
+    """(L2, H1) distance between the interpolant of U and `exact` at time t.
+
+    The square of an error above about 1e154 overflows, though the norms
+    may be finite.  When a sum of squares overflows, both sums are taken
+    again with each error scaled by 2^-600 before it is squared, and the
+    norms are scaled back.  An error that is itself inf or nan, or whose
+    subtraction overflows, gives an inf or nan norm.
+    """
     full = extend_nodal(U, mesh, t)
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        l2_sq, grad_sq = _error_squares(full, mesh, exact, t)
+    if l2_sq + grad_sq == math.inf:
+        # an exact power of two: a scaled error rounds as it does unscaled,
+        # and the square of the largest float scaled by it is finite
+        scale = 2.0 ** -600
+        l2_sq, grad_sq = _error_squares(
+            full, mesh, exact, t, lambda x, out: np.square(x * scale, out=out))
+    return math.sqrt(l2_sq) / scale, math.sqrt(l2_sq + grad_sq) / scale
+
+
+def _error_squares(full, mesh, exact, t, square=np.square):
+    """Gauss integrals of the squared error and of the squared gradient
+    error of the interpolant of a full-grid nodal tensor, each error
+    squared in place by `square`."""
     l2_sq = grad_sq = 0.0
     for vals, slopes, coords, weights in gauss_slices(
             full, mesh.partitions, GAUSS_POINTS, slopes=True):
         vals -= exact(t, coords)
-        l2_sq += _slice_sum(weights, np.square(vals, out=vals))
+        l2_sq += _slice_sum(weights, square(vals, out=vals))
         for a, slope in enumerate(slopes):
             # a transverse slope's length-1 point axis widens only where
             # the exact gradient varies along it
             diff = slope - _exact_gradient(exact, t, coords, a)
-            grad_sq += _slice_sum(weights, np.square(diff, out=diff))
-    return math.sqrt(l2_sq), math.sqrt(l2_sq + grad_sq)
+            grad_sq += _slice_sum(weights, square(diff, out=diff))
+    return l2_sq, grad_sq
 
 
 def _modal_quadratics(U, mesh):

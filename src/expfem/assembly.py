@@ -17,11 +17,13 @@ axis that has it on a face; each axis' share loads only the owned node
 layer next to each of its two faces, and such a layer transforms as
 one basis column times a (d-1)-D transform of the layer.  So
 `boundary_correction` builds the load from one evaluation of the trace
-per axis and adds it to the modal load directly, without a full-grid
-tensor or a full-size transform; what stays the same from call to call
-(scalars, basis columns, a zeroed buffer) is built once per run in
-`LoadContext`.  The tests check all of this against a dense
-kron-product oracle of the same semi-discretization.
+per axis (`mesh.trace_on_faces`) and adds it to the modal load directly,
+without a full-grid tensor or a full-size transform; what stays the
+same from call to call (scalars, basis columns, a zeroed buffer) is
+built once per run in `LoadContext`, the basis columns by
+`sine_transform` of unit vectors, so this module restates no basis.
+The tests check all of this against a dense kron-product oracle of the
+same semi-discretization.
 """
 
 import functools
@@ -30,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import (_boundary_faces, axis_layout, dof_shape, element_pair,
-                   interior_mass_stencil, node_grids)
+from .mesh import (_boundary_faces, dof_shape, element_pair,
+                   interior_mass_stencil, node_grids, trace_on_faces)
 from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible
 from .transforms import _CHUNK, forward_transform, modal_shape, sine_transform
@@ -85,10 +87,10 @@ class _AxisLift(NamedTuple):
     D alpha_c / m_c per other axis c) its other-axis sweeps.  `pair` is
     zero but for `share`, which each call overwrites.  `face_scale` is
     the outer product of the other axes' reciprocal mass eigenvalues,
-    `columns` the F-ordered (modes, 2) pair of the boundary column (the
-    transform of a unit vector at the first owned node, times a's
-    reciprocal mass eigenvalues) and its (-1)^k twin, and `view` G's
-    shape as (before a, modes, after a).
+    `columns` the (modes, 2) boundary columns of axis a (the transforms
+    of the unit vectors at its first and last owned node, times its
+    reciprocal mass eigenvalues), and `view` G's shape as (before a,
+    modes, after a).
     """
 
     axis: int
@@ -123,14 +125,9 @@ def _axis_lift(mesh, diffusion, op, a):
     pair = np.zeros([2] + [2 if c == a else p.n + 1
                            for c, p in enumerate(parts)])
     inv_mass = [w.ravel() for w in op.inv_mass]
-    N = parts[a].n
-    # the first sine basis vector, sqrt(2/N) sin(k pi / N) at the owned k
-    nodes = axis_layout(parts[a], mesh.bc)[0]
-    column = inv_mass[a] * math.sqrt(2.0 / N) * np.sin(
-        np.arange(nodes.start, nodes.stop) * (np.pi / N))
-    twin = column.copy()
-    twin[1::2] *= -1.0
     shape = dof_shape(mesh)
+    ends = np.zeros((2, shape[a]))
+    ends[0, 0] = ends[1, -1] = 1.0
     return _AxisLift(
         axis=a,
         mass=front * m_a.factor * m_a.off,
@@ -141,7 +138,7 @@ def _axis_lift(mesh, diffusion, op, a):
         share=pair[(slice(None),) + (slice(1, -1),) * a],
         face_scale=functools.reduce(
             np.multiply.outer, inv_mass[:a] + inv_mass[a + 1:], np.ones(())),
-        columns=np.array([column, twin]).T,
+        columns=(sine_transform(ends, axes=(1,)) * inv_mass[a]).T,
         view=(math.prod(shape[:a]), shape[a], math.prod(shape[a + 1:])))
 
 
@@ -178,14 +175,8 @@ def _trace_faces(ctx, t):
     """g and dg/dt on each axis' share of the boundary: the real part and
     the complex step of one evaluation of the trace at time t + i h per
     axis."""
-    g, gdot = [], []
-    for face, shape in ctx.faces:
-        # broadcast last, so a trace constant along some face axes is
-        # divided over its own values only
-        vals = np.asarray(ctx.mesh.bc.trace(t + 1j * COMPLEX_STEP, face))
-        g.append(np.broadcast_to(vals.real, shape))
-        gdot.append(np.broadcast_to(vals.imag / COMPLEX_STEP, shape))
-    return g, gdot
+    vals = trace_on_faces(ctx.mesh, t + 1j * COMPLEX_STEP, ctx.faces)
+    return [v.real for v in vals], [v.imag / COMPLEX_STEP for v in vals]
 
 
 def _layer_corrections(lift, g, gdot):
@@ -232,11 +223,11 @@ def boundary_correction(ctx, t, G):
     the nodes of its faces that lie on no face of an earlier axis.  Each
     share loads only the owned layers next to its two faces.  The layer
     at owned index 0 along a transforms as the boundary column of a
-    times the (d-1)-D transform of the layer; the layer at the far end
-    takes the same column times (-1)^k, which on an axis with one owned
-    layer is the same column.  The reciprocal mass eigenvalues fold into
-    the column and, in place, the faces.  A call costs one trace
-    evaluation, face-sized sweeps and transforms, and one in-place
+    times the (d-1)-D transform of the layer, and the layer at the far
+    end as the column of the last owned node; on an axis with one owned
+    layer the two columns are the same.  The reciprocal mass eigenvalues
+    fold into the columns and, in place, the faces.  A call costs one
+    trace evaluation, face-sized sweeps and transforms, and one in-place
     update of G per axis; G must be C-contiguous.
     """
     if not G.flags.c_contiguous:
@@ -253,24 +244,22 @@ def boundary_correction(ctx, t, G):
 
 def _add_column_faces(G, lift, faces):
     """G += columns[:, 0] (x) faces[0] + columns[:, 1] (x) faces[1] along
-    the lift's axis, in place.
+    the lift's axis, in place, chunk by chunk: each chunk adds a numpy
+    matrix product of about `_CHUNK` entries, so no state-sized
+    temporary is built.
 
-    G is viewed as (before a, modes, after a).  On the first or the last
-    axis it is one matrix, C-ordered (modes, after a) or (before a,
-    modes), which read F-ordered is its transpose; one `dgemm` with
-    beta = 1 adds the rank-two product into that memory.  On a middle
-    axis the product is added chunk by chunk, each a matrix product of
-    about `_CHUNK` entries, so no state-sized temporary is built.
+    G is viewed as (before a, modes, after a).  On the last axis it is
+    one (before a, modes) matrix, and a chunk of its rows adds one
+    (rows, 2) x (2, modes) product.  On the other axes a chunk is a
+    stack of (modes, after a) blocks over a run of modes, each adding a
+    (modes, 2) x (2, after a) product.
     """
     pre, n, post = lift.view
-    if pre == 1 or post == 1:
-        # imported here: scipy.linalg costs about 6 MiB of resident
-        # memory, which runs without a lifting do not pay
-        from scipy.linalg.blas import dgemm
-        rows = faces.reshape(2, pre * post).T
-        x, y = (lift.columns, rows) if post == 1 else (rows, lift.columns)
-        dgemm(1.0, x, y, beta=1.0, c=G.reshape(len(y), len(x)).T,
-              trans_b=1, overwrite_c=1)
+    if post == 1:
+        rows, faces = G.reshape(pre, n), faces.reshape(2, pre).T
+        span = max(1, _CHUNK // n)
+        for r in range(0, pre, span):
+            rows[r:r + span] += faces[r:r + span] @ lift.columns.T
         return
     modes = G.reshape(pre, n, post)
     faces = faces.reshape(2, pre, post).swapaxes(0, 1)

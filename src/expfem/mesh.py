@@ -11,8 +11,9 @@ or there is no boundary.  `Dirichlet` meshes own the interior nodes
 (node N is identified with 0) and step in the Fourier basis.
 `axis_layout` is the one rule of which nodes an axis owns and the
 period of the kind's extension, 2N (odd) or N (Fourier); the dof
-shape, the owned coordinates, the transforms' spectrum and the
-lifting's boundary column all read it.
+shape, the owned coordinates and the transforms' spectrum read it.
+`trace_on_faces` is the one evaluation of a trace on the boundary, for
+the full-grid extension, the state check and the lifting.
 """
 
 from dataclasses import dataclass
@@ -115,7 +116,8 @@ def extend_nodal(U, mesh, t=0.0):
     by the kind's `ends`.
 
     Fourier fields wrap node N back to node 0; the other kinds fill their
-    end nodes with the trace, or zeros when it is None.
+    end nodes with the trace at t (`trace_on_faces`, each boundary node
+    once), or zeros when it is None.
     """
     U = np.asarray(U, dtype=float)
     if list(U.shape) != dof_shape(mesh):
@@ -123,7 +125,10 @@ def extend_nodal(U, mesh, t=0.0):
     out = np.pad(U, [mesh.bc.ends] * mesh.dim,
                  mode="wrap" if mesh.bc.fourier else "constant")
     if mesh.bc.trace is not None:
-        _fill_boundary(out, mesh, t)
+        for a, vals in enumerate(
+                trace_on_faces(mesh, t, _boundary_faces(mesh))):
+            ends = slice(None, None, mesh.partitions[a].n)
+            out[(slice(1, -1),) * a + (ends,)] = vals
     return out
 
 
@@ -176,13 +181,12 @@ def _boundary_faces(mesh):
     return faces
 
 
-def _fill_boundary(full, mesh, t):
-    """Write the mesh's trace g(t, xs) onto the boundary of a full-grid
-    Dirichlet tensor, one assignment per axis, each boundary node once."""
-    for a, (face, shape) in enumerate(_boundary_faces(mesh)):
-        ends = slice(None, None, mesh.partitions[a].n)
-        full[(slice(1, -1),) * a + (ends,)] = np.broadcast_to(
-            mesh.bc.trace(t, face), shape)
+def trace_on_faces(mesh, t, faces):
+    """The mesh's trace g(t, xs) on each axis' share of the boundary, one
+    evaluation per axis on its grid of `faces` (`_boundary_faces`), each
+    broadcast to its face's shape; t may be complex."""
+    return [np.broadcast_to(mesh.bc.trace(t, face), shape)
+            for face, shape in faces]
 
 
 def aspect_ratio(mesh):

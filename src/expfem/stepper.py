@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LoadContext, initial_state, transformed_load
-from .mesh import _boundary_faces, aspect_ratio
+from .mesh import _boundary_faces, aspect_ratio, trace_on_faces
 from .operator import phi_tensor
 from .problems import NonlinearityDomainError, check_admissible
 from .transforms import forward_transform, inverse_transform
@@ -222,13 +222,13 @@ def observation_steps(every, nsteps):
 def check_state(U, problem, mesh, t):
     """Check a nodal state at time t that leaves the solver against the
     problem's `admissible_range`: its owned nodes and, on a lifted mesh,
-    the trace on the boundary, which `mesh.extend_nodal` adds to it for a
-    snapshot or an error norm."""
+    the trace on each boundary node (`mesh.trace_on_faces`, the values
+    that `mesh.extend_nodal` adds to it for a snapshot or an error
+    norm)."""
     check_admissible(U, problem.admissible_range)
     if mesh.bc.trace is not None:
-        for face, _ in _boundary_faces(mesh):
-            check_admissible(np.asarray(mesh.bc.trace(t, face)),
-                             problem.admissible_range)
+        for vals in trace_on_faces(mesh, t, _boundary_faces(mesh)):
+            check_admissible(vals, problem.admissible_range)
 
 
 def run(problem, mesh, cfg, observers=(), step_times=None):

@@ -34,8 +34,7 @@ from .mesh import axis_layout, dof_shape, element_pair
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
 # entries per block of the chunked products here and in the lifting's
-# add along a middle axis (`assembly`), so no state-sized temporary is
-# built
+# adds (`assembly`), so no state-sized temporary is built
 _CHUNK = 1 << 14
 
 

@@ -48,6 +48,43 @@ def test_error_norms_constant_shift_periodic():
     assert abs(l2 - c * math.sqrt(2.0)) < 1e-12
 
 
+def test_error_norms_of_a_huge_error_are_finite():
+    # the squares of an error of 1e200 overflow, the norms do not: a
+    # constant error on [0, 1] is its own L2 norm and has no gradient
+    mesh = make_mesh([(0, 1)], [8], Dirichlet())
+    big = 1e200 * math.exp(0.25)
+    l2, h1 = error_norms(np.zeros(7), mesh,
+                         lambda t, xs: 1e200 * np.exp(t) + 0.0 * xs[0], 0.25)
+    assert abs(l2 - big) / big < 1e-14
+    assert abs(h1 - big) / big < 1e-14
+
+
+def test_error_norms_scale_exactly_by_a_power_of_two():
+    # scaling U, the trace and the exact solution by 2^700 makes the
+    # squares overflow; the rescaled sums give the norms times 2^700 to
+    # the bit
+    scale = 2.0 ** 700
+    exact = lambda t, xs: np.sin(3.0 * xs[0] + t) * np.cos(xs[1])
+    scaled = lambda t, xs: scale * exact(t, xs)
+    U = np.random.default_rng(5).standard_normal((5, 3))
+    norms = error_norms(
+        U, make_mesh([(0, 1), (0, 2)], [6, 4], Dirichlet(exact)), exact, 0.3)
+    big = error_norms(
+        scale * U, make_mesh([(0, 1), (0, 2)], [6, 4], Dirichlet(scaled)),
+        scaled, 0.3)
+    assert math.isfinite(big[1])
+    assert big == (scale * norms[0], scale * norms[1])
+
+
+@pytest.mark.parametrize("value, norm", [(math.inf, math.inf),
+                                         (math.nan, math.nan)])
+def test_error_norms_of_a_non_finite_error_stay_non_finite(value, norm):
+    mesh = make_mesh([(0, 1), (0, 2)], [4, 3], Dirichlet())
+    l2, h1 = error_norms(np.zeros((3, 2)), mesh,
+                         lambda t, xs: value + 0.0 * xs[0], 0.0)
+    assert [l2, h1] == pytest.approx([norm, norm], nan_ok=True)
+
+
 def test_error_norms_quadrature_order_stability(monkeypatch):
     # smooth error field: zero numerical solution against the smooth exact
     prob = builtin_linear_rd()

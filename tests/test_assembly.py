@@ -246,8 +246,8 @@ def _traced_problem(domain, moving=True):
 LONG = DENSE_DST_POINTS + 6
 
 
-# every axis the first, a middle and the last one (the first and last add
-# in one in-place BLAS update, a middle one in chunks), with one owned
+# every axis the first, a middle and the last one (the last adds in chunks
+# of rows, the others in chunks of stacked blocks), with one owned
 # layer (n = 2) and with more owned nodes than DENSE_DST_POINTS (its
 # faces' transforms take pocketfft)
 @pytest.mark.parametrize("domain, subs", [
@@ -291,8 +291,8 @@ def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
 @pytest.mark.parametrize("subs", [(8,), (6, 4), (4, 3, 5), (5, 2, 3)])
 def test_boundary_correction_in_chunks_matches_dense_oracle(
         monkeypatch, subs, chunk):
-    # chunks far below the test states' size run every loop of a middle
-    # axis' add; the first and last axes add in one BLAS update
+    # chunks far below the test states' size run every loop of each
+    # axis' add
     monkeypatch.setattr(assembly, "_CHUNK", chunk)
     domain = ((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3))[:len(subs)]
     prob, g_t = _traced_problem(domain)

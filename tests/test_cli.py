@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import expfem
 from expfem import cli
 from expfem.cli import main
 
@@ -508,6 +514,37 @@ def test_trace_singular_at_a_snapshot_is_a_domain_error(tmp_path, capsys):
     assert code == 3
     assert "domain error: step 0: state value -inf" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_a_lifted_run_loads_no_scipy_linalg(tmp_path):
+    # scipy.linalg would cost every lifted run about 6 MiB of resident
+    # memory; the tests import it themselves, so the run gets a fresh
+    # interpreter
+    cfg = _write(tmp_path, 'mode = "run"\nproblem = "allen_cahn_wave"\n'
+                 'nt = 2\n[domain]\nn = [16, 2, 2]\n')
+    script = ("import sys\nfrom expfem.cli import main\n"
+              "code = main(['run', '--config', sys.argv[1], '--out',"
+              " sys.argv[2], '--quiet'])\n"
+              "print(code, 'scipy.linalg' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(expfem.__file__).parent.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "False"]
+    assert (tmp_path / "out" / "series.csv").exists()
+
+
+def test_huge_finite_errors_are_reported_finite(tmp_path, capsys):
+    # the squares of errors near 1e200 overflow, the norms do not; a
+    # RuntimeWarning of the overflow would fail the test
+    text = RUN_CFG.replace('u0 = "sin(pi * x)"', 'u0 = "0 * x"').replace(
+        'exact = "exp(-(0.5 * pi^2 + 1) * t) * sin(pi * x)"',
+        'exact = "1e200 * exp(t)"')
+    assert main(["run", "--config", _write(tmp_path, text),
+                 "--out", str(tmp_path)]) == 0
+    assert ("errors at T: L2 1.28403e+200, H1 1.28403e+200"
+            in capsys.readouterr().out)
 
 
 def test_non_finite_exact_solution_gives_non_finite_errors(tmp_path, capsys):

@@ -1,18 +1,19 @@
 """Every module of the package and the tests uses each name it imports,
-every top-level function and class of the package is used in it, only
-`transforms` imports `scipy.fft`, `scipy.linalg` is imported once,
-inside a function of `assembly`, and the admissibility rule lives in
-one place: only `problems.check_admissible` builds a
-`NonlinearityDomainError`, and only `assembly.transformed_load` calls a
-problem's reaction `.f`.  No module of the package tests the class of a
-boundary kind with `isinstance`.  Every name of the package that the
-benchmark under `perfbench/` reads exists.
+every top-level function and class of the package is used in it, the
+package imports nothing but the standard library, numpy, `scipy.fft`
+and itself, only `transforms` imports `scipy.fft`, and the
+admissibility rule lives in one place: only `problems.check_admissible`
+builds a `NonlinearityDomainError`, and only `assembly.transformed_load`
+calls a problem's reaction `.f`.  No module of the package tests the
+class of a boundary kind with `isinstance`.  Every name of the package
+that the benchmark under `perfbench/` reads exists.
 
 No linter runs on this repository, so this is the check.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 from expfem.problems import BUILTIN_FACTORIES
@@ -43,8 +44,8 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-# perfbench's tracer wraps `quadrature.apply_matrix` (ROADMAP items 1 and
-# 10): it stays until the tracer target and its metrics go with it
+# perfbench's tracer wraps `quadrature.apply_matrix` (ROADMAP item 1): it
+# stays until the tracer target and its metrics go with it
 UNREFERENCED_ALLOWED = {"quadrature.apply_matrix"}
 
 
@@ -102,23 +103,37 @@ def test_only_transforms_imports_scipy_fft():
     assert not others, f"modules that import scipy.fft: {others}"
 
 
-def test_scipy_linalg_is_imported_only_inside_the_lifting():
-    # scipy.linalg costs about 6 MiB of resident memory, which a run
-    # without a Dirichlet lifting must not pay: no module imports it at
-    # load time, and one function of `assembly` imports it when called
-    at_load, in_functions = [], []
-    for path in sorted((ROOT / "src" / "expfem").rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        inner = {id(node)
-                 for func in ast.walk(tree)
-                 if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 for node in _imports_of("scipy.linalg", func)}
-        for node in _imports_of("scipy.linalg", tree):
-            where = in_functions if id(node) in inner else at_load
-            where.append(f"{path.name}:{node.lineno}")
-    assert not at_load, f"module-level scipy.linalg imports: {at_load}"
-    assert [name.partition(":")[0] for name in in_functions] == [
-        "assembly.py"], f"function-level scipy.linalg imports: {in_functions}"
+# the package's dependencies: numpy and, of scipy, `scipy.fft` alone
+# (loading scipy.linalg would cost a run about 6 MiB of resident memory)
+ALLOWED_IMPORTS = ("numpy", "scipy.fft", "expfem")
+
+
+def _disallowed_imports(path):
+    """Each module a file imports, `from` imports as `module.name`, that is
+    neither in the standard library nor under `ALLOWED_IMPORTS`, with its
+    line number; relative imports are the package's own."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if name.partition(".")[0] not in sys.stdlib_module_names
+                  and not any(name == allowed or name.startswith(allowed + ".")
+                              for allowed in ALLOWED_IMPORTS)]
+    return found
+
+
+def test_the_package_imports_only_the_stdlib_numpy_and_scipy_fft():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "expfem").rglob("*.py"))
+             for name, line in _disallowed_imports(path)]
+    assert not found, "imports outside the package's dependencies:\n" + (
+        "\n".join(found))
 
 
 def _calling_functions(matches):

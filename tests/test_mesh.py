@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
-                         dof_shape, element_pair, extend_nodal,
-                         interior_mass_stencil, node_grids)
+                         _boundary_faces, dof_shape, element_pair,
+                         extend_nodal, interior_mass_stencil, node_grids)
 
 from helpers import make_mesh, rel_err
 
@@ -95,3 +95,21 @@ def test_interior_mass_stencil_matches_tridiagonal_rows(shape):
         xt = x.T
         got = interior_mass_stencil(xt, xt.ndim - 1 - axis)
         assert rel_err(got, expected.T) < 1e-14
+
+
+@pytest.mark.parametrize("subs", [(2,), (5,), (2, 2), (4, 3), (2, 3, 2),
+                                  (3, 4, 5)])
+def test_boundary_faces_cover_each_boundary_node_once(subs):
+    # the shares of the boundary that the trace is evaluated on: every
+    # full-grid boundary node in exactly one face grid, no interior node
+    bounds = [(0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)][:len(subs)]
+    mesh = make_mesh(bounds, subs, Dirichlet(lambda t, xs: 0.0 * xs[0]))
+    counts = np.zeros([n + 1 for n in subs], dtype=int)
+    for face, shape in _boundary_faces(mesh):
+        nodes = [np.rint((np.ravel(x) - p.a) / p.h).astype(int)
+                 for x, p in zip(face, mesh.partitions)]
+        assert tuple(map(len, nodes)) == shape
+        counts[np.ix_(*nodes)] += 1
+    boundary = np.ones_like(counts)
+    boundary[(slice(1, -1),) * mesh.dim] = 0
+    assert np.array_equal(counts, boundary)

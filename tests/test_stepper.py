@@ -269,6 +269,32 @@ def test_an_observed_state_outside_the_admissible_range_stops_the_run():
     assert 1.0 < abs(exc.value.value) < 1.02
 
 
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("subs", [(4,), (4, 3), (3, 2, 4)])
+def test_a_trace_outside_the_range_at_one_corner_fails_the_state_check(
+        subs, end):
+    # the trace leaves (-1, 1) at one corner node of the box alone
+    bounds = ((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3))[:len(subs)]
+
+    def trace(t, xs):
+        corner = functools.reduce(np.logical_and, [
+            np.isclose(x, b[end], rtol=0.0, atol=1e-12)
+            for x, b in zip(xs, bounds)])
+        return np.where(corner, 5.0, 0.5)
+
+    prob = Problem(name="corner", diffusion=1.0, f=None, domain=bounds,
+                   bc=Dirichlet(trace), admissible_range=(-1.0, 1.0))
+    mesh = mesh_for(prob, subs)
+    with pytest.raises(NonlinearityDomainError) as exc:
+        stepper.check_state(np.zeros(dof_shape(mesh)), prob, mesh, 0.0)
+    assert exc.value.value == 5.0
+    # the same trace but for the corner passes
+    inside = dataclasses.replace(prob, bc=Dirichlet(
+        lambda t, xs: np.minimum(trace(t, xs), 0.5)))
+    stepper.check_state(np.zeros(dof_shape(mesh)), inside,
+                        mesh_for(inside, subs), 0.0)
+
+
 def test_domain_error_reports_step_index():
     prob = builtin_flory_huggins(seed=3)
     mesh = mesh_for(prob, (4, 4, 4))
