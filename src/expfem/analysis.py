@@ -35,11 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import dof_shape, extend_nodal
-from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
 from .quadrature import gauss_slices
 from .stepper import SchemeConfig, check_state, run
-from .transforms import forward_transform, inverse_transform
+from .transforms import axis_spectrum, forward_transform, inverse_transform
 
 GAUSS_POINTS = 3  # per axis, for the error norms and the mixing integral
 
@@ -112,19 +111,26 @@ def _modal_quadratics(U, mesh):
     an owned-node tensor on an unlifted mesh, by Parseval.
 
     The orthonormal transform diagonalizes the mass M and the stiffness
-    K together, so u^T M u = sum_k m_k |c_k|^2 and u^T K u adds the rate
-    sum_a k_a / m_a to each weight.  A periodic half spectrum stands for
-    the conjugate of each last-axis column 1 ... (N+1)//2 - 1 as well; the
-    k = 0 and an even-N Nyquist column are their own conjugates.
+    K together, so u^T M u = sum_k w_k with w_k = |c_k|^2 prod_a m_a, and
+    u^T K u = sum_k w_k sum_a k_a / m_a: per axis, the 1D ratios
+    k_a / m_a against the sums of w over the other axes, so no rate
+    tensor is built.  A periodic half spectrum stands for the conjugate
+    of each last-axis column 1 ... (N+1)//2 - 1 as well; the k = 0 and an
+    even-N Nyquist column are their own conjugates.
     """
-    op = build_operator(mesh, 1.0)
     w = np.abs(forward_transform(U, mesh))
     np.square(w, out=w)
-    for inv_mass in op.inv_mass:
-        w /= inv_mass
+    spectra = [[s[:m] for s in axis_spectrum(p, mesh.bc)]
+               for p, m in zip(mesh.partitions, w.shape)]
+    for a, (mass, _) in enumerate(spectra):
+        w *= mass.reshape((-1,) + (1,) * (w.ndim - 1 - a))
     if mesh.bc.fourier:
         w[..., 1:(dof_shape(mesh)[-1] + 1) // 2] *= 2.0
-    return float(w.sum()), float(np.vdot(w, op.decay_rates))
+    grad_sq = 0.0
+    for a, (mass, stiffness) in enumerate(spectra):
+        others = tuple(b for b in range(w.ndim) if b != a)
+        grad_sq += float(w.sum(axis=others) @ (stiffness / mass))
+    return float(w.sum()), grad_sq
 
 
 def _mixing_integral(full, partitions):

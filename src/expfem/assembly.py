@@ -34,30 +34,36 @@ import numpy as np
 
 from .mesh import (_boundary_faces, dof_shape, element_pair,
                    interior_mass_stencil, node_grids, trace_on_faces)
-from .operator import build_operator
 from .problems import COMPLEX_STEP, check_admissible
-from .transforms import _CHUNK, forward_transform, modal_shape, sine_transform
+from .transforms import (_CHUNK, axis_spectrum, forward_transform, modal_shape,
+                         sine_transform)
 
 
 class LoadContext:
-    """Precomputed grids for evaluating loads on one problem/mesh pair.
+    """What the loads of one problem/mesh pair read: the node grids and
+    the owned node shape.
 
     Lifted (nonhomogeneous Dirichlet) meshes also keep the coordinates of
     each axis' share of the boundary and, in `lifts`, the per-run plan of
-    each axis' lifting (`_AxisLift`).  The transformed source profiles,
-    `source_modes`, are computed at the first load, not here.
+    each axis' lifting (`_AxisLift`), built from each axis' 1D reciprocal
+    mass eigenvalues; no modal rate tensor is kept.  The transformed
+    source profiles, `source_modes`, are computed at the first load, not
+    here.  A load frees the nodal state it reads before its transform
+    (`transformed_load`), so callers pass that state as a call
+    temporary.
     """
 
     def __init__(self, problem, mesh):
         self.problem = problem
         self.mesh = mesh
-        self.op = build_operator(mesh, problem.diffusion)
         self.grids = node_grids(mesh)
         self.shape = tuple(dof_shape(mesh))
         self.lifted = mesh.bc.trace is not None
         if self.lifted:
             self.faces = _boundary_faces(mesh)
-            self.lifts = [_axis_lift(mesh, problem.diffusion, self.op, a)
+            inv_mass = [1.0 / axis_spectrum(p, mesh.bc)[0]
+                        for p in mesh.partitions]
+            self.lifts = [_axis_lift(mesh, problem.diffusion, inv_mass, a)
                           for a in range(mesh.dim)]
 
     @functools.cached_property
@@ -105,9 +111,9 @@ class _AxisLift(NamedTuple):
     view: tuple
 
 
-def _axis_lift(mesh, diffusion, op, a):
-    """Build axis a's `_AxisLift`; the scalars are those of
-    `_layer_corrections`."""
+def _axis_lift(mesh, diffusion, inv_mass, a):
+    """Build axis a's `_AxisLift` from each axis' 1D reciprocal mass
+    eigenvalues; the scalars are those of `_layer_corrections`."""
     parts = mesh.partitions
     other = [c for c in range(mesh.dim) if c != a]
     scales, sweeps, kappa = [], [], 0.0
@@ -124,7 +130,6 @@ def _axis_lift(mesh, diffusion, op, a):
     m_a, k_a = element_pair(parts[a].h)
     pair = np.zeros([2] + [2 if c == a else p.n + 1
                            for c, p in enumerate(parts)])
-    inv_mass = [w.ravel() for w in op.inv_mass]
     shape = dof_shape(mesh)
     ends = np.zeros((2, shape[a]))
     ends[0, 0] = ends[1, -1] = 1.0
@@ -150,6 +155,10 @@ def transformed_load(ctx, t, U=None):
     with no f makes no transform, and one with neither f nor a source is
     zero but for the lifting.
 
+    The load drops its reference to U once the reaction has read it, so
+    a caller that passes U as a call temporary, not a named local, has
+    it freed before the load's forward transform.
+
     This is the one place a reaction f is evaluated, and U is checked
     against the problem's `admissible_range` before f reads it (see
     `problems.check_admissible`), so a state outside it raises
@@ -159,8 +168,10 @@ def transformed_load(ctx, t, U=None):
              in zip(problem.source, ctx.source_modes)]
     if problem.f is not None:
         check_admissible(U, problem.admissible_range)
-        loads.append(forward_transform(
-            _owned(problem.f(t, U, ctx.grids), ctx.shape), ctx.mesh))
+        reaction = problem.f(t, U, ctx.grids)
+        del U
+        loads.append(forward_transform(_owned(reaction, ctx.shape), ctx.mesh))
+        del reaction
     if loads:
         G = functools.reduce(np.add, loads)
     else:
@@ -174,9 +185,15 @@ def transformed_load(ctx, t, U=None):
 def _trace_faces(ctx, t):
     """g and dg/dt on each axis' share of the boundary: the real part and
     the complex step of one evaluation of the trace at time t + i h per
-    axis."""
-    vals = trace_on_faces(ctx.mesh, t + 1j * COMPLEX_STEP, ctx.faces)
-    return [v.real for v in vals], [v.imag / COMPLEX_STEP for v in vals]
+    axis.  The step divides the values the trace evaluated (each axis
+    they were broadcast along cut back to length 1) and is broadcast to
+    the face after, so g and dg/dt keep the trace's zero strides."""
+    g, gdot = [], []
+    for v in trace_on_faces(ctx.mesh, t + 1j * COMPLEX_STEP, ctx.faces):
+        core = v[tuple(slice(None) if s else slice(1) for s in v.strides)]
+        g.append(v.real)
+        gdot.append(np.broadcast_to(core.imag / COMPLEX_STEP, v.shape))
+    return g, gdot
 
 
 def _layer_corrections(lift, g, gdot):

@@ -39,7 +39,7 @@ from expfem.analysis import _exact_gradient
 from expfem.assembly import transformed_load
 from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
                          dof_shape, extend_nodal, full_axis_coordinates)
-from expfem.operator import PHI2_TAYLOR_CUTOFF, phi
+from expfem.operator import PHI2_TAYLOR_CUTOFF, build_operator, phi
 from expfem.problems import Problem
 from expfem.quadrature import apply_matrix, gauss_rule
 from expfem.stepper import SolverState
@@ -139,6 +139,12 @@ def dense_operator_matrices(mesh):
             term = np.kron(term, b_m if a == slot else a_m)
         K += term
     return M, K
+
+
+def operator_of(ctx):
+    """The modal operator of a `LoadContext`'s problem and mesh, as `run`
+    builds it for its weights (the context keeps none)."""
+    return build_operator(ctx.mesh, ctx.problem.diffusion)
 
 
 def inv_mass_product(op):

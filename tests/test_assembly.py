@@ -1,13 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from expfem import assembly
 from expfem.analysis import error_norms
-from expfem.assembly import (LoadContext, boundary_correction, initial_state,
-                             transformed_load)
+from expfem.assembly import (LoadContext, _trace_faces, boundary_correction,
+                             initial_state, transformed_load)
 from expfem.mesh import (Dirichlet, Periodic, dof_shape, extend_nodal,
-                         node_grids)
-from expfem.problems import (NonlinearityDomainError, Problem,
+                         node_grids, trace_on_faces)
+from expfem.problems import (COMPLEX_STEP, NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
 from expfem.transforms import (DENSE_DST_POINTS, forward_transform,
@@ -15,8 +17,8 @@ from expfem.transforms import (DENSE_DST_POINTS, forward_transform,
 
 from helpers import (build_axis_matrices, dense_boundary_load,
                      dense_semidiscrete_rhs, full_grids, inv_mass_product,
-                     make_mesh, mode_multiply, rel_err, traced_peak,
-                     wave_exact_dt)
+                     make_mesh, mode_multiply, operator_of, rel_err,
+                     traced_peak, wave_exact_dt)
 
 
 def _homogeneous_problem(f, dim=1, diffusion=1.0, u0=None):
@@ -176,7 +178,7 @@ def test_collapsed_load_equals_mass_route():
     ones = np.ones(dof_shape(mesh))
     G = transformed_load(ctx, 0.0, ones)
     A, _ = build_axis_matrices(mesh.partitions[0], mesh.bc)
-    explicit = inv_mass_product(ctx.op) * forward_transform(
+    explicit = inv_mass_product(operator_of(ctx)) * forward_transform(
         mode_multiply(A, ones, 0), mesh)
     assert rel_err(G, explicit) < 1e-13
     assert rel_err(G, forward_transform(ones, mesh)) < 1e-13
@@ -209,7 +211,7 @@ def test_boundary_correction_constant_left_trace():
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.0, G)
-    scale = inv_mass_product(ctx.op)
+    scale = inv_mass_product(operator_of(ctx))
     expected = scale * forward_transform([4.0, 0.0, 0.0], mesh)
     assert rel_err(G, expected) < 1e-14
 
@@ -277,7 +279,7 @@ def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
     for t in (0.0, 0.3, 1.7):
         G = np.zeros(modal_shape(mesh))
         boundary_correction(ctx, t, G)
-        dense = inv_mass_product(ctx.op) * forward_transform(
+        dense = inv_mass_product(operator_of(ctx)) * forward_transform(
             dense_boundary_load(ctx, t, g_t), mesh)
         assert rel_err(G, dense) < 1e-12
         loads.append(G)
@@ -300,7 +302,7 @@ def test_boundary_correction_in_chunks_matches_dense_oracle(
     ctx = LoadContext(prob, mesh)
     G = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.3, G)
-    dense = inv_mass_product(ctx.op) * forward_transform(
+    dense = inv_mass_product(operator_of(ctx)) * forward_transform(
         dense_boundary_load(ctx, 0.3, g_t), mesh)
     assert rel_err(G, dense) < 1e-12
 
@@ -370,7 +372,7 @@ def test_fast_rhs_matches_dense_oracle():
         ctx = LoadContext(prob, mesh)
         U = 0.3 * rng.standard_normal(dof_shape(mesh))
         dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
-        modal = (prob.linear - ctx.op.decay_rates) \
+        modal = (prob.linear - operator_of(ctx).decay_rates) \
             * forward_transform(U, mesh) + transformed_load(ctx, t, U)
         fast = inverse_transform(modal, mesh)
         assert rel_err(fast, dense) < 1e-10
@@ -383,7 +385,7 @@ def test_boundary_lifting_consistent_with_dense_wave():
     U = initial_state(prob, mesh)
     for t in (0.0, prob.T_default / 2):
         dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
-        modal = -ctx.op.decay_rates * forward_transform(U, mesh) \
+        modal = -operator_of(ctx).decay_rates * forward_transform(U, mesh) \
             + transformed_load(ctx, t, U)
         assert rel_err(inverse_transform(modal, mesh), dense) < 1e-10
 
@@ -395,7 +397,7 @@ def test_linear_reaction_on_eigenmode():
     coeffs = np.zeros(dof_shape(mesh))
     coeffs[2] = 1.0
     U = inverse_transform(coeffs, mesh)
-    rate = ctx.op.decay_rates[2]
+    rate = operator_of(ctx).decay_rates[2]
     dense = dense_semidiscrete_rhs(ctx, 0.0, U)
     assert rel_err(dense, -(rate + 1.0) * U) < 1e-10
 
@@ -438,3 +440,39 @@ def test_domain_error_carries_offending_value():
     with pytest.raises(NonlinearityDomainError) as exc:
         transformed_load(ctx, 0.0, U)
     assert exc.value.value == 1.25
+
+
+def test_load_frees_the_state_it_read_before_its_transform(monkeypatch):
+    # a step passes its nodal state as a call temporary, so the load's
+    # reference is the last one once the reaction has read it
+    prob = builtin_flory_huggins(seed=1)
+    mesh = mesh_for(prob, (6, 4, 4))
+    ctx = LoadContext(prob, mesh)
+    refs, alive = [], []
+
+    def nodal_state():
+        U = 0.5 * np.random.default_rng(4).uniform(-1, 1, dof_shape(mesh))
+        refs.append(weakref.ref(U))
+        return U
+
+    def forward(U, mesh):
+        alive.append(refs[0]() is not None)
+        return forward_transform(U, mesh)
+
+    monkeypatch.setattr(assembly, "forward_transform", forward)
+    transformed_load(ctx, 0.0, nodal_state())
+    assert alive == [False]
+
+
+def test_trace_faces_divide_before_they_broadcast():
+    # the wave's trace reads x alone, so the faces of the other axes are
+    # broadcast along them, and g and dg/dt stay broadcast views there
+    prob = builtin_allen_cahn_wave()
+    ctx = LoadContext(prob, mesh_for(prob, (16, 4, 6)))
+    g, gdot = _trace_faces(ctx, 0.3)
+    vals = trace_on_faces(ctx.mesh, 0.3 + 1j * COMPLEX_STEP, ctx.faces)
+    for a, v in enumerate(vals):
+        assert np.array_equal(g[a], v.real)
+        assert np.array_equal(gdot[a], v.imag / COMPLEX_STEP)
+        if a:
+            assert g[a].strides[1:] == gdot[a].strides[1:] == (0, 0)

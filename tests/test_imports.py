@@ -4,9 +4,10 @@ package imports nothing but the standard library, numpy, `scipy.fft`
 and itself, only `transforms` imports `scipy.fft`, and the
 admissibility rule lives in one place: only `problems.check_admissible`
 builds a `NonlinearityDomainError`, and only `assembly.transformed_load`
-calls a problem's reaction `.f`.  No module of the package tests the
-class of a boundary kind with `isinstance`.  Every name of the package
-that the benchmark under `perfbench/` reads exists.
+calls a problem's reaction `.f`.  Only `stepper.run` builds the modal
+operator.  No module of the package tests the class of a boundary kind
+with `isinstance`.  Every name of the package that the benchmark under
+`perfbench/` reads exists.
 
 No linter runs on this repository, so this is the check.
 """
@@ -172,6 +173,15 @@ def test_only_the_load_evaluates_a_reaction():
     assert _calling_functions(
         lambda func: isinstance(func, ast.Attribute) and func.attr == "f"
     ) == ["assembly.transformed_load"]
+
+
+def test_only_the_run_set_up_builds_an_operator():
+    # the steps read the weights alone, so the modal rate tensor lives
+    # through `run`'s set-up and no longer; the loads and the energy read
+    # the 1D spectra of `transforms.axis_spectrum`
+    assert _calling_functions(
+        lambda func: _names_read(func) & {"build_operator"}
+    ) == ["stepper.run"]
 
 
 BOUNDARY_KINDS = {"Dirichlet", "Periodic"}

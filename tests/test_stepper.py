@@ -17,8 +17,9 @@ from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
                             exp_euler_step, exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
 
-from helpers import (dense_euler_step, dense_rk2_step, full_reaction, rel_err,
-                     rk2_step_with_temporaries, traced_peak, wave_exact_dt)
+from helpers import (dense_euler_step, dense_rk2_step, full_reaction,
+                     operator_of, rel_err, rk2_step_with_temporaries,
+                     traced_peak, wave_exact_dt)
 
 
 def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None,
@@ -35,7 +36,7 @@ def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None,
 
 def _weights(ctx, dt, scheme, c2=0.5):
     """The weights `run` builds for a problem's steps."""
-    return StepWeights(ctx.op, dt, scheme, c2, linear=ctx.problem.linear)
+    return StepWeights(operator_of(ctx), dt, scheme, c2, linear=ctx.problem.linear)
 
 
 def test_zero_reaction_is_exact_modal_decay():
@@ -48,7 +49,7 @@ def test_zero_reaction_is_exact_modal_decay():
     w = _weights(ctx, dt, "euler")
     for _ in range(nsteps):
         state = exp_euler_step(state, ctx, dt, w)
-    expected = np.exp(-nsteps * dt * ctx.op.decay_rates) * forward_transform(
+    expected = np.exp(-nsteps * dt * operator_of(ctx).decay_rates) * forward_transform(
         initial_state(prob, mesh), mesh)
     assert rel_err(state.coeffs, expected) < 1e-13
 
@@ -69,7 +70,7 @@ def test_euler_step_scalar_duhamel():
                     u0=lambda xs: np.ones_like(xs[0]))
     mesh = mesh_for(prob, (2,))
     ctx = LoadContext(prob, mesh)
-    assert np.allclose(ctx.op.decay_rates, [12.0])
+    assert np.allclose(operator_of(ctx).decay_rates, [12.0])
     state = SolverState(0.0, forward_transform(np.ones(1), mesh))
     out = exp_euler_step(state, ctx, 0.1, _weights(ctx, 0.1, "euler"))
     lam, dt = 12.0, 0.1
@@ -86,7 +87,7 @@ def test_rk2_exact_for_reaction_linear_in_time():
                     u0=lambda xs: np.zeros_like(xs[0]))
     mesh = mesh_for(prob, (2,))
     ctx = LoadContext(prob, mesh)
-    assert np.allclose(ctx.op.decay_rates, [1.0], rtol=1e-13)
+    assert np.allclose(operator_of(ctx).decay_rates, [1.0], rtol=1e-13)
     exact = math.exp(-0.5) - 1.0 + 0.5
     for c2 in (0.5, 0.7, 1.0):
         state = SolverState(0.0, np.zeros(1))
@@ -212,7 +213,7 @@ def test_run_linear_heat_matches_exact_modal_decay():
     cfg = SchemeConfig(dt=0.01, T=1.0, scheme="rk2")
     state = run(prob, mesh, cfg)
     c0 = forward_transform(initial_state(prob, mesh), mesh)
-    expected = np.exp(-1.0 * ctx.op.decay_rates) * c0
+    expected = np.exp(-1.0 * operator_of(ctx).decay_rates) * c0
     assert rel_err(state.coeffs, expected) < 1e-12
 
 
@@ -352,7 +353,7 @@ def test_steps_leave_incoming_coefficients_unchanged(boundary, f, scheme):
     mesh = mesh_for(prob, (8, 6))
     ctx = LoadContext(prob, mesh)
     dt = 0.05
-    w = StepWeights(ctx.op, dt, scheme)
+    w = StepWeights(operator_of(ctx), dt, scheme)
     saved = {k: v.copy() for k, v in vars(w).items()
              if isinstance(v, np.ndarray)}
     c0 = forward_transform(initial_state(prob, mesh), mesh)
@@ -498,15 +499,23 @@ def test_rk2_step_gives_the_bits_of_its_products_with_temporaries(prob, subs):
         assert np.array_equal(state.coeffs, want.coeffs)
 
 
-@pytest.mark.parametrize("scheme, every, bound", [
-    ("rk2", None, 9.0), ("euler", None, 6.25), ("rk2", 1, 9.0)])
-def test_run_memory_stays_within_a_few_nodal_arrays(scheme, every, bound):
+@pytest.mark.parametrize("factory, subdivisions, scheme, every, bound", [
+    (builtin_flory_huggins, (32, 32, 32), "rk2", None, 8.0),
+    (builtin_flory_huggins, (32, 32, 32), "euler", None, 5.5),
+    (builtin_flory_huggins, (32, 32, 32), "rk2", 1, 8.0),
+    (builtin_allen_cahn_wave, (64, 8, 8), "rk2", None, 14.0)],
+    ids=["fh-rk2", "fh-euler", "fh-rk2-observed", "acw-rk2"])
+def test_run_memory_stays_within_a_few_nodal_arrays(factory, subdivisions,
+                                                    scheme, every, bound):
     # a run that kept the initial state, a phi1 beside rk2's b1, and the
     # stage and a stage_phi1 * G1 product through the second load peaked
     # at 11.0 (rk2) and 6.75 (Euler) nodal arrays; keeping the observed
-    # state through the next step adds one more
-    prob = builtin_flory_huggins()
-    mesh = mesh_for(prob, (32, 32, 32))
+    # state through the next step adds one more.  A run that kept the
+    # rate tensor through the steps and each load's nodal state through
+    # its transform peaked at 8.4 (rk2) and 5.75 (Euler), and the lifted
+    # wave at 15.35
+    prob = factory()
+    mesh = mesh_for(prob, subdivisions)
     cfg = SchemeConfig(dt=1e-4, T=3e-4, scheme=scheme)
     observers = [] if every is None else [(every, lambda n, t, U: None)]
     run(prob, mesh, cfg, observers)
