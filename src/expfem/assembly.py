@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import (_boundary_faces, dof_shape, element_pair,
-                   interior_mass_stencil, node_grids, trace_on_faces)
+from .mesh import (dof_shape, element_pair, interior_mass_stencil, node_grids,
+                   trace_on_faces)
 from .problems import COMPLEX_STEP, check_admissible
 from .transforms import (_CHUNK, axis_spectrum, forward_transform, modal_shape,
                          sine_transform)
@@ -43,12 +43,13 @@ class LoadContext:
     """What the loads of one problem/mesh pair read: the node grids and
     the owned node shape.
 
-    Lifted (nonhomogeneous Dirichlet) meshes also keep the coordinates of
-    each axis' share of the boundary and, in `lifts`, the per-run plan of
-    each axis' lifting (`_AxisLift`), built from each axis' 1D reciprocal
-    mass eigenvalues; no modal rate tensor is kept.  The transformed
-    source profiles, `source_modes`, are computed at the first load, not
-    here.  A load frees the nodal state it reads before its transform
+    Lifted (nonhomogeneous Dirichlet) meshes also keep, in `lifts`, the
+    per-run plan of each axis' lifting (`_AxisLift`), built from each
+    axis' 1D reciprocal mass eigenvalues; no modal rate tensor is kept,
+    and the lifting reads its boundary faces from the mesh
+    (`mesh.boundary_faces`).  The transformed source profiles,
+    `source_modes`, are computed at the first load, not here.  A load
+    frees the nodal state it reads before its transform
     (`transformed_load`), so callers pass that state as a call
     temporary.
     """
@@ -58,9 +59,7 @@ class LoadContext:
         self.mesh = mesh
         self.grids = node_grids(mesh)
         self.shape = tuple(dof_shape(mesh))
-        self.lifted = mesh.bc.trace is not None
-        if self.lifted:
-            self.faces = _boundary_faces(mesh)
+        if mesh.bc.trace is not None:
             inv_mass = [1.0 / axis_spectrum(p, mesh.bc)[0]
                         for p in mesh.partitions]
             self.lifts = [_axis_lift(mesh, problem.diffusion, inv_mass, a)
@@ -177,7 +176,7 @@ def transformed_load(ctx, t, U=None):
     else:
         G = np.zeros(modal_shape(ctx.mesh),
                      complex if ctx.mesh.bc.fourier else float)
-    if ctx.lifted:
+    if ctx.mesh.bc.trace is not None:
         boundary_correction(ctx, t, G)
     return G
 
@@ -189,7 +188,7 @@ def _trace_faces(ctx, t):
     they were broadcast along cut back to length 1) and is broadcast to
     the face after, so g and dg/dt keep the trace's zero strides."""
     g, gdot = [], []
-    for v in trace_on_faces(ctx.mesh, t + 1j * COMPLEX_STEP, ctx.faces):
+    for v in trace_on_faces(ctx.mesh, t + 1j * COMPLEX_STEP):
         core = v[tuple(slice(None) if s else slice(1) for s in v.strides)]
         g.append(v.real)
         gdot.append(np.broadcast_to(core.imag / COMPLEX_STEP, v.shape))

@@ -12,10 +12,12 @@ or there is no boundary.  `Dirichlet` meshes own the interior nodes
 `axis_layout` is the one rule of which nodes an axis owns and the
 period of the kind's extension, 2N (odd) or N (Fourier); the dof
 shape, the owned coordinates and the transforms' spectrum read it.
-`trace_on_faces` is the one evaluation of a trace on the boundary, for
-the full-grid extension, the state check and the lifting.
+A mesh builds its `boundary_faces`, the boundary split by axis, once;
+`trace_on_faces` is the one evaluation of a trace on them, for the
+full-grid extension, the state check and the lifting.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -77,6 +79,22 @@ class TensorMesh:
     def dim(self):
         return len(self.partitions)
 
+    @functools.cached_property
+    def boundary_faces(self):
+        """The boundary split by axis, built once per mesh: axis a holds
+        the nodes of its two faces that lie on no face of an earlier
+        axis.  Per axis an open coordinate grid (the owned nodes along
+        earlier axes, both ends along a, every node along later axes)
+        and its shape."""
+        faces = []
+        for a, p in enumerate(self.partitions):
+            axes = ([owned_axis_coordinates(self, b) for b in range(a)]
+                    + [np.array([p.a, p.b])]
+                    + [full_axis_coordinates(self, b)
+                       for b in range(a + 1, self.dim)])
+            faces.append((np.ix_(*axes), tuple(x.size for x in axes)))
+        return tuple(faces)
+
 
 def axis_layout(p, bc):
     """The owned nodes of partition p, as a range of node indices, and
@@ -125,8 +143,7 @@ def extend_nodal(U, mesh, t=0.0):
     out = np.pad(U, [mesh.bc.ends] * mesh.dim,
                  mode="wrap" if mesh.bc.fourier else "constant")
     if mesh.bc.trace is not None:
-        for a, vals in enumerate(
-                trace_on_faces(mesh, t, _boundary_faces(mesh))):
+        for a, vals in enumerate(trace_on_faces(mesh, t)):
             ends = slice(None, None, mesh.partitions[a].n)
             out[(slice(1, -1),) * a + (ends,)] = vals
     return out
@@ -166,27 +183,12 @@ def interior_mass_stencil(x, axis):
     return out
 
 
-def _boundary_faces(mesh):
-    """The boundary split by axis: axis a holds the nodes of its two faces
-    that lie on no face of an earlier axis.  Per axis an open coordinate
-    grid (the interior nodes along earlier axes, both ends along a, every
-    node along later axes) and its shape."""
-    faces = []
-    for a, p in enumerate(mesh.partitions):
-        axes = ([owned_axis_coordinates(mesh, b) for b in range(a)]
-                + [np.array([p.a, p.b])]
-                + [full_axis_coordinates(mesh, b)
-                   for b in range(a + 1, mesh.dim)])
-        faces.append((np.ix_(*axes), tuple(x.size for x in axes)))
-    return faces
-
-
-def trace_on_faces(mesh, t, faces):
+def trace_on_faces(mesh, t):
     """The mesh's trace g(t, xs) on each axis' share of the boundary, one
-    evaluation per axis on its grid of `faces` (`_boundary_faces`), each
+    evaluation per axis on its grid of `mesh.boundary_faces`, each
     broadcast to its face's shape; t may be complex."""
     return [np.broadcast_to(mesh.bc.trace(t, face), shape)
-            for face, shape in faces]
+            for face, shape in mesh.boundary_faces]
 
 
 def aspect_ratio(mesh):

@@ -1,14 +1,13 @@
 """Modal representation of the diffusion operator and the integrator weights.
 
 After the basis change the semi-discrete system decouples into
-scalar ODEs; `decay_rates` holds the modal rates D * sum(stiff/mass) and
-`inv_mass` the per-axis reciprocal mass eigenvalues, whose product turns
-raw load coefficients into right-hand sides.  The phi family (phi_0 = e^z,
-phi_{k+1}(z) = (phi_k(z) - phi_k(0))/z) supplies the quadrature weights.
+scalar ODEs, so the operator is its modal rate tensor
+D * sum(stiff/mass), which `build_operator` returns.  The phi family
+(phi_0 = e^z, phi_{k+1}(z) = (phi_k(z) - phi_k(0))/z) supplies the
+quadrature weights.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,36 +52,22 @@ def phi(k, z):
     return out
 
 
-@dataclass(frozen=True)
-class DiagonalizedOperator:
-    """The assembled modal rate tensor, and per axis the reciprocal mass
-    eigenvalues, shaped to broadcast over it."""
-
-    decay_rates: np.ndarray
-    inv_mass: tuple
-
-
 def build_operator(mesh, diffusion):
-    """Assemble the modal operator for a mesh and diffusion coefficient."""
+    """The modal rate tensor of a mesh and diffusion coefficient,
+    C-contiguous."""
     if diffusion <= 0:
         raise ValueError(f"diffusion coefficient must be positive, got {diffusion}")
     rates = 0.0
-    inv_mass = []
     for a, (p, m) in enumerate(zip(mesh.partitions, modal_shape(mesh))):
         mass, stiffness = axis_spectrum(p, mesh.bc)
         shape = [1] * mesh.dim
         shape[a] = m
         rates = rates + (stiffness[:m] / mass[:m]).reshape(shape)
-        inv_mass.append((1.0 / mass[:m]).reshape(shape))
-    rates = diffusion * rates
-    return DiagonalizedOperator(
-        decay_rates=np.ascontiguousarray(rates), inv_mass=tuple(inv_mass))
+    return np.ascontiguousarray(diffusion * rates)
 
 
-def phi_tensor(k, op, tau, scale=1.0):
-    """Entrywise phi_k(-scale*tau*rates) over the modal rate tensor."""
+def phi_tensor(k, rates, tau):
+    """Entrywise phi_k(-tau*rates) over the modal rate tensor."""
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
-    if not 0 < scale <= 1:
-        raise ValueError(f"stage scale must lie in (0, 1], got {scale}")
-    return phi(k, -scale * tau * op.decay_rates)
+    return phi(k, -tau * rates)

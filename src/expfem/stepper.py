@@ -47,14 +47,15 @@ temporary of its own while f runs, then the reaction and its
 transform.  The load frees the nodal state once f has read it, which
 frees the array because the steps pass it as a call temporary, never
 a named local.  No rate tensor lives through the steps: `run` builds
-the operator, forms the weights from it and drops it.  The rk2 step's
-`_rk2_stage` keeps the stage_phi1 * G(t_n) product in the output
-buffer, which then takes decay * c^n + b1 * G(t_n), and returns the
-stage's nodal state straight into the second load, so the first load
-and the stage's coefficients are gone before that load starts.  The
-step runs the products of the formulas above in their order, so it
-gives the same bits as the same products written each to a fresh
-array.
+it (`operator.build_operator`), forms the weights from it and drops
+it.  The rk2 step's `_rk2_stage` keeps the stage_phi1 * G(t_n) product
+in the output buffer, which then takes decay * c^n + b1 * G(t_n), and
+returns the stage's nodal state straight into the second load, so the
+first load and the stage's coefficients are gone before that load
+starts.  A problem with no f forms no stage: its second load reads no
+state.  The step runs the products of the formulas above in their
+order, so it gives the same bits as the same products written each to
+a fresh array.
 
 State stays transformed between steps; nodal recovery happens only for
 evaluating f and for observation.  So a problem whose f is None steps
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LoadContext, initial_state, transformed_load
-from .mesh import _boundary_faces, aspect_ratio, trace_on_faces
+from .mesh import aspect_ratio, trace_on_faces
 from .operator import build_operator, phi_tensor
 from .problems import NonlinearityDomainError, check_admissible
 from .transforms import forward_transform, inverse_transform
@@ -160,19 +161,19 @@ class StepWeights:
     mesh, one on a Dirichlet mesh.
     """
 
-    def __init__(self, op, dt, scheme, c2=0.5, linear=0.0):
-        self.decay = np.exp(-dt * op.decay_rates)
-        phi1 = dt * phi_tensor(1, op, dt)
+    def __init__(self, rates, dt, scheme, c2=0.5, linear=0.0):
+        self.decay = np.exp(-dt * rates)
+        phi1 = dt * phi_tensor(1, rates, dt)
         if scheme == "euler":
             self.phi1 = phi1
             if linear:
                 self.decay += linear * phi1
             return
-        self.stage_decay = np.exp(-c2 * dt * op.decay_rates)
-        self.stage_phi1 = (c2 * dt) * phi_tensor(1, op, dt, scale=c2)
+        self.stage_decay = np.exp(-c2 * dt * rates)
+        self.stage_phi1 = (c2 * dt) * phi_tensor(1, rates, c2 * dt)
         # b2 in a fresh array: dividing phi2 in place left the peak RSS
         # of fh 64^3 runs about 1 MiB higher (glibc heap layout)
-        phi2 = dt * phi_tensor(2, op, dt)
+        phi2 = dt * phi_tensor(2, rates, dt)
         self.b2 = phi2 / c2
         self.b1 = np.subtract(phi1, self.b2, out=phi1)
         if linear:
@@ -200,12 +201,14 @@ def exp_euler_step(state, ctx, dt, w):
 
 def _rk2_stage(state, ctx, w, coeffs):
     """Write decay * c^n + b1 * G(t_n) into coeffs and return the nodal
-    state of the stage; the first load and the stage's coefficients die
-    with this call."""
+    state of the stage, None when the problem has no f; the first load
+    and the stage's coefficients die with this call."""
     G1 = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
-    stage = w.stage_decay * state.coeffs
-    np.multiply(w.stage_phi1, G1, out=coeffs)
-    stage += coeffs
+    stage = None
+    if ctx.problem.f is not None:
+        stage = w.stage_decay * state.coeffs
+        np.multiply(w.stage_phi1, G1, out=coeffs)
+        stage += coeffs
     np.multiply(w.decay, state.coeffs, out=coeffs)
     G1 *= w.b1
     coeffs += G1
@@ -239,7 +242,7 @@ def check_state(U, problem, mesh, t):
     norm)."""
     check_admissible(U, problem.admissible_range)
     if mesh.bc.trace is not None:
-        for vals in trace_on_faces(mesh, t, _boundary_faces(mesh)):
+        for vals in trace_on_faces(mesh, t):
             check_admissible(vals, problem.admissible_range)
 
 
@@ -273,18 +276,18 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
             f"mesh aspect ratio {aspect_ratio(mesh):.2f} exceeds 8; "
             "accuracy theory assumes quasi-uniform cells", stacklevel=2)
     ctx = LoadContext(problem, mesh)
-    # built before u0: built after u0's transform, the operator left the
-    # peak RSS of fh 64^3 runs about 2 MiB higher (glibc heap layout)
-    op = build_operator(mesh, problem.diffusion)
+    # built before u0: built after u0's transform, the rate tensor left
+    # the peak RSS of fh 64^3 runs about 2 MiB higher (glibc heap layout)
+    rates = build_operator(mesh, problem.diffusion)
     U0 = initial_state(problem, mesh)
     state = SolverState(0.0, None)
     try:
         if observers:
             check_state(U0, problem, mesh, 0.0)
         state.coeffs = forward_transform(U0, mesh)
-        weights = StepWeights(op, cfg.dt, cfg.scheme, cfg.c2,
+        weights = StepWeights(rates, cfg.dt, cfg.scheme, cfg.c2,
                               linear=problem.linear)
-        del op
+        del rates
         for _, obs in observers:
             obs(0, 0.0, U0)
         del U0

@@ -43,7 +43,7 @@ from expfem.operator import PHI2_TAYLOR_CUTOFF, build_operator, phi
 from expfem.problems import Problem
 from expfem.quadrature import apply_matrix, gauss_rule
 from expfem.stepper import SolverState
-from expfem.transforms import inverse_transform
+from expfem.transforms import axis_spectrum, inverse_transform, modal_shape
 
 
 def full_grids(mesh):
@@ -142,15 +142,17 @@ def dense_operator_matrices(mesh):
 
 
 def operator_of(ctx):
-    """The modal operator of a `LoadContext`'s problem and mesh, as `run`
-    builds it for its weights (the context keeps none)."""
+    """The modal rate tensor of a `LoadContext`'s problem and mesh, as
+    `run` builds it for its weights (the context keeps none)."""
     return build_operator(ctx.mesh, ctx.problem.diffusion)
 
 
-def inv_mass_product(op):
+def inv_mass_product(mesh):
     """Reciprocal products of mass eigenvalues over the modal shape: the
     scale that turns transformed load coefficients into right-hand sides."""
-    return functools.reduce(np.multiply, op.inv_mass, np.ones(()))
+    inv_mass = [1.0 / axis_spectrum(p, mesh.bc)[0][:m]
+                for p, m in zip(mesh.partitions, modal_shape(mesh))]
+    return functools.reduce(np.multiply.outer, inv_mass, np.ones(()))
 
 
 def _boundary_tensor(mesh, fn, t):
@@ -203,7 +205,7 @@ def dense_semidiscrete_rhs(ctx, t, U, g_t=None):
     U = np.asarray(U, dtype=float)
     M, K = dense_operator_matrices(ctx.mesh)
     F = M @ full_reaction(ctx.problem, t, U, ctx.grids).ravel()
-    if ctx.lifted:
+    if ctx.mesh.bc.trace is not None:
         F = F + dense_boundary_load(ctx, t, g_t).ravel()
     rhs = np.linalg.solve(M, F - ctx.problem.diffusion * (K @ U.ravel()))
     return rhs.reshape(U.shape)
@@ -222,7 +224,7 @@ def dense_modal_system(ctx):
 def _dense_load(ctx, t, U, g_t):
     M = dense_operator_matrices(ctx.mesh)[0]
     F = M @ full_reaction(ctx.problem, t, U, ctx.grids).ravel()
-    if ctx.lifted:
+    if ctx.mesh.bc.trace is not None:
         F = F + dense_boundary_load(ctx, t, g_t).ravel()
     return F
 

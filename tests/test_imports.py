@@ -5,7 +5,9 @@ and itself, only `transforms` imports `scipy.fft`, and the
 admissibility rule lives in one place: only `problems.check_admissible`
 builds a `NonlinearityDomainError`, and only `assembly.transformed_load`
 calls a problem's reaction `.f`.  Only `stepper.run` builds the modal
-operator.  No module of the package tests the class of a boundary kind
+operator.  Every annotated field of a class of the package is read
+somewhere in it, and no module imports a private function or class of
+another.  No module of the package tests the class of a boundary kind
 with `isinstance`.  Every name of the package that the benchmark under
 `perfbench/` reads exists.
 
@@ -182,6 +184,51 @@ def test_only_the_run_set_up_builds_an_operator():
     assert _calling_functions(
         lambda func: _names_read(func) & {"build_operator"}
     ) == ["stepper.run"]
+
+
+def _package_trees():
+    """Each module of the package by name, as a syntax tree."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"),
+                                 filename=str(path))
+            for path in sorted((ROOT / "src" / "expfem").glob("*.py"))}
+
+
+def test_every_field_of_a_class_is_read_in_the_package():
+    # a field that nothing reads is a record its builders fill for no one
+    trees = _package_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{cls.name}.{stmt.target.id}"
+              for module, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert not unread, f"class fields read nowhere in src/expfem: {unread}"
+
+
+def test_no_module_imports_a_private_function_or_class_of_another():
+    # a private name is its module's own; what other modules need is
+    # public (shared constants such as `_CHUNK` are not checked)
+    trees = _package_trees()
+    defined = {module: {stmt.name for stmt in tree.body
+                        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+               for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            source = (node.module if node.level == 1
+                      else node.module.removeprefix("expfem."))
+            found += [f"{module}.py:{node.lineno}: {source}.{alias.name}"
+                      for alias in node.names
+                      if alias.name.startswith("_")
+                      and alias.name in defined.get(source, ())]
+    assert not found, "private functions or classes imported:\n" + (
+        "\n".join(found))
 
 
 BOUNDARY_KINDS = {"Dirichlet", "Periodic"}

@@ -220,7 +220,7 @@ def _dense_affine_solution(ctx, U0, S0, S1, T, g_t):
     M, K = dense_operator_matrices(ctx.mesh)
     n = M.shape[0]
     S0, S1 = S0.ravel(), S1.ravel()
-    if ctx.lifted:
+    if ctx.mesh.bc.trace is not None:
         b0 = dense_boundary_load(ctx, 0.0, g_t).ravel()
         b1 = dense_boundary_load(ctx, 1.0, g_t).ravel() - b0
         S0 = S0 + np.linalg.solve(M, b0)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
-                         _boundary_faces, dof_shape, element_pair,
-                         extend_nodal, interior_mass_stencil, node_grids)
+                         dof_shape, element_pair, extend_nodal,
+                         interior_mass_stencil, node_grids)
 
 from helpers import make_mesh, rel_err
 
@@ -105,7 +105,7 @@ def test_boundary_faces_cover_each_boundary_node_once(subs):
     bounds = [(0.0, 1.0), (-0.5, 1.5), (0.0, 0.3)][:len(subs)]
     mesh = make_mesh(bounds, subs, Dirichlet(lambda t, xs: 0.0 * xs[0]))
     counts = np.zeros([n + 1 for n in subs], dtype=int)
-    for face, shape in _boundary_faces(mesh):
+    for face, shape in mesh.boundary_faces:
         nodes = [np.rint((np.ravel(x) - p.a) / p.h).astype(int)
                  for x, p in zip(face, mesh.partitions)]
         assert tuple(map(len, nodes)) == shape

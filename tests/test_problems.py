@@ -137,7 +137,7 @@ def test_wave_analytic_trace_derivative():
     t = 0.01
     d = 1e-7
     _, gdot = _trace_faces(ctx, t)
-    for (face, shape), got in zip(ctx.faces, gdot):
+    for (face, shape), got in zip(ctx.mesh.boundary_faces, gdot):
         fd = (np.broadcast_to(prob.bc.trace(t + d, face), shape)
               - np.broadcast_to(prob.bc.trace(t - d, face), shape)) / (2 * d)
         assert np.all(np.abs(got - fd) < 1e-5 * np.maximum(1.0, np.abs(fd)))

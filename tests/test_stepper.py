@@ -8,7 +8,7 @@ import pytest
 from expfem import assembly, stepper
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
-from expfem.mesh import Dirichlet, Periodic, dof_shape
+from expfem.mesh import Dirichlet, Periodic, dof_shape, full_axis_coordinates
 from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
@@ -49,7 +49,7 @@ def test_zero_reaction_is_exact_modal_decay():
     w = _weights(ctx, dt, "euler")
     for _ in range(nsteps):
         state = exp_euler_step(state, ctx, dt, w)
-    expected = np.exp(-nsteps * dt * operator_of(ctx).decay_rates) * forward_transform(
+    expected = np.exp(-nsteps * dt * operator_of(ctx)) * forward_transform(
         initial_state(prob, mesh), mesh)
     assert rel_err(state.coeffs, expected) < 1e-13
 
@@ -70,7 +70,7 @@ def test_euler_step_scalar_duhamel():
                     u0=lambda xs: np.ones_like(xs[0]))
     mesh = mesh_for(prob, (2,))
     ctx = LoadContext(prob, mesh)
-    assert np.allclose(operator_of(ctx).decay_rates, [12.0])
+    assert np.allclose(operator_of(ctx), [12.0])
     state = SolverState(0.0, forward_transform(np.ones(1), mesh))
     out = exp_euler_step(state, ctx, 0.1, _weights(ctx, 0.1, "euler"))
     lam, dt = 12.0, 0.1
@@ -87,7 +87,7 @@ def test_rk2_exact_for_reaction_linear_in_time():
                     u0=lambda xs: np.zeros_like(xs[0]))
     mesh = mesh_for(prob, (2,))
     ctx = LoadContext(prob, mesh)
-    assert np.allclose(operator_of(ctx).decay_rates, [1.0], rtol=1e-13)
+    assert np.allclose(operator_of(ctx), [1.0], rtol=1e-13)
     exact = math.exp(-0.5) - 1.0 + 0.5
     for c2 in (0.5, 0.7, 1.0):
         state = SolverState(0.0, np.zeros(1))
@@ -108,18 +108,18 @@ def test_step_continuity_for_tiny_dt():
 def test_rk2_weight_consistency_conditions():
     prob = builtin_allen_cahn_wave(dim=1)
     mesh = mesh_for(prob, (8,))
-    op = build_operator(mesh, prob.diffusion)
+    rates = build_operator(mesh, prob.diffusion)
     dt, c2 = 0.01, 0.5
-    w = StepWeights(op, dt, "rk2", c2)
+    w = StepWeights(rates, dt, "rk2", c2)
     # the phi weights carry their step length; rk2 forms b1 in phi1's
     # buffer and keeps no phi1
-    phi1 = dt * phi_tensor(1, op, dt)
+    phi1 = dt * phi_tensor(1, rates, dt)
     assert rel_err(w.b1 + w.b2, phi1) < 1e-13
     assert not hasattr(w, "phi1")
-    assert np.array_equal(StepWeights(op, dt, "euler").phi1, phi1)
+    assert np.array_equal(StepWeights(rates, dt, "euler").phi1, phi1)
     assert np.array_equal(w.stage_phi1,
-                          (c2 * dt) * phi_tensor(1, op, dt, scale=c2))
-    assert np.array_equal(w.decay, np.exp(-dt * op.decay_rates))
+                          (c2 * dt) * phi_tensor(1, rates, c2 * dt))
+    assert np.array_equal(w.decay, np.exp(-dt * rates))
 
 
 def test_one_step_matches_dense_oracle_1d():
@@ -213,7 +213,7 @@ def test_run_linear_heat_matches_exact_modal_decay():
     cfg = SchemeConfig(dt=0.01, T=1.0, scheme="rk2")
     state = run(prob, mesh, cfg)
     c0 = forward_transform(initial_state(prob, mesh), mesh)
-    expected = np.exp(-1.0 * operator_of(ctx).decay_rates) * c0
+    expected = np.exp(-1.0 * operator_of(ctx)) * c0
     assert rel_err(state.coeffs, expected) < 1e-12
 
 
@@ -436,6 +436,37 @@ def test_steps_with_neither_f_nor_a_source_make_no_transform(
     run(prob, mesh_for(prob, (8, 4)),
         SchemeConfig(dt=0.01, T=0.05, scheme=scheme))
     assert calls == {"forward": 1, "inverse": 0}
+
+
+def test_a_lifted_run_builds_its_face_grids_once(monkeypatch):
+    # the face grids are the mesh's: the lifting and the check of each
+    # observed state read one build, which on a 3D mesh asks for the full
+    # coordinates of axes 1 and 2 (axis 0's faces) and of axis 2 (axis 1's)
+    axes = []
+
+    def counted(mesh, axis):
+        axes.append(axis)
+        return full_axis_coordinates(mesh, axis)
+
+    monkeypatch.setattr("expfem.mesh.full_axis_coordinates", counted)
+    prob = builtin_allen_cahn_wave()
+    run(prob, mesh_for(prob, (8, 4, 4)), SchemeConfig(dt=1e-4, T=3e-4),
+        [(1, lambda n, t, U: None)])
+    assert sorted(axes) == [1, 2, 2]
+
+
+def test_an_rk2_step_with_no_f_forms_no_stage():
+    # the stage only feeds the second load's nodal state, which a problem
+    # with no f never forms, so the stage weights go unread
+    prob = builtin_linear_rd()
+    mesh = mesh_for(prob, (8, 4))
+    ctx = LoadContext(prob, mesh)
+    bare = _weights(ctx, 0.01, "rk2")
+    bare.stage_decay = bare.stage_phi1 = None
+    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
+    want = exp_rk2_step(state, ctx, 0.01, 0.5, _weights(ctx, 0.01, "rk2"))
+    got = exp_rk2_step(state, ctx, 0.01, 0.5, bare)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk2"])
