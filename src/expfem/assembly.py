@@ -19,9 +19,10 @@ one basis column times a (d-1)-D transform of the layer.  So
 `boundary_correction` builds the load from one evaluation of the trace
 per axis (`mesh.trace_on_faces`) and adds it to the modal load directly,
 without a full-grid tensor or a full-size transform; what stays the
-same from call to call (scalars, basis columns, a zeroed buffer) is
-built once per run in `LoadContext`, the basis columns by
-`sine_transform` of unit vectors, so this module restates no basis.
+same from call to call (scalars and basis columns) is built once per
+run in `LoadContext`, the basis columns by `sine_transform` of unit
+vectors, so this module restates no basis, and each call zeroes its
+own layer data.
 The tests check all of this against a dense kron-product oracle of the
 same semi-discretization.
 """
@@ -35,7 +36,7 @@ import numpy as np
 from .mesh import (dof_shape, element_pair, interior_mass_stencil, node_grids,
                    trace_on_faces)
 from .problems import COMPLEX_STEP, check_admissible
-from .transforms import (_CHUNK, axis_spectrum, forward_transform, modal_shape,
+from .transforms import (CHUNK, axis_spectrum, forward_transform, modal_shape,
                          sine_transform)
 
 
@@ -87,27 +88,21 @@ def _owned(vals, shape):
 class _AxisLift(NamedTuple):
     """The constants of axis a's lifting, fixed for a run.
 
-    `mass` and `stiff` scale the face rows of `_layer_corrections`, and
-    `kappa` and the `sweeps` (pair rows swept, axis c, coefficient
-    D alpha_c / m_c per other axis c) its other-axis sweeps.  `pair` is
-    zero but for `share`, which each call overwrites.  `face_scale` is
-    the outer product of the other axes' reciprocal mass eigenvalues,
+    `mass` and `layer` scale the face rows of `_layer_corrections`, and
+    the `sweeps` (pair rows swept, axis c, coefficient D alpha_c / m_c
+    per other axis c) give its other-axis sweeps.  `face_scale` is the
+    outer product of the other axes' reciprocal mass eigenvalues, and
     `columns` the (modes, 2) boundary columns of axis a (the transforms
     of the unit vectors at its first and last owned node, times its
-    reciprocal mass eigenvalues), and `view` G's shape as (before a,
-    modes, after a).
+    reciprocal mass eigenvalues).
     """
 
     axis: int
     mass: float
-    stiff: float
-    kappa: float
+    layer: float
     sweeps: tuple
-    pair: np.ndarray
-    share: np.ndarray
     face_scale: np.ndarray
     columns: np.ndarray
-    view: tuple
 
 
 def _axis_lift(mesh, diffusion, inv_mass, a):
@@ -127,23 +122,17 @@ def _axis_lift(mesh, diffusion, inv_mass, a):
         kappa += diffusion * beta
     front = -math.prod(scales)
     m_a, k_a = element_pair(parts[a].h)
-    pair = np.zeros([2] + [2 if c == a else p.n + 1
-                           for c, p in enumerate(parts)])
-    shape = dof_shape(mesh)
-    ends = np.zeros((2, shape[a]))
+    lift_mass = front * m_a.factor * m_a.off
+    ends = np.zeros((2, dof_shape(mesh)[a]))
     ends[0, 0] = ends[1, -1] = 1.0
     return _AxisLift(
         axis=a,
-        mass=front * m_a.factor * m_a.off,
-        stiff=front * diffusion * k_a.factor * k_a.off,
-        kappa=kappa,
+        mass=lift_mass,
+        layer=front * diffusion * k_a.factor * k_a.off + kappa * lift_mass,
         sweeps=tuple(sweeps),
-        pair=pair,
-        share=pair[(slice(None),) + (slice(1, -1),) * a],
         face_scale=functools.reduce(
             np.multiply.outer, inv_mass[:a] + inv_mass[a + 1:], np.ones(())),
-        columns=(sine_transform(ends, axes=(1,)) * inv_mass[a]).T,
-        view=(math.prod(shape[:a]), shape[a], math.prod(shape[a + 1:])))
+        columns=(sine_transform(ends, axes=(1,)) * inv_mass[a]).T)
 
 
 def transformed_load(ctx, t, U=None):
@@ -212,21 +201,23 @@ def _layer_corrections(lift, g, gdot):
     axes and is zero on the faces of earlier axes, which hold no share.
     The other axes' mass sweeps apply one axis at a time to the pair
     (M m, partial load), with their scales m_c taken out in front
-    (`lift.mass` and `lift.stiff` carry -prod_c m_c); each keeps the
-    owned rows of its axis alone.  The share is written in place into
-    the plan's pair; the sweeps return new arrays.
+    (`lift.mass` carries -prod_c m_c m_a and `lift.layer`
+    -prod_c m_c (D k_a + kappa m_a)); each keeps the owned rows of its
+    axis alone.  The share is written into a slice of a pair zeroed for
+    this call; the sweeps return new arrays.
     """
-    share = lift.share
+    a = lift.axis
+    pair = np.zeros((2,) + tuple(s + 2 for s in g.shape[:a]) + g.shape[a:])
+    share = pair[(slice(None),) + (slice(1, -1),) * a]
     np.multiply(g, lift.mass, out=share[0])
     # the mass term m_a dg/dt
     np.multiply(gdot, lift.mass, out=share[1])
-    share[1] += (lift.stiff + lift.kappa * lift.mass) * g
-    pair = lift.pair
+    share[1] += lift.layer * g
     for rows, c, coef in lift.sweeps:
         swept = interior_mass_stencil(pair[rows], c + 1)
         swept[-1] += coef * pair[0][(slice(None),) * c + (slice(1, -1),)]
         pair = swept
-    return np.moveaxis(pair[-1], lift.axis, 0)
+    return np.moveaxis(pair[-1], a, 0)
 
 
 def boundary_correction(ctx, t, G):
@@ -250,8 +241,6 @@ def boundary_correction(ctx, t, G):
         raise ValueError("the modal load G must be C-contiguous")
     g, gdot = _trace_faces(ctx, t)
     for lift, g_a, gdot_a in zip(ctx.lifts, g, gdot):
-        # in 1D the transform over no axes hands back the plan's pair,
-        # whose share the next call overwrites
         faces = sine_transform(_layer_corrections(lift, g_a, gdot_a),
                                axes=range(1, ctx.mesh.dim))
         faces *= lift.face_scale
@@ -261,7 +250,7 @@ def boundary_correction(ctx, t, G):
 def _add_column_faces(G, lift, faces):
     """G += columns[:, 0] (x) faces[0] + columns[:, 1] (x) faces[1] along
     the lift's axis, in place, chunk by chunk: each chunk adds a numpy
-    matrix product of about `_CHUNK` entries, so no state-sized
+    matrix product of about `CHUNK` entries, so no state-sized
     temporary is built.
 
     G is viewed as (before a, modes, after a).  On the last axis it is
@@ -270,17 +259,19 @@ def _add_column_faces(G, lift, faces):
     stack of (modes, after a) blocks over a run of modes, each adding a
     (modes, 2) x (2, after a) product.
     """
-    pre, n, post = lift.view
+    a = lift.axis
+    pre, n, post = (math.prod(G.shape[:a]), G.shape[a],
+                    math.prod(G.shape[a + 1:]))
     if post == 1:
         rows, faces = G.reshape(pre, n), faces.reshape(2, pre).T
-        span = max(1, _CHUNK // n)
+        span = max(1, CHUNK // n)
         for r in range(0, pre, span):
             rows[r:r + span] += faces[r:r + span] @ lift.columns.T
         return
     modes = G.reshape(pre, n, post)
     faces = faces.reshape(2, pre, post).swapaxes(0, 1)
-    span = max(1, _CHUNK // (n * post))
-    step = max(1, _CHUNK // post)
+    span = max(1, CHUNK // (n * post))
+    step = max(1, CHUNK // post)
     for p0 in range(0, pre, span):
         for k0 in range(0, n, step):
             modes[p0:p0 + span, k0:k0 + step] += (

@@ -35,7 +35,7 @@ from .mesh import axis_layout, dof_shape, element_pair
 DENSE_DST_POINTS = 64
 # entries per block of the chunked products here and in the lifting's
 # adds (`assembly`), so no state-sized temporary is built
-_CHUNK = 1 << 14
+CHUNK = 1 << 14
 
 
 def axis_spectrum(p, bc):
@@ -96,8 +96,6 @@ def sine_transform(x, axes=None):
     """
     picked = range(x.ndim) if axes is None else axes
     short = [a for a in picked if x.shape[a] <= DENSE_DST_POINTS]
-    if not short:
-        return scipy.fft.dstn(x, type=1, norm="ortho", axes=axes)
     long = [a for a in picked if x.shape[a] > DENSE_DST_POINTS]
     # a fresh C-contiguous array, so the reshapes below are views of it
     if long:
@@ -124,7 +122,7 @@ def _sine_matrix(n):
 
 def _dense_sine_axis(out, a):
     """Apply the sine matrix along axis a of the C-contiguous array out,
-    in place, in blocks of about `_CHUNK` entries.
+    in place, in blocks of about `CHUNK` entries.
 
     out is viewed as (before a, points, after a); each block is a stack
     of (points, columns) matrices taking S from the left, or along the
@@ -136,14 +134,14 @@ def _dense_sine_axis(out, a):
     pre, post = math.prod(out.shape[:a]), math.prod(out.shape[a + 1:])
     if post == 1:
         rows = out.reshape(pre, n)
-        span = max(1, _CHUNK // n)
+        span = max(1, CHUNK // n)
         for r in range(0, pre, span):
             block = rows[r:r + span]
             np.matmul(block, S, out=block)
         return
     modes = out.reshape(pre, n, post)
-    span = max(1, _CHUNK // (n * post))
-    cols = max(1, _CHUNK // n)
+    span = max(1, CHUNK // (n * post))
+    cols = max(1, CHUNK // n)
     for p in range(0, pre, span):
         for q in range(0, post, cols):
             block = modes[p:p + span, :, q:q + cols]

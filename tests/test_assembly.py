@@ -293,7 +293,7 @@ def test_boundary_correction_in_chunks_matches_dense_oracle(
         monkeypatch, subs, chunk):
     # chunks far below the test states' size run every loop of each
     # axis' add
-    monkeypatch.setattr(assembly, "_CHUNK", chunk)
+    monkeypatch.setattr(assembly, "CHUNK", chunk)
     domain = ((0.0, 1.0), (-0.5, 1.5), (0.0, 0.3))[:len(subs)]
     prob, g_t = _traced_problem(domain)
     mesh = mesh_for(prob, subs)
@@ -343,6 +343,23 @@ def test_boundary_correction_adds_into_load():
     lifted = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.3, lifted)
     assert rel_err(G, base + lifted) < 1e-14
+
+
+@pytest.mark.parametrize("dim, subs", [(1, (8,)), (2, (6, 4)),
+                                       (3, (5, 3, 4))])
+def test_lifting_plan_is_constant_across_calls(dim, subs):
+    # a call keeps its working arrays to itself, so the plan a run shares
+    # between calls comes out of each call as it went in
+    prob = builtin_allen_cahn_wave(dim=dim)
+    mesh = mesh_for(prob, subs)
+    ctx = LoadContext(prob, mesh)
+    before = [{name: value.copy() for name, value in lift._asdict().items()
+               if isinstance(value, np.ndarray)} for lift in ctx.lifts]
+    for t in (0.001, 0.002):
+        boundary_correction(ctx, t, np.zeros(modal_shape(mesh)))
+    for lift, arrays in zip(ctx.lifts, before):
+        for name, value in arrays.items():
+            assert np.array_equal(getattr(lift, name), value), name
 
 
 def test_boundary_correction_memory_stays_face_sized():

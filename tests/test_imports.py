@@ -211,10 +211,9 @@ def test_every_field_of_a_class_is_read_in_the_package():
 
 def test_no_module_imports_a_private_function_or_class_of_another():
     # a private name is its module's own; what other modules need is
-    # public (shared constants such as `_CHUNK` are not checked)
+    # public, constants included
     trees = _package_trees()
-    defined = {module: {stmt.name for stmt in tree.body
-                        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    defined = {module: _module_level_names(tree)
                for module, tree in trees.items()}
     found = []
     for module, tree in trees.items():
@@ -227,8 +226,23 @@ def test_no_module_imports_a_private_function_or_class_of_another():
                       for alias in node.names
                       if alias.name.startswith("_")
                       and alias.name in defined.get(source, ())]
-    assert not found, "private functions or classes imported:\n" + (
-        "\n".join(found))
+    assert not found, "private names imported:\n" + "\n".join(found)
+
+
+def _module_level_names(tree):
+    """The functions, classes and constants a module defines at its top
+    level."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names |= {node.id for target in targets
+                      for node in ast.walk(target)
+                      if isinstance(node, ast.Name)}
+    return names
 
 
 BOUNDARY_KINDS = {"Dirichlet", "Periodic"}

@@ -202,7 +202,7 @@ def test_sine_transform_of_a_read_only_input(shape):
 @pytest.mark.parametrize("shape", [(6, 7, 5), (30, 9), (5, 2, 3)])
 def test_sine_transform_in_chunks_matches_dstn(monkeypatch, shape, chunk):
     # chunks far below the inputs' size run every loop of the products
-    monkeypatch.setattr(transforms, "_CHUNK", chunk)
+    monkeypatch.setattr(transforms, "CHUNK", chunk)
     x = np.random.default_rng(chunk).standard_normal(shape)
     assert rel_err(sine_transform(x), _reference_dst(x)) < 1e-14
 
@@ -218,7 +218,7 @@ def test_sine_transform_sends_only_long_axes_to_the_fft(monkeypatch):
     sine_transform(np.zeros((255, 23, 23)))
     sine_transform(np.zeros((23, 23)))
     sine_transform(np.zeros((255, 127)))
-    assert seen == [[0], None]
+    assert seen == [[0], [0, 1]]
 
 
 @pytest.mark.parametrize("n", range(1, DENSE_DST_POINTS + 1))
