@@ -281,7 +281,7 @@ def test_boundary_correction_matches_dense_oracle(domain, subs, moving):
             dense_boundary_load(ctx, t, g_t), mesh)
         assert rel_err(G, dense) < 1e-12
         loads.append(G)
-    # the plan's buffers carry nothing from one call to the next
+    # a second call at t = 0 gives the first call's load
     G = np.zeros(modal_shape(mesh))
     boundary_correction(ctx, 0.0, G)
     assert np.array_equal(G, loads[0])

@@ -8,8 +8,9 @@ calls a problem's reaction `.f`.  Only `stepper.run` builds the modal
 operator.  Every annotated field of a class of the package is read
 somewhere in it, and no module imports a private function or class of
 another.  No module of the package tests the class of a boundary kind
-with `isinstance`.  Every name of the package that the benchmark under
-`perfbench/` reads exists.
+with `isinstance`.  An FFT call of the package that may overwrite its
+input (`overwrite_x`) gets an array its own function built.  Every name
+of the package that the benchmark under `perfbench/` reads exists.
 
 No linter runs on this repository, so this is the check.
 """
@@ -243,6 +244,61 @@ def _module_level_names(tree):
                       for node in ast.walk(target)
                       if isinstance(node, ast.Name)}
     return names
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of a module's or function's body, less the functions and
+    lambdas defined in it and their nodes."""
+    stack = [node for node in scope.body if not isinstance(node, FUNCTIONS)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [child for child in ast.iter_child_nodes(node)
+                  if not isinstance(child, FUNCTIONS)]
+
+
+def _builds_an_array(node):
+    """Whether an expression is a call `np.array(...)` or `np.empty(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in ("array", "empty"))
+
+
+def _overwrites_of_foreign_arrays(path):
+    """Line numbers of a module's calls that pass `overwrite_x` other than
+    False whose first argument is not a local name that the same function
+    (or module body) assigned from `np.array(...)` or `np.empty(...)`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))]
+    found = []
+    for scope in scopes:
+        nodes = list(_own_nodes(scope))
+        built = {target.id for node in nodes
+                 if isinstance(node, ast.Assign) and _builds_an_array(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        found += [node.lineno for node in nodes if isinstance(node, ast.Call)
+                  and any(kw.arg == "overwrite_x"
+                          and not (isinstance(kw.value, ast.Constant)
+                                   and kw.value.value is False)
+                          for kw in node.keywords)
+                  and not (node.args and isinstance(node.args[0], ast.Name)
+                           and node.args[0].id in built)]
+    return found
+
+
+def test_fft_overwrites_only_an_array_its_function_built():
+    # an FFT that may overwrite its input gets a copy that no caller
+    # holds, so no caller's array is ever written
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src" / "expfem").glob("*.py"))
+             for line in _overwrites_of_foreign_arrays(path)]
+    assert not found, f"overwrite_x on an array the caller may hold: {found}"
 
 
 BOUNDARY_KINDS = {"Dirichlet", "Periodic"}

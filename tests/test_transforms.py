@@ -9,7 +9,7 @@ from expfem.transforms import (DENSE_DST_POINTS, axis_spectrum,
                                modal_shape, sine_transform)
 
 from helpers import (basis_matrix, build_axis_matrices, make_mesh,
-                     mode_multiply, rel_err)
+                     mode_multiply, rel_err, traced_peak)
 
 BCS = [Dirichlet(), Periodic()]
 
@@ -208,17 +208,44 @@ def test_sine_transform_in_chunks_matches_dstn(monkeypatch, shape, chunk):
 
 
 def test_sine_transform_sends_only_long_axes_to_the_fft(monkeypatch):
+    # the FFT runs in place, on a copy of x that only sine_transform holds
     seen = []
     original = scipy.fft.dstn
+    read_only = np.zeros((255, 127))
+    read_only.flags.writeable = False
+    view = np.moveaxis(np.zeros((23, 255, 2)), 2, 0)
+    assert not view.flags.c_contiguous
+    x = None
 
-    def spy(x, *args, **kwargs):
-        seen.append(kwargs.get("axes"))
-        return original(x, *args, **kwargs)
+    def spy(arg, *args, **kwargs):
+        seen.append((kwargs.get("axes"), kwargs.get("overwrite_x"),
+                     np.shares_memory(arg, x)))
+        return original(arg, *args, **kwargs)
     monkeypatch.setattr(scipy.fft, "dstn", spy)
-    sine_transform(np.zeros((255, 23, 23)))
-    sine_transform(np.zeros((23, 23)))
-    sine_transform(np.zeros((255, 127)))
-    assert seen == [[0], [0, 1]]
+    for x in (np.zeros((255, 23, 23)), np.zeros((23, 23)), read_only, view):
+        sine_transform(x)
+    assert seen == [([0], True, False), ([0, 1], True, False),
+                    ([2], True, False)]
+
+
+@pytest.mark.parametrize("shape, axes", [((300,), None), ((255, 127), None),
+                                         ((255, 23, 23), [0])])
+def test_long_axes_give_the_bits_of_dstn(shape, axes):
+    # where every picked axis is long, the in-place FFT on the copy gives
+    # the out-of-place FFT's bits
+    x = np.random.default_rng(len(shape)).standard_normal(shape)
+    kept = x.copy()
+    got = sine_transform(x, axes)
+    assert np.array_equal(got, _reference_dst(x, axes))
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("shape", [(255, 23, 23), (255, 127)])
+def test_sine_transform_holds_one_output_sized_array(shape):
+    # the copy is the output: no second array of x's size is built
+    x = np.random.default_rng(9).standard_normal(shape)
+    assert traced_peak(sine_transform, x) < 1.25 * x.nbytes
 
 
 @pytest.mark.parametrize("n", range(1, DENSE_DST_POINTS + 1))
