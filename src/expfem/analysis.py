@@ -202,7 +202,6 @@ class StudyRow:
 def _ladder(problem, rungs, scheme, c2, T):
     """Run each (per-axis subdivisions, nt) rung to T; yield its mesh, end
     state and a row with its resolution, nt and steady seconds per step."""
-    T = problem.T_default if T is None else T
     for subdivisions, nt in rungs:
         mesh = mesh_for(problem, subdivisions)
         times = []
@@ -215,8 +214,8 @@ def _ladder(problem, rungs, scheme, c2, T):
         yield mesh, state, row
 
 
-def convergence_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
-    """Run a refinement ladder; one `StudyRow` per rung with its
+def convergence_study(problem, rungs, T, scheme="rk2", c2=0.5):
+    """Run a refinement ladder to T; one `StudyRow` per rung with its
     terminal-time errors and the rates against the rung before.
 
     `rungs` is a list of (per-axis subdivisions, nt) pairs; consecutive
@@ -246,9 +245,9 @@ def _rate(coarse, fine):
     return None
 
 
-def timing_study(problem, rungs, scheme="rk2", c2=0.5, T=None):
+def timing_study(problem, rungs, T, scheme="rk2", c2=0.5):
     """Measure steady per-step cost over a ladder of (per-axis
-    subdivisions, nt) rungs; one `StudyRow` per rung, with the growth
+    subdivisions, nt) rungs to T; one `StudyRow` per rung, with the growth
     exponent against the rung before."""
     rows, nodes = [], []
     for mesh, _, row in _ladder(problem, rungs, scheme, c2, T):

@@ -135,7 +135,7 @@ def _axis_lift(mesh, diffusion, inv_mass, a):
         columns=(sine_transform(ends, axes=(1,)) * inv_mass[a]).T)
 
 
-def transformed_load(ctx, t, U=None):
+def transformed_load(ctx, t, U):
     """Scaled modal load at time t: the transform of f at nodal state U,
     plus each source term's amplitude at t times its transformed profile,
     plus the Dirichlet lifting.  The linear part of the reaction is left

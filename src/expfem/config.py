@@ -171,7 +171,6 @@ class RunConfig:
     dt: float = None
     nt: int = None
     T: float = None
-    seed: int = None
     subdivisions: list = None
     rungs: list = None
     observe_every: int = None
@@ -261,7 +260,7 @@ def _build_problem(values, seed):
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
-    declared = "periodic" if problem.periodic else "dirichlet"
+    declared = "periodic" if problem.bc.fourier else "dirichlet"
     bc = values.pop("domain.bc", declared)
     if bc != declared:
         raise ConfigError(f"domain.bc = {bc!r} conflicts with problem "
@@ -311,7 +310,7 @@ def parse_config(text, seed_override=None):
     if seed is not None and not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
-    cfg = RunConfig(mode=values.pop("mode", "run"), seed=seed)
+    cfg = RunConfig(mode=values.pop("mode", "run"))
     if cfg.mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg.mode!r}")
     where = f"mode {cfg.mode!r}"

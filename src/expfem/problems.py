@@ -23,7 +23,11 @@ Moving a linear part of f into `linear`, or a separable term of f into
 
 The initial datum is `u0(xs)` alone: called once on the open grid of
 the owned nodes, it returns anything that broadcasts to their shape, a
-whole nodal array included; so does each source profile.  All callables
+whole nodal array included; so does each source profile.  On a
+Dirichlet mesh, though, f and each source profile must be functions of
+xs, defined on the boundary faces too, not arrays of the owned nodes
+that ignore xs: the reaction's boundary values belong to the load of
+the boundary elimination.  All callables
 but the amplitudes take coordinate tuples of broadcastable arrays, and
 all must be pure.  The program differentiates the trace of
 `Dirichlet(trace)` in t and the exact solution in x by one complex step,

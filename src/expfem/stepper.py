@@ -15,7 +15,12 @@ Two-stage scheme (stage node c2 in (0, 1]):
 `StepWeights` folds dt (and c2*dt for the stage) into the phi weights
 once per run, so a step is one product per weight: the steps combine in
 place into the loads and the output buffer they own, and never modify
-the incoming coefficients.  With the folded weights
+the incoming coefficients.  Each step maps the coefficients at t to
+those at t + dt, `exp_euler_step(coeffs, t, ctx, w)` and
+`exp_rk2_step(coeffs, t, ctx, w)`: t is the one time it takes, and its
+dt lives in its weights, rk2's stage time as t + `w.stage_dt`.  `run`
+owns the clock: it picks the step once, hands step n the time dt*n and
+counts the steps.  With the folded weights
 
     decay = e^{-dt*rates},  phi1 = dt*phi1(-dt*rates),
     stage_decay = e^{-c2*dt*rates},  stage_phi1 = c2*dt*phi1(-c2*dt*rates),
@@ -61,8 +66,8 @@ State stays transformed between steps; nodal recovery happens only for
 evaluating f and for observation.  So a problem whose f is None steps
 with no transform at all: a run of it that takes any steps makes one
 forward transform of u0 and one per source term, however many steps
-it takes.  `SolverState.coeffs` is laid out as
-`transforms` defines it by the boundary kind's `fourier` flag: real
+it takes.  The coefficients are laid out as
+`transforms` defines them by the boundary kind's `fourier` flag: real
 sine coefficients of the nodal shape on Dirichlet meshes, the complex
 half spectrum of `rfftn` (N // 2 + 1 entries on the last axis) on
 periodic ones.  The weights are real and broadcast over either.  A
@@ -115,9 +120,11 @@ def _keep_freed_arrays():
 
 @dataclass
 class SolverState:
+    """The end of a run: its time, modal coefficients and step index."""
+
     t: float
     coeffs: np.ndarray
-    step_index: int = 0
+    step_index: int
 
 
 @dataclass(frozen=True)
@@ -158,10 +165,12 @@ class StepWeights:
     `phi1`; rk2 holds `decay`, `stage_decay`, `stage_phi1`, `b1` and
     `b2`, with `b1` formed in the buffer of dt*phi1 and no `phi1`: five
     real modal tensors, each about half a nodal array on a periodic
-    mesh, one on a Dirichlet mesh.
+    mesh, one on a Dirichlet mesh.  rk2 also holds `stage_dt`, c2*dt,
+    the time from a step's start to its stage load, so a step reads no
+    dt of its own.
     """
 
-    def __init__(self, rates, dt, scheme, c2=0.5, linear=0.0):
+    def __init__(self, rates, dt, scheme, c2, linear):
         self.decay = np.exp(-dt * rates)
         phi1 = dt * phi_tensor(1, rates, dt)
         if scheme == "euler":
@@ -169,8 +178,9 @@ class StepWeights:
             if linear:
                 self.decay += linear * phi1
             return
-        self.stage_decay = np.exp(-c2 * dt * rates)
-        self.stage_phi1 = (c2 * dt) * phi_tensor(1, rates, c2 * dt)
+        self.stage_dt = c2 * dt
+        self.stage_decay = np.exp(-self.stage_dt * rates)
+        self.stage_phi1 = self.stage_dt * phi_tensor(1, rates, self.stage_dt)
         # b2 in a fresh array: dividing phi2 in place left the peak RSS
         # of fh 64^3 runs about 1 MiB higher (glibc heap layout)
         phi2 = dt * phi_tensor(2, rates, dt)
@@ -190,40 +200,43 @@ def _nodal_state(coeffs, ctx):
     return inverse_transform(coeffs, ctx.mesh)
 
 
-def exp_euler_step(state, ctx, dt, w):
-    """One step of the one-stage (exponential Euler) scheme."""
-    G = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
-    coeffs = w.decay * state.coeffs
+def exp_euler_step(coeffs, t, ctx, w):
+    """One step of the one-stage (exponential Euler) scheme: the
+    coefficients at t + dt from those at t."""
+    G = transformed_load(ctx, t, _nodal_state(coeffs, ctx))
+    out = w.decay * coeffs
     G *= w.phi1
-    coeffs += G
-    return SolverState(state.t + dt, coeffs, state.step_index + 1)
+    out += G
+    return out
 
 
-def _rk2_stage(state, ctx, w, coeffs):
-    """Write decay * c^n + b1 * G(t_n) into coeffs and return the nodal
+def _rk2_stage(coeffs, t, ctx, w, out):
+    """Write decay * c^n + b1 * G(t_n) into out and return the nodal
     state of the stage, None when the problem has no f; the first load
     and the stage's coefficients die with this call."""
-    G1 = transformed_load(ctx, state.t, _nodal_state(state.coeffs, ctx))
+    G1 = transformed_load(ctx, t, _nodal_state(coeffs, ctx))
     stage = None
     if ctx.problem.f is not None:
-        stage = w.stage_decay * state.coeffs
-        np.multiply(w.stage_phi1, G1, out=coeffs)
-        stage += coeffs
-    np.multiply(w.decay, state.coeffs, out=coeffs)
+        stage = w.stage_decay * coeffs
+        np.multiply(w.stage_phi1, G1, out=out)
+        stage += out
+    np.multiply(w.decay, coeffs, out=out)
     G1 *= w.b1
-    coeffs += G1
+    out += G1
     del G1
     return _nodal_state(stage, ctx)
 
 
-def exp_rk2_step(state, ctx, dt, c2, w):
-    """One step of the two-stage second-order exponential RK scheme."""
-    coeffs = np.empty_like(state.coeffs)
-    G2 = transformed_load(ctx, state.t + c2 * dt,
-                          _rk2_stage(state, ctx, w, coeffs))
+def exp_rk2_step(coeffs, t, ctx, w):
+    """One step of the two-stage second-order exponential RK scheme: the
+    coefficients at t + dt from those at t, with the stage loaded at
+    t + w.stage_dt."""
+    out = np.empty_like(coeffs)
+    G2 = transformed_load(ctx, t + w.stage_dt,
+                          _rk2_stage(coeffs, t, ctx, w, out))
     G2 *= w.b2
-    coeffs += G2
-    return SolverState(state.t + dt, coeffs, state.step_index + 1)
+    out += G2
+    return out
 
 
 def observation_steps(every, nsteps):
@@ -247,8 +260,12 @@ def check_state(U, problem, mesh, t):
 
 
 def run(problem, mesh, cfg, observers=(), step_times=None):
-    """Advance from t=0 to t=T with uniform steps, reporting to observers.
+    """Advance from t=0 to t=T with uniform steps, reporting to observers;
+    return the end `SolverState`.
 
+    `run` owns the clock: step n starts at t = dt*n, which it hands to
+    the scheme's step function, chosen once, and the state after it has
+    index n + 1 and time dt*(n + 1), a product, never a running sum.
     `observers` holds (every, obs) pairs.  Each obs is called as
     obs(step_index, t, U_nodal) at the `observation_steps` of its own
     `every`, in the order of `observers`.  A step that any observer sees
@@ -280,34 +297,33 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     # the peak RSS of fh 64^3 runs about 2 MiB higher (glibc heap layout)
     rates = build_operator(mesh, problem.diffusion)
     U0 = initial_state(problem, mesh)
-    state = SolverState(0.0, None)
+    step = exp_euler_step if cfg.scheme == "euler" else exp_rk2_step
+    n = 0
     try:
         if observers:
             check_state(U0, problem, mesh, 0.0)
-        state.coeffs = forward_transform(U0, mesh)
+        coeffs = forward_transform(U0, mesh)
         weights = StepWeights(rates, cfg.dt, cfg.scheme, cfg.c2,
-                              linear=problem.linear)
+                              problem.linear)
         del rates
         for _, obs in observers:
             obs(0, 0.0, U0)
         del U0
-        for _ in range(nsteps):
+        while n < nsteps:
             tic = time.perf_counter()
-            if cfg.scheme == "euler":
-                state = exp_euler_step(state, ctx, cfg.dt, weights)
-            else:
-                state = exp_rk2_step(state, ctx, cfg.dt, cfg.c2, weights)
-            state.t = cfg.dt * state.step_index  # keep t free of summation drift
+            coeffs = step(coeffs, cfg.dt * n, ctx, weights)
+            n += 1
             if step_times is not None:
                 step_times.append(time.perf_counter() - tic)
-            due = [obs for steps, obs in plan if state.step_index in steps]
+            due = [obs for steps, obs in plan if n in steps]
             if due:
-                U = inverse_transform(state.coeffs, mesh)
-                check_state(U, problem, mesh, state.t)
+                t = cfg.dt * n
+                U = inverse_transform(coeffs, mesh)
+                check_state(U, problem, mesh, t)
                 for obs in due:
-                    obs(state.step_index, state.t, U)
+                    obs(n, t, U)
                 del U
     except NonlinearityDomainError as err:
-        err.step_index = state.step_index
+        err.step_index = n
         raise
-    return state
+    return SolverState(cfg.dt * n, coeffs, n)

@@ -42,7 +42,6 @@ from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
 from expfem.operator import PHI2_TAYLOR_CUTOFF, build_operator, phi
 from expfem.problems import Problem
 from expfem.quadrature import apply_matrix, gauss_rule
-from expfem.stepper import SolverState
 from expfem.transforms import axis_spectrum, inverse_transform, modal_shape
 
 
@@ -251,7 +250,7 @@ def dense_rk2_step(ctx, t, U, dt, c2=0.5, g_t=None):
     return (V @ y1).reshape(U.shape)
 
 
-def rk2_step_with_temporaries(state, ctx, dt, c2, w):
+def rk2_step_with_temporaries(coeffs, t, ctx, w):
     """`exp_rk2_step`'s products in its order, written with a fresh
     array per product and the stage held through the second load: the
     step, which keeps its temporaries in the output buffer, must give
@@ -261,11 +260,10 @@ def rk2_step_with_temporaries(state, ctx, dt, c2, w):
             return None
         return inverse_transform(coeffs, ctx.mesh)
 
-    G1 = transformed_load(ctx, state.t, nodal(state.coeffs))
-    stage = w.stage_decay * state.coeffs + w.stage_phi1 * G1
-    G2 = transformed_load(ctx, state.t + c2 * dt, nodal(stage))
-    coeffs = w.decay * state.coeffs + w.b1 * G1 + w.b2 * G2
-    return SolverState(state.t + dt, coeffs, state.step_index + 1)
+    G1 = transformed_load(ctx, t, nodal(coeffs))
+    stage = w.stage_decay * coeffs + w.stage_phi1 * G1
+    G2 = transformed_load(ctx, t + w.stage_dt, nodal(stage))
+    return w.decay * coeffs + w.b1 * G1 + w.b2 * G2
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import expfem
-from expfem import cli
+from expfem import cli, config
 from expfem.cli import main
 
 RUN_CFG = """
@@ -51,6 +52,33 @@ def _write(tmp_path, text, name="cfg.toml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def test_every_run_config_field_is_read_by_a_command(tmp_path, monkeypatch):
+    # a field no command reads is one parse_config fills for no one; the
+    # reads are recorded on the parsed config, so that neither a read
+    # inside parse_config nor a name shared with another object (cli's
+    # `args.seed`) counts
+    reads = set()
+
+    class Recorded(config.RunConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    def parse(*args, **kwargs):
+        cfg = config.parse_config(*args, **kwargs)
+        cfg.__class__ = Recorded
+        return cfg
+
+    monkeypatch.setattr(cli, "parse_config", parse)
+    for command, text in (("run", RUN_CFG), ("converge", CONV_CFG),
+                          ("bench", BENCH_CFG)):
+        argv = [command, "--config", _write(tmp_path, text, f"{command}.toml"),
+                "--out", str(tmp_path / command), "--seed", "4", "--quiet"]
+        assert main(argv) == 0
+    fields = {field.name for field in dataclasses.fields(config.RunConfig)}
+    assert not fields - reads, sorted(fields - reads)
 
 
 def test_run_subcommand_writes_series(tmp_path, capsys):

@@ -10,8 +10,8 @@ from expfem.assembly import initial_state
 from expfem.config import (_CONSTANTS, _FUNCTIONS, ConfigError,
                            compile_expression, parse_config, parse_keyvalues)
 from expfem.mesh import Dirichlet, Periodic
-from expfem.problems import (builtin_allen_cahn_wave, builtin_linear_rd,
-                             mesh_for)
+from expfem.problems import (builtin_allen_cahn_wave, builtin_flory_huggins,
+                             builtin_linear_rd, mesh_for)
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
 
@@ -108,7 +108,8 @@ def test_seed_override_rebuilds_problem():
     ua = initial_state(a.problem, mesh_for(a.problem, mesh_shape))
     ub = initial_state(b.problem, mesh_for(b.problem, mesh_shape))
     assert not np.array_equal(ua, ub)
-    assert b.seed == 9
+    nine = builtin_flory_huggins(seed=9)
+    assert np.array_equal(ub, initial_state(nine, mesh_for(nine, mesh_shape)))
 
 
 def test_observer_cadence_validation():
@@ -530,8 +531,11 @@ def test_builtin_parameters_and_seed_still_accepted():
                         'seed = 3\n[domain]\nn = [8, 2, 2]\n')
     assert wave.problem.T_default == pytest.approx(
         3.0 * math.sqrt(2.0) * 0.1 / 5.0)
-    rd = parse_config(MINIMAL, seed_override=9)
-    assert rd.seed == 9
+    # linear_rd takes no seed: with one it builds as it does without
+    rd = parse_config(MINIMAL, seed_override=9).problem
+    mesh = mesh_for(rd, (8, 4))
+    assert np.array_equal(initial_state(rd, mesh),
+                          initial_state(builtin_linear_rd(), mesh))
 
 
 # each function of the expression language, with its x- and t-derivative

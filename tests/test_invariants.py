@@ -213,13 +213,15 @@ def test_separable_source_equals_the_same_terms_in_f(shape, boundary,
 
 def _dense_affine_solution(ctx, U0, S0, S1, T, g_t):
     """Exact solution at T of the semi-discrete system
-    M U' + D K U = M (S0 + t S1) + b(t), by one `expm` of the system
+    M U' + D K U = M (S0 + t S1) + b(t), with the source functions S0
+    and S1 of xs evaluated on the owned grid, by one `expm` of the system
     augmented with t and 1 as states.  b is the boundary elimination load
     of a lifted mesh (`dense_boundary_load`, with the trace's rate g_t),
     affine in t when the trace is, and zero on other meshes."""
     M, K = dense_operator_matrices(ctx.mesh)
     n = M.shape[0]
-    S0, S1 = S0.ravel(), S1.ravel()
+    S0, S1 = (np.broadcast_to(S(ctx.grids), U0.shape).ravel()
+              for S in (S0, S1))
     if ctx.mesh.bc.trace is not None:
         b0 = dense_boundary_load(ctx, 0.0, g_t).ravel()
         b1 = dense_boundary_load(ctx, 1.0, g_t).ravel() - b0
@@ -237,7 +239,8 @@ def _dense_affine_solution(ctx, U0, S0, S1, T, g_t):
 def _solve_affine(data, shape, diffusion, dt, nsteps, scheme, c2):
     """Largest relative error at T of the source S0 + t S1 of `data`,
     run once as the source terms (1, S0) and (t, S1) and once as an f
-    that ignores u, against the dense solution."""
+    that ignores u, against the dense solution; S0 and S1 are functions
+    of xs, as profiles and f must be on a Dirichlet mesh."""
     U0, S0, S1, bc, g_t = data
     prob = Problem(name="inline", diffusion=diffusion, f=None,
                    domain=((0.0, 1.0),) * len(shape), bc=bc,
@@ -247,9 +250,8 @@ def _solve_affine(data, shape, diffusion, dt, nsteps, scheme, c2):
     want = _dense_affine_solution(LoadContext(prob, mesh), U0, S0, S1,
                                   nsteps * dt, g_t)
     errors = []
-    for split in (dict(source=((lambda t: 1.0, lambda xs: S0),
-                               (lambda t: t, lambda xs: S1))),
-                  dict(f=lambda t, u, xs: S0 + t * S1)):
+    for split in (dict(source=((lambda t: 1.0, S0), (lambda t: t, S1))),
+                  dict(f=lambda t, u, xs: S0(xs) + t * S1(xs))):
         state = run(dataclasses.replace(prob, **split), mesh, cfg)
         errors.append(rel_err(inverse_transform(state.coeffs, mesh), want))
     return max(errors)
@@ -266,12 +268,20 @@ def _product(factors):
     return functools.reduce(np.multiply, factors)
 
 
+def _sines(c, ks):
+    """The function c prod_a sin(k_a pi x_a) of xs, which vanishes on the
+    boundary of the unit box."""
+    return lambda xs: c * _product([np.sin(k * np.pi * x)
+                                    for k, x in zip(ks, xs)])
+
+
 def _affine_data(shape, boundary, seed, affine):
     """(U0, S0, S1, boundary kind, the trace's rate) on the unit box: a
-    random initial state and the source S0 + t S1, with S1 = 0 unless
-    `affine`.  Unlifted meshes take random nodal sources.  A lifted mesh
-    takes sources that vanish on the boundary, products of sin(k pi x_a),
-    so the reaction has no boundary values to lose, and the trace
+    random initial state and the source S0 + t S1, S0 and S1 functions of
+    xs, with S1 = 0 unless `affine`.  The periodic mesh takes random
+    nodal sources.  A Dirichlet mesh takes sources that vanish on the
+    boundary, products of sin(k pi x_a), so the reaction has no boundary
+    values to lose; a lifted one also takes the trace
     (a0 + a1 t) prod_a cos(x_a + p_a) + c, constant in t unless
     `affine`."""
     rng = np.random.default_rng(seed)
@@ -279,20 +289,21 @@ def _affine_data(shape, boundary, seed, affine):
     grids = node_grids(make_mesh([(0.0, 1.0)] * len(shape), shape, bc))
     dofs = [x.size for x in grids]
     U0 = rng.standard_normal(dofs)
-    if boundary != "dirichlet":
-        S0, S1 = rng.standard_normal(dofs), rng.standard_normal(dofs)
-        return U0, S0, S1 * affine, bc, None
+    if boundary == "periodic":
+        S0, S1 = rng.standard_normal(dofs), rng.standard_normal(dofs) * affine
+        return U0, lambda xs: S0, lambda xs: S1, bc, None
     k = rng.integers(1, 4, size=(2, len(shape)))
-    S0, S1 = (c * _product([np.sin(kk * np.pi * x)
-                            for kk, x in zip(ks, grids)])
-              for c, ks in zip(rng.standard_normal(2), k))
+    c0, c1 = rng.standard_normal(2)
+    S0, S1 = _sines(c0, k[0]), _sines(c1 * affine, k[1])
+    if boundary == "homogeneous":
+        return U0, S0, S1, bc, None
     a0, a1, c = rng.standard_normal(3) * [1.0, affine, 1.0]
     phase = rng.uniform(0.0, np.pi, len(shape))
 
     def wave(xs):
         return _product([np.cos(x + p) for x, p in zip(xs, phase)])
 
-    return (U0, S0, S1 * affine,
+    return (U0, S0, S1,
             Dirichlet(lambda t, xs: (a0 + a1 * t) * wave(xs) + c),
             lambda t, xs: a1 * wave(xs))
 

@@ -15,8 +15,8 @@ from expfem.operator import build_operator, phi, phi_tensor
 from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, mesh_for)
-from expfem.stepper import (SchemeConfig, SolverState, StepWeights,
-                            exp_euler_step, exp_rk2_step, run)
+from expfem.stepper import (SchemeConfig, StepWeights, exp_euler_step,
+                            exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
 
 from helpers import (dense_euler_step, dense_rk2_step, full_reaction,
@@ -36,9 +36,12 @@ def _problem(f, dim=1, diffusion=1.0, u0=None, domain=None,
     )
 
 
+STEPS = {"euler": exp_euler_step, "rk2": exp_rk2_step}
+
+
 def _weights(ctx, dt, scheme, c2=0.5):
     """The weights `run` builds for a problem's steps."""
-    return StepWeights(operator_of(ctx), dt, scheme, c2, linear=ctx.problem.linear)
+    return StepWeights(operator_of(ctx), dt, scheme, c2, ctx.problem.linear)
 
 
 def test_zero_reaction_is_exact_modal_decay():
@@ -47,23 +50,23 @@ def test_zero_reaction_is_exact_modal_decay():
     mesh = mesh_for(prob, (8, 8))
     ctx = LoadContext(prob, mesh)
     dt, nsteps = 0.01, 60
-    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
+    coeffs = forward_transform(initial_state(prob, mesh), mesh)
     w = _weights(ctx, dt, "euler")
-    for _ in range(nsteps):
-        state = exp_euler_step(state, ctx, dt, w)
+    for n in range(nsteps):
+        coeffs = exp_euler_step(coeffs, dt * n, ctx, w)
     expected = np.exp(-nsteps * dt * operator_of(ctx)) * forward_transform(
         initial_state(prob, mesh), mesh)
-    assert rel_err(state.coeffs, expected) < 1e-13
+    assert rel_err(coeffs, expected) < 1e-13
 
 
 def test_zero_reaction_euler_equals_rk2():
     prob = _problem(lambda t, u, xs: 0.0 * u)
     mesh = mesh_for(prob, (8,))
     ctx = LoadContext(prob, mesh)
-    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    a = exp_euler_step(state, ctx, 0.1, _weights(ctx, 0.1, "euler"))
-    b = exp_rk2_step(state, ctx, 0.1, 0.5, _weights(ctx, 0.1, "rk2"))
-    assert rel_err(a.coeffs, b.coeffs) < 1e-14
+    c0 = forward_transform(initial_state(prob, mesh), mesh)
+    a = exp_euler_step(c0, 0.0, ctx, _weights(ctx, 0.1, "euler"))
+    b = exp_rk2_step(c0, 0.0, ctx, _weights(ctx, 0.1, "rk2"))
+    assert rel_err(a, b) < 1e-14
 
 
 def test_euler_step_scalar_duhamel():
@@ -73,14 +76,13 @@ def test_euler_step_scalar_duhamel():
     mesh = mesh_for(prob, (2,))
     ctx = LoadContext(prob, mesh)
     assert np.allclose(operator_of(ctx), [12.0])
-    state = SolverState(0.0, forward_transform(np.ones(1), mesh))
-    out = exp_euler_step(state, ctx, 0.1, _weights(ctx, 0.1, "euler"))
+    out = exp_euler_step(forward_transform(np.ones(1), mesh), 0.0, ctx,
+                         _weights(ctx, 0.1, "euler"))
     lam, dt = 12.0, 0.1
     expected = math.exp(-lam * dt) + dt * phi(1, -lam * dt)
     duhamel = math.exp(-lam * dt) + (1 - math.exp(-lam * dt)) / lam
     assert abs(expected - duhamel) < 1e-15
-    assert abs(float(out.coeffs[0]) - duhamel) < 1e-14
-    assert out.t == pytest.approx(0.1) and out.step_index == 1
+    assert abs(float(out[0]) - duhamel) < 1e-14
 
 
 def test_rk2_exact_for_reaction_linear_in_time():
@@ -92,9 +94,9 @@ def test_rk2_exact_for_reaction_linear_in_time():
     assert np.allclose(operator_of(ctx), [1.0], rtol=1e-13)
     exact = math.exp(-0.5) - 1.0 + 0.5
     for c2 in (0.5, 0.7, 1.0):
-        state = SolverState(0.0, np.zeros(1))
-        out = exp_rk2_step(state, ctx, 0.5, c2, _weights(ctx, 0.5, "rk2", c2))
-        assert abs(float(out.coeffs[0]) - exact) < 1e-12
+        out = exp_rk2_step(np.zeros(1), 0.0, ctx,
+                           _weights(ctx, 0.5, "rk2", c2))
+        assert abs(float(out[0]) - exact) < 1e-12
 
 
 def test_step_continuity_for_tiny_dt():
@@ -102,9 +104,8 @@ def test_step_continuity_for_tiny_dt():
     mesh = mesh_for(prob, (16,))
     ctx = LoadContext(prob, mesh)
     c0 = forward_transform(initial_state(prob, mesh), mesh)
-    state = SolverState(0.0, c0)
-    out = exp_euler_step(state, ctx, 1e-8, _weights(ctx, 1e-8, "euler"))
-    assert rel_err(out.coeffs, c0) < 1e-6
+    out = exp_euler_step(c0, 0.0, ctx, _weights(ctx, 1e-8, "euler"))
+    assert rel_err(out, c0) < 1e-6
 
 
 def test_rk2_weight_consistency_conditions():
@@ -112,13 +113,14 @@ def test_rk2_weight_consistency_conditions():
     mesh = mesh_for(prob, (8,))
     rates = build_operator(mesh, prob.diffusion)
     dt, c2 = 0.01, 0.5
-    w = StepWeights(rates, dt, "rk2", c2)
+    w = StepWeights(rates, dt, "rk2", c2, 0.0)
     # the phi weights carry their step length; rk2 forms b1 in phi1's
     # buffer and keeps no phi1
     phi1 = dt * phi_tensor(1, rates, dt)
     assert rel_err(w.b1 + w.b2, phi1) < 1e-13
     assert not hasattr(w, "phi1")
-    assert np.array_equal(StepWeights(rates, dt, "euler").phi1, phi1)
+    assert np.array_equal(StepWeights(rates, dt, "euler", c2, 0.0).phi1, phi1)
+    assert w.stage_dt == c2 * dt
     assert np.array_equal(w.stage_phi1,
                           (c2 * dt) * phi_tensor(1, rates, c2 * dt))
     assert np.array_equal(w.decay, np.exp(-dt * rates))
@@ -130,13 +132,13 @@ def test_one_step_matches_dense_oracle_1d():
     ctx = LoadContext(prob, mesh)
     U0 = initial_state(prob, mesh)
     dt = 1e-3
-    state = SolverState(0.0, forward_transform(U0, mesh))
+    c0 = forward_transform(U0, mesh)
     fast1 = inverse_transform(
-        exp_euler_step(state, ctx, dt, _weights(ctx, dt, "euler")).coeffs, mesh)
+        exp_euler_step(c0, 0.0, ctx, _weights(ctx, dt, "euler")), mesh)
     dense1 = dense_euler_step(ctx, 0.0, U0, dt, g_t=wave_exact_dt())
     assert rel_err(fast1, dense1) < 1e-10
     fast2 = inverse_transform(
-        exp_rk2_step(state, ctx, dt, 0.5, _weights(ctx, dt, "rk2")).coeffs, mesh)
+        exp_rk2_step(c0, 0.0, ctx, _weights(ctx, dt, "rk2")), mesh)
     dense2 = dense_rk2_step(ctx, 0.0, U0, dt, g_t=wave_exact_dt())
     assert rel_err(fast2, dense2) < 1e-10
 
@@ -179,6 +181,51 @@ def test_run_observer_cadence_and_final_step():
     for step in (0, 6, 7):
         first, second = states[step]
         assert first is second
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_run_hands_every_load_and_observer_the_time_dt_times_n(
+        monkeypatch, scheme):
+    # step n starts at 0.1 * n and its rk2 stage at 0.1 * n + 0.3 * 0.1,
+    # bit for bit: a clock summed step by step would drift from both
+    dt, c2, nsteps = 0.1, 0.3, 7
+    seen = {"load": [], "amplitude": [], "trace": [], "observer": []}
+
+    def load(ctx, t, U):
+        seen["load"].append(t)
+        return assembly.transformed_load(ctx, t, U)
+
+    def amplitude(t):
+        seen["amplitude"].append(t)
+        return 1.0
+
+    def trace(t, xs):
+        # the lifting evaluates the trace at t + i h
+        seen["trace"].append(complex(t).real)
+        return 1.0 + t * xs[0]
+
+    def observer(n, t, U):
+        seen["observer"].append(t)
+
+    monkeypatch.setattr(stepper, "transformed_load", load)
+    prob = Problem(name="clock", diffusion=1.0, f=lambda t, u, xs: -u,
+                   domain=((0.0, 1.0),), bc=Dirichlet(trace),
+                   u0=lambda xs: 1.0 + 0.0 * xs[0],
+                   source=((amplitude, lambda xs: np.sin(np.pi * xs[0])),))
+    cfg = SchemeConfig(dt=dt, T=dt * nsteps, scheme=scheme, c2=c2)
+    end = run(prob, mesh_for(prob, (8,)), cfg, observers=[(1, observer)])
+
+    def loads(n):
+        return [dt * n] if scheme == "euler" else [dt * n, dt * n + c2 * dt]
+
+    want_loads = [t for n in range(nsteps) for t in loads(n)]
+    want_trace = [0.0] + [t for n in range(nsteps)
+                          for t in loads(n) + [dt * (n + 1)]]
+    want = {"load": want_loads, "amplitude": want_loads, "trace": want_trace,
+            "observer": [dt * n for n in range(nsteps + 1)]}
+    assert {k: [float(t).hex() for t in v] for k, v in seen.items()} == {
+        k: [t.hex() for t in v] for k, v in want.items()}
+    assert (end.t, end.step_index) == (dt * nsteps, nsteps)
 
 
 def test_run_rejects_observer_cadence_below_one():
@@ -355,20 +402,17 @@ def test_steps_leave_incoming_coefficients_unchanged(boundary, f, scheme):
     mesh = mesh_for(prob, (8, 6))
     ctx = LoadContext(prob, mesh)
     dt = 0.05
-    w = StepWeights(operator_of(ctx), dt, scheme)
+    w = _weights(ctx, dt, scheme)
     saved = {k: v.copy() for k, v in vars(w).items()
              if isinstance(v, np.ndarray)}
     c0 = forward_transform(initial_state(prob, mesh), mesh)
-    state = SolverState(0.0, c0.copy())
-    if scheme == "euler":
-        step = functools.partial(exp_euler_step, state, ctx, dt, w)
-    else:
-        step = functools.partial(exp_rk2_step, state, ctx, dt, 0.5, w)
+    coeffs = c0.copy()
+    step = functools.partial(STEPS[scheme], coeffs, 0.0, ctx, w)
     first = step()
-    assert np.array_equal(state.coeffs, c0)
-    assert not np.shares_memory(first.coeffs, state.coeffs)
+    assert np.array_equal(coeffs, c0)
+    assert not np.shares_memory(first, coeffs)
     again = step()
-    assert np.array_equal(again.coeffs, first.coeffs)
+    assert np.array_equal(again, first)
     for name, value in saved.items():
         assert np.array_equal(getattr(w, name), value), name
 
@@ -514,10 +558,10 @@ def test_an_rk2_step_with_no_f_forms_no_stage():
     ctx = LoadContext(prob, mesh)
     bare = _weights(ctx, 0.01, "rk2")
     bare.stage_decay = bare.stage_phi1 = None
-    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    want = exp_rk2_step(state, ctx, 0.01, 0.5, _weights(ctx, 0.01, "rk2"))
-    got = exp_rk2_step(state, ctx, 0.01, 0.5, bare)
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    c0 = forward_transform(initial_state(prob, mesh), mesh)
+    want = exp_rk2_step(c0, 0.0, ctx, _weights(ctx, 0.01, "rk2"))
+    got = exp_rk2_step(c0, 0.0, ctx, bare)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk2"])
@@ -527,17 +571,14 @@ def test_source_modes_are_read_only_and_left_unchanged_by_steps(scheme):
     prob = builtin_linear_rd()
     mesh = mesh_for(prob, (8, 4))
     ctx = LoadContext(prob, mesh)
-    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    w = _weights(ctx, 0.01, scheme)
-    if scheme == "euler":
-        step = functools.partial(exp_euler_step, state, ctx, 0.01, w)
-    else:
-        step = functools.partial(exp_rk2_step, state, ctx, 0.01, 0.5, w)
+    c0 = forward_transform(initial_state(prob, mesh), mesh)
+    step = functools.partial(STEPS[scheme], c0, 0.0, ctx,
+                             _weights(ctx, 0.01, scheme))
     first = step()
     (modes,) = ctx.source_modes
     saved = modes.copy()
     assert not modes.flags.writeable
-    assert np.array_equal(step().coeffs, first.coeffs)
+    assert np.array_equal(step(), first)
     assert np.array_equal(modes, saved)
 
 
@@ -574,11 +615,11 @@ def test_rk2_step_gives_the_bits_of_its_products_with_temporaries(prob, subs):
     ctx = LoadContext(prob, mesh)
     dt = 1e-3
     w = _weights(ctx, dt, "rk2")
-    state = SolverState(0.0, forward_transform(initial_state(prob, mesh), mesh))
-    for _ in range(3):
-        want = rk2_step_with_temporaries(state, ctx, dt, 0.5, w)
-        state = exp_rk2_step(state, ctx, dt, 0.5, w)
-        assert np.array_equal(state.coeffs, want.coeffs)
+    coeffs = forward_transform(initial_state(prob, mesh), mesh)
+    for n in range(3):
+        want = rk2_step_with_temporaries(coeffs, dt * n, ctx, w)
+        coeffs = exp_rk2_step(coeffs, dt * n, ctx, w)
+        assert np.array_equal(coeffs, want)
 
 
 @pytest.mark.parametrize("factory, subdivisions, scheme, every, bound", [
