@@ -214,7 +214,7 @@ def _ladder(problem, rungs, scheme, c2, T):
         yield mesh, state, row
 
 
-def convergence_study(problem, rungs, T, scheme="rk2", c2=0.5):
+def convergence_study(problem, rungs, T, scheme, c2):
     """Run a refinement ladder to T; one `StudyRow` per rung with its
     terminal-time errors and the rates against the rung before.
 
@@ -245,7 +245,7 @@ def _rate(coarse, fine):
     return None
 
 
-def timing_study(problem, rungs, T, scheme="rk2", c2=0.5):
+def timing_study(problem, rungs, T, scheme, c2):
     """Measure steady per-step cost over a ladder of (per-axis
     subdivisions, nt) rungs to T; one `StudyRow` per rung, with the growth
     exponent against the rung before."""

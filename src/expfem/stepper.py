@@ -131,8 +131,8 @@ class SolverState:
 class SchemeConfig:
     dt: float
     T: float
-    scheme: str = "rk2"
-    c2: float = 0.5
+    scheme: str
+    c2: float
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:

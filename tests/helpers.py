@@ -19,9 +19,9 @@ evaluates the interpolant on the whole Gauss grid with per-axis
 (n*npts) x (n+1) value and slope matrices.  The residual oracle
 differentiates closed-form solutions with mpmath's arbitrary-precision
 derivatives.  `masked_phi` evaluates phi by boolean gathers and
-scatters and `joined_snapshot` builds a snapshot's text as one string:
-`operator.phi` and the streamed `write_snapshot` must give their bits
-and bytes.  `readme_keys` reads the config keys of README's key table.
+scatters and `joined_snapshot` builds a snapshot's text as one string,
+one `repr` per value: `operator.phi` and the streamed `write_snapshot`
+must give their bits and bytes.  `readme_keys` reads the config keys of README's key table.
 """
 
 import functools
@@ -576,8 +576,9 @@ def masked_phi(k, z):
 
 def joined_snapshot(U, mesh, t):
     """A snapshot's whole text, joined into one string from an x-fastest
-    (Fortran-order) copy of the full-grid field; a periodic field is
-    wrapped here by indexing node N as node 0."""
+    (Fortran-order) copy of the full-grid field with one `repr` per
+    value; a periodic field is wrapped here by indexing node N as node
+    0."""
     if isinstance(mesh.bc, Periodic):
         full = np.asarray(U, dtype=float)[
             np.ix_(*(np.arange(n + 1) % n for n in np.shape(U)))]

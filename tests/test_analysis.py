@@ -186,7 +186,7 @@ def test_sup_norm_gives_the_bits_of_max_abs(U):
 def test_convergence_study_rates_and_report_shape():
     prob = builtin_linear_rd()
     rungs = [((4, 2), 8), ((8, 4), 8)]
-    rows = convergence_study(prob, rungs, scheme="rk2", T=0.25)
+    rows = convergence_study(prob, rungs, scheme="rk2", T=0.25, c2=0.5)
     assert len(rows) == 2
     first, second = rows
     assert first.rate_l2 is None and first.rate_h1 is None
@@ -196,7 +196,8 @@ def test_convergence_study_rates_and_report_shape():
 
 def test_convergence_study_single_rung_has_no_rates():
     prob = builtin_linear_rd()
-    rows = convergence_study(prob, [((4, 2), 4)], T=0.5)
+    rows = convergence_study(prob, [((4, 2), 4)], T=0.5, scheme="rk2",
+                             c2=0.5)
     assert len(rows) == 1 and rows[0].rate_l2 is None
 
 
@@ -222,7 +223,8 @@ def test_rate_keeps_the_bits_of_log2_of_the_ratio(coarse, fine):
 
 def test_timing_study_growth_definition():
     prob = builtin_linear_rd()
-    r0, r1 = timing_study(prob, [((4, 2), 4), ((8, 4), 4)], T=0.5)
+    r0, r1 = timing_study(prob, [((4, 2), 4), ((8, 4), 4)], T=0.5,
+                          scheme="rk2", c2=0.5)
     assert r0.growth is None
     nodes0, nodes1 = 3 * 1, 7 * 3
     expected = math.log(r1.sec_per_step / r0.sec_per_step) / math.log(

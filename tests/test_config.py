@@ -400,7 +400,8 @@ exact = "exp(-t) * sin(pi * x)"
     assert float(prob.exact(0.0, xs)) == pytest.approx(1.0)
     # and it runs
     mesh = mesh_for(prob, cfg.subdivisions)
-    state = run(prob, mesh, SchemeConfig(dt=cfg.dt, T=cfg.T, scheme=cfg.scheme))
+    state = run(prob, mesh, SchemeConfig(dt=cfg.dt, T=cfg.T, scheme=cfg.scheme,
+                                         c2=cfg.c2))
     assert state.step_index == 8
 
 
@@ -415,7 +416,8 @@ def _custom_config(bounds, n, d, f, u0, **extra):
 
 def _end_state(prob, subs, T, nt, scheme):
     mesh = mesh_for(prob, subs)
-    state = run(prob, mesh, SchemeConfig(dt=T / nt, T=T, scheme=scheme))
+    state = run(prob, mesh,
+                SchemeConfig(dt=T / nt, T=T, scheme=scheme, c2=0.5))
     return mesh, state, inverse_transform(state.coeffs, mesh)
 
 

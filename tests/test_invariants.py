@@ -153,7 +153,7 @@ def test_transposing_the_box_transposes_the_solution(
         u0=_permuted(prob.u0, perm),
         bc=(Dirichlet(_permuted(prob.bc.trace, perm))
             if boundary == "dirichlet" else prob.bc))
-    cfg = SchemeConfig(dt=dt, T=STEPS * dt, scheme="rk2")
+    cfg = SchemeConfig(dt=dt, T=STEPS * dt, scheme="rk2", c2=0.5)
     solutions = []
     for problem, subdivisions in ((prob, shape), (moved,
                                                   [shape[i] for i in perm])):
@@ -205,7 +205,7 @@ def test_separable_source_equals_the_same_terms_in_f(shape, boundary,
                    domain=((0.0, 1.0),) * dim, bc=_kind(boundary, field),
                    u0=lambda xs: field(0.0, xs))
     mesh = mesh_for(prob, shape)
-    cfg = SchemeConfig(dt=0.01, T=STEPS * 0.01, scheme=scheme)
+    cfg = SchemeConfig(dt=0.01, T=STEPS * 0.01, scheme=scheme, c2=0.5)
     got = run(prob, mesh, cfg).coeffs
     want = run(dataclasses.replace(prob, f=in_f, source=()), mesh, cfg).coeffs
     assert rel_err(got, want) < 1e-13

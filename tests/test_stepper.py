@@ -146,7 +146,7 @@ def test_one_step_matches_dense_oracle_1d():
 def test_run_zero_steps_returns_initial_state():
     prob = builtin_allen_cahn_wave(dim=1)
     mesh = mesh_for(prob, (8,))
-    cfg = SchemeConfig(dt=0.5, T=0.0, scheme="euler")
+    cfg = SchemeConfig(dt=0.5, T=0.0, scheme="euler", c2=0.5)
     state = run(prob, mesh, cfg)
     assert state.step_index == 0 and state.t == 0.0
     expected = forward_transform(initial_state(prob, mesh), mesh)
@@ -156,7 +156,7 @@ def test_run_zero_steps_returns_initial_state():
 def test_run_rejects_non_integer_step_count():
     prob = builtin_allen_cahn_wave(dim=1)
     mesh = mesh_for(prob, (8,))
-    cfg = SchemeConfig(dt=0.3, T=1.0)
+    cfg = SchemeConfig(dt=0.3, T=1.0, scheme="rk2", c2=0.5)
     with pytest.raises(ValueError):
         run(prob, mesh, cfg)
 
@@ -175,7 +175,7 @@ def test_run_observer_cadence_and_final_step():
             states.setdefault(step, []).append(U)
         return obs
 
-    cfg = SchemeConfig(dt=0.1, T=0.7, scheme="euler")
+    cfg = SchemeConfig(dt=0.1, T=0.7, scheme="euler", c2=0.5)
     run(prob, mesh, cfg, observers=[(3, observer(3)), (2, observer(2))])
     assert seen == {3: [0, 3, 6, 7], 2: [0, 2, 4, 6, 7]}
     for step in (0, 6, 7):
@@ -231,7 +231,7 @@ def test_run_hands_every_load_and_observer_the_time_dt_times_n(
 def test_run_rejects_observer_cadence_below_one():
     prob = _problem(lambda t, u, xs: 0.0 * u)
     mesh = mesh_for(prob, (8,))
-    cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler")
+    cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler", c2=0.5)
     with pytest.raises(ValueError, match="cadence"):
         run(prob, mesh, cfg, observers=[(0, lambda s, t, U: None)])
 
@@ -259,7 +259,7 @@ def test_run_linear_heat_matches_exact_modal_decay():
                     u0=lambda xs: np.sin(2 * np.pi * xs[0]) * np.sin(np.pi * xs[1]))
     mesh = mesh_for(prob, (8, 8))
     ctx = LoadContext(prob, mesh)
-    cfg = SchemeConfig(dt=0.01, T=1.0, scheme="rk2")
+    cfg = SchemeConfig(dt=0.01, T=1.0, scheme="rk2", c2=0.5)
     state = run(prob, mesh, cfg)
     c0 = forward_transform(initial_state(prob, mesh), mesh)
     expected = np.exp(-1.0 * operator_of(ctx)) * c0
@@ -269,7 +269,8 @@ def test_run_linear_heat_matches_exact_modal_decay():
 def test_runs_are_deterministic():
     prob = builtin_allen_cahn_wave(dim=2)
     mesh = mesh_for(prob, (8, 4))
-    cfg = SchemeConfig(dt=prob.T_default / 8, T=prob.T_default, scheme="rk2")
+    cfg = SchemeConfig(dt=prob.T_default / 8, T=prob.T_default, scheme="rk2",
+                       c2=0.5)
     a = run(prob, mesh, cfg)
     b = run(prob, mesh, cfg)
     assert np.array_equal(a.coeffs, b.coeffs)
@@ -277,19 +278,19 @@ def test_runs_are_deterministic():
 
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
-        SchemeConfig(dt=0.1, T=1.0, scheme="rk7")
+        SchemeConfig(dt=0.1, T=1.0, scheme="rk7", c2=0.5)
     with pytest.raises(ValueError):
-        SchemeConfig(dt=-0.1, T=1.0)
+        SchemeConfig(dt=-0.1, T=1.0, scheme="rk2", c2=0.5)
     with pytest.raises(ValueError):
-        SchemeConfig(dt=0.1, T=1.0, c2=0.0)
+        SchemeConfig(dt=0.1, T=1.0, scheme="rk2", c2=0.0)
 
 
 def test_num_steps_rejects_a_step_far_above_T():
     # a tolerance relative to max(T, dt) let dt = 1e10 take 0 steps to T = 1
     with pytest.raises(ValueError, match="multiple of dt"):
-        SchemeConfig(dt=1e10, T=1.0).num_steps()
-    assert SchemeConfig(dt=0.5, T=0.0).num_steps() == 0
-    assert SchemeConfig(dt=0.1, T=0.7).num_steps() == 7
+        SchemeConfig(dt=1e10, T=1.0, scheme="rk2", c2=0.5).num_steps()
+    assert SchemeConfig(dt=0.5, T=0.0, scheme="rk2", c2=0.5).num_steps() == 0
+    assert SchemeConfig(dt=0.1, T=0.7, scheme="rk2", c2=0.5).num_steps() == 7
 
 
 @pytest.mark.parametrize("observed", [False, True])
@@ -298,7 +299,8 @@ def test_a_blown_up_stage_stops_the_run_observed_or_not(observed):
     # 5 holds a NaN, which the load reads before any observer could
     prob = builtin_allen_cahn_wave(dim=1)
     mesh = mesh_for(prob, (256,))
-    cfg = SchemeConfig(dt=prob.T_default / 6, T=prob.T_default, scheme="rk2")
+    cfg = SchemeConfig(dt=prob.T_default / 6, T=prob.T_default, scheme="rk2",
+                       c2=0.5)
     observers = [(1, lambda *a: None)] if observed else []
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonlinearityDomainError) as exc:
@@ -312,7 +314,7 @@ def test_an_observed_state_outside_the_admissible_range_stops_the_run():
     seen = []
     prob = builtin_flory_huggins(seed=2023)
     mesh = mesh_for(prob, (8, 8, 8))
-    cfg = SchemeConfig(dt=0.5, T=0.5, scheme="euler")
+    cfg = SchemeConfig(dt=0.5, T=0.5, scheme="euler", c2=0.5)
     with pytest.raises(NonlinearityDomainError) as exc:
         run(prob, mesh, cfg, observers=[(1, lambda step, *a: seen.append(step))])
     assert exc.value.step_index == 1 and seen == [0]
@@ -348,7 +350,8 @@ def test_a_trace_outside_the_range_at_one_corner_fails_the_state_check(
 def test_domain_error_reports_step_index():
     prob = builtin_flory_huggins(seed=3)
     mesh = mesh_for(prob, (4, 4, 4))
-    cfg = SchemeConfig(dt=1.0, T=4.0, scheme="rk2")  # wildly large step
+    # wildly large step
+    cfg = SchemeConfig(dt=1.0, T=4.0, scheme="rk2", c2=0.5)
     with pytest.raises(NonlinearityDomainError) as exc:
         run(prob, mesh, cfg)
     assert exc.value.step_index is not None
@@ -361,7 +364,7 @@ def test_a_non_finite_initial_state_stops_an_observed_run(value):
     prob = _problem(lambda t, u, xs: -u, u0=lambda xs: np.where(
         xs[0] > 0.5, value, 0.0))
     mesh = mesh_for(prob, (8,))
-    cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler")
+    cfg = SchemeConfig(dt=0.1, T=0.2, scheme="euler", c2=0.5)
     with pytest.raises(NonlinearityDomainError) as exc:
         run(prob, mesh, cfg, observers=[(1, lambda *a: seen.append(a))])
     assert exc.value.step_index == 0 and not seen
@@ -468,7 +471,7 @@ def test_linear_rd_run_transforms_u0_and_the_source_profile_once(
     calls = _count_transforms(monkeypatch)
     prob = builtin_linear_rd()
     run(prob, mesh_for(prob, (8, 4)),
-        SchemeConfig(dt=0.01, T=0.01 * nsteps, scheme="euler"))
+        SchemeConfig(dt=0.01, T=0.01 * nsteps, scheme="euler", c2=0.5))
     assert calls == {"forward": 1 + min(nsteps, 1), "inverse": 0}
 
 
@@ -480,7 +483,7 @@ def test_steps_with_neither_f_nor_a_source_make_no_transform(
     prob = _problem(None, dim=2,
                     bc=Periodic() if periodic else Dirichlet())
     run(prob, mesh_for(prob, (8, 4)),
-        SchemeConfig(dt=0.01, T=0.05, scheme=scheme))
+        SchemeConfig(dt=0.01, T=0.05, scheme=scheme, c2=0.5))
     assert calls == {"forward": 1, "inverse": 0}
 
 
@@ -496,7 +499,8 @@ def test_a_lifted_run_builds_its_face_grids_once(monkeypatch):
 
     monkeypatch.setattr("expfem.mesh.full_axis_coordinates", counted)
     prob = builtin_allen_cahn_wave()
-    run(prob, mesh_for(prob, (8, 4, 4)), SchemeConfig(dt=1e-4, T=3e-4),
+    run(prob, mesh_for(prob, (8, 4, 4)),
+        SchemeConfig(dt=1e-4, T=3e-4, scheme="rk2", c2=0.5),
         [(1, lambda n, t, U: None)])
     assert sorted(axes) == [1, 2, 2]
 
@@ -505,7 +509,7 @@ def test_run_warns_of_an_aspect_ratio_above_eight():
     # linear_rd's domain is 2 x 1: cells of 1/2 x 1/40 have ratio 20, and
     # cells of 1/2 x 1/16 exactly 8, which is within the bound
     prob = builtin_linear_rd()
-    cfg = SchemeConfig(dt=1e-3, T=1e-3, scheme="euler")
+    cfg = SchemeConfig(dt=1e-3, T=1e-3, scheme="euler", c2=0.5)
     with pytest.warns(UserWarning, match=r"aspect ratio 20\.00 exceeds 8"):
         run(prob, mesh_for(prob, (4, 40)), cfg)
     with warnings.catch_warnings():
@@ -592,7 +596,7 @@ def test_linear_part_in_modal_space_on_every_boundary_kind(boundary, scheme):
     split = dataclasses.replace(whole, linear=1.0,
                                 f=lambda t, u, xs: -u ** 3)
     mesh = mesh_for(whole, (8, 6))
-    cfg = SchemeConfig(dt=0.01, T=0.2, scheme=scheme)
+    cfg = SchemeConfig(dt=0.01, T=0.2, scheme=scheme, c2=0.5)
     got = run(split, mesh, cfg).coeffs
     assert rel_err(got, run(whole, mesh, cfg).coeffs) < 1e-13
 
@@ -640,7 +644,7 @@ def test_run_memory_stays_within_a_few_nodal_arrays(factory, subdivisions,
     # face-sized layer pair between calls, and at 11.67 without
     prob = factory()
     mesh = mesh_for(prob, subdivisions)
-    cfg = SchemeConfig(dt=1e-4, T=3e-4, scheme=scheme)
+    cfg = SchemeConfig(dt=1e-4, T=3e-4, scheme=scheme, c2=0.5)
     observers = [] if every is None else [(every, lambda n, t, U: None)]
     run(prob, mesh, cfg, observers)
     nodal_bytes = 8 * math.prod(dof_shape(mesh))

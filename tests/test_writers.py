@@ -1,11 +1,18 @@
+from fractions import Fraction
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 from hypothesis import given, strategies as st
 
 from expfem.analysis import StudyRow
 from expfem.mesh import Dirichlet, Periodic, dof_shape, extend_nodal
-from expfem.writers import (REPORT_HEADER, format_number, write_report_csv,
-                            write_series_csv, write_snapshot)
+from expfem.problems import builtin_linear_rd, mesh_for
+from expfem.stepper import SchemeConfig, run
+from expfem.transforms import inverse_transform
+from expfem.writers import (_BLOCK_VALUES, _EXPONENTS, _KMIN, _POWERS,
+                            REPORT_HEADER, _format_block, format_number,
+                            write_report_csv, write_series_csv,
+                            write_snapshot)
 
 from helpers import joined_snapshot, make_mesh, traced_peak
 
@@ -145,13 +152,17 @@ def test_snapshot_bytes_match_per_value_repr(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-# values whose repr is exponent-heavy, subnormal, signed zero or the
-# largest finite double; every drawn field carries all of them
+# values whose repr is exponent-heavy, subnormal, signed zero, the
+# largest finite double, next to repr's switches between positional and
+# exponential text, an even integer past 2^53, the largest subnormal or
+# not finite; every drawn field carries all of them
 EDGE_VALUES = [-0.0, 1e-5, 1e16, 5e-324, 1.7976931348623157e308,
-               -1.7976931348623157e308]
+               -1.7976931348623157e308, float(np.nextafter(1e16, 0)),
+               float(np.nextafter(1e-4, 0)), 2.0 ** 53 + 2,
+               2.0 ** -1022 - 5e-324, np.inf, -np.inf, np.nan]
 # per-axis subdivision ranges by dimension, each giving every Dirichlet
 # mesh at least as many owned nodes as there are edge values
-SUBDIVISIONS = {1: (7, 12), 2: (4, 7), 3: (3, 5)}
+SUBDIVISIONS = {1: (14, 19), 2: (5, 7), 3: (4, 5)}
 
 
 def _trace(t, xs):
@@ -192,3 +203,78 @@ def test_snapshot_memory_stays_block_sized(tmp_path):
     path = tmp_path / "snap.vtk"
     assert traced_peak(write_snapshot, U, mesh, 0.5, path) < 2 * full_bytes
     assert path.read_bytes() == joined_snapshot(U, mesh, 0.5).encode()
+
+
+def test_block_temporaries_stay_under_256_bytes_per_value():
+    # the memory test above sees blocks of 1089 values, the planes of its
+    # 33^3 field, whatever _BLOCK_VALUES is; this one sees a full block
+    values = np.random.default_rng(5).standard_normal(_BLOCK_VALUES)
+    assert traced_peak(_format_block, values) < 256 * _BLOCK_VALUES
+
+
+def test_snapshot_of_edge_values_raises_no_floating_point_warning(tmp_path):
+    # the kernel's integer and float passes signal nothing, not even on
+    # inf and nan
+    mesh = make_mesh([(0, 1), (0, 1)], [5, 5], Dirichlet(_trace))
+    U = np.zeros(dof_shape(mesh))
+    U.flat[:len(EDGE_VALUES)] = EDGE_VALUES
+    path = tmp_path / "edge.vtk"
+    with np.errstate(all="raise"):
+        write_snapshot(U, mesh, 0.25, path)
+    assert path.read_bytes() == joined_snapshot(U, mesh, 0.25).encode()
+
+
+def _kernel_cases():
+    """Float64 values of every layout and digit-search edge: random bit
+    patterns, the ends of every binade, the powers of ten and their
+    neighbours, repr's switch points, integers around 2^53, the
+    extremes, zeros and non-finite values, and linear_rd's end state."""
+    rng = np.random.default_rng(38)
+    bits = rng.integers(0, 2 ** 64, 155_000, dtype=np.uint64, endpoint=False)
+    binades = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    ends = np.concatenate([binades, binades | np.uint64((1 << 52) - 1)])
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    switches = np.array([1e-4, 1e16])
+    for _ in range(3):
+        switches = np.concatenate([np.nextafter(switches, 0), switches,
+                                   np.nextafter(switches, np.inf)])
+    integers = 2.0 ** 53 + np.arange(-600.0, 600.0)
+    extremes = [5e-324, 2.0 ** -1022 - 5e-324, 1.7976931348623157e308,
+                0.0, np.inf, np.nan, -np.nan]
+    prob = builtin_linear_rd()
+    mesh = mesh_for(prob, (256, 128))
+    state = run(prob, mesh, SchemeConfig(dt=2.5e-4, T=0.05, scheme="euler",
+                                         c2=0.5))
+    end = extend_nodal(inverse_transform(state.coeffs, mesh), mesh, state.t)
+    edges = np.concatenate([
+        ends.view(np.float64), powers, np.nextafter(powers, 0),
+        np.nextafter(powers, np.inf), switches, integers, extremes])
+    return np.concatenate([bits.view(np.float64), edges, -edges, end.ravel()])
+
+
+def test_block_text_is_repr_joined():
+    values = _kernel_cases()
+    assert values.size >= 200_000 and np.isnan(values).any()
+    for start in range(0, values.size, _BLOCK_VALUES):
+        block = values[start:start + _BLOCK_VALUES]
+        assert _format_block(block) == "\n".join(map(repr, block.tolist()))
+
+
+def test_power_table_is_exact():
+    # per row: k = floor(log10) of the interval's width, 2^q or 3/4 * 2^q;
+    # e = h - q - 2 = floor(log2(10^-k)), which keeps 4c * 2^h below 2^60;
+    # g = floor(10^-k * 2^(125 - e)) + 1, from 2^125 up to 2^126
+    k, h = _EXPONENTS
+    g1, g1h, g1l, g0h, g0l = _POWERS.astype(object)
+    for row in range(k.size):
+        q = max(row // 2, 1) - 1075
+        width = Fraction(2) ** q * (Fraction(3, 4) if row % 2 else 1)
+        power = Fraction(10) ** (int(k[row]) + _KMIN)
+        assert power <= width < 10 * power
+        e = int(h[row]) - q - 2
+        assert 2 <= h[row] <= 5 and 2 ** e <= 1 / power < 2 ** (e + 1)
+        j = k[row]
+        assert g1[j] == (g1h[j] << 32) + g1l[j]
+        g = (g1[j] << 63) + (g0h[j] << 32) + g0l[j]
+        assert g == int(Fraction(2) ** (125 - e) / power) + 1
+        assert 2 ** 125 < g <= 2 ** 126
