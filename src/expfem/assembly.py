@@ -36,8 +36,8 @@ import numpy as np
 from .mesh import (dof_shape, element_pair, interior_mass_stencil, node_grids,
                    trace_on_faces)
 from .problems import COMPLEX_STEP, check_admissible
-from .transforms import (CHUNK, axis_spectrum, forward_transform, modal_shape,
-                         sine_transform)
+from .transforms import (CHUNK, axis_spectrum, forward_transform,
+                         inverse_transform, modal_shape, sine_transform)
 
 
 class LoadContext:
@@ -50,9 +50,8 @@ class LoadContext:
     and the lifting reads its boundary faces from the mesh
     (`mesh.boundary_faces`).  The transformed source profiles,
     `source_modes`, are computed at the first load, not here.  A load
-    frees the nodal state it reads before its transform
-    (`transformed_load`), so callers pass that state as a call
-    temporary.
+    takes modal coefficients and forms the nodal state its reaction
+    reads, which it frees before its transform (`transformed_load`).
     """
 
     def __init__(self, problem, mesh):
@@ -135,26 +134,31 @@ def _axis_lift(mesh, diffusion, inv_mass, a):
         columns=(sine_transform(ends, axes=(1,)) * inv_mass[a]).T)
 
 
-def transformed_load(ctx, t, U):
-    """Scaled modal load at time t: the transform of f at nodal state U,
-    plus each source term's amplitude at t times its transformed profile,
-    plus the Dirichlet lifting.  The linear part of the reaction is left
-    to the steps.  U may be None when the problem's f is None; a load
-    with no f makes no transform, and one with neither f nor a source is
-    zero but for the lifting.
+def transformed_load(ctx, t, coeffs):
+    """Scaled modal load at time t of the state with modal coefficients
+    coeffs: the transform of f at that state's nodal values, plus each
+    source term's amplitude at t times its transformed profile, plus the
+    Dirichlet lifting.  The linear part of the reaction is left to the
+    steps.  coeffs may be None when the problem's f is None; a load with
+    no f reads no state and makes no transform, and one with neither f
+    nor a source is zero but for the lifting.
 
-    The load drops its reference to U once the reaction has read it, so
-    a caller that passes U as a call temporary, not a named local, has
-    it freed before the load's forward transform.
+    With an f, the load inverse-transforms coeffs and drops its
+    reference to them, then frees the nodal state once the reaction has
+    read it, so it is gone before the load's forward transform; a
+    caller that passes coeffs as a call temporary, not a named local,
+    has them freed before the reaction runs.
 
-    This is the one place a reaction f is evaluated, and U is checked
-    against the problem's `admissible_range` before f reads it (see
-    `problems.check_admissible`), so a state outside it raises
+    This is the one place a reaction f is evaluated, and the nodal state
+    is checked against the problem's `admissible_range` before f reads
+    it (see `problems.check_admissible`), so a state outside it raises
     `NonlinearityDomainError` before any reaction sees it."""
     problem = ctx.problem
     loads = [amplitude(t) * modes for (amplitude, _), modes
              in zip(problem.source, ctx.source_modes)]
     if problem.f is not None:
+        U = inverse_transform(coeffs, ctx.mesh)
+        del coeffs
         check_admissible(U, problem.admissible_range)
         reaction = problem.f(t, U, ctx.grids)
         del U

@@ -29,10 +29,7 @@ def _build_parser():
         description="Exponential-integrator finite element solver for "
                     "semilinear parabolic equations on rectangular grids.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("run", "advance one simulation and write time series/snapshots"),
-            ("converge", "run a refinement ladder and write a rate report"),
-            ("bench", "run a spatial ladder and report per-step cost")):
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, metavar="PATH",
                        help="TOML config file")
@@ -53,11 +50,11 @@ def _echo(args, message):
 def _load_config(args):
     text = Path(args.config).read_text(encoding="utf-8")
     cfg = parse_config(text, seed_override=args.seed)
-    expected = {"run": "run", "converge": "convergence", "bench": "timing"}
-    if cfg.mode != expected[args.command]:
+    mode = _COMMANDS[args.command][0]
+    if cfg.mode != mode:
         raise ConfigError(
             f"config mode {cfg.mode!r} does not match subcommand "
-            f"{args.command!r} (expected {expected[args.command]!r})")
+            f"{args.command!r} (expected {mode!r})")
     return cfg
 
 
@@ -158,7 +155,14 @@ def _cmd_bench(args, cfg, path, _):
     return EXIT_OK
 
 
-_COMMANDS = {"run": _cmd_run, "converge": _cmd_converge, "bench": _cmd_bench}
+_COMMANDS = {  # subcommand: (config mode, help, handler)
+    "run": ("run", "advance one simulation and write time series/snapshots",
+            _cmd_run),
+    "converge": ("convergence",
+                 "run a refinement ladder and write a rate report",
+                 _cmd_converge),
+    "bench": ("timing", "run a spatial ladder and report per-step cost",
+              _cmd_bench)}
 
 
 def main(argv=None):
@@ -169,7 +173,7 @@ def main(argv=None):
         out_dir = Path(args.out)
         paths = _output_paths(args.command, cfg, out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, cfg, *paths)
+        return _COMMANDS[args.command][2](args, cfg, *paths)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,15 +2,16 @@
 
 Both schemes advance the transformed coefficients directly: the linear
 diffusion part is integrated exactly by entrywise exponentials, the
-reaction enters through phi-weighted loads.  One-stage scheme:
-
-    c^{n+1} = e^{-dt*rates} * c^n + dt * phi1(-dt*rates) * load(t_n)
-
-Two-stage scheme (stage node c2 in (0, 1]):
+reaction enters through phi-weighted loads.  The two-stage scheme
+(stage node c2 in (0, 1]) is
 
     s       = e^{-c2*dt*rates} * c^n + c2*dt * phi1(-c2*dt*rates) * load(t_n)
     c^{n+1} = e^{-dt*rates} * c^n
               + dt * [(phi1 - phi2/c2) * load(t_n) + (phi2/c2) * load_s(t_n + c2*dt)]
+
+and exponential Euler is its first stage with b2 = 0 and no stage:
+
+    c^{n+1} = e^{-dt*rates} * c^n + dt * phi1(-dt*rates) * load(t_n)
 
 `StepWeights` folds dt (and c2*dt for the stage) into the phi weights
 once per run, so a step is one product per weight: the steps combine in
@@ -22,9 +23,9 @@ dt lives in its weights, rk2's stage time as t + `w.stage_dt`.  `run`
 owns the clock: it picks the step once, hands step n the time dt*n and
 counts the steps.  With the folded weights
 
-    decay = e^{-dt*rates},  phi1 = dt*phi1(-dt*rates),
+    decay = e^{-dt*rates},  b2 = dt*phi2(-dt*rates)/c2,
+    b1 = dt*phi1(-dt*rates) - b2,
     stage_decay = e^{-c2*dt*rates},  stage_phi1 = c2*dt*phi1(-c2*dt*rates),
-    b2 = dt*phi2(-dt*rates)/c2,  b1 = phi1 - b2,
 
 the load is lam * c + G, where lam is the problem's `linear` and G the
 `transformed_load` of its source and f: the transform of f plus each
@@ -32,41 +33,42 @@ source term's amplitude times its profile's modes, which are
 transformed at the run's first load.  The lam * c part folds into
 the weights once per run:
 
-    Euler:  c^{n+1} = (decay + lam*phi1) * c^n + phi1 * G(t_n)
-    rk2:    s       = sd * c^n + stage_phi1 * G(t_n)
-            c^{n+1} = (decay + lam*b1) * c^n + b1 * G(t_n)
-                      + b2 * (G_s(t_n + c2*dt) + lam * s)
-                    = (decay + lam*b1 + lam*b2*sd) * c^n
-                      + (b1 + lam*b2*stage_phi1) * G(t_n) + b2 * G_s(t_n + c2*dt)
+    s       = sd * c^n + stage_phi1 * G(t_n)
+    c^{n+1} = (decay + lam*b1) * c^n + b1 * G(t_n)
+              + b2 * (G_s(t_n + c2*dt) + lam * s)
+            = (decay + lam*b1 + lam*b2*sd) * c^n
+              + (b1 + lam*b2*stage_phi1) * G(t_n) + b2 * G_s(t_n + c2*dt)
 
 with sd = stage_decay + lam*stage_phi1: the stage term lam * b2 * s
-folds too, since s is a weighted sum of c^n and G(t_n).  This is the
-same scheme as with lam * u in the nodal reaction, up to rounding; a
-step runs the same products whatever lam is, and with lam = 0 no fold
-runs.
+folds too, since s is a weighted sum of c^n and G(t_n).  Euler is the
+case b2 = 0, (decay + lam*b1) * c^n + b1 * G(t_n): the first-stage
+combine that both steps run.  This is the same scheme as with lam * u
+in the nodal reaction, up to rounding; a step runs the same products
+whatever lam is, and with lam = 0 no fold runs.
 
-Besides the weights (rk2 forms b1 in phi1's buffer and keeps no
-phi1), a step holds at its peak the incoming state, its output buffer
-and the arrays of one load: the nodal state and the reaction with one
-temporary of its own while f runs, then the reaction and its
-transform.  The load frees the nodal state once f has read it, which
-frees the array because the steps pass it as a call temporary, never
-a named local.  No rate tensor lives through the steps: `run` builds
-it (`operator.build_operator`), forms the weights from it and drops
-it.  The rk2 step's `_rk2_stage` keeps the stage_phi1 * G(t_n) product
-in the output buffer, which then takes decay * c^n + b1 * G(t_n), and
-returns the stage's nodal state straight into the second load, so the
-first load and the stage's coefficients are gone before that load
-starts.  A problem with no f forms no stage: its second load reads no
-state.  The step runs the products of the formulas above in their
-order, so it gives the same bits as the same products written each to
-a fresh array.
+Besides the weights (rk2 forms b1 in the buffer of dt*phi1, so no
+scheme keeps a phi1), a step holds at its peak the incoming state, its
+output buffer and the arrays of one load: the nodal state and the
+reaction with one temporary of its own while f runs, then the reaction
+and its transform.  The steps are modal: the load forms the nodal state
+f reads from the coefficients it is handed and frees it once f has read
+it.  It drops those coefficients after its inverse transform, which
+frees rk2's stage, because the step passes it as a call temporary,
+never a named local.  No rate tensor lives through the steps: `run`
+builds it (`operator.build_operator`), forms the weights from it and
+drops it.  The rk2 step's `_rk2_stage` keeps the stage_phi1 * G(t_n)
+product in the output buffer, which then takes the first-stage
+combine, and returns the stage's coefficients straight into the second
+load, so the first load is gone before that load starts.  A problem
+with no f forms no stage: its second load reads no state.  The step
+runs the products of the formulas above in their order, so it gives the
+same bits as the same products written each to a fresh array.
 
-State stays transformed between steps; nodal recovery happens only for
-evaluating f and for observation.  So a problem whose f is None steps
-with no transform at all: a run of it that takes any steps makes one
-forward transform of u0 and one per source term, however many steps
-it takes.  The coefficients are laid out as
+State stays transformed between steps; nodal recovery happens only in
+the load that evaluates f and for observation.  So a problem whose f is
+None steps with no transform at all: a run of it that takes any steps
+makes one forward transform of u0 and one per source term, however many
+steps it takes.  The coefficients are laid out as
 `transforms` defines them by the boundary kind's `fourier` flag: real
 sine coefficients of the nodal shape on Dirichlet meshes, the complex
 half spectrum of `rfftn` (N // 2 + 1 entries on the last axis) on
@@ -157,74 +159,66 @@ class SchemeConfig:
 class StepWeights:
     """Modal weight tensors shared by every step of a uniform-dt run.
 
-    The phi weights carry their step length: `phi1` is dt*phi1(-dt*rates)
-    and `stage_phi1` is c2*dt*phi1(-c2*dt*rates); `b1` and `b2` are built
-    from dt*phi2(-dt*rates), so they carry dt too.  The reaction's linear
-    part `linear` is folded into `decay` and `stage_decay`, and on rk2
-    into `b1` too (see the module docstring).  Euler holds `decay` and
-    `phi1`; rk2 holds `decay`, `stage_decay`, `stage_phi1`, `b1` and
-    `b2`, with `b1` formed in the buffer of dt*phi1 and no `phi1`: five
-    real modal tensors, each about half a nodal array on a periodic
-    mesh, one on a Dirichlet mesh.  rk2 also holds `stage_dt`, c2*dt,
-    the time from a step's start to its stage load, so a step reads no
-    dt of its own.
+    Both schemes hold `decay`, e^{-dt*rates}, and `b1`, the weight of the
+    first load: dt*phi1(-dt*rates) on Euler, less `b2` =
+    dt*phi2(-dt*rates)/c2 on rk2, which forms it in the buffer of
+    dt*phi1.  rk2 adds `b2`, `stage_decay`, `stage_phi1` =
+    c2*dt*phi1(-c2*dt*rates) and `stage_dt`, c2*dt, the time from a
+    step's start to its stage load, so a step reads no dt of its own.
+    The reaction's linear part `linear` is folded into `decay`, and on
+    rk2 into `stage_decay` and `b1` too (see the module docstring).  Each
+    weight tensor is real, about half a nodal array on a periodic mesh
+    and one on a Dirichlet mesh: two on Euler, five on rk2.
     """
 
     def __init__(self, rates, dt, scheme, c2, linear):
         self.decay = np.exp(-dt * rates)
-        phi1 = dt * phi_tensor(1, rates, dt)
-        if scheme == "euler":
-            self.phi1 = phi1
-            if linear:
-                self.decay += linear * phi1
-            return
-        self.stage_dt = c2 * dt
-        self.stage_decay = np.exp(-self.stage_dt * rates)
-        self.stage_phi1 = self.stage_dt * phi_tensor(1, rates, self.stage_dt)
-        # b2 in a fresh array: dividing phi2 in place left the peak RSS
-        # of fh 64^3 runs about 1 MiB higher (glibc heap layout)
-        phi2 = dt * phi_tensor(2, rates, dt)
-        self.b2 = phi2 / c2
-        self.b1 = np.subtract(phi1, self.b2, out=phi1)
+        self.b1 = dt * phi_tensor(1, rates, dt)
+        if scheme == "rk2":
+            self.stage_dt = c2 * dt
+            self.stage_decay = np.exp(-self.stage_dt * rates)
+            self.stage_phi1 = self.stage_dt * phi_tensor(1, rates,
+                                                         self.stage_dt)
+            # b2 in a fresh array: dividing phi2 in place left the peak RSS
+            # of fh 64^3 runs about 1 MiB higher (glibc heap layout)
+            phi2 = dt * phi_tensor(2, rates, dt)
+            self.b2 = phi2 / c2
+            self.b1 -= self.b2
         if linear:
-            self.stage_decay += linear * self.stage_phi1
             self.decay += linear * self.b1
+        if linear and scheme == "rk2":
+            self.stage_decay += linear * self.stage_phi1
             self.decay += linear * self.b2 * self.stage_decay
             self.b1 += linear * self.b2 * self.stage_phi1
 
 
-def _nodal_state(coeffs, ctx):
-    """The nodal state f reads; None when the problem has no f."""
-    if ctx.problem.f is None:
-        return None
-    return inverse_transform(coeffs, ctx.mesh)
+def _combine(coeffs, G, w, out=None):
+    """The first-stage combine decay * coeffs + b1 * G, into out (a new
+    array when None); G is scaled in place.  It is Euler's whole step."""
+    out = np.multiply(w.decay, coeffs, out=out)
+    G *= w.b1
+    out += G
+    return out
 
 
 def exp_euler_step(coeffs, t, ctx, w):
     """One step of the one-stage (exponential Euler) scheme: the
     coefficients at t + dt from those at t."""
-    G = transformed_load(ctx, t, _nodal_state(coeffs, ctx))
-    out = w.decay * coeffs
-    G *= w.phi1
-    out += G
-    return out
+    return _combine(coeffs, transformed_load(ctx, t, coeffs), w)
 
 
 def _rk2_stage(coeffs, t, ctx, w, out):
-    """Write decay * c^n + b1 * G(t_n) into out and return the nodal
-    state of the stage, None when the problem has no f; the first load
-    and the stage's coefficients die with this call."""
-    G1 = transformed_load(ctx, t, _nodal_state(coeffs, ctx))
+    """Write the first-stage combine into out and return the stage's
+    coefficients, None when the problem has no f; the first load dies
+    with this call."""
+    G1 = transformed_load(ctx, t, coeffs)
     stage = None
     if ctx.problem.f is not None:
         stage = w.stage_decay * coeffs
         np.multiply(w.stage_phi1, G1, out=out)
         stage += out
-    np.multiply(w.decay, coeffs, out=out)
-    G1 *= w.b1
-    out += G1
-    del G1
-    return _nodal_state(stage, ctx)
+    _combine(coeffs, G1, w, out)
+    return stage
 
 
 def exp_rk2_step(coeffs, t, ctx, w):

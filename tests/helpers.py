@@ -42,7 +42,7 @@ from expfem.mesh import (Dirichlet, Partition1D, Periodic, TensorMesh,
 from expfem.operator import PHI2_TAYLOR_CUTOFF, build_operator, phi
 from expfem.problems import Problem
 from expfem.quadrature import apply_matrix, gauss_rule
-from expfem.transforms import axis_spectrum, inverse_transform, modal_shape
+from expfem.transforms import axis_spectrum, modal_shape
 
 
 def full_grids(mesh):
@@ -250,19 +250,17 @@ def dense_rk2_step(ctx, t, U, dt, c2=0.5, g_t=None):
     return (V @ y1).reshape(U.shape)
 
 
-def rk2_step_with_temporaries(coeffs, t, ctx, w):
-    """`exp_rk2_step`'s products in its order, written with a fresh
-    array per product and the stage held through the second load: the
-    step, which keeps its temporaries in the output buffer, must give
-    the same bits."""
-    def nodal(coeffs):
-        if ctx.problem.f is None:
-            return None
-        return inverse_transform(coeffs, ctx.mesh)
-
-    G1 = transformed_load(ctx, t, nodal(coeffs))
+def step_with_temporaries(scheme, coeffs, t, ctx, w):
+    """A step's products in its order, written with a fresh array per
+    product and, on rk2, the stage held through the second load: the
+    steps, which keep their temporaries in the loads and the output
+    buffer, must give the same bits.  Euler's step is rk2's first-stage
+    combine alone."""
+    G1 = transformed_load(ctx, t, coeffs)
+    if scheme == "euler":
+        return w.decay * coeffs + w.b1 * G1
     stage = w.stage_decay * coeffs + w.stage_phi1 * G1
-    G2 = transformed_load(ctx, t + w.stage_dt, nodal(stage))
+    G2 = transformed_load(ctx, t + w.stage_dt, stage)
     return w.decay * coeffs + w.b1 * G1 + w.b2 * G2
 
 

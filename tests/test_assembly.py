@@ -166,7 +166,7 @@ def test_zero_reaction_zero_load():
     prob = _homogeneous_problem(lambda t, u, xs: 0.0 * u, dim=2)
     mesh = mesh_for(prob, (4, 4))
     ctx = LoadContext(prob, mesh)
-    G = transformed_load(ctx, 0.0, np.zeros(dof_shape(mesh)))
+    G = transformed_load(ctx, 0.0, np.zeros(modal_shape(mesh)))
     assert np.array_equal(G, np.zeros_like(G))
 
 
@@ -176,7 +176,7 @@ def test_collapsed_load_equals_mass_route():
     mesh = mesh_for(prob, (8,))
     ctx = LoadContext(prob, mesh)
     ones = np.ones(dof_shape(mesh))
-    G = transformed_load(ctx, 0.0, ones)
+    G = transformed_load(ctx, 0.0, forward_transform(ones, mesh))
     A, _ = build_axis_matrices(mesh.partitions[0], mesh.bc)
     explicit = inv_mass_product(ctx.mesh) * forward_transform(
         mode_multiply(A, ones, 0), mesh)
@@ -386,9 +386,10 @@ def test_fast_rhs_matches_dense_oracle():
         mesh = mesh_for(prob, subs)
         ctx = LoadContext(prob, mesh)
         U = 0.3 * rng.standard_normal(dof_shape(mesh))
+        coeffs = forward_transform(U, mesh)
         dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
-        modal = (prob.linear - operator_of(ctx)) \
-            * forward_transform(U, mesh) + transformed_load(ctx, t, U)
+        modal = (prob.linear - operator_of(ctx)) * coeffs \
+            + transformed_load(ctx, t, coeffs)
         fast = inverse_transform(modal, mesh)
         assert rel_err(fast, dense) < 1e-10
 
@@ -398,10 +399,10 @@ def test_boundary_lifting_consistent_with_dense_wave():
     mesh = mesh_for(prob, (8,))
     ctx = LoadContext(prob, mesh)
     U = initial_state(prob, mesh)
+    coeffs = forward_transform(U, mesh)
     for t in (0.0, prob.T_default / 2):
         dense = dense_semidiscrete_rhs(ctx, t, U, g_t=wave_exact_dt())
-        modal = -operator_of(ctx) * forward_transform(U, mesh) \
-            + transformed_load(ctx, t, U)
+        modal = -operator_of(ctx) * coeffs + transformed_load(ctx, t, coeffs)
         assert rel_err(inverse_transform(modal, mesh), dense) < 1e-10
 
 
@@ -441,7 +442,7 @@ def test_periodic_constant_reaction_only_zero_mode():
         u0=lambda xs: 0.0 * xs[0])
     mesh = mesh_for(prob, (8, 8))
     ctx = LoadContext(prob, mesh)
-    G = transformed_load(ctx, 0.0, np.zeros(dof_shape(mesh)))
+    G = transformed_load(ctx, 0.0, np.zeros(modal_shape(mesh), complex))
     nonzero = np.abs(G) > 1e-13 * np.max(np.abs(G))
     assert nonzero.sum() == 1 and nonzero[0, 0]
 
@@ -452,31 +453,43 @@ def test_domain_error_carries_offending_value():
     ctx = LoadContext(prob, mesh)
     U = np.zeros(dof_shape(mesh))
     U[1, 2, 3] = 1.25
+    coeffs = forward_transform(U, mesh)
+    # the nodal state the load forms, and its reaction would read, holds
+    # 1.25 exactly
+    assert inverse_transform(coeffs, mesh).max() == 1.25
     with pytest.raises(NonlinearityDomainError) as exc:
-        transformed_load(ctx, 0.0, U)
+        transformed_load(ctx, 0.0, coeffs)
     assert exc.value.value == 1.25
 
 
 def test_load_frees_the_state_it_read_before_its_transform(monkeypatch):
-    # a step passes its nodal state as a call temporary, so the load's
-    # reference is the last one once the reaction has read it
+    # rk2 passes its stage's coefficients as a call temporary, so the
+    # load's reference is the last one once it has inverse-transformed
+    # them, and the nodal state it forms is its own
     prob = builtin_flory_huggins(seed=1)
     mesh = mesh_for(prob, (6, 4, 4))
     ctx = LoadContext(prob, mesh)
     refs, alive = [], []
 
-    def nodal_state():
+    def coefficients():
         U = 0.5 * np.random.default_rng(4).uniform(-1, 1, dof_shape(mesh))
+        coeffs = forward_transform(U, mesh)
+        refs.append(weakref.ref(coeffs))
+        return coeffs
+
+    def inverse(coeffs, mesh):
+        U = inverse_transform(coeffs, mesh)
         refs.append(weakref.ref(U))
         return U
 
     def forward(U, mesh):
-        alive.append(refs[0]() is not None)
+        alive.append([ref() is not None for ref in refs])
         return forward_transform(U, mesh)
 
+    monkeypatch.setattr(assembly, "inverse_transform", inverse)
     monkeypatch.setattr(assembly, "forward_transform", forward)
-    transformed_load(ctx, 0.0, nodal_state())
-    assert alive == [False]
+    transformed_load(ctx, 0.0, coefficients())
+    assert alive == [[False, False]]
 
 
 def test_trace_faces_divide_before_they_broadcast():

@@ -10,13 +10,15 @@ somewhere in it, and no module imports a private function or class of
 another.  No module of the package tests the class of a boundary kind
 with `isinstance`.  An FFT call of the package that may overwrite its
 input (`overwrite_x`) gets an array its own function built.  Every name
-of the package that the benchmark under `perfbench/` reads exists.
+of the package that the benchmark under `perfbench/` reads exists, and
+takes each keyword argument the benchmark passes it.
 
 No linter runs on this repository, so this is the check.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -323,10 +325,54 @@ def test_no_module_tests_the_class_of_a_boundary_kind():
     assert not found, f"isinstance on a boundary kind: {found}"
 
 
+def _benchmark_reads(path):
+    """Each `expfem` module attribute a benchmark file reads, as
+    `module.name`, with the keyword arguments of its calls there.  The
+    file reaches the package as `import expfem.m as name`, `from
+    expfem.m import name` or `expfem.m.name` after `import expfem.m`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, names = {}, {}  # local name: module, local name: module.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname: alias.name.removeprefix("expfem.")
+                        for alias in node.names
+                        if alias.asname and alias.name.startswith("expfem.")}
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("expfem.")):
+            module = node.module.removeprefix("expfem.")
+            names |= {alias.asname or alias.name: f"{module}.{alias.name}"
+                      for alias in node.names}
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return names.get(expr.id)
+        if not isinstance(expr, ast.Attribute):
+            return None
+        owner = expr.value
+        if isinstance(owner, ast.Name) and owner.id in modules:
+            return f"{modules[owner.id]}.{expr.attr}"
+        if (isinstance(owner, ast.Attribute)
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id == "expfem"):
+            return f"{owner.attr}.{expr.attr}"
+        return None
+
+    reads = {target: set() for target in names.values()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (target := resolve(node)):
+            reads.setdefault(target, set())
+        if isinstance(node, ast.Call) and (target := resolve(node.func)):
+            reads.setdefault(target, set()).update(
+                kw.arg for kw in node.keywords if kw.arg)
+    return reads
+
+
 def test_names_the_benchmark_reads_exist():
-    # perfbench wraps each `module.name` of its tracer's TARGETS, and its
-    # rounds read each builtin problem's `periodic` and `energy_params`;
-    # read from its source, so the check needs no perfbench import
+    # perfbench wraps each `module.name` of its tracer's TARGETS, its
+    # files read module attributes and pass them keyword arguments, and
+    # its rounds read each builtin problem's `periodic` and
+    # `energy_params`; read from its source, so the check needs no
+    # perfbench import
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
         encoding="utf-8"))
     (targets,) = [ast.literal_eval(stmt.value) for stmt in tree.body
@@ -340,6 +386,22 @@ def test_names_the_benchmark_reads_exist():
         if not hasattr(importlib.import_module(f"expfem.{module}"), name):
             missing.append(target)
     assert not missing, f"perfbench tracer targets not in expfem: {missing}"
+    reads = {path.name: _benchmark_reads(path)
+             for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert any(keywords for found in reads.values()
+               for keywords in found.values())
+    for file, found in reads.items():
+        for target, keywords in sorted(found.items()):
+            module, _, name = target.partition(".")
+            obj = getattr(importlib.import_module(f"expfem.{module}"), name,
+                          None)
+            if obj is None:
+                missing.append(f"{file}: {target}")
+                continue
+            params = inspect.signature(obj).parameters if keywords else {}
+            missing += [f"{file}: {target}({kw}=...)"
+                        for kw in sorted(keywords) if kw not in params]
+    assert not missing, f"names perfbench reads, not in expfem: {missing}"
     for name, factory in BUILTIN_FACTORIES.items():
         problem = factory()
         assert isinstance(problem.periodic, bool), name

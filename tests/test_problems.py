@@ -12,6 +12,8 @@ from expfem.problems import (NonlinearityDomainError, Problem,
                              builtin_allen_cahn_wave, builtin_flory_huggins,
                              builtin_linear_rd, check_admissible, mesh_for)
 
+from expfem.transforms import forward_transform, inverse_transform
+
 from helpers import mp_linear_rd_exact, mp_wave_exact, pde_residual
 
 
@@ -161,12 +163,17 @@ def test_flory_huggins_odd_symmetry():
 
 
 def _flory_huggins_load(value):
-    """The load of a 4^3 Flory-Huggins state of 0.2 with one node at value."""
+    """The load of a 4^3 Flory-Huggins state of 0.2 with one node at value,
+    handed over as its coefficients; the nodal state the load forms from
+    them holds value at that node exactly."""
     prob = builtin_flory_huggins()
     mesh = mesh_for(prob, (4, 4, 4))
     U = np.full(dof_shape(mesh), 0.2)
     U[1, 2, 3] = value
-    return transformed_load(LoadContext(prob, mesh), 0.0, U)
+    coeffs = forward_transform(U, mesh)
+    assert np.array_equal(inverse_transform(coeffs, mesh)[1, 2, 3], value,
+                          equal_nan=True)
+    return transformed_load(LoadContext(prob, mesh), 0.0, coeffs)
 
 
 def test_flory_huggins_domain_error():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from expfem import assembly, stepper
+from expfem import assembly, stepper, transforms
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
 from expfem.mesh import Dirichlet, Periodic, dof_shape, full_axis_coordinates
@@ -20,7 +20,7 @@ from expfem.stepper import (SchemeConfig, StepWeights, exp_euler_step,
 from expfem.transforms import forward_transform, inverse_transform
 
 from helpers import (dense_euler_step, dense_rk2_step, full_reaction,
-                     operator_of, rel_err, rk2_step_with_temporaries,
+                     operator_of, rel_err, step_with_temporaries,
                      traced_peak, wave_exact_dt)
 
 
@@ -114,12 +114,16 @@ def test_rk2_weight_consistency_conditions():
     rates = build_operator(mesh, prob.diffusion)
     dt, c2 = 0.01, 0.5
     w = StepWeights(rates, dt, "rk2", c2, 0.0)
+    euler = StepWeights(rates, dt, "euler", c2, 0.0)
+    # Euler is rk2 without its stage: b1 weighs the first load of both
+    assert set(vars(euler)) == {"decay", "b1"}
+    assert set(vars(w)) == {"decay", "b1", "b2", "stage_dt", "stage_decay",
+                            "stage_phi1"}
     # the phi weights carry their step length; rk2 forms b1 in phi1's
-    # buffer and keeps no phi1
+    # buffer, and Euler's b1 is phi1 itself
     phi1 = dt * phi_tensor(1, rates, dt)
     assert rel_err(w.b1 + w.b2, phi1) < 1e-13
-    assert not hasattr(w, "phi1")
-    assert np.array_equal(StepWeights(rates, dt, "euler", c2, 0.0).phi1, phi1)
+    assert np.array_equal(euler.b1, phi1)
     assert w.stage_dt == c2 * dt
     assert np.array_equal(w.stage_phi1,
                           (c2 * dt) * phi_tensor(1, rates, c2 * dt))
@@ -191,9 +195,9 @@ def test_run_hands_every_load_and_observer_the_time_dt_times_n(
     dt, c2, nsteps = 0.1, 0.3, 7
     seen = {"load": [], "amplitude": [], "trace": [], "observer": []}
 
-    def load(ctx, t, U):
+    def load(ctx, t, coeffs):
         seen["load"].append(t)
-        return assembly.transformed_load(ctx, t, U)
+        return assembly.transformed_load(ctx, t, coeffs)
 
     def amplitude(t):
         seen["amplitude"].append(t)
@@ -456,10 +460,10 @@ def _count_transforms(monkeypatch):
         return wrapper
 
     for module in (assembly, stepper):
-        monkeypatch.setattr(module, "forward_transform",
-                            counted("forward", module.forward_transform))
-    monkeypatch.setattr(stepper, "inverse_transform",
-                        counted("inverse", stepper.inverse_transform))
+        for name in ("forward", "inverse"):
+            attr = f"{name}_transform"
+            monkeypatch.setattr(module, attr,
+                                counted(name, getattr(module, attr)))
     return calls
 
 
@@ -485,6 +489,37 @@ def test_steps_with_neither_f_nor_a_source_make_no_transform(
     run(prob, mesh_for(prob, (8, 4)),
         SchemeConfig(dt=0.01, T=0.05, scheme=scheme, c2=0.5))
     assert calls == {"forward": 1, "inverse": 0}
+
+
+def test_every_inverse_transform_of_an_unobserved_run_is_a_loads(
+        monkeypatch):
+    # the steps are modal: the load forms each nodal state its reaction
+    # reads, and nothing else in a step leaves modal space
+    prob = builtin_flory_huggins()
+    inside, seen = [False], []
+
+    def load(ctx, t, coeffs):
+        inside[0] = True
+        try:
+            return assembly.transformed_load(ctx, t, coeffs)
+        finally:
+            inside[0] = False
+
+    def inverse(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(inside[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stepper, "transformed_load", load)
+    # each module that may call it, whether or not it imports it
+    for module in (assembly, stepper):
+        monkeypatch.setattr(module, "inverse_transform",
+                            inverse(transforms.inverse_transform),
+                            raising=False)
+    run(prob, mesh_for(prob, (8, 8, 8)),
+        SchemeConfig(dt=1e-4, T=3e-4, scheme="rk2", c2=0.5))
+    assert seen == [True] * 6
 
 
 def test_a_lifted_run_builds_its_face_grids_once(monkeypatch):
@@ -614,15 +649,18 @@ def _custom_2d(boundary):
     (builtin_allen_cahn_wave(dim=2), (16, 6)),
     (builtin_linear_rd(), (8, 4)),  # linear != 0 folds into the weights
 ], ids=["periodic", "homogeneous", "lifted", "fh", "acw", "linear_rd"])
-def test_rk2_step_gives_the_bits_of_its_products_with_temporaries(prob, subs):
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_rk2_step_gives_the_bits_of_its_products_with_temporaries(
+        prob, subs, scheme):
+    # Euler runs rk2's first-stage combine, so both schemes pin its order
     mesh = mesh_for(prob, subs)
     ctx = LoadContext(prob, mesh)
     dt = 1e-3
-    w = _weights(ctx, dt, "rk2")
+    w = _weights(ctx, dt, scheme)
     coeffs = forward_transform(initial_state(prob, mesh), mesh)
     for n in range(3):
-        want = rk2_step_with_temporaries(coeffs, dt * n, ctx, w)
-        coeffs = exp_rk2_step(coeffs, dt * n, ctx, w)
+        want = step_with_temporaries(scheme, coeffs, dt * n, ctx, w)
+        coeffs = STEPS[scheme](coeffs, dt * n, ctx, w)
         assert np.array_equal(coeffs, want)
 
 

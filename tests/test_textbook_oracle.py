@@ -80,7 +80,7 @@ def test_fast_path_matches_textbook_method_of_lines(
     coeffs = forward_transform(U, mesh)
 
     fast = inverse_transform((linear - operator_of(ctx)) * coeffs
-                             + transformed_load(ctx, t, U), mesh)
+                             + transformed_load(ctx, t, coeffs), mesh)
     assert rel_err(fast, textbook_periodic_rhs(prob, mesh, t, U)) < TOL
 
     euler = exp_euler_step(coeffs, t, ctx, StepWeights(
