@@ -17,10 +17,14 @@ one transform convention, which its `fourier` flag picks:
   than the in-place pocketfft from 7 to 63 points, about as long from
   95 to 127, and more from 159.
 - Periodic (`fourier` True): the Fourier basis
-  exp(2 pi i j k / N) / sqrt(N), applied by one `rfftn`/`irfftn` call
-  over all axes with `norm="ortho"`.  The nodal data are real, so the
+  exp(2 pi i j k / N) / sqrt(N).  The nodal data are real, so the
   modal state is the complex half spectrum: N // 2 + 1 entries on the
-  last axis, the full N on the others.
+  last axis, the full N on the others.  The forward transform is one
+  `rfftn(norm="ortho")` call.  The inverse copies its input once, runs
+  the unscaled complex FFTs of the leading axes in place on the copy,
+  writes the output with the last axis's complex-to-real FFT and scales
+  it once, in place (`_inverse_fourier`): the bits of `irfftn` without
+  the out-of-place temporary of its leading axes.
 
 This is the one module of the package that calls `scipy.fft`.
 """
@@ -78,14 +82,38 @@ def forward_transform(U, mesh):
 
 
 def inverse_transform(U, mesh):
-    """Exact inverse of `forward_transform` up to round-off."""
+    """Exact inverse of `forward_transform` up to round-off; U is never
+    written.  The periodic inverse is `irfftn(norm="ortho")` bit for bit,
+    from one copy of U transformed in place (`_inverse_fourier`)."""
     U = np.asarray(U)
     if list(U.shape) != modal_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh modal shape {modal_shape(mesh)}")
     if mesh.bc.fourier:
-        return scipy.fft.irfftn(U, s=dof_shape(mesh), norm="ortho")
+        return _inverse_fourier(U, dof_shape(mesh))
     return sine_transform(U)
+
+
+def _inverse_fourier(U, shape):
+    """Real nodal tensor of the given shape from its half spectrum U.
+
+    Equal bit for bit to `scipy.fft.irfftn(U, s=shape, norm="ortho")`,
+    and like it never writes into U.  U is copied once; the complex
+    transforms over the leading axes run in place on the copy, and the
+    last axis's complex-to-real transform writes the output.  Both are
+    unscaled, and the output is multiplied once, in place, by 1/sqrt(N)
+    for N nodes, computed as pocketfft computes its "ortho" factor (in
+    long double, then rounded to double).  irfftn too scales each value
+    once, at the end; a factor split between the two calls would round
+    twice and change the last bits.
+    """
+    # a fresh C-contiguous array this function owns: the FFT overwrites it
+    out = np.array(U, dtype=complex, order="C")
+    out = scipy.fft.ifftn(out, axes=range(out.ndim - 1), norm="forward",
+                          overwrite_x=True)
+    out = scipy.fft.irfft(out, n=shape[-1], norm="forward", overwrite_x=True)
+    out *= float(1 / np.sqrt(np.longdouble(math.prod(shape))))
+    return out
 
 
 def sine_transform(x, axes=None):

@@ -9,9 +9,10 @@ operator.  Every annotated field of a class of the package is read
 somewhere in it, and no module imports a private function or class of
 another.  No module of the package tests the class of a boundary kind
 with `isinstance`.  An FFT call of the package that may overwrite its
-input (`overwrite_x`) gets an array its own function built.  Every name
-of the package that the benchmark under `perfbench/` reads exists, and
-takes each keyword argument the benchmark passes it.
+input (`overwrite_x`) gets a name that its own function last bound,
+above the call, to an array it built.  Every name of the package that
+the benchmark under `perfbench/` reads exists, and takes each keyword
+argument the benchmark passes it.
 
 No linter runs on this repository, so this is the check.
 """
@@ -270,10 +271,57 @@ def _builds_an_array(node):
             and node.func.attr in ("array", "empty"))
 
 
+def _is_an_fft(node):
+    """Whether an expression is a call `scipy.fft.<name>(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+            and isinstance(node.func.value.value, ast.Name)
+            and node.func.value.value.id == "scipy"
+            and node.func.value.attr == "fft")
+
+
+def _bindings(nodes):
+    """(position, name, value) of each binding of a name among the nodes.
+    An assignment to the bare name binds its value once the statement
+    ends; any other binding (a loop, `with` or tuple target) binds at the
+    name, to a value the lint cannot read (None)."""
+    assigned = {}
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            assigned |= {id(target): ((node.end_lineno, node.end_col_offset),
+                                      node.value)
+                         for target in targets if isinstance(target, ast.Name)}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            where, value = assigned.get(
+                id(node), ((node.lineno, node.col_offset), None))
+            found.append((where, node.id, value))
+    return found
+
+
+def _holds_a_built_array(arg, bindings):
+    """Whether arg is a name whose latest binding above it is
+    `np.array(...)`, `np.empty(...)` or an FFT of such a name."""
+    if not isinstance(arg, ast.Name):
+        return False
+    above = [(where, value) for where, name, value in bindings
+             if name == arg.id and where <= (arg.lineno, arg.col_offset)]
+    if not above:
+        return False
+    value = max(above, key=lambda binding: binding[0])[1]
+    return _builds_an_array(value) or (
+        _is_an_fft(value) and bool(value.args)
+        and _holds_a_built_array(value.args[0], bindings))
+
+
 def _overwrites_of_foreign_arrays(path):
     """Line numbers of a module's calls that pass `overwrite_x` other than
     False whose first argument is not a local name that the same function
-    (or module body) assigned from `np.array(...)` or `np.empty(...)`."""
+    (or module body) last bound, above the call, to an array it built:
+    `np.array(...)`, `np.empty(...)` or an FFT of such a name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     scopes = [tree] + [node for node in ast.walk(tree)
                        if isinstance(node, (ast.FunctionDef,
@@ -281,16 +329,14 @@ def _overwrites_of_foreign_arrays(path):
     found = []
     for scope in scopes:
         nodes = list(_own_nodes(scope))
-        built = {target.id for node in nodes
-                 if isinstance(node, ast.Assign) and _builds_an_array(node.value)
-                 for target in node.targets if isinstance(target, ast.Name)}
+        bindings = _bindings(nodes)
         found += [node.lineno for node in nodes if isinstance(node, ast.Call)
                   and any(kw.arg == "overwrite_x"
                           and not (isinstance(kw.value, ast.Constant)
                                    and kw.value.value is False)
                           for kw in node.keywords)
-                  and not (node.args and isinstance(node.args[0], ast.Name)
-                           and node.args[0].id in built)]
+                  and not (node.args
+                           and _holds_a_built_array(node.args[0], bindings))]
     return found
 
 
@@ -301,6 +347,29 @@ def test_fft_overwrites_only_an_array_its_function_built():
              for path in sorted((ROOT / "src" / "expfem").glob("*.py"))
              for line in _overwrites_of_foreign_arrays(path)]
     assert not found, f"overwrite_x on an array the caller may hold: {found}"
+
+
+def test_overwrite_lint_reads_the_latest_binding(tmp_path):
+    # a name once bound to a built array, then rebound to the caller's,
+    # is the caller's at the call; an FFT of a built array is built
+    module = tmp_path / "rebound.py"
+    module.write_text(
+        "import numpy as np\n"
+        "import scipy.fft\n"
+        "\n"
+        "\n"
+        "def rebound(x):\n"
+        "    out = np.array(x)\n"
+        "    out = x\n"
+        "    return scipy.fft.ifftn(out, overwrite_x=True)\n"
+        "\n"
+        "\n"
+        "def chained(x):\n"
+        "    out = np.array(x, dtype=complex)\n"
+        "    out = scipy.fft.ifftn(out, overwrite_x=True)\n"
+        "    return scipy.fft.irfft(out, overwrite_x=True)\n",
+        encoding="utf-8")
+    assert _overwrites_of_foreign_arrays(module) == [8]
 
 
 BOUNDARY_KINDS = {"Dirichlet", "Periodic"}

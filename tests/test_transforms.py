@@ -207,45 +207,108 @@ def test_sine_transform_in_chunks_matches_dstn(monkeypatch, shape, chunk):
     assert rel_err(sine_transform(x), _reference_dst(x)) < 1e-14
 
 
-def test_sine_transform_sends_only_long_axes_to_the_fft(monkeypatch):
-    # the FFT runs in place, on a copy of x that only sine_transform holds
-    seen = []
-    original = scipy.fft.dstn
-    read_only = np.zeros((255, 127))
+# the periodic inverse's shapes: odd, even and unit axes, up to 128^3
+PERIODIC_SHAPES = [(8,), (9,), (6, 7), (33, 17), (2, 3, 4), (1, 1, 1),
+                   (3, 1, 2), (5, 5, 5), (13, 10, 7), (12, 12, 11),
+                   (48, 40, 36), (63,) * 3, (64,) * 3, (128,) * 3]
+
+
+def _half_spectrum(rng, nodal_shape):
+    """A random complex tensor of the modal shape of a real periodic
+    tensor of the given nodal shape."""
+    shape = [*nodal_shape[:-1], nodal_shape[-1] // 2 + 1]
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _even_periodic_inverse(U):
+    """The periodic inverse of U onto an even last axis."""
+    return transforms._inverse_fourier(
+        U, [*U.shape[:-1], 2 * (U.shape[-1] - 1)])
+
+
+@pytest.mark.parametrize("kind", ["sine", "periodic"])
+def test_sine_transform_sends_only_long_axes_to_the_fft(monkeypatch, kind):
+    # the FFTs run in place, on a copy of x that only the transform holds
+    # (the sine transform sends only its long axes), so no caller's array
+    # is written, read-only and non-C-contiguous inputs included
+    rng = np.random.default_rng(5)
+    if kind == "sine":
+        spied, transform = ["dstn"], sine_transform
+        plain, short, read_only, base = (
+            rng.standard_normal(shape)
+            for shape in [(255, 23, 23), (23, 23), (255, 127), (23, 255, 2)])
+        expected = [("dstn", [0]), ("dstn", [0, 1]), ("dstn", [2])]
+    else:
+        spied, transform = ["ifftn", "irfft"], _even_periodic_inverse
+        plain, short, read_only, base = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in [(6, 5, 4), (7,), (9, 5), (3, 6, 4)])
+        expected = [(name, axes) for leading in ([0, 1], [], [0], [0, 1])
+                    for name, axes in (("ifftn", leading), ("irfft", None))]
     read_only.flags.writeable = False
-    view = np.moveaxis(np.zeros((23, 255, 2)), 2, 0)
+    view = np.moveaxis(base, 2, 0)
     assert not view.flags.c_contiguous
+    seen = []
     x = None
 
-    def spy(arg, *args, **kwargs):
-        seen.append((kwargs.get("axes"), kwargs.get("overwrite_x"),
-                     np.shares_memory(arg, x)))
-        return original(arg, *args, **kwargs)
-    monkeypatch.setattr(scipy.fft, "dstn", spy)
-    for x in (np.zeros((255, 23, 23)), np.zeros((23, 23)), read_only, view):
-        sine_transform(x)
-    assert seen == [([0], True, False), ([0, 1], True, False),
-                    ([2], True, False)]
+    def spy(name):
+        original = getattr(scipy.fft, name)
+
+        def call(arg, *args, **kwargs):
+            axes = kwargs.get("axes")
+            seen.append((name, None if axes is None else list(axes),
+                         kwargs.get("overwrite_x"), np.shares_memory(arg, x)))
+            return original(arg, *args, **kwargs)
+        return call
+    for name in spied:
+        monkeypatch.setattr(scipy.fft, name, spy(name))
+    for x in (plain, short, read_only, view):
+        kept = x.copy()
+        transform(x)
+        assert np.array_equal(x, kept)
+    assert seen == [(name, axes, True, False) for name, axes in expected]
 
 
-@pytest.mark.parametrize("shape, axes", [((300,), None), ((255, 127), None),
-                                         ((255, 23, 23), [0])])
-def test_long_axes_give_the_bits_of_dstn(shape, axes):
-    # where every picked axis is long, the in-place FFT on the copy gives
-    # the out-of-place FFT's bits
-    x = np.random.default_rng(len(shape)).standard_normal(shape)
-    kept = x.copy()
-    got = sine_transform(x, axes)
-    assert np.array_equal(got, _reference_dst(x, axes))
+@pytest.mark.parametrize(
+    "kind, shape, axes",
+    [("sine", (300,), None), ("sine", (255, 127), None),
+     ("sine", (255, 23, 23), [0])]
+    + [("periodic", shape, None) for shape in PERIODIC_SHAPES])
+def test_long_axes_give_the_bits_of_dstn(kind, shape, axes):
+    # the in-place FFTs on the copy give the out-of-place FFT's bits: the
+    # sine transform's where every picked axis is long, and the periodic
+    # inverse's, with its one final scale, those of irfftn on every shape
+    rng = np.random.default_rng(len(shape))
+    if kind == "sine":
+        x = rng.standard_normal(shape)
+        kept = x.copy()
+        got, want = sine_transform(x, axes), _reference_dst(x, axes)
+    else:
+        x = _half_spectrum(rng, shape)
+        kept = x.copy()
+        got = transforms._inverse_fourier(x, list(shape))
+        want = scipy.fft.irfftn(x, s=shape, norm="ortho")
+    assert np.array_equal(got, want)
     assert got.flags.c_contiguous and got.flags.writeable
     assert np.array_equal(x, kept)
 
 
-@pytest.mark.parametrize("shape", [(255, 23, 23), (255, 127)])
-def test_sine_transform_holds_one_output_sized_array(shape):
-    # the copy is the output: no second array of x's size is built
-    x = np.random.default_rng(9).standard_normal(shape)
-    assert traced_peak(sine_transform, x) < 1.25 * x.nbytes
+@pytest.mark.parametrize("kind, shape", [
+    ("sine", (255, 23, 23)), ("sine", (255, 127)),
+    ("periodic", (64, 64, 64)), ("periodic", (48, 40, 36))])
+def test_sine_transform_holds_one_output_sized_array(kind, shape):
+    # the sine transform's copy is its output: no second array of x's size
+    # is built; the periodic inverse holds its complex copy and the real
+    # output, nothing more
+    rng = np.random.default_rng(9)
+    if kind == "sine":
+        x = rng.standard_normal(shape)
+        assert traced_peak(sine_transform, x) < 1.25 * x.nbytes
+    else:
+        U = _half_spectrum(rng, shape)
+        held = U.nbytes + 8 * np.prod(shape)
+        assert traced_peak(transforms._inverse_fourier, U, list(shape)) \
+            < 1.05 * held
 
 
 @pytest.mark.parametrize("n", range(1, DENSE_DST_POINTS + 1))
