@@ -47,22 +47,26 @@ in the nodal reaction, up to rounding; a step runs the same products
 whatever lam is, and with lam = 0 no fold runs.
 
 Besides the weights (rk2 forms b1 in the buffer of dt*phi1, so no
-scheme keeps a phi1), a step holds at its peak the incoming state, its
-output buffer and the arrays of one load: the nodal state and the
-reaction with one temporary of its own while f runs, then the reaction
-and its transform.  The steps are modal: the load forms the nodal state
-f reads from the coefficients it is handed and frees it once f has read
-it.  It drops those coefficients after its inverse transform, which
-frees rk2's stage, because the step passes it as a call temporary,
-never a named local.  No rate tensor lives through the steps: `run`
+scheme keeps a phi1), a step holds at its peak the arrays of one load
+and one state-sized array beside them: the incoming state through
+Euler's load and rk2's first, the output buffer through rk2's second.
+A load's arrays are the nodal state and the reaction with one temporary
+of its own while f runs, then the reaction and its transform.  The
+steps are modal: the load forms the nodal state f reads from the
+coefficients it is handed and frees it once f has read it.  It drops
+those coefficients after its inverse transform, which frees rk2's
+stage, because the step passes it as a call temporary, never a named
+local.  `run` hands each step its state the same way, so the step owns
+the one reference to it.  No rate tensor lives through the steps: `run`
 builds it (`operator.build_operator`), forms the weights from it and
-drops it.  The rk2 step's `_rk2_stage` keeps the stage_phi1 * G(t_n)
-product in the output buffer, which then takes the first-stage
-combine, and returns the stage's coefficients straight into the second
-load, so the first load is gone before that load starts.  A problem
-with no f forms no stage: its second load reads no state.  The step
-runs the products of the formulas above in their order, so it gives the
-same bits as the same products written each to a fresh array.
+drops it.  The rk2 step makes its output buffer once the first load has
+returned.  `_rk2_stage` keeps the stage_phi1 * G(t_n) product in that
+buffer, which then takes the first-stage combine; the step then drops
+the incoming state and the first load, so both are freed before the
+second load starts, and hands the stage to that load.  A problem with
+no f forms no stage: its second load reads no state.  The step runs the
+products of the formulas above in their order, so it gives the same
+bits as the same products written each to a fresh array.
 
 State stays transformed between steps; nodal recovery happens only in
 the load that evaluates f and for observation.  So a problem whose f is
@@ -207,11 +211,10 @@ def exp_euler_step(coeffs, t, ctx, w):
     return _combine(coeffs, transformed_load(ctx, t, coeffs), w)
 
 
-def _rk2_stage(coeffs, t, ctx, w, out):
-    """Write the first-stage combine into out and return the stage's
-    coefficients, None when the problem has no f; the first load dies
-    with this call."""
-    G1 = transformed_load(ctx, t, coeffs)
+def _rk2_stage(coeffs, G1, ctx, w, out):
+    """Write the first-stage combine of coeffs and the first load G1 into
+    out and return the stage's coefficients, None when the problem has no
+    f."""
     stage = None
     if ctx.problem.f is not None:
         stage = w.stage_decay * coeffs
@@ -224,10 +227,14 @@ def _rk2_stage(coeffs, t, ctx, w, out):
 def exp_rk2_step(coeffs, t, ctx, w):
     """One step of the two-stage second-order exponential RK scheme: the
     coefficients at t + dt from those at t, with the stage loaded at
-    t + w.stage_dt."""
+    t + w.stage_dt.  The step drops coeffs and the first load once the
+    first-stage combine has read them, and passes the stage to the
+    second load as a call temporary."""
+    G1 = transformed_load(ctx, t, coeffs)
     out = np.empty_like(coeffs)
-    G2 = transformed_load(ctx, t + w.stage_dt,
-                          _rk2_stage(coeffs, t, ctx, w, out))
+    stage = [_rk2_stage(coeffs, G1, ctx, w, out)]
+    del coeffs, G1
+    G2 = transformed_load(ctx, t + w.stage_dt, stage.pop())
     G2 *= w.b2
     out += G2
     return out
@@ -265,7 +272,9 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     `every`, in the order of `observers`.  A step that any observer sees
     makes one inverse transform, which all of them share; the step-0 state is
     the read-only `initial_state`.  `run` drops each nodal state once the
-    observers have seen it, so none lives through the steps.
+    observers have seen it, so none lives through the steps, and it holds
+    no reference to the modal state while a step runs: it hands the step
+    the state as a call temporary, so the step can free it.
 
     Every nodal state a reaction reads is checked against the problem's
     `admissible_range` by the load (`assembly.transformed_load`), and
@@ -296,7 +305,9 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     try:
         if observers:
             check_state(U0, problem, mesh, 0.0)
-        coeffs = forward_transform(U0, mesh)
+        # a list, not a name: each step is handed the state as a call
+        # temporary, so that it can free it
+        state = [forward_transform(U0, mesh)]
         weights = StepWeights(rates, cfg.dt, cfg.scheme, cfg.c2,
                               problem.linear)
         del rates
@@ -305,14 +316,14 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
         del U0
         while n < nsteps:
             tic = time.perf_counter()
-            coeffs = step(coeffs, cfg.dt * n, ctx, weights)
+            state.append(step(state.pop(), cfg.dt * n, ctx, weights))
             n += 1
             if step_times is not None:
                 step_times.append(time.perf_counter() - tic)
             due = [obs for steps, obs in plan if n in steps]
             if due:
                 t = cfg.dt * n
-                U = inverse_transform(coeffs, mesh)
+                U = inverse_transform(state[0], mesh)
                 check_state(U, problem, mesh, t)
                 for obs in due:
                     obs(n, t, U)
@@ -320,4 +331,4 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     except NonlinearityDomainError as err:
         err.step_index = n
         raise
-    return SolverState(cfg.dt * n, coeffs, n)
+    return SolverState(cfg.dt * n, state.pop(), n)

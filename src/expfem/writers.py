@@ -53,11 +53,17 @@ _BLOCK_VALUES = 2048
 
 def _write_lines(texts, path):
     """Write blocks of text, each ended by a newline, to path, creating
-    its parent directories first.  Each block's text is formed and
-    written before the next block is read."""
+    its parent directories when the open finds them missing.  Each
+    block's text is formed and written before the next block is read."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as out:
+    try:
+        out = path.open("w", encoding="utf-8", newline="\n")
+    except FileNotFoundError:
+        # only here: mkdir on a directory that exists raises and catches
+        # FileExistsError, which costs more than the open
+        path.parent.mkdir(parents=True, exist_ok=True)
+        out = path.open("w", encoding="utf-8", newline="\n")
+    with out:
         for text in texts:
             out.write(text + "\n")
 

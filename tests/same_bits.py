@@ -1,0 +1,175 @@
+"""Same-bits table: sha256 hashes of what the solver computes on fixed cases.
+
+    python tests/same_bits.py               # the table of this tree's src
+    python tests/same_bits.py --parent REV  # the cases that differ at REV
+
+Each case hashes the end coefficients of a run, each nodal state its
+observer sees, each `TimeSeriesObserver` row and, where a builtin config
+can name the case, what `expfem run` writes: the series, the snapshots
+at steps 0 and nt, and its standard output.  `--parent` checks REV out
+into a temporary git worktree of the repository this file lies in,
+computes both tables in child processes, prints the cases whose hashes
+differ, exits 1 if any do, and removes the worktree.  No table is kept in
+a file: the hashes depend on the installed numpy and scipy, so only two
+revisions computed on one machine compare.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (builtin config name, factory keywords, subdivisions, scheme, c2,
+# dt, nt); a config name of None marks a case no config can name
+# (allen_cahn_wave's `dim` is no config key)
+CASES = {
+    "fh-euler": ("flory_huggins", {}, (12, 10, 8), "euler", 0.5, 0.01, 4),
+    "fh-rk2": ("flory_huggins", {}, (12, 10, 8), "rk2", 0.5, 0.01, 4),
+    "acw-rk2-c0.5": ("allen_cahn_wave", {}, (32, 4, 4), "rk2", 0.5, 2.5e-4, 4),
+    "acw-rk2-c1": ("allen_cahn_wave", {}, (32, 4, 4), "rk2", 1.0, 2.5e-4, 4),
+    "acw2d-euler": (None, {"dim": 2}, (20, 10), "euler", 0.5, 2.5e-4, 4),
+    "acw1d-rk2-c0.3": (None, {"dim": 1}, (40,), "rk2", 0.3, 2.5e-4, 4),
+    "lrd-euler": ("linear_rd", {}, (32, 16), "euler", 0.5, 2.5e-4, 4),
+    "lrd-rk2-c0.3": ("linear_rd", {}, (32, 16), "rk2", 0.3, 2.5e-4, 4),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array_sha(a):
+    return _sha(f"{a.dtype.str} {a.shape}".encode() + a.tobytes())
+
+
+def _run_hashes(factory, kwargs, subdivisions, scheme, c2, dt, nt):
+    from expfem.analysis import TimeSeriesObserver
+    from expfem.problems import mesh_for
+    from expfem.stepper import SchemeConfig, run
+
+    problem = factory(**kwargs)
+    mesh = mesh_for(problem, subdivisions)
+    series = TimeSeriesObserver(mesh, energy_params=problem.energy_params)
+    hashes = {}
+
+    def record(n, t, U):
+        hashes[f"state {n}"] = _array_sha(U)
+
+    end = run(problem, mesh, SchemeConfig(dt=dt, T=dt * nt, scheme=scheme,
+                                          c2=c2),
+              observers=[(1, record), (1, series)])
+    hashes["coeffs"] = _array_sha(end.coeffs)
+    for n, row in enumerate(series.rows):
+        hashes[f"row {n}"] = _sha(repr([None if v is None else float(v).hex()
+                                        for v in row]).encode())
+    return hashes
+
+
+def _cli_hashes(name, subdivisions, scheme, c2, dt, nt, workdir):
+    from expfem.cli import main
+
+    cfg = workdir / "cfg.toml"
+    out = workdir / "out"
+    cfg.write_text("\n".join([
+        'mode = "run"', f'problem = "{name}"', f'scheme = "{scheme}"',
+        f"c2 = {c2!r}", f"T = {dt * nt!r}", f"nt = {nt}", "observe_every = 1",
+        f"snapshot_every = {nt}", "[domain]",
+        "n = [{}]".format(", ".join(map(str, subdivisions)))]) + "\n")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"expfem run of {name} exited {code}")
+    hashes = {"cli stdout": _sha(
+        stdout.getvalue().replace(str(out), "<out>").encode())}
+    for path in sorted(out.iterdir()):
+        hashes[f"cli {path.name}"] = _sha(path.read_bytes())
+    return hashes
+
+
+def table():
+    """{case: {item: sha256}} for the expfem that `import expfem` finds."""
+    from expfem import problems
+
+    factories = {None: problems.builtin_allen_cahn_wave,
+                 "flory_huggins": problems.builtin_flory_huggins,
+                 "allen_cahn_wave": problems.builtin_allen_cahn_wave,
+                 "linear_rd": problems.builtin_linear_rd}
+    out = {}
+    for case, (name, kwargs, *spec) in CASES.items():
+        hashes = _run_hashes(factories[name], kwargs, *spec)
+        if name is not None:
+            with tempfile.TemporaryDirectory() as tmp:
+                hashes.update(_cli_hashes(name, *spec, Path(tmp)))
+        out[case] = hashes
+    return out
+
+
+def _child_table(src):
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--src", str(src)],
+        check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout)
+
+
+def differing(parent, child):
+    """{case: [items]} of the items whose hashes differ or are missing
+    on one side."""
+    diffs = {}
+    for case in sorted(parent.keys() | child.keys()):
+        a, b = parent.get(case, {}), child.get(case, {})
+        items = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        if items:
+            diffs[case] = items
+    return diffs
+
+
+def compare_with(rev):
+    """Print the cases whose hashes differ between REV's src and this
+    tree's; return the exit status."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet",
+                        "--detach", str(tree), rev], check=True)
+        try:
+            parent = _child_table(tree / "src")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
+                            "--force", str(tree)], check=True)
+    diffs = differing(parent, _child_table(ROOT / "src"))
+    for case, items in diffs.items():
+        print(f"{case}: {', '.join(items)}")
+    count = sum(map(len, parent.values()))
+    print(f"{len(diffs)} of {len(parent)} cases differ from {rev} "
+          f"({count} hashes at {rev})")
+    return 1 if diffs else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", metavar="REV",
+                        help="compare this tree's table with REV's")
+    parser.add_argument("--src", metavar="DIR", default=str(ROOT / "src"),
+                        help="the source tree whose table is printed as "
+                             "JSON (default: this tree's src)")
+    args = parser.parse_args(argv)
+    if args.parent is not None:
+        return compare_with(args.parent)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import expfem
+    if Path(expfem.__file__).resolve().parent.parent != Path(args.src).resolve():
+        raise RuntimeError(f"imported {expfem.__file__}, not {args.src}")
+    json.dump(table(), sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

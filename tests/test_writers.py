@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from expfem.analysis import StudyRow
@@ -71,6 +73,36 @@ def test_series_csv(tmp_path):
     assert lines[0] == "t,sup_norm,energy"
     assert lines[1].startswith("0,0.9,")
     assert lines[2].endswith(",")  # missing energy stays empty
+
+
+def test_write_into_an_existing_directory_makes_none(tmp_path, monkeypatch):
+    # the writer opens first; only an open that finds no parent makes it
+    made = []
+    real_mkdir = Path.mkdir
+
+    def mkdir(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    rows = [(0.0, 0.9, 0.1166)]
+    write_series_csv(rows, tmp_path / "series.csv")
+    write_snapshot(np.zeros(3), make_mesh(((0.0, 1.0),), (4,), Dirichlet()),
+                   0.0, tmp_path / "u.vtk")
+    assert made == []
+    write_series_csv(rows, tmp_path / "a" / "b" / "series.csv")
+    # mkdir(parents=True) makes "a" by a call of its own
+    assert made[0] == tmp_path / "a" / "b"
+    assert ((tmp_path / "a" / "b" / "series.csv").read_bytes()
+            == (tmp_path / "series.csv").read_bytes())
+
+
+def test_write_under_a_file_raises(tmp_path):
+    (tmp_path / "file").write_text("a file\n")
+    for path in ("file/series.csv", "file/sub/series.csv"):
+        with pytest.raises(OSError):
+            write_series_csv([(0.0, 0.9, None)], tmp_path / path)
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_snapshot_dirichlet_includes_boundary(tmp_path):
