@@ -17,12 +17,13 @@ axis that has it on a face; each axis' share loads only the owned node
 layer next to each of its two faces, and such a layer transforms as
 one basis column times a (d-1)-D transform of the layer.  So
 `boundary_correction` builds the load from one evaluation of the trace
-per axis (`mesh.trace_on_faces`) and adds it to the modal load directly,
-without a full-grid tensor or a full-size transform; what stays the
-same from call to call (scalars and basis columns) is built once per
-run in `LoadContext`, the basis columns by `sine_transform` of unit
-vectors, so this module restates no basis, and each call zeroes its
-own layer data.
+per axis (`mesh.trace_on_faces`) and adds it to the modal load as one
+mode product per axis (`quadrature.apply_matrix`) of the basis columns
+with the transformed faces, without a full-grid tensor or a full-size
+transform; what stays the same from call to call (scalars and basis
+columns) is built once per run in `LoadContext`, the basis columns by
+`sine_transform` of unit vectors, so this module restates no basis, and
+each call zeroes its own layer data.
 The tests check all of this against a dense kron-product oracle of the
 same semi-discretization.
 """
@@ -36,8 +37,9 @@ import numpy as np
 from .mesh import (dof_shape, element_pair, interior_mass_stencil, node_grids,
                    trace_on_faces)
 from .problems import COMPLEX_STEP, check_admissible
-from .transforms import (CHUNK, axis_spectrum, forward_transform,
-                         inverse_transform, modal_shape, sine_transform)
+from .quadrature import apply_matrix
+from .transforms import (axis_spectrum, forward_transform, inverse_transform,
+                         modal_shape, sine_transform)
 
 
 class LoadContext:
@@ -238,48 +240,18 @@ def boundary_correction(ctx, t, G):
     end as the column of the last owned node; on an axis with one owned
     layer the two columns are the same.  The reciprocal mass eigenvalues
     fold into the columns and, in place, the faces.  A call costs one
-    trace evaluation, face-sized sweeps and transforms, and one in-place
-    update of G per axis; G must be C-contiguous.
+    trace evaluation, face-sized sweeps and transforms per axis, and per
+    axis one G-sized product of the (modes, 2) columns with the two faces
+    (`quadrature.apply_matrix`), which is then added into G; G may be any
+    writable strided array of the modal shape.
     """
-    if not G.flags.c_contiguous:
-        raise ValueError("the modal load G must be C-contiguous")
     g, gdot = _trace_faces(ctx, t)
     for lift, g_a, gdot_a in zip(ctx.lifts, g, gdot):
         faces = sine_transform(_layer_corrections(lift, g_a, gdot_a),
                                axes=range(1, ctx.mesh.dim))
         faces *= lift.face_scale
-        _add_column_faces(G, lift, faces)
-
-
-def _add_column_faces(G, lift, faces):
-    """G += columns[:, 0] (x) faces[0] + columns[:, 1] (x) faces[1] along
-    the lift's axis, in place, chunk by chunk: each chunk adds a numpy
-    matrix product of about `CHUNK` entries, so no state-sized
-    temporary is built.
-
-    G is viewed as (before a, modes, after a).  On the last axis it is
-    one (before a, modes) matrix, and a chunk of its rows adds one
-    (rows, 2) x (2, modes) product.  On the other axes a chunk is a
-    stack of (modes, after a) blocks over a run of modes, each adding a
-    (modes, 2) x (2, after a) product.
-    """
-    a = lift.axis
-    pre, n, post = (math.prod(G.shape[:a]), G.shape[a],
-                    math.prod(G.shape[a + 1:]))
-    if post == 1:
-        rows, faces = G.reshape(pre, n), faces.reshape(2, pre).T
-        span = max(1, CHUNK // n)
-        for r in range(0, pre, span):
-            rows[r:r + span] += faces[r:r + span] @ lift.columns.T
-        return
-    modes = G.reshape(pre, n, post)
-    faces = faces.reshape(2, pre, post).swapaxes(0, 1)
-    span = max(1, CHUNK // (n * post))
-    step = max(1, CHUNK // post)
-    for p0 in range(0, pre, span):
-        for k0 in range(0, n, step):
-            modes[p0:p0 + span, k0:k0 + step] += (
-                lift.columns[k0:k0 + step] @ faces[p0:p0 + span])
+        G += apply_matrix(lift.columns, np.moveaxis(faces, 0, lift.axis),
+                          lift.axis)
 
 
 def initial_state(problem, mesh):

@@ -15,7 +15,9 @@ Every field keeps its own point grid through the stream: the slope along
 a transverse axis is constant along that axis within an element, so its
 point axis there has length 1, and the weights of a length-1 point axis
 a are h_a, since the unit Gauss weights sum to 1.  Both the error norms
-and the energy (`analysis`) integrate over its slices.
+and the energy (`analysis`) integrate over its slices.  `apply_matrix`
+is the package's one mode product; the Dirichlet lifting adds its faces
+with it (`assembly`).
 """
 
 import functools
@@ -34,9 +36,18 @@ def gauss_rule(npts):
 
 
 def apply_matrix(matrix, tensor, axis):
-    """Rectangular mode product: `matrix` applied along one axis."""
-    out = np.tensordot(matrix, tensor, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+    """Rectangular mode product: the (rows, n) `matrix` applied along one
+    axis of `tensor`, as one matrix product into a new C-contiguous
+    array.  On the last axis it is a single (before, n) @ (n, rows)
+    product; on any other axis a stack of (rows, n) @ (n, after) products
+    over the axes before it.  `tensor` may be any strided view."""
+    shape = tensor.shape
+    rows, n = matrix.shape
+    if axis == len(shape) - 1:
+        out = tensor.reshape(-1, n) @ matrix.T
+    else:
+        out = matrix @ tensor.reshape(math.prod(shape[:axis]), n, -1)
+    return out.reshape(shape[:axis] + (rows,) + shape[axis + 1:])
 
 
 def _tap_ends(t, axis):

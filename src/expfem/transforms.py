@@ -39,8 +39,8 @@ from .mesh import axis_layout, dof_shape, element_pair
 
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
-# entries per block of the chunked products here and in the lifting's
-# adds (`assembly`), so no state-sized temporary is built
+# entries per block of the dense sine products, so they build no
+# state-sized temporary
 CHUNK = 1 << 14
 
 

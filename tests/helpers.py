@@ -59,22 +59,6 @@ def make_mesh(bounds, subdivisions, bc):
     return TensorMesh(parts, bc)
 
 
-def mode_multiply(matrix, tensor, axis):
-    """Apply a square matrix to every line of `tensor` along `axis`."""
-    u = np.asarray(tensor)
-    m = np.asarray(matrix)
-    if not 0 <= axis < u.ndim:
-        raise ValueError(f"axis {axis} out of range for rank-{u.ndim} tensor")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[1] != u.shape[axis]:
-        raise ValueError(
-            f"matrix side {m.shape[1]} does not match extent "
-            f"{u.shape[axis]} of axis {axis}")
-    out = np.tensordot(m, u, axes=(1, axis))
-    return np.ascontiguousarray(np.moveaxis(out, 0, axis))
-
-
 # ---------------------------------------------------------------------------
 # dense transform basis and kron-assembled operator
 

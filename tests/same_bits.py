@@ -4,9 +4,12 @@
     python tests/same_bits.py --parent REV  # the cases that differ at REV
 
 Each case hashes the end coefficients of a run, each nodal state its
-observer sees, each `TimeSeriesObserver` row and, where a builtin config
-can name the case, what `expfem run` writes: the series, the snapshots
-at steps 0 and nt, and its standard output.  `--parent` checks REV out
+observer sees, each `TimeSeriesObserver` row and, where a config can
+name the case, what `expfem run` writes from that config: the series,
+the snapshots at steps 0 and nt, and its standard output.  A builtin
+case's config is written from its row of `CASES`; a custom case is its
+config text in `CONFIG_CASES`, which both the run (through
+`parse_config`) and `expfem run` read.  `--parent` checks REV out
 into a temporary git worktree of the repository this file lies in,
 computes both tables in child processes, prints the cases whose hashes
 differ, exits 1 if any do, and removes the worktree.  No table is kept in
@@ -40,6 +43,47 @@ CASES = {
     "lrd-rk2-c0.3": ("linear_rd", {}, (32, 16), "rk2", 0.3, 2.5e-4, 4),
 }
 
+# name: config text of a custom problem: a lifted 3D box, whose trace
+# varies along every axis, so the lifting runs on all three axes, and a
+# periodic box whose reaction uses `^`
+CONFIG_CASES = {
+    "custom3d-lifted-rk2": """\
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.002
+nt = 4
+observe_every = 1
+snapshot_every = 4
+[domain]
+n = [12, 6, 5]
+bounds = [[0.0, 1.0], [-0.5, 0.5], [0.0, 0.4]]
+[custom]
+d = 0.3
+f = "u - u**3 + exp(-t) * x * y"
+u0 = "1 + x * y + sin(pi * z) * cos(x)"
+g = "exp(-t) * (1 + x * y + sin(pi * z) * cos(x)) + t * z"
+""",
+    "custom2d-periodic-euler": """\
+mode = "run"
+problem = "custom"
+scheme = "euler"
+T = 0.004
+nt = 4
+observe_every = 1
+snapshot_every = 4
+[domain]
+n = [16, 10]
+bounds = [[0.0, 2.0], [0.0, 1.0]]
+bc = "periodic"
+[custom]
+d = 0.05
+f = "u - u^3 + 0.1 * sin(pi * x) * cos(2 * pi * y) ^ 2"
+u0 = "0.5 * sin(pi * x) * cos(2 * pi * y)"
+""",
+}
+
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -49,12 +93,11 @@ def _array_sha(a):
     return _sha(f"{a.dtype.str} {a.shape}".encode() + a.tobytes())
 
 
-def _run_hashes(factory, kwargs, subdivisions, scheme, c2, dt, nt):
+def _run_hashes(problem, subdivisions, scheme, c2, dt, nt):
     from expfem.analysis import TimeSeriesObserver
     from expfem.problems import mesh_for
     from expfem.stepper import SchemeConfig, run
 
-    problem = factory(**kwargs)
     mesh = mesh_for(problem, subdivisions)
     series = TimeSeriesObserver(mesh, energy_params=problem.energy_params)
     hashes = {}
@@ -72,21 +115,26 @@ def _run_hashes(factory, kwargs, subdivisions, scheme, c2, dt, nt):
     return hashes
 
 
-def _cli_hashes(name, subdivisions, scheme, c2, dt, nt, workdir):
+def _builtin_config(name, subdivisions, scheme, c2, dt, nt):
+    """The config text of a builtin case."""
+    return "\n".join([
+        'mode = "run"', f'problem = "{name}"', f'scheme = "{scheme}"',
+        f"c2 = {c2!r}", f"T = {dt * nt!r}", f"nt = {nt}", "observe_every = 1",
+        f"snapshot_every = {nt}", "[domain]",
+        "n = [{}]".format(", ".join(map(str, subdivisions)))]) + "\n"
+
+
+def _cli_hashes(text, workdir):
     from expfem.cli import main
 
     cfg = workdir / "cfg.toml"
     out = workdir / "out"
-    cfg.write_text("\n".join([
-        'mode = "run"', f'problem = "{name}"', f'scheme = "{scheme}"',
-        f"c2 = {c2!r}", f"T = {dt * nt!r}", f"nt = {nt}", "observe_every = 1",
-        f"snapshot_every = {nt}", "[domain]",
-        "n = [{}]".format(", ".join(map(str, subdivisions)))]) + "\n")
+    cfg.write_text(text)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(["run", "--config", str(cfg), "--out", str(out)])
     if code != 0:
-        raise RuntimeError(f"expfem run of {name} exited {code}")
+        raise RuntimeError(f"expfem run of {cfg} exited {code}")
     hashes = {"cli stdout": _sha(
         stdout.getvalue().replace(str(out), "<out>").encode())}
     for path in sorted(out.iterdir()):
@@ -97,17 +145,26 @@ def _cli_hashes(name, subdivisions, scheme, c2, dt, nt, workdir):
 def table():
     """{case: {item: sha256}} for the expfem that `import expfem` finds."""
     from expfem import problems
+    from expfem.config import parse_config
 
     factories = {None: problems.builtin_allen_cahn_wave,
                  "flory_huggins": problems.builtin_flory_huggins,
                  "allen_cahn_wave": problems.builtin_allen_cahn_wave,
                  "linear_rd": problems.builtin_linear_rd}
-    out = {}
+    runs = {}
     for case, (name, kwargs, *spec) in CASES.items():
-        hashes = _run_hashes(factories[name], kwargs, *spec)
-        if name is not None:
+        text = None if name is None else _builtin_config(name, *spec)
+        runs[case] = (factories[name](**kwargs), spec, text)
+    for case, text in CONFIG_CASES.items():
+        cfg = parse_config(text)
+        runs[case] = (cfg.problem, (cfg.subdivisions, cfg.scheme, cfg.c2,
+                                    cfg.dt, cfg.nt), text)
+    out = {}
+    for case, (problem, spec, text) in runs.items():
+        hashes = _run_hashes(problem, *spec)
+        if text is not None:
             with tempfile.TemporaryDirectory() as tmp:
-                hashes.update(_cli_hashes(name, *spec, Path(tmp)))
+                hashes.update(_cli_hashes(text, Path(tmp)))
         out[case] = hashes
     return out
 

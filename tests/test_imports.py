@@ -51,11 +51,6 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-# perfbench's tracer wraps `quadrature.apply_matrix` (ROADMAP item 1): it
-# stays until the tracer target and its metrics go with it
-UNREFERENCED_ALLOWED = {"quadrature.apply_matrix"}
-
-
 def _names_read(node):
     """Names a syntax tree reads, bare or as an attribute."""
     return {sub.id if isinstance(sub, ast.Name) else sub.attr
@@ -72,7 +67,6 @@ def test_every_top_level_definition_is_used_in_the_package():
     unused = [f"{module}.{stmt.name}"
               for i, (module, stmt) in enumerate(statements)
               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and f"{module}.{stmt.name}" not in UNREFERENCED_ALLOWED
               and not any(stmt.name in names
                           for j, names in enumerate(reads) if j != i)]
     assert not unused, f"defined in src/expfem but used nowhere there: {unused}"

@@ -267,12 +267,23 @@ def test_modal_quadratics_match_dense_kron(bc, subdivisions):
 @pytest.mark.parametrize("dim, axis",
                          [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
 @pytest.mark.parametrize("rows", [2, 4, 7])
-def test_apply_matrix_matches_einsum(dim, axis, rows):
+@pytest.mark.parametrize("form", ["contiguous", "moved", "two columns"])
+def test_apply_matrix_matches_einsum(dim, axis, rows, form):
     # a rectangular mode product along one axis keeps the others in place;
-    # the dense oracles build every Gauss-grid tensor with it
+    # the dense oracles build every Gauss-grid tensor with it, and the
+    # lifting adds its faces with it: (modes, 2) columns along an axis
+    # that `np.moveaxis` brings from the front of a face pair, here also
+    # strided along it
     rng = np.random.default_rng(3)
-    shape = (4, 3, 5)[:dim]
-    tensor = rng.standard_normal(shape)
+    shape = list((4, 3, 5)[:dim])
+    if form == "two columns":
+        shape[axis] = 2
+    if form == "contiguous":
+        tensor = rng.standard_normal(shape)
+    else:
+        front = [2 * shape[axis]] + shape[:axis] + shape[axis + 1:]
+        tensor = np.moveaxis(rng.standard_normal(front)[::2], 0, axis)
+        assert not tensor.flags.c_contiguous
     matrix = rng.standard_normal((rows, shape[axis]))
     letters = "abc"[:dim]
     out = letters[:axis] + "z" + letters[axis + 1:]

@@ -1,11 +1,11 @@
-from same_bits import CASES, differing, table
+from same_bits import CASES, CONFIG_CASES, differing, table
 
 
 def test_same_bits_table_agrees_with_itself_in_one_process():
     # the table is what `same_bits.py --parent` compares across revisions:
     # two computations of it on one tree must give the same hashes
     first = table()
-    assert sorted(first) == sorted(CASES)
+    assert sorted(first) == sorted(CASES | CONFIG_CASES)
     assert all(first.values())
     assert differing(first, table()) == {}
 

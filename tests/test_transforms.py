@@ -4,12 +4,13 @@ import scipy.fft
 
 from expfem import transforms
 from expfem.mesh import Dirichlet, Partition1D, Periodic, dof_shape
+from expfem.quadrature import apply_matrix
 from expfem.transforms import (DENSE_DST_POINTS, axis_spectrum,
                                forward_transform, inverse_transform,
                                modal_shape, sine_transform)
 
-from helpers import (basis_matrix, build_axis_matrices, make_mesh,
-                     mode_multiply, rel_err, traced_peak)
+from helpers import (basis_matrix, build_axis_matrices, make_mesh, rel_err,
+                     traced_peak)
 
 BCS = [Dirichlet(), Periodic()]
 
@@ -133,7 +134,7 @@ def test_fast_transforms_match_dense_realization():
         fast = forward_transform(u, mesh)
         dense = u
         for a, p in enumerate(mesh.partitions):
-            dense = mode_multiply(basis_matrix(p, bc).conj().T, dense, a)
+            dense = apply_matrix(basis_matrix(p, bc).conj().T, dense, a)
         # rfftn keeps the half spectrum on the last axis
         dense = dense[..., :modal_shape(mesh)[-1]]
         assert rel_err(fast, dense) < 1e-12
@@ -325,7 +326,7 @@ def test_mixed_short_and_long_axes_match_dense_realization():
     u = rng.standard_normal(dof_shape(mesh))
     dense = u
     for a, p in enumerate(mesh.partitions):
-        dense = mode_multiply(basis_matrix(p, bc).T, dense, a)
+        dense = apply_matrix(basis_matrix(p, bc).T, dense, a)
     assert rel_err(forward_transform(u, mesh), dense) < 1e-13
     # the basis is symmetric and orthogonal: the inverse is the same map
     assert rel_err(inverse_transform(dense, mesh), u) < 1e-13
