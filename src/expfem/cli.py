@@ -133,24 +133,21 @@ def _cmd_run(args, cfg, path, snapshots):
     return EXIT_OK
 
 
-def _cmd_converge(args, cfg, path, _):
-    rows = convergence_study(cfg.problem, cfg.rungs, scheme=cfg.scheme,
-                             c2=cfg.c2, T=cfg.T)
-    write_report_csv(rows, path)
-    for row in rows:
-        _echo(args, f"{row.resolution} nt={row.nt}: "
-                    f"L2 {row.err_l2:.4e} H1 {row.err_h1:.4e}")
-    _echo(args, f"wrote {path}")
-    return EXIT_OK
+_LADDERS = {  # config mode: (study, the line printed per rung)
+    "convergence": (convergence_study, lambda row: (
+        f"{row.resolution} nt={row.nt}: "
+        f"L2 {row.err_l2:.4e} H1 {row.err_h1:.4e}")),
+    "timing": (timing_study, lambda row: (
+        f"{row.resolution}: {row.sec_per_step:.4g} s/step"
+        + (f" growth {row.growth:.2f}" if row.growth is not None else "")))}
 
 
-def _cmd_bench(args, cfg, path, _):
-    rows = timing_study(cfg.problem, cfg.rungs, scheme=cfg.scheme,
-                        c2=cfg.c2, T=cfg.T)
+def _cmd_ladder(args, cfg, path, _):
+    study, line = _LADDERS[cfg.mode]
+    rows = study(cfg.problem, cfg.rungs, scheme=cfg.scheme, c2=cfg.c2, T=cfg.T)
     write_report_csv(rows, path)
     for row in rows:
-        growth = f" growth {row.growth:.2f}" if row.growth is not None else ""
-        _echo(args, f"{row.resolution}: {row.sec_per_step:.4g} s/step{growth}")
+        _echo(args, line(row))
     _echo(args, f"wrote {path}")
     return EXIT_OK
 
@@ -160,9 +157,9 @@ _COMMANDS = {  # subcommand: (config mode, help, handler)
             _cmd_run),
     "converge": ("convergence",
                  "run a refinement ladder and write a rate report",
-                 _cmd_converge),
+                 _cmd_ladder),
     "bench": ("timing", "run a spatial ladder and report per-step cost",
-              _cmd_bench)}
+              _cmd_ladder)}
 
 
 def main(argv=None):

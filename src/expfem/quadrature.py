@@ -16,8 +16,10 @@ a transverse axis is constant along that axis within an element, so its
 point axis there has length 1, and the weights of a length-1 point axis
 a are h_a, since the unit Gauss weights sum to 1.  Both the error norms
 and the energy (`analysis`) integrate over its slices.  `apply_matrix`
-is the package's one mode product; the Dirichlet lifting adds its faces
-with it (`assembly`).
+applies a rectangular matrix along one axis into a new array; the
+Dirichlet lifting adds its faces with it (`assembly`).  The sine
+transform's dense axes apply their square matrix in place and in blocks
+(`transforms._dense_sine_axis`).
 """
 
 import functools

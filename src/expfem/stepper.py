@@ -216,6 +216,7 @@ def _rk2_stage(coeffs, G1, ctx, w, out):
     out and return the stage's coefficients, None when the problem has no
     f."""
     stage = None
+    # without f no load reads the stage: forming it doubled an lrd rk2 step
     if ctx.problem.f is not None:
         stage = w.stage_decay * coeffs
         np.multiply(w.stage_phi1, G1, out=out)

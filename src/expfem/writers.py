@@ -324,34 +324,23 @@ def _format_block(values):
     return rows[np.take(_KEEP, key, axis=0)][:-1].tobytes().decode("ascii")
 
 
+def _write_csv(header, rows, path):
+    """Write the header line and one line of comma-joined cells per row."""
+    _write_lines(["\n".join([header, *map(",".join, rows)])], path)
+
+
 def write_report_csv(rows, path):
     """Write study rows as CSV (one line per ladder rung)."""
-    lines = [REPORT_HEADER]
-    for row in rows:
-        cells = [
-            str(row.nt),
-            row.resolution,
-            format_number(row.err_l2),
-            format_number(row.rate_l2),
-            format_number(row.err_h1),
-            format_number(row.rate_h1),
-            format_number(row.sec_per_step),
-            format_number(row.growth),
-        ]
-        lines.append(",".join(cells))
-    _write_lines(["\n".join(lines)], path)
+    _write_csv(REPORT_HEADER, (
+        [str(row.nt), row.resolution, *map(format_number, (
+            row.err_l2, row.rate_l2, row.err_h1, row.rate_h1,
+            row.sec_per_step, row.growth))] for row in rows), path)
 
 
 def write_series_csv(rows, path):
     """Write (t, sup_norm, energy) observer rows as CSV."""
-    lines = ["t,sup_norm,energy"]
-    for t, sup, energy in rows:
-        lines.append(",".join([
-            format_number(t),
-            format_number(sup),
-            format_number(energy),
-        ]))
-    _write_lines(["\n".join(lines)], path)
+    _write_csv("t,sup_norm,energy", (map(format_number, row) for row in rows),
+               path)
 
 
 def write_snapshot(U, mesh, t, path):

@@ -9,7 +9,10 @@ name the case, what `expfem run` writes from that config: the series,
 the snapshots at steps 0 and nt, and its standard output.  A builtin
 case's config is written from its row of `CASES`; a custom case is its
 config text in `CONFIG_CASES`, which both the run (through
-`parse_config`) and `expfem run` read.  `--parent` checks REV out
+`parse_config`) and `expfem run` read.  A ladder case in
+`CONFIG_CASES` runs no single run: it hashes what `expfem converge`
+prints and its report without the `sec_per_step` column, whose timings
+vary from run to run.  `--parent` checks REV out
 into a temporary git worktree of the repository this file lies in,
 computes both tables in child processes, prints the cases whose hashes
 differ, exits 1 if any do, and removes the worktree.  No table is kept in
@@ -44,8 +47,9 @@ CASES = {
 }
 
 # name: config text of a custom problem: a lifted 3D box, whose trace
-# varies along every axis, so the lifting runs on all three axes, and a
-# periodic box whose reaction uses `^`
+# varies along every axis, so the lifting runs on all three axes, a
+# periodic box whose reaction uses `^` and a homogeneous Dirichlet box
+# (no `custom.g`); then a spatial convergence ladder
 CONFIG_CASES = {
     "custom3d-lifted-rk2": """\
 mode = "run"
@@ -82,7 +86,38 @@ d = 0.05
 f = "u - u^3 + 0.1 * sin(pi * x) * cos(2 * pi * y) ^ 2"
 u0 = "0.5 * sin(pi * x) * cos(2 * pi * y)"
 """,
+    "custom2d-homogeneous-rk2": """\
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.004
+nt = 4
+observe_every = 1
+snapshot_every = 4
+[domain]
+n = [14, 9]
+bounds = [[0.0, 1.0], [0.0, 0.5]]
+[custom]
+d = 0.2
+f = "u * (1 - u * u) + t * sin(pi * x) * y"
+u0 = "sin(pi * x) * sin(2 * pi * y)"
+""",
+    "converge-lrd-rk2": """\
+mode = "convergence"
+problem = "linear_rd"
+scheme = "rk2"
+c2 = 0.3
+T = 0.25
+nt = 16
+[ladder]
+kind = "spatial"
+n = [[4, 2], [8, 4]]
+""",
 }
+
+# subcommand per config mode
+COMMANDS = {"run": "run", "convergence": "converge"}
 
 
 def _sha(data):
@@ -124,7 +159,16 @@ def _builtin_config(name, subdivisions, scheme, c2, dt, nt):
         "n = [{}]".format(", ".join(map(str, subdivisions)))]) + "\n"
 
 
-def _cli_hashes(text, workdir):
+def _without_column(text, name):
+    """CSV text without the column headed name."""
+    rows = [line.split(",") for line in text.split("\n")]
+    column = rows[0].index(name)
+    for cells in rows:
+        del cells[column:column + 1]
+    return "\n".join(map(",".join, rows))
+
+
+def _cli_hashes(text, workdir, command):
     from expfem.cli import main
 
     cfg = workdir / "cfg.toml"
@@ -132,13 +176,16 @@ def _cli_hashes(text, workdir):
     cfg.write_text(text)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        code = main([command, "--config", str(cfg), "--out", str(out)])
     if code != 0:
-        raise RuntimeError(f"expfem run of {cfg} exited {code}")
+        raise RuntimeError(f"expfem {command} of {cfg} exited {code}")
     hashes = {"cli stdout": _sha(
         stdout.getvalue().replace(str(out), "<out>").encode())}
     for path in sorted(out.iterdir()):
-        hashes[f"cli {path.name}"] = _sha(path.read_bytes())
+        data = path.read_bytes()
+        if command != "run":
+            data = _without_column(data.decode(), "sec_per_step").encode()
+        hashes[f"cli {path.name}"] = _sha(data)
     return hashes
 
 
@@ -151,20 +198,22 @@ def table():
                  "flory_huggins": problems.builtin_flory_huggins,
                  "allen_cahn_wave": problems.builtin_allen_cahn_wave,
                  "linear_rd": problems.builtin_linear_rd}
+    # case: (problem, run spec or None, config text or None, subcommand)
     runs = {}
     for case, (name, kwargs, *spec) in CASES.items():
         text = None if name is None else _builtin_config(name, *spec)
-        runs[case] = (factories[name](**kwargs), spec, text)
+        runs[case] = (factories[name](**kwargs), spec, text, "run")
     for case, text in CONFIG_CASES.items():
         cfg = parse_config(text)
-        runs[case] = (cfg.problem, (cfg.subdivisions, cfg.scheme, cfg.c2,
-                                    cfg.dt, cfg.nt), text)
+        spec = ((cfg.subdivisions, cfg.scheme, cfg.c2, cfg.dt, cfg.nt)
+                if cfg.mode == "run" else None)
+        runs[case] = (cfg.problem, spec, text, COMMANDS[cfg.mode])
     out = {}
-    for case, (problem, spec, text) in runs.items():
-        hashes = _run_hashes(problem, *spec)
+    for case, (problem, spec, text, command) in runs.items():
+        hashes = {} if spec is None else _run_hashes(problem, *spec)
         if text is not None:
             with tempfile.TemporaryDirectory() as tmp:
-                hashes.update(_cli_hashes(text, Path(tmp)))
+                hashes.update(_cli_hashes(text, Path(tmp), command))
         out[case] = hashes
     return out
 

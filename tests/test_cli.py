@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,25 @@ def test_bench_subcommand(tmp_path):
     assert len(lines) == 3
     cells = lines[2].split(",")
     assert cells[6] != "" and cells[7] != ""  # sec_per_step and growth
+
+
+def test_ladder_subcommands_print_a_line_per_rung(tmp_path, capsys):
+    # converge's errors are fixed by the config; bench's seconds vary from
+    # run to run, so its lines are matched by their form
+    cfg = _write(tmp_path, CONV_CFG)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().out == (
+        "4x2 nt=16: L2 4.0911e-02 H1 1.9614e-01\n"
+        "8x4 nt=16: L2 1.2761e-02 H1 9.3015e-02\n"
+        f"wrote {tmp_path / 'c' / 'report.csv'}\n")
+    cfg = _write(tmp_path, BENCH_CFG)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    number = r"-?\d[\d.]*(e[+-]\d+)?"
+    assert re.fullmatch(
+        rf"8x4: {number} s/step\n"
+        rf"16x8: {number} s/step growth {number}\n"
+        rf"wrote {re.escape(str(tmp_path / 'b' / 'report.csv'))}\n",
+        capsys.readouterr().out)
 
 
 def test_bench_repeated_rung_exits_as_config_error(tmp_path, capsys):

@@ -12,9 +12,8 @@ from expfem.problems import builtin_linear_rd, mesh_for
 from expfem.stepper import SchemeConfig, run
 from expfem.transforms import inverse_transform
 from expfem.writers import (_BLOCK_VALUES, _EXPONENTS, _KMIN, _POWERS,
-                            REPORT_HEADER, _format_block, format_number,
-                            write_report_csv, write_series_csv,
-                            write_snapshot)
+                            _format_block, format_number, write_report_csv,
+                            write_series_csv, write_snapshot)
 
 from helpers import joined_snapshot, make_mesh, traced_peak
 
@@ -42,14 +41,12 @@ def _spatial_rows():
 def test_report_csv_layout(tmp_path):
     path = tmp_path / "report.csv"
     write_report_csv(_spatial_rows(), path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0] == REPORT_HEADER
-    first = lines[1].split(",")
-    assert first[0] == "1024" and first[1] == "8x4"
-    assert first[3] == "" and first[5] == ""  # no rates on the first rung
-    assert "\r" not in text
+    # no rates or growth on the first rung; errors below 1e-3 print in
+    # scientific form; every line ends with "\n", the last one too
+    assert path.read_bytes() == (
+        b"nt,resolution,err_l2,cr_l2,err_h1,cr_h1,sec_per_step,growth\n"
+        b"1024,8x4,2.19750e-05,,5.80180e-05,,0.001,\n"
+        b"1024,16x8,6.82200e-06,1.69,2.08170e-05,1.48,0.004,1.01\n")
 
 
 def test_report_csv_round_trip(tmp_path):
@@ -68,11 +65,13 @@ def test_report_csv_round_trip(tmp_path):
 
 def test_series_csv(tmp_path):
     path = tmp_path / "series.csv"
-    write_series_csv([(0.0, 0.9, 0.1166), (0.5, 0.95, None)], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,sup_norm,energy"
-    assert lines[1].startswith("0,0.9,")
-    assert lines[2].endswith(",")  # missing energy stays empty
+    write_series_csv([(0.0, 0.9, 0.1166), (0.5, 0.95, None),
+                      (2.5e-4, 1.0, 0.0)], path)
+    # a missing energy stays empty; zero prints as "0"
+    assert path.read_bytes() == (b"t,sup_norm,energy\n"
+                                 b"0,0.9,0.1166\n"
+                                 b"0.5,0.95,\n"
+                                 b"2.50000e-04,1,0\n")
 
 
 def test_write_into_an_existing_directory_makes_none(tmp_path, monkeypatch):
