@@ -64,12 +64,14 @@ def _output_paths(command, cfg, out_dir):
     `observation_steps` at which `stepper.run` calls its snapshot
     observer, by step.
 
-    Every rule on output files is checked here, once, before the output
+    Every rule on output files is checked here, once, before any
     directory is made: the snapshot pattern formats with {step} alone,
     even when no snapshot is due; each name is one the file system takes
     (no NUL character); no two files share a path; no path is
     a directory, existing or one the command makes; and no directory a
-    file lies in, `--out` included, is an existing non-directory.
+    file lies in, `--out` included, is an existing non-directory.  Once
+    every check has passed, out_dir and the directory of each file are
+    made, before the command's first step: the writers make none.
     """
     if command != "run":
         files, steps = [(f"output.report {cfg.out_report!r}", cfg.out_report)], []
@@ -106,6 +108,8 @@ def _output_paths(command, cfg, out_dir):
     for parent, what in made.items():
         if parent.exists() and not parent.is_dir():
             raise ConfigError(f"{what}: {parent} exists and is not a directory")
+    for directory in dict.fromkeys([base, *(path.parent for path in owners)]):
+        directory.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for _, name in files]
     return paths[0], dict(zip(steps, paths[1:]))
 
@@ -169,7 +173,6 @@ def main(argv=None):
         cfg = _load_config(args)
         out_dir = Path(args.out)
         paths = _output_paths(args.command, cfg, out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command][2](args, cfg, *paths)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

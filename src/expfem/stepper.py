@@ -107,12 +107,17 @@ def _keep_freed_arrays():
     """Serve state-sized temporaries from a retained heap.
 
     Set-up, steps and observations allocate and free arrays of up to
-    megabytes each.  Left to its dynamic thresholds, glibc maps such
-    blocks fresh and hands them back on free, so each one is page-faulted
-    in anew (about 3000 faults, 12 MiB, per 64^3 rk2 step).  Fixing the
-    mmap threshold at its 32 MiB maximum and the trim threshold at 64 MiB
-    keeps freed blocks for reuse.  A no-op where the C library has no
-    mallopt.
+    megabytes each.  Left to its dynamic thresholds, glibc soon keeps an
+    unobserved step's blocks, but maps a run's set-up arrays, and an
+    observation's, fresh and hands them back on free, so each one is
+    page-faulted in anew.  So this serves repeated runs in one process,
+    such as the ladders and a benchmark's set-ups, and observed steps.
+    Without it, at 64^3 fh, each repeated set-up faulted about 3100
+    pages and took 1.6 to 1.7 times as long, and a step observed every
+    step about 500 pages; an unobserved step faulted none either way.
+    Fixing the mmap threshold at its 32 MiB maximum and the trim
+    threshold at 64 MiB keeps freed blocks for reuse.  A no-op where
+    the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -13,16 +13,18 @@ and `nan`.  A numpy kernel prints a whole block at once; no value goes
 through Python on its own.
 
 Every file goes out through one helper that writes blocks of text in
-turn.  A snapshot's point data is streamed: the values are read
-x-fastest straight from the field in blocks of a few thousand, and
-each block's text is written before the next one is formed, so writing
-one holds the full-grid field and one block's text and temporaries,
-never the whole file's text or an x-fastest copy of the field.
+turn into a directory that exists already: the writers make no
+directory, and `cli` makes every directory a command writes into
+before its first step.  A snapshot's point data is streamed: the
+values are read x-fastest straight from the field in blocks of a few
+thousand, and each block's text is written before the next one is
+formed, so writing one holds the full-grid field and one block's text
+and temporaries, never the whole file's text or an x-fastest copy of
+the field.
 """
 
 from array import array
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -52,18 +54,10 @@ _BLOCK_VALUES = 2048
 
 
 def _write_lines(texts, path):
-    """Write blocks of text, each ended by a newline, to path, creating
-    its parent directories when the open finds them missing.  Each
-    block's text is formed and written before the next block is read."""
-    path = Path(path)
-    try:
-        out = path.open("w", encoding="utf-8", newline="\n")
-    except FileNotFoundError:
-        # only here: mkdir on a directory that exists raises and catches
-        # FileExistsError, which costs more than the open
-        path.parent.mkdir(parents=True, exist_ok=True)
-        out = path.open("w", encoding="utf-8", newline="\n")
-    with out:
+    """Write blocks of text, each ended by a newline, to path, whose
+    directory must exist: the writers make none.  Each block's text is
+    formed and written before the next block is read."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
         for text in texts:
             out.write(text + "\n")
 

@@ -6,10 +6,11 @@
 Each case hashes the end coefficients of a run, each nodal state its
 observer sees, each `TimeSeriesObserver` row and, where a config can
 name the case, what `expfem run` writes from that config: the series,
-the snapshots at steps 0 and nt, and its standard output.  A builtin
-case's config is written from its row of `CASES`; a custom case is its
-config text in `CONFIG_CASES`, which both the run (through
-`parse_config`) and `expfem run` read.  A ladder case in
+the snapshots at steps 0 and nt, each by its path under the output
+directory, and its standard output.  A builtin case's config is written
+from its row of `CASES`; a custom case is its config text in
+`CONFIG_CASES`, which both the run (through `parse_config`) and
+`expfem run` read.  A ladder case in
 `CONFIG_CASES` runs no single run: it hashes what `expfem converge`
 prints and its report without the `sec_per_step` column, whose timings
 vary from run to run.  `--parent` checks REV out
@@ -48,8 +49,9 @@ CASES = {
 
 # name: config text of a custom problem: a lifted 3D box, whose trace
 # varies along every axis, so the lifting runs on all three axes, a
-# periodic box whose reaction uses `^` and a homogeneous Dirichlet box
-# (no `custom.g`); then a spatial convergence ladder
+# periodic box whose reaction uses `^`, a homogeneous Dirichlet box
+# (no `custom.g`) and a lifted 1D box that writes its series and
+# snapshots into subdirectories; then a spatial convergence ladder
 CONFIG_CASES = {
     "custom3d-lifted-rk2": """\
 mode = "run"
@@ -102,6 +104,27 @@ bounds = [[0.0, 1.0], [0.0, 0.5]]
 d = 0.2
 f = "u * (1 - u * u) + t * sin(pi * x) * y"
 u0 = "sin(pi * x) * sin(2 * pi * y)"
+""",
+    "custom1d-nested-output-rk2": """\
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.004
+nt = 4
+observe_every = 2
+snapshot_every = 2
+[domain]
+n = [24]
+bounds = [[0.0, 1.0]]
+[custom]
+d = 0.1
+f = "u - u^3"
+u0 = "x * (1 - x) + 0.5"
+g = "0.5 + t"
+[output]
+series = "tables/series.csv"
+snapshot = "snaps/s{step}/u.vtk"
 """,
     "converge-lrd-rk2": """\
 mode = "convergence"
@@ -181,11 +204,11 @@ def _cli_hashes(text, workdir, command):
         raise RuntimeError(f"expfem {command} of {cfg} exited {code}")
     hashes = {"cli stdout": _sha(
         stdout.getvalue().replace(str(out), "<out>").encode())}
-    for path in sorted(out.iterdir()):
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if command != "run":
             data = _without_column(data.decode(), "sec_per_step").encode()
-        hashes[f"cli {path.name}"] = _sha(data)
+        hashes[f"cli {path.relative_to(out).as_posix()}"] = _sha(data)
     return hashes
 
 

@@ -269,6 +269,30 @@ def test_output_names_in_subdirectories_are_written(tmp_path):
     assert (tmp_path / "r" / "report.csv").is_file()
 
 
+def test_every_output_directory_is_made_before_the_first_step(
+        tmp_path, monkeypatch):
+    # the series' directory would otherwise appear after the last step and
+    # each snapshot's at its own step
+    out = tmp_path / "out"
+    dirs = ["tables", "snaps/s0", "snaps/s1", "snaps/s2"]
+    made = []
+
+    def run(*args, **kwargs):
+        made.extend((out / d).is_dir() for d in dirs)
+        return real_run(*args, **kwargs)
+
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", run)
+    cfg = _write(tmp_path, "snapshot_every = 1\n"
+                 + RUN_CFG.replace("nt = 8", "nt = 2") + (
+                     '[output]\nseries = "tables/series.csv"\n'
+                     'snapshot = "snaps/s{step}/u.vtk"\n'))
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert made == [True] * len(dirs)
+    assert (out / "tables" / "series.csv").is_file()
+    assert all((out / f"snaps/s{step}/u.vtk").is_file() for step in range(3))
+
+
 def test_empty_report_name_exits_as_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, CONV_CFG + '[output]\nreport = ""\n')

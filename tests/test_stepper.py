@@ -1,13 +1,19 @@
+import ctypes
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expfem
 from expfem import assembly, stepper, transforms
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
@@ -690,6 +696,37 @@ def test_rk2_step_frees_its_input_before_its_second_load(monkeypatch):
         assert len(dead) == 3
         freed.append(all(dead))
     assert freed == [True, True, True]
+
+
+try:
+    _HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
+except (OSError, TypeError):
+    _HAS_MALLOPT = False
+
+
+@pytest.mark.skipif(not _HAS_MALLOPT, reason="the C library has no mallopt")
+def test_a_repeated_run_reuses_the_freed_heap():
+    # glibc's dynamic thresholds would map each freed set-up array fresh
+    # in the next run: about 305 faults per fh 32^3 run.  A fresh
+    # interpreter, so that no earlier test's frees raise them first
+    script = (
+        "import resource\n"
+        "from expfem.problems import builtin_flory_huggins, mesh_for\n"
+        "from expfem.stepper import SchemeConfig, run\n"
+        "prob = builtin_flory_huggins()\n"
+        "mesh = mesh_for(prob, (32, 32, 32))\n"
+        "cfg = SchemeConfig(dt=1e-4, T=2e-4, scheme='rk2', c2=0.5)\n"
+        "run(prob, mesh, cfg)\n"
+        "run(prob, mesh, cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run(prob, mesh, cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(expfem.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert int(out.stdout) < 50
 
 
 @pytest.mark.parametrize("factory, subdivisions, scheme, every, bound", [

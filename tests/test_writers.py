@@ -74,8 +74,8 @@ def test_series_csv(tmp_path):
                                  b"2.50000e-04,1,0\n")
 
 
-def test_write_into_an_existing_directory_makes_none(tmp_path, monkeypatch):
-    # the writer opens first; only an open that finds no parent makes it
+def test_writers_make_no_directory(tmp_path, monkeypatch):
+    # the command makes every directory it writes into before its run
     made = []
     real_mkdir = Path.mkdir
 
@@ -84,16 +84,19 @@ def test_write_into_an_existing_directory_makes_none(tmp_path, monkeypatch):
         return real_mkdir(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "mkdir", mkdir)
-    rows = [(0.0, 0.9, 0.1166)]
-    write_series_csv(rows, tmp_path / "series.csv")
-    write_snapshot(np.zeros(3), make_mesh(((0.0, 1.0),), (4,), Dirichlet()),
-                   0.0, tmp_path / "u.vtk")
+    mesh = make_mesh(((0.0, 1.0),), (4,), Dirichlet())
+    writes = [
+        lambda path: write_series_csv([(0.0, 0.9, 0.1166)], path),
+        lambda path: write_report_csv(_spatial_rows(), path),
+        lambda path: write_snapshot(np.zeros(3), mesh, 0.0, path)]
+    for write in writes:
+        with pytest.raises(FileNotFoundError):
+            write(tmp_path / "a" / "b" / "file")
+    assert list(tmp_path.iterdir()) == []
+    for write in writes:
+        write(tmp_path / "file")
     assert made == []
-    write_series_csv(rows, tmp_path / "a" / "b" / "series.csv")
-    # mkdir(parents=True) makes "a" by a call of its own
-    assert made[0] == tmp_path / "a" / "b"
-    assert ((tmp_path / "a" / "b" / "series.csv").read_bytes()
-            == (tmp_path / "series.csv").read_bytes())
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_write_under_a_file_raises(tmp_path):
