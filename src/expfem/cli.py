@@ -108,9 +108,10 @@ def _output_paths(command, cfg, out_dir):
     for parent, what in made.items():
         if parent.exists() and not parent.is_dir():
             raise ConfigError(f"{what}: {parent} exists and is not a directory")
-    for directory in dict.fromkeys([base, *(path.parent for path in owners)]):
-        directory.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / name for _, name in files]
+    # the paths the writers open: of "a/../x.csv", "a" must exist too
+    for directory in dict.fromkeys([out_dir, *(p.parent for p in paths)]):
+        directory.mkdir(parents=True, exist_ok=True)
     return paths[0], dict(zip(steps, paths[1:]))
 
 

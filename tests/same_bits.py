@@ -51,7 +51,8 @@ CASES = {
 # varies along every axis, so the lifting runs on all three axes, a
 # periodic box whose reaction uses `^`, a homogeneous Dirichlet box
 # (no `custom.g`) and a lifted 1D box that writes its series and
-# snapshots into subdirectories; then a spatial convergence ladder
+# snapshots into subdirectories, one of them named through `..`; then a
+# spatial convergence ladder
 CONFIG_CASES = {
     "custom3d-lifted-rk2": """\
 mode = "run"
@@ -123,7 +124,7 @@ f = "u - u^3"
 u0 = "x * (1 - x) + 0.5"
 g = "0.5 + t"
 [output]
-series = "tables/series.csv"
+series = "tables/../sub/series.csv"
 snapshot = "snaps/s{step}/u.vtk"
 """,
     "converge-lrd-rk2": """\

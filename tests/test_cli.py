@@ -253,28 +253,12 @@ def test_snapshot_name_of_a_directory_exits_before_the_run(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["snapshot_000008.vtk"]
 
 
-def test_output_names_in_subdirectories_are_written(tmp_path):
-    # each file's directory is made before the file is written
-    cfg = _write(tmp_path, "snapshot_every = 4\n" + RUN_CFG + (
-        '[output]\nseries = "sub/series.csv"\n'
-        'snapshot = "snaps/u_{step}.vtk"\n'))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path),
-                 "--quiet"]) == 0
-    assert (tmp_path / "sub" / "series.csv").is_file()
-    assert sorted(p.name for p in (tmp_path / "snaps").iterdir()) == [
-        "u_0.vtk", "u_4.vtk", "u_8.vtk"]
-    cfg = _write(tmp_path, CONV_CFG + '[output]\nreport = "r/report.csv"\n')
-    assert main(["converge", "--config", cfg, "--out", str(tmp_path),
-                 "--quiet"]) == 0
-    assert (tmp_path / "r" / "report.csv").is_file()
-
-
-def test_every_output_directory_is_made_before_the_first_step(
-        tmp_path, monkeypatch):
-    # the series' directory would otherwise appear after the last step and
-    # each snapshot's at its own step
+def test_output_names_in_subdirectories_are_written(tmp_path, monkeypatch):
+    # every file's directory exists before the first step: the series'
+    # would otherwise appear after the last step and each snapshot's at
+    # its own step; "tables" must exist for "tables/../sub" to open
     out = tmp_path / "out"
-    dirs = ["tables", "snaps/s0", "snaps/s1", "snaps/s2"]
+    dirs = ["tables", "sub", "snaps/s0", "snaps/s1", "snaps/s2"]
     made = []
 
     def run(*args, **kwargs):
@@ -285,12 +269,16 @@ def test_every_output_directory_is_made_before_the_first_step(
     monkeypatch.setattr(cli, "run", run)
     cfg = _write(tmp_path, "snapshot_every = 1\n"
                  + RUN_CFG.replace("nt = 8", "nt = 2") + (
-                     '[output]\nseries = "tables/series.csv"\n'
+                     '[output]\nseries = "tables/../sub/series.csv"\n'
                      'snapshot = "snaps/s{step}/u.vtk"\n'))
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert made == [True] * len(dirs)
-    assert (out / "tables" / "series.csv").is_file()
+    assert (out / "sub" / "series.csv").is_file()
     assert all((out / f"snaps/s{step}/u.vtk").is_file() for step in range(3))
+    cfg = _write(tmp_path, CONV_CFG + '[output]\nreport = "r/report.csv"\n')
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    assert (out / "r" / "report.csv").is_file()
 
 
 def test_empty_report_name_exits_as_config_error(tmp_path, capsys):

@@ -721,8 +721,9 @@ def test_a_repeated_run_reuses_the_freed_heap():
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "run(prob, mesh, cfg)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(expfem.__file__).parent.parent)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(expfem.__file__).parent.parent),
+        os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
