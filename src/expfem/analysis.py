@@ -16,7 +16,12 @@ within an element, so it carries that point axis with length 1, and a
 length-1 point axis a is integrated with weight h_a.  `error_norms`
 subtracts the exact values in place in the values buffer; a slope minus
 the exact gradient takes the broadcast shape of the two, so it widens
-only where the exact gradient varies along that axis.  The energy
+only where the exact gradient varies along that axis.  An axis the
+exact solution does not read (one evaluation on an open grid of two
+points per axis has length 1 along it) has a zero exact gradient: its
+H1 term is the interpolant's closed Q1 form h_a s^T (M_b for b != a) s
+of the slopes s and the P1 masses M_b, streamed over blocks of axis-0
+elements, with no Gauss stream and no complex step.  The energy
 writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
 rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
 log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
@@ -36,7 +41,7 @@ import numpy as np
 
 from .mesh import dof_shape, extend_nodal
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
-from .quadrature import gauss_slices
+from .quadrature import element_blocks, gauss_slices
 from .stepper import SchemeConfig, check_state, run
 from .transforms import axis_spectrum, forward_transform, inverse_transform
 
@@ -70,40 +75,115 @@ def _slice_sum(weights, x):
 def error_norms(U, mesh, exact, t):
     """(L2, H1) distance between the interpolant of U and `exact` at time t.
 
+    `exact` is evaluated once first on an open grid of the first and
+    last element midpoints of each axis (`_constant_axes`); the axes
+    along which that returns length 1 are those it is constant on, and
+    their H1 terms come from the closed Q1 form (`_constant_axis_square`).
     The square of an error above about 1e154 overflows, though the norms
-    may be finite.  When a sum of squares overflows, both sums are taken
-    again with each error scaled by 2^-600 before it is squared, and the
-    norms are scaled back.  An error that is itself inf or nan, or whose
-    subtraction overflows, gives an inf or nan norm.
+    may be finite.  When a sum of squares comes out inf or nan, both
+    sums are taken again with each error scaled by 2^-600 before it is
+    squared, and the norms are scaled back.  An error that is itself inf
+    or nan, or whose subtraction overflows, gives an inf or nan norm.
     """
     full = extend_nodal(U, mesh, t)
     scale = 1.0
     with np.errstate(over="ignore"):
-        l2_sq, grad_sq = _error_squares(full, mesh, exact, t)
-    if l2_sq + grad_sq == math.inf:
+        constant = _constant_axes(exact, t, mesh.partitions)
+        l2_sq, grad_sq = _error_squares(full, mesh, exact, t, constant)
+    if not math.isfinite(l2_sq + grad_sq):
         # an exact power of two: a scaled error rounds as it does unscaled,
         # and the square of the largest float scaled by it is finite
         scale = 2.0 ** -600
-        l2_sq, grad_sq = _error_squares(
-            full, mesh, exact, t, lambda x, out: np.square(x * scale, out=out))
+        l2_sq, grad_sq = _error_squares(full, mesh, exact, t, constant, scale)
     return math.sqrt(l2_sq) / scale, math.sqrt(l2_sq + grad_sq) / scale
 
 
-def _error_squares(full, mesh, exact, t, square=np.square):
-    """Gauss integrals of the squared error and of the squared gradient
-    error of the interpolant of a full-grid nodal tensor, each error
-    squared in place by `square`."""
-    l2_sq = grad_sq = 0.0
+def _constant_axes(exact, t, partitions):
+    """The axes along which `exact` returns length 1 on the open grid of
+    the first and last element midpoints of every axis: the axes it does
+    not read, since a pointwise function that never reads a coordinate
+    cannot widen along it.  A result that does not broadcast to that
+    grid raises ValueError."""
+    d = len(partitions)
+    grid = np.ix_(*[(p.a + 0.5 * p.h, p.b - 0.5 * p.h) for p in partitions])
+    shape = np.shape(exact(t, grid))
+    try:
+        fits = np.broadcast_shapes(shape, (2,) * d) == (2,) * d
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"the exact solution returned shape {shape} on a {d}D mesh's "
+            f"open grid of 2 points per axis; it must broadcast to "
+            f"{(2,) * d}")
+    shape = (1,) * (d - len(shape)) + shape
+    return tuple(a for a in range(d) if shape[a] == 1)
+
+
+def _square(x, scale):
+    """x times the power of two `scale`, squared in place."""
+    if scale != 1.0:
+        x *= scale
+    return np.square(x, out=x)
+
+
+def _error_squares(full, mesh, exact, t, constant, scale=1.0):
+    """Integrals of the squared error and of the squared gradient error of
+    the interpolant of a full-grid nodal tensor, each error times the
+    power of two `scale`: Gauss sums of the values and of the slopes
+    along the axes `exact` varies on, and the closed Q1 form of the
+    slopes along the `constant` axes, where the exact gradient is 0."""
+    varying = tuple(a for a in range(mesh.dim) if a not in constant)
+    l2_sq = 0.0
+    # before the stream, whose last slice's buffers outlive its loop
+    grad_sq = sum((_constant_axis_square(full, mesh.partitions, a, scale)
+                   for a in constant), 0.0)
     for vals, slopes, coords, weights in gauss_slices(
-            full, mesh.partitions, GAUSS_POINTS, slopes=True):
+            full, mesh.partitions, GAUSS_POINTS, slopes=varying):
         vals -= exact(t, coords)
-        l2_sq += _slice_sum(weights, square(vals, out=vals))
-        for a, slope in enumerate(slopes):
+        l2_sq += _slice_sum(weights, _square(vals, scale))
+        for a, slope in zip(varying, slopes):
             # a transverse slope's length-1 point axis widens only where
             # the exact gradient varies along it
             diff = slope - _exact_gradient(exact, t, coords, a)
-            grad_sq += _slice_sum(weights, square(diff, out=diff))
+            grad_sq += _slice_sum(weights, _square(diff, scale))
     return l2_sq, grad_sq
+
+
+def _p1_mass(x, axis):
+    """tridiag(1, 4, 1) with end diagonals 2 along one axis of x: the P1
+    mass of that axis' nodes times 6/h, into a new array."""
+    lo = (slice(None),) * axis
+    y = 4.0 * x
+    y[lo + (slice(1, None),)] += x[lo + (slice(None, -1),)]
+    y[lo + (slice(None, -1),)] += x[lo + (slice(1, None),)]
+    y[lo + (0,)] -= 2.0 * x[lo + (0,)]
+    y[lo + (-1,)] -= 2.0 * x[lo + (-1,)]
+    return y
+
+
+def _constant_axis_square(full, partitions, a, scale):
+    """Integral of (d/dx_a of the interpolant)^2 times scale^2, by the
+    interpolant's closed Q1 form h_a s^T (M_b for b != a) s, with s =
+    scale (hi - lo) / h_a along axis a and M_b the P1 mass of axis b;
+    the h factors are taken out of the sum and applied once.
+
+    Streamed over blocks of axis-0 elements (`element_blocks`): along
+    axis 0 (when a != 0) the form is a sum over elements, so each block
+    takes the P1 mass of its own nodes, its end layers with diagonal 2.
+    """
+    masses = [b for b in range(len(partitions)) if b != a]
+    total = 0.0
+    for e0, e1 in element_blocks(partitions[0].n, full[0].size):
+        s = np.diff(full[e0:e1 + 1], axis=a)
+        if scale != 1.0:
+            s *= scale
+        y = s
+        for b in masses:
+            y = _p1_mass(y, b)
+        total += float(np.vdot(s, y))
+    return total * math.prod(
+        p.h / 6.0 for b, p in enumerate(partitions) if b != a) / partitions[a].h
 
 
 def _modal_quadratics(U, mesh):

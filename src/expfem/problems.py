@@ -29,7 +29,9 @@ xs, defined on the boundary faces too, not arrays of the owned nodes
 that ignore xs: the reaction's boundary values belong to the load of
 the boundary elimination.  All callables
 but the amplitudes take coordinate tuples of broadcastable arrays, and
-all must be pure.  The program differentiates the trace of
+all must be pure.  `exact` is pointwise: it returns length 1 along a
+coordinate it does not read and reduces over none, since the error
+norms read the axes it is constant on from the shape it returns.  The program differentiates the trace of
 `Dirichlet(trace)` in t and the exact solution in x by one complex step,
 so both must be analytic and accept complex arguments.  Numpy ufuncs
 are analytic, and a callable that ignores the perturbed variable

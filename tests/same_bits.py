@@ -4,21 +4,22 @@
     python tests/same_bits.py --parent REV  # the cases that differ at REV
 
 Each case hashes the end coefficients of a run, each nodal state its
-observer sees, each `TimeSeriesObserver` row and, where a config can
-name the case, what `expfem run` writes from that config: the series,
-the snapshots at steps 0 and nt, each by its path under the output
-directory, and its standard output.  A builtin case's config is written
-from its row of `CASES`; a custom case is its config text in
-`CONFIG_CASES`, which both the run (through `parse_config`) and
-`expfem run` read.  A ladder case in
-`CONFIG_CASES` runs no single run: it hashes what `expfem converge`
-prints and its report without the `sec_per_step` column, whose timings
-vary from run to run.  `--parent` checks REV out
-into a temporary git worktree of the repository this file lies in,
-computes both tables in child processes, prints the cases whose hashes
-differ, exits 1 if any do, and removes the worktree.  No table is kept in
-a file: the hashes depend on the installed numpy and scipy, so only two
-revisions computed on one machine compare.
+observer sees, each `TimeSeriesObserver` row, the `repr` of both error
+norms at T where the problem has an exact solution, so that a move at
+rounding level shows, and, where a config can name the case, what
+`expfem run` writes from that config: the series, the snapshots at
+steps 0 and nt, each by its path under the output directory, and its
+standard output.  A builtin case's config is written from its row of
+`CASES`; a custom case is its config text in `CONFIG_CASES`, which both
+the run (through `parse_config`) and `expfem run` read.  A ladder case
+in `CONFIG_CASES` runs no single run: it hashes the `repr` of both norms
+of each rung, what `expfem converge` prints and its report without the
+`sec_per_step` column, whose timings vary from run to run.  `--parent`
+checks REV out into a temporary git worktree of the repository this
+file lies in, computes both tables in child processes, prints the cases
+whose hashes differ, exits 1 if any do, and removes the worktree.  No
+table is kept in a file: the hashes depend on the installed numpy and
+scipy, so only two revisions computed on one machine compare.
 """
 
 import argparse
@@ -153,9 +154,10 @@ def _array_sha(a):
 
 
 def _run_hashes(problem, subdivisions, scheme, c2, dt, nt):
-    from expfem.analysis import TimeSeriesObserver
+    from expfem.analysis import TimeSeriesObserver, error_norms
     from expfem.problems import mesh_for
     from expfem.stepper import SchemeConfig, run
+    from expfem.transforms import inverse_transform
 
     mesh = mesh_for(problem, subdivisions)
     series = TimeSeriesObserver(mesh, energy_params=problem.energy_params)
@@ -171,6 +173,26 @@ def _run_hashes(problem, subdivisions, scheme, c2, dt, nt):
     for n, row in enumerate(series.rows):
         hashes[f"row {n}"] = _sha(repr([None if v is None else float(v).hex()
                                         for v in row]).encode())
+    if problem.exact is not None:
+        U = inverse_transform(end.coeffs, mesh)
+        hashes.update(_norm_hashes(
+            "", error_norms(U, mesh, problem.exact, end.t)))
+    return hashes
+
+
+def _norm_hashes(prefix, norms):
+    return {f"{prefix}{name}": _sha(repr(norm).encode())
+            for name, norm in zip(("L2", "H1"), norms)}
+
+
+def _ladder_hashes(cfg):
+    from expfem.analysis import convergence_study
+
+    rows = convergence_study(cfg.problem, cfg.rungs, T=cfg.T,
+                             scheme=cfg.scheme, c2=cfg.c2)
+    hashes = {}
+    for n, row in enumerate(rows):
+        hashes.update(_norm_hashes(f"rung {n} ", (row.err_l2, row.err_h1)))
     return hashes
 
 
@@ -234,7 +256,8 @@ def table():
         runs[case] = (cfg.problem, spec, text, COMMANDS[cfg.mode])
     out = {}
     for case, (problem, spec, text, command) in runs.items():
-        hashes = {} if spec is None else _run_hashes(problem, *spec)
+        hashes = (_ladder_hashes(parse_config(text)) if spec is None
+                  else _run_hashes(problem, *spec))
         if text is not None:
             with tempfile.TemporaryDirectory() as tmp:
                 hashes.update(_cli_hashes(text, Path(tmp), command))

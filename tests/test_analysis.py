@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -72,6 +73,21 @@ def test_error_norms_scale_exactly_by_a_power_of_two():
     big = error_norms(
         scale * U, make_mesh([(0, 1), (0, 2)], [6, 4], Dirichlet(scaled)),
         scaled, 0.3)
+    assert math.isfinite(big[1])
+    assert big == (scale * norms[0], scale * norms[1])
+
+
+def test_error_norms_scale_exactly_by_a_power_of_two_along_a_constant_axis():
+    # the H1 term along y, which the exact solution does not read, is the
+    # closed Q1 form: for this state its products s_i (M s)_i take both
+    # signs, so unscaled they overflow to +inf and -inf and sum to nan;
+    # the retry scales them as it scales the Gauss sums
+    scale = 2.0 ** 700
+    mesh = make_mesh([(0, 1), (0, 1)], [7, 2], Dirichlet())
+    U = np.array([[1.0], [-3.0], [1.0], [-3.0], [1.0], [-3.0]])
+    exact = lambda t, xs: 0.0 * xs[0]
+    norms = error_norms(U, mesh, exact, 0.0)
+    big = error_norms(scale * U, mesh, exact, 0.0)
     assert math.isfinite(big[1])
     assert big == (scale * norms[0], scale * norms[1])
 
@@ -306,3 +322,131 @@ def test_complex_step_gradient_matches_mpmath(prob, mp_exact, t):
             with mp.workdps(30):
                 ref = float(mp.diff(along, point[a]))
             assert abs(got[idx] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_error_norms_reject_an_exact_solution_that_does_not_broadcast():
+    # the probe names the returned shape and the mesh's dimension, where
+    # the stream failed on the shapes of its own slices
+    mesh = make_mesh([(0, 1), (0, 2)], [4, 3], Dirichlet())
+    with pytest.raises(ValueError, match=r"shape \(3,\) on a 2D mesh"):
+        error_norms(np.zeros((3, 2)), mesh, lambda t, xs: np.ones(3), 0.0)
+
+
+def test_run_exits_1_on_an_exact_solution_that_does_not_broadcast(
+        tmp_path, capsys, monkeypatch):
+    from expfem import problems
+    from expfem.cli import main
+
+    def factory():
+        return dataclasses.replace(builtin_linear_rd(),
+                                   exact=lambda t, xs: np.ones(3))
+
+    monkeypatch.setitem(problems.BUILTIN_FACTORIES, "linear_rd", factory)
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text('mode = "run"\nproblem = "linear_rd"\nT = 0.01\nnt = 2\n'
+                   "[domain]\nn = [4, 3]\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "returned shape (3,) on a 2D mesh" in capsys.readouterr().err
+
+
+def _complex_axes(exact):
+    """`exact` and the set of axes at which it is called with a complex
+    coordinate."""
+    axes = set()
+
+    def wrapped(t, xs):
+        axes.update(a for a, x in enumerate(xs) if np.iscomplexobj(x))
+        return exact(t, xs)
+    return wrapped, axes
+
+
+@pytest.mark.parametrize("prob, subdivisions, want", [
+    (builtin_allen_cahn_wave(dim=3), (12, 3, 4), {0}),
+    (builtin_linear_rd(), (8, 6), {0, 1}),
+    (dataclasses.replace(builtin_linear_rd(), exact=lambda t, xs: 0.7),
+     (8, 6), set()),
+])
+def test_error_norms_take_the_complex_step_only_where_exact_varies(
+        prob, subdivisions, want):
+    # an axis the exact solution is constant on takes its H1 term from the
+    # interpolant's Q1 form, with no exact gradient
+    mesh = mesh_for(prob, subdivisions)
+    U = 0.5 * np.tanh(np.random.default_rng(3).standard_normal(
+        dof_shape(mesh)))
+    exact, axes = _complex_axes(prob.exact)
+    assert error_norms(U, mesh, exact, 0.01) == error_norms(
+        U, mesh, prob.exact, 0.01)
+    assert axes == want
+
+
+ACW_EPS = 0.05
+ACW_SPEED = 3.0 / (math.sqrt(2.0) * ACW_EPS)
+ACW_WIDTH = 2.0 * math.sqrt(2.0) * ACW_EPS
+
+
+def _wave_slope(t, x):
+    return -0.5 / np.cosh((x - ACW_SPEED * t) / ACW_WIDTH) ** 2 / ACW_WIDTH
+
+
+def _profile(t, xs):
+    # the x-only trace of the lifted boxes, and so their states' x profile
+    return 0.5 + 0.4 * np.sin(5.0 * xs[0] + t) + 0.1 * np.cos(11.0 * xs[0])
+
+
+def _periodic_exact(t, xs):
+    return np.sin(2.0 * np.pi * xs[0] + t) + 0.3
+
+
+def _periodic_slope(t, x):
+    return 2.0 * np.pi * np.cos(2.0 * np.pi * x + t)
+
+
+def _squares_1d(u, p, exact, slope, t):
+    """L2^2 and H1^2 of I_h u - exact on one axis from the 3-point
+    Gauss-Legendre rule per element, with the exact slope given in closed
+    form."""
+    xi, w = np.polynomial.legendre.leggauss(3)
+    xi, w = 0.5 * (xi + 1.0), 0.5 * w * p.h
+    x = p.a + (np.arange(p.n)[:, None] + xi) * p.h
+    vals = u[:-1, None] + np.diff(u)[:, None] * xi
+    l2_sq = float(np.sum(w * (vals - exact(t, (x,))) ** 2))
+    semi_sq = float(np.sum(w * (np.diff(u)[:, None] / p.h - slope(t, x)) ** 2))
+    return l2_sq, l2_sq + semi_sq
+
+
+@pytest.mark.parametrize("subdivisions", [(40,), (40, 3), (40, 3, 4)])
+@pytest.mark.parametrize("bc", ["lifted", "periodic"])
+@pytest.mark.parametrize("route", ["closed form", "gauss"])
+def test_error_norms_of_an_extruded_state_reduce_to_1d(subdivisions, bc,
+                                                       route):
+    # a state constant along y and z against an x-only exact solution:
+    # L2^2 and H1^2 are the 1D values times the transverse measure, on the
+    # closed-form route (the probe finds y and z constant) and on the
+    # Gauss route (an exact solution widened along them)
+    t = 0.01
+    dim = len(subdivisions)
+    if bc == "lifted":
+        domain = builtin_allen_cahn_wave(dim=dim).domain
+        exact, slope = builtin_allen_cahn_wave(dim=dim).exact, _wave_slope
+        mesh = make_mesh(domain, subdivisions, Dirichlet(_profile))
+        p = mesh.partitions[0]
+        full_line = _profile(t, (p.a + p.h * np.arange(p.n + 1),))
+        line = full_line[1:-1]
+    else:
+        domain = [(0.0, 1.0), (-0.5, 1.5), (0.2, 0.9)][:dim]
+        exact, slope = _periodic_exact, _periodic_slope
+        mesh = make_mesh(domain, subdivisions, Periodic())
+        line = np.random.default_rng(8).standard_normal(subdivisions[0])
+        full_line = np.append(line, line[0])
+    U = np.broadcast_to(line.reshape((-1,) + (1,) * (dim - 1)),
+                        dof_shape(mesh)).copy()
+    if route == "gauss":
+        widened = exact
+
+        def exact(t, xs):
+            return widened(t, xs) + sum(0.0 * x for x in xs[1:])
+    measure = math.prod(b - a for a, b in domain[1:])
+    l2_sq, h1_sq = _squares_1d(full_line, mesh.partitions[0], exact, slope, t)
+    l2, h1 = error_norms(U, mesh, exact, t)
+    assert rel_err(l2 ** 2, measure * l2_sq) < 1e-13
+    assert rel_err(h1 ** 2, measure * h1_sq) < 1e-13
