@@ -16,12 +16,17 @@ within an element, so it carries that point axis with length 1, and a
 length-1 point axis a is integrated with weight h_a.  `error_norms`
 subtracts the exact values in place in the values buffer; a slope minus
 the exact gradient takes the broadcast shape of the two, so it widens
-only where the exact gradient varies along that axis.  An axis the
-exact solution does not read (one evaluation on an open grid of two
-points per axis has length 1 along it) has a zero exact gradient: its
-H1 term is the interpolant's closed Q1 form h_a s^T (M_b for b != a) s
-of the slopes s and the P1 masses M_b, streamed over blocks of axis-0
-elements, with no Gauss stream and no complex step.  The energy
+only where the exact gradient varies along that axis.  The axes C that
+the exact solution does not read (one evaluation on an open grid of two
+points per axis has length 1 along them) split the norms: the
+interpolant is its mean over C, multilinear on the other axes V, plus a
+rest w whose mean over C is zero, as are those of its derivatives along
+V, so no cross term survives.  The mean's error takes the Gauss stream
+on the mesh of V alone, with the complex step along V only, times the
+measure of C; w's squares are its closed Q1 forms, sums over elements
+of squared elementwise sums and differences along each axis, streamed
+over blocks of axis-0 elements.  With C empty the norms are the Gauss
+stream on the whole mesh alone.  The energy
 writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
 rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
 log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
@@ -41,7 +46,7 @@ import numpy as np
 
 from .mesh import dof_shape, extend_nodal
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
-from .quadrature import element_blocks, gauss_slices
+from .quadrature import apply_matrix, element_blocks, gauss_slices
 from .stepper import SchemeConfig, check_state, run
 from .transforms import axis_spectrum, forward_transform, inverse_transform
 
@@ -77,8 +82,10 @@ def error_norms(U, mesh, exact, t):
 
     `exact` is evaluated once first on an open grid of the first and
     last element midpoints of each axis (`_constant_axes`); the axes
-    along which that returns length 1 are those it is constant on, and
-    their H1 terms come from the closed Q1 form (`_constant_axis_square`).
+    along which that returns length 1 are the axes C it does not read.
+    The interpolant is split into its mean over C and the rest
+    (`_error_squares`): the mean's error is a Gauss sum on the mesh of
+    the other axes, the rest's norms closed Q1 forms.
     The square of an error above about 1e154 overflows, though the norms
     may be finite.  When a sum of squares comes out inf or nan, both
     sums are taken again with each error scaled by 2^-600 before it is
@@ -129,61 +136,105 @@ def _square(x, scale):
 
 def _error_squares(full, mesh, exact, t, constant, scale=1.0):
     """Integrals of the squared error and of the squared gradient error of
-    the interpolant of a full-grid nodal tensor, each error times the
-    power of two `scale`: Gauss sums of the values and of the slopes
-    along the axes `exact` varies on, and the closed Q1 form of the
-    slopes along the `constant` axes, where the exact gradient is 0."""
-    varying = tuple(a for a in range(mesh.dim) if a not in constant)
-    l2_sq = 0.0
-    # before the stream, whose last slice's buffers outlive its loop
-    grad_sq = sum((_constant_axis_square(full, mesh.partitions, a, scale)
-                   for a in constant), 0.0)
+    the interpolant u_h of a full-grid nodal tensor, each error times the
+    power of two `scale`, split along the `constant` axes C.
+
+    The mean of u_h over C has the trapezoid means of the nodal values
+    along C as its nodal values, exactly.  The rest, w, and its
+    derivatives along the other axes V have zero mean over C at every
+    point of V, and the exact solution does not vary along C, so no
+    cross term survives: each square is |Omega_C| times the mean's
+    squared error on the mesh of V (`_mean_error_squares`) plus the
+    closed Q1 form of w (`_q1_squares`).  With C empty this is the Gauss
+    sum on the whole mesh alone.
+    """
+    parts, mean = mesh.partitions, full
+    for c in constant:
+        trapezoid = np.full((1, parts[c].n + 1), 1.0 / parts[c].n)
+        trapezoid[0, [0, -1]] *= 0.5
+        mean = apply_matrix(trapezoid, mean, c)
+    # w's forms before the stream, whose last slice's buffers outlive it
+    l2_sq, grad_sq = (_q1_squares(full, mean, parts, scale) if constant
+                      else (0.0, 0.0))
+    l2_mean, grad_mean = _mean_error_squares(mean, parts, exact, t,
+                                             constant, scale)
+    measure = math.prod(parts[c].b - parts[c].a for c in constant)
+    return measure * l2_mean + l2_sq, measure * grad_mean + grad_sq
+
+
+def _mean_error_squares(mean, partitions, exact, t, constant, scale):
+    """Gauss sums of the squared error and squared gradient error of the
+    multilinear interpolant of `mean`, nodal values of length 1 along the
+    `constant` axes, on the mesh of the other axes.  `exact` is called
+    with the domain midpoint along the constant axes, as 0-d arrays, and
+    takes its complex step along the others only; with none left, the
+    error is the one value mean - exact."""
+    varying = [a for a in range(len(partitions)) if a not in constant]
+    point = [np.array(0.5 * (p.a + p.b)) for p in partitions]
+    if not varying:
+        return float(_square(mean - exact(t, tuple(point)), scale).sum()), 0.0
+    parts = [partitions[a] for a in varying]
+    l2_sq = grad_sq = 0.0
     for vals, slopes, coords, weights in gauss_slices(
-            full, mesh.partitions, GAUSS_POINTS, slopes=varying):
-        vals -= exact(t, coords)
+            mean.reshape([p.n + 1 for p in parts]), parts, GAUSS_POINTS,
+            slopes=True):
+        for a, x in zip(varying, coords):
+            point[a] = x
+        xs = tuple(point)
+        vals -= exact(t, xs)
         l2_sq += _slice_sum(weights, _square(vals, scale))
         for a, slope in zip(varying, slopes):
             # a transverse slope's length-1 point axis widens only where
             # the exact gradient varies along it
-            diff = slope - _exact_gradient(exact, t, coords, a)
+            diff = slope - _exact_gradient(exact, t, xs, a)
             grad_sq += _slice_sum(weights, _square(diff, scale))
     return l2_sq, grad_sq
 
 
-def _p1_mass(x, axis):
-    """tridiag(1, 4, 1) with end diagonals 2 along one axis of x: the P1
-    mass of that axis' nodes times 6/h, into a new array."""
-    lo = (slice(None),) * axis
-    y = 4.0 * x
-    y[lo + (slice(1, None),)] += x[lo + (slice(None, -1),)]
-    y[lo + (slice(None, -1),)] += x[lo + (slice(1, None),)]
-    y[lo + (0,)] -= 2.0 * x[lo + (0,)]
-    y[lo + (-1,)] -= 2.0 * x[lo + (-1,)]
-    return y
-
-
-def _constant_axis_square(full, partitions, a, scale):
-    """Integral of (d/dx_a of the interpolant)^2 times scale^2, by the
-    interpolant's closed Q1 form h_a s^T (M_b for b != a) s, with s =
-    scale (hi - lo) / h_a along axis a and M_b the P1 mass of axis b;
-    the h factors are taken out of the sum and applied once.
-
-    Streamed over blocks of axis-0 elements (`element_blocks`): along
-    axis 0 (when a != 0) the form is a sum over elements, so each block
-    takes the P1 mass of its own nodes, its end layers with diagonal 2.
-    """
-    masses = [b for b in range(len(partitions)) if b != a]
-    total = 0.0
+def _q1_squares(full, mean, partitions, scale):
+    """The L2 and H1 squares of the interpolant of w = full - mean times
+    `scale`: w^T kron(M_0, ..., M_{d-1}) w and the sum over axes a of the
+    same form with K_a in place of M_a, with M and K the P1 mass and
+    stiffness of each axis, streamed over blocks of axis-0 elements
+    (`element_blocks`), each a sum over its own elements
+    (`_element_squares`)."""
+    means = np.broadcast_to(mean, full.shape)
+    l2_sq = grad_sq = 0.0
     for e0, e1 in element_blocks(partitions[0].n, full[0].size):
-        s = np.diff(full[e0:e1 + 1], axis=a)
+        w = full[e0:e1 + 1] - means[e0:e1 + 1]
         if scale != 1.0:
-            s *= scale
-        y = s
-        for b in masses:
-            y = _p1_mass(y, b)
-        total += float(np.vdot(s, y))
-    return total * math.prod(
-        p.h / 6.0 for b, p in enumerate(partitions) if b != a) / partitions[a].h
+            w *= scale
+        for mass, stiffness, square in _element_squares(w, partitions):
+            l2_sq += mass * square
+            grad_sq += mass * stiffness * square
+    return l2_sq, grad_sq
+
+
+def _element_squares(x, partitions):
+    """Yield (mass, stiffness, |L x|^2) for each of the 2^d products L of
+    the elementwise sum S (hi + lo) or difference D (hi - lo) along each
+    axis of x, depth first so that at most d + 1 of them are held, and
+    from the last axis to axis 0, whose slices are contiguous, so that
+    most of them are taken along it.
+
+    Per element of one axis the P1 mass is (h/6)[[2, 1], [1, 2]] =
+    (h/4) S^T S + (h/12) D^T D and the stiffness (1/h) D^T D.  So the
+    product of the masses is the sum of the |L x|^2 times the product of
+    their h/4 or h/12 (`mass`), and a stiffness along axis a swaps h_a/12
+    for 1/h_a: `stiffness` is the sum of 12/h_a^2 over the axes where L
+    takes D.
+    """
+    if not partitions:
+        yield 1.0, 0.0, float(np.vdot(x, x))
+        return
+    head = (slice(None),) * (len(partitions) - 1)
+    lo, hi = x[head + (slice(None, -1),)], x[head + (slice(1, None),)]
+    h = partitions[-1].h
+    for factor, stiffness, op in ((h / 4.0, 0.0, np.add),
+                                  (h / 12.0, 12.0 / h**2, np.subtract)):
+        for mass, rest, square in _element_squares(op(hi, lo),
+                                                   partitions[:-1]):
+            yield factor * mass, stiffness + rest, square
 
 
 def _modal_quadratics(U, mesh):

@@ -31,7 +31,9 @@ the boundary elimination.  All callables
 but the amplitudes take coordinate tuples of broadcastable arrays, and
 all must be pure.  `exact` is pointwise: it returns length 1 along a
 coordinate it does not read and reduces over none, since the error
-norms read the axes it is constant on from the shape it returns.  The program differentiates the trace of
+norms read the axes it is constant on from the shape it returns, and
+then pass a 0-d array, the domain midpoint, for each of their
+coordinates.  The program differentiates the trace of
 `Dirichlet(trace)` in t and the exact solution in x by one complex step,
 so both must be analytic and accept complex arguments.  Numpy ufuncs
 are analytic, and a callable that ignores the perturbed variable

@@ -14,11 +14,10 @@ so its arrays stay in cache: O(npts^d N^d) work and block-sized memory.
 Every field keeps its own point grid through the stream: the slope along
 a transverse axis is constant along that axis within an element, so its
 point axis there has length 1, and the weights of a length-1 point axis
-a are h_a, since the unit Gauss weights sum to 1.  Only the slopes of
-the axes a caller names are tapped: the error norms (`analysis`) name
-the axes their exact solution reads, the energy names none.  Both
-integrate over its slices, and the norms' closed form along the other
-axes streams over the same `element_blocks`.  `apply_matrix`
+a are h_a, since the unit Gauss weights sum to 1.  The error norms
+(`analysis`) take every slope of the mesh they stream, the energy none;
+both integrate over its slices, and the norms' closed Q1 forms stream
+over the same `element_blocks`.  `apply_matrix`
 applies a rectangular matrix along one axis into a new array; the
 Dirichlet lifting adds its faces with it (`assembly`).  The sine
 transform's dense axes apply their square matrix in place and in blocks
@@ -87,21 +86,20 @@ def element_blocks(n, per_element):
 
 def _transverse(layers, partitions, xi, slopes):
     """Interpolate axes d-1 ... 1 of a stack of axis-0 node layers: the
-    values and d/dx_a for each axis a > 0 of `slopes`, in that order, each
-    shaped (layers, points of axes 1 ... d-1, elements of axes 1 ... d-1).
-    The tapped node axis is always array axis d-1: each tap puts its
-    points at axis 1."""
+    values and, if `slopes`, d/dx_a for a = 1 ... d-1, each shaped (layers,
+    points of axes 1 ... d-1, elements of axes 1 ... d-1).  The tapped node
+    axis is always array axis d-1: each tap puts its points at axis 1."""
     d = len(partitions)
-    vals, grads = layers, {}
+    vals, grads = layers, []
     for a in range(d - 1, 0, -1):
-        grads = {b: _two_tap(g, d - 1, xi) for b, g in grads.items()}
-        if a in slopes:
-            grads[a] = _slope_tap(vals, d - 1, partitions[a].h)
+        if slopes:
+            grads = ([_slope_tap(vals, d - 1, partitions[a].h)]
+                     + [_two_tap(g, d - 1, xi) for g in grads])
         vals = _two_tap(vals, d - 1, xi)
-    return [vals] + [grads[a] for a in slopes if a > 0]
+    return [vals] + grads
 
 
-def gauss_slices(full, partitions, npts=3, slopes=()):
+def gauss_slices(full, partitions, npts=3, slopes=False):
     """Yield the interpolant on the Gauss grid one axis-0 Gauss point at a
     time: (values, slopes, coords, weights) per block of axis-0 elements
     and per point xi_k of axis 0.
@@ -112,14 +110,13 @@ def gauss_slices(full, partitions, npts=3, slopes=()):
     slice's values are one contiguous buffer shaped (block elements,
     points of axes 1 ... d-1, elements of axes 1 ... d-1), written as
     hi - (1 - xi_k)(hi - lo) so that hi, the block's own layers, is one
-    operand and the carried layer is never copied.  `slopes` is a tuple
-    of axes: a slice's slopes are d/dx_a for each axis a of it, in that
-    order and the same layout, each on its own point grid (a transverse
-    slope is constant along its own axis within an element, so that
-    point axis has length 1), and only the requested ones are tapped.
-    The axis-0 slope (hi - lo) / h is the same array for every k of a
-    block and must not be written to.  `coords` is an open grid of the
-    slice's points.  `weights(field)` is the flat outer product of the
+    operand and the carried layer is never copied.  `slopes` (empty
+    unless requested, and then no slope is tapped) are d/dx_a per axis in
+    the same layout, each on its own point grid: a transverse slope is
+    constant along its own axis within an element, so that point axis has
+    length 1.  The axis-0 slope (hi - lo) / h is the same array for every
+    k of a block and must not be written to.  `coords` is an open grid of
+    the slice's points.  `weights(field)` is the flat outer product of the
     Gauss weights of axes 1 ... d-1 over one block element, times w_k h,
     on the point grid of a field of the slice: h_a on a length-1 point
     axis a.  The values and the other slopes are buffers that the next
@@ -146,7 +143,6 @@ def gauss_slices(full, partitions, npts=3, slopes=()):
     def weights(k, field):
         return point_weights(k, field.shape[1:len(partitions)])
 
-    transverse = [a for a in slopes if a > 0]
     carried = [t[0] for t in _transverse(full[:1], partitions, xi, slopes)]
     for e0, e1 in element_blocks(first.n, per_element):
         layers = _transverse(full[e0 + 1:e1 + 1], partitions, xi, slopes)
@@ -157,11 +153,8 @@ def gauss_slices(full, partitions, npts=3, slopes=()):
             np.subtract(hi[1:], hi[:-1], out=diff[1:])
             diffs.append(diff)
         carried = [t[-1] for t in layers]
+        fixed = (diffs[0] / first.h,) if slopes else ()
         bufs = [np.empty_like(hi) for hi in layers]
-        fields = dict(zip(transverse, bufs[1:]))
-        if 0 in slopes:
-            fields[0] = diffs[0] / first.h
-        grads = tuple(fields[a] for a in slopes)
         elements = np.arange(e0, e1)
         for k, x in enumerate(xi):
             for hi, diff, buf in zip(layers, diffs, bufs):
@@ -169,5 +162,5 @@ def gauss_slices(full, partitions, npts=3, slopes=()):
                 buf += hi
             x0 = (first.a + (elements + x) * first.h).reshape(
                 (-1,) + (1,) * (ndim - 1))
-            yield (bufs[0], grads, (x0,) + coords,
+            yield (bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords,
                    functools.partial(weights, k))

@@ -52,8 +52,9 @@ CASES = {
 # varies along every axis, so the lifting runs on all three axes, a
 # periodic box whose reaction uses `^`, a homogeneous Dirichlet box
 # (no `custom.g`) and a lifted 1D box that writes its series and
-# snapshots into subdirectories, one of them named through `..`; then a
-# spatial convergence ladder
+# snapshots into subdirectories, one of them named through `..`; then
+# two spatial convergence ladders, the second on a lifted 2D box whose
+# exact solution reads y alone, so its norms take the mean over x
 CONFIG_CASES = {
     "custom3d-lifted-rk2": """\
 mode = "run"
@@ -138,6 +139,25 @@ nt = 16
 [ladder]
 kind = "spatial"
 n = [[4, 2], [8, 4]]
+""",
+    "converge-custom2d-lifted-y-rk2": """\
+mode = "convergence"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.05
+nt = 8
+[domain]
+bounds = [[0.0, 2.0], [0.0, 1.0]]
+[custom]
+d = 0.5
+f = "-u"
+u0 = "1 + cos(pi * y)"
+g = "exp(-t) + exp(-(0.5 * pi^2 + 1) * t) * cos(pi * y)"
+exact = "exp(-t) + exp(-(0.5 * pi^2 + 1) * t) * cos(pi * y)"
+[ladder]
+kind = "spatial"
+n = [[6, 4], [12, 8]]
 """,
 }
 

@@ -78,10 +78,9 @@ def test_error_norms_scale_exactly_by_a_power_of_two():
 
 
 def test_error_norms_scale_exactly_by_a_power_of_two_along_a_constant_axis():
-    # the H1 term along y, which the exact solution does not read, is the
-    # closed Q1 form: for this state its products s_i (M s)_i take both
-    # signs, so unscaled they overflow to +inf and -inf and sum to nan;
-    # the retry scales them as it scales the Gauss sums
+    # the exact solution does not read y, so the rest w of the mean over
+    # y takes closed Q1 forms: their squares overflow unscaled, and the
+    # retry scales them as it scales the Gauss sums of the mean
     scale = 2.0 ** 700
     mesh = make_mesh([(0, 1), (0, 1)], [7, 2], Dirichlet())
     U = np.array([[1.0], [-3.0], [1.0], [-3.0], [1.0], [-3.0]])
@@ -363,13 +362,16 @@ def _complex_axes(exact):
 @pytest.mark.parametrize("prob, subdivisions, want", [
     (builtin_allen_cahn_wave(dim=3), (12, 3, 4), {0}),
     (builtin_linear_rd(), (8, 6), {0, 1}),
+    (dataclasses.replace(builtin_linear_rd(),
+                         exact=lambda t, xs: np.sin(3.0 * xs[1] + t)),
+     (8, 6), {1}),
     (dataclasses.replace(builtin_linear_rd(), exact=lambda t, xs: 0.7),
      (8, 6), set()),
 ])
 def test_error_norms_take_the_complex_step_only_where_exact_varies(
         prob, subdivisions, want):
-    # an axis the exact solution is constant on takes its H1 term from the
-    # interpolant's Q1 form, with no exact gradient
+    # the norms take the mean over the axes the exact solution does not
+    # read and the complex step along the others only, at their own axis
     mesh = mesh_for(prob, subdivisions)
     U = 0.5 * np.tanh(np.random.default_rng(3).standard_normal(
         dof_shape(mesh)))
@@ -414,16 +416,11 @@ def _squares_1d(u, p, exact, slope, t):
     return l2_sq, l2_sq + semi_sq
 
 
-@pytest.mark.parametrize("subdivisions", [(40,), (40, 3), (40, 3, 4)])
-@pytest.mark.parametrize("bc", ["lifted", "periodic"])
-@pytest.mark.parametrize("route", ["closed form", "gauss"])
-def test_error_norms_of_an_extruded_state_reduce_to_1d(subdivisions, bc,
-                                                       route):
-    # a state constant along y and z against an x-only exact solution:
-    # L2^2 and H1^2 are the 1D values times the transverse measure, on the
-    # closed-form route (the probe finds y and z constant) and on the
-    # Gauss route (an exact solution widened along them)
-    t = 0.01
+def _extruded(subdivisions, bc, t):
+    """A state constant along y and z, extruded from a 1D line, on a
+    lifted acw domain with an x-only trace or on a periodic box, with an
+    x-only exact solution: (mesh, U, exact, its slope, the full line,
+    the transverse measure)."""
     dim = len(subdivisions)
     if bc == "lifted":
         domain = builtin_allen_cahn_wave(dim=dim).domain
@@ -440,13 +437,48 @@ def test_error_norms_of_an_extruded_state_reduce_to_1d(subdivisions, bc,
         full_line = np.append(line, line[0])
     U = np.broadcast_to(line.reshape((-1,) + (1,) * (dim - 1)),
                         dof_shape(mesh)).copy()
-    if route == "gauss":
-        widened = exact
-
-        def exact(t, xs):
-            return widened(t, xs) + sum(0.0 * x for x in xs[1:])
     measure = math.prod(b - a for a, b in domain[1:])
+    return mesh, U, exact, slope, full_line, measure
+
+
+def _widened(exact):
+    """`exact` widened along every axis but x, so that the probe finds no
+    axis constant and the norms take the Gauss stream on the whole mesh."""
+    def widened(t, xs):
+        return exact(t, xs) + sum(0.0 * x for x in xs[1:])
+    return widened
+
+
+@pytest.mark.parametrize("subdivisions", [(40,), (40, 3), (40, 3, 4)])
+@pytest.mark.parametrize("bc", ["lifted", "periodic"])
+@pytest.mark.parametrize("route", ["closed form", "gauss"])
+def test_error_norms_of_an_extruded_state_reduce_to_1d(subdivisions, bc,
+                                                       route):
+    # a state constant along y and z against an x-only exact solution:
+    # L2^2 and H1^2 are the 1D values times the transverse measure, on the
+    # split route (the probe finds y and z constant) and on the Gauss
+    # route (an exact solution widened along them)
+    t = 0.01
+    mesh, U, exact, slope, full_line, measure = _extruded(subdivisions, bc,
+                                                          t)
+    if route == "gauss":
+        exact = _widened(exact)
     l2_sq, h1_sq = _squares_1d(full_line, mesh.partitions[0], exact, slope, t)
     l2, h1 = error_norms(U, mesh, exact, t)
     assert rel_err(l2 ** 2, measure * l2_sq) < 1e-13
     assert rel_err(h1 ** 2, measure * h1_sq) < 1e-13
+
+
+@pytest.mark.parametrize("bc", ["lifted", "periodic"])
+def test_error_norms_split_of_a_noisy_extruded_state_match_the_gauss_route(
+        bc):
+    # 1e-3 noise on the extruded state gives the rest w of the split a
+    # nonzero closed Q1 form: the split route (the probe finds y and z
+    # constant) must match the Gauss route on the whole mesh
+    t = 0.01
+    mesh, U, exact, *_ = _extruded((40, 3, 4), bc, t)
+    U += 1e-3 * np.random.default_rng(9).standard_normal(U.shape)
+    split = error_norms(U, mesh, exact, t)
+    gauss = error_norms(U, mesh, _widened(exact), t)
+    assert rel_err(split[0] ** 2, gauss[0] ** 2) < 1e-13
+    assert rel_err(split[1] ** 2, gauss[1] ** 2) < 1e-13

@@ -1,6 +1,7 @@
 """Streamed two-tap Gauss evaluation against the dense matrix oracle."""
 
 import functools
+import itertools
 import math
 from unittest import mock
 
@@ -87,7 +88,7 @@ def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
     full = extend_nodal(U, mesh, T_EVAL)
     vals, slopes, coords, weights = [], [], [], []
     for v, grads, grid, wts in quadrature.gauss_slices(
-            full, mesh.partitions, npts, slopes=tuple(range(dim))):
+            full, mesh.partitions, npts, slopes=True):
         vals.append(v.copy())
         slopes.append([np.broadcast_to(g.copy(), v.shape) for g in grads])
         coords.append([np.broadcast_to(c, v.shape) for c in grid])
@@ -121,63 +122,30 @@ def test_gauss_blocks_values_only_by_default():
         assert slopes == () and vals.shape == (5, 3, 4)
 
 
-REQUESTS = {
-    "none": lambda dim: (),
-    "axis 0": lambda dim: (0,),
-    "last axis": lambda dim: (dim - 1,),
-    "every axis, reversed": lambda dim: tuple(range(dim - 1, -1, -1)),
-}
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("request_name", list(REQUESTS))
-def test_gauss_slices_tap_only_the_requested_slopes(monkeypatch, dim,
-                                                    request_name):
-    # one slope field per requested axis, in the requested order, with the
-    # bits of that axis' slope when every axis is requested; the values
-    # keep their bits; a transverse slope is tapped only when requested
+def test_gauss_slices_tap_only_the_requested_slopes(monkeypatch, dim):
+    # slopes are all or none: the values keep their bits without them, and
+    # no slope is tapped then; with them, one tap per transverse axis for
+    # the first layer and for each block, and one slope per axis
     mesh = _mesh(dim, "dirichlet")
     _two_elements_per_block(monkeypatch, mesh, 3)
     full = extend_nodal(_state(mesh), mesh, T_EVAL)
-    requested = REQUESTS[request_name](dim)
 
     def slices(slopes):
-        return [(v.copy(), [g.copy() for g in grads]) for v, grads, _, _ in
-                quadrature.gauss_slices(full, mesh.partitions, 3, slopes)]
+        with mock.patch.object(quadrature, "_slope_tap",
+                               wraps=quadrature._slope_tap) as taps:
+            got = [(v.copy(), len(grads)) for v, grads, _, _ in
+                   quadrature.gauss_slices(full, mesh.partitions, 3, slopes)]
+        return got, taps.call_count
 
-    want = slices(tuple(range(dim)))
-    with mock.patch.object(quadrature, "_slope_tap",
-                           wraps=quadrature._slope_tap) as taps:
-        got = slices(requested)
-    # one tap per transverse axis for the first layer and for each block
-    assert taps.call_count == 4 * sum(a > 0 for a in requested)
-    assert len(got) == len(want) == 9
-    for (vals, grads), (want_vals, want_grads) in zip(got, want):
-        assert np.array_equal(vals, want_vals)
-        assert len(grads) == len(requested)
-        for a, grad in zip(requested, grads):
-            assert np.array_equal(grad, want_grads[a])
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("bc", list(BOUNDARIES))
-@pytest.mark.parametrize("pattern", ["axis_0", "transverse", "constant"])
-def test_constant_axis_form_matches_dense_oracle_in_any_blocks(
-        monkeypatch, dim, bc, pattern):
-    # the closed Q1 form of a constant axis' H1 term, in blocks of 1, 2, 3
-    # or all 5 axis-0 elements, each block with the P1 mass of its own
-    # axis-0 nodes, against the Gauss sum of the dense oracle
-    mesh = _mesh(dim, bc)
-    U = _state(mesh)
-    exact = EXACT_PATTERNS[pattern]
-    want = dense_error_norms(U, mesh, exact, T_EVAL)
-    layer = extend_nodal(U, mesh, T_EVAL)[0].size
-    for elements_per_block in (1, 2, 3, 5):
-        monkeypatch.setattr(quadrature, "BLOCK_POINTS",
-                            elements_per_block * layer)
-        got = error_norms(U, mesh, exact, T_EVAL)
-        assert rel_err(got[0], want[0]) < 1e-12
-        assert rel_err(got[1], want[1]) < 1e-12
+    with_slopes, taps = slices(True)
+    assert taps == 4 * (dim - 1)
+    without, taps = slices(False)
+    assert taps == 0
+    assert len(with_slopes) == len(without) == 9
+    for (vals, count), (want, none) in zip(with_slopes, without):
+        assert np.array_equal(vals, want)
+        assert count == dim and none == 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -226,7 +194,7 @@ def test_error_norms_match_dense_oracle_for_every_dependence(
     U = _state(mesh)
     full = extend_nodal(U, mesh, T_EVAL)
     for vals, slopes, _, _ in quadrature.gauss_slices(
-            full, mesh.partitions, npts, slopes=tuple(range(dim))):
+            full, mesh.partitions, npts, slopes=True):
         assert vals.shape[1:dim] == (npts,) * (dim - 1)
         for a, slope in enumerate(slopes[1:], 1):
             assert slope.shape[a] == 1
@@ -238,6 +206,44 @@ def test_error_norms_match_dense_oracle_for_every_dependence(
     want = dense_error_norms(U, mesh, exact, T_EVAL, npts)
     assert rel_err(got[0], want[0]) < 1e-12
     assert rel_err(got[1], want[1]) < 1e-12
+
+
+def _exact_reading(axes):
+    """An exact solution that reads the coordinates of `axes` alone."""
+    def exact(t, xs):
+        out = 0.3 + 0.1 * t
+        for a in axes:
+            out = (out * np.cos((a + 0.7) * xs[a] - 0.5 * t)
+                   + 0.2 * np.sin(1.3 * xs[a] + t))
+        return out
+    return exact
+
+
+READ_AXES = [(dim, axes) for dim in (1, 2, 3)
+             for k in range(dim + 1)
+             for axes in itertools.combinations(range(dim), k)]
+
+
+@pytest.mark.parametrize("dim, axes", READ_AXES)
+@pytest.mark.parametrize("bc", list(BOUNDARIES))
+def test_error_norms_match_dense_oracle_for_every_subset_of_read_axes(
+        monkeypatch, dim, axes, bc):
+    # the mean over the unread axes and the Gauss stream on the mesh of
+    # the read ones hand `exact` each coordinate at its own axis, in
+    # blocks of 1, 2, 3 or all 5 axis-0 elements for both the stream and
+    # the closed Q1 forms
+    mesh = _mesh(dim, bc)
+    U = _state(mesh)
+    exact = _exact_reading(axes)
+    want = dense_error_norms(U, mesh, exact, T_EVAL)
+    for elements_per_block in (1, 2, 3, 5):
+        def blocks(n, per_element, k=elements_per_block):
+            return [(e0, min(e0 + k, n)) for e0 in range(0, n, k)]
+        monkeypatch.setattr(quadrature, "element_blocks", blocks)
+        monkeypatch.setattr(analysis, "element_blocks", blocks)
+        got = error_norms(U, mesh, exact, T_EVAL)
+        assert rel_err(got[0], want[0]) < 1e-12
+        assert rel_err(got[1], want[1]) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
