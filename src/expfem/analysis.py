@@ -31,10 +31,11 @@ writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
 rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
 log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
 eps/|v| relative (1e-10 at |v| = 1e-6).  Its quadratic well and gradient
-terms, u^T M u and u^T K u, come by Parseval from the modal coefficients
-and the mass and stiffness eigenvalues of the transform that steps the
-state.  That sum sees owned nodes only, so the energy raises on a lifted
-(nonhomogeneous Dirichlet) mesh.  Studies run
+terms, u^T M u and u^T K u, are the closed Q1 forms of the same
+full-grid tensor that the mixing integral reads, streamed over the same
+element blocks as w's.  The energy takes no time, so it cannot extend a
+state on a lifted (nonhomogeneous Dirichlet) mesh with its trace, and
+raises there.  Studies run
 refinement ladders and report errors at the terminal time with dyadic
 convergence rates between consecutive rungs.
 """
@@ -48,7 +49,7 @@ from .mesh import dof_shape, extend_nodal
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
 from .quadrature import apply_matrix, element_blocks, gauss_slices
 from .stepper import SchemeConfig, check_state, run
-from .transforms import axis_spectrum, forward_transform, inverse_transform
+from .transforms import inverse_transform
 
 GAUSS_POINTS = 3  # per axis, for the error norms and the mixing integral
 
@@ -237,33 +238,6 @@ def _element_squares(x, partitions):
             yield factor * mass, stiffness + rest, square
 
 
-def _modal_quadratics(U, mesh):
-    """Integrals of u^2 and |grad u|^2 for the multilinear interpolant of
-    an owned-node tensor on an unlifted mesh, by Parseval.
-
-    The orthonormal transform diagonalizes the mass M and the stiffness
-    K together, so u^T M u = sum_k w_k with w_k = |c_k|^2 prod_a m_a, and
-    u^T K u = sum_k w_k sum_a k_a / m_a: per axis, the 1D ratios
-    k_a / m_a against the sums of w over the other axes, so no rate
-    tensor is built.  A periodic half spectrum stands for the conjugate
-    of each last-axis column 1 ... (N+1)//2 - 1 as well; the k = 0 and an
-    even-N Nyquist column are their own conjugates.
-    """
-    w = np.abs(forward_transform(U, mesh))
-    np.square(w, out=w)
-    spectra = [[s[:m] for s in axis_spectrum(p, mesh.bc)]
-               for p, m in zip(mesh.partitions, w.shape)]
-    for a, (mass, _) in enumerate(spectra):
-        w *= mass.reshape((-1,) + (1,) * (w.ndim - 1 - a))
-    if mesh.bc.fourier:
-        w[..., 1:(dof_shape(mesh)[-1] + 1) // 2] *= 2.0
-    grad_sq = 0.0
-    for a, (mass, stiffness) in enumerate(spectra):
-        others = tuple(b for b in range(w.ndim) if b != a)
-        grad_sq += float(w.sum(axis=others) @ (stiffness / mass))
-    return float(w.sum()), grad_sq
-
-
 def _mixing_integral(full, partitions):
     """Gauss integral of the mixing potential F(v) = log1p(-v^2) +
     2 v artanh(v) of the interpolant of a full-grid nodal tensor, one
@@ -288,16 +262,19 @@ def discrete_energy(U, mesh, eps, theta, theta_c):
     The mixing potential, defined for |u| < 1 alone, is integrated with
     the Gauss rule per axis, slice by slice (`_mixing_integral`); a state
     outside (-1, 1) raises `NonlinearityDomainError`.  The well and
-    gradient terms are exact, by Parseval (`_modal_quadratics`), so a
-    lifted mesh, whose boundary values that sum cannot see, raises
-    ValueError.
+    gradient terms are exact, the closed Q1 forms of the same full-grid
+    tensor (`_q1_squares`).  The energy takes no time, so it cannot
+    extend a state on a lifted (nonhomogeneous Dirichlet) mesh with its
+    trace: such a mesh raises ValueError.
     """
     if mesh.bc.trace is not None:
-        raise ValueError("the discrete energy needs a periodic or "
+        raise ValueError("the discrete energy takes no time to evaluate a "
+                         "lifted mesh's trace at; it needs a periodic or "
                          "homogeneous Dirichlet mesh, not a lifted one")
     check_admissible(U, (-1.0, 1.0))
-    mixing = _mixing_integral(extend_nodal(U, mesh), mesh.partitions)
-    sq, grad_sq = _modal_quadratics(U, mesh)
+    full = extend_nodal(U, mesh)
+    mixing = _mixing_integral(full, mesh.partitions)
+    sq, grad_sq = _q1_squares(full, 0.0, mesh.partitions, 1.0)
     return 0.5 * theta * mixing - 0.5 * theta_c * sq + 0.5 * eps**2 * grad_sq
 
 

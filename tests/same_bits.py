@@ -1,25 +1,28 @@
-"""Same-bits table: sha256 hashes of what the solver computes on fixed cases.
+"""Same-bits table: what the solver computes on fixed cases, hashed or exact.
 
     python tests/same_bits.py               # the table of this tree's src
     python tests/same_bits.py --parent REV  # the cases that differ at REV
 
-Each case hashes the end coefficients of a run, each nodal state its
-observer sees, each `TimeSeriesObserver` row, the `repr` of both error
-norms at T where the problem has an exact solution, so that a move at
-rounding level shows, and, where a config can name the case, what
-`expfem run` writes from that config: the series, the snapshots at
-steps 0 and nt, each by its path under the output directory, and its
-standard output.  A builtin case's config is written from its row of
-`CASES`; a custom case is its config text in `CONFIG_CASES`, which both
-the run (through `parse_config`) and `expfem run` read.  A ladder case
-in `CONFIG_CASES` runs no single run: it hashes the `repr` of both norms
-of each rung, what `expfem converge` prints and its report without the
+Each case hashes the end coefficients of a run and each nodal state its
+observer sees.  It keeps each `TimeSeriesObserver` row and both error
+norms at T, where the problem has an exact solution, as the hex text of
+their floats, so that a move at rounding level shows and can be sized.
+Where a config can name the case, it also hashes what `expfem run`
+writes from that config: the series, the snapshots at steps 0 and nt,
+each by its path under the output directory, and its standard output.
+A builtin case's config is written from its row of `CASES`; a custom
+case is its config text in `CONFIG_CASES`, which both the run (through
+`parse_config`) and `expfem run` read.  A ladder case in `CONFIG_CASES`
+runs no single run: it keeps both norms of each rung as hex text and
+hashes what `expfem converge` prints and its report without the
 `sec_per_step` column, whose timings vary from run to run.  `--parent`
 checks REV out into a temporary git worktree of the repository this
 file lies in, computes both tables in child processes, prints the cases
-whose hashes differ, exits 1 if any do, and removes the worktree.  No
-table is kept in a file: the hashes depend on the installed numpy and
-scipy, so only two revisions computed on one machine compare.
+whose items differ, each scalar item with the largest relative
+difference of its floats from REV's, exits 1 if any do, and removes the
+worktree.  No table is kept in a file: the hashes depend on the
+installed numpy and scipy, so only two revisions computed on one
+machine compare.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -191,17 +195,21 @@ def _run_hashes(problem, subdivisions, scheme, c2, dt, nt):
               observers=[(1, record), (1, series)])
     hashes["coeffs"] = _array_sha(end.coeffs)
     for n, row in enumerate(series.rows):
-        hashes[f"row {n}"] = _sha(repr([None if v is None else float(v).hex()
-                                        for v in row]).encode())
+        hashes[f"row {n}"] = _hex(row)
     if problem.exact is not None:
         U = inverse_transform(end.coeffs, mesh)
-        hashes.update(_norm_hashes(
+        hashes.update(_norm_items(
             "", error_norms(U, mesh, problem.exact, end.t)))
     return hashes
 
 
-def _norm_hashes(prefix, norms):
-    return {f"{prefix}{name}": _sha(repr(norm).encode())
+def _hex(values):
+    """A scalar item: the exact hex text of each float, None kept."""
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def _norm_items(prefix, norms):
+    return {f"{prefix}{name}": _hex([norm])
             for name, norm in zip(("L2", "H1"), norms)}
 
 
@@ -212,7 +220,7 @@ def _ladder_hashes(cfg):
                              scheme=cfg.scheme, c2=cfg.c2)
     hashes = {}
     for n, row in enumerate(rows):
-        hashes.update(_norm_hashes(f"rung {n} ", (row.err_l2, row.err_h1)))
+        hashes.update(_norm_items(f"rung {n} ", (row.err_l2, row.err_h1)))
     return hashes
 
 
@@ -256,7 +264,8 @@ def _cli_hashes(text, workdir, command):
 
 
 def table():
-    """{case: {item: sha256}} for the expfem that `import expfem` finds."""
+    """{case: {item: sha256, or a scalar item's list of float hex texts}}
+    for the expfem that `import expfem` finds."""
     from expfem import problems
     from expfem.config import parse_config
 
@@ -293,8 +302,8 @@ def _child_table(src):
 
 
 def differing(parent, child):
-    """{case: [items]} of the items whose hashes differ or are missing
-    on one side."""
+    """{case: [items]} of the items that differ or are missing on one
+    side."""
     diffs = {}
     for case in sorted(parent.keys() | child.keys()):
         a, b = parent.get(case, {}), child.get(case, {})
@@ -304,8 +313,43 @@ def differing(parent, child):
     return diffs
 
 
+def largest_relative_difference(parent, child):
+    """max |c - p| / |p| over the floats of two versions of a scalar item
+    (0 where they are equal, inf where p = 0 alone, nan where a nan or an
+    inf moved); None for a hash, or where the lengths or a None differ."""
+    if not (isinstance(parent, list) and isinstance(child, list)
+            and len(parent) == len(child)):
+        return None
+    largest = 0.0
+    for p, c in zip(parent, child):
+        if p == c:
+            continue
+        if p is None or c is None:
+            return None
+        p, c = float.fromhex(p), float.fromhex(c)
+        rel = math.inf if p == 0.0 else abs(c - p) / abs(p)
+        if math.isnan(rel):
+            return rel
+        largest = max(largest, rel)
+    return largest
+
+
+def describe(parent, child):
+    """One line per differing case: its items, each scalar one with its
+    largest relative difference."""
+    lines = []
+    for case, items in differing(parent, child).items():
+        named = []
+        for item in items:
+            rel = largest_relative_difference(
+                parent.get(case, {}).get(item), child.get(case, {}).get(item))
+            named.append(item if rel is None else f"{item} (rel {rel:.1e})")
+        lines.append(f"{case}: {', '.join(named)}")
+    return lines
+
+
 def compare_with(rev):
-    """Print the cases whose hashes differ between REV's src and this
+    """Print the cases whose items differ between REV's src and this
     tree's; return the exit status."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "rev"
@@ -316,13 +360,13 @@ def compare_with(rev):
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
                             "--force", str(tree)], check=True)
-    diffs = differing(parent, _child_table(ROOT / "src"))
-    for case, items in diffs.items():
-        print(f"{case}: {', '.join(items)}")
+    lines = describe(parent, _child_table(ROOT / "src"))
+    for line in lines:
+        print(line)
     count = sum(map(len, parent.values()))
-    print(f"{len(diffs)} of {len(parent)} cases differ from {rev} "
-          f"({count} hashes at {rev})")
-    return 1 if diffs else 0
+    print(f"{len(lines)} of {len(parent)} cases differ from {rev} "
+          f"({count} items at {rev})")
+    return 1 if lines else 0
 
 
 def main(argv=None):

@@ -6,6 +6,7 @@ import hypothesis.extra.numpy as hnp
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from expfem.mesh import (Dirichlet, Periodic, dof_shape, extend_nodal,
                          node_grids)
 from expfem.problems import (NonlinearityDomainError, builtin_allen_cahn_wave,
                              builtin_linear_rd, mesh_for)
+from expfem.transforms import DENSE_DST_POINTS
 
 from helpers import (make_mesh, mp_linear_rd_exact, mp_wave_exact, rel_err,
                      traced_peak)
@@ -172,6 +174,23 @@ def test_discrete_energy_rejects_nan_state():
     with pytest.raises(NonlinearityDomainError) as exc:
         discrete_energy(np.array([0.0, np.nan, 0.2, 0.0]), mesh, 0.01, 0.8, 1.6)
     assert math.isnan(exc.value.value)
+
+
+@pytest.mark.parametrize("bc", [Periodic(), Dirichlet()],
+                         ids=["periodic", "homogeneous"])
+def test_discrete_energy_calls_no_fft(monkeypatch, bc):
+    # the well and gradient terms are closed forms of the nodal values, so
+    # an observation transforms nothing; the first axis has more owned
+    # nodes than DENSE_DST_POINTS, where a sine transform would take dstn
+    mesh = make_mesh([(0, 1), (0, 1)], [DENSE_DST_POINTS + 6, 4], bc)
+    U = 0.5 * np.tanh(np.random.default_rng(15).standard_normal(
+        dof_shape(mesh)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the energy called scipy.fft")
+    for name in ("rfftn", "dstn", "ifftn", "irfft"):
+        monkeypatch.setattr(scipy.fft, name, refuse)
+    assert math.isfinite(discrete_energy(U, mesh, 0.01, 0.8, 1.6))
 
 
 def test_sup_norm():

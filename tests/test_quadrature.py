@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import expfem.analysis as analysis
 import expfem.quadrature as quadrature
-from expfem.analysis import _modal_quadratics, discrete_energy, error_norms
+from expfem.analysis import discrete_energy, error_norms
 from expfem.mesh import Dirichlet, Periodic, dof_shape, extend_nodal
 
 from helpers import (dense_discrete_energy, dense_error_norms,
                      dense_interpolant_on_gauss, dense_operator_matrices,
-                     make_mesh, rel_err)
+                     make_mesh, rel_err, textbook_periodic_matrices)
 
 # five axis-0 elements: two per block leaves a one-element block at the end
 SUBDIVISIONS = {1: [5], 2: [5, 4], 3: [5, 3, 4]}
@@ -262,7 +262,7 @@ def test_discrete_energy_matches_dense_oracle(monkeypatch, dim, bc, npts):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_discrete_energy_rejects_lifted_mesh(dim):
-    # Parseval sees the owned nodes only, not the lifted boundary values
+    # the energy takes no time, so it has none to evaluate the trace at
     mesh = _mesh(dim, "dirichlet")
     with pytest.raises(ValueError, match="lifted"):
         discrete_energy(_state(mesh), mesh, 0.3, 0.8, 1.6)
@@ -316,15 +316,20 @@ def test_block_size_does_not_change_norms_or_energy(first, rest, bc, npts,
 @pytest.mark.parametrize("bc", ["periodic", "homogeneous"])
 @pytest.mark.parametrize("subdivisions", [[7], [5, 6], [3, 4, 5], [4, 2],
                                           [3, 2, 2]])
-def test_modal_quadratics_match_dense_kron(bc, subdivisions):
-    # last axes of odd and even length, and of 2 cells, whose periodic half
-    # spectrum is k = 0 and the Nyquist column alone
+def test_energy_quadratic_forms_match_dense_matrices(bc, subdivisions):
+    # last axes of odd and even length, and of 2 cells, whose two periodic
+    # nodes are each other's neighbour on both sides; the energy's well
+    # term alone (theta_c = -2) is u^T M u and its gradient term alone
+    # (eps = 1) half of u^T K u, both exactly; a periodic mesh against the
+    # cell-by-cell Q1 assembly, a homogeneous one against the kron form
     bounds = [(0.0, 1.0), (-0.5, 1.5), (0.2, 0.9)][:len(subdivisions)]
     mesh = make_mesh(bounds, subdivisions, BOUNDARIES[bc])
     U = _state(mesh)
-    mass, stiff = dense_operator_matrices(mesh)
+    mass, stiff = (textbook_periodic_matrices(mesh) if bc == "periodic"
+                   else dense_operator_matrices(mesh))
     u = U.ravel()
-    sq, grad_sq = _modal_quadratics(U, mesh)
+    sq = discrete_energy(U, mesh, 0.0, 0.0, -2.0)
+    grad_sq = 2.0 * discrete_energy(U, mesh, 1.0, 0.0, 0.0)
     assert rel_err(sq, u @ mass @ u) < 1e-13
     assert rel_err(grad_sq, u @ stiff @ u) < 1e-13
 

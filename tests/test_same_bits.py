@@ -1,4 +1,7 @@
-from same_bits import CASES, CONFIG_CASES, differing, table
+import math
+
+from same_bits import (CASES, CONFIG_CASES, describe, differing,
+                       largest_relative_difference, table)
 
 
 def test_same_bits_table_agrees_with_itself_in_one_process():
@@ -16,3 +19,23 @@ def test_differing_names_changed_and_missing_items():
     assert differing(parent, child) == {
         "a": ["row 0"], "b": ["coeffs"], "c": ["coeffs"]}
     assert differing(parent, parent) == {}
+
+
+def test_describe_sizes_each_differing_scalar_item():
+    # a row and a norm carry their floats' hex text, so the report gives
+    # the largest relative move of a scalar item; a hash has none to give
+    one, nudged = 1.5, math.nextafter(1.5, 2.0)
+    parent = {"a": {"coeffs": "1", "row 0": [0.25.hex(), one.hex(), None],
+                    "L2": [2.0.hex()]},
+              "b": {"H1": [0.0.hex()]}, "c": {"L2": [1.0.hex()]}}
+    child = {"a": {"coeffs": "9", "row 0": [0.25.hex(), nudged.hex(), None],
+                   "L2": [2.0.hex()]},
+             "b": {"H1": [1e-300.hex()]}, "c": {"L2": [math.nan.hex()]}}
+    assert largest_relative_difference(parent["a"]["row 0"],
+                                       child["a"]["row 0"]) == (
+        (nudged - one) / one)
+    assert largest_relative_difference("1", "9") is None
+    assert describe(parent, child) == [
+        "a: coeffs, row 0 (rel 1.5e-16)", "b: H1 (rel inf)",
+        "c: L2 (rel nan)"]
+    assert describe(parent, parent) == []
