@@ -10,13 +10,13 @@ evaluation reads only the two nodes bounding each point per axis and
 interpolates each axis-0 node layer once; it hands out one axis-0 Gauss
 point of a block of axis-0 elements at a time, as a contiguous (block
 elements x transverse points) slice, so neither ever holds a whole
-Gauss-grid tensor.  Each field of a slice lies on its own point grid:
-a transverse slope of the interpolant is constant along its own axis
-within an element, so it carries that point axis with length 1, and a
-length-1 point axis a is integrated with weight h_a.  `error_norms`
-subtracts the exact values in place in the values buffer; a slope minus
-the exact gradient takes the broadcast shape of the two, so it widens
-only where the exact gradient varies along that axis.  The axes C that
+Gauss-grid tensor.  Every field summed lies on the values' grid and
+takes the slice's one weights array: `error_norms` subtracts the exact
+values in place in the values buffer, and a transverse slope of the
+interpolant, constant along its own axis within an element and so of
+length 1 on that point axis, widens to the full grid when the exact
+gradient, which reads every axis the stream runs on, is subtracted
+from it.  The axes C that
 the exact solution does not read (one evaluation on an open grid of two
 points per axis has length 1 along them) split the norms: the
 interpolant is its mean over C, multilinear on the other axes V, plus a
@@ -25,8 +25,8 @@ V, so no cross term survives.  The mean's error takes the Gauss stream
 on the mesh of V alone, with the complex step along V only, times the
 measure of C; w's squares are its closed Q1 forms, sums over elements
 of squared elementwise sums and differences along each axis, streamed
-over blocks of axis-0 elements.  With C empty the norms are the Gauss
-stream on the whole mesh alone.  The energy
+over blocks of axis-0 elements (`quadrature.q1_squares`).  With C
+empty the norms are the Gauss stream on the whole mesh alone.  The energy
 writes the potential as F(v) = log1p(-v^2) + 2 v artanh(v), accurate to
 rounding for every |v| < 1: the textbook (1 + v) log(1 + v) + (1 - v)
 log(1 - v) adds two terms of size |v| to get F ~ v^2, and so loses about
@@ -47,7 +47,7 @@ import numpy as np
 
 from .mesh import dof_shape, extend_nodal
 from .problems import COMPLEX_STEP, check_admissible, mesh_for
-from .quadrature import apply_matrix, element_blocks, gauss_slices
+from .quadrature import apply_matrix, gauss_slices, q1_squares
 from .stepper import SchemeConfig, check_state, run
 from .transforms import inverse_transform
 
@@ -72,10 +72,10 @@ def _exact_gradient(exact, t, grid, axis):
 
 
 def _slice_sum(weights, x):
-    """Weighted sum of a field of a Gauss slice, one row of values per
-    block element, with the weights of its point grid."""
-    w = weights(x)
-    return float((x.reshape(-1, w.size) @ w).sum())
+    """Weighted sum of a field of a Gauss slice on the values' grid, one
+    row of values per block element; a field off that grid raises
+    ValueError."""
+    return float((x.reshape(len(x), -1) @ weights).sum())
 
 
 def error_norms(U, mesh, exact, t):
@@ -146,8 +146,8 @@ def _error_squares(full, mesh, exact, t, constant, scale=1.0):
     point of V, and the exact solution does not vary along C, so no
     cross term survives: each square is |Omega_C| times the mean's
     squared error on the mesh of V (`_mean_error_squares`) plus the
-    closed Q1 form of w (`_q1_squares`).  With C empty this is the Gauss
-    sum on the whole mesh alone.
+    closed Q1 form of w (`quadrature.q1_squares`).  With C empty this is
+    the Gauss sum on the whole mesh alone.
     """
     parts, mean = mesh.partitions, full
     for c in constant:
@@ -155,7 +155,7 @@ def _error_squares(full, mesh, exact, t, constant, scale=1.0):
         trapezoid[0, [0, -1]] *= 0.5
         mean = apply_matrix(trapezoid, mean, c)
     # w's forms before the stream, whose last slice's buffers outlive it
-    l2_sq, grad_sq = (_q1_squares(full, mean, parts, scale) if constant
+    l2_sq, grad_sq = (q1_squares(full, mean, parts, scale) if constant
                       else (0.0, 0.0))
     l2_mean, grad_mean = _mean_error_squares(mean, parts, exact, t,
                                              constant, scale)
@@ -185,57 +185,11 @@ def _mean_error_squares(mean, partitions, exact, t, constant, scale):
         vals -= exact(t, xs)
         l2_sq += _slice_sum(weights, _square(vals, scale))
         for a, slope in zip(varying, slopes):
-            # a transverse slope's length-1 point axis widens only where
-            # the exact gradient varies along it
+            # a transverse slope's length-1 point axis widens to the
+            # values' grid: the exact gradient reads every axis streamed
             diff = slope - _exact_gradient(exact, t, xs, a)
             grad_sq += _slice_sum(weights, _square(diff, scale))
     return l2_sq, grad_sq
-
-
-def _q1_squares(full, mean, partitions, scale):
-    """The L2 and H1 squares of the interpolant of w = full - mean times
-    `scale`: w^T kron(M_0, ..., M_{d-1}) w and the sum over axes a of the
-    same form with K_a in place of M_a, with M and K the P1 mass and
-    stiffness of each axis, streamed over blocks of axis-0 elements
-    (`element_blocks`), each a sum over its own elements
-    (`_element_squares`)."""
-    means = np.broadcast_to(mean, full.shape)
-    l2_sq = grad_sq = 0.0
-    for e0, e1 in element_blocks(partitions[0].n, full[0].size):
-        w = full[e0:e1 + 1] - means[e0:e1 + 1]
-        if scale != 1.0:
-            w *= scale
-        for mass, stiffness, square in _element_squares(w, partitions):
-            l2_sq += mass * square
-            grad_sq += mass * stiffness * square
-    return l2_sq, grad_sq
-
-
-def _element_squares(x, partitions):
-    """Yield (mass, stiffness, |L x|^2) for each of the 2^d products L of
-    the elementwise sum S (hi + lo) or difference D (hi - lo) along each
-    axis of x, depth first so that at most d + 1 of them are held, and
-    from the last axis to axis 0, whose slices are contiguous, so that
-    most of them are taken along it.
-
-    Per element of one axis the P1 mass is (h/6)[[2, 1], [1, 2]] =
-    (h/4) S^T S + (h/12) D^T D and the stiffness (1/h) D^T D.  So the
-    product of the masses is the sum of the |L x|^2 times the product of
-    their h/4 or h/12 (`mass`), and a stiffness along axis a swaps h_a/12
-    for 1/h_a: `stiffness` is the sum of 12/h_a^2 over the axes where L
-    takes D.
-    """
-    if not partitions:
-        yield 1.0, 0.0, float(np.vdot(x, x))
-        return
-    head = (slice(None),) * (len(partitions) - 1)
-    lo, hi = x[head + (slice(None, -1),)], x[head + (slice(1, None),)]
-    h = partitions[-1].h
-    for factor, stiffness, op in ((h / 4.0, 0.0, np.add),
-                                  (h / 12.0, 12.0 / h**2, np.subtract)):
-        for mass, rest, square in _element_squares(op(hi, lo),
-                                                   partitions[:-1]):
-            yield factor * mass, stiffness + rest, square
 
 
 def _mixing_integral(full, partitions):
@@ -245,7 +199,8 @@ def _mixing_integral(full, partitions):
     buffer: one `arctanh` and one `log1p` per Gauss point.
     """
     total = 0.0
-    for v, _, _, weights in gauss_slices(full, partitions, GAUSS_POINTS):
+    for v, _, _, weights in gauss_slices(full, partitions,
+                                         GAUSS_POINTS, False):
         vat = np.arctanh(v)
         vat *= v
         np.multiply(v, v, out=v)
@@ -263,7 +218,7 @@ def discrete_energy(U, mesh, eps, theta, theta_c):
     the Gauss rule per axis, slice by slice (`_mixing_integral`); a state
     outside (-1, 1) raises `NonlinearityDomainError`.  The well and
     gradient terms are exact, the closed Q1 forms of the same full-grid
-    tensor (`_q1_squares`).  The energy takes no time, so it cannot
+    tensor (`quadrature.q1_squares`).  The energy takes no time, so it cannot
     extend a state on a lifted (nonhomogeneous Dirichlet) mesh with its
     trace: such a mesh raises ValueError.
     """
@@ -274,7 +229,7 @@ def discrete_energy(U, mesh, eps, theta, theta_c):
     check_admissible(U, (-1.0, 1.0))
     full = extend_nodal(U, mesh)
     mixing = _mixing_integral(full, mesh.partitions)
-    sq, grad_sq = _q1_squares(full, 0.0, mesh.partitions, 1.0)
+    sq, grad_sq = q1_squares(full, 0.0, mesh.partitions, 1.0)
     return 0.5 * theta * mixing - 0.5 * theta_c * sq + 0.5 * eps**2 * grad_sq
 
 

@@ -6,9 +6,10 @@ tables flatten to dotted keys (`[domain]` then `n = ...` is `domain.n`).
 reads only the keys of the chosen mode and problem; a key left over,
 misspelt or one that the mode or the problem does not read, is an
 error.  Config checks the TOML types and the rules no other object
-owns (T > 0, dt * nt = T and the cadences); every other value rule is
-its owner's: `stepper.SchemeConfig` checks the scheme, c2, dt and that
-T is a multiple of dt, `mesh_for` the subinterval counts, a builtin
+owns (T > 0, an nt within the float range, dt * nt = T and the
+cadences); every other value rule is its owner's: `stepper.SchemeConfig`
+checks the scheme, c2, dt and that T is a finite multiple of dt,
+`mesh_for` the subinterval counts, a builtin
 factory's signature names the parameters its problem takes, and `cli`
 owns every rule on the files that the output names give; config checks
 only that each name is a non-empty string.
@@ -50,7 +51,7 @@ def parse_keyvalues(text):
     """Parse TOML config text into a flat {dotted.key: value} mapping."""
     try:
         tree = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as err:
+    except ValueError as err:  # a TOMLDecodeError, or an integer too long
         raise ConfigError(f"malformed config: {err}") from None
     values = {}
 
@@ -357,8 +358,9 @@ def _resolve_steps(cfg, values):
     nt = values.pop("nt", None)
     if dt is None and nt is None:
         raise ConfigError("one of dt or nt is required")
-    if nt is not None and not (_is_int(nt) and nt >= 1):
-        raise ConfigError(f"nt must be a positive integer, got {nt!r}")
+    if nt is not None and not (_is_int(nt) and 1 <= _to_float(nt) < math.inf):
+        raise ConfigError(f"nt must be a positive integer within the float "
+                          f"range, as T / nt is a float, got {nt!r}")
     cfg.dt = cfg.T / nt if dt is None else _finite(dt, "dt")
     cfg.nt = _steps(cfg, cfg.dt)
     if nt is not None and nt != cfg.nt:
@@ -398,8 +400,9 @@ def _resolve_ladder(cfg, values, kind):
         raise ConfigError("timing mode requires ladder.kind = \"spatial\"")
     if kind == "temporal":
         nts = _int_list(_require(values, "ladder.nt"), "ladder.nt")
-        if not nts or min(nts) < 1:
-            raise ConfigError(f"ladder.nt must list positive step counts, got {nts}")
+        if not nts or min(nts) < 1 or _to_float(max(nts)) == math.inf:
+            raise ConfigError(f"ladder.nt must list positive step counts "
+                              f"within the float range, got {nts}")
         for nt in nts:
             _steps(cfg, cfg.T / nt)
         base = _counts(cfg.problem, _require(values, "domain.n"), "domain.n")

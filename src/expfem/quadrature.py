@@ -1,4 +1,5 @@
-"""Per-axis Gauss rules and the streamed two-tap evaluation of the interpolant.
+"""Per-axis Gauss rules, the streamed two-tap evaluation of the
+interpolant and its closed Q1 forms.
 
 Norms and energies integrate functions of the multilinear interpolant on
 a tensor-product Gauss grid.  Each Gauss value depends on only two nodes
@@ -11,13 +12,14 @@ contiguous runs), and a block carries its last interpolated layer into
 the next.  The block is then handed out one axis-0 Gauss point at a
 time, as contiguous (block elements x transverse Gauss points) slices,
 so its arrays stay in cache: O(npts^d N^d) work and block-sized memory.
-Every field keeps its own point grid through the stream: the slope along
-a transverse axis is constant along that axis within an element, so its
-point axis there has length 1, and the weights of a length-1 point axis
-a are h_a, since the unit Gauss weights sum to 1.  The error norms
+A slice comes with one weights array, on the values' grid; a transverse
+slope, constant along its own axis within an element, keeps that point
+axis at length 1 until the caller widens it.  `q1_squares` takes the
+mass and stiffness forms of the interpolant of a full-grid tensor
+exactly, as sums over elements of squared elementwise sums and
+differences, streamed over the same `element_blocks`.  The error norms
 (`analysis`) take every slope of the mesh they stream, the energy none;
-both integrate over its slices, and the norms' closed Q1 forms stream
-over the same `element_blocks`.  `apply_matrix`
+both integrate over its slices and take `q1_squares`.  `apply_matrix`
 applies a rectangular matrix along one axis into a new array; the
 Dirichlet lifting adds its faces with it (`assembly`).  The sine
 transform's dense axes apply their square matrix in place and in blocks
@@ -99,7 +101,7 @@ def _transverse(layers, partitions, xi, slopes):
     return [vals] + grads
 
 
-def gauss_slices(full, partitions, npts=3, slopes=False):
+def gauss_slices(full, partitions, npts, slopes):
     """Yield the interpolant on the Gauss grid one axis-0 Gauss point at a
     time: (values, slopes, coords, weights) per block of axis-0 elements
     and per point xi_k of axis 0.
@@ -111,16 +113,16 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
     points of axes 1 ... d-1, elements of axes 1 ... d-1), written as
     hi - (1 - xi_k)(hi - lo) so that hi, the block's own layers, is one
     operand and the carried layer is never copied.  `slopes` (empty
-    unless requested, and then no slope is tapped) are d/dx_a per axis in
-    the same layout, each on its own point grid: a transverse slope is
-    constant along its own axis within an element, so that point axis has
-    length 1.  The axis-0 slope (hi - lo) / h is the same array for every
-    k of a block and must not be written to.  `coords` is an open grid of
-    the slice's points.  `weights(field)` is the flat outer product of the
-    Gauss weights of axes 1 ... d-1 over one block element, times w_k h,
-    on the point grid of a field of the slice: h_a on a length-1 point
-    axis a.  The values and the other slopes are buffers that the next
-    slice of the block overwrites.
+    unless `slopes` is true, and then no slope is tapped) are d/dx_a per
+    axis in the same layout, except that a transverse slope, constant
+    along its own axis within an element, has length 1 on that point
+    axis.  The axis-0 slope (hi - lo) / h is the same array for every k
+    of a block and must not be written to.  `coords` is an open grid of
+    the slice's points and `weights` the flat outer product of the Gauss
+    weights of axes 1 ... d-1 over one block element, times w_k h, on the
+    values' grid: a transverse slope is weighted only once it is widened
+    to that grid.  The values and the other slopes are buffers that the
+    next slice of the block overwrites.
     """
     xi, w = gauss_rule(npts)
     first, rest = partitions[0], partitions[1:]
@@ -132,17 +134,9 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
         coords += ((p.a + (np.arange(p.n) + xi[:, None]) * p.h).reshape(shape),)
         per_element *= p.n * npts
     tiles = math.prod(p.n for p in rest)
-
-    @functools.cache
-    def point_weights(k, points):
-        factors = [(w * first.h)[k]] + [
-            w * p.h if n > 1 else np.array([p.h]) for n, p in zip(points, rest)]
-        return np.repeat(np.ravel(functools.reduce(np.multiply.outer,
-                                                   factors)), tiles)
-
-    def weights(k, field):
-        return point_weights(k, field.shape[1:len(partitions)])
-
+    weights = [np.repeat(np.ravel(functools.reduce(
+        np.multiply.outer, [wk] + [w * p.h for p in rest])), tiles)
+        for wk in w * first.h]
     carried = [t[0] for t in _transverse(full[:1], partitions, xi, slopes)]
     for e0, e1 in element_blocks(first.n, per_element):
         layers = _transverse(full[e0 + 1:e1 + 1], partitions, xi, slopes)
@@ -162,5 +156,49 @@ def gauss_slices(full, partitions, npts=3, slopes=False):
                 buf += hi
             x0 = (first.a + (elements + x) * first.h).reshape(
                 (-1,) + (1,) * (ndim - 1))
-            yield (bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords,
-                   functools.partial(weights, k))
+            yield bufs[0], fixed + tuple(bufs[1:]), (x0,) + coords, weights[k]
+
+
+def q1_squares(full, mean, partitions, scale):
+    """The L2 and H1 squares of the interpolant of w = full - mean times
+    `scale`: w^T kron(M_0, ..., M_{d-1}) w and the sum over axes a of the
+    same form with K_a in place of M_a, with M and K the P1 mass and
+    stiffness of each axis, streamed over blocks of axis-0 elements
+    (`element_blocks`), each a sum over its own elements
+    (`_element_squares`)."""
+    means = np.broadcast_to(mean, full.shape)
+    l2_sq = grad_sq = 0.0
+    for e0, e1 in element_blocks(partitions[0].n, full[0].size):
+        w = full[e0:e1 + 1] - means[e0:e1 + 1]
+        if scale != 1.0:
+            w *= scale
+        for mass, stiffness, square in _element_squares(w, partitions):
+            l2_sq += mass * square
+            grad_sq += mass * stiffness * square
+    return l2_sq, grad_sq
+
+
+def _element_squares(x, partitions):
+    """Yield (mass, stiffness, |L x|^2) for each of the 2^d products L of
+    the elementwise sum S (hi + lo) or difference D (hi - lo) along each
+    axis of x, depth first so that at most d + 1 of them are held, and
+    from the last axis to axis 0, whose slices are contiguous, so that
+    most of them are taken along it.
+
+    Per element of one axis the P1 mass is (h/6)[[2, 1], [1, 2]] =
+    (h/4) S^T S + (h/12) D^T D and the stiffness (1/h) D^T D.  So the
+    product of the masses is the sum of the |L x|^2 times the product of
+    their h/4 or h/12 (`mass`), and a stiffness along axis a swaps h_a/12
+    for 1/h_a: `stiffness` is the sum of 12/h_a^2 over the axes where L
+    takes D.
+    """
+    if not partitions:
+        yield 1.0, 0.0, float(np.vdot(x, x))
+        return
+    lo, hi = _tap_ends(x, len(partitions) - 1)
+    h = partitions[-1].h
+    for factor, stiffness, op in ((h / 4.0, 0.0, np.add),
+                                  (h / 12.0, 12.0 / h**2, np.subtract)):
+        for mass, rest, square in _element_squares(op(hi, lo),
+                                                   partitions[:-1]):
+            yield factor * mass, stiffness + rest, square

@@ -158,6 +158,8 @@ class SchemeConfig:
     def num_steps(self):
         # relative to T, so that a dt far above a positive T gives no
         # zero-step run
+        if not np.isfinite(self.T / self.dt):
+            raise ValueError(f"T / dt = {self.T} / {self.dt} is not finite")
         n = round(self.T / self.dt)
         if abs(n * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(

@@ -56,9 +56,13 @@ CASES = {
 # varies along every axis, so the lifting runs on all three axes, a
 # periodic box whose reaction uses `^`, a homogeneous Dirichlet box
 # (no `custom.g`) and a lifted 1D box that writes its series and
-# snapshots into subdirectories, one of them named through `..`; then
-# two spatial convergence ladders, the second on a lifted 2D box whose
-# exact solution reads y alone, so its norms take the mean over x
+# snapshots into subdirectories, one of them named through `..`, and a
+# lifted 3D box whose exact solution reads x and z but not y, so its
+# norms take the mean over y and stream x and z with a transverse slope
+# along z (its initial state adds a bump along y that the exact solution
+# leaves out, so the rest about that mean is not zero); then two spatial
+# convergence ladders, the second on a lifted 2D box whose exact
+# solution reads y alone, so its norms take the mean over x
 CONFIG_CASES = {
     "custom3d-lifted-rk2": """\
 mode = "run"
@@ -132,6 +136,25 @@ g = "0.5 + t"
 [output]
 series = "tables/../sub/series.csv"
 snapshot = "snaps/s{step}/u.vtk"
+""",
+    "custom3d-lifted-xz-rk2": """\
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.004
+nt = 4
+observe_every = 1
+snapshot_every = 4
+[domain]
+n = [10, 4, 6]
+bounds = [[0.0, 1.0], [0.0, 0.5], [0.0, 0.4]]
+[custom]
+d = 0.2
+f = "-0.8 * u"
+u0 = "cos(x) * (1 + z) + 0.1 * sin(pi * x) * sin(2 * pi * y) * sin(2.5 * pi * z)"
+g = "exp(-t) * cos(x) * (1 + z)"
+exact = "exp(-t) * cos(x) * (1 + z)"
 """,
     "converge-lrd-rk2": """\
 mode = "convergence"

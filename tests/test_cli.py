@@ -644,6 +644,40 @@ def test_inputs_that_raised_exit_as_config_errors(tmp_path, capsys, text,
     assert not out.exists()
 
 
+HUGE_NT = 10**400  # 401 digits, beyond the float range
+HUGE_RATIO = RUN_CFG.replace("nt = 8", "dt = 1e-300").replace("T = 0.25",
+                                                              "T = 1e300")
+
+
+def _ladder(text, kind, rungs):
+    return text.replace('"run"', '"convergence"').replace(
+        "observe_every = 2\n", "") + f'[ladder]\nkind = "{kind}"\n{rungs}\n'
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", HUGE_RATIO),
+    ("run", RUN_CFG.replace("nt = 8", f"nt = {HUGE_NT}")),
+    ("run", RUN_CFG.replace("nt = 8", f"dt = 0.125\nnt = {HUGE_NT}")),
+    ("run", RUN_CFG.replace("nt = 8", "nt = 1" + "0" * 5000)),
+    ("converge", _ladder(RUN_CFG.replace("nt = 8\n", ""), "temporal",
+                         f"nt = [8, {HUGE_NT}]")),
+    ("converge", _ladder(HUGE_RATIO.replace("n = [8]\n", ""), "spatial",
+                         "n = [[4], [8]]")),
+], ids=["run_T_over_dt", "run_nt", "run_dt_and_nt", "run_nt_of_5001_digits",
+        "temporal_ladder_nt", "spatial_ladder_T_over_dt"])
+def test_step_counts_beyond_the_float_range_exit_as_config_errors(
+        tmp_path, capsys, command, text):
+    # T / dt, T / nt or the message's dt * nt overflowed into an
+    # OverflowError traceback (exit 1), and an integer longer than
+    # Python's 4300-digit string limit failed to parse (exit 1)
+    out = tmp_path / "out"
+    code = main([command, "--config", _write(tmp_path, text),
+                 "--out", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_without_exact_solution_makes_no_transform_after_its_steps(
         tmp_path, capsys, monkeypatch):
     # the echoed sup norm is the series' last row, the final state's

@@ -79,8 +79,8 @@ def _reassemble(slices, npts):
 @pytest.mark.parametrize("blocked", [False, True])
 def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
     # the slices of `gauss_slices` reassemble to the whole Gauss grid; a
-    # transverse slope and its weights are broadcast along its own
-    # length-1 point axis first
+    # transverse slope is broadcast along its own length-1 point axis
+    # first, and the slice's one weights array over the values
     mesh = _mesh(dim, bc)
     if blocked:
         _two_elements_per_block(monkeypatch, mesh, npts)
@@ -92,8 +92,7 @@ def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
         vals.append(v.copy())
         slopes.append([np.broadcast_to(g.copy(), v.shape) for g in grads])
         coords.append([np.broadcast_to(c, v.shape) for c in grid])
-        weights.append([np.broadcast_to(wts(f).reshape(f.shape[1:]), v.shape)
-                        for f in (v,) + grads])
+        weights.append(np.broadcast_to(wts.reshape(v.shape[1:]), v.shape))
     assert len(vals) == npts * (3 if blocked else 1)
     want_vals, want_grads, want_grid, want_weights = (
         dense_interpolant_on_gauss(U, mesh, T_EVAL, npts))
@@ -103,23 +102,33 @@ def test_gauss_blocks_match_dense_oracle(monkeypatch, dim, bc, npts, blocked):
         assert rel_err(got, want_grads[a]) < 1e-13
     for a, want in enumerate(np.broadcast_arrays(*want_grid)):
         assert np.array_equal(_reassemble([c[a] for c in coords], npts), want)
-    # values and the axis-0 slope on the whole grid; a transverse slope
-    # along axis a with weight h_a
-    for field in range(dim + 1):
-        factors = [np.full_like(wt, p.h) if 0 < a == field - 1 else wt
-                   for a, (wt, p) in enumerate(zip(want_weights,
-                                                   mesh.partitions))]
-        assert np.array_equal(_reassemble([w[field] for w in weights], npts),
-                              functools.reduce(np.multiply.outer, factors))
+    assert np.array_equal(_reassemble(weights, npts),
+                          functools.reduce(np.multiply.outer, want_weights))
 
 
-def test_gauss_blocks_values_only_by_default():
+def test_gauss_blocks_values_only_without_slopes():
     mesh = _mesh(2, "periodic")
     full = extend_nodal(_state(mesh), mesh)
-    slices = list(quadrature.gauss_slices(full, mesh.partitions))
+    slices = list(quadrature.gauss_slices(full, mesh.partitions, 3, False))
     assert len(slices) == 3
     for vals, slopes, *_ in slices:
         assert slopes == () and vals.shape == (5, 3, 4)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slice_sum_rejects_a_field_off_the_values_grid(dim):
+    # a transverse slope has length 1 on its own point axis; summed as it
+    # is with the slice's weights, which lie on the values' grid, it
+    # would be weighted wrongly, so it raises
+    mesh = _mesh(dim, "dirichlet")
+    full = extend_nodal(_state(mesh), mesh, T_EVAL)
+    vals, slopes, _, weights = next(quadrature.gauss_slices(
+        full, mesh.partitions, 3, True))
+    assert analysis._slice_sum(weights, vals) != 0.0
+    for a, slope in enumerate(slopes[1:], 1):
+        assert slope.shape[a] == 1
+        with pytest.raises(ValueError):
+            analysis._slice_sum(weights, slope)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -187,8 +196,9 @@ EXACT_PATTERNS = {
 @pytest.mark.parametrize("pattern", list(EXACT_PATTERNS))
 def test_error_norms_match_dense_oracle_for_every_dependence(
         monkeypatch, dim, bc, npts, pattern):
-    # a slope difference keeps a length-1 point axis where the exact
-    # gradient does not vary along it, and widens where it does
+    # the stream keeps a transverse slope's own point axis at length 1;
+    # the norms widen it to the values' grid by subtracting the exact
+    # gradient, which reads every axis that the stream runs on
     mesh = _mesh(dim, bc)
     _two_elements_per_block(monkeypatch, mesh, npts)
     U = _state(mesh)
@@ -240,7 +250,6 @@ def test_error_norms_match_dense_oracle_for_every_subset_of_read_axes(
         def blocks(n, per_element, k=elements_per_block):
             return [(e0, min(e0 + k, n)) for e0 in range(0, n, k)]
         monkeypatch.setattr(quadrature, "element_blocks", blocks)
-        monkeypatch.setattr(analysis, "element_blocks", blocks)
         got = error_norms(U, mesh, exact, T_EVAL)
         assert rel_err(got[0], want[0]) < 1e-12
         assert rel_err(got[1], want[1]) < 1e-12
