@@ -53,10 +53,16 @@ def axis_spectrum(p, bc):
     for the mode j of each owned node index and P the period of the
     boundary kind's extension (`mesh.axis_layout`): Dirichlet modes
     i = 1..N-1 with P = 2N, periodic (Fourier) modes k = 0..N-1 with
-    P = N, symmetric under k <-> N - k.
+    P = N.  Since sin^2(theta / 2) is symmetric under j <-> P - j, s^2
+    is evaluated at min(j, P - j): the periodic spectrum is then
+    mirror-exact, its modes k and N - k equal bit for bit, so the step
+    weights are formed once per distinct rate (`stepper.StepWeights`),
+    and a Dirichlet mode, with j < P / 2, keeps the bits of
+    sin^2(j pi / P).
     """
     nodes, period = axis_layout(p, bc)
-    s2 = np.sin(np.arange(nodes.start, nodes.stop) * np.pi / period) ** 2
+    j = np.arange(nodes.start, nodes.stop)
+    s2 = np.sin(np.minimum(j, period - j) * np.pi / period) ** 2
     return tuple(m.factor * ((m.diag + 2 * m.off) - (4 * m.off) * s2)
                  for m in element_pair(p.h))
 

@@ -54,7 +54,9 @@ CASES = {
 
 # name: config text of a custom problem: a lifted 3D box, whose trace
 # varies along every axis, so the lifting runs on all three axes, a
-# periodic box whose reaction uses `^`, a homogeneous Dirichlet box
+# periodic box whose reaction uses `^`, a periodic rk2 box of an odd and
+# an even axis count, whose first axis forms its weights on the modes
+# 0..N // 2 alone and copies the mirrored ones, a homogeneous Dirichlet box
 # (no `custom.g`) and a lifted 1D box that writes its series and
 # snapshots into subdirectories, one of them named through `..`, and a
 # lifted 3D box whose exact solution reads x and z but not y, so its
@@ -98,6 +100,24 @@ bc = "periodic"
 d = 0.05
 f = "u - u^3 + 0.1 * sin(pi * x) * cos(2 * pi * y) ^ 2"
 u0 = "0.5 * sin(pi * x) * cos(2 * pi * y)"
+""",
+    "custom2d-periodic-odd-even-rk2": """\
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.004
+nt = 4
+observe_every = 1
+snapshot_every = 4
+[domain]
+n = [7, 10]
+bounds = [[0.0, 1.4], [0.0, 1.0]]
+bc = "periodic"
+[custom]
+d = 0.08
+f = "u - u^3 + 0.2 * cos(2 * pi * y)"
+u0 = "0.4 * sin(2 * pi * x / 1.4) * cos(2 * pi * y) + 0.1 * cos(4 * pi * y)"
 """,
     "custom2d-homogeneous-rk2": """\
 mode = "run"

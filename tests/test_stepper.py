@@ -27,7 +27,7 @@ from expfem.stepper import (SchemeConfig, StepWeights, exp_euler_step,
 from expfem.transforms import forward_transform, inverse_transform
 
 from helpers import (dense_euler_step, dense_rk2_step, full_reaction,
-                     operator_of, rel_err, step_with_temporaries,
+                     make_mesh, operator_of, rel_err, step_with_temporaries,
                      traced_peak, wave_exact_dt)
 
 
@@ -135,6 +135,80 @@ def test_rk2_weight_consistency_conditions():
     assert np.array_equal(w.stage_phi1,
                           (c2 * dt) * phi_tensor(1, rates, c2 * dt))
     assert np.array_equal(w.decay, np.exp(-dt * rates))
+
+
+def _entrywise_weights(rates, dt, scheme, c2, linear):
+    """The formulas of `StepWeights`, each over the whole rate tensor."""
+    w = {"decay": np.exp(-dt * rates), "b1": dt * phi_tensor(1, rates, dt)}
+    if scheme == "rk2":
+        w["stage_decay"] = np.exp(-(c2 * dt) * rates)
+        w["stage_phi1"] = (c2 * dt) * phi_tensor(1, rates, c2 * dt)
+        w["b2"] = dt * phi_tensor(2, rates, dt) / c2
+        w["b1"] = w["b1"] - w["b2"]
+    if linear:
+        w["decay"] = w["decay"] + linear * w["b1"]
+    if linear and scheme == "rk2":
+        w["stage_decay"] = w["stage_decay"] + linear * w["stage_phi1"]
+        w["decay"] = w["decay"] + linear * w["b2"] * w["stage_decay"]
+        w["b1"] = w["b1"] + linear * w["b2"] * w["stage_phi1"]
+    return w
+
+
+def _assert_entrywise_bits(rates, dt, scheme, c2, linear):
+    w = StepWeights(rates, dt, scheme, c2, linear)
+    for name, expected in _entrywise_weights(rates, dt, scheme, c2,
+                                             linear).items():
+        got = getattr(w, name)
+        assert got.shape == rates.shape and got.flags.c_contiguous, name
+        assert np.array_equal(got, expected), name
+
+
+# periodic subdivisions and the axes whose mirrored modes share their
+# rates: every full Fourier axis of more than two modes, never the last
+# (half-spectrum) one
+MIRRORED = [((7,), []), ((8,), []), ((2, 6), []), ((7, 10), [0]),
+            ((10, 7), [0]), ((8, 9), [0]), ((6, 7, 5), [0, 1]),
+            ((9, 8, 4), [0, 1]), ((5, 3, 12), [0, 1])]
+
+
+@pytest.mark.parametrize("linear", [0.0, -2.5])
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize("subdivisions, mirrored", MIRRORED,
+                         ids=["x".join(map(str, n)) for n, _ in MIRRORED])
+def test_periodic_weights_formed_per_distinct_rate_keep_the_entrywise_bits(
+        subdivisions, mirrored, scheme, linear):
+    # the weights are formed on the modes 0..N // 2 of each mirrored axis
+    # and copied to the modes N - k: the bits of the formulas over the
+    # whole rate tensor
+    mesh = make_mesh([(0.0, 1.0 + 0.3 * a) for a in range(len(subdivisions))],
+                     subdivisions, Periodic())
+    rates = build_operator(mesh, 0.37)
+    assert stepper._mirrored_axes(rates) == mirrored
+    _assert_entrywise_bits(rates, 0.013, scheme, 0.6, linear)
+
+
+@pytest.mark.parametrize("factory, subdivisions", [
+    (builtin_allen_cahn_wave, (32, 4, 4)), (builtin_linear_rd, (32, 16))],
+    ids=["acw", "lrd"])
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_dirichlet_weights_mirror_no_axis(factory, subdivisions, scheme):
+    prob = factory()
+    rates = build_operator(mesh_for(prob, subdivisions), prob.diffusion)
+    assert stepper._mirrored_axes(rates) == []
+    _assert_entrywise_bits(rates, 2.5e-4, scheme, 0.5, prob.linear)
+
+
+@pytest.mark.parametrize("scheme, bound", [("rk2", 6.5), ("euler", 2.9)])
+def test_step_weights_memory_stays_near_the_weights(scheme, bound):
+    # in modal tensors: rk2 holds five weights and Euler two.  Forming the
+    # phi tensors over the whole rate tensor took one fh 32^3 build's
+    # traced peak to 7.14 (rk2) and 3.13 (Euler); forming them on the
+    # block of distinct modes, into the full weights, to 6.15 and 2.61
+    prob = builtin_flory_huggins()
+    rates = build_operator(mesh_for(prob, (32, 32, 32)), prob.diffusion)
+    args = (rates, 0.01, scheme, 0.5, prob.linear)
+    StepWeights(*args)
+    assert traced_peak(StepWeights, *args) <= bound * rates.nbytes
 
 
 def test_one_step_matches_dense_oracle_1d():

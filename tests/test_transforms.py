@@ -3,7 +3,8 @@ import pytest
 import scipy.fft
 
 from expfem import transforms
-from expfem.mesh import Dirichlet, Partition1D, Periodic, dof_shape
+from expfem.mesh import (Dirichlet, Partition1D, Periodic, dof_shape,
+                         element_pair)
 from expfem.quadrature import apply_matrix
 from expfem.transforms import (DENSE_DST_POINTS, axis_spectrum,
                                forward_transform, inverse_transform,
@@ -66,6 +67,29 @@ def test_dirichlet_spectrum_value():
     p = Partition1D(0, 1, 4)
     _, stiffness = axis_spectrum(p, Dirichlet())
     assert abs(stiffness[0] - 16 * np.sin(np.pi / 8) ** 2) < 1e-12
+
+
+SPECTRUM_LENGTHS = [2, 3, 7, 10, 33, 64, 127, 128]
+
+
+@pytest.mark.parametrize("n", SPECTRUM_LENGTHS)
+def test_periodic_spectrum_is_mirror_exact(n):
+    # modes k and n - k share their eigenvalues bit for bit, so the step
+    # weights are formed once per distinct rate
+    for values in axis_spectrum(Partition1D(0.0, 1.3, n), Periodic()):
+        assert np.array_equal(values[1:], values[:0:-1])
+
+
+@pytest.mark.parametrize("n", SPECTRUM_LENGTHS)
+def test_dirichlet_spectrum_keeps_the_bits_of_sin_squared(n):
+    # the Dirichlet modes j = 1..n-1 lie below half the period 2n, so the
+    # mirrored evaluation is the plain sin(j pi / 2n)^2
+    p = Partition1D(0.0, 1.3, n)
+    s2 = np.sin(np.arange(1, n) * np.pi / (2 * n)) ** 2
+    expected = [m.factor * ((m.diag + 2 * m.off) - (4 * m.off) * s2)
+                for m in element_pair(p.h)]
+    for values, plain in zip(axis_spectrum(p, Dirichlet()), expected):
+        assert np.array_equal(values, plain)
 
 
 def test_simultaneous_diagonalization():
