@@ -47,6 +47,11 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config text parsing
 
+# the format's sections, whose bare header holds no key; any other empty
+# table stays a key whose value is {}, which a reader rejects
+_SECTIONS = ("domain", "custom", "ladder", "output")
+
+
 def parse_keyvalues(text):
     """Parse TOML config text into a flat {dotted.key: value} mapping."""
     try:
@@ -57,7 +62,7 @@ def parse_keyvalues(text):
 
     def flatten(table, prefix):
         for key, value in table.items():
-            if isinstance(value, dict):
+            if isinstance(value, dict) and (value or prefix + key in _SECTIONS):
                 flatten(value, f"{prefix}{key}.")
             else:
                 values[prefix + key] = value

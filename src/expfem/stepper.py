@@ -46,12 +46,13 @@ combine that both steps run.  This is the same scheme as with lam * u
 in the nodal reaction, up to rounding; a step runs the same products
 whatever lam is, and with lam = 0 no fold runs.
 
-Each weight is an entrywise function of its mode's rate.  On a periodic
-mesh the modes k and N - k of each full Fourier axis share their rate
-bit for bit (`transforms.axis_spectrum`), so `StepWeights` forms the
-weights once per distinct rate, on the modes 0..N // 2 of those axes
-(about a quarter of a 3D tensor), and copies them to the mirrored
-modes: the bits of the same formulas over every mode.
+Each weight is an entrywise function of its mode's rate, so
+`StepWeights` forms it once per distinct rate: on the block of the
+modes 0..N // 2 of each axis whose modes k and N - k share their rate
+bit for bit, as each full Fourier axis of a periodic mesh does
+(`transforms.axis_spectrum`), and the whole tensor where no axis does.
+It copies the block to the mirrored modes: the bits of the same
+formulas over every mode.
 
 Besides the weights (rk2 forms b1 in the buffer of dt*phi1, so no
 scheme keeps a phi1), a step holds at its peak the arrays of one load
@@ -174,11 +175,6 @@ class SchemeConfig:
         return n
 
 
-# the weight tensors that `StepWeights` holds for each scheme
-_WEIGHTS = {"euler": ("decay", "b1"),
-            "rk2": ("decay", "b1", "b2", "stage_decay", "stage_phi1")}
-
-
 def _mirrored_axes(rates):
     """The axes along which the rate tensor repeats its modes mirrored,
     index k of an axis of n modes equal bit for bit to index n - k.
@@ -192,23 +188,9 @@ def _mirrored_axes(rates):
     for a, n in enumerate(rates.shape):
         line = rates[(0,) * a + (slice(None),) + (0,) * (rates.ndim - a - 1)]
         m = n // 2 + 1
-        # one pair first, so a line that is not mirrored costs one
-        # comparison: comparing every line whole took 14 us of an lrd
-        # set-up of about 0.9 ms, the pair 1.6 us
-        if (m < n and line[m] == line[n - m]
-                and (line[m:] == line[n - m:0:-1]).all()):
+        if m < n and (line[m:] == line[n - m:0:-1]).all():
             axes.append(a)
     return axes
-
-
-def _fill_mirrors(out, axes):
-    """Fill the modes k > n // 2 of each of `axes` (n modes) from their
-    mirrors n - k, axis by axis; return out."""
-    for a in axes:
-        view = np.moveaxis(out, a, 0)
-        m = len(view) // 2 + 1
-        view[m:] = view[len(view) - m:0:-1]
-    return out
 
 
 class StepWeights:
@@ -225,55 +207,62 @@ class StepWeights:
     weight tensor is real, about half a nodal array on a periodic mesh
     and one on a Dirichlet mesh: two on Euler, five on rk2.
 
-    Every weight is formed once per distinct rate.  On a periodic mesh
-    the modes k and N - k of each full Fourier axis share their rate bit
-    for bit (`_mirrored_axes`): the full-size weights are allocated
-    first, the formulas run on the block of the first N // 2 + 1 modes
-    of those axes, about a quarter of the tensor in 3D, and write into
-    that block of each weight, and the mirrored modes are copied from it
-    (`_fill_mirrors`).  The weights keep the bits of the same formulas
-    over the whole rate tensor, and the phi temporaries are block-sized.
-    A Dirichlet mesh repeats no rate and forms its weights on the whole
-    tensor.
+    Every weight is formed once per distinct rate: the formulas run on
+    the block of the modes 0..N // 2 of each axis whose modes k and
+    N - k share their rate bit for bit (`_mirrored_axes`), which is the
+    whole tensor where no axis does.  Each weight's full-size tensor is
+    made before its formula's operands, the formula writes into its
+    block, and the mirrored modes are copied from that block at the end.
+    The weights keep the bits of the same formulas over the whole rate
+    tensor, and the phi temporaries are block-sized: about a quarter of
+    the tensor on a 3D periodic mesh.  The phi weights are formed first,
+    so that the phi temporaries live beside the fewest weights: an rk2
+    build on a 256x24x24 Dirichlet mesh peaks at 6.0 weight tensors
+    (traced), 7.1 with decay and b1 formed first.
     """
 
     def __init__(self, rates, dt, scheme, c2, linear):
         axes = _mirrored_axes(rates)
-        # each weight's full tensor and the block of it that the formulas
-        # write, none (fresh arrays) where no axis is mirrored
-        full, out = {}, {}
-        if axes:
-            block = tuple(slice(n // 2 + 1) if a in axes else slice(None)
-                          for a, n in enumerate(rates.shape))
-            # the full tensors first: expanding each weight once its block
-            # was formed left the peak RSS of fh 64^3 runs about 1 MiB
-            # higher
-            full = {name: np.empty(rates.shape) for name in _WEIGHTS[scheme]}
-            out = {name: w[block] for name, w in full.items()}
-            rates = rates[block]
-        self.decay = np.exp(-dt * rates, out=out.get("decay"))
-        self.b1 = np.multiply(dt, phi_tensor(1, rates, dt), out=out.get("b1"))
+        block = tuple(slice(n // 2 + 1) if a in axes else slice(None)
+                      for a, n in enumerate(rates.shape))
+        part = rates[block]
+
+        def weight(tau, k=0):
+            # tau*phi_k(-tau*rates), or e^{-tau*rates} for k = 0, on the
+            # block of a full-size tensor made first: made after the
+            # operands, between block-sized temporaries, the weights left
+            # the peak RSS of fh 64^3 runs about 1 MiB higher
+            out = np.empty(rates.shape)[block]
+            if k:
+                return np.multiply(tau, phi_tensor(k, part, tau), out=out)
+            return np.exp(-tau * part, out=out)
+
+        self.b1 = weight(dt, 1)
         if scheme == "rk2":
             self.stage_dt = c2 * dt
-            self.stage_decay = np.exp(-self.stage_dt * rates,
-                                      out=out.get("stage_decay"))
-            self.stage_phi1 = np.multiply(
-                self.stage_dt, phi_tensor(1, rates, self.stage_dt),
-                out=out.get("stage_phi1"))
-            # b2 in its own array, not phi2's: dividing phi2 in place left
-            # the peak RSS of fh 64^3 runs about 1 MiB higher (glibc heap
-            # layout)
-            phi2 = dt * phi_tensor(2, rates, dt)
-            self.b2 = np.divide(phi2, c2, out=out.get("b2"))
+            # b2 in its own tensor, not phi2's: dividing phi2 in place
+            # left the peak RSS of fh 64^3 runs about 1 MiB higher (glibc
+            # heap layout)
+            self.b2 = weight(dt, 2)
+            self.b2 /= c2
             self.b1 -= self.b2
+            self.stage_phi1 = weight(self.stage_dt, 1)
+            self.stage_decay = weight(self.stage_dt)
+        self.decay = weight(dt)
         if linear:
             self.decay += linear * self.b1
         if linear and scheme == "rk2":
             self.stage_decay += linear * self.stage_phi1
             self.decay += linear * self.b2 * self.stage_decay
             self.b1 += linear * self.b2 * self.stage_phi1
-        for name, w in full.items():
-            setattr(self, name, _fill_mirrors(w, axes))
+        # each weight is the block of its full tensor, a view of it
+        for name, w in vars(self).items():
+            if isinstance(w, np.ndarray):
+                for a in axes:
+                    view = np.moveaxis(w.base, a, 0)
+                    m = len(view) // 2 + 1
+                    view[m:] = view[len(view) - m:0:-1]
+                setattr(self, name, w.base)
 
 
 def _combine(coeffs, G, w, out=None):

@@ -678,6 +678,28 @@ def test_step_counts_beyond_the_float_range_exit_as_config_errors(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("scheme = {}\n" + RUN_CFG, "scheme"),
+    ("c2 = {}\n" + RUN_CFG, "c2"),
+    ("seed = {}\n" + RUN_CFG, "seed"),
+    ("observe_every = {}\n" + RUN_CFG.replace("observe_every = 2\n", ""),
+     "observe_every"),
+    ("problem2 = {}\n" + RUN_CFG, "problem2"),
+    (RUN_CFG + "[nonsense]\n", "nonsense"),
+], ids=["scheme", "c2", "seed", "observe_every", "problem2", "bare_header"])
+def test_empty_tables_exit_as_config_errors_that_name_them(
+        tmp_path, capsys, text, key):
+    # tomllib reads `key = {}` and a bare header as an empty table, which
+    # the flattening dropped: the scheme fell back to rk2, the others to
+    # their defaults, and the unknown names passed the leftover check
+    out = tmp_path / "out"
+    code = main(["run", "--config", _write(tmp_path, text), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+    assert not out.exists()
+
+
 def test_run_without_exact_solution_makes_no_transform_after_its_steps(
         tmp_path, capsys, monkeypatch):
     # the echoed sup norm is the series' last row, the final state's

@@ -303,6 +303,14 @@ f = [[1, 2], [3, 4]]
     }
 
 
+def test_keyvalue_parsing_keeps_empty_tables_but_the_sections():
+    # a bare header of one of the format's sections holds no key; any
+    # other empty table is a key whose value is {}, which no reader takes
+    assert parse_keyvalues("[domain]\n[custom]\n[ladder]\n[output]\n") == {}
+    assert parse_keyvalues("a = {}\n[b]\n[domain.c]\n") == {
+        "a": {}, "b": {}, "domain.c": {}}
+
+
 def test_keyvalue_duplicate_and_malformed():
     with pytest.raises(ConfigError):
         parse_keyvalues("a = 1\na = 2\n")

@@ -198,14 +198,25 @@ def test_dirichlet_weights_mirror_no_axis(factory, subdivisions, scheme):
     _assert_entrywise_bits(rates, 2.5e-4, scheme, 0.5, prob.linear)
 
 
-@pytest.mark.parametrize("scheme, bound", [("rk2", 6.5), ("euler", 2.9)])
-def test_step_weights_memory_stays_near_the_weights(scheme, bound):
+@pytest.mark.parametrize("factory, subdivisions, scheme, bound", [
+    (builtin_flory_huggins, (32, 32, 32), "rk2", 6.5),
+    (builtin_flory_huggins, (32, 32, 32), "euler", 2.9),
+    (builtin_allen_cahn_wave, (64, 12, 12), "rk2", 6.5),
+    (builtin_allen_cahn_wave, (64, 12, 12), "euler", 3.5),
+    (builtin_linear_rd, (64, 32), "euler", 3.5),
+], ids=["fh-rk2", "fh-euler", "acw-rk2", "acw-euler", "lrd-euler"])
+def test_step_weights_memory_stays_near_the_weights(factory, subdivisions,
+                                                    scheme, bound):
     # in modal tensors: rk2 holds five weights and Euler two.  Forming the
     # phi tensors over the whole rate tensor took one fh 32^3 build's
     # traced peak to 7.14 (rk2) and 3.13 (Euler); forming them on the
-    # block of distinct modes, into the full weights, to 6.15 and 2.61
-    prob = builtin_flory_huggins()
-    rates = build_operator(mesh_for(prob, (32, 32, 32)), prob.diffusion)
+    # block of distinct modes to 5.59 and 2.58.  On the Dirichlet meshes,
+    # where the block is the whole tensor, they read 6.04 (acw rk2), 3.16
+    # (acw Euler) and 3.25 (lrd Euler); with decay and b1 formed first,
+    # acw rk2 read 7.15, and with every full tensor made up front 8.17,
+    # 4.16 and 4.25
+    prob = factory()
+    rates = build_operator(mesh_for(prob, subdivisions), prob.diffusion)
     args = (rates, 0.01, scheme, 0.5, prob.linear)
     StepWeights(*args)
     assert traced_peak(StepWeights, *args) <= bound * rates.nbytes
