@@ -255,11 +255,10 @@ def boundary_correction(ctx, t, G):
 
 
 def initial_state(problem, mesh):
-    """Nodal tensor of the initial datum u0 at the owned nodes, read-only
-    whether or not it shares memory with the array u0 returned."""
+    """Nodal tensor of the initial datum u0 at the owned nodes: a
+    read-only broadcast view of the values u0 returned, with stride 0
+    along each axis they do not read (length 1), so that
+    `forward_transform` leaves those axes out of its transform."""
     if problem.u0 is None:
         raise ValueError(f"problem {problem.name} defines no initial datum")
-    U0 = np.ascontiguousarray(
-        _owned(problem.u0(node_grids(mesh)), tuple(dof_shape(mesh))))
-    U0.flags.writeable = False
-    return U0
+    return _owned(problem.u0(node_grids(mesh)), tuple(dof_shape(mesh)))

@@ -80,7 +80,9 @@ State stays transformed between steps; nodal recovery happens only in
 the load that evaluates f and for observation.  So a problem whose f is
 None steps with no transform at all: a run of it that takes any steps
 makes one forward transform of u0 and one per source term, however many
-steps it takes.  The coefficients are laid out as
+steps it takes.  u0's state is the read-only broadcast view of the
+values it returned (`assembly.initial_state`), so an axis it does not
+read is left out of that transform.  The coefficients are laid out as
 `transforms` defines them by the boundary kind's `fourier` flag: real
 sine coefficients of the nodal shape on Dirichlet meshes, the complex
 half spectrum of `rfftn` (N // 2 + 1 entries on the last axis) on
@@ -341,10 +343,12 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     obs(step_index, t, U_nodal) at the `observation_steps` of its own
     `every`, in the order of `observers`.  A step that any observer sees
     makes one inverse transform, which all of them share; the step-0 state is
-    the read-only `initial_state`.  `run` drops each nodal state once the
-    observers have seen it, so none lives through the steps, and it holds
-    no reference to the modal state while a step runs: it hands the step
-    the state as a call temporary, so the step can free it.
+    the `initial_state`, a read-only broadcast view of u0's values, which
+    its forward transform reads with its zero strides.  `run` drops each
+    nodal state once the observers have seen it, so none lives through
+    the steps, and it holds no reference to the modal state while a step
+    runs: it hands the step the state as a call temporary, so the step
+    can free it.
 
     Every nodal state a reaction reads is checked against the problem's
     `admissible_range` by the load (`assembly.transformed_load`), and

@@ -26,6 +26,15 @@ one transform convention, which its `fourier` flag picks:
   it once, in place (`_inverse_fourier`): the bits of `irfftn` without
   the out-of-place temporary of its leading axes.
 
+Both transforms are tensor products of per-axis transforms, so a tensor
+that is constant along some axes transforms as its core on the other
+axes times each constant axis's transform of ones (a length-1 axis
+transforms to itself).  `forward_transform` reads that structure from
+the strides: an axis of more than one point and stride 0, as a
+broadcast view has, is left out of the transform and multiplied in
+after.  The x-only initial datum of the Allen-Cahn wave then costs a
+transform along x alone, not a full-size one.
+
 This is the one module of the package that calls `scipy.fft`.
 """
 
@@ -77,14 +86,38 @@ def modal_shape(mesh):
 
 
 def forward_transform(U, mesh):
-    """Transform a nodal tensor to modal coefficients."""
+    """Transform a nodal tensor to modal coefficients.
+
+    The axes along which U has stride 0 and more than one point (a
+    broadcast view, constant along them) are left out of the transform:
+    U's core, index 0 along them, is transformed, and the result is
+    multiplied by each such axis's transform of ones (see the module
+    docstring).  With no such axis this is one `rfftn` or
+    `sine_transform` call of U."""
     U = np.asarray(U, dtype=float)
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh dof shape {dof_shape(mesh)}")
+    # the core: index 0 along each axis U is broadcast along
+    core = U[tuple(slice(None) if s else slice(1) for s in U.strides)]
     if mesh.bc.fourier:
-        return scipy.fft.rfftn(U, norm="ortho")
-    return sine_transform(U)
+        out = scipy.fft.rfftn(core, norm="ortho")
+    else:
+        out = sine_transform(core)
+    for a, (n, kept) in enumerate(zip(U.shape, core.shape)):
+        if kept < n:
+            ones = _ones_modes(n, mesh.bc.fourier, a == U.ndim - 1)
+            out = out * ones.reshape((-1,) + (1,) * (U.ndim - 1 - a))
+    return out
+
+
+def _ones_modes(n, fourier, last):
+    """The transform of n ones along one axis of the kind: the half
+    spectrum on the last Fourier axis."""
+    if not fourier:
+        return sine_transform(np.ones(n))
+    return (scipy.fft.rfft if last else scipy.fft.fft)(np.ones(n),
+                                                        norm="ortho")
 
 
 def inverse_transform(U, mesh):

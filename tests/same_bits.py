@@ -3,10 +3,11 @@
     python tests/same_bits.py               # the table of this tree's src
     python tests/same_bits.py --parent REV  # the cases that differ at REV
 
-Each case hashes the end coefficients of a run and each nodal state its
-observer sees.  It keeps each `TimeSeriesObserver` row and both error
-norms at T, where the problem has an exact solution, as the hex text of
-their floats, so that a move at rounding level shows and can be sized.
+Each case hashes each nodal state its observer sees.  It keeps the end
+coefficients of a run (the real and imaginary parts of a complex one in
+turn), each `TimeSeriesObserver` row and both error norms at T, where
+the problem has an exact solution, as the hex text of their floats, so
+that a move at rounding level shows and can be sized.
 Where a config can name the case, it also hashes what `expfem run`
 writes from that config: the series, the snapshots at steps 0 and nt,
 each by its path under the output directory, and its standard output.
@@ -19,10 +20,11 @@ hashes what `expfem converge` prints and its report without the
 checks REV out into a temporary git worktree of the repository this
 file lies in, computes both tables in child processes, prints the cases
 whose items differ, each scalar item with the largest relative
-difference of its floats from REV's, exits 1 if any do, and removes the
-worktree.  No table is kept in a file: the hashes depend on the
-installed numpy and scipy, so only two revisions computed on one
-machine compare.
+difference of its floats from REV's (of the coefficients, relative to
+their largest magnitude at REV, as a mode near zero has no scale of its
+own), exits 1 if any do, and removes the worktree.  No table is kept in
+a file: the hashes depend on the installed numpy and scipy, so only two
+revisions computed on one machine compare.
 """
 
 import argparse
@@ -35,6 +37,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,7 +66,9 @@ CASES = {
 # lifted 3D box whose exact solution reads x and z but not y, so its
 # norms take the mean over y and stream x and z with a transverse slope
 # along z (its initial state adds a bump along y that the exact solution
-# leaves out, so the rest about that mean is not zero); then two spatial
+# leaves out, so the rest about that mean is not zero), and a periodic 3D
+# box whose initial datum reads y alone, so its transform leaves out the
+# leading axis x and the half-spectrum axis z; then two spatial
 # convergence ladders, the second on a lifted 2D box whose exact
 # solution reads y alone, so its norms take the mean over x
 CONFIG_CASES = {
@@ -176,6 +182,24 @@ u0 = "cos(x) * (1 + z) + 0.1 * sin(pi * x) * sin(2 * pi * y) * sin(2.5 * pi * z)
 g = "exp(-t) * cos(x) * (1 + z)"
 exact = "exp(-t) * cos(x) * (1 + z)"
 """,
+    "custom3d-periodic-y-rk2": """\
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.004
+nt = 4
+observe_every = 1
+snapshot_every = 4
+[domain]
+n = [6, 10, 5]
+bounds = [[0.0, 1.2], [0.0, 1.0], [0.0, 0.5]]
+bc = "periodic"
+[custom]
+d = 0.1
+f = "u - u^3 + 0.2 * sin(2 * pi * x / 1.2) * cos(4 * pi * z)"
+u0 = "0.6 * cos(2 * pi * y) + 0.1"
+""",
     "converge-lrd-rk2": """\
 mode = "convergence"
 problem = "linear_rd"
@@ -236,7 +260,8 @@ def _run_hashes(problem, subdivisions, scheme, c2, dt, nt):
     end = run(problem, mesh, SchemeConfig(dt=dt, T=dt * nt, scheme=scheme,
                                           c2=c2),
               observers=[(1, record), (1, series)])
-    hashes["coeffs"] = _array_sha(end.coeffs)
+    hashes["coeffs"] = _hex(
+        np.ascontiguousarray(end.coeffs).view(float).ravel())
     for n, row in enumerate(series.rows):
         hashes[f"row {n}"] = _hex(row)
     if problem.exact is not None:
@@ -356,21 +381,24 @@ def differing(parent, child):
     return diffs
 
 
-def largest_relative_difference(parent, child):
-    """max |c - p| / |p| over the floats of two versions of a scalar item
-    (0 where they are equal, inf where p = 0 alone, nan where a nan or an
-    inf moved); None for a hash, or where the lengths or a None differ."""
+def largest_relative_difference(parent, child, whole=False):
+    """max |c - p| / |p| over the floats of two versions of a scalar item,
+    or with `whole` max |c - p| / max |p| (0 where they are equal, inf
+    where that |p| is 0 alone, nan where a nan or an inf moved); None for
+    a hash, or where the lengths or a None differ."""
     if not (isinstance(parent, list) and isinstance(child, list)
             and len(parent) == len(child)):
         return None
+    moved = [(p, c) for p, c in zip(parent, child) if p != c]
+    if any(p is None or c is None for p, c in moved):
+        return None
+    scale = max((abs(float.fromhex(p)) for p in parent if p is not None),
+                default=0.0)
     largest = 0.0
-    for p, c in zip(parent, child):
-        if p == c:
-            continue
-        if p is None or c is None:
-            return None
+    for p, c in moved:
         p, c = float.fromhex(p), float.fromhex(c)
-        rel = math.inf if p == 0.0 else abs(c - p) / abs(p)
+        ref = scale if whole else abs(p)
+        rel = math.inf if ref == 0.0 else abs(c - p) / ref
         if math.isnan(rel):
             return rel
         largest = max(largest, rel)
@@ -379,13 +407,15 @@ def largest_relative_difference(parent, child):
 
 def describe(parent, child):
     """One line per differing case: its items, each scalar one with its
-    largest relative difference."""
+    largest relative difference, the coefficients' relative to their
+    largest magnitude."""
     lines = []
     for case, items in differing(parent, child).items():
         named = []
         for item in items:
             rel = largest_relative_difference(
-                parent.get(case, {}).get(item), child.get(case, {}).get(item))
+                parent.get(case, {}).get(item), child.get(case, {}).get(item),
+                whole=item == "coeffs")
             named.append(item if rel is None else f"{item} (rel {rel:.1e})")
         lines.append(f"{case}: {', '.join(named)}")
     return lines

@@ -147,8 +147,9 @@ def _owned_node_values(datum, mesh):
 @pytest.mark.parametrize("datum", list(INITIAL_DATA))
 def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
     # a datum that varies along some axes only, or along none, is broadcast
-    # to every owned node; the result is read-only either way, whether it
-    # is a copy or a view of the datum's own array
+    # to every owned node: the result is a read-only view with stride 0
+    # exactly along the axes the datum's values have length 1, which
+    # `forward_transform` leaves out of its transform
     u0 = INITIAL_DATA[datum]
     kinds = {"periodic": Periodic(), "homogeneous": Dirichlet(),
              "dirichlet": Dirichlet(lambda t, xs: u0(xs))}
@@ -158,8 +159,11 @@ def test_initial_state_matches_pointwise_oracle(dim, bc, datum):
     mesh = mesh_for(prob, DATUM_SUBDIVISIONS[dim])
     U = initial_state(prob, mesh)
     want = _owned_node_values(u0, mesh)
+    read = np.shape(u0(node_grids(mesh)))
+    read = (1,) * (dim - len(read)) + read
     assert U.shape == want.shape and U.dtype == np.float64
-    assert U.flags.c_contiguous and not U.flags.writeable
+    assert not U.flags.writeable
+    assert [s == 0 for s in U.strides] == [n == 1 for n in read]
     assert np.max(np.abs(U - want)) < 1e-14
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import expfem
 from expfem import assembly, stepper, transforms
+from expfem.analysis import TimeSeriesObserver
 from expfem.assembly import LoadContext, initial_state
 from expfem.config import parse_config
 from expfem.mesh import Dirichlet, Periodic, dof_shape, full_axis_coordinates
@@ -25,6 +26,7 @@ from expfem.problems import (NonlinearityDomainError, Problem,
 from expfem.stepper import (SchemeConfig, StepWeights, exp_euler_step,
                             exp_rk2_step, run)
 from expfem.transforms import forward_transform, inverse_transform
+from expfem.writers import write_snapshot
 
 from helpers import (dense_euler_step, dense_rk2_step, full_reaction,
                      make_mesh, operator_of, rel_err, step_with_temporaries,
@@ -569,6 +571,68 @@ def test_linear_rd_run_transforms_u0_and_the_source_profile_once(
     run(prob, mesh_for(prob, (8, 4)),
         SchemeConfig(dt=0.01, T=0.01 * nsteps, scheme="euler", c2=0.5))
     assert calls == {"forward": 1 + min(nsteps, 1), "inverse": 0}
+
+
+def test_an_x_only_initial_datum_is_transformed_along_x_alone(monkeypatch):
+    # the wave's u0 reads x alone, so its initial state is a broadcast view
+    # and its transform runs on its core, one point wide along y and z
+    shapes = []
+
+    def spied(x, axes=None):
+        shapes.append(np.shape(x))
+        return sine_transform(x, axes)
+
+    sine_transform = transforms.sine_transform
+    monkeypatch.setattr(transforms, "sine_transform", spied)
+    prob = builtin_allen_cahn_wave()
+    mesh = mesh_for(prob, (32, 4, 4))
+    run(prob, mesh, SchemeConfig(dt=0.01, T=0.0, scheme="rk2", c2=0.5))
+    assert shapes and tuple(dof_shape(mesh)) == (31, 3, 3)
+    assert (31, 3, 3) not in shapes, shapes
+
+
+_LIFTED_3D = """
+mode = "run"
+problem = "custom"
+scheme = "rk2"
+c2 = 0.5
+T = 0.004
+nt = 4
+[domain]
+n = [10, 4, 6]
+bounds = [[0.0, 1.0], [0.0, 0.5], [0.0, 0.4]]
+[custom]
+d = 0.2
+f = "u - u^3"
+u0 = "{u0}"
+g = "exp(-t) * (cos(x) + 0.5 * sin(pi * x))"
+"""
+
+
+def test_an_x_only_datum_runs_as_its_full_grid_form(tmp_path):
+    # `+ 0 * y + 0 * z` makes u0's values full-size, so their transform
+    # takes the full-size path: the step-0 observations are the same
+    # bytes, and the end states agree to rounding
+    results = []
+    for u0 in ("cos(x) + 0.5 * sin(pi * x)",
+               "cos(x) + 0.5 * sin(pi * x) + 0 * y + 0 * z"):
+        cfg = parse_config(_LIFTED_3D.format(u0=u0))
+        mesh = mesh_for(cfg.problem, cfg.subdivisions)
+        series = TimeSeriesObserver(mesh)
+        path = tmp_path / f"{len(results)}.vtk"
+
+        def snap(step, t, U):
+            if step == 0:
+                write_snapshot(U, mesh, t, path)
+
+        end = run(cfg.problem, mesh,
+                  SchemeConfig(dt=cfg.dt, T=cfg.T, scheme=cfg.scheme,
+                               c2=cfg.c2),
+                  observers=[(1, series), (cfg.nt, snap)])
+        results.append((series.rows[0], path.read_bytes(), end.coeffs))
+    (row, snapshot, coeffs), (full_row, full_snapshot, full_coeffs) = results
+    assert row == full_row and snapshot == full_snapshot
+    assert rel_err(coeffs, full_coeffs) < 1e-13
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk2"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -170,6 +172,34 @@ def test_transform_shape_mismatch():
         forward_transform(np.zeros(4), mesh)
     with pytest.raises(ValueError):
         inverse_transform(np.zeros(2), mesh)
+
+
+# subdivisions with an axis longer than the dense cutoff, and periodic
+# half-spectrum axes of odd and even length
+CONSTANT_AXES_SUBDIVISIONS = {1: [70], 2: [70, 9], 3: [6, 70, 8]}
+
+
+@pytest.mark.parametrize("bc", BCS, ids=["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_forward_transform_of_a_broadcast_view_matches_its_copy(bc, dim):
+    # a broadcast axis transforms as a factor, the transform of ones; no
+    # broadcast axis, and the call is the one of a contiguous copy.  The
+    # steps run on the result, so it is C-contiguous either way
+    mesh = make_mesh([(0, 1)] * dim, CONSTANT_AXES_SUBDIVISIONS[dim], bc)
+    shape = dof_shape(mesh)
+    rng = np.random.default_rng(dim)
+    for k in range(dim + 1):
+        for flat in itertools.combinations(range(dim), k):
+            core = [1 if a in flat else n for a, n in enumerate(shape)]
+            U = np.broadcast_to(rng.standard_normal(core), shape)
+            got = forward_transform(U, mesh)
+            want = forward_transform(np.ascontiguousarray(U), mesh)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            if flat:
+                assert rel_err(got, want) < 1e-15, flat
+            else:
+                assert np.array_equal(got, want)
 
 
 def test_spectral_positivity_ratio():
