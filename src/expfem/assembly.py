@@ -34,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import (dof_shape, element_pair, interior_mass_stencil, node_grids,
-                   trace_on_faces)
+from .mesh import (broadcast_core, dof_shape, element_pair,
+                   interior_mass_stencil, node_grids, trace_on_faces)
 from .problems import COMPLEX_STEP, check_admissible
 from .quadrature import apply_matrix
 from .transforms import (axis_spectrum, forward_transform, inverse_transform,
@@ -184,7 +184,7 @@ def _trace_faces(ctx, t):
     the face after, so g and dg/dt keep the trace's zero strides."""
     g, gdot = [], []
     for v in trace_on_faces(ctx.mesh, t + 1j * COMPLEX_STEP):
-        core = v[tuple(slice(None) if s else slice(1) for s in v.strides)]
+        core = broadcast_core(v)
         g.append(v.real)
         gdot.append(np.broadcast_to(core.imag / COMPLEX_STEP, v.shape))
     return g, gdot

@@ -111,6 +111,12 @@ def dof_shape(mesh):
     return [len(axis_layout(p, mesh.bc)[0]) for p in mesh.partitions]
 
 
+def broadcast_core(v):
+    """The core of an array: index 0 along each axis of stride 0, which a
+    broadcast view is constant along; the whole array where no axis is."""
+    return v[tuple(slice(None) if s else slice(1) for s in v.strides)]
+
+
 def owned_axis_coordinates(mesh, axis):
     """Coordinates of the owned nodes along one axis."""
     p = mesh.partitions[axis]

@@ -54,7 +54,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import BoundaryKind, Dirichlet, Partition1D, Periodic, TensorMesh
+from .mesh import (BoundaryKind, Dirichlet, Partition1D, Periodic, TensorMesh,
+                   broadcast_core)
 
 # f'(x) = Im f(x + i h) / h has no difference to cancel, so h can sit far
 # below the rounding floor of x: the derivative is exact to rounding
@@ -78,11 +79,13 @@ class NonlinearityDomainError(Exception):
 
 def check_admissible(U, bounds):
     """Raise `NonlinearityDomainError` unless every value of the array U
-    lies in the open interval `bounds`; a NaN fails.  One min and one max,
-    no temporary.  The error carries the value that breaks its bound, the
+    lies in the open interval `bounds`; a NaN fails.  One min and one max
+    over U's `broadcast_core`, which holds all of its values, and no
+    temporary.  The error carries the value that breaks its bound, the
     larger in magnitude when both do.
     """
-    lo, hi = U.min(), U.max()
+    core = broadcast_core(U)
+    lo, hi = core.min(), core.max()
     # written so that a NaN, which compares false, fails
     if not (bounds[0] < lo and hi < bounds[1]):
         low = not bounds[0] < lo and (hi < bounds[1] or -lo > hi)

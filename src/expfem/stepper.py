@@ -19,9 +19,12 @@ place into the loads and the output buffer they own, and never modify
 the incoming coefficients.  Each step maps the coefficients at t to
 those at t + dt, `exp_euler_step(coeffs, t, ctx, w)` and
 `exp_rk2_step(coeffs, t, ctx, w)`: t is the one time it takes, and its
-dt lives in its weights, rk2's stage time as t + `w.stage_dt`.  `run`
-owns the clock: it picks the step once, hands step n the time dt*n and
-counts the steps.  With the folded weights
+dt lives in its weights, rk2's stage time as t + `w.stage_dt`.  The
+stream of `states` owns the set-up, the clock and the steps: it picks
+the step once, hands the step from state n the time dt*n and counts the
+steps.  `run` consumes the stream and owns the observation around it:
+the schedule, the check of each observed state and the observers.  With
+the folded weights
 
     decay = e^{-dt*rates},  b2 = dt*phi2(-dt*rates)/c2,
     b1 = dt*phi1(-dt*rates) - b2,
@@ -64,17 +67,18 @@ steps are modal: the load forms the nodal state f reads from the
 coefficients it is handed and frees it once f has read it.  It drops
 those coefficients after its inverse transform, which frees rk2's
 stage, because the step passes it as a call temporary, never a named
-local.  `run` hands each step its state the same way, so the step owns
-the one reference to it.  No rate tensor lives through the steps: `run`
-builds it (`operator.build_operator`), forms the weights from it and
-drops it.  The rk2 step makes its output buffer once the first load has
-returned.  `_rk2_stage` keeps the stage_phi1 * G(t_n) product in that
-buffer, which then takes the first-stage combine; the step then drops
-the incoming state and the first load, so both are freed before the
-second load starts, and hands the stage to that load.  A problem with
-no f forms no stage: its second load reads no state.  The step runs the
-products of the formulas above in their order, so it gives the same
-bits as the same products written each to a fresh array.
+local.  `states` hands each step its state the same way, so the step
+owns the one reference to it.  No rate tensor lives through the steps:
+the set-up of `states` builds it (`operator.build_operator`), forms the
+weights from it and drops it.  The rk2 step makes its output buffer
+once the first load has returned and keeps the stage_phi1 * G(t_n)
+product in that buffer, which then takes the first-stage combine; the
+step then drops the incoming state and the first load, so both are
+freed before the second load starts, and hands the stage to that load.
+A problem with no f forms no stage: its second load reads no state.
+The step runs the products of the formulas above in their order, so it
+gives the same bits as the same products written each to a fresh
+array.
 
 State stays transformed between steps; nodal recovery happens only in
 the load that evaluates f and for observation.  So a problem whose f is
@@ -82,11 +86,11 @@ None steps with no transform at all: a run of it that takes any steps
 makes one forward transform of u0 and one per source term, however many
 steps it takes.  u0's state is the read-only broadcast view of the
 values it returned (`assembly.initial_state`), so an axis it does not
-read is left out of that transform.  The coefficients are laid out as
-`transforms` defines them by the boundary kind's `fourier` flag: real
-sine coefficients of the nodal shape on Dirichlet meshes, the complex
-half spectrum of `rfftn` (N // 2 + 1 entries on the last axis) on
-periodic ones.  The weights are real and broadcast over either.  A
+read is left out of that transform and of u0's check before it.  The
+coefficients are laid out as `transforms` defines them by the boundary
+kind's `fourier` flag: real sine coefficients of the nodal shape on
+Dirichlet meshes, the complex half spectrum of `rfftn` (N // 2 + 1
+entries on the last axis) on periodic ones.  The weights are real and broadcast over either.  A
 kind with a `trace` lifts it: the load adds its boundary elimination,
 and `check_state` checks it with each observed state.
 """
@@ -282,20 +286,6 @@ def exp_euler_step(coeffs, t, ctx, w):
     return _combine(coeffs, transformed_load(ctx, t, coeffs), w)
 
 
-def _rk2_stage(coeffs, G1, ctx, w, out):
-    """Write the first-stage combine of coeffs and the first load G1 into
-    out and return the stage's coefficients, None when the problem has no
-    f."""
-    stage = None
-    # without f no load reads the stage: forming it doubled an lrd rk2 step
-    if ctx.problem.f is not None:
-        stage = w.stage_decay * coeffs
-        np.multiply(w.stage_phi1, G1, out=out)
-        stage += out
-    _combine(coeffs, G1, w, out)
-    return stage
-
-
 def exp_rk2_step(coeffs, t, ctx, w):
     """One step of the two-stage second-order exponential RK scheme: the
     coefficients at t + dt from those at t, with the stage loaded at
@@ -304,7 +294,14 @@ def exp_rk2_step(coeffs, t, ctx, w):
     second load as a call temporary."""
     G1 = transformed_load(ctx, t, coeffs)
     out = np.empty_like(coeffs)
-    stage = [_rk2_stage(coeffs, G1, ctx, w, out)]
+    # a list, not a name, so that the second load frees the stage
+    stage = [None]
+    # without f no load reads the stage: forming it doubled an lrd rk2 step
+    if ctx.problem.f is not None:
+        stage[0] = w.stage_decay * coeffs
+        np.multiply(w.stage_phi1, G1, out=out)
+        stage[0] += out
+    _combine(coeffs, G1, w, out)
     del coeffs, G1
     G2 = transformed_load(ctx, t + w.stage_dt, stage.pop())
     G2 *= w.b2
@@ -332,72 +329,90 @@ def check_state(U, problem, mesh, t):
             check_admissible(vals, problem.admissible_range)
 
 
-def run(problem, mesh, cfg, observers=(), step_times=None):
-    """Advance from t=0 to t=T with uniform steps, reporting to observers;
-    return the end `SolverState`.
+def states(problem, mesh, cfg, step_times=None):
+    """Set up a run and advance it from t=0 to t=T with uniform steps:
+    yield (n, t, state, nodal) for step 0, then after each step.
 
-    `run` owns the clock: step n starts at t = dt*n, which it hands to
-    the scheme's step function, chosen once, and the state after it has
-    index n + 1 and time dt*(n + 1), a product, never a running sum.
-    `observers` holds (every, obs) pairs.  Each obs is called as
-    obs(step_index, t, U_nodal) at the `observation_steps` of its own
-    `every`, in the order of `observers`.  A step that any observer sees
-    makes one inverse transform, which all of them share; the step-0 state is
-    the `initial_state`, a read-only broadcast view of u0's values, which
-    its forward transform reads with its zero strides.  `run` drops each
-    nodal state once the observers have seen it, so none lives through
-    the steps, and it holds no reference to the modal state while a step
-    runs: it hands the step the state as a call temporary, so the step
-    can free it.
+    The stream owns the set-up, the clock and the steps.  Its set-up
+    checks u0's owned values (`initial_state`) against the problem's
+    `admissible_range` before it transforms them, on every run, since a
+    non-finite u0 makes the transform warn; it builds the rate tensor,
+    forms the `StepWeights` from it and drops it.  The state of index n
+    has time t = dt*n, a product, never a running sum: the stream hands
+    dt*n to the step from it, the scheme's step function, chosen once.
+    `step_times`, when a list, collects each step's wall-clock seconds,
+    set-up left out.
 
-    Every nodal state a reaction reads is checked against the problem's
-    `admissible_range` by the load (`assembly.transformed_load`), and
-    each state the observers would see is checked here first by
-    `check_state`, the initial state and the trace of a lifted mesh
-    included, so none outside it is written out.  A
-    problem whose f is None forms no nodal state in a step, so its steps
-    no observer sees are not checked.  The check raises
-    `NonlinearityDomainError`; one raised in a step carries the index of
-    the state the step starts from, one of an observation or its check
-    the index of the state observed.  `step_times`, when a list,
-    collects per-step wall-clock seconds.
+    `state` is a one-element list that holds the modal coefficients: the
+    stream hands each step the coefficients as a call temporary, so that
+    the step owns the one reference to them and can free them, and a
+    consumer keeps no reference to `state[0]` once it resumes the stream.
+    `nodal()` returns the nodal state: at step 0 u0's values, a read-only
+    broadcast view that the transform read with its zero strides, which
+    the stream drops once it resumes; after a step the inverse transform
+    of `state[0]`, made on each call.
     """
     nsteps = cfg.num_steps()
-    plan = [(observation_steps(every, nsteps), obs) for every, obs in observers]
     _keep_freed_arrays()
     if aspect_ratio(mesh) > 8:
         warnings.warn(
             f"mesh aspect ratio {aspect_ratio(mesh):.2f} exceeds 8; "
-            "accuracy theory assumes quasi-uniform cells", stacklevel=2)
+            "accuracy theory assumes quasi-uniform cells", stacklevel=3)
     ctx = LoadContext(problem, mesh)
     # built before u0: built after u0's transform, the rate tensor left
     # the peak RSS of fh 64^3 runs about 2 MiB higher (glibc heap layout)
     rates = build_operator(mesh, problem.diffusion)
     U0 = initial_state(problem, mesh)
+    check_admissible(U0, problem.admissible_range)
+    # a list, not a name: each step is handed the state as a call
+    # temporary, so that it can free it
+    state = [forward_transform(U0, mesh)]
+    weights = StepWeights(rates, cfg.dt, cfg.scheme, cfg.c2, problem.linear)
+    del rates
+    yield 0, 0.0, state, lambda: U0
+    del U0
     step = exp_euler_step if cfg.scheme == "euler" else exp_rk2_step
+    for n in range(1, nsteps + 1):
+        tic = time.perf_counter()
+        state.append(step(state.pop(), cfg.dt * (n - 1), ctx, weights))
+        if step_times is not None:
+            step_times.append(time.perf_counter() - tic)
+        yield n, cfg.dt * n, state, lambda: inverse_transform(state[0], mesh)
+
+
+def run(problem, mesh, cfg, observers=(), step_times=None):
+    """Advance from t=0 to t=T with uniform steps, reporting to observers;
+    return the end `SolverState`.
+
+    `run` consumes the stream of `states`, which owns the set-up, the
+    clock, the steps and `step_times`, and composes the observation
+    around it.  `observers` holds (every, obs) pairs.  Each obs is called
+    as obs(step_index, t, U_nodal) at the `observation_steps` of its own
+    `every`, in the order of `observers`, step 0 included.  A state that
+    any observer sees makes one nodal state, which all of them share and
+    which `check_state` checks first, the trace of a lifted mesh
+    included, so none outside the problem's `admissible_range` is
+    written out; after a step it costs one inverse transform.  `run`
+    drops each nodal state once the observers have seen it, so none
+    lives through the steps, and it holds no reference to the modal
+    state while a step runs.
+
+    Besides these checks, the stream checks u0 in its set-up, and the
+    load (`assembly.transformed_load`) each nodal state a reaction reads.
+    A problem whose f is None forms no nodal state in a step, so its
+    steps no observer sees are not checked.  The check raises
+    `NonlinearityDomainError`; one raised in the set-up carries index 0,
+    one raised in a step the index of the state the step starts from,
+    one of an observed state the index of that state.
+    """
+    nsteps = cfg.num_steps()
+    plan = [(observation_steps(every, nsteps), obs) for every, obs in observers]
     n = 0
     try:
-        if observers:
-            check_state(U0, problem, mesh, 0.0)
-        # a list, not a name: each step is handed the state as a call
-        # temporary, so that it can free it
-        state = [forward_transform(U0, mesh)]
-        weights = StepWeights(rates, cfg.dt, cfg.scheme, cfg.c2,
-                              problem.linear)
-        del rates
-        for _, obs in observers:
-            obs(0, 0.0, U0)
-        del U0
-        while n < nsteps:
-            tic = time.perf_counter()
-            state.append(step(state.pop(), cfg.dt * n, ctx, weights))
-            n += 1
-            if step_times is not None:
-                step_times.append(time.perf_counter() - tic)
+        for n, t, state, nodal in states(problem, mesh, cfg, step_times):
             due = [obs for steps, obs in plan if n in steps]
             if due:
-                t = cfg.dt * n
-                U = inverse_transform(state[0], mesh)
+                U = nodal()
                 check_state(U, problem, mesh, t)
                 for obs in due:
                     obs(n, t, U)
@@ -405,4 +420,4 @@ def run(problem, mesh, cfg, observers=(), step_times=None):
     except NonlinearityDomainError as err:
         err.step_index = n
         raise
-    return SolverState(cfg.dt * n, state.pop(), n)
+    return SolverState(t, state.pop(), n)

@@ -44,7 +44,7 @@ import math
 import numpy as np
 import scipy.fft
 
-from .mesh import axis_layout, dof_shape, element_pair
+from .mesh import axis_layout, broadcast_core, dof_shape, element_pair
 
 # longest axis whose sine transform is a dense product, not an FFT
 DENSE_DST_POINTS = 64
@@ -98,8 +98,7 @@ def forward_transform(U, mesh):
     if list(U.shape) != dof_shape(mesh):
         raise ValueError(
             f"shape {U.shape} does not match mesh dof shape {dof_shape(mesh)}")
-    # the core: index 0 along each axis U is broadcast along
-    core = U[tuple(slice(None) if s else slice(1) for s in U.strides)]
+    core = broadcast_core(U)
     if mesh.bc.fourier:
         out = scipy.fft.rfftn(core, norm="ortho")
     else:

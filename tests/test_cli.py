@@ -700,6 +700,53 @@ def test_empty_tables_exit_as_config_errors_that_name_them(
     assert not out.exists()
 
 
+LRD_CFG = """
+mode = "run"
+problem = "linear_rd"
+T = 0.25
+nt = 8
+[domain]
+n = [8, 4]
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (RUN_CFG.replace('problem = "custom"', 'problem = "nope"'),
+     "unknown problem"),
+    (RUN_CFG.replace("T = 0.25", "T = -1"), "T must be positive"),
+    (RUN_CFG.replace("T = 0.25\nnt = 8", "T = 1\ndt = 0.1\nnt = 5"),
+     "does not equal T"),
+    (LRD_CFG + "bounds = [[0, 1], [0, 1]]\n", "conflicts with problem"),
+    (FH_CFG.replace("n = [2, 2, 2]", "n = [8, 8]"), "3D, got 2 axis counts"),
+    (RUN_CFG.replace("d = 0.5\n", ""), "missing required key 'custom.d'"),
+    (RUN_CFG.replace("bounds = [[0.0, 1.0]]", "bounds = [0, 1]"),
+     "list of [a, b] pairs"),
+    (RUN_CFG.replace("bounds = [[0.0, 1.0]]", "bounds = []"),
+     "1..3 axes, got 0"),
+    (RUN_CFG.replace("n = [8]", 'n = [8]\nbc = "neumann"'),
+     "must be 'dirichlet' or 'periodic'"),
+    (RUN_CFG.replace('f = "-u"', 'f = "u +"'), "bad expression"),
+    (CONV_CFG.replace('kind = "spatial"', 'kind = "diagonal"'),
+     "ladder.kind must be"),
+    (CONV_CFG.replace("n = [[4, 2], [8, 4]]", "n = [4, 8]"),
+     "list of per-axis count lists"),
+], ids=["unknown_problem", "negative_T", "dt_nt_not_T", "bounds_conflict",
+        "axis_count", "missing_key", "bounds_not_pairs", "no_axes",
+        "unknown_bc", "bad_expression", "ladder_kind", "ladder_n_flat"])
+def test_each_config_error_exits_2_with_its_message(tmp_path, capsys, text,
+                                                    message):
+    # each check of the parsed config, the mesh's axis count included,
+    # ends the command with exit 2 and its own message, not a traceback
+    command = "converge" if 'mode = "convergence"' in text else "run"
+    out = tmp_path / "out"
+    code = main([command, "--config", _write(tmp_path, text),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err, err
+    assert not out.exists()
+
+
 def test_run_without_exact_solution_makes_no_transform_after_its_steps(
         tmp_path, capsys, monkeypatch):
     # the echoed sup norm is the series' last row, the final state's

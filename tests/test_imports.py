@@ -177,11 +177,11 @@ def test_only_the_load_evaluates_a_reaction():
 
 def test_only_the_run_set_up_builds_an_operator():
     # the steps read the weights alone, so the modal rate tensor lives
-    # through `run`'s set-up and no longer; the loads read the 1D spectra
-    # of `transforms.axis_spectrum`
+    # through the set-up of a run's stream of states and no longer; the
+    # loads read the 1D spectra of `transforms.axis_spectrum`
     assert _calling_functions(
         lambda func: _names_read(func) & {"build_operator"}
-    ) == ["stepper.run"]
+    ) == ["stepper.states"]
 
 
 def _package_trees():

@@ -201,12 +201,49 @@ def test_flory_huggins_nan_state_raises():
     ([-0.5, 3.0], (0.0, np.inf), -0.5),
 ], ids=["nan", "inf", "minus_inf", "both_inf", "min_out", "max_on_bound",
         "both_out_min_larger", "both_out_max_larger", "one_sided"])
+@pytest.mark.parametrize("broadcast", [False, True],
+                         ids=["contiguous", "broadcast"])
 def test_check_admissible_reports_the_offending_value(values, bounds,
-                                                      reported):
+                                                      reported, broadcast):
+    # a broadcast view is checked on its core, constant along axes 0 and 2
+    U = np.array(values)
+    if broadcast:
+        U = np.broadcast_to(U[None, :, None], (3, len(values), 4))
     with pytest.raises(NonlinearityDomainError) as exc:
-        check_admissible(np.array(values), bounds)
+        check_admissible(U, bounds)
     assert exc.value.step_index is None
     assert repr(exc.value.value) == repr(reported)
+
+
+def _check_outcome(U, bounds):
+    """None when `check_admissible` passes U, else the repr of the value
+    its error carries."""
+    try:
+        check_admissible(U, bounds)
+    except NonlinearityDomainError as err:
+        return repr(err.value)
+    return None
+
+
+def test_check_admissible_reads_a_broadcast_view_as_its_copy():
+    # the check reads a broadcast view's core alone: the same min and max
+    # as its contiguous copy, so it raises or passes, with the same value,
+    # exactly as the copy does
+    rng = np.random.default_rng(2209)
+    outcomes = set()
+    for trial in range(300):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+        core_shape = tuple(n if rng.random() < 0.5 else 1 for n in shape)
+        core = rng.normal(scale=2.0, size=core_shape)
+        for bad in rng.choice([np.nan, np.inf, -np.inf], rng.integers(0, 3)):
+            core[tuple(rng.integers(0, n) for n in core_shape)] = bad
+        U = np.broadcast_to(core, shape)
+        bounds = sorted(rng.normal(scale=3.0, size=2)) if trial % 3 else (
+            -np.inf, np.inf)
+        want = _check_outcome(np.ascontiguousarray(U), bounds)
+        assert _check_outcome(U, bounds) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_problem_names_its_boundary_in_one_field():
@@ -224,6 +261,7 @@ def test_problem_names_its_boundary_in_one_field():
 def test_check_admissible_passes_a_state_inside_its_range():
     check_admissible(np.array([-1e308, 1e308]), (-np.inf, np.inf))
     check_admissible(np.array([-0.999, 0.999]), (-1.0, 1.0))
+    check_admissible(np.broadcast_to([[-0.999], [0.999]], (2, 5)), (-1.0, 1.0))
     assert Problem(name="p", diffusion=1.0, f=None,
                    domain=((0.0, 1.0),)).admissible_range == (-np.inf, np.inf)
 

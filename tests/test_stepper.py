@@ -324,6 +324,12 @@ def test_run_hands_every_load_and_observer_the_time_dt_times_n(
     assert {k: [float(t).hex() for t in v] for k, v in seen.items()} == {
         k: [t.hex() for t in v] for k, v in want.items()}
     assert (end.t, end.step_index) == (dt * nsteps, nsteps)
+    # the stream yields each state once, at dt * n, and has timed each
+    # step before it, but not its set-up
+    step_times = []
+    stream = [(n, t.hex(), len(step_times)) for n, t, _, _ in
+              stepper.states(prob, mesh_for(prob, (8,)), cfg, step_times)]
+    assert stream == [(n, (dt * n).hex(), n) for n in range(nsteps + 1)]
 
 
 def test_run_rejects_observer_cadence_below_one():
@@ -404,6 +410,26 @@ def test_a_blown_up_stage_stops_the_run_observed_or_not(observed):
             pytest.raises(NonlinearityDomainError) as exc:
         run(prob, mesh, cfg, observers=observers)
     assert exc.value.step_index == 5 and math.isnan(exc.value.value)
+
+
+def test_an_inadmissible_u0_stops_an_unobserved_run_before_its_transform(
+        monkeypatch):
+    # linear_rd's f is None, so no load reads a state and nothing observes
+    # one: unless the set-up checks u0, this run returns at step 5
+    transformed = []
+
+    def spy(U, mesh):
+        transformed.append(U)
+        return transforms.forward_transform(U, mesh)
+
+    monkeypatch.setattr(stepper, "forward_transform", spy)
+    monkeypatch.setattr(assembly, "forward_transform", spy)
+    prob = dataclasses.replace(builtin_linear_rd(), admissible_range=(-0.5, 0.5))
+    cfg = SchemeConfig(dt=0.01, T=0.05, scheme="euler", c2=0.5)
+    with pytest.raises(NonlinearityDomainError) as exc:
+        run(prob, mesh_for(prob, (16, 8)), cfg)
+    assert (exc.value.step_index, exc.value.value) == (0, -2.0)
+    assert not transformed
 
 
 def test_an_observed_state_outside_the_admissible_range_stops_the_run():
@@ -701,8 +727,11 @@ def test_run_warns_of_an_aspect_ratio_above_eight():
     # cells of 1/2 x 1/16 exactly 8, which is within the bound
     prob = builtin_linear_rd()
     cfg = SchemeConfig(dt=1e-3, T=1e-3, scheme="euler", c2=0.5)
-    with pytest.warns(UserWarning, match=r"aspect ratio 20\.00 exceeds 8"):
+    with pytest.warns(UserWarning,
+                      match=r"aspect ratio 20\.00 exceeds 8") as record:
         run(prob, mesh_for(prob, (4, 40)), cfg)
+    # the warning names the line that called `run`
+    assert record[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run(prob, mesh_for(prob, (4, 16)), cfg)
